@@ -8,8 +8,8 @@
 //	           [-eval kernel|kernel-nofuse|interp] evaluation mode for every measured config
 //	           [-coarsen]           adaptive level coarsening for every measured config
 //
-// Results print as text tables in the paper's layout; EXPERIMENTS.md records
-// a full run with commentary.
+// Results print as text tables in the paper's layout; the README's
+// "Benchmarks" section carries the measured findings.
 package main
 
 import (
@@ -27,7 +27,7 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment: table1, fig6, gsimmt, coarsen, sessions, fig7, fig8, fig9, table3, table4, all")
 	quick := flag.Bool("quick", false, "small designs and short measurements (smoke run)")
-	medium := flag.Bool("medium", false, "stucore + rocket-scale designs, full budget (the EXPERIMENTS.md tier)")
+	medium := flag.Bool("medium", false, "stucore + rocket-scale designs, full budget")
 	cycles := flag.Int("cycles", 0, "override timed cycles per measurement")
 	threadList := flag.String("threads", "1,2,4,8", "comma-separated thread counts for the gsimmt and coarsen sweeps")
 	evalName := flag.String("eval", "kernel", "instruction evaluation for every measured config: kernel, kernel-nofuse, or interp")

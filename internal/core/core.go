@@ -60,9 +60,9 @@ type Config struct {
 
 // DefaultMaxSupernode is the supernode size cap used when unset. The paper
 // finds optima in the 20-50 range for emitted C++ (Fig. 9); this repository's
-// interpreted evaluation makes node evaluation relatively more expensive than
-// active-bit examination, shifting the optimum down (see EXPERIMENTS.md's
-// Fig. 9 discussion).
+// closure-threaded evaluation makes node evaluation relatively more expensive
+// than active-bit examination, shifting the optimum down (gsim-bench -exp
+// fig9 sweeps it; README "Benchmarks").
 const DefaultMaxSupernode = 4
 
 // System is a compiled, runnable simulator for one design.

@@ -49,8 +49,19 @@ func (p *Program) CompileNodesBound(m *Machine, ids []int32) []BoundFn {
 // into m's state image. The chain need not be contiguous in the program.
 // FusionStats simulates exactly this greedy walk; keep the two in step.
 func (p *Program) CompileChainBound(m *Machine, ins []Instr) []BoundFn {
-	fns := make([]BoundFn, 0, len(ins))
+	return p.AppendChainBound(make([]BoundFn, 0, len(ins)), m, ins, true)
+}
+
+// AppendChainBound appends the bound form of ins to fns, so a caller can lay
+// many chains out in one array. With fuse false the fusion walk is skipped —
+// one closure per instruction, the kernel-nofuse baseline fusion is measured
+// against.
+func (p *Program) AppendChainBound(fns []BoundFn, m *Machine, ins []Instr, fuse bool) []BoundFn {
 	for i := 0; i < len(ins); i++ {
+		if !fuse {
+			fns = append(fns, compileKernelBound(m, ins[i]))
+			continue
+		}
 		if i+2 < len(ins) {
 			if r := matchFuse3(ins[i], ins[i+1], ins[i+2]); r != FuseRuleNone {
 				fns = append(fns, compileFuse3(p, m, ins[i], ins[i+1], ins[i+2], r))

@@ -64,14 +64,10 @@ type Activity struct {
 
 	active []uint64 // one bit per supernode
 
-	// Kernel mode: per-supernode fused closure chains and the old-value
-	// parking buffer their change tracking uses. nil under EvalInterp.
-	supKerns []supKernel
-
-	scratch     []uint64
-	pending     []int32
-	pendingFlag []bool
-	memScratch  []int32
+	plan       *supPlan
+	scratch    []uint64 // interpreter sweep's old-value buffer; nil in kernel modes
+	pending    []int32  // plan register slots awaiting commit
+	memScratch []int32
 }
 
 // activationPlan is the supernode-level activation policy shared by the
@@ -88,9 +84,12 @@ type activationPlan struct {
 	kind      []ir.NodeKind
 	succStart []int32
 	succSups  []int32 // flattened reader-supernode lists
-	useBranch []bool
 
-	maxWords int32 // widest node value, sizing the old-value scratch buffers
+	// Activation strategy, decided per node from its successor count.
+	activation    ActivationMode
+	branchlessMax int
+
+	maxWords int32 // widest node value, sizing the interpreter's old-value buffer
 
 	memReadSups [][]int32 // memory ID -> read-port supernodes
 
@@ -107,7 +106,7 @@ type activationPlan struct {
 func buildActivationPlan(p *emit.Program, part *partition.Result, cfg ActivityConfig, resets []resetGroup) *activationPlan {
 	g := p.Graph
 	n := len(g.Nodes)
-	pl := &activationPlan{maxWords: 1}
+	pl := &activationPlan{maxWords: 1, activation: cfg.Activation, branchlessMax: cfg.BranchlessMax}
 
 	// Flatten supernode membership.
 	pl.supStart = make([]int32, part.Count()+1)
@@ -130,74 +129,70 @@ func buildActivationPlan(p *emit.Program, part *partition.Result, cfg ActivityCo
 	// in dependence order, so intra-supernode edges need no activation);
 	// registers and inputs keep every reader because their activations land
 	// at commit/poke time for the *next* sweep.
+	//
+	// Every list below is a duplicate-free supernode set; stamp[s] records
+	// the last list that took s, so one slice serves them all.
+	stamp := make([]int32, part.Count())
+	var gen int32
+	addSup := func(list []int32, s int32) []int32 {
+		if s < 0 || stamp[s] == gen {
+			return list
+		}
+		stamp[s] = gen
+		return append(list, s)
+	}
 	adj := g.BuildAdjacency()
 	pl.succStart = make([]int32, n+1)
 	for _, node := range g.Nodes {
 		id := node.ID
-		own := part.SupOf[id]
-		seen := map[int32]bool{}
+		gen++
+		if node.Kind == ir.KindComb || node.Kind == ir.KindMemRead {
+			if own := part.SupOf[id]; own >= 0 {
+				stamp[own] = gen
+			}
+		}
 		for _, r := range adj.Succs[id] {
-			s := part.SupOf[r]
-			if s < 0 || seen[s] {
-				continue
-			}
-			combLike := node.Kind == ir.KindComb || node.Kind == ir.KindMemRead
-			if combLike && s == own {
-				continue
-			}
-			seen[s] = true
-			pl.succSups = append(pl.succSups, s)
+			pl.succSups = addSup(pl.succSups, part.SupOf[r])
 		}
 		pl.succStart[id+1] = int32(len(pl.succSups))
-	}
-
-	// Per-node activation strategy.
-	pl.useBranch = make([]bool, n)
-	for _, node := range g.Nodes {
-		id := node.ID
-		nsuccs := int(pl.succStart[id+1] - pl.succStart[id])
-		switch cfg.Activation {
-		case ActBranch:
-			pl.useBranch[id] = true
-		case ActBranchless:
-			pl.useBranch[id] = false
-		case ActCostModel:
-			pl.useBranch[id] = nsuccs > cfg.BranchlessMax
-		}
 	}
 
 	// Memory read-port supernodes, activated when a write changes contents.
 	pl.memReadSups = make([][]int32, len(g.Mems))
 	for mi, mem := range g.Mems {
-		seen := map[int32]bool{}
+		gen++
 		for _, rp := range mem.Reads {
-			s := part.SupOf[rp.ID]
-			if s >= 0 && !seen[s] {
-				seen[s] = true
-				pl.memReadSups[mi] = append(pl.memReadSups[mi], s)
-			}
+			pl.memReadSups[mi] = addSup(pl.memReadSups[mi], part.SupOf[rp.ID])
 		}
 	}
 
 	if len(resets) > 0 {
 		pl.resetRegSups = map[int32][]int32{}
 		for _, rg := range resets {
-			seen := map[int32]bool{}
+			gen++
 			for _, reg := range rg.regs {
-				s := part.SupOf[reg]
-				if s >= 0 && !seen[s] {
-					seen[s] = true
-					pl.resetRegSups[rg.sig] = append(pl.resetRegSups[rg.sig], s)
-				}
+				pl.resetRegSups[rg.sig] = addSup(pl.resetRegSups[rg.sig], part.SupOf[reg])
 			}
 		}
 	}
 	return pl
 }
 
+// useBranch is the activation strategy of a node whose reader supernodes are
+// succSups[lo:hi].
+func (pl *activationPlan) useBranch(lo, hi int32) bool {
+	switch pl.activation {
+	case ActBranch:
+		return true
+	case ActBranchless:
+		return false
+	}
+	return int(hi-lo) > pl.branchlessMax
+}
+
 // NewActivity builds the essential-signal engine over a compiled program and
-// a supernode partition of the same graph. In kernel mode (the default)
-// every supernode is fused into one closure chain; EvalInterp selects the
+// a supernode partition of the same graph. In the kernel modes every
+// supernode runs through the flat plan (supPlan); EvalInterp selects the
 // per-instruction reference interpreter.
 func NewActivity(p *emit.Program, part *partition.Result, cfg ActivityConfig, mode EvalMode) *Activity {
 	if cfg.BranchlessMax == 0 {
@@ -206,17 +201,10 @@ func NewActivity(p *emit.Program, part *partition.Result, cfg ActivityConfig, mo
 	a := &Activity{base: newBase(p, mode), part: part, cfg: cfg}
 	a.activationPlan = buildActivationPlan(p, part, cfg, a.resets)
 	a.active = make([]uint64, (part.Count()+63)/64)
-	scratchWords := a.maxWords
-	if mode != EvalInterp {
-		var kw int32
-		a.supKerns, kw = buildSupKernels(p, a.m, a.activationPlan, mode)
-		if kw > scratchWords {
-			scratchWords = kw
-		}
+	a.plan = buildSupPlan(p, a.m, a.activationPlan, mode)
+	if !a.plan.kernel {
+		a.scratch = make([]uint64, a.maxWords)
 	}
-	a.scratch = make([]uint64, scratchWords)
-	a.pendingFlag = make([]bool, len(p.Graph.Nodes))
-
 	a.activateAll()
 	return a
 }
@@ -235,10 +223,8 @@ func (a *Activity) activateAll() {
 // recompilation.
 func (a *Activity) Reset() {
 	a.resetBase()
+	a.plan.syncShadows(a.m.State)
 	a.activateAll()
-	for _, id := range a.pending {
-		a.pendingFlag[id] = false
-	}
 	a.pending = a.pending[:0]
 }
 
@@ -256,11 +242,10 @@ func (a *Activity) Poke(nodeID int, v bitvec.BV) {
 	}
 }
 
+// activateReaders arms every reader supernode of a node whose value changed
+// outside the sweep (poke, reset).
 func (a *Activity) activateReaders(id int32) {
-	for _, s := range a.succSups[a.succStart[id]:a.succStart[id+1]] {
-		a.active[s>>6] |= uint64(1) << uint(s&63)
-	}
-	a.stats.Activations += uint64(a.succStart[id+1] - a.succStart[id])
+	a.activate(a.succStart[id], a.succStart[id+1], true, 1)
 }
 
 // Step simulates one cycle: sweep active supernodes in topological order,
@@ -292,15 +277,16 @@ func (a *Activity) Step() {
 	a.sampleTrace()
 }
 
-// evalSupernode dispatches to the fused kernel chain or the interpreter
-// sweep, whichever the engine was built with.
+// evalSupernode runs the supernode through the flat plan or, under
+// EvalInterp, the reference interpreter sweep.
 func (a *Activity) evalSupernode(s int32) {
-	if a.supKerns != nil {
+	if a.plan.kernel {
 		a.evalSupernodeKernel(s)
 		return
 	}
 	p := a.m.Prog
 	st := a.m.State
+	ri := a.plan.sups[s].reg // the supernode's register slots, in member order
 	for k := a.supStart[s]; k < a.supStart[s+1]; k++ {
 		id := a.members[k]
 		code := p.Code[id]
@@ -309,10 +295,8 @@ func (a *Activity) evalSupernode(s int32) {
 		switch a.kind[id] {
 		case ir.KindReg:
 			a.m.Exec(code.Start, code.End)
-			if !a.pendingFlag[id] && !wordsEqual(st, p.Off[id], p.NextOff[id], p.WordsOf[id]) {
-				a.pendingFlag[id] = true
-				a.pending = append(a.pending, id)
-			}
+			a.pending = a.plan.queueRegs(st, ri, ri+1, a.pending)
+			ri++
 		case ir.KindMemWrite:
 			a.m.Exec(code.Start, code.End)
 		default: // comb, memread
@@ -324,77 +308,63 @@ func (a *Activity) evalSupernode(s int32) {
 			for i := int32(0); i < w; i++ {
 				diff |= old[i] ^ st[off+i]
 			}
-			a.activate(id, diff)
+			lo, hi := a.succStart[id], a.succStart[id+1]
+			a.activate(lo, hi, a.useBranch(lo, hi), diff)
 		}
 	}
 }
 
-// evalSupernodeKernel is the closure-threaded path: park the old values of
-// every change-tracked member, run the supernode's fused closure chain, then
-// diff and activate. It produces the same state trajectory, activations, and
-// stat counters as the interpreter path (activation bit-ORs commute, and a
-// member's value slot is written only by its own instructions).
+// evalSupernodeKernel is the plan path: run the supernode's chain, then
+// shadow-compare its tracked slots and queue its changed registers. It
+// produces the same state trajectory, activations, and stat counters as the
+// interpreter path (activation bit-ORs commute).
 func (a *Activity) evalSupernodeKernel(s int32) {
-	sk := &a.supKerns[s]
-	m := a.m
-	st := m.State
-	scr := a.scratch
-	for _, t := range sk.track {
-		copy(scr[t.scr:t.scr+t.w], st[t.off:t.off+t.w])
+	pl := a.plan
+	st := a.m.State
+	r, end := pl.sweep(s)
+	a.stats.NodeEvals += uint64(r.nodes)
+	a.countInstrs(uint64(r.instrs))
+	for i := r.track; i < end.track; i++ {
+		t := &pl.track[i]
+		v := st[t.off]
+		a.activate(t.succ, t.succEnd, t.branch, v^t.prev)
+		t.prev = v
 	}
-	sk.sweep(st, m)
-	a.stats.NodeEvals += sk.nodes
-	a.countInstrs(sk.instrs)
-	for _, t := range sk.track {
-		var diff uint64
-		for i := int32(0); i < t.w; i++ {
-			diff |= scr[t.scr+i] ^ st[t.off+i]
-		}
-		a.activate(t.id, diff)
+	for i := r.wide; i < end.wide; i++ {
+		t := &pl.wide[i]
+		a.activate(t.succ, t.succEnd, t.branch, pl.wideDiff(st, t))
 	}
-	p := m.Prog
-	for _, id := range sk.regs {
-		if !a.pendingFlag[id] && !wordsEqual(st, p.Off[id], p.NextOff[id], p.WordsOf[id]) {
-			a.pendingFlag[id] = true
-			a.pending = append(a.pending, id)
-		}
-	}
+	a.pending = pl.queueRegs(st, r.reg, end.reg, a.pending)
 }
 
-// activate applies the node's activation strategy given the XOR difference
-// of its old and new value.
-func (a *Activity) activate(id int32, diff uint64) {
-	start, end := a.succStart[id], a.succStart[id+1]
-	if start == end {
-		return
-	}
-	if a.useBranch[id] {
+// activate applies an activation strategy to the reader supernodes
+// succSups[lo:hi], given the XOR difference of a value's old and new words.
+func (a *Activity) activate(lo, hi int32, branch bool, diff uint64) {
+	if branch {
 		if diff != 0 {
-			for _, s := range a.succSups[start:end] {
+			for _, s := range a.succSups[lo:hi] {
 				a.active[s>>6] |= uint64(1) << uint(s&63)
 			}
-			a.stats.Activations += uint64(end - start)
+			a.stats.Activations += uint64(hi - lo)
 		}
 		return
 	}
 	// Branchless: mask is all-ones iff diff != 0.
 	m := uint64(0) - ((diff | -diff) >> 63)
-	for _, s := range a.succSups[start:end] {
+	for _, s := range a.succSups[lo:hi] {
 		a.active[s>>6] |= (uint64(1) << uint(s&63)) & m
 	}
-	a.stats.Activations += uint64(end - start)
+	a.stats.Activations += uint64(hi - lo)
 }
 
 func (a *Activity) commit() {
-	p := a.m.Prog
 	st := a.m.State
-	// Registers marked pending during evaluation have next != cur.
-	for _, id := range a.pending {
-		a.pendingFlag[id] = false
-		cur, next, w := p.Off[id], p.NextOff[id], p.WordsOf[id]
-		copy(st[cur:cur+w], st[next:next+w])
+	// Registers queued during evaluation have next != cur.
+	for _, ri := range a.pending {
+		g := &a.plan.regs[ri]
+		g.commit(st)
 		a.stats.RegCommits++
-		a.activateReaders(id)
+		a.activate(g.succ, g.succEnd, true, 1)
 	}
 	a.pending = a.pending[:0]
 

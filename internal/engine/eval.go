@@ -24,9 +24,12 @@ const (
 	// (emit.Machine.Exec). It is the semantic baseline the kernel path is
 	// pinned against, and the fallback to reach for when debugging.
 	EvalInterp
-	// EvalKernelNoFuse runs the PR-2 kernel path: one closure per
-	// instruction, no superinstruction fusion, no width classes, no chunk
-	// batching. It exists as the measurable baseline for the fused pipeline
+	// EvalKernelNoFuse is the kernel path without superinstruction fusion:
+	// one closure per instruction, no chunk batching. The essential-signal
+	// engines run it through the same flat supernode plan as EvalKernel with
+	// the fusion walk switched off; the full-cycle engines sweep the
+	// per-instruction baseline table (no width classes either). It exists as
+	// the measurable baseline for the fused pipeline
 	// (BenchmarkKernelVsInterp's kernel vs kernel-nofuse rows) and stays in
 	// the conformance matrix so the baseline keeps working.
 	EvalKernelNoFuse
@@ -56,104 +59,179 @@ func ParseEvalMode(s string) (EvalMode, error) {
 	return 0, fmt.Errorf("unknown eval mode %q (want kernel, kernel-nofuse, or interp)", s)
 }
 
-// supKernel is one supernode compiled to closure-threaded form: the members'
-// kernel closures fused into a single chain, plus the per-member bookkeeping
-// the essential-signal sweep needs (old-value parking for change detection,
-// register pending checks). Executing a supernode is then one scratch copy
-// pass, one closure sweep, and one diff/activate pass — no per-member range
-// lookups and no per-instruction dispatch. Under EvalKernel the chain is the
-// bound form (superinstructions, width classes, operand pointers resolved
-// into the engine's machine); under EvalKernelNoFuse it is the
-// per-instruction baseline table.
-type supKernel struct {
-	fns    []emit.BoundFn  // EvalKernel: fused bound chain
-	kfns   []emit.KernelFn // EvalKernelNoFuse: baseline closures
-	instrs uint64
-	nodes  uint64
-	track  []trackSlot
-	regs   []int32
-}
-
-// trackSlot locates one change-tracked member (comb or memory read port):
-// its value words in the state image and its parking offset in the
-// supernode-scratch buffer.
-type trackSlot struct {
-	id     int32
-	off, w int32
-	scr    int32
-}
-
-// buildSupKernels fuses every supernode of the activation plan into its
-// kernel form. Under EvalKernel each supernode's concatenated member
-// instructions are compiled as one bound chain with superinstruction fusion
-// and width-class specialization (emit.Program.CompileChainBound); under
-// EvalKernelNoFuse the per-instruction baseline table is concatenated
-// unchanged (the PR-2 shape). The returned scratch size (in words) is the
-// widest per-supernode old-value parking area; callers size their scratch
-// buffers to max(plan.maxWords, scratchWords) so both evaluation paths fit.
+// supPlan is the flat, pre-resolved form of every supernode, built once per
+// engine and shared by Activity and ParallelActivity in every evaluation
+// mode. All bound chains are concatenated into one array; sups[s] and
+// sups[s+1] bracket supernode s's ranges in it and in the slot arrays (CSR,
+// with a sentinel record at the end), so evaluating a supernode touches one
+// small record and a few contiguous runs instead of a separately allocated
+// slice bundle.
 //
-// Correctness of the "park all old values up front" shape: a member's value
-// slot is written only by that member's own instructions, so earlier members
-// of the supernode cannot clobber a later member's pre-sweep value — parking
-// everything before the fused sweep observes exactly the values the
-// interpreter's interleaved copy-eval-diff loop observes. Fusion across
-// member boundaries inside the chain is safe for the same reason: a fused
-// closure performs exactly the stores of its source instructions (two or
-// three, per the matched rule) in order.
-func buildSupKernels(p *emit.Program, m *emit.Machine, pl *activationPlan, mode EvalMode) ([]supKernel, int32) {
-	fuse := mode != EvalKernelNoFuse
-	if !fuse {
-		p.BuildKernelsBase()
-	}
-	nSups := len(pl.supStart) - 1
-	sups := make([]supKernel, nSups)
-	scratchWords := int32(1)
-	var chain []emit.Instr
-	for s := 0; s < nSups; s++ {
-		sk := &sups[s]
-		var scr int32
-		chain = chain[:0]
-		for k := pl.supStart[s]; k < pl.supStart[s+1]; k++ {
-			id := pl.members[k]
-			code := p.Code[id]
-			if fuse {
-				chain = append(chain, p.Instrs[code.Start:code.End]...)
-			} else {
-				sk.kfns = append(sk.kfns, p.KernelsBase[code.Start:code.End]...)
-			}
-			sk.instrs += uint64(code.Len())
-			sk.nodes++
-			switch pl.kind[id] {
-			case ir.KindReg:
-				sk.regs = append(sk.regs, id)
-			case ir.KindMemWrite:
-				// write-port expressions land in dedicated slots; the commit
-				// phase reads them, no change tracking needed
-			default: // comb, memread
-				w := p.WordsOf[id]
-				sk.track = append(sk.track, trackSlot{id: id, off: p.Off[id], w: w, scr: scr})
-				scr += w
-			}
-		}
-		if fuse {
-			sk.fns = p.CompileChainBound(m, chain)
-		}
-		if scr > scratchWords {
-			scratchWords = scr
-		}
-	}
-	return sups, scratchWords
+// Change detection is a shadow compare (paper Listing 2: if new != old,
+// activate). A member's value slot is written only by that member's own
+// instructions, so between evaluations the shadow word kept in its slot
+// equals the state word: nothing is parked before the sweep, and after it
+// the slot compares, re-syncs, and activates through successor ranges
+// resolved at build time. Anything that rewrites the state image wholesale
+// (Reset, RestoreState) must call syncShadows. Fusion across member
+// boundaries inside a chain is safe for the same reason: a fused closure
+// performs exactly the stores of its source instructions, in order.
+//
+// Members with no reader supernode get no slot. Under EvalKernelNoFuse the
+// plan is the same with the fusion walk disabled; under EvalInterp only the
+// register slots are built (the interpreter sweep walks members itself and
+// consumes a supernode's register slots in member order).
+type supPlan struct {
+	kernel bool // chains and change-tracking slots are built (not EvalInterp)
+	sups   []supRec
+	fns    []emit.BoundFn
+	track  []trackSlot
+	wide   []wideSlot
+	wprev  []uint64 // shadow words of the wide slots
+	regs   []regSlot
+	regID  []int32 // regs[i]'s node ID: snapshots carry pending registers as node IDs
 }
 
-// sweep runs the supernode's compiled chain, whichever form it was built in.
-func (sk *supKernel) sweep(st []uint64, m *emit.Machine) {
-	if sk.fns != nil {
-		for _, f := range sk.fns {
-			f()
+// supRec is one supernode: the first index of each of its ranges (the next
+// record's fields end them) and its pre-summed stat contributions.
+type supRec struct {
+	fn, track, wide, reg int32
+	instrs, nodes        uint32
+}
+
+// trackSlot is one change-tracked 1-word member (comb or memory read port):
+// its state word, its shadow, and its activation strategy and successor
+// range in the engine's successor arrays (activationPlan.succSups space).
+type trackSlot struct {
+	off           int32
+	succ, succEnd int32
+	branch        bool
+	prev          uint64
+}
+
+// wideSlot is the rare multi-word change-tracked member; its shadow words
+// are wprev[prev : prev+w].
+type wideSlot struct {
+	off, w, prev  int32
+	succ, succEnd int32
+	branch        bool
+}
+
+// regSlot is one register: current and next value words and the readers its
+// commit activates.
+type regSlot struct {
+	cur, next, w  int32
+	succ, succEnd int32
+}
+
+// buildSupPlan flattens the activation plan's supernodes against machine m.
+func buildSupPlan(p *emit.Program, m *emit.Machine, ap *activationPlan, mode EvalMode) *supPlan {
+	nSups := len(ap.supStart) - 1
+	pl := &supPlan{kernel: mode != EvalInterp, sups: make([]supRec, nSups+1)}
+	var chain []emit.Instr
+	var wprev int32
+	for s := range pl.sups {
+		r := &pl.sups[s]
+		r.fn, r.track, r.wide, r.reg = int32(len(pl.fns)), int32(len(pl.track)), int32(len(pl.wide)), int32(len(pl.regs))
+		if s == nSups {
+			break // sentinel
 		}
+		chain = chain[:0]
+		for _, id := range ap.members[ap.supStart[s]:ap.supStart[s+1]] {
+			code := p.Code[id]
+			chain = append(chain, p.Instrs[code.Start:code.End]...)
+			r.instrs += uint32(code.Len())
+			r.nodes++
+			lo, hi := ap.succStart[id], ap.succStart[id+1]
+			switch {
+			case ap.kind[id] == ir.KindReg:
+				pl.regs = append(pl.regs, regSlot{cur: p.Off[id], next: p.NextOff[id], w: p.WordsOf[id], succ: lo, succEnd: hi})
+				pl.regID = append(pl.regID, id)
+			case ap.kind[id] == ir.KindMemWrite || !pl.kernel || lo == hi:
+				// write-port expressions land in dedicated slots the commit
+				// phase reads; a value nobody reads activates nothing
+			case p.WordsOf[id] == 1:
+				pl.track = append(pl.track, trackSlot{off: p.Off[id], succ: lo, succEnd: hi, branch: ap.useBranch(lo, hi)})
+			default:
+				w := p.WordsOf[id]
+				pl.wide = append(pl.wide, wideSlot{off: p.Off[id], w: w, prev: wprev, succ: lo, succEnd: hi, branch: ap.useBranch(lo, hi)})
+				wprev += w
+			}
+		}
+		if pl.kernel {
+			pl.fns = p.AppendChainBound(pl.fns, m, chain, mode == EvalKernel)
+		}
+	}
+	// Append growth leaves up to a quarter of each array unused; the plan
+	// lives as long as the engine, so trim to size.
+	pl.fns, pl.track, pl.wide = clip(pl.fns), clip(pl.track), clip(pl.wide)
+	pl.regs, pl.regID = clip(pl.regs), clip(pl.regID)
+	pl.wprev = make([]uint64, wprev)
+	pl.syncShadows(m.State)
+	return pl
+}
+
+func clip[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
+
+// syncShadows re-derives every shadow word from the state image.
+func (pl *supPlan) syncShadows(st []uint64) {
+	for i := range pl.track {
+		t := &pl.track[i]
+		t.prev = st[t.off]
+	}
+	for i := range pl.wide {
+		t := &pl.wide[i]
+		copy(pl.wprev[t.prev:t.prev+t.w], st[t.off:t.off+t.w])
+	}
+}
+
+// sweep runs supernode s's chain and returns the records bracketing its
+// slot ranges.
+func (pl *supPlan) sweep(s int32) (r, end *supRec) {
+	r, end = &pl.sups[s], &pl.sups[s+1]
+	for _, f := range pl.fns[r.fn:end.fn] {
+		f()
+	}
+	return r, end
+}
+
+// wideDiff returns the XOR difference of a wide slot against its shadow and
+// re-syncs the shadow.
+func (pl *supPlan) wideDiff(st []uint64, t *wideSlot) (diff uint64) {
+	for i := int32(0); i < t.w; i++ {
+		v := st[t.off+i]
+		diff |= v ^ pl.wprev[t.prev+i]
+		pl.wprev[t.prev+i] = v
+	}
+	return diff
+}
+
+// queueRegs appends to pending the registers of regs[lo:hi] whose next value
+// differs from the current one. A supernode is evaluated at most once per
+// Step (activations only ever target later supernodes), so a register is
+// queued at most once per cycle.
+func (pl *supPlan) queueRegs(st []uint64, lo, hi int32, pending []int32) []int32 {
+	for i := lo; i < hi; i++ {
+		if g := &pl.regs[i]; st[g.cur] != st[g.next] || g.w > 1 && !wordsEqual(st, g.cur, g.next, g.w) {
+			pending = append(pending, i)
+		}
+	}
+	return pending
+}
+
+// commit copies the register's next value over its current one.
+func (g *regSlot) commit(st []uint64) {
+	if g.w == 1 {
+		st[g.cur] = st[g.next]
 		return
 	}
-	for _, f := range sk.kfns {
-		f(st, m)
+	copy(st[g.cur:g.cur+g.w], st[g.next:g.next+g.w])
+}
+
+// pendingIDs renders queued register slots as node IDs, the snapshot form.
+func (pl *supPlan) pendingIDs(dst, pending []int32) []int32 {
+	for _, ri := range pending {
+		dst = append(dst, pl.regID[ri])
 	}
+	return dst
 }

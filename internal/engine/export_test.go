@@ -1,0 +1,32 @@
+package engine
+
+import "fmt"
+
+// CheckShadows asserts the shadow-compare invariant the flat supernode plan
+// rests on: between Steps every tracked slot's shadow equals its state word.
+func (a *Activity) CheckShadows() error { return a.plan.checkShadows(a.m.State) }
+
+// CheckShadows is the ParallelActivity twin of Activity.CheckShadows.
+func (e *ParallelActivity) CheckShadows() error { return e.plan.checkShadows(e.m.State) }
+
+func (pl *supPlan) checkShadows(st []uint64) error {
+	for i := range pl.track {
+		if t := &pl.track[i]; t.prev != st[t.off] {
+			return fmt.Errorf("track slot %d (state word %d): shadow %#x, state %#x", i, t.off, t.prev, st[t.off])
+		}
+	}
+	for i := range pl.wide {
+		t := &pl.wide[i]
+		for k := int32(0); k < t.w; k++ {
+			if pl.wprev[t.prev+k] != st[t.off+k] {
+				return fmt.Errorf("wide slot %d word %d (state word %d): shadow %#x, state %#x",
+					i, k, t.off+k, pl.wprev[t.prev+k], st[t.off+k])
+			}
+		}
+	}
+	return nil
+}
+
+// TrackedSlots reports how many change-tracked slots the plan holds, so a
+// test can tell a vacuous shadow check from a real one.
+func (a *Activity) TrackedSlots() int { return len(a.plan.track) + len(a.plan.wide) }

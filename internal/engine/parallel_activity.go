@@ -68,8 +68,7 @@ type ParallelActivity struct {
 	succMask  []uint64
 	succChunk []int32
 
-	// Kernel mode: per-supernode fused closure chains. nil under EvalInterp.
-	supKerns []supKernel
+	plan *supPlan
 
 	// batches is the per-shard kernel batching fast path (EvalKernel with
 	// MultiBitCheck only): for each active word whose supernodes all need no
@@ -77,7 +76,6 @@ type ParallelActivity struct {
 	// when batching is off; a zero full mask marks a non-batchable word.
 	batches []wordBatch
 
-	pendingFlag  []bool
 	memReadSlots [][]slotMask
 	memScratch   []int32
 	resetSlots   map[int32][]slotMask
@@ -100,21 +98,20 @@ type slotMask struct {
 // evaluating the supernodes bit by bit.
 type wordBatch struct {
 	full   uint64 // mask of populated slots; 0 = word not batchable
-	count  uint64 // populated slot count (popcount of full)
 	fns    []emit.BoundFn
 	nodes  uint64
 	instrs uint64
-	regs   []int32
+	sups   []int32 // the populated slots' supernodes; their register slots get the pending check
 }
 
-// paWorker is one worker's private state: scratch buffer, pending-register
-// list, and stat counters, merged serially at end of cycle.
+// paWorker is one worker's private state: pending-register list and stat
+// counters, merged serially at end of cycle.
 type paWorker struct {
 	e       *ParallelActivity
 	id      int
-	chunk   int32 // chunk index currently being swept (w*levels + lv)
-	scratch []uint64
-	pending []int32
+	chunk   int32    // chunk index currently being swept (w*levels + lv)
+	scratch []uint64 // interpreter sweep's old-value buffer; nil in kernel modes
+	pending []int32  // plan register slots awaiting commit
 
 	nodeEvals    uint64
 	activations  uint64
@@ -123,8 +120,8 @@ type paWorker struct {
 }
 
 // NewParallelActivity builds the multi-threaded essential-signal engine over
-// a compiled program and a supernode partition of the same graph. In kernel
-// mode (the default) every supernode is fused into one closure chain;
+// a compiled program and a supernode partition of the same graph. In the
+// kernel modes every supernode runs through the flat plan (supPlan);
 // EvalInterp selects the per-instruction reference interpreter.
 func NewParallelActivity(p *emit.Program, part *partition.Result, cfg ActivityConfig, threads int, mode EvalMode) *ParallelActivity {
 	if threads < 1 {
@@ -191,8 +188,6 @@ func NewParallelActivity(p *emit.Program, part *partition.Result, cfg ActivityCo
 		}
 	}
 
-	e.pendingFlag = make([]bool, len(g.Nodes))
-
 	// Resolve the plan's supernode targets to (word, mask) pairs in this
 	// engine's active/outbox word space.
 	e.succWord = make([]int32, len(e.succSups))
@@ -219,20 +214,16 @@ func NewParallelActivity(p *emit.Program, part *partition.Result, cfg ActivityCo
 		}
 	}
 
-	scratchWords := e.maxWords
-	if mode != EvalInterp {
-		var kw int32
-		e.supKerns, kw = buildSupKernels(p, e.m, e.activationPlan, mode)
-		if kw > scratchWords {
-			scratchWords = kw
-		}
-		if mode == EvalKernel && cfg.MultiBitCheck {
-			e.batches = e.buildWordBatches()
-		}
+	e.plan = buildSupPlan(p, e.m, e.activationPlan, mode)
+	if mode == EvalKernel && cfg.MultiBitCheck {
+		e.batches = e.buildWordBatches()
 	}
 	e.ws = make([]*paWorker, threads)
 	for w := 0; w < threads; w++ {
-		e.ws[w] = &paWorker{e: e, id: w, scratch: make([]uint64, scratchWords)}
+		e.ws[w] = &paWorker{e: e, id: w}
+		if !e.plan.kernel {
+			e.ws[w].scratch = make([]uint64, e.maxWords)
+		}
 	}
 	e.pool = newWorkerPool(threads, e.levels, e.runLevel)
 
@@ -242,7 +233,7 @@ func NewParallelActivity(p *emit.Program, part *partition.Result, cfg ActivityCo
 
 // buildWordBatches derives the per-shard batching table: one entry per
 // active word, populated when every supernode in the word is free of
-// change-tracked members. Chunk padding guarantees a word never spans two
+// change-tracked slots. Chunk padding guarantees a word never spans two
 // (shard, level) chunks, so a batch is always a slice of one chunk and the
 // sweep order (ascending slot == ascending supernode, a dependence order
 // even inside coarsened chunks) matches per-bit dispatch exactly. The
@@ -262,7 +253,7 @@ func (e *ParallelActivity) buildWordBatches() []wordBatch {
 			}
 			sups = append(sups, s)
 			ba.full |= uint64(1) << uint(b)
-			if len(e.supKerns[s].track) != 0 {
+			if r, end := &e.plan.sups[s], &e.plan.sups[s+1]; r.track != end.track || r.wide != end.wide {
 				ok = false
 			}
 		}
@@ -270,14 +261,12 @@ func (e *ParallelActivity) buildWordBatches() []wordBatch {
 			*ba = wordBatch{}
 			continue
 		}
-		ba.count = uint64(len(sups))
+		ba.sups = sups
 		var ids []int32
 		for _, s := range sups {
-			sk := &e.supKerns[s]
 			ids = append(ids, e.members[e.supStart[s]:e.supStart[s+1]]...)
-			ba.nodes += sk.nodes
-			ba.instrs += sk.instrs
-			ba.regs = append(ba.regs, sk.regs...)
+			ba.nodes += uint64(e.plan.sups[s].nodes)
+			ba.instrs += uint64(e.plan.sups[s].instrs)
 		}
 		ba.fns = e.m.Prog.CompileNodesBound(e.m, ids)
 	}
@@ -300,6 +289,7 @@ func (e *ParallelActivity) activateAll() {
 // lists all return to their post-construction shape, with no recompilation.
 func (e *ParallelActivity) Reset() {
 	e.resetBase()
+	e.plan.syncShadows(e.m.State)
 	for i := range e.active {
 		e.active[i] = 0
 	}
@@ -315,9 +305,6 @@ func (e *ParallelActivity) Reset() {
 		}
 	}
 	for _, ws := range e.ws {
-		for _, id := range ws.pending {
-			e.pendingFlag[id] = false
-		}
 		ws.pending = ws.pending[:0]
 		ws.nodeEvals, ws.activations, ws.examinations, ws.instrs = 0, 0, 0, 0
 	}
@@ -336,10 +323,14 @@ func (e *ParallelActivity) Poke(nodeID int, v bitvec.BV) {
 // activateReaders sets reader-supernode active bits directly; only safe while
 // the workers are idle (poke, commit, and reset time).
 func (e *ParallelActivity) activateReaders(id int32) {
-	for k := e.succStart[id]; k < e.succStart[id+1]; k++ {
+	e.activateRange(e.succStart[id], e.succStart[id+1])
+}
+
+func (e *ParallelActivity) activateRange(lo, hi int32) {
+	for k := lo; k < hi; k++ {
 		e.active[e.succWord[k]] |= e.succMask[k]
 	}
-	e.stats.Activations += uint64(e.succStart[id+1] - e.succStart[id])
+	e.stats.Activations += uint64(hi - lo)
 }
 
 // Step simulates one cycle: all workers sweep their shards level by level,
@@ -434,38 +425,47 @@ func (e *ParallelActivity) runLevel(w, lv int) {
 // runBatch sweeps a fully-active word's concatenated supernode chains in one
 // pass. Stat accounting mirrors the per-bit path exactly: one examination
 // for the word test plus one per set bit, then the pre-summed node and
-// instruction counts; the supernodes have no tracked members, so the only
+// instruction counts; the supernodes have no tracked slots, so the only
 // per-member bookkeeping left is the register pending check.
 func (ws *paWorker) runBatch(ba *wordBatch) {
-	e := ws.e
-	ws.examinations += 1 + ba.count
-	m := e.m
-	st := m.State
+	ws.examinations += 1 + uint64(len(ba.sups))
 	for _, f := range ba.fns {
 		f()
 	}
 	ws.nodeEvals += ba.nodes
 	ws.instrs += ba.instrs
-	p := m.Prog
-	for _, id := range ba.regs {
-		if !e.pendingFlag[id] && !wordsEqual(st, p.Off[id], p.NextOff[id], p.WordsOf[id]) {
-			e.pendingFlag[id] = true
-			ws.pending = append(ws.pending, id)
-		}
+	pl := ws.e.plan
+	for _, s := range ba.sups {
+		ws.pending = pl.queueRegs(ws.e.m.State, pl.sups[s].reg, pl.sups[s+1].reg, ws.pending)
 	}
 }
 
-// evalSupernode evaluates one supernode's members, dispatching to the fused
-// kernel chain or the interpreter sweep, whichever the engine was built
-// with. Both mirror Activity.evalSupernode with worker-private side state.
+// evalSupernode evaluates one supernode's members through the flat plan or,
+// under EvalInterp, the reference interpreter sweep. Both mirror
+// Activity.evalSupernode with worker-private side state.
 func (ws *paWorker) evalSupernode(s int32) {
 	e := ws.e
-	if e.supKerns != nil {
-		ws.evalSupernodeKernel(s)
+	pl := e.plan
+	st := e.m.State
+	if pl.kernel {
+		r, end := pl.sweep(s)
+		ws.nodeEvals += uint64(r.nodes)
+		ws.instrs += uint64(r.instrs)
+		for i := r.track; i < end.track; i++ {
+			t := &pl.track[i]
+			v := st[t.off]
+			ws.activate(t.succ, t.succEnd, t.branch, v^t.prev)
+			t.prev = v
+		}
+		for i := r.wide; i < end.wide; i++ {
+			t := &pl.wide[i]
+			ws.activate(t.succ, t.succEnd, t.branch, pl.wideDiff(st, t))
+		}
+		ws.pending = pl.queueRegs(st, r.reg, end.reg, ws.pending)
 		return
 	}
 	p := e.m.Prog
-	st := e.m.State
+	ri := pl.sups[s].reg // the supernode's register slots, in member order
 	for k := e.supStart[s]; k < e.supStart[s+1]; k++ {
 		id := e.members[k]
 		code := p.Code[id]
@@ -474,10 +474,8 @@ func (ws *paWorker) evalSupernode(s int32) {
 		switch e.kind[id] {
 		case ir.KindReg:
 			e.m.Exec(code.Start, code.End)
-			if !e.pendingFlag[id] && !wordsEqual(st, p.Off[id], p.NextOff[id], p.WordsOf[id]) {
-				e.pendingFlag[id] = true
-				ws.pending = append(ws.pending, id)
-			}
+			ws.pending = pl.queueRegs(st, ri, ri+1, ws.pending)
+			ri++
 		case ir.KindMemWrite:
 			e.m.Exec(code.Start, code.End)
 		default: // comb, memread
@@ -489,44 +487,15 @@ func (ws *paWorker) evalSupernode(s int32) {
 			for i := int32(0); i < w; i++ {
 				diff |= old[i] ^ st[off+i]
 			}
-			ws.activate(id, diff)
+			lo, hi := e.succStart[id], e.succStart[id+1]
+			ws.activate(lo, hi, e.useBranch(lo, hi), diff)
 		}
 	}
 }
 
-// evalSupernodeKernel is the closure-threaded path: park old values, run the
-// supernode's fused closure chain, then diff and activate — the parallel
-// twin of Activity.evalSupernodeKernel over worker-private state.
-func (ws *paWorker) evalSupernodeKernel(s int32) {
-	e := ws.e
-	sk := &e.supKerns[s]
-	m := e.m
-	st := m.State
-	scr := ws.scratch
-	for _, t := range sk.track {
-		copy(scr[t.scr:t.scr+t.w], st[t.off:t.off+t.w])
-	}
-	sk.sweep(st, m)
-	ws.nodeEvals += sk.nodes
-	ws.instrs += sk.instrs
-	for _, t := range sk.track {
-		var diff uint64
-		for i := int32(0); i < t.w; i++ {
-			diff |= scr[t.scr+i] ^ st[t.off+i]
-		}
-		ws.activate(t.id, diff)
-	}
-	p := m.Prog
-	for _, id := range sk.regs {
-		if !e.pendingFlag[id] && !wordsEqual(st, p.Off[id], p.NextOff[id], p.WordsOf[id]) {
-			e.pendingFlag[id] = true
-			ws.pending = append(ws.pending, id)
-		}
-	}
-}
-
-// activate publishes successor activations into the worker's outbox and
-// marks the target chunks dirty. Targets always sit in strictly later
+// activate publishes successor activations (the plan's successor range
+// [start, end), resolved to this engine's word space) into the worker's
+// outbox and marks the target chunks dirty. Targets always sit in strictly later
 // levels, so the owning shard will merge them before examining the
 // corresponding words — except, under coarsening, targets inside the
 // worker's *own current chunk* (a dependence edge folded into the merged
@@ -537,15 +506,11 @@ func (ws *paWorker) evalSupernodeKernel(s int32) {
 // zero mask (by design: it exists to avoid the data-dependent branch); a
 // spurious dirty flag only costs the owner one clean-range scan, never
 // correctness.
-func (ws *paWorker) activate(id int32, diff uint64) {
+func (ws *paWorker) activate(start, end int32, branch bool, diff uint64) {
 	e := ws.e
-	start, end := e.succStart[id], e.succStart[id+1]
-	if start == end {
-		return
-	}
 	out := e.out[ws.id]
 	dirty := e.dirty[ws.id]
-	if e.useBranch[id] {
+	if branch {
 		if diff != 0 {
 			for k := start; k < end; k++ {
 				if e.succChunk[k] == ws.chunk {
@@ -575,15 +540,13 @@ func (ws *paWorker) activate(id int32, diff uint64) {
 // commit batches register and memory commits at end of cycle, then runs the
 // reset slow path — all serial, while the workers are parked.
 func (e *ParallelActivity) commit() {
-	p := e.m.Prog
 	st := e.m.State
 	for _, ws := range e.ws {
-		for _, id := range ws.pending {
-			e.pendingFlag[id] = false
-			cur, next, w := p.Off[id], p.NextOff[id], p.WordsOf[id]
-			copy(st[cur:cur+w], st[next:next+w])
+		for _, ri := range ws.pending {
+			g := &e.plan.regs[ri]
+			g.commit(st)
 			e.stats.RegCommits++
-			e.activateReaders(id)
+			e.activateRange(g.succ, g.succEnd)
 		}
 		ws.pending = ws.pending[:0]
 	}

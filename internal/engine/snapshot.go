@@ -114,36 +114,32 @@ func (a *Activity) CaptureState() *SimState {
 			s.ActiveSups = append(s.ActiveSups, sup)
 		}
 	}
-	s.PendingRegs = append(s.PendingRegs, a.pending...)
+	s.PendingRegs = a.plan.pendingIDs(nil, a.pending)
 	return s
 }
 
 // RestoreState overwrites the essential-signal engine's state and re-derives
-// its activity bookkeeping from the snapshot's supernode set.
+// its activity bookkeeping — armed supernodes, shadow words, queued
+// registers — from the snapshot.
 func (a *Activity) RestoreState(s *SimState) error {
-	if err := checkSups(s, a.part.Count(), len(a.pendingFlag)); err != nil {
+	pending, err := a.plan.checkActivity(s)
+	if err != nil {
 		return err
 	}
 	if err := a.restoreBase(s); err != nil {
 		return err
 	}
+	a.plan.syncShadows(a.m.State)
+	a.pending = append(a.pending[:0], pending...)
 	for i := range a.active {
 		a.active[i] = 0
 	}
-	for i := range a.pendingFlag {
-		a.pendingFlag[i] = false
-	}
-	a.pending = a.pending[:0]
 	if s.SupCount == 0 {
 		a.activateAll() // capture carried no activity info: full re-evaluation is safe
 	} else {
 		for _, sup := range s.ActiveSups {
 			a.active[sup>>6] |= uint64(1) << uint(sup&63)
 		}
-	}
-	for _, id := range s.PendingRegs {
-		a.pendingFlag[id] = true
-		a.pending = append(a.pending, id)
 	}
 	return nil
 }
@@ -164,7 +160,7 @@ func (e *ParallelActivity) CaptureState() *SimState {
 	}
 	sort.Slice(s.ActiveSups, func(i, j int) bool { return s.ActiveSups[i] < s.ActiveSups[j] })
 	for _, ws := range e.ws {
-		s.PendingRegs = append(s.PendingRegs, ws.pending...)
+		s.PendingRegs = e.plan.pendingIDs(s.PendingRegs, ws.pending)
 	}
 	return s
 }
@@ -174,12 +170,14 @@ func (e *ParallelActivity) CaptureState() *SimState {
 // clearing all worker residue (outboxes, dirty flags, pending lists) — the
 // same shape a fresh engine has.
 func (e *ParallelActivity) RestoreState(s *SimState) error {
-	if err := checkSups(s, e.part.Count(), len(e.pendingFlag)); err != nil {
+	pending, err := e.plan.checkActivity(s)
+	if err != nil {
 		return err
 	}
 	if err := e.restoreBase(s); err != nil {
 		return err
 	}
+	e.plan.syncShadows(e.m.State)
 	for i := range e.active {
 		e.active[i] = 0
 	}
@@ -192,9 +190,6 @@ func (e *ParallelActivity) RestoreState(s *SimState) error {
 		for i := range dirty {
 			dirty[i] = false
 		}
-	}
-	for i := range e.pendingFlag {
-		e.pendingFlag[i] = false
 	}
 	for _, ws := range e.ws {
 		ws.pending = ws.pending[:0]
@@ -210,30 +205,39 @@ func (e *ParallelActivity) RestoreState(s *SimState) error {
 	// Pending registers land on worker 0: commit drains every worker's list
 	// serially and register commits commute (distinct registers, OR-ed
 	// activations), so placement does not affect the trajectory.
-	for _, id := range s.PendingRegs {
-		e.pendingFlag[id] = true
-		e.ws[0].pending = append(e.ws[0].pending, id)
-	}
+	e.ws[0].pending = append(e.ws[0].pending, pending...)
 	return nil
 }
 
-// checkSups validates a snapshot's activity section against the restoring
+// checkActivity validates a snapshot's activity section against the restoring
 // engine's partition — a capture that carried supernode state must come from
 // the same partition shape, every listed index must be in range, and pending
-// register IDs must be valid nodes — before any engine state is mutated.
-func checkSups(s *SimState, count, nodes int) error {
+// IDs must be registers — before any engine state is mutated. It returns the
+// pending registers as plan slots.
+func (pl *supPlan) checkActivity(s *SimState) ([]int32, error) {
+	count := len(pl.sups) - 1
 	if s.SupCount != 0 && s.SupCount != count {
-		return fmt.Errorf("engine: snapshot partition has %d supernodes, engine has %d", s.SupCount, count)
+		return nil, fmt.Errorf("engine: snapshot partition has %d supernodes, engine has %d", s.SupCount, count)
 	}
 	for _, sup := range s.ActiveSups {
 		if sup < 0 || int(sup) >= count {
-			return fmt.Errorf("engine: active supernode %d out of range [0,%d)", sup, count)
+			return nil, fmt.Errorf("engine: active supernode %d out of range [0,%d)", sup, count)
 		}
 	}
-	for _, id := range s.PendingRegs {
-		if id < 0 || int(id) >= nodes {
-			return fmt.Errorf("engine: pending register %d out of range [0,%d)", id, nodes)
-		}
+	if len(s.PendingRegs) == 0 {
+		return nil, nil
 	}
-	return nil
+	byID := make(map[int32]int32, len(pl.regID))
+	for ri, id := range pl.regID {
+		byID[id] = int32(ri)
+	}
+	pending := make([]int32, len(s.PendingRegs))
+	for k, id := range s.PendingRegs {
+		ri, ok := byID[id]
+		if !ok {
+			return nil, fmt.Errorf("engine: pending node %d is not a register", id)
+		}
+		pending[k] = ri
+	}
+	return pending, nil
 }

@@ -408,8 +408,9 @@ type Fig9Point struct {
 }
 
 // Fig9Sizes spans the paper's 0-400 sweep, with extra resolution at the
-// small end where this implementation's optimum sits (see EXPERIMENTS.md:
-// interpreted evaluation shifts the optimum far below the paper's 20-50).
+// small end where this implementation's optimum sits: closure-threaded
+// evaluation costs more per node than emitted C++, which shifts the optimum
+// below the paper's 20-50.
 var Fig9Sizes = []int{1, 2, 4, 8, 16, 32, 50, 100, 150, 200, 300, 400}
 
 // Fig9 reproduces the supernode-size study: GSIM with every optimization
