@@ -134,6 +134,7 @@ func main() {
 		fmt.Printf("%-16s nodes=%-6d sups=%-6d af=%.4f evals/cyc=%-7d exam/cyc=%-7d act/cyc=%-6d instr/cyc=%-8d speed=%.1fkHz%s\n",
 			cfg.Name, gstats.Nodes, nsup, st.ActivityFactor(),
 			st.NodeEvals/st.Cycles, st.Examinations/st.Cycles, st.Activations/st.Cycles, sys.Sim.Machine().Executed/st.Cycles, hz/1000, extra)
+		fmt.Printf("%-16s passes %v: %s\n", "", sys.PassTime.Round(time.Microsecond), sys.PassResult.Timing())
 		sys.Close()
 	}
 

@@ -121,7 +121,7 @@ func main() {
 		fatal(err)
 	}
 	defer sys.Close()
-	fmt.Printf("built %s (%s eval) in %v (passes: %s)\n", cfg.Name, cfg.Eval, sys.BuildTime.Round(1000), sys.PassResult)
+	fmt.Printf("built %s (%s eval) in %v (passes: %s; %s)\n", cfg.Name, cfg.Eval, sys.BuildTime.Round(1000), sys.PassResult, sys.PassResult.Timing())
 	if sys.Part != nil {
 		fmt.Printf("partition: %d supernodes (avg %.1f nodes, cut %d)\n",
 			sys.Part.Count(), sys.Part.AvgSize(), sys.Part.CutEdges)

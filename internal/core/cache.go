@@ -48,6 +48,9 @@ func CompileDesign(g *ir.Graph, cfg Config) (*CompiledDesign, error) {
 	if faultpoint.Hit(faultpoint.CompileFail) {
 		return nil, fmt.Errorf("core: injected compile failure (faultpoint %s)", faultpoint.CompileFail)
 	}
+	if faultpoint.Hit(faultpoint.CompilePanic) {
+		panic(fmt.Sprintf("core: injected compile panic (faultpoint %s)", faultpoint.CompilePanic))
+	}
 	start := time.Now()
 	if cfg.MaxSupernode <= 0 {
 		cfg.MaxSupernode = DefaultMaxSupernode
@@ -246,7 +249,8 @@ func designCost(d *CompiledDesign) int64 {
 // existed (a cache hit — the caller shares a previous compile). On success
 // the caller holds a reference pinning the entry against eviction; it must
 // call Release(key) when the design is no longer in use (session close).
-// Failed compiles return the cached error and hold no reference.
+// Failed compiles — a panicking compile included — return the cached error
+// and hold no reference.
 func (c *CompileCache) Get(key string, compile func() (*CompiledDesign, error)) (*CompiledDesign, bool, error) {
 	c.mu.Lock()
 	m := c.m
@@ -271,10 +275,19 @@ func (c *CompileCache) Get(key string, compile func() (*CompiledDesign, error)) 
 
 	e.once.Do(func() {
 		start := time.Now()
+		// compile runs the front end on untrusted bytes and every pass on
+		// what it yields. A panic in there is cached like any other failed
+		// compile: left to unwind, it would spend the Once with neither a
+		// design nor an error and leak the pin taken above.
+		defer func() {
+			if r := recover(); r != nil {
+				e.err = fmt.Errorf("core: compile of %q panicked: %v", key, r)
+			}
+			if m != nil {
+				m.CompileSeconds.Observe(time.Since(start).Seconds())
+			}
+		}()
 		e.design, e.err = compile()
-		if m != nil {
-			m.CompileSeconds.Observe(time.Since(start).Seconds())
-		}
 	})
 
 	c.mu.Lock()

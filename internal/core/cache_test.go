@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"gsim/internal/faultpoint"
@@ -143,5 +144,44 @@ func TestCacheCompileFailFaultpoint(t *testing.T) {
 	// A different key compiles fine; the fault was one-shot.
 	if _, k := mustCompile(t, c, 1); k == "" {
 		t.Fatal("unexpected")
+	}
+}
+
+// TestCacheCompilePanic: a compile that panics (the front end and every pass
+// run inside it, on untrusted input) must be cached as an ordinary failed
+// compile. Left to unwind through sync.Once it would leave an entry with
+// neither design nor error — every later Get of the key nil-dereferences —
+// and leak the pin taken before the compile.
+func TestCacheCompilePanic(t *testing.T) {
+	defer faultpoint.Reset()
+	c := NewCompileCache()
+	g := cacheDesign(t, 0)
+	faultpoint.Arm(faultpoint.CompilePanic, 1)
+	_, _, err := c.Get("boom", func() (*CompiledDesign, error) { return CompileDesign(g, GSIM()) })
+	if err == nil || !strings.Contains(err.Error(), "panicked") ||
+		!strings.Contains(err.Error(), `"boom"`) || !strings.Contains(err.Error(), faultpoint.CompilePanic) {
+		t.Fatalf("panic not reported as an error naming the key and the panic value: %v", err)
+	}
+	// Same key: the same cached error, compile not retried.
+	_, hit, err2 := c.Get("boom", func() (*CompiledDesign, error) {
+		t.Fatal("retried a failed compile")
+		return nil, nil
+	})
+	if !hit || err2 == nil || err2.Error() != err.Error() {
+		t.Fatalf("second Get: hit=%v err=%v, want the cached %v", hit, err2, err)
+	}
+	// Neither Get left a pin behind, so nothing exempts the entry from
+	// eviction, and the cache goes on serving and evicting other designs.
+	c.mu.Lock()
+	refs := c.entries["boom"].refs
+	c.mu.Unlock()
+	if refs != 0 {
+		t.Fatalf("failed entry still holds %d reference(s)", refs)
+	}
+	_, k := mustCompile(t, c, 1)
+	c.Release(k)
+	c.SetBudget(1)
+	if used, _, ev := c.Governance(); used != 0 || ev != 1 {
+		t.Fatalf("after the panic the cache did not evict normally: used=%d evictions=%d", used, ev)
 	}
 }

@@ -58,14 +58,9 @@ func fuzzGraph(data []byte) *ir.Graph {
 
 // parseFIRRTL attempts to interpret the bytes as a FIRRTL circuit, bounding
 // the result so a fuzz-mutated width or depth cannot blow up the lockstep
-// run. The parser is not the fuzz target — a panic on mangled text degrades
-// to the random-design path instead of failing the run.
-func parseFIRRTL(data []byte) (g *ir.Graph) {
-	defer func() {
-		if recover() != nil {
-			g = nil
-		}
-	}()
+// run. A parser panic fails the run: firrtl.FuzzFIRRTLLoad holds the front
+// end to "error, never panic", and this target must not hide a breach.
+func parseFIRRTL(data []byte) *ir.Graph {
 	parsed, err := firrtl.Load(string(data))
 	if err != nil || parsed == nil {
 		return nil

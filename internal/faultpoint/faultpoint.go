@@ -27,6 +27,9 @@ import (
 const (
 	// CompileFail makes core.CompileDesign return an injected error.
 	CompileFail = "compile-fail"
+	// CompilePanic panics inside core.CompileDesign, as a bug in a pass
+	// tripped by some input would.
+	CompilePanic = "compile-panic"
 	// StepPanic panics inside a session's step loop (server op boundary).
 	StepPanic = "step-panic"
 	// PoolPanic panics inside a parallel-engine worker goroutine.

@@ -145,7 +145,7 @@ func (e *elab) resolve(name string, s *sig) error {
 		if cn.cond == nil {
 			folded = val
 		} else {
-			folded = ir.MuxOf(cn.cond, val, folded)
+			folded = ir.MuxOf(cn.cond.Clone(), val, folded) // every connect of the block holds the same cond
 		}
 	}
 	if s.isReg {
@@ -277,10 +277,11 @@ func (e *elab) stmt(m *Module, st Stmt, prefix string, vars env, cond *ir.Expr) 
 			return err
 		}
 		c := fitSigned(cv.e, 1, false)
-		thenCond, elseCond := c, ir.Unary(ir.OpNot, c, 0)
+		// Copies, not aliases: the passes need every tree to have one owner.
+		thenCond, elseCond := c, ir.Unary(ir.OpNot, c.Clone(), 0)
 		if cond != nil {
-			thenCond = ir.Binary(ir.OpAnd, cond, thenCond)
-			elseCond = ir.Binary(ir.OpAnd, cond, elseCond)
+			thenCond = ir.Binary(ir.OpAnd, cond.Clone(), thenCond)
+			elseCond = ir.Binary(ir.OpAnd, cond.Clone(), elseCond)
 		}
 		if err := e.stmts(m, s.Then, prefix, vars, thenCond); err != nil {
 			return err

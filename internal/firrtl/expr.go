@@ -20,7 +20,7 @@ func (p *parser) expr() (Expr, error) {
 	if t.kind != tokIdent {
 		return nil, p.errf(t, "expected expression, got %s", t)
 	}
-	base := exprBase{Line: t.line}
+	base := exprBase{Line: int(t.line)}
 
 	// Literals: UInt<8>("hff"), UInt(3), SInt<4>(-2).
 	if t.text == "UInt" || t.text == "SInt" {

@@ -319,7 +319,7 @@ func (p *parser) module() (*Module, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.Ports = append(m.Ports, Port{Name: pname, Input: t.text == "input", Type: ty, Line: t.line})
+		m.Ports = append(m.Ports, Port{Name: pname, Input: t.text == "input", Type: ty, Line: int(t.line)})
 	}
 	body, err := p.stmtBlockRest()
 	if err != nil {

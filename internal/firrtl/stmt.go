@@ -6,7 +6,7 @@ func (p *parser) stmt() (Stmt, error) {
 	if t.kind != tokIdent {
 		return nil, p.errf(t, "expected statement, got %s", t)
 	}
-	base := stmtBase{Line: t.line}
+	base := stmtBase{Line: int(t.line)}
 	switch t.text {
 	case "wire":
 		p.pos++
@@ -237,7 +237,7 @@ func (p *parser) whenStmt(base stmtBase) (Stmt, error) {
 		if p.peek().kind == tokIdent && p.peek().text == "when" {
 			// else when ... : chained conditional.
 			p.pos++
-			inner, err := p.whenStmt(stmtBase{Line: p.peek().line})
+			inner, err := p.whenStmt(stmtBase{Line: int(p.peek().line)})
 			if err != nil {
 				return nil, err
 			}

@@ -20,14 +20,14 @@ func (g *Graph) Clone() *Graph {
 		ng.AddMem(nm)
 		memMap[m] = nm
 	}
-	nodeMap := make(map[*Node]*Node, len(g.Nodes))
-	for _, n := range g.Nodes {
+	// A node's copy sits at the node's own ID: ng.Nodes is the remap table.
+	ng.Nodes = make([]*Node, len(g.Nodes))
+	for id, n := range g.Nodes {
 		if n == nil {
-			ng.Nodes = append(ng.Nodes, nil)
 			continue
 		}
 		nn := &Node{
-			ID:       len(ng.Nodes),
+			ID:       id,
 			Name:     n.Name,
 			Kind:     n.Kind,
 			Width:    n.Width,
@@ -37,33 +37,19 @@ func (g *Graph) Clone() *Graph {
 		if n.Mem != nil {
 			nn.Mem = memMap[n.Mem]
 		}
-		ng.Nodes = append(ng.Nodes, nn)
-		nodeMap[n] = nn
+		ng.Nodes[id] = nn
 	}
-	remap := func(e *Expr) *Expr {
-		if e == nil {
-			return nil
-		}
-		c := e.Clone()
-		WalkPtr(&c, func(pe **Expr) bool {
-			if (*pe).Op == OpRef {
-				(*pe).Node = nodeMap[(*pe).Node]
-			}
-			return true
-		})
-		return c
-	}
-	for _, n := range g.Nodes {
+	for id, n := range g.Nodes {
 		if n == nil {
 			continue
 		}
-		nn := nodeMap[n]
-		nn.Expr = remap(n.Expr)
-		nn.WAddr = remap(n.WAddr)
-		nn.WData = remap(n.WData)
-		nn.WEn = remap(n.WEn)
+		nn := ng.Nodes[id]
+		nn.Expr = n.Expr.cloneInto(ng.Nodes)
+		nn.WAddr = n.WAddr.cloneInto(ng.Nodes)
+		nn.WData = n.WData.cloneInto(ng.Nodes)
+		nn.WEn = n.WEn.cloneInto(ng.Nodes)
 		if n.ResetSig != nil {
-			nn.ResetSig = nodeMap[n.ResetSig]
+			nn.ResetSig = ng.Nodes[n.ResetSig.ID]
 		}
 	}
 	ng.freezeMems()

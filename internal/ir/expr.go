@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"hash/maphash"
 	"strings"
 
 	"gsim/internal/bitvec"
@@ -75,15 +74,24 @@ func MuxOf(sel, a, b *Expr) *Expr {
 
 // Clone returns a deep copy of e. Node references are shared (they point at
 // graph nodes), constants are copied.
-func (e *Expr) Clone() *Expr {
+func (e *Expr) Clone() *Expr { return e.cloneInto(nil) }
+
+// cloneInto deep-copies e (nil stays nil), redirecting every reference to
+// the node with the same ID in nodes; a nil table keeps the references.
+func (e *Expr) cloneInto(nodes []*Node) *Expr {
+	if e == nil {
+		return nil
+	}
 	c := &Expr{Op: e.Op, Node: e.Node, Hi: e.Hi, Lo: e.Lo, Width: e.Width}
 	if e.Op == OpConst {
 		c.Imm = e.Imm.Clone()
+	} else if e.Op == OpRef && nodes != nil {
+		c.Node = nodes[e.Node.ID]
 	}
 	if len(e.Args) > 0 {
 		c.Args = make([]*Expr, len(e.Args))
 		for i, a := range e.Args {
-			c.Args[i] = a.Clone()
+			c.Args[i] = a.cloneInto(nodes)
 		}
 	}
 	return c
@@ -97,19 +105,14 @@ func (e *Expr) Walk(f func(*Expr)) {
 	f(e)
 }
 
-// WalkPtr calls f with a pointer to every expression slot reachable from the
-// root pointer, in pre-order, so callers can replace sub-expressions in
-// place. If f returns false the walk does not descend into the (possibly
-// replaced) expression's children.
-func WalkPtr(root **Expr, f func(**Expr) bool) {
-	if *root == nil {
-		return
+// eachRef calls f with the target of every reference in e, once per
+// occurrence, left to right.
+func (e *Expr) eachRef(f func(*Node)) {
+	if e.Op == OpRef {
+		f(e.Node)
 	}
-	if !f(root) {
-		return
-	}
-	for i := range (*root).Args {
-		WalkPtr(&(*root).Args[i], f)
+	for _, a := range e.Args {
+		a.eachRef(f)
 	}
 }
 
@@ -133,21 +136,6 @@ func (e *Expr) CountOps() int {
 		n += a.CountOps()
 	}
 	return n
-}
-
-// Refs appends the distinct nodes referenced by e to dst and returns it.
-func (e *Expr) Refs(dst []*Node) []*Node {
-	seen := map[*Node]bool{}
-	for _, n := range dst {
-		seen[n] = true
-	}
-	e.Walk(func(x *Expr) {
-		if x.Op == OpRef && !seen[x.Node] {
-			seen[x.Node] = true
-			dst = append(dst, x.Node)
-		}
-	})
-	return dst
 }
 
 // RefersTo reports whether e references node n anywhere.
@@ -190,39 +178,32 @@ func StructEq(a, b *Expr) bool {
 	return true
 }
 
-var exprSeed = maphash.MakeSeed()
-
-// Hash returns a structural hash of e, consistent with StructEq.
-func (e *Expr) Hash() uint64 {
-	var h maphash.Hash
-	h.SetSeed(exprSeed)
-	e.hashInto(&h)
-	return h.Sum64()
-}
-
-func (e *Expr) hashInto(h *maphash.Hash) {
-	h.WriteByte(byte(e.Op))
-	writeInt := func(v int) {
-		for i := 0; i < 4; i++ {
-			h.WriteByte(byte(v >> (8 * i)))
-		}
-	}
-	writeInt(e.Width)
-	writeInt(e.Hi)
-	writeInt(e.Lo)
+// HashSelf hashes e's own fields — everything StructEq compares except the
+// arguments. Folding the arguments' hashes in with HashArg, in order, gives
+// a structural hash consistent with StructEq; a pass that walks a tree
+// bottom-up does that fold itself, hashing every sub-tree once instead of
+// once per enclosing level. Hashes are never stored on the expression:
+// rewrites change trees in place.
+func (e *Expr) HashSelf() uint64 {
+	h := HashArg(0, uint64(e.Op)<<32|uint64(uint32(e.Width)))
+	h = HashArg(h, uint64(uint32(e.Hi))<<32|uint64(uint32(e.Lo)))
 	switch e.Op {
 	case OpRef:
-		writeInt(e.Node.ID)
+		h = HashArg(h, uint64(e.Node.ID))
 	case OpConst:
 		for _, w := range e.Imm.W {
-			for i := 0; i < 8; i++ {
-				h.WriteByte(byte(w >> (8 * i)))
-			}
+			h = HashArg(h, w)
 		}
 	}
-	for _, a := range e.Args {
-		a.hashInto(h)
-	}
+	return h
+}
+
+// HashArg folds one more word (an argument's hash) into h. Order matters.
+func HashArg(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	h ^= h >> 32
+	h *= 0xd6e8feb86659fd93
+	return h ^ h>>29
 }
 
 // String renders the expression in FIRRTL-ish prefix form.

@@ -66,14 +66,8 @@ func (g *Graph) NumEdges() int {
 			continue
 		}
 		seen := map[int]bool{}
-		n.EachExpr(func(slot **Expr) {
-			(*slot).Walk(func(e *Expr) {
-				if e.Op == OpRef && !seen[e.Node.ID] {
-					seen[e.Node.ID] = true
-					c++
-				}
-			})
-		})
+		n.EachRef(func(u *Node) { seen[u.ID] = true })
+		c += len(seen)
 	}
 	return c
 }
@@ -125,17 +119,12 @@ func (g *Graph) BuildAdjacency() *Adjacency {
 			continue
 		}
 		seen := map[int32]bool{}
-		v.EachExpr(func(slot **Expr) {
-			(*slot).Walk(func(e *Expr) {
-				if e.Op == OpRef {
-					u := int32(e.Node.ID)
-					if !seen[u] {
-						seen[u] = true
-						adj.Preds[v.ID] = append(adj.Preds[v.ID], u)
-						adj.Succs[u] = append(adj.Succs[u], int32(v.ID))
-					}
-				}
-			})
+		v.EachRef(func(n *Node) {
+			if u := int32(n.ID); !seen[u] {
+				seen[u] = true
+				adj.Preds[v.ID] = append(adj.Preds[v.ID], u)
+				adj.Succs[u] = append(adj.Succs[u], int32(v.ID))
+			}
 		})
 	}
 	for i := range adj.Succs {
@@ -173,27 +162,21 @@ func (g *Graph) TopoOrder() ([]int32, error) {
 	n := len(g.Nodes)
 	indeg := make([]int32, n)
 	succs := make([][]int32, n)
+	seenBy := make([]int32, n) // 1 + ID of the last reader an edge from this node was recorded for
 	for _, v := range g.Nodes {
 		if v == nil {
 			continue
 		}
-		seen := map[int32]bool{}
-		v.EachExpr(func(slot **Expr) {
-			(*slot).Walk(func(e *Expr) {
-				if e.Op != OpRef {
-					return
-				}
-				u := e.Node
-				if u.Kind == KindReg || u.Kind == KindInput {
-					return // current-value read: no ordering constraint
-				}
-				uid := int32(u.ID)
-				if !seen[uid] {
-					seen[uid] = true
-					succs[uid] = append(succs[uid], int32(v.ID))
-					indeg[v.ID]++
-				}
-			})
+		vid := int32(v.ID)
+		v.EachRef(func(u *Node) {
+			if u.Kind == KindReg || u.Kind == KindInput {
+				return // current-value read: no ordering constraint
+			}
+			if seenBy[u.ID] != vid+1 {
+				seenBy[u.ID] = vid + 1
+				succs[u.ID] = append(succs[u.ID], vid)
+				indeg[vid]++
+			}
 		})
 	}
 	// Deterministic Kahn: a min-heap over ready IDs would be O(n log n); a
@@ -235,19 +218,10 @@ func (g *Graph) Levelize(order []int32) (levels []int32, byLevel [][]int32) {
 	for _, id := range order {
 		v := g.Nodes[id]
 		lv := int32(0)
-		v.EachExpr(func(slot **Expr) {
-			(*slot).Walk(func(e *Expr) {
-				if e.Op != OpRef {
-					return
-				}
-				u := e.Node
-				if u.Kind == KindReg || u.Kind == KindInput {
-					return
-				}
-				if levels[u.ID]+1 > lv {
-					lv = levels[u.ID] + 1
-				}
-			})
+		v.EachRef(func(u *Node) {
+			if u.Kind != KindReg && u.Kind != KindInput && levels[u.ID]+1 > lv {
+				lv = levels[u.ID] + 1
+			}
 		})
 		levels[id] = lv
 		if lv > maxLevel {

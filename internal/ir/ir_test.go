@@ -185,11 +185,34 @@ func TestStructEqAndHash(t *testing.T) {
 	if StructEq(e1, e3) {
 		t.Fatal("different consts StructEq")
 	}
-	if e1.Hash() != e2.Hash() {
+	// The structural hash a pass folds bottom-up: own fields, then each
+	// argument's hash in order.
+	var hash func(e *Expr) uint64
+	hash = func(e *Expr) uint64 {
+		h := e.HashSelf()
+		for _, a := range e.Args {
+			h = HashArg(h, hash(a))
+		}
+		return h
+	}
+	if hash(e1) != hash(e2) {
 		t.Fatal("equal trees hash differently")
 	}
-	if e1.Hash() == e3.Hash() {
+	if hash(e1) == hash(e3) {
 		t.Fatal("hash collision on trivially different trees (suspicious)")
+	}
+	// Operand order, slice bounds and widths all reach the hash.
+	distinct := []*Expr{
+		b.Sub(b.R(a), b.C(8, 1)), Binary(OpSub, b.C(8, 1), b.R(a)),
+		b.Bits(b.R(a), 3, 0), b.Bits(b.R(a), 4, 1), b.Bits(b.R(a), 4, 0),
+		Unary(OpPad, b.R(a), 9), Unary(OpPad, b.R(a), 10),
+	}
+	seen := map[uint64]*Expr{}
+	for _, e := range distinct {
+		if prev, dup := seen[hash(e)]; dup {
+			t.Fatalf("%s and %s hash alike", prev, e)
+		}
+		seen[hash(e)] = e
 	}
 }
 
@@ -263,23 +286,6 @@ func TestExprString(t *testing.T) {
 		if !strings.Contains(s, frag) {
 			t.Fatalf("String() = %q missing %q", s, frag)
 		}
-	}
-}
-
-// TestWalkPtrReplaces checks in-place rewriting through WalkPtr.
-func TestWalkPtrReplaces(t *testing.T) {
-	b := NewBuilder("w")
-	a := b.Input("a", 8)
-	e := b.Add(b.R(a), b.R(a))
-	WalkPtr(&e, func(pe **Expr) bool {
-		if (*pe).Op == OpRef {
-			*pe = ConstUint(8, 7)
-			return false
-		}
-		return true
-	})
-	if e.Args[0].Op != OpConst || e.Args[1].Op != OpConst {
-		t.Fatal("WalkPtr failed to replace refs")
 	}
 }
 

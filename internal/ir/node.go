@@ -109,6 +109,12 @@ func (n *Node) EachExpr(f func(slot **Expr)) {
 	}
 }
 
+// EachRef calls f with every node that n's expressions read, once per
+// occurrence.
+func (n *Node) EachRef(f func(*Node)) {
+	n.EachExpr(func(slot **Expr) { (*slot).eachRef(f) })
+}
+
 // HasCode reports whether the node carries evaluation work during a cycle
 // (everything except inputs).
 func (n *Node) HasCode() bool {

@@ -2,7 +2,7 @@ package passes
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"gsim/internal/bitvec"
 	"gsim/internal/ir"
@@ -19,113 +19,158 @@ import (
 // operands, turning full-width references upstream into slice references,
 // which can make the upstream node splittable on the next round — the
 // paper's path P0 P1 ... Pn. Rounds repeat to a fixed point (capped).
+//
+// How each node is read is gathered over the whole graph once; a round
+// updates it for the expressions it removed, rewrote or added, and the next
+// reconsiders only the nodes whose reads changed.
 func bitSplit(g *ir.Graph, maxParts int) int {
-	total := 0
-	for round := 0; round < 6; round++ {
-		n := splitRound(g, maxParts)
-		if n == 0 {
-			break
+	s := &splitter{g: g, uses: make([]useInfo, len(g.Nodes))}
+	for _, n := range g.Nodes {
+		if n != nil {
+			s.accountNode(n, +1)
 		}
+	}
+	total := 0
+	for round, n := 0, -1; round < 6 && n != 0; round++ {
+		n = s.round(maxParts)
 		total += n
 	}
 	return total
 }
 
+// sliceUse is one bits(ref) read: the range and the node reading it.
+type sliceUse struct{ lo, hi, reader int32 }
+
 // useInfo accumulates how a node is read.
 type useInfo struct {
-	full   bool
-	ranges [][2]int
+	full   int32 // full-width reads, including use as a reset signal
+	dirty  bool  // reads changed since the node was last considered
+	slices []sliceUse
+	plan   *splitPlan // the node's split in the current round
 }
 
-func splitRound(g *ir.Graph, maxParts int) int {
-	uses := map[*ir.Node]*useInfo{}
-	get := func(n *ir.Node) *useInfo {
-		u := uses[n]
-		if u == nil {
-			u = &useInfo{}
-			uses[n] = u
-		}
-		return u
-	}
-	for _, n := range g.Nodes {
-		if n == nil {
-			continue
-		}
-		n.EachExpr(func(slot **ir.Expr) {
-			ir.WalkPtr(slot, func(pe **ir.Expr) bool {
-				e := *pe
-				if e.Op == ir.OpBits && e.Args[0].Op == ir.OpRef {
-					u := get(e.Args[0].Node)
-					u.ranges = append(u.ranges, [2]int{e.Lo, e.Hi})
-					return false // the inner ref is a slice use, not a full use
-				}
-				if e.Op == ir.OpRef {
-					get(e.Node).full = true
-				}
-				return true
-			})
-		})
-		if n.Kind == ir.KindReg && n.ResetSig != nil {
-			get(n.ResetSig).full = true
-		}
-	}
+// splitter is bitSplit's state; uses is indexed by node ID.
+type splitter struct {
+	g    *ir.Graph
+	uses []useInfo
+}
 
-	// Select all candidates first, then rewrite the whole graph once: a
-	// per-candidate rewrite walk would make the pass quadratic in graph
-	// size (measured as minutes on the BOOM-scale design).
+// accountNode adds n's reads of other nodes to their useInfo (by = +1), or
+// takes them back out (-1); the two must see the same expressions.
+func (s *splitter) accountNode(n *ir.Node, by int32) {
+	n.EachExpr(func(slot **ir.Expr) { s.account(*slot, int32(n.ID), by) })
+	if n.Kind == ir.KindReg && n.ResetSig != nil {
+		s.account(ir.Ref(n.ResetSig), int32(n.ID), by)
+	}
+}
+
+func (s *splitter) account(e *ir.Expr, reader, by int32) {
+	switch {
+	case e.Op == ir.OpBits && e.Args[0].Op == ir.OpRef:
+		// The inner ref is a slice use, not a full use.
+		u := &s.uses[e.Args[0].Node.ID]
+		u.dirty = true
+		su := sliceUse{int32(e.Lo), int32(e.Hi), reader}
+		if by > 0 {
+			u.slices = append(u.slices, su)
+		} else if i := slices.Index(u.slices, su); i >= 0 {
+			last := len(u.slices) - 1
+			u.slices[i] = u.slices[last]
+			u.slices = u.slices[:last]
+		}
+	case e.Op == ir.OpRef:
+		u := &s.uses[e.Node.ID]
+		u.dirty = true
+		u.full += by
+	default:
+		for _, a := range e.Args {
+			s.account(a, reader, by)
+		}
+	}
+}
+
+func (s *splitter) round(maxParts int) int {
+	g := s.g
+	// Select all candidates first, then rewrite once: a per-candidate
+	// rewrite would make the pass quadratic in graph size (measured as
+	// minutes on the BOOM-scale design).
 	var plans []*splitPlan
-	byNode := map[*ir.Node]*splitPlan{}
-	for _, d := range g.Live() {
-		if d.IsOutput || d.Width < 2 {
+	for id := range s.uses {
+		u, d := &s.uses[id], g.Nodes[id]
+		dirty := u.dirty
+		u.dirty = false
+		if !dirty || d == nil || d.IsOutput || d.Width < 2 || d.Kind != ir.KindComb && d.Kind != ir.KindReg {
 			continue
 		}
-		if d.Kind != ir.KindComb && d.Kind != ir.KindReg {
+		if u.full > 0 || len(u.slices) < 2 {
 			continue
 		}
-		u := uses[d]
-		if u == nil || u.full || len(u.ranges) < 2 {
-			continue
-		}
-		cuts := cutPoints(d.Width, u.ranges)
+		cuts := cutPoints(d.Width, u.slices)
 		if len(cuts) < 3 || len(cuts)-1 > maxParts {
 			continue
 		}
-		if p := planSplit(d, cuts); p != nil {
-			plans = append(plans, p)
-			byNode[d] = p
+		if u.plan = planSplit(d, cuts); u.plan != nil {
+			plans = append(plans, u.plan)
 		}
 	}
 	if len(plans) == 0 {
 		return 0
 	}
 	// Materialize sub-nodes for every plan.
+	first := len(g.Nodes)
 	for _, p := range plans {
 		materialize(g, p)
 	}
-	// One rewrite pass over everything, including the new sub-nodes (a
-	// split register's parts slice the original register through its old
-	// name and must be redirected too).
-	for _, n := range g.Nodes {
-		if n == nil {
-			continue
-		}
-		n.EachExpr(func(slot **ir.Expr) {
-			ir.WalkPtr(slot, func(pe **ir.Expr) bool {
-				e := *pe
-				if e.Op == ir.OpBits && e.Args[0].Op == ir.OpRef {
-					if p, ok := byNode[e.Args[0].Node]; ok {
-						*pe = composeParts(p.cuts, p.parts, e.Hi, e.Lo)
-						return false
-					}
-				}
-				return true
-			})
-		})
-	}
+	s.uses = append(s.uses, make([]useInfo, len(g.Nodes)-first)...)
+	// Redirect the surviving readers of the split nodes, and the new
+	// sub-nodes (a split register's parts slice the original register
+	// through its old name and must be redirected too).
+	var work []int32
 	for _, p := range plans {
+		for _, su := range s.uses[p.node.ID].slices {
+			if s.uses[su.reader].plan == nil {
+				work = append(work, su.reader)
+			}
+		}
+	}
+	slices.Sort(work)
+	work = slices.Compact(work)
+	for id := first; id < len(g.Nodes); id++ {
+		work = append(work, int32(id))
+	}
+	// Every read is taken out as it was put in — before anything is
+	// rewritten — and put back as it then stands.
+	for _, p := range plans {
+		s.accountNode(p.node, -1)
 		g.Nodes[p.node.ID] = nil
 	}
+	for _, id := range work {
+		if int(id) < first {
+			s.accountNode(g.Nodes[id], -1)
+		}
+	}
+	for _, id := range work {
+		g.Nodes[id].EachExpr(s.rewrite)
+	}
+	for _, id := range work {
+		s.accountNode(g.Nodes[id], +1)
+		s.uses[id].dirty = true
+	}
 	return len(plans)
+}
+
+// rewrite replaces every slice of a node split this round by its parts.
+func (s *splitter) rewrite(pe **ir.Expr) {
+	e := *pe
+	if e.Op == ir.OpBits && e.Args[0].Op == ir.OpRef {
+		if p := s.uses[e.Args[0].Node.ID].plan; p != nil {
+			*pe = composeParts(p.cuts, p.parts, e.Hi, e.Lo)
+			return
+		}
+	}
+	for i := range e.Args {
+		s.rewrite(&e.Args[i])
+	}
 }
 
 // splitPlan is one node's pending bit-level split.
@@ -178,18 +223,13 @@ func materialize(g *ir.Graph, p *splitPlan) {
 
 // cutPoints returns the sorted distinct cut positions {0, ..., width}
 // implied by the use ranges.
-func cutPoints(width int, ranges [][2]int) []int {
-	set := map[int]bool{0: true, width: true}
-	for _, r := range ranges {
-		set[r[0]] = true
-		set[r[1]+1] = true
+func cutPoints(width int, uses []sliceUse) []int {
+	cuts := []int{0, width}
+	for _, u := range uses {
+		cuts = append(cuts, int(u.lo), int(u.hi)+1)
 	}
-	cuts := make([]int, 0, len(set))
-	for c := range set {
-		cuts = append(cuts, c)
-	}
-	sort.Ints(cuts)
-	return cuts
+	slices.Sort(cuts)
+	return slices.Compact(cuts)
 }
 
 // composeParts builds the expression for bits [hi:lo] of the split node out

@@ -1,8 +1,8 @@
 package passes
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"gsim/internal/ir"
 )
@@ -20,78 +20,87 @@ func inlineNodes(g *ir.Graph, costNode, maxCost int) int {
 	if err != nil {
 		return 0
 	}
-	keep := keepAlive(g)
-
 	// Reference occurrence counts (not distinct readers — every occurrence
-	// re-evaluates the inlined expression).
+	// re-evaluates the inlined expression); once a node is inlined, the
+	// occurrences still to be replaced. keep marks what must stay a node:
+	// anything but a plain combinational signal, outputs, reset signals.
 	refs := make([]int, len(g.Nodes))
+	keep := make([]bool, len(g.Nodes))
 	for _, n := range g.Nodes {
 		if n == nil {
 			continue
 		}
-		n.EachExpr(func(slot **ir.Expr) {
-			(*slot).Walk(func(e *ir.Expr) {
-				if e.Op == ir.OpRef {
-					refs[e.Node.ID]++
-				}
-			})
-		})
+		n.EachRef(func(u *ir.Node) { refs[u.ID]++ })
+		keep[n.ID] = keep[n.ID] || n.Kind != ir.KindComb || n.IsOutput
+		if n.Kind == ir.KindReg && n.ResetSig != nil {
+			keep[n.ResetSig.ID] = true
+		}
 	}
 
-	inlined := map[*ir.Node]*ir.Expr{}
-	resolve := func(slot **ir.Expr) {
-		ir.WalkPtr(slot, func(pe **ir.Expr) bool {
-			e := *pe
-			if e.Op == ir.OpRef {
-				if repl, ok := inlined[e.Node]; ok {
-					*pe = repl.Clone()
-					return false // replacement is already fully resolved
-				}
+	// inlined[id] is the dissolved node's fully resolved expression and
+	// cost[id] its cost. Every reader of a combinational node follows it in
+	// topological order, so by a node's turn its operands are decided, an
+	// inlined tree references surviving nodes only, and the occurrences
+	// counted above are all there will ever be: each one but the last takes
+	// a copy, and the last takes the tree itself — no tree has two owners.
+	inlined := make([]*ir.Expr, len(g.Nodes))
+	cost := make([]int, len(g.Nodes))
+	// resolve substitutes the inlined nodes referenced under *pe and returns
+	// the cost of the resolved tree.
+	var resolve func(pe **ir.Expr) int
+	resolve = func(pe **ir.Expr) int {
+		e := *pe
+		if e.Op == ir.OpRef {
+			id := e.Node.ID
+			repl := inlined[id]
+			if repl == nil {
+				return 0
 			}
-			return true
-		})
+			if refs[id]--; refs[id] > 0 {
+				repl = repl.Clone()
+			}
+			*pe = repl
+			return cost[id]
+		}
+		c := e.Op.Cost()
+		for i := range e.Args {
+			c += resolve(&e.Args[i])
+		}
+		return c
 	}
+	c := 0
+	resolveSlot := func(slot **ir.Expr) { c += resolve(slot) }
 
 	count := 0
 	for _, id := range order {
 		n := g.Nodes[id]
-		if n == nil {
-			continue
-		}
 		// Resolve references to already-inlined nodes first so this node's
 		// cost reflects the substitutions.
-		n.EachExpr(resolve)
-		if keep[n] || n.Kind != ir.KindComb {
-			continue
-		}
-		k := refs[n.ID]
-		if k == 0 {
-			continue // dead; DCE's business
-		}
-		c := n.Expr.Cost()
-		if c > maxCost {
+		c = 0
+		n.EachExpr(resolveSlot)
+		k := refs[id]
+		if keep[id] || k == 0 || c > maxCost { // k == 0: dead; DCE's business
 			continue
 		}
 		// The paper's trade-off: keeping the node costs c + cost_node;
 		// inlining costs c per reference.
 		if c*k <= c+costNode {
-			inlined[n] = n.Expr
-			g.Nodes[n.ID] = nil
+			inlined[id], cost[id] = n.Expr, c
+			g.Nodes[id] = nil
 			count++
 		}
 	}
-	if count == 0 {
-		return 0
-	}
-	// A final resolve over all remaining nodes catches references from nodes
-	// positioned before their inlined successors in the walk above (register
-	// readers, which topological order does not constrain).
-	for _, n := range g.Nodes {
-		if n != nil {
-			n.EachExpr(resolve)
-		}
-	}
 	return count
+}
+
+// vnInfo is one structurally distinct non-leaf subexpression extractCommon saw.
+type vnInfo struct {
+	expr  *ir.Expr // representative: the first occurrence
+	at    int      // the representative's index in the pre-order numbering
+	count int
+	cost  int
+	node  *ir.Node // the extracted node, once chosen
+	key   string   // canonical rendering; filled only to break a cost tie
 }
 
 // extractCommon is the opposite direction: common subexpressions whose
@@ -100,42 +109,50 @@ func inlineNodes(g *ir.Graph, costNode, maxCost int) int {
 // subexpressions become new combinational nodes and every occurrence is
 // replaced by a reference.
 func extractCommon(g *ir.Graph, costNode int) int {
-	type vnInfo struct {
-		expr  *ir.Expr // representative
-		count int
-		cost  int
-	}
-	table := map[uint64]*vnInfo{}
-
-	// Count structurally identical non-trivial subexpressions.
-	var scan func(e *ir.Expr)
-	scan = func(e *ir.Expr) {
-		for _, a := range e.Args {
-			scan(a)
-		}
+	// One bottom-up recursion per tree numbers the non-leaf subexpressions
+	// in pre-order and records each one's value number in vn (-1: a hash
+	// collision, never extracted). A child's hash and cost fold into its
+	// parent's, so no sub-tree is hashed or costed twice, and the rewrite
+	// below walks the same trees in the same order and looks them up there.
+	var infos []vnInfo
+	var vn []int32
+	var where []*ir.Expr        // the expression numbered at each position
+	table := map[uint64]int32{} // structural hash -> index into infos
+	var scan func(e *ir.Expr) (hash uint64, cost int)
+	scan = func(e *ir.Expr) (uint64, int) {
+		h := e.HashSelf()
 		if e.Op == ir.OpRef || e.Op == ir.OpConst {
-			return
+			return h, 0
 		}
-		h := e.Hash()
-		if info, ok := table[h]; ok && ir.StructEq(info.expr, e) {
-			info.count++
-			return
+		at := len(vn)
+		vn, where = append(vn, -1), append(where, e)
+		cost := e.Op.Cost()
+		for _, a := range e.Args {
+			ah, ac := scan(a)
+			h = ir.HashArg(h, ah)
+			cost += ac
 		}
-		if _, ok := table[h]; !ok {
-			table[h] = &vnInfo{expr: e, count: 1, cost: e.Cost()}
+		if id, ok := table[h]; !ok {
+			table[h] = int32(len(infos))
+			vn[at] = int32(len(infos))
+			infos = append(infos, vnInfo{expr: e, at: at, count: 1, cost: cost})
+		} else if ir.StructEq(infos[id].expr, e) {
+			infos[id].count++
+			vn[at] = id
 		}
+		return h, cost
 	}
+	originals := len(g.Nodes)
 	for _, n := range g.Nodes {
-		if n == nil {
-			continue
+		if n != nil {
+			n.EachExpr(func(slot **ir.Expr) { scan(*slot) })
 		}
-		n.EachExpr(func(slot **ir.Expr) { scan(*slot) })
 	}
 
 	// Candidates worth extracting: cost·k > cost + cost_node.
 	var chosen []*vnInfo
-	for _, info := range table {
-		if info.count >= 2 && info.cost*info.count > info.cost+costNode {
+	for i := range infos {
+		if info := &infos[i]; info.count >= 2 && info.cost*info.count > info.cost+costNode {
 			chosen = append(chosen, info)
 		}
 	}
@@ -144,82 +161,68 @@ func extractCommon(g *ir.Graph, costNode int) int {
 	}
 	// Materialize larger expressions first so smaller chosen subexpressions
 	// can still be referenced inside them. Ties break on the canonical
-	// rendering, never on map-iteration order: extraction order names the
-	// _cse nodes and therefore fixes the compiled program's layout, which
-	// must be bit-identical across builds and processes (design hashing,
-	// snapshot compatibility, the compiled-design cache all depend on it).
-	// Expr.Hash cannot serve here — maphash seeds differ per process.
-	keys := make(map[*vnInfo]string, len(chosen))
-	for _, info := range chosen {
-		keys[info] = fmt.Sprintf("%d:%s", info.expr.Width, info.expr)
+	// rendering, never on discovery order or the hash: extraction order names
+	// the _cse nodes and so fixes the compiled program's layout, which must
+	// stay bit-identical across builds and releases (design hash, snapshots).
+	key := func(info *vnInfo) string {
+		if info.key == "" {
+			info.key = strconv.Itoa(info.expr.Width) + ":" + info.expr.String()
+		}
+		return info.key
 	}
 	sort.Slice(chosen, func(i, j int) bool {
 		if chosen[i].cost != chosen[j].cost {
 			return chosen[i].cost > chosen[j].cost
 		}
-		return keys[chosen[i]] < keys[chosen[j]]
+		return key(chosen[i]) < key(chosen[j])
 	})
-
-	newNode := map[uint64]*ir.Node{}
-	replace := func(slot **ir.Expr, self *ir.Node) {
-		ir.WalkPtr(slot, func(pe **ir.Expr) bool {
-			e := *pe
-			if e.Op == ir.OpRef || e.Op == ir.OpConst {
-				return false
-			}
-			if nn, ok := newNode[e.Hash()]; ok && nn != self && ir.StructEq(nn.Expr, e) {
-				*pe = ir.Ref(nn)
-				return false
-			}
-			return true
-		})
-	}
-	count := 0
-	for _, info := range chosen {
-		h := info.expr.Hash()
-		if _, dup := newNode[h]; dup {
-			continue
-		}
-		n := g.AddNode(&ir.Node{
-			Name:  "_cse" + itoa(count),
+	// The new node takes the representative tree itself. Its old place — in
+	// an original node, or inside a larger representative — becomes a
+	// reference to the new node before the rewrite can descend from there.
+	name := append(make([]byte, 0, 24), "_cse"...) // room for the digits: one allocation per name
+	for i, info := range chosen {
+		info.node = g.AddNode(&ir.Node{
+			Name:  string(strconv.AppendInt(name[:4], int64(i), 10)),
 			Kind:  ir.KindComb,
 			Width: info.expr.Width,
-			Expr:  info.expr.Clone(),
-		})
-		newNode[h] = n
-		count++
-	}
-	// Rewrite every node, including the new CSE nodes (nesting), skipping
-	// each node's own defining expression root.
-	for _, n := range g.Nodes {
-		if n == nil {
-			continue
-		}
-		self := n
-		n.EachExpr(func(slot **ir.Expr) {
-			// Do not replace the root of a CSE node with a ref to itself.
-			if nn, ok := newNode[(*slot).Hash()]; ok && nn == self {
-				for i := range (*slot).Args {
-					replace(&(*slot).Args[i], self)
-				}
-				return
-			}
-			replace(slot, self)
+			Expr:  info.expr,
 		})
 	}
-	return count
-}
 
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
+	// Rewrite every node in scan order, then the new CSE nodes (nesting)
+	// below their own root, each from its representative's position.
+	at := 0
+	var replace func(pe **ir.Expr)
+	replace = func(pe **ir.Expr) {
+		e := *pe
+		if e.Op == ir.OpRef || e.Op == ir.OpConst {
+			return
+		}
+		if where[at] != e {
+			// Only a tree reachable from two places can have changed under
+			// the walk; rewriting by position would then corrupt it.
+			panic("passes: extractCommon: expression " + e.String() + " is shared between trees")
+		}
+		if id := vn[at]; id >= 0 && infos[id].node != nil {
+			at += e.CountOps()
+			*pe = ir.Ref(infos[id].node)
+			return
+		}
+		at++
+		for i := range e.Args {
+			replace(&e.Args[i])
+		}
 	}
-	var buf [12]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
+	for _, n := range g.Nodes[:originals] {
+		if n != nil {
+			n.EachExpr(replace)
+		}
 	}
-	return string(buf[i:])
+	for _, info := range chosen {
+		at = info.at + 1
+		for i := range info.expr.Args {
+			replace(&info.expr.Args[i])
+		}
+	}
+	return len(chosen)
 }

@@ -1,7 +1,7 @@
 package passes
 
 import (
-	"fmt"
+	"strconv"
 
 	"gsim/internal/ir"
 )
@@ -17,32 +17,30 @@ import (
 // Returns the number of nodes created.
 func Normalize(g *ir.Graph) int {
 	created := 0
-	fresh := 0
-	var flatten func(owner string, e *ir.Expr) *ir.Expr
-	flatten = func(owner string, e *ir.Expr) *ir.Expr {
-		// Make every argument a leaf (ref or const), creating nodes for
-		// interior operations bottom-up.
+	var name []byte // scratch: a name costs one allocation, its final string
+	// flatten makes every argument of e a leaf (ref or const), creating
+	// nodes for interior operations bottom-up.
+	var flatten func(owner string, e *ir.Expr)
+	flatten = func(owner string, e *ir.Expr) {
 		for i, a := range e.Args {
 			if a.Op == ir.OpRef || a.Op == ir.OpConst {
 				continue
 			}
-			sub := flatten(owner, a)
-			fresh++
-			n := g.AddNode(&ir.Node{
-				Name:  fmt.Sprintf("%s#%d", owner, fresh),
-				Kind:  ir.KindComb,
-				Width: sub.Width,
-				Expr:  sub,
-			})
+			flatten(owner, a)
 			created++
-			e.Args[i] = ir.Ref(n)
+			name = strconv.AppendInt(append(append(name[:0], owner...), '#'), int64(created), 10)
+			e.Args[i] = ir.Ref(g.AddNode(&ir.Node{
+				Name:  string(name),
+				Kind:  ir.KindComb,
+				Width: a.Width,
+				Expr:  a,
+			}))
 		}
-		return e
 	}
-	for _, n := range g.Live() {
-		n.EachExpr(func(slot **ir.Expr) {
-			*slot = flatten(n.Name, *slot)
-		})
+	for _, n := range g.Nodes { // the nodes present now; those flatten appends are single-op already
+		if n != nil {
+			n.EachExpr(func(slot **ir.Expr) { flatten(n.Name, *slot) })
+		}
 	}
 	if created > 0 {
 		g.Compact()

@@ -18,6 +18,8 @@ package passes
 
 import (
 	"fmt"
+	"strings"
+	"time"
 
 	"gsim/internal/ir"
 )
@@ -83,7 +85,24 @@ func (o *Options) fill() {
 	}
 }
 
-// Result reports what each pass did.
+// Pass names one stage of Run, for the per-stage wall times in Result.
+// Simplify, Alias and Dead can run more than once; their times accumulate.
+type Pass uint8
+
+const (
+	PassSimplify Pass = iota
+	PassAlias
+	PassDead
+	PassBitSplit
+	PassInline
+	PassExtract
+	PassResetOpt
+	NumPasses
+)
+
+var passNames = [NumPasses]string{"simplify", "alias", "dead", "bitsplit", "inline", "extract", "resets"}
+
+// Result reports what each pass did and how long it took.
 type Result struct {
 	Simplified    int // expressions rewritten
 	AliasRemoved  int
@@ -92,6 +111,8 @@ type Result struct {
 	Extracted     int
 	ResetsHoisted int
 	NodesSplit    int
+
+	Times [NumPasses]time.Duration // wall time per stage, indexed by Pass
 }
 
 // String summarizes the result.
@@ -100,42 +121,52 @@ func (r Result) String() string {
 		r.Simplified, r.AliasRemoved, r.DeadRemoved, r.Inlined, r.Extracted, r.ResetsHoisted, r.NodesSplit)
 }
 
+// Timing renders the stages that ran with their wall times, in run order.
+func (r Result) Timing() string {
+	var sb strings.Builder
+	for p, d := range r.Times {
+		if d > 0 {
+			fmt.Fprintf(&sb, " %s=%v", passNames[p], d.Round(time.Microsecond))
+		}
+	}
+	return strings.TrimPrefix(sb.String(), " ")
+}
+
 // Run applies the selected passes in dependency order and compacts the
 // graph. The graph is mutated in place.
+//
+// Every live node keeps ID == its index in g.Nodes for the whole of Run
+// (passes delete by nil-ing the slot and add with AddNode; Compact runs
+// last), so the passes keep their per-node books in slices indexed by ID.
+// No expression may be reachable from two places in g (ir.Graph.Clone and
+// firrtl.Load never alias one): inlining and extraction move trees rather
+// than copy them, and bookkeeping by position would miss an aliased rewrite.
 func Run(g *ir.Graph, opts Options) Result {
 	opts.fill()
 	var res Result
-	if opts.Simplify {
-		res.Simplified += simplifyGraph(g, !opts.NoAlgebraic)
-	}
-	if opts.Redundant {
-		res.AliasRemoved += eliminateAliases(g)
-		res.DeadRemoved += eliminateDead(g)
-	}
-	if opts.BitSplit {
-		res.NodesSplit += bitSplit(g, opts.MaxSplitParts)
-		if res.NodesSplit > 0 {
-			if opts.Simplify {
-				res.Simplified += simplifyGraph(g, !opts.NoAlgebraic)
-			}
-			if opts.Redundant {
-				res.AliasRemoved += eliminateAliases(g)
-				res.DeadRemoved += eliminateDead(g)
-			}
+	var marks []bool // eliminateDead's mark buffer, shared by its runs
+	run := func(p Pass, on bool, count *int, pass func() int) {
+		if on {
+			start := time.Now()
+			*count += pass()
+			res.Times[p] += time.Since(start)
 		}
 	}
-	if opts.Inline {
-		res.Inlined += inlineNodes(g, opts.CostNode, opts.MaxInlineCost)
+	dead := func() int { return eliminateDead(g, &marks) }
+	cleanup := func() {
+		run(PassSimplify, opts.Simplify, &res.Simplified, func() int { return simplifyGraph(g, !opts.NoAlgebraic) })
+		run(PassAlias, opts.Redundant, &res.AliasRemoved, func() int { return eliminateAliases(g) })
+		run(PassDead, opts.Redundant, &res.DeadRemoved, dead)
 	}
-	if opts.Extract {
-		res.Extracted += extractCommon(g, opts.CostNode)
+	cleanup()
+	run(PassBitSplit, opts.BitSplit, &res.NodesSplit, func() int { return bitSplit(g, opts.MaxSplitParts) })
+	if res.NodesSplit > 0 {
+		cleanup()
 	}
-	if opts.ResetOpt {
-		res.ResetsHoisted += hoistResets(g)
-	}
-	if opts.Redundant {
-		res.DeadRemoved += eliminateDead(g)
-	}
+	run(PassInline, opts.Inline, &res.Inlined, func() int { return inlineNodes(g, opts.CostNode, opts.MaxInlineCost) })
+	run(PassExtract, opts.Extract, &res.Extracted, func() int { return extractCommon(g, opts.CostNode) })
+	run(PassResetOpt, opts.ResetOpt, &res.ResetsHoisted, func() int { return hoistResets(g) })
+	run(PassDead, opts.Redundant, &res.DeadRemoved, dead)
 	g.Compact()
 	return res
 }
@@ -151,22 +182,4 @@ func fit(e *ir.Expr, width int) *ir.Expr {
 	default:
 		return ir.BitsOf(e, width-1, 0)
 	}
-}
-
-// keepAlive returns the set of nodes that must never be removed or inlined:
-// outputs, inputs, memory ports, registers, and reset signals.
-func keepAlive(g *ir.Graph) map[*ir.Node]bool {
-	keep := map[*ir.Node]bool{}
-	for _, n := range g.Nodes {
-		if n == nil {
-			continue
-		}
-		if n.Kind != ir.KindComb || n.IsOutput {
-			keep[n] = true
-		}
-		if n.Kind == ir.KindReg && n.ResetSig != nil {
-			keep[n.ResetSig] = true
-		}
-	}
-	return keep
 }

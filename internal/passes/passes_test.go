@@ -3,6 +3,7 @@ package passes
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gsim/internal/bitvec"
@@ -119,7 +120,7 @@ func TestDeadAndUnusedRegElimination(t *testing.T) {
 	// Self-updating register unused by anything else (paper Fig. 2 ❹).
 	r := b.Reg("unused_reg", 8)
 	b.SetNext(r, b.Add(b.R(r), b.C(8, 1)))
-	removed := eliminateDead(b.G)
+	removed := eliminateDead(b.G, new([]bool))
 	if removed != 2 {
 		t.Fatalf("removed %d nodes, want 2 (dead comb + unused reg)", removed)
 	}
@@ -141,7 +142,7 @@ func TestMemLiveness(t *testing.T) {
 	// m2 written but never read: its write port is dead.
 	b.MemWrite("w2", m2, b.R(a), b.Fit(b.R(a), 8), b.C(1, 1))
 	b.Output("o", b.R(rd))
-	eliminateDead(b.G)
+	eliminateDead(b.G, new([]bool))
 	if b.G.FindNode("w1") == nil {
 		t.Fatal("live memory write removed")
 	}
@@ -159,7 +160,7 @@ func TestShortedNodeElimination(t *testing.T) {
 	b.Output("o", b.R(g))
 	simplifyGraph(b.G, true)
 	eliminateAliases(b.G)
-	eliminateDead(b.G)
+	eliminateDead(b.G, new([]bool))
 	if b.G.FindNode("F") != nil {
 		t.Fatal("shorted node F survived")
 	}
@@ -287,7 +288,7 @@ func TestBitSplitPaperExample(t *testing.T) {
 	}
 	simplifyGraph(b.G, true)
 	eliminateAliases(b.G)
-	eliminateDead(b.G)
+	eliminateDead(b.G, new([]bool))
 	b.G.Compact()
 	// Reachability: walk G's transitive predecessors; A must not appear.
 	seen := map[*ir.Node]bool{}
@@ -346,6 +347,81 @@ func TestNormalizeSingleOpForm(t *testing.T) {
 	}
 	if again := Normalize(b.G); again != 0 {
 		t.Fatalf("Normalize not idempotent: created %d more", again)
+	}
+}
+
+// TestBitSplitUseTablesStayExact pins the bookkeeping the changed-set rounds
+// rest on: after every round the incrementally maintained read tables equal
+// tables gathered from scratch over the rewritten graph.
+func TestBitSplitUseTablesStayExact(t *testing.T) {
+	graphs := []*ir.Graph{gen.BuildProfile(gen.StuCoreLike())}
+	for seed := int64(20); seed < 24; seed++ {
+		graphs = append(graphs, gen.Random(seed, gen.DefaultRandomConfig()))
+	}
+	account := func(g *ir.Graph) *splitter {
+		s := &splitter{g: g, uses: make([]useInfo, len(g.Nodes))}
+		for _, n := range g.Nodes {
+			if n != nil {
+				s.accountNode(n, +1)
+			}
+		}
+		return s
+	}
+	order := func(a, b sliceUse) int {
+		return slices.Compare([]int32{a.lo, a.hi, a.reader}, []int32{b.lo, b.hi, b.reader})
+	}
+	rounds := 0
+	for gi, g := range graphs {
+		Normalize(g)
+		simplifyGraph(g, true)
+		s := account(g)
+		for round := 0; round < 6 && s.round(DefaultMaxSplitParts) > 0; round++ {
+			rounds++
+			fresh := account(g)
+			for id, n := range g.Nodes {
+				if n == nil {
+					continue
+				}
+				got, want := s.uses[id], fresh.uses[id]
+				slices.SortFunc(got.slices, order)
+				slices.SortFunc(want.slices, order)
+				if got.full != want.full || !slices.Equal(got.slices, want.slices) {
+					t.Fatalf("graph %d round %d node %s: incremental %+v, from scratch %+v", gi, round, n, got, want)
+				}
+			}
+		}
+	}
+	if rounds < 3 {
+		t.Fatalf("only %d splitting rounds ran; the test exercises nothing", rounds)
+	}
+}
+
+// TestPassesLeaveTreesSingleOwner: inlining and extraction move expression
+// trees instead of copying them, so no *ir.Expr may end up reachable from
+// two places — a later in-place rewrite through one would change the other.
+func TestPassesLeaveTreesSingleOwner(t *testing.T) {
+	graphs := []*ir.Graph{gen.BuildProfile(gen.StuCoreLike())}
+	for seed := int64(30); seed < 34; seed++ {
+		graphs = append(graphs, gen.Random(seed, gen.DefaultRandomConfig()))
+	}
+	for gi, g := range graphs {
+		g = g.Clone() // builders alias sub-expressions freely; Clone hands every reader its own
+		Normalize(g)
+		res := Run(g, All())
+		if gi == 0 && (res.Inlined == 0 || res.Extracted == 0) {
+			t.Fatalf("stucore-like did not exercise both passes: %s", res)
+		}
+		owner := map[*ir.Expr]*ir.Node{}
+		for _, n := range g.Nodes {
+			n.EachExpr(func(slot **ir.Expr) {
+				(*slot).Walk(func(e *ir.Expr) {
+					if prev, dup := owner[e]; dup {
+						t.Fatalf("graph %d: expression %s is reachable from %s and from %s", gi, e, prev, n)
+					}
+					owner[e] = n
+				})
+			})
+		}
 	}
 }
 

@@ -6,52 +6,49 @@ import "gsim/internal/ir"
 // reference to another node of the same width (the paper's Alias Nodes,
 // Fig. 2 ❶), redirecting all readers to the original.
 func eliminateAliases(g *ir.Graph) int {
-	// Resolve alias chains: target[n] = ultimate non-alias node.
-	target := map[*ir.Node]*ir.Node{}
+	// Resolve alias chains: target[id] = ultimate non-alias node (nil until
+	// resolved).
+	target := make([]*ir.Node, len(g.Nodes))
 	var resolve func(n *ir.Node) *ir.Node
 	resolve = func(n *ir.Node) *ir.Node {
-		if t, ok := target[n]; ok {
+		if t := target[n.ID]; t != nil {
 			return t
 		}
 		t := n
 		if n.Kind == ir.KindComb && !n.IsOutput && n.Expr.Op == ir.OpRef && n.Expr.Node.Width == n.Width {
-			target[n] = n.Expr.Node // provisional, breaks cycles (none exist)
+			target[n.ID] = n.Expr.Node // provisional, breaks cycles (none exist)
 			t = resolve(n.Expr.Node)
 		}
-		target[n] = t
+		target[n.ID] = t
 		return t
 	}
 	removed := 0
 	for _, n := range g.Nodes {
-		if n == nil {
-			continue
-		}
-		if resolve(n) != n {
+		if n != nil && resolve(n) != n {
 			removed++
 		}
 	}
 	if removed == 0 {
 		return 0
 	}
+	var redirect func(e *ir.Expr)
+	redirect = func(e *ir.Expr) {
+		if e.Op == ir.OpRef {
+			e.Node = resolve(e.Node)
+		}
+		for _, a := range e.Args {
+			redirect(a)
+		}
+	}
 	for id, n := range g.Nodes {
 		if n == nil {
 			continue
 		}
-		if target[n] != n {
+		if target[id] != n {
 			g.Nodes[id] = nil
 			continue
 		}
-		n.EachExpr(func(slot **ir.Expr) {
-			ir.WalkPtr(slot, func(pe **ir.Expr) bool {
-				e := *pe
-				if e.Op == ir.OpRef {
-					if t := resolve(e.Node); t != e.Node {
-						e.Node = t
-					}
-				}
-				return true
-			})
-		})
+		n.EachExpr(func(slot **ir.Expr) { redirect(*slot) })
 		if n.Kind == ir.KindReg && n.ResetSig != nil {
 			n.ResetSig = resolve(n.ResetSig)
 		}
@@ -64,8 +61,14 @@ func eliminateAliases(g *ir.Graph) int {
 // by mux constant folding (❸), and Unused Registers including self-updating
 // ones (❹). Memory write ports stay live only while some read port of the
 // same memory is live.
-func eliminateDead(g *ir.Graph) int {
-	marked := make([]bool, len(g.Nodes))
+//
+// buf is the mark buffer, reused across the runs of one pipeline.
+func eliminateDead(g *ir.Graph, buf *[]bool) int {
+	if cap(*buf) < len(g.Nodes) {
+		*buf = make([]bool, len(g.Nodes))
+	}
+	marked := (*buf)[:len(g.Nodes)]
+	clear(marked)
 	var stack []*ir.Node
 	mark := func(n *ir.Node) {
 		if n != nil && !marked[n.ID] {
@@ -90,13 +93,7 @@ func eliminateDead(g *ir.Graph) int {
 		for len(stack) > 0 {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			n.EachExpr(func(slot **ir.Expr) {
-				(*slot).Walk(func(e *ir.Expr) {
-					if e.Op == ir.OpRef {
-						mark(e.Node)
-					}
-				})
-			})
+			n.EachRef(mark)
 			if n.Kind == ir.KindReg && n.ResetSig != nil {
 				mark(n.ResetSig)
 			}

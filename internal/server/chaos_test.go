@@ -103,7 +103,7 @@ func TestChaosManager(t *testing.T) {
 	go func() {
 		defer close(fireDone)
 		rng := rand.New(rand.NewSource(7))
-		kinds := []string{faultpoint.StepPanic, faultpoint.SnapshotCorrupt, faultpoint.CompileFail, faultpoint.SlowOp}
+		kinds := []string{faultpoint.StepPanic, faultpoint.SnapshotCorrupt, faultpoint.CompileFail, faultpoint.SlowOp, faultpoint.CompilePanic}
 		for i := 0; ; i++ {
 			select {
 			case <-fireStop:
@@ -166,7 +166,10 @@ func TestChaosManager(t *testing.T) {
 				case errors.Is(err, ErrTooManySessions):
 					refused.Add(1)
 					time.Sleep(time.Millisecond)
-				case strings.Contains(err.Error(), "injected compile failure"):
+				case strings.Contains(err.Error(), "injected compile failure"),
+					strings.Contains(err.Error(), "injected compile panic"):
+					// A panicking compile must arrive here as an error too:
+					// cached, unpinned, and never a poisoned cache entry.
 					compFails.Add(1)
 					gen.Add(1)
 				default:
@@ -278,6 +281,7 @@ func TestChaosManager(t *testing.T) {
 	stepPanics := faultpoint.Fired(faultpoint.StepPanic)
 	snapCorrupts := faultpoint.Fired(faultpoint.SnapshotCorrupt)
 	slowOps := faultpoint.Fired(faultpoint.SlowOp)
+	compPanics := faultpoint.Fired(faultpoint.CompilePanic)
 	faultpoint.Reset()
 
 	if drainErr != nil {
@@ -292,7 +296,7 @@ func TestChaosManager(t *testing.T) {
 	if mismatch.Load() != 0 {
 		t.Fatalf("%d cross-session corruption(s) detected", mismatch.Load())
 	}
-	t.Logf("chaos: created=%d poisoned=%d compile-fails=%d shed=%d stepPanics=%d snapCorrupts=%d slowOps=%d",
+	t.Logf("chaos: created=%d poisoned=%d compile-fails=%d shed=%d stepPanics=%d snapCorrupts=%d slowOps=%d compilePanics=%d",
 		created.Load(), poisoned.Load(), compFails.Load(), refused.Load(),
-		stepPanics, snapCorrupts, slowOps)
+		stepPanics, snapCorrupts, slowOps, compPanics)
 }
