@@ -242,6 +242,20 @@ func renderProcess(w io.Writer, d *window) {
 	fmt.Fprintf(w, "\nprocess\n")
 	fmt.Fprintf(w, "  goroutines           %10.0f\n", gor)
 	fmt.Fprintf(w, "  heap                 %10.1f MiB\n", heap/(1<<20))
+	// What the garbage costs, per unit of service: a replica counts the HTTP
+	// requests it served, a router the requests it proxied.
+	if alloc, ok := d.delta("gsim_go_alloc_bytes_total"); ok {
+		reqs, isReplica := d.delta("gsim_server_http_requests_total")
+		if !isReplica {
+			reqs, _ = d.delta("gsim_fleet_proxy_latency_seconds_count")
+		}
+		if reqs > 0 {
+			fmt.Fprintf(w, "  alloc / request      %10.1f KiB over %.0f requests\n", alloc/reqs/(1<<10), reqs)
+		}
+	}
+	if gcs, ok := d.rate("gsim_go_gc_cycles_total"); ok {
+		fmt.Fprintf(w, "  GC cycles / s        %10.2f\n", gcs)
+	}
 }
 
 // labelValues collects the distinct values of one label across a metric's

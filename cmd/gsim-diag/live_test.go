@@ -63,7 +63,7 @@ func TestLiveReport(t *testing.T) {
 		"engine", "sim speed", "per-session",
 		"server", "sessions", "op step",
 		"compile cache", "hit rate",
-		"process", "goroutines",
+		"process", "goroutines", "alloc / request", "GC cycles / s",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("live report missing %q; got:\n%s", want, out)

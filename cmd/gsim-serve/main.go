@@ -154,6 +154,11 @@ func main() {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 
+	// Installed before the replica announces itself: a SIGTERM that follows
+	// the "registered" line must find the drain handler, not the default one.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	var agent *fleet.Agent
 	if *routerURL != "" {
 		self := *advertise
@@ -179,8 +184,6 @@ func main() {
 		regCancel()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Printf("gsim-serve: %v, draining (%d sessions)\n", s, mgr.SessionCount())

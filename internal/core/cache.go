@@ -170,6 +170,12 @@ func CacheKey(sourceHash string, cfg Config) string {
 // are cached too: compilation is deterministic, so retrying the same key
 // cannot succeed.
 //
+// A failed entry costs no bytes, so the byte budget never reaches it; failed
+// entries nobody holds are instead capped at maxFailedEntries, least recently
+// used first, so a stream of distinct bad sources cannot grow the map without
+// bound. A dropped failure is simply recompiled (and fails again) on its next
+// request.
+//
 // Residency is governed by a byte budget: each entry's cost is its compiled
 // code + state-image + memory-image bytes, and when the cached total exceeds
 // SetBudget's limit, least-recently-used entries are evicted — but only
@@ -199,9 +205,13 @@ type cacheEntry struct {
 	refs      int    // live Get acquisitions not yet Released
 	cost      int64  // code+data+mem bytes, known once compile completes
 	accounted bool   // cost already folded into used
+	failed    bool   // compile finished with an error (err itself is read outside the mutex)
 	lastUse   uint64 // recency stamp for LRU
 	evicted   bool   // detached from the map (late Release must not re-count)
 }
+
+// maxFailedEntries caps the cached compile failures no caller is waiting on.
+const maxFailedEntries = 64
 
 // NewCompileCache returns an empty cache with no byte budget (no eviction).
 func NewCompileCache() *CompileCache {
@@ -294,6 +304,9 @@ func (c *CompileCache) Get(key string, compile func() (*CompiledDesign, error)) 
 	defer c.mu.Unlock()
 	if e.err != nil {
 		e.refs--
+		e.failed = true
+		c.trimFailedLocked()
+		c.syncGaugesLocked()
 		return nil, hit, e.err
 	}
 	if !e.accounted {
@@ -320,6 +333,21 @@ func (c *CompileCache) Release(key string) {
 	c.syncGaugesLocked()
 }
 
+// lruLocked returns the least recently used entry that eligible accepts, and
+// how many entries it accepted. Caller holds c.mu.
+func (c *CompileCache) lruLocked(eligible func(*cacheEntry) bool) (key string, victim *cacheEntry, n int) {
+	for k, e := range c.entries {
+		if !eligible(e) {
+			continue
+		}
+		n++
+		if victim == nil || e.lastUse < victim.lastUse {
+			key, victim = k, e
+		}
+	}
+	return key, victim, n
+}
+
 // evictLocked drops least-recently-used unreferenced entries until the
 // resident total fits the budget. Pinned entries (live references) never
 // evict, so the cache can legitimately sit over budget while every resident
@@ -329,26 +357,33 @@ func (c *CompileCache) evictLocked() {
 		return
 	}
 	for c.used > c.budget {
-		var victim *cacheEntry
-		var victimKey string
-		for k, e := range c.entries {
-			if e.refs > 0 || !e.accounted || e.cost == 0 {
-				continue
-			}
-			if victim == nil || e.lastUse < victim.lastUse {
-				victim, victimKey = e, k
-			}
-		}
+		key, victim, _ := c.lruLocked(func(e *cacheEntry) bool {
+			return e.refs == 0 && e.accounted && e.cost != 0
+		})
 		if victim == nil {
 			return
 		}
-		delete(c.entries, victimKey)
+		delete(c.entries, key)
 		victim.evicted = true
 		c.used -= victim.cost
 		c.evictions++
 		if c.m != nil {
 			c.m.Evictions.Inc()
 		}
+	}
+}
+
+// trimFailedLocked drops least-recently-used unreferenced failed entries
+// beyond maxFailedEntries. Get adds at most one per call, so this scans the
+// map (the cap plus the live designs) once or twice.
+func (c *CompileCache) trimFailedLocked() {
+	for {
+		key, victim, idle := c.lruLocked(func(e *cacheEntry) bool { return e.failed && e.refs == 0 })
+		if idle <= maxFailedEntries {
+			return
+		}
+		delete(c.entries, key)
+		victim.evicted = true
 	}
 }
 

@@ -185,3 +185,47 @@ func TestCacheCompilePanic(t *testing.T) {
 		t.Fatalf("after the panic the cache did not evict normally: used=%d evictions=%d", used, ev)
 	}
 }
+
+// TestCacheFailedEntriesBounded: failed compiles cost no bytes, so the byte
+// budget never evicts them; a stream of distinct bad sources must not grow
+// the map without bound — and capping it must not disturb the keys in use.
+func TestCacheFailedEntriesBounded(t *testing.T) {
+	c := NewCompileCache()
+	live, liveKey := mustCompile(t, c, 0) // held for the whole test
+	compiles := 0
+	bad := func() (*CompiledDesign, error) {
+		compiles++
+		return nil, fmt.Errorf("no such design")
+	}
+	const flood = 10_000
+	for i := range flood {
+		if _, hit, err := c.Get(fmt.Sprintf("bad:%d", i), bad); err == nil || hit {
+			t.Fatalf("bad key %d: hit=%v err=%v, want a miss and an error", i, hit, err)
+		}
+	}
+	if got := c.Len(); got > maxFailedEntries+1 {
+		t.Fatalf("%d entries after %d distinct failing keys, want <= %d failures + 1 live design", got, flood, maxFailedEntries)
+	}
+
+	// A recent failure is still cached (a hit, not recompiled); the oldest
+	// was dropped, so asking again is a miss that compiles — and fails — anew.
+	before := compiles
+	if _, hit, err := c.Get(fmt.Sprintf("bad:%d", flood-1), bad); err == nil || !hit || compiles != before {
+		t.Fatalf("recent failure: hit=%v err=%v, %d recompiles; want a cached error", hit, err, compiles-before)
+	}
+	if _, hit, err := c.Get("bad:0", bad); err == nil || hit || compiles != before+1 {
+		t.Fatalf("dropped failure: hit=%v err=%v, %d recompiles; want a fresh miss", hit, err, compiles-before)
+	}
+
+	// The live key counts as before: one miss at its compile, hits since.
+	d, hit, err := c.Get(liveKey, func() (*CompiledDesign, error) {
+		t.Error("live design recompiled")
+		return nil, fmt.Errorf("recompiled")
+	})
+	if err != nil || !hit || d != live {
+		t.Fatalf("live key after the flood: hit=%v err=%v same=%v", hit, err, d == live)
+	}
+	if hits, misses := c.Stats(); hits != 2 || misses != flood+2 {
+		t.Fatalf("stats: %d hits / %d misses, want 2 / %d", hits, misses, flood+2)
+	}
+}

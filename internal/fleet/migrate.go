@@ -156,6 +156,7 @@ func (rt *Router) migrateSession(fs *fleetSession, fromReplica string) error {
 		// Phase 3 — flip routing, then retire the old incarnation.
 		oldBackend := fs.backendID
 		fs.replica = newRep.Name
+		fs.base = newRep.base
 		fs.backendID = created.Session
 		fs.designHash = created.DesignHash
 		_ = oldC.deleteSession(oldBackend)

@@ -67,18 +67,12 @@ func (rt *Router) InitObs(r *obs.Registry) *RouterMetrics {
 		return rt.heartbeatLag(time.Now()).Seconds()
 	})
 	rt.store.SetObs(rm.Store)
-	rt.mu.Lock()
-	rt.metrics = rm
-	rt.mu.Unlock()
+	rt.metrics.Store(rm)
 	return rm
 }
 
 // Metrics returns the bundle attached by InitObs, or nil.
-func (rt *Router) Metrics() *RouterMetrics {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.metrics
-}
+func (rt *Router) Metrics() *RouterMetrics { return rt.metrics.Load() }
 
 // SetLogger routes the router's structured logging through l (default
 // obs.NopLogger(); nil resets to it).
@@ -86,17 +80,11 @@ func (rt *Router) SetLogger(l *slog.Logger) {
 	if l == nil {
 		l = obs.NopLogger()
 	}
-	rt.mu.Lock()
-	rt.logger = l
-	rt.mu.Unlock()
+	rt.logger.Store(l)
 }
 
 // log returns the router's logger (never nil).
-func (rt *Router) log() *slog.Logger {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.logger
-}
+func (rt *Router) log() *slog.Logger { return rt.logger.Load() }
 
 // replicaCounts reports total and ready replicas.
 func (rt *Router) replicaCounts() (total, ready int) {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"net/url"
 	"sort"
 	"time"
 )
@@ -38,6 +39,7 @@ type Replica struct {
 	URL   string // base URL, e.g. http://10.0.0.3:8080
 	State ReplicaState
 
+	base      *url.URL // URL, parsed once at registration for the proxy hop
 	lastBeat  time.Time
 	probeFail int // consecutive failed /readyz probes
 }
@@ -62,14 +64,18 @@ type ReplicaInfo struct {
 // its old sessions are gone with the old process, so the caller prunes the
 // session table. Returns whether the ring membership changed. Caller holds
 // rt.mu.
-func (rt *Router) registerLocked(name, url string, now time.Time) (membershipChanged bool) {
+func (rt *Router) registerLocked(name, rawURL string, now time.Time) (membershipChanged bool) {
 	r, exists := rt.replicas[name]
 	if !exists {
 		r = &Replica{Name: name}
 		rt.replicas[name] = r
 	}
 	wasPlaceable := exists && r.State == StateReady
-	r.URL = url
+	r.URL = rawURL
+	if r.base, _ = url.Parse(rawURL); r.base == nil {
+		// Unparseable: every create on it fails, so no session is homed here.
+		r.base = new(url.URL)
+	}
 	r.State = StateReady
 	r.lastBeat = now
 	r.probeFail = 0

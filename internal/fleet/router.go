@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -101,8 +103,10 @@ type Router struct {
 	ring     *Ring
 	sessions map[string]*fleetSession
 	nextID   uint64
-	metrics  *RouterMetrics // nil until InitObs
-	logger   *slog.Logger   // never nil (obs.NopLogger default)
+
+	// Read on every proxied request, so not under mu.
+	metrics atomic.Pointer[RouterMetrics] // nil until InitObs
+	logger  atomic.Pointer[slog.Logger]   // never nil (obs.NopLogger default)
 
 	migrated    atomic.Uint64 // sessions successfully migrated
 	migrateFail atomic.Uint64 // sessions whose migration failed
@@ -126,8 +130,9 @@ type fleetSession struct {
 	lanes     int
 
 	mu         sync.RWMutex
-	replica    string // current home (registry name)
-	backendID  string // session ID on that replica
+	replica    string   // current home (registry name)
+	base       *url.URL // the home's base URL as parsed at its registration
+	backendID  string   // session ID on that replica
 	designHash string
 	closed     bool
 }
@@ -142,9 +147,9 @@ func NewRouter(cfg Config) *Router {
 		replicas: make(map[string]*Replica),
 		ring:     BuildRing(nil, cfg.Vnodes),
 		sessions: make(map[string]*fleetSession),
-		logger:   obs.NopLogger(),
 		stop:     make(chan struct{}),
 	}
+	rt.logger.Store(obs.NopLogger())
 	if cfg.ProbeInterval > 0 {
 		rt.wg.Add(1)
 		go rt.probeLoop()
@@ -236,11 +241,11 @@ func (rt *Router) dropSession(fs *fleetSession, reason string) {
 // pickReplica resolves the placement for key among ready replicas, skipping
 // the excluded set. Returns a copy of the chosen replica.
 func (rt *Router) pickReplica(key string, exclude map[string]bool) (Replica, bool) {
+	if rm := rt.Metrics(); rm != nil {
+		rm.PlacementLookups.Inc()
+	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.metrics != nil {
-		rt.metrics.PlacementLookups.Inc()
-	}
 	name, ok := rt.ring.Lookup(key, func(n string) bool {
 		if exclude[n] {
 			return true
@@ -316,11 +321,22 @@ func (sw *routerStatusWriter) WriteHeader(code int) {
 	sw.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap exposes the wrapped writer to http.ResponseController.
+func (sw *routerStatusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
+
+// ReadFrom keeps the wrapped writer's io.ReaderFrom reachable: net/http's
+// copies through a pooled buffer, where io.Copy into a writer without
+// ReadFrom allocates 32 KiB per proxied response.
+func (sw *routerStatusWriter) ReadFrom(src io.Reader) (int64, error) {
+	return io.Copy(sw.ResponseWriter, src)
+}
+
 // withObs assigns each request its fleet-wide correlation ID (stamped into
 // the request headers so forward propagates it to the replica), echoes it on
 // the response, and emits one access-log line. Heartbeats are logged at
 // Debug — they arrive every couple of seconds per replica and would bury
-// real events at Info.
+// real events at Info. With logging off (the NopLogger default) nothing is
+// formatted.
 func (rt *Router) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(server.RequestIDHeader)
@@ -332,16 +348,18 @@ func (rt *Router) withObs(next http.Handler) http.Handler {
 		sw := &routerStatusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		next.ServeHTTP(sw, r)
-		logf := rt.log().Info
+		level := slog.LevelInfo
 		if strings.HasSuffix(r.URL.Path, "/heartbeat") {
-			logf = rt.log().Debug
+			level = slog.LevelDebug
 		}
-		logf("http request",
-			"request_id", id,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", sw.status,
-			"duration_ms", float64(time.Since(start).Microseconds())/1000)
+		if logger := rt.log(); logger.Enabled(r.Context(), level) {
+			logger.Log(r.Context(), level, "http request",
+				"request_id", id,
+				"method", r.Method,
+				"path", r.URL.Path,
+				"status", sw.status,
+				"duration_ms", float64(time.Since(start).Microseconds())/1000)
+		}
 	})
 }
 
@@ -414,6 +432,7 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 			spec:       req.SessionSpec,
 			lanes:      max(req.Lanes, 1),
 			replica:    rep.Name,
+			base:       rep.base,
 			backendID:  resp.Session,
 			designHash: resp.DesignHash,
 		}
@@ -433,7 +452,8 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 // home, rewriting the public session ID to the backend one. The shared gate
 // hold spans the whole round trip: a concurrent migration waits for it, and
 // once migration holds the gate this request's successor lands on the new
-// home transparently.
+// home transparently. The session carries its home's URL, so rt.mu is taken
+// once, for the table lookup.
 func (rt *Router) proxySession(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
 	fs, ok := rt.sessions[r.PathValue("id")]
@@ -448,52 +468,66 @@ func (rt *Router) proxySession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("fleet: session %s is closed", fs.id))
 		return
 	}
-	rep, ok := rt.replicaByName(fs.replica)
-	if !ok {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("fleet: session %s homed on unknown replica %s", fs.id, fs.replica))
-		return
-	}
-	rt.forward(w, r, rep, fs.backendID)
+	rt.forward(w, r, fs)
 }
 
-// forward relays r to the replica with the {id} path segment replaced by
-// backendID, streaming the body both ways and copying status and headers
-// verbatim — the router adds no failure semantics of its own beyond 502 when
-// the replica is unreachable.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, rep Replica, backendID string) {
-	path := "/v1/sessions/" + backendID
+// forward relays r to fs's home (the caller holds fs's gate) with the {id}
+// path segment replaced by the backend ID, streaming the body both ways and
+// copying status and headers verbatim — a replica's redirect included: the
+// router adds no semantics of its own beyond 502 when the replica is
+// unreachable. It is a reverse-proxy hop on the configured client's
+// transport (one connection pool for proxied and control traffic alike), not
+// a Client.Do: no redirect following, no per-call header clone, and the
+// inbound Content-Length goes out as is, so the replica reads a sized body
+// instead of a chunked one.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, fs *fleetSession) {
+	u := *fs.base
+	u.Path, u.RawPath = u.Path+"/v1/sessions/"+fs.backendID, ""
 	if rest := pathSuffix(r.URL.Path); rest != "" {
-		path += "/" + rest
+		u.Path += "/" + rest
 	}
-	url := rep.URL + path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
+	u.RawQuery = r.URL.RawQuery
+	// The client's Timeout bounds the round trip, body included, unless the
+	// inbound request already carries a deadline of its own.
+	ctx := r.Context()
+	if _, ok := ctx.Deadline(); !ok && rt.cfg.HTTPClient.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, rt.cfg.HTTPClient.Timeout)
+		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, r.Body)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
 	// The correlation ID follows the request onto the replica, so one ID
 	// stitches the router and replica access logs together.
-	if id := r.Header.Get(server.RequestIDHeader); id != "" {
-		req.Header.Set(server.RequestIDHeader, id)
+	out := (&http.Request{
+		Method: r.Method,
+		URL:    &u,
+		Header: http.Header{
+			"Content-Type":         r.Header["Content-Type"],
+			server.RequestIDHeader: r.Header[server.RequestIDHeader],
+		},
+		Body:          r.Body,
+		ContentLength: r.ContentLength,
+	}).WithContext(ctx)
+	if user := u.User; user != nil { // as Client.Do would
+		pw, _ := user.Password()
+		out.SetBasicAuth(user.Username(), pw)
+	}
+	transport := rt.cfg.HTTPClient.Transport
+	if transport == nil {
+		transport = http.DefaultTransport
 	}
 	start := time.Now()
-	resp, err := rt.cfg.HTTPClient.Do(req)
+	resp, err := transport.RoundTrip(out)
 	if rm := rt.Metrics(); rm != nil {
 		rm.ProxyLatency.Observe(time.Since(start).Seconds())
 	}
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("replica %s: %v", rep.Name, err))
+		writeError(w, http.StatusBadGateway, fmt.Errorf("replica %s: %v", fs.replica, err))
 		return
 	}
 	defer resp.Body.Close()
+	h := w.Header()
 	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
+		h[k] = vs
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)

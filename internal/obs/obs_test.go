@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -206,3 +207,62 @@ func TestHistogramDeltaQuantile(t *testing.T) {
 		t.Errorf("empty quantile = %v, want 0", q)
 	}
 }
+
+// TestProcessMetrics checks the Go-runtime series: the allocation and GC
+// totals are typed as counters, every scrape takes a fresh reading (work done
+// between two scrapes shows in the second), and the totals never run
+// backwards.
+func TestProcessMetrics(t *testing.T) {
+	r := NewRegistry()
+	RegisterProcessMetrics(r)
+	RegisterProcessMetrics(r) // idempotent
+	scrape := func() (*Scrape, string) {
+		var sb strings.Builder
+		if _, err := r.WriteTo(&sb); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := ParseText(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc, sb.String()
+	}
+	value := func(sc *Scrape, name string) float64 {
+		v, ok := sc.Value(name)
+		if !ok {
+			t.Fatalf("series %s missing", name)
+		}
+		return v
+	}
+
+	a, text := scrape()
+	for _, line := range []string{
+		"# TYPE gsim_go_alloc_bytes_total counter",
+		"# TYPE gsim_go_gc_cycles_total counter",
+		"# TYPE gsim_go_heap_alloc_bytes gauge",
+		"# TYPE gsim_go_goroutines gauge",
+	} {
+		if !strings.Contains(text, line+"\n") {
+			t.Errorf("exposition lacks %q", line)
+		}
+	}
+	if heap, total := value(a, "gsim_go_heap_alloc_bytes"), value(a, "gsim_go_alloc_bytes_total"); heap <= 0 || total < heap {
+		t.Errorf("heap %v bytes live of %v ever allocated", heap, total)
+	}
+
+	const churn = 4 << 20
+	for range 4 {
+		processSink = make([]byte, churn/4)
+	}
+	runtime.GC()
+	b, _ := scrape()
+	if d := value(b, "gsim_go_alloc_bytes_total") - value(a, "gsim_go_alloc_bytes_total"); d < churn {
+		t.Errorf("alloc_bytes_total grew by %v across %d bytes of allocation", d, churn)
+	}
+	if d := value(b, "gsim_go_gc_cycles_total") - value(a, "gsim_go_gc_cycles_total"); d < 1 {
+		t.Errorf("gc_cycles_total grew by %v across a forced collection", d)
+	}
+}
+
+// processSink keeps TestProcessMetrics' allocations on the heap.
+var processSink []byte

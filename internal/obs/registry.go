@@ -19,12 +19,13 @@ const (
 	kindCounter metricKind = iota
 	kindGauge
 	kindGaugeFunc
+	kindCounterFunc
 	kindHistogram
 )
 
 func (k metricKind) String() string {
 	switch k {
-	case kindCounter:
+	case kindCounter, kindCounterFunc:
 		return "counter"
 	case kindGauge, kindGaugeFunc:
 		return "gauge"
@@ -153,7 +154,17 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // registering the same series replaces the callback (last writer wins), so a
 // restartable component can re-point the gauge at its live instance.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	s := r.lookup(name, help, kindGaugeFunc, nil, labels)
+	r.setFunc(kindGaugeFunc, name, help, fn, labels)
+}
+
+// CounterFunc is GaugeFunc for a monotonic total something else already
+// keeps (the Go runtime's, say): same scrape-time callback, typed counter.
+func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
+	r.setFunc(kindCounterFunc, name, help, fn, labels)
+}
+
+func (r *Registry) setFunc(kind metricKind, name, help string, fn func() float64, labels []Label) {
+	s := r.lookup(name, help, kind, nil, labels)
 	r.mu.Lock()
 	s.fn = fn
 	r.mu.Unlock()
@@ -222,7 +233,7 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 				fmt.Fprintf(&sb, "%s%s %s\n", f.name, sig, fmtVal(float64(s.c.Value())))
 			case kindGauge:
 				fmt.Fprintf(&sb, "%s%s %s\n", f.name, sig, fmtVal(s.g.Value()))
-			case kindGaugeFunc:
+			case kindGaugeFunc, kindCounterFunc:
 				var v float64
 				if s.fn != nil {
 					v = s.fn()

@@ -29,10 +29,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -143,8 +146,11 @@ func (m *Manager) Handler() http.Handler {
 // RequestIDHeader carries a request's correlation ID. The router stamps it
 // when proxying; withObs generates one for direct requests. The value is
 // echoed on the response and attached to every access-log line, so one ID
-// follows a request across the fleet hop.
-const RequestIDHeader = "X-Gsim-Request-ID"
+// follows a request across the fleet hop. It is spelled the way net/http
+// canonicalises X-Gsim-Request-ID (header names are case-insensitive), so
+// the Header.Get/Set calls on every request do not allocate a respelled key
+// and the name can index an http.Header directly.
+const RequestIDHeader = "X-Gsim-Request-Id"
 
 // reqSeq numbers locally generated request IDs.
 var reqSeq atomic.Uint64
@@ -161,15 +167,18 @@ func (sw *statusWriter) WriteHeader(code int) {
 	sw.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap exposes the wrapped writer to http.ResponseController.
+func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
+
 // withObs is the transport-level observability middleware: it assigns (or
 // propagates) the request ID, counts the request, and emits one structured
 // access-log line with method, path, session, status, and duration. With the
-// default NopLogger and no metrics it is a thin passthrough.
+// default NopLogger nothing is formatted.
 func (m *Manager) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(RequestIDHeader)
 		if id == "" {
-			id = fmt.Sprintf("local-%d", reqSeq.Add(1))
+			id = "local-" + strconv.FormatUint(reqSeq.Add(1), 10)
 		}
 		w.Header().Set(RequestIDHeader, id)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
@@ -177,6 +186,10 @@ func (m *Manager) withObs(next http.Handler) http.Handler {
 		next.ServeHTTP(sw, r)
 		if mt := m.Metrics(); mt != nil {
 			mt.httpReqs.Inc()
+		}
+		logger := m.log()
+		if !logger.Enabled(r.Context(), slog.LevelInfo) {
+			return
 		}
 		attrs := []any{
 			"request_id", id,
@@ -188,7 +201,7 @@ func (m *Manager) withObs(next http.Handler) http.Handler {
 		if sid := sessionFromPath(r.URL.Path); sid != "" {
 			attrs = append(attrs, "session", sid)
 		}
-		m.log().Info("http request", attrs...)
+		logger.Info("http request", attrs...)
 	})
 }
 
@@ -399,9 +412,61 @@ func (m *Manager) withSession(h func(s *Session, w http.ResponseWriter, r *http.
 	}
 }
 
+// opsScratch is the working set of one ops request: body bytes, decoded ops
+// and encoded reply. Pooled, not kept per connection or session, so an idle
+// replica retains none of it past a collection.
+type opsScratch struct {
+	body []byte
+	req  OpsRequest
+	out  []byte
+}
+
+var opsPool = sync.Pool{New: func() any { return new(opsScratch) }}
+
+// maxPooledOps bounds what a scratch keeps between requests: this many body
+// or reply bytes, and a 64th as many op slots (64 bytes each).
+const maxPooledOps = 64 << 10
+
+// release returns sc to the pool. The op slots are zeroed first: json decodes
+// into a reused slot without clearing the fields a later request omits.
+func (sc *opsScratch) release() {
+	if cap(sc.body) > maxPooledOps || cap(sc.out) > maxPooledOps || cap(sc.req.Ops) > maxPooledOps/64 {
+		return
+	}
+	clear(sc.req.Ops)
+	sc.req.Ops = sc.req.Ops[:0]
+	opsPool.Put(sc)
+}
+
+// decodeOps decodes the request body into sc.req and writes the error
+// response itself on failure. A body of small known length — every ordinary
+// batch — is read whole into the pooled buffer and unmarshalled there, where
+// bytes trailing the JSON value are an error; anything else streams through
+// decodeBody and its byte cap.
+func (m *Manager) decodeOps(w http.ResponseWriter, r *http.Request, sc *opsScratch) bool {
+	n := r.ContentLength
+	if limit := m.limits.MaxBodyBytes; n <= 0 || n > maxPooledOps || (limit > 0 && n > limit) {
+		return m.decodeBody(w, r, &sc.req)
+	}
+	if int64(cap(sc.body)) < n {
+		sc.body = make([]byte, n, max(n, 512))
+	}
+	sc.body = sc.body[:n]
+	_, err := io.ReadFull(r.Body, sc.body)
+	if err == nil {
+		err = json.Unmarshal(sc.body, &sc.req)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
+		return false
+	}
+	return true
+}
+
 func (m *Manager) handleOps(s *Session, w http.ResponseWriter, r *http.Request) {
-	var req OpsRequest
-	if !m.decodeBody(w, r, &req) {
+	sc := opsPool.Get().(*opsScratch)
+	defer sc.release()
+	if !m.decodeOps(w, r, sc) {
 		return
 	}
 	// The per-request deadline: a runaway batch (a client asking for a
@@ -413,7 +478,7 @@ func (m *Manager) handleOps(s *Session, w http.ResponseWriter, r *http.Request) 
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	results, err := s.Apply(ctx, req.Ops)
+	results, err := s.Apply(ctx, sc.req.Ops)
 	if err != nil {
 		// A failed batch is not rolled back — ops before the failing one did
 		// run (steps advanced the session). Return their results alongside
@@ -424,7 +489,61 @@ func (m *Manager) handleOps(s *Session, w http.ResponseWriter, r *http.Request) 
 		}{err.Error(), results})
 		return
 	}
-	writeJSON(w, http.StatusOK, OpsResponse{Results: results})
+	sc.out = appendOpsResponse(sc.out[:0], results)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(sc.out)))
+	_, _ = w.Write(sc.out)
+}
+
+// appendOpsResponse appends what json.NewEncoder(w).Encode(OpsResponse{results})
+// writes — same field order, omissions, escaping and trailing newline — with
+// no reflection and no intermediate buffer. FuzzOpsJSON holds the two equal.
+func appendOpsResponse(dst []byte, results []OpResult) []byte {
+	if results == nil {
+		return append(dst, "{\"results\":null}\n"...)
+	}
+	dst = append(dst, `{"results":[`...)
+	for i := range results {
+		res := &results[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONString(append(dst, `{"op":`...), res.Op)
+		if res.Name != "" {
+			dst = appendJSONString(append(dst, `,"name":`...), res.Name)
+		}
+		if res.Value != "" {
+			dst = appendJSONString(append(dst, `,"value":`...), res.Value)
+		}
+		if res.Cycles != 0 {
+			dst = strconv.AppendUint(append(dst, `,"cycles":`...), res.Cycles, 10)
+		}
+		if res.Lane != nil {
+			dst = strconv.AppendInt(append(dst, `,"lane":`...), int64(*res.Lane), 10)
+		}
+		if res.Error != "" {
+			dst = appendJSONString(append(dst, `,"error":`...), res.Error)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}\n"...)
+}
+
+// appendJSONString appends s as a JSON string. Names, literals and values
+// are printable ASCII with nothing to escape and are copied; anything else
+// (a panic's stack in Error, a hostile name) goes through encoding/json, so
+// escaping is its by construction.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string cannot fail to encode
+			return append(dst, quoted...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 func handleSnapshot(s *Session, w http.ResponseWriter, r *http.Request) {

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"math/bits"
 	"runtime/debug"
 	"strings"
@@ -760,7 +761,8 @@ func (s *Session) checkCancel(ctx context.Context) error {
 	}
 }
 
-// stepBudget sums a batch's requested step cycles for admission.
+// stepBudget sums a batch's requested step cycles for admission. A sum that
+// overflows is over any limit, not a small negative number under it.
 func stepBudget(ops []Op) int {
 	total := 0
 	for _, op := range ops {
@@ -769,7 +771,9 @@ func stepBudget(ops []Op) int {
 			if n <= 0 {
 				n = 1
 			}
-			total += n
+			if total += n; total < 0 {
+				return math.MaxInt
+			}
 		}
 	}
 	return total
