@@ -30,12 +30,38 @@ import (
 	"gsim/internal/firrtl"
 	"gsim/internal/gen"
 	"gsim/internal/harness"
+	"gsim/internal/ir"
 	"gsim/internal/partition"
 	"gsim/internal/passes"
 	"gsim/internal/server"
 	"gsim/internal/snapshot"
 	"gsim/internal/trace"
 )
+
+// refCountSummary renders the compiled graph's combinational nodes by
+// reference count — the k of the node-level rule cost·k > cost + cost_node,
+// which no plain node passes at k = 1 — and the share of them that node
+// extraction made (_cse).
+func refCountSummary(g *ir.Graph) string {
+	refs := make([]int, len(g.Nodes))
+	for _, n := range g.Nodes {
+		n.EachRef(func(u *ir.Node) { refs[u.ID]++ })
+	}
+	var by [4]int // 0 (outputs), 1, 2, 3 or more references
+	comb, cse := 0, 0
+	for _, n := range g.Nodes {
+		if n.Kind != ir.KindComb {
+			continue
+		}
+		comb++
+		if strings.HasPrefix(n.Name, "_cse") {
+			cse++
+		}
+		by[min(refs[n.ID], 3)]++
+	}
+	return fmt.Sprintf("comb=%d by refs: 0=%d 1=%d 2=%d 3+=%d  cse=%d (%.1f%% of comb)",
+		comb, by[0], by[1], by[2], by[3], cse, 100*float64(cse)/float64(max(comb, 1)))
+}
 
 func main() {
 	live := flag.String("live", "", "base URL of a running gsim-serve/gsim-router; scrape its /metrics twice and render rates instead of the synthetic suite")
@@ -135,6 +161,7 @@ func main() {
 			cfg.Name, gstats.Nodes, nsup, st.ActivityFactor(),
 			st.NodeEvals/st.Cycles, st.Examinations/st.Cycles, st.Activations/st.Cycles, sys.Sim.Machine().Executed/st.Cycles, hz/1000, extra)
 		fmt.Printf("%-16s passes %v: %s\n", "", sys.PassTime.Round(time.Microsecond), sys.PassResult.Timing())
+		fmt.Printf("%-16s %s\n", "", refCountSummary(sys.Graph))
 		sys.Close()
 	}
 

@@ -67,7 +67,8 @@ func CompileDesign(g *ir.Graph, cfg Config) (*CompiledDesign, error) {
 	if err := work.SortTopological(); err != nil {
 		return nil, fmt.Errorf("core: %v", err)
 	}
-	if err := work.Validate(); err != nil {
+	// The sort just ordered every node, which is Validate's acyclicity check.
+	if err := work.ValidateNodes(); err != nil {
 		return nil, fmt.Errorf("core: optimized graph invalid: %v", err)
 	}
 	prog, err := emit.Compile(work)

@@ -58,12 +58,18 @@ type Config struct {
 	Activity     engine.ActivityConfig
 }
 
-// DefaultMaxSupernode is the supernode size cap used when unset. The paper
-// finds optima in the 20-50 range for emitted C++ (Fig. 9); this repository's
-// closure-threaded evaluation makes node evaluation relatively more expensive
-// than active-bit examination, shifting the optimum down (gsim-bench -exp
-// fig9 sweeps it; README "Benchmarks").
-const DefaultMaxSupernode = 4
+// DefaultMaxSupernode is the supernode size cap used when unset, counted in
+// nodes (paper Fig. 9, whose optima for emitted C++ are 20-50). A supernode is
+// re-evaluated whole when any member is activated, and with closure-threaded
+// kernels that costs more than the activation bookkeeping a larger cap saves,
+// so the optimum sits lower here, on a flat top: on rocket-like gsim-bench
+// -exp fig9 cannot tell the caps from 6 to 16 apart, and in alternating pairs
+// of the repository benchmark 6 beat 4 on both rocket workloads (9 of 10
+// each), 8 beat 4 in 7 of 10, 16 did not (README "Benchmarks" has the
+// tables). The unit matters: since node extraction
+// counts references after nesting, a node carries about twice the
+// instructions it did when 4 was chosen.
+const DefaultMaxSupernode = 6
 
 // System is a compiled, runnable simulator for one design.
 type System struct {

@@ -20,10 +20,65 @@ func evalLockstepConfigs() []Config {
 	return []Config{Verilator(), VerilatorMT(2), GSIM(), GSIMMT(2), GSIMMT(4)}
 }
 
-// lockstepDesigns returns every testdata FIRRTL design plus two generated
-// ones, as (name, graph) pairs.
+// padFoldFIRRTL feeds zero-extensions that compile to nothing (emit's unpad)
+// to every consumer that reads an operand's width: cat, andr, a sign
+// extension, a signed compare, a memory address, dshl; and one pad that adds a
+// state word and stays a copy. Also a seed of FuzzKernelLockstep.
+const padFoldFIRRTL = `circuit PadFold :
+  module PadFold :
+    input clock : Clock
+    input reset : UInt<1>
+    input a : UInt<5>
+    input c : UInt<7>
+    input s : UInt<3>
+    output o_cat : UInt<19>
+    output o_andr : UInt<1>
+    output o_sext : UInt<16>
+    output o_slt : UInt<1>
+    output o_mem : UInt<8>
+    output o_dshl : UInt<24>
+    output o_wide : UInt<100>
+    output o_acc : UInt<12>
+
+    reg acc : UInt<12>, clock with :
+      reset => (reset, UInt<12>("h0"))
+    mem m :
+      data-type => UInt<8>
+      depth => 16
+      read-latency => 0
+      write-latency => 1
+      reader => r
+      writer => w
+
+    acc <= tail(add(acc, pad(c, 12)), 1)
+    m.w.addr <= pad(s, 4)
+    m.w.data <= pad(c, 8)
+    m.w.en <= bits(a, 0, 0)
+    m.w.clk <= clock
+    m.w.mask <= UInt<1>(1)
+    m.r.addr <= pad(bits(acc, 2, 0), 4)
+    m.r.en <= UInt<1>(1)
+    m.r.clk <= clock
+
+    o_cat <= cat(pad(a, 12), c)
+    o_andr <= andr(pad(not(a), 5))
+    o_sext <= asUInt(pad(asSInt(pad(a, 9)), 16))
+    o_slt <= lt(asSInt(pad(a, 7)), asSInt(c))
+    o_mem <= m.r.data
+    o_dshl <= dshl(pad(a, 9), pad(s, 4))
+    o_wide <= not(pad(xor(a, bits(c, 4, 0)), 100))
+    o_acc <= acc
+`
+
+// lockstepDesigns returns every testdata FIRRTL design, the pad-folding
+// shapes above, and two generated designs, as (name, graph) pairs.
 func lockstepDesigns(t *testing.T) (names []string, graphs []*ir.Graph) {
 	t.Helper()
+	padFold, err := firrtl.Load(padFoldFIRRTL)
+	if err != nil {
+		t.Fatalf("padfold: %v", err)
+	}
+	names, graphs = append(names, "padfold"), append(graphs, padFold)
 	files, err := filepath.Glob("../../testdata/*.fir")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no testdata designs found: %v", err)

@@ -102,6 +102,7 @@ func FuzzKernelLockstep(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	f.Add([]byte(padFoldFIRRTL))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte("gsim"))
 	f.Add([]byte{0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88, 0x40, 0x02, 0x07, 0x50, 0x01, 0x03, 0x02})

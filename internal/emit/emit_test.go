@@ -294,3 +294,49 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// TestFreePadCompilesToNothing: a zero-extension that adds no state word is
+// an operand alias, not an instruction — in operand position the consumer
+// reads the source slot at the padded width, at a root the argument compiles
+// straight into the destination — and one that adds words stays a CCopy.
+func TestFreePadCompilesToNothing(t *testing.T) {
+	count := func(p *Program, op OpCode) (n int) {
+		for _, in := range p.Instrs {
+			if in.Op == op {
+				n++
+			}
+		}
+		return n
+	}
+
+	b := ir.NewBuilder("operand")
+	a, c := b.Input("a", 5), b.Input("c", 7)
+	p, out := compileExpr(t, nil, b.G, b.Cat(b.Fit(b.R(a), 12), b.R(c)))
+	if len(p.Instrs) != 1 || p.Instrs[0].Op != CCat {
+		t.Fatalf("cat(pad(a), c): instructions %+v, want one CCat", p.Instrs)
+	}
+	if in := p.Instrs[0]; in.A != p.Off[a.ID] || in.AW != 12 || in.BW != 7 || in.D != p.Off[out.ID] {
+		t.Fatalf("cat(pad(a), c): %+v, want A = a's slot %d read at width 12", in, p.Off[a.ID])
+	}
+
+	b = ir.NewBuilder("root")
+	a, c = b.Input("a", 5), b.Input("c", 7)
+	p, out = compileExpr(t, nil, b.G, b.Fit(b.Fit(b.Xor(b.R(a), b.R(c)), 20), 40))
+	if len(p.Instrs) != 1 || p.Instrs[0].Op != CXor || p.Instrs[0].D != p.Off[out.ID] {
+		t.Fatalf("pad(pad(xor)) at a root: instructions %+v, want one CXor into the node's slot %d", p.Instrs, p.Off[out.ID])
+	}
+
+	b = ir.NewBuilder("words")
+	a = b.Input("a", 32)
+	p, _ = compileExpr(t, nil, b.G, b.Not(b.Fit(b.R(a), 100)))
+	if count(p, CCopy) != 1 || p.Instrs[0].DW != 100 || p.Instrs[0].AW != 32 {
+		t.Fatalf("not(pad(a, 100)) of a 32-bit a: instructions %+v, want a 32->100 CCopy first", p.Instrs)
+	}
+	// Equal word counts above one word fold as well.
+	b = ir.NewBuilder("wide")
+	a = b.Input("a", 70)
+	p, _ = compileExpr(t, nil, b.G, b.Not(b.Fit(b.R(a), 100)))
+	if count(p, CCopy) != 0 || p.Instrs[0].A != p.Off[a.ID] || p.Instrs[0].AW != 100 {
+		t.Fatalf("not(pad(a, 100)) of a 70-bit a: instructions %+v, want a's slot read at width 100", p.Instrs)
+	}
+}

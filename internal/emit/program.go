@@ -26,8 +26,9 @@ import (
 // OpCode is a compiled instruction operator.
 type OpCode uint8
 
-// Instruction opcodes. CCopy implements Ref/Pad roots; CMemRead reads the
-// memory identified by Instr.Lo at the address held in the A slot.
+// Instruction opcodes. CCopy implements Ref/Const roots and the pads that add
+// state words; CMemRead reads the memory identified by Instr.Lo at the address
+// held in the A slot.
 const (
 	CInvalid OpCode = iota
 	CCopy
@@ -304,8 +305,22 @@ type operand struct {
 	width int32
 }
 
+// unpad strips the zero-extensions at the root of e that compile to nothing.
+// Every value in the state image is stored masked to its width — upper bits
+// and upper words zero: every kernel masks its result to DW, Poke masks, and
+// memories hold masked words — so a pad that adds no state word leaves its
+// argument's words as they are. The consumer reads them at the padded width,
+// which is what FIRRTL says the operand's width is.
+func unpad(e *ir.Expr) *ir.Expr {
+	for e.Op == ir.OpPad && bitvec.WordsFor(e.Width) == bitvec.WordsFor(e.Args[0].Width) {
+		e = e.Args[0]
+	}
+	return e
+}
+
 // compileRoot compiles e, placing the result at dst.
 func (c *compiler) compileRoot(e *ir.Expr, dst int32) error {
+	e = unpad(e)
 	switch e.Op {
 	case ir.OpRef:
 		src := c.p.Off[e.Node.ID]
@@ -321,6 +336,11 @@ func (c *compiler) compileRoot(e *ir.Expr, dst int32) error {
 
 // compileExpr compiles e into a fresh or existing slot and returns it.
 func (c *compiler) compileExpr(e *ir.Expr) (operand, error) {
+	if a := unpad(e); a != e {
+		o, err := c.compileExpr(a)
+		o.width = int32(e.Width)
+		return o, err
+	}
 	switch e.Op {
 	case ir.OpRef:
 		return operand{c.p.Off[e.Node.ID], int32(e.Node.Width)}, nil

@@ -76,6 +76,11 @@ func (b *base) restoreBase(s *SimState) error {
 			return fmt.Errorf("engine: memory %d is %d words, engine has %d", i, len(s.Mems[i]), len(b.m.Mems[i]))
 		}
 	}
+	// Engine-derived, so the same design has the same value: anything else is
+	// a damaged blob, and accepting it would save back different bytes.
+	if s.Stats.EvaluableNodes != uint64(len(b.coded)) {
+		return fmt.Errorf("engine: snapshot counts %d evaluable nodes, engine has %d", s.Stats.EvaluableNodes, len(b.coded))
+	}
 	copy(b.m.State, s.State)
 	for i := range s.Mems {
 		copy(b.m.Mems[i], s.Mems[i])
@@ -83,7 +88,6 @@ func (b *base) restoreBase(s *SimState) error {
 	b.m.Executed = s.Executed
 	b.FlushObs() // bank progress earned before the counters are overwritten
 	b.stats = s.Stats
-	b.stats.EvaluableNodes = uint64(len(b.coded)) // engine-derived, same design => same value
 	// Restored history is not newly simulated work: re-baseline so the jump
 	// (forward or backward) never reaches the process counters.
 	b.obsFlushed = b.stats
@@ -211,17 +215,21 @@ func (e *ParallelActivity) RestoreState(s *SimState) error {
 
 // checkActivity validates a snapshot's activity section against the restoring
 // engine's partition — a capture that carried supernode state must come from
-// the same partition shape, every listed index must be in range, and pending
-// IDs must be registers — before any engine state is mutated. It returns the
-// pending registers as plan slots.
+// the same partition shape, every listed index must be in range and above the
+// one before it (the order captures write: a second spelling of one set would
+// save back as different bytes), and pending IDs must be registers — before
+// any engine state is mutated. It returns the pending registers as plan slots.
 func (pl *supPlan) checkActivity(s *SimState) ([]int32, error) {
 	count := len(pl.sups) - 1
 	if s.SupCount != 0 && s.SupCount != count {
 		return nil, fmt.Errorf("engine: snapshot partition has %d supernodes, engine has %d", s.SupCount, count)
 	}
-	for _, sup := range s.ActiveSups {
+	for k, sup := range s.ActiveSups {
 		if sup < 0 || int(sup) >= count {
 			return nil, fmt.Errorf("engine: active supernode %d out of range [0,%d)", sup, count)
+		}
+		if k > 0 && sup <= s.ActiveSups[k-1] {
+			return nil, fmt.Errorf("engine: active supernode list not ascending at entry %d", k)
 		}
 	}
 	if len(s.PendingRegs) == 0 {

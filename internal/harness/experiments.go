@@ -411,7 +411,7 @@ type Fig9Point struct {
 // small end where this implementation's optimum sits: closure-threaded
 // evaluation costs more per node than emitted C++, which shifts the optimum
 // below the paper's 20-50.
-var Fig9Sizes = []int{1, 2, 4, 8, 16, 32, 50, 100, 150, 200, 300, 400}
+var Fig9Sizes = []int{1, 2, 4, 6, 8, 12, 16, 32, 50, 100, 150, 200, 300, 400}
 
 // Fig9 reproduces the supernode-size study: GSIM with every optimization
 // on, sweeping the maximum supernode size.

@@ -240,6 +240,16 @@ func (g *Graph) Levelize(order []int32) (levels []int32, byLevel [][]int32) {
 // rules, references to live nodes, register init widths, memory port shapes,
 // and acyclicity. It returns the first problem found.
 func (g *Graph) Validate() error {
+	if err := g.ValidateNodes(); err != nil {
+		return err
+	}
+	_, err := g.TopoOrder()
+	return err
+}
+
+// ValidateNodes is Validate without the acyclicity check, for a caller that
+// holds a topological order already (SortTopological just succeeded).
+func (g *Graph) ValidateNodes() error {
 	for id, n := range g.Nodes {
 		if n == nil {
 			continue
@@ -309,9 +319,6 @@ func (g *Graph) Validate() error {
 		if exprErr != nil {
 			return exprErr
 		}
-	}
-	if _, err := g.TopoOrder(); err != nil {
-		return err
 	}
 	return nil
 }

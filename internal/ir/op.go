@@ -138,10 +138,11 @@ func (o Op) Commutative() bool {
 // operator, in "operator units" — the unit the paper's inline/extract cost
 // model is expressed in (§III-B: "in terms of the number of operators
 // involved"). Multiplication and division are weighted heavier to reflect
-// host-instruction cost.
+// host-instruction cost; zero-extension is free, because a value is stored
+// zero-extended already (package emit compiles most pads to nothing).
 func (o Op) Cost() int {
 	switch o {
-	case OpRef, OpConst:
+	case OpRef, OpConst, OpPad:
 		return 0
 	case OpMul:
 		return 3

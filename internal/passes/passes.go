@@ -164,7 +164,11 @@ func Run(g *ir.Graph, opts Options) Result {
 		cleanup()
 	}
 	run(PassInline, opts.Inline, &res.Inlined, func() int { return inlineNodes(g, opts.CostNode, opts.MaxInlineCost) })
-	run(PassExtract, opts.Extract, &res.Extracted, func() int { return extractCommon(g, opts.CostNode) })
+	run(PassExtract, opts.Extract, &res.Extracted, func() int {
+		extracted, dissolved := extractCommon(g, opts.CostNode)
+		res.Inlined += dissolved
+		return extracted
+	})
 	run(PassResetOpt, opts.ResetOpt, &res.ResetsHoisted, func() int { return hoistResets(g) })
 	run(PassDead, opts.Redundant, &res.DeadRemoved, dead)
 	g.Compact()

@@ -3,11 +3,14 @@ package passes
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"gsim/internal/bitvec"
 	"gsim/internal/engine"
+	"gsim/internal/firrtl"
 	"gsim/internal/gen"
 	"gsim/internal/ir"
 )
@@ -198,7 +201,7 @@ func TestExtractCommon(t *testing.T) {
 	b.Output("o1", b.Add(mk(), b.C(32, 1)))
 	b.Output("o2", b.Add(mk(), b.C(32, 2)))
 	b.Output("o3", b.Sub(mk(), b.C(32, 3)))
-	n := extractCommon(b.G, DefaultCostNode)
+	n, _ := extractCommon(b.G, DefaultCostNode)
 	if n != 1 {
 		t.Fatalf("extracted %d, want 1", n)
 	}
@@ -215,6 +218,128 @@ func TestExtractCommon(t *testing.T) {
 	}
 	if muls != 1 {
 		t.Fatalf("%d multiplies after CSE, want 1", muls)
+	}
+}
+
+// TestExtractCountsReferencesAfterNesting: extracting xor(pad(a), pad(b))
+// leaves each operand one occurrence, inside the new node's body, so the
+// operands must not be extracted as well. A pad costs nothing and is never a
+// candidate, so the second case puts a not in its place: that one passes the
+// rule on its occurrence count (1·4 > 1+2) and must fail it on the effective
+// one.
+func TestExtractCountsReferencesAfterNesting(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wrap func(b *ir.Builder, e *ir.Expr) *ir.Expr
+	}{
+		{"pad", func(b *ir.Builder, e *ir.Expr) *ir.Expr { return b.Fit(e, 32) }},
+		{"not", func(b *ir.Builder, e *ir.Expr) *ir.Expr { return b.Not(e) }},
+	} {
+		b := ir.NewBuilder("nest")
+		x, y := b.Input("a", 16), b.Input("b", 16)
+		for i := 0; i < 4; i++ {
+			common := b.Xor(tc.wrap(b, b.R(x)), tc.wrap(b, b.R(y)))
+			b.Output(fmt.Sprintf("o%d", i), b.Add(common, b.C(common.Width, uint64(i))))
+		}
+		extracted, dissolved := extractCommon(b.G, DefaultCostNode)
+		if extracted != 1 || dissolved != 0 {
+			t.Fatalf("%s: extracted %d, dissolved %d; want 1, 0", tc.name, extracted, dissolved)
+		}
+		cse := b.G.FindNode("_cse0")
+		if cse == nil || cse.Expr.Op != ir.OpXor || cse.Expr.CountOps() != 3 {
+			t.Fatalf("%s: _cse0 = %v, want the whole xor", tc.name, cse)
+		}
+		if err := b.G.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+// TestExtractDissolvesOrphanedNode: a node read only from inside the replaced
+// occurrences of an extracted expression is left with one reference and moves
+// into the new node's body.
+func TestExtractDissolvesOrphanedNode(t *testing.T) {
+	b := ir.NewBuilder("orphan")
+	x, y := b.Input("a", 16), b.Input("b", 16)
+	m := b.Comb("m", b.Mul(b.R(x), b.R(y)))
+	for i := 0; i < 3; i++ {
+		common := b.Mul(b.R(m), b.Not(b.R(y)))
+		b.Output(fmt.Sprintf("o%d", i), b.Add(common, b.C(common.Width, uint64(i))))
+	}
+	extracted, dissolved := extractCommon(b.G, DefaultCostNode)
+	if extracted != 1 || dissolved != 1 {
+		t.Fatalf("extracted %d, dissolved %d; want 1, 1", extracted, dissolved)
+	}
+	b.G.Compact()
+	if b.G.FindNode("m") != nil {
+		t.Fatal("m survived with a single reference")
+	}
+	if err := b.G.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// nodeLevelDesigns is what the node-level property test runs on: the FIRRTL
+// test designs, the generated profiles that build quickly, a few random ones.
+func nodeLevelDesigns(t *testing.T) map[string]*ir.Graph {
+	designs := map[string]*ir.Graph{
+		"stucore-like": gen.BuildProfile(gen.StuCoreLike()),
+		"rocket-like":  gen.BuildProfile(gen.RocketLike()),
+	}
+	files, err := filepath.Glob("../../testdata/*.fir")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no FIRRTL test designs: %v", err)
+	}
+	for _, f := range files {
+		g, err := firrtl.LoadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		designs[filepath.Base(f)] = g
+	}
+	for seed := int64(40); seed < 44; seed++ {
+		designs[fmt.Sprintf("random-%d", seed)] = gen.Random(seed, gen.DefaultRandomConfig())
+	}
+	return designs
+}
+
+// TestNodeLevelRuleHolds: after the full pipeline no node violates the rule
+// that made it one — every _cse node has at least two references, Extracted
+// is the number of _cse nodes, no plain node has a single reference — and a
+// second Run finds nothing left to inline or extract. (Not on the random
+// designs: there the second run's simplifier still finds rewrites in the
+// inlined trees, and those change costs. Run does not simplify after inlining.)
+func TestNodeLevelRuleHolds(t *testing.T) {
+	for name, g := range nodeLevelDesigns(t) {
+		g = g.Clone()
+		Normalize(g)
+		res := Run(g, All())
+		refs := make([]int, len(g.Nodes))
+		for _, n := range g.Nodes {
+			n.EachRef(func(u *ir.Node) { refs[u.ID]++ })
+		}
+		cse := 0
+		for id, keep := range pinned(g) {
+			n := g.Nodes[id]
+			if strings.HasPrefix(n.Name, "_cse") {
+				if cse++; refs[id] < 2 {
+					t.Errorf("%s: %s has %d references", name, n.Name, refs[id])
+				}
+			}
+			if !keep && refs[id] == 1 {
+				t.Errorf("%s: plain node %s kept for a single reference", name, n.Name)
+			}
+		}
+		if cse != res.Extracted {
+			t.Errorf("%s: Extracted = %d, graph has %d _cse nodes", name, res.Extracted, cse)
+		}
+		if strings.HasPrefix(name, "random-") {
+			continue
+		}
+		nodes := len(g.Nodes)
+		if again := Run(g, All()); again.Extracted != 0 || again.Inlined != 0 || len(g.Nodes) != nodes {
+			t.Errorf("%s: second run: %s, nodes %d -> %d", name, again, nodes, len(g.Nodes))
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"gsim/internal/bitvec"
@@ -431,6 +432,50 @@ func TestRestoreValidation(t *testing.T) {
 			t.Fatal("restore with trailing bytes succeeded")
 		}
 	})
+}
+
+// TestSnapshotFromOtherProgramRefused: a release that changes what the
+// compile pipeline emits changes every design hash, so a blob saved before it
+// — here a good blob whose header carries another hash — must be refused with
+// the compatibility error and leave the session it was offered to untouched.
+func TestSnapshotFromOtherProgramRefused(t *testing.T) {
+	g := loadDesign(t, "fifo.fir")
+	for _, cfg := range matrixConfigs() {
+		sys, err := core.Build(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins := inputsOf(sys.Graph)
+		for c := 0; c < 40; c++ {
+			drive(sys.Sim, ins, c)
+			sys.Sim.Step()
+		}
+		foreign, err := snapshot.Save(sys.Sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		foreign[12+31] ^= 0x01 // last byte of the header's design hash
+		for c := 40; c < 55; c++ {
+			drive(sys.Sim, ins, c)
+			sys.Sim.Step()
+		}
+		before, err := snapshot.Save(sys.Sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = snapshot.Restore(sys.Sim, foreign)
+		if err == nil || !strings.Contains(err.Error(), "different design or optimization level") {
+			t.Fatalf("%s: restore of another program's snapshot: %v", cfg.Name, err)
+		}
+		after, err := snapshot.Save(sys.Sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) || sys.Sim.Stats().Cycles != 55 {
+			t.Fatalf("%s: refused restore changed the session (cycle %d)", cfg.Name, sys.Sim.Stats().Cycles)
+		}
+		sys.Close()
+	}
 }
 
 // TestEncodeDeterminism pins that the same state always serializes to the
