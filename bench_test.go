@@ -117,8 +117,8 @@ func BenchmarkGSIMMT(b *testing.B) {
 // every testdata FIRRTL design plus the stucore (real RV32 core) and
 // rocket-scale profiles, under the full-cycle (verilator) and
 // essential-signal (gsim) presets, across all three evaluation modes —
-// the fused kernel pipeline (superinstructions + width classes), the PR-2
-// per-instruction kernel baseline (kernel-nofuse), and the switch-dispatch
+// the fused kernel pipeline (superinstructions + width classes), the same
+// bound chains with fusion off (kernel-nofuse), and the switch-dispatch
 // interpreter — over the same compiled program, with random stimulus.
 // ns/cycle is reported per sub-benchmark so the fusion win is measured, not
 // asserted: compare the kernel and kernel-nofuse rows of one design/preset.
@@ -243,8 +243,8 @@ func muxChainFIR(lanes, depth int) string {
 }
 
 // BenchmarkTripleFusion is the three-instruction superinstructions' own
-// datapoint: the mux-cascade design above, fused kernel vs the
-// per-instruction kernel baseline. On this shape most of the fused closures
+// datapoint: the mux-cascade design above, fused kernel vs the same bound
+// chain with fusion off. On this shape most of the fused closures
 // come from the triple rules, so the kernel/kernel-nofuse gap is dominated
 // by the three-wide windows rather than the pair idioms.
 func BenchmarkTripleFusion(b *testing.B) {

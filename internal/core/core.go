@@ -47,9 +47,9 @@ type Config struct {
 
 	// Eval selects instruction evaluation: the fused kernel pipeline
 	// (the zero value, default on for every preset — superinstruction
-	// fusion, 2-word width classes, machine-bound chains), the pre-fusion
-	// per-instruction kernel baseline (engine.EvalKernelNoFuse), or the
-	// reference switch-dispatch interpreter (engine.EvalInterp).
+	// fusion, 2-word width classes, machine-bound chains), the same chains
+	// with fusion off (engine.EvalKernelNoFuse), or the reference
+	// switch-dispatch interpreter (engine.EvalInterp).
 	Eval engine.EvalMode
 
 	// Activity-engine knobs.

@@ -25,51 +25,6 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden/*.
 
 const goldenCycles = 50
 
-// goldenVCD renders the design's waveform under a fixed stimulus protocol:
-// reset held for the first two cycles, then every input driven from a
-// deterministic per-design stream. Everything here — node selection order,
-// stimulus, cycle count — is part of the golden-file contract; change it
-// only together with -update-golden.
-func goldenVCD(t *testing.T, g *ir.Graph, name string, mode engine.EvalMode) []byte {
-	t.Helper()
-	cfg := GSIM()
-	cfg.Eval = mode
-	sys, err := Build(g, cfg)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	defer sys.Close()
-	var buf bytes.Buffer
-	vcd, err := engine.NewVCD(&buf, sys.Sim, sys.Graph, nil)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	var inputs []*ir.Node
-	for _, n := range sys.Graph.Nodes {
-		if n.Kind == ir.KindInput {
-			inputs = append(inputs, n)
-		}
-	}
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
-	for c := 0; c < goldenCycles; c++ {
-		for _, in := range inputs {
-			v := bitvec.FromUint64(in.Width, rng.Uint64())
-			if in.Name == "reset" {
-				v = bitvec.FromUint64(1, b2u(c < 2))
-			}
-			sys.Sim.Poke(in.ID, v)
-		}
-		sys.Sim.Step()
-		vcd.Sample()
-	}
-	if err := vcd.Close(); err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	return buf.Bytes()
-}
-
 func b2u(v bool) uint64 {
 	if v {
 		return 1
@@ -77,10 +32,19 @@ func b2u(v bool) uint64 {
 	return 0
 }
 
+// evalConfig is the golden reference configuration (GSIM preset) under the
+// given evaluation mode.
+func evalConfig(mode engine.EvalMode) Config {
+	cfg := GSIM()
+	cfg.Eval = mode
+	return cfg
+}
+
 // TestGoldenVCD pins the committed reference waveforms for every testdata
-// design, byte for byte, under all three evaluation modes — so
-// superinstruction fusion, width classes, and chunk batching can never
-// silently change trace output, and neither can a VCD writer refactor.
+// design, byte for byte, under all three evaluation modes through the
+// synchronous tracer — so superinstruction fusion, width classes, and chunk
+// batching can never silently change trace output, and neither can a VCD
+// writer refactor.
 func TestGoldenVCD(t *testing.T) {
 	files, err := filepath.Glob("../../testdata/*.fir")
 	if err != nil || len(files) == 0 {
@@ -93,7 +57,7 @@ func TestGoldenVCD(t *testing.T) {
 			t.Fatalf("%s: %v", f, err)
 		}
 		golden := filepath.Join("../../testdata/golden", name+".vcd")
-		got := goldenVCD(t, g, name, engine.EvalKernel)
+		got := goldenVCD(t, g, name, evalConfig(engine.EvalKernel), 0, true)
 		if *updateGolden {
 			if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 				t.Fatal(err)
@@ -108,31 +72,27 @@ func TestGoldenVCD(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: missing golden waveform (run with -update-golden): %v", name, err)
 		}
-		for _, m := range []struct {
-			label string
-			mode  engine.EvalMode
-		}{
-			{"kernel", engine.EvalKernel},
-			{"kernel-nofuse", engine.EvalKernelNoFuse},
-			{"interp", engine.EvalInterp},
-		} {
+		for _, mode := range []engine.EvalMode{engine.EvalKernel, engine.EvalKernelNoFuse, engine.EvalInterp} {
 			out := got
-			if m.mode != engine.EvalKernel {
-				out = goldenVCD(t, g, name, m.mode)
+			if mode != engine.EvalKernel {
+				out = goldenVCD(t, g, name, evalConfig(mode), 0, true)
 			}
 			if !bytes.Equal(out, want) {
 				t.Fatalf("%s/%s: VCD diverges from golden (%d vs %d bytes): %s",
-					name, m.label, len(out), len(want), firstDiff(out, want))
+					name, mode, len(out), len(want), firstDiff(out, want))
 			}
 		}
 	}
 }
 
-// asyncGoldenVCD renders the same golden protocol through the pipelined
-// tracer (internal/trace) attached to the engine, instead of the external
-// synchronous writer: the engine samples at the end of every Step and the
-// writer goroutine formats behind it.
-func asyncGoldenVCD(t *testing.T, g *ir.Graph, name string, cfg Config, ring int, sync bool) []byte {
+// goldenVCD renders the design's waveform through the tracer
+// (internal/trace) attached to the engine, under a fixed stimulus protocol:
+// reset held for the first two cycles, then every input driven from a
+// deterministic per-design stream. The engine samples at the end of every
+// Step; with sync false the writer goroutine formats behind it. Everything
+// here — node selection order, stimulus, cycle count — is part of the
+// golden-file contract; change it only together with -update-golden.
+func goldenVCD(t *testing.T, g *ir.Graph, name string, cfg Config, ring int, sync bool) []byte {
 	t.Helper()
 	sys, err := Build(g, cfg)
 	if err != nil {
@@ -240,7 +200,7 @@ func TestGoldenVCDAsync(t *testing.T) {
 			t.Fatalf("%s: missing golden waveform (run TestGoldenVCD with -update-golden): %v", name, err)
 		}
 		for _, c := range cells {
-			out := asyncGoldenVCD(t, g, name, c.cfg(), c.ring, c.sync)
+			out := goldenVCD(t, g, name, c.cfg(), c.ring, c.sync)
 			if !bytes.Equal(out, want) {
 				t.Fatalf("%s/%s: async VCD diverges from golden (%d vs %d bytes): %s",
 					name, c.label, len(out), len(want), firstDiff(out, want))

@@ -7,12 +7,12 @@ import (
 	"gsim/internal/bitvec"
 )
 
-// Bound chains: the final stage of the kernel-compiling pipeline. Where the
-// Kernels table pre-resolves opcode dispatch and operand offsets but still
-// indexes the state slice on every access, a bound chain is compiled for ONE
-// machine: every operand becomes a *uint64 into that machine's state image,
-// every closure takes no arguments, and superinstruction fusion and the
-// 2-word width classes apply along the way. This is the closest a
+// Bound chains: the one compiled form every kernel-mode engine executes. A
+// bound chain is compiled for ONE machine: opcode dispatch, widths, shift
+// amounts and masks are resolved at build time, every operand becomes a
+// *uint64 into that machine's state image, every closure takes no arguments,
+// and (unless the caller turns it off) superinstruction fusion applies along
+// the way; 2-word width classes always do. This is the closest a
 // closure-threaded interpreter gets to GSIM's emitted straight-line C++ —
 // no dispatch, no operand decode, no bounds checks, no argument traffic.
 //
@@ -26,20 +26,21 @@ import (
 type BoundFn func()
 
 // CompileNodesBound compiles the given nodes' code ranges, concatenated in
-// the order given, into one bound chain. The order is the execution order of
-// the chain and must be a dependence order of the nodes — engines pass chunk
-// member lists in ascending node/supernode ID, which the partition package
-// guarantees is topological, including inside coarsened (level-merged)
-// chunks. Fusion applies across node boundaries: adjacent instructions of
-// different nodes fuse exactly like intra-node pairs, which is bit-identical
-// by the same argument (a fused closure performs both stores in order).
-func (p *Program) CompileNodesBound(m *Machine, ids []int32) []BoundFn {
+// the order given, into one bound chain (fused when fuse is set). The order
+// is the execution order of the chain and must be a dependence order of the
+// nodes — engines pass chunk member lists in ascending node/supernode ID,
+// which the partition package guarantees is topological, including inside
+// coarsened (level-merged) chunks. Fusion applies across node boundaries:
+// adjacent instructions of different nodes fuse exactly like intra-node
+// pairs, which is bit-identical by the same argument (a fused closure
+// performs both stores in order).
+func (p *Program) CompileNodesBound(m *Machine, ids []int32, fuse bool) []BoundFn {
 	var chain []Instr
 	for _, id := range ids {
 		r := p.Code[id]
 		chain = append(chain, p.Instrs[r.Start:r.End]...)
 	}
-	return p.CompileChainBound(m, chain)
+	return p.AppendChainBound(make([]BoundFn, 0, len(chain)), m, chain, fuse)
 }
 
 // CompileChainBound compiles an instruction chain into its bound form for
@@ -54,8 +55,8 @@ func (p *Program) CompileChainBound(m *Machine, ins []Instr) []BoundFn {
 
 // AppendChainBound appends the bound form of ins to fns, so a caller can lay
 // many chains out in one array. With fuse false the fusion walk is skipped —
-// one closure per instruction, the kernel-nofuse baseline fusion is measured
-// against.
+// exactly one closure per instruction, the kernel-nofuse baseline fusion is
+// measured against.
 func (p *Program) AppendChainBound(fns []BoundFn, m *Machine, ins []Instr, fuse bool) []BoundFn {
 	for i := 0; i < len(ins); i++ {
 		if !fuse {
@@ -93,9 +94,9 @@ func compileKernelBound(m *Machine, in Instr) BoundFn {
 	return compileNarrowBound(m, in)
 }
 
-// compileNarrowBound is the pointer-resolved twin of compileNarrowKernel;
-// the two must stay semantically identical (the chain property tests and the
-// cross-engine lockstep suites pin them against the interpreter).
+// compileNarrowBound builds the specialized single-word closure: masks and
+// shift amounts baked in, mirroring execNarrow exactly (the chain property
+// tests and the cross-engine lockstep suites pin it against the interpreter).
 func compileNarrowBound(m *Machine, in Instr) BoundFn {
 	st := m.State
 	pd, pa := &st[in.D], &st[in.A]
@@ -165,7 +166,7 @@ func compileNarrowBound(m *Machine, in Instr) BoundFn {
 	case CSGeq:
 		return func() { *pd = b2u(sext64(*pa, aw) >= sext64(*pb, bw)) }
 	case CShl:
-		sh := uint(in.Lo)
+		sh := uint(in.Lo) // Go defines shifts >= 64 as 0, matching execNarrow
 		return func() { *pd = (*pa << sh) & dm }
 	case CShr:
 		sh := uint(in.Lo)
@@ -217,9 +218,17 @@ func compileNarrowBound(m *Machine, in Instr) BoundFn {
 			*pd = r & dm
 		}
 	}
-	// compileKernel panics for unknown opcodes; mirror it so the coverage
-	// sweep catches a new opcode in either compiler.
+	// Panic rather than fall back, so the opcode coverage sweep catches a new
+	// opcode added without a kernel.
 	panic(fmt.Sprintf("emit: no bound kernel for opcode %d", in.Op))
+}
+
+// b2u converts a comparison result to the canonical 0/1 word.
+func b2u(v bool) uint64 {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // bsrc2 pre-resolves a two-word operand read: low pointer, high pointer and

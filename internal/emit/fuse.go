@@ -1,10 +1,5 @@
 package emit
 
-// genericFusion gates the generic Alu* fusion families (the specialized
-// patterns are always on). It exists as a compile-time experiment knob for
-// the benchmarks; both settings are conformance-tested.
-const genericFusion = true
-
 // Superinstruction fusion: a peephole pass over an instruction chain that
 // collapses common two- and three-instruction patterns into single pre-bound
 // closures. The per-instruction indirect call is the dominant cost of the
@@ -75,7 +70,7 @@ func matchFusionLegacy(a, b Instr) legacyPattern {
 	if !narrow(a) || !narrow(b) {
 		return legNone
 	}
-	pure := pureNarrow(a) && genericFusion
+	pure := pureNarrow(a)
 	switch b.Op {
 	case CMux:
 		feedsArm := b.B == a.D || b.C == a.D

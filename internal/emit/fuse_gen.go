@@ -133,7 +133,7 @@ func matchFuse2(a, b Instr) FuseRule {
 	if !narrow(a) || !narrow(b) {
 		return FuseRuleNone
 	}
-	pure := pureNarrow(a) && genericFusion
+	pure := pureNarrow(a)
 	switch b.Op {
 	case CMux:
 		// copy-mux: (copy _) >> (mux t? t? t?)

@@ -285,7 +285,7 @@ func (gm *GangMachine) memReadLane(in *Instr, l int) {
 // GangKernels returns (building and memoizing on first use) the program's
 // gang kernel table for k lanes: one GangFn per instruction. Tables are
 // per-(Program, k) and shared — N gang machines of one cached design reuse
-// one table, like the scalar kernel tables.
+// one table.
 func (p *Program) GangKernels(k int) []GangFn {
 	if k < 1 || k > MaxGangLanes {
 		panic(fmt.Sprintf("emit: gang lane count %d outside [1,%d]", k, MaxGangLanes))

@@ -14,8 +14,8 @@ type Machine struct {
 	State []uint64
 	Mems  [][]uint64
 
-	// Executed counts instructions retired since the last ResetCounters.
-	// Engines add range lengths from serial context (per step or at the
+	// Executed counts instructions retired since the owning engine's last
+	// Reset. Engines add range lengths from serial context (per step or at the
 	// end-of-cycle stat merge) so the hot loops stay branch-free and the
 	// counter stays race-free and accurate in both evaluation modes.
 	Executed uint64

@@ -67,8 +67,8 @@ const (
 
 	// cOpCount is the enumeration sentinel: keep it last. The kernel
 	// coverage test sweeps [CCopy, cOpCount), so an opcode added above
-	// without a compileKernel case fails the suite instead of panicking at
-	// engine construction.
+	// without a compileKernelBound case fails the suite instead of panicking
+	// at engine construction.
 	cOpCount
 )
 
@@ -116,13 +116,6 @@ type Program struct {
 	Init     []uint64 // initial state image: const pool + register init values
 	Instrs   []Instr
 
-	// KernelsBase is the pre-fusion, pre-width-class kernel table — the
-	// benchmarking baseline behind -eval kernel-nofuse (engines on the
-	// default kernel path compile machine-bound chains instead, see
-	// CompileChainBound). Built on demand by BuildKernelsBase; nil
-	// otherwise.
-	KernelsBase []KernelFn
-
 	// Per node-ID tables (indexed by ir.Node.ID).
 	Code    []Range // instruction range evaluating the node
 	Off     []int32 // value storage (registers: current value)
@@ -136,13 +129,11 @@ type Program struct {
 
 	EmitTime time.Duration
 
-	// Memoized design hash (see hash.go) and the once guarding the lazy
-	// KernelsBase build — both keep a Program safely shareable across
-	// concurrently constructed engines (the server's compiled-design cache
-	// hands one Program to many sessions).
+	// Memoized design hash (see hash.go), once-guarded so a Program stays
+	// safely shareable across concurrently constructed engines (the server's
+	// compiled-design cache hands one Program to many sessions).
 	hashOnce sync.Once
 	hash     [32]byte
-	kernOnce sync.Once
 
 	// Gang kernel tables, built lazily per lane count by GangKernels and
 	// shared by every GangMachine of that shape (see gang.go). None of this

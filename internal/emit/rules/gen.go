@@ -122,7 +122,7 @@ func (r FuseRule) Arity() int {
 			}
 		}
 		if usesPure {
-			sb.WriteString("\tpure := pureNarrow(a) && genericFusion\n")
+			sb.WriteString("\tpure := pureNarrow(a)\n")
 		}
 		// Group rules by the window's final (consumer) instruction, keeping
 		// first-appearance order; the consumer becomes the switch case.

@@ -198,7 +198,7 @@ func NewActivity(p *emit.Program, part *partition.Result, cfg ActivityConfig, mo
 	if cfg.BranchlessMax == 0 {
 		cfg.BranchlessMax = DefaultBranchlessMax
 	}
-	a := &Activity{base: newBase(p, mode), part: part, cfg: cfg}
+	a := &Activity{base: newBase(p), part: part, cfg: cfg}
 	a.activationPlan = buildActivationPlan(p, part, cfg, a.resets)
 	a.active = make([]uint64, (part.Count()+63)/64)
 	a.plan = buildSupPlan(p, a.m, a.activationPlan, mode)

@@ -85,10 +85,9 @@ type Tracer interface {
 type base struct {
 	g      *ir.Graph
 	m      *emit.Machine
-	exec   func(start, end int32) // bound to Machine.Exec or Machine.ExecKernelBase
-	regs   []int32                // register node IDs
-	writes []int32                // memory write-port node IDs
-	coded  []int32                // all node IDs with evaluation work, in ID (== topo) order
+	regs   []int32 // register node IDs
+	writes []int32 // memory write-port node IDs
+	coded  []int32 // all node IDs with evaluation work, in ID (== topo) order
 	resets []resetGroup
 	tracer Tracer
 	stats  Stats
@@ -112,22 +111,8 @@ type resetGroup struct {
 	regs []int32
 }
 
-func newBase(p *emit.Program, mode EvalMode) base {
+func newBase(p *emit.Program) base {
 	b := base{g: p.Graph, m: emit.NewMachine(p)}
-	switch mode {
-	case EvalInterp:
-		b.exec = b.m.Exec
-	case EvalKernelNoFuse:
-		p.BuildKernelsBase()
-		b.exec = b.m.ExecKernelBase
-	default:
-		// EvalKernel engines execute bound chains compiled against their own
-		// machine (FullCycle's whole-stream chain, Parallel's per-chunk
-		// chains, the activity engines' supernode chains); exec stays bound
-		// to the interpreter as the semantically identical fallback for any
-		// cold range-execution path.
-		b.exec = b.m.Exec
-	}
 	bySig := map[int32]int{}
 	for _, n := range p.Graph.Nodes {
 		if n.HasCode() {

@@ -25,13 +25,12 @@ const (
 	// pinned against, and the fallback to reach for when debugging.
 	EvalInterp
 	// EvalKernelNoFuse is the kernel path without superinstruction fusion:
-	// one closure per instruction, no chunk batching. The essential-signal
-	// engines run it through the same flat supernode plan as EvalKernel with
-	// the fusion walk switched off; the full-cycle engines sweep the
-	// per-instruction baseline table (no width classes either). It exists as
-	// the measurable baseline for the fused pipeline
-	// (BenchmarkKernelVsInterp's kernel vs kernel-nofuse rows) and stays in
-	// the conformance matrix so the baseline keeps working.
+	// every engine compiles the same bound chains as under EvalKernel with
+	// the fusion walk switched off (one closure per instruction, width
+	// classes kept) and skips ParallelActivity's word batching. It exists as
+	// the measurable baseline for fusion (BenchmarkKernelVsInterp's kernel vs
+	// kernel-nofuse rows) and stays in the conformance matrix so the
+	// baseline keeps working.
 	EvalKernelNoFuse
 )
 

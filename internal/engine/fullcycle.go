@@ -12,23 +12,23 @@ import (
 // memory commit.
 type FullCycle struct {
 	base
-	// chain is the whole instruction stream compiled as one fused bound
-	// chain (superinstructions, width classes, operand pointers resolved
-	// into this engine's machine). nil unless mode is EvalKernel; the other
-	// modes sweep through base.exec.
+	// chain is the whole instruction stream compiled as one bound chain
+	// (width classes, operand pointers resolved into this engine's machine,
+	// superinstructions under EvalKernel). nil under EvalInterp, which
+	// sweeps the reference interpreter instead.
 	chain      []emit.BoundFn
 	memScratch []int32
 }
 
 // NewFullCycle builds a full-cycle engine for a compiled program. The
 // program's graph must have been compacted in topological order (core.Build
-// guarantees this). In kernel mode (the default) the whole instruction
-// stream is one fused closure sweep; EvalInterp selects the reference
-// interpreter and EvalKernelNoFuse the per-instruction baseline table.
+// guarantees this). In the kernel modes the whole instruction stream is one
+// closure sweep, fused unless mode is EvalKernelNoFuse; EvalInterp selects
+// the reference interpreter.
 func NewFullCycle(p *emit.Program, mode EvalMode) *FullCycle {
-	f := &FullCycle{base: newBase(p, mode)}
-	if mode == EvalKernel {
-		f.chain = p.CompileChainBound(f.m, p.Instrs)
+	f := &FullCycle{base: newBase(p)}
+	if mode != EvalInterp {
+		f.chain = p.AppendChainBound(make([]emit.BoundFn, 0, len(p.Instrs)), f.m, p.Instrs, mode == EvalKernel)
 	}
 	return f
 }
@@ -50,7 +50,7 @@ func (f *FullCycle) Step() {
 			fn()
 		}
 	} else {
-		f.exec(0, int32(len(f.m.Prog.Instrs)))
+		f.m.Exec(0, int32(len(f.m.Prog.Instrs)))
 	}
 	f.stats.NodeEvals += uint64(len(f.coded))
 	f.countInstrs(uint64(len(f.m.Prog.Instrs)))

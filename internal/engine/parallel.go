@@ -12,17 +12,15 @@ import (
 // thing, the fixed per-level synchronization cost means small designs slow
 // down while large designs speed up — the shape Fig. 6 reports.
 //
-// In kernel mode every (level, worker) chunk is fused into one bound closure
-// chain (superinstructions, width classes, operand pointers pre-resolved),
-// so a worker's share of a level is a single sweep with no per-node range
-// lookups and no per-instruction dispatch; kernel-nofuse keeps the PR-2
-// per-instruction closure concatenation.
+// In the kernel modes every (level, worker) chunk compiles into one bound
+// closure chain (width classes, operand pointers pre-resolved, and
+// superinstructions unless the mode is kernel-nofuse), so a worker's share of
+// a level is a single sweep with no per-node range lookups.
 type Parallel struct {
 	base
 	threads    int
-	chunks     [][][]int32         // level -> worker -> node IDs
-	fusedB     [][][]emit.BoundFn  // EvalKernel: level -> worker -> bound chain
-	fused      [][][]emit.KernelFn // EvalKernelNoFuse: baseline closures
+	chunks     [][][]int32        // level -> worker -> node IDs
+	chains     [][][]emit.BoundFn // kernel modes: level -> worker -> bound chain; nil under EvalInterp
 	pool       *workerPool
 	memScratch []int32
 }
@@ -33,7 +31,7 @@ func NewParallel(p *emit.Program, byLevel [][]int32, threads int, mode EvalMode)
 	if threads < 1 {
 		threads = 1
 	}
-	e := &Parallel{base: newBase(p, mode), threads: threads}
+	e := &Parallel{base: newBase(p), threads: threads}
 	// Split each level into per-worker chunks, skipping nodes with no code
 	// and balancing by instruction count.
 	for _, level := range byLevel {
@@ -60,31 +58,12 @@ func NewParallel(p *emit.Program, byLevel [][]int32, threads int, mode EvalMode)
 		}
 		e.chunks = append(e.chunks, chunk)
 	}
-	switch mode {
-	case EvalKernel:
-		// Each (level, worker) chunk's concatenated member instructions
-		// compile into one bound chain: superinstruction fusion, width
-		// classes, operand pointers resolved into this engine's machine.
-		e.fusedB = make([][][]emit.BoundFn, len(e.chunks))
+	if mode != EvalInterp {
+		e.chains = make([][][]emit.BoundFn, len(e.chunks))
 		for lv, chunk := range e.chunks {
-			e.fusedB[lv] = make([][]emit.BoundFn, threads)
+			e.chains[lv] = make([][]emit.BoundFn, threads)
 			for w, ids := range chunk {
-				e.fusedB[lv][w] = p.CompileNodesBound(e.m, ids)
-			}
-		}
-	case EvalKernelNoFuse:
-		// The PR-2 shape: the per-instruction baseline table concatenated
-		// per chunk.
-		e.fused = make([][][]emit.KernelFn, len(e.chunks))
-		for lv, chunk := range e.chunks {
-			e.fused[lv] = make([][]emit.KernelFn, threads)
-			for w, ids := range chunk {
-				var fns []emit.KernelFn
-				for _, id := range ids {
-					r := p.Code[id]
-					fns = append(fns, p.KernelsBase[r.Start:r.End]...)
-				}
-				e.fused[lv][w] = fns
+				e.chains[lv][w] = p.CompileNodesBound(e.m, ids, mode == EvalKernel)
 			}
 		}
 	}
@@ -96,16 +75,9 @@ func NewParallel(p *emit.Program, byLevel [][]int32, threads int, mode EvalMode)
 
 // runLevel executes worker w's chunk of level lv.
 func (e *Parallel) runLevel(w, lv int) {
-	if e.fusedB != nil {
-		for _, f := range e.fusedB[lv][w] {
+	if e.chains != nil {
+		for _, f := range e.chains[lv][w] {
 			f()
-		}
-		return
-	}
-	if e.fused != nil {
-		st := e.m.State
-		for _, f := range e.fused[lv][w] {
-			f(st, e.m)
 		}
 		return
 	}

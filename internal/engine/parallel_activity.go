@@ -131,7 +131,7 @@ func NewParallelActivity(p *emit.Program, part *partition.Result, cfg ActivityCo
 		cfg.BranchlessMax = DefaultBranchlessMax
 	}
 	e := &ParallelActivity{
-		base:    newBase(p, mode),
+		base:    newBase(p),
 		part:    part,
 		cfg:     cfg,
 		threads: threads,
@@ -268,7 +268,7 @@ func (e *ParallelActivity) buildWordBatches() []wordBatch {
 			ba.nodes += uint64(e.plan.sups[s].nodes)
 			ba.instrs += uint64(e.plan.sups[s].instrs)
 		}
-		ba.fns = e.m.Prog.CompileNodesBound(e.m, ids)
+		ba.fns = e.m.Prog.CompileNodesBound(e.m, ids, true)
 	}
 	return batches
 }

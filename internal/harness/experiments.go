@@ -515,7 +515,7 @@ type Table4Row struct {
 }
 
 // Table4 reproduces the resource comparison: emission time (full build:
-// passes + compile, including the kernel table in kernel mode), code size
+// passes + compile, including the engine's bound chains in kernel mode), code size
 // (compiled instruction bytes), and data size (state image bytes, memories
 // excluded) per design and simulator.
 func Table4(designs []Design, b Budget) ([]Table4Row, error) {

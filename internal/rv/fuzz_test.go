@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"gsim/internal/bitvec"
 	"gsim/internal/core"
+	"gsim/internal/engine"
 )
 
 // randomProgram generates a straight-line RV32I program of random ALU,
@@ -135,4 +137,79 @@ fin:
 	if a0 != want {
 		t.Fatalf("core a0 = %#x, want %#x", a0, want)
 	}
+}
+
+// FuzzCoreMatchesISS makes the ISS an independent conformance axis for every
+// engine and evaluation mode: the fuzz input seeds randomProgram, and the RTL
+// core must match the ISS's PC and x1..x31 after every retired instruction.
+// Each cell compiles the core once, with an empty instruction memory; every
+// input then Resets the engine and loads its program through PokeMem, so the
+// target also pins Reset against a fresh build.
+func FuzzCoreMatchesISS(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed)
+	}
+	withEval := func(cfg core.Config, mode engine.EvalMode) core.Config {
+		cfg.Eval = mode
+		cfg.Name += "/" + mode.String()
+		return cfg
+	}
+	cfgs := []core.Config{
+		withEval(core.Verilator(), engine.EvalKernel),
+		withEval(core.Verilator(), engine.EvalKernelNoFuse),
+		withEval(core.Verilator(), engine.EvalInterp),
+		withEval(core.VerilatorMT(2), engine.EvalKernelNoFuse),
+		core.GSIM(),
+		core.GSIMMT(2),
+	}
+	c, err := BuildCore(nil, DefaultCoreConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	type cell struct {
+		sys *core.System
+		pc  int
+	}
+	cells := make([]cell, len(cfgs))
+	for i, cfg := range cfgs {
+		sys, err := core.Build(c.Graph, cfg)
+		if err != nil {
+			f.Fatalf("%s: %v", cfg.Name, err)
+		}
+		f.Cleanup(sys.Close)
+		cells[i] = cell{sys: sys, pc: sys.Node(c.PCName).ID}
+	}
+
+	f.Fuzz(func(t *testing.T, seed int64) {
+		src := randomProgram(rand.New(rand.NewSource(seed)), 60)
+		prog, err := Assemble(src)
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, src)
+		}
+		for ci, cl := range cells {
+			sim := cl.sys.Sim
+			sim.Reset()
+			for i, w := range prog {
+				sim.PokeMem(c.IMemID, i, bitvec.FromUint64(32, uint64(w)))
+			}
+			iss := NewISS(prog, DefaultCoreConfig().DMemWords)
+			for step := 0; !iss.Halted; step++ {
+				if step > len(prog) {
+					t.Fatalf("seed %d: ISS did not halt within %d instructions", seed, step)
+				}
+				sim.Step()
+				if err := iss.Step(); err != nil {
+					t.Fatalf("seed %d: iss: %v", seed, err)
+				}
+				if got := uint32(sim.Peek(cl.pc).Uint64()); got != iss.PC {
+					t.Fatalf("seed %d %s: instruction %d: PC=%#x, ISS PC=%#x\n%s", seed, cfgs[ci].Name, step, got, iss.PC, src)
+				}
+				for r := 1; r < 32; r++ {
+					if got := uint32(sim.PeekMem(c.RFID, r).Uint64()); got != iss.Regs[r] {
+						t.Fatalf("seed %d %s: instruction %d: x%d=%#x, ISS x%d=%#x\n%s", seed, cfgs[ci].Name, step, r, got, r, iss.Regs[r], src)
+					}
+				}
+			}
+		}
+	})
 }

@@ -166,8 +166,6 @@ func TestCoreStateLockstep(t *testing.T) {
 	}
 }
 
-var engineSims = []func() core.Config{core.Verilator, core.Essent, core.GSIM}
-
 // TestWorkloadChecksumsStable pins the workload results so accidental
 // assembler or core regressions change a known constant.
 func TestWorkloadChecksumsStable(t *testing.T) {
@@ -189,7 +187,6 @@ func TestWorkloadChecksumsStable(t *testing.T) {
 		}
 		want[name] = true
 	}
-	_ = engineSims
 	if len(want) != 2 {
 		t.Fatalf("expected 2 workloads, got %d", len(want))
 	}

@@ -13,7 +13,7 @@
 //	into a free ring slot (block       format value changes, write
 //	only when the ring is full)        VCD text, recycle the slot
 //
-// Output is byte-for-byte identical to the synchronous engine.VCD writer —
+// Output is byte-for-byte identical to the synchronous mode (Options.Sync) —
 // the golden-waveform suite pins both against the same committed files — and
 // deterministic regardless of scheduling, because the byte stream depends
 // only on the snapshot sequence. Errors from the underlying io.Writer are
@@ -46,8 +46,8 @@ type Options struct {
 	// selects DefaultRing; negative values are treated as 1.
 	Ring int
 	// Sync disables the pipeline: Snapshot formats and writes on the calling
-	// goroutine, exactly like the legacy coordinator-side writer. It exists
-	// as the measurable baseline for the async path (gsim-diag reports both).
+	// goroutine. It is the measurable baseline for the async path (gsim-diag
+	// reports both) and the writer that renders the golden waveforms.
 	Sync bool
 	// Resume continues a waveform across a snapshot/restore boundary: no
 	// header is written, the first Snapshot is stamped Resume.Time, and the
@@ -119,7 +119,7 @@ type VCD struct {
 }
 
 // SelectNodes returns the default trace set — every input, register, and
-// output, sorted by name — matching the synchronous engine.VCD default.
+// output, sorted by name.
 func SelectNodes(g *ir.Graph) []*ir.Node {
 	var nodes []*ir.Node
 	for _, n := range g.Nodes {
@@ -194,9 +194,7 @@ func NewVCD(w io.Writer, p *emit.Program, nodes []*ir.Node, opt Options) (*VCD, 
 	return v, nil
 }
 
-// vcdID generates the compact printable identifiers VCD uses — the same
-// alphabet and ordering as the synchronous writer, so both emit identical
-// streams for the same node list.
+// vcdID generates the compact printable identifiers VCD uses.
 func vcdID(i int) string {
 	const chars = "!\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 	var sb strings.Builder
@@ -256,7 +254,7 @@ func (v *VCD) Snapshot(st []uint64) {
 
 // pack copies the traced words into a snapshot buffer, masking each field's
 // top word to its bit width — the packed image then compares and renders
-// exactly like the BV values the synchronous writer reads through Peek.
+// exactly like the node's value as Peek returns it.
 func (v *VCD) pack(st, buf []uint64) {
 	for i := range v.fields {
 		f := &v.fields[i]
@@ -290,9 +288,9 @@ func (v *VCD) writer() {
 	}
 }
 
-// encode emits one cycle's value changes, byte-compatible with the
-// synchronous writer: a #time stamp only when something changed, width-1
-// signals as single digits, wider values as leading-zero-suppressed binary.
+// encode emits one cycle's value changes: a #time stamp only when something
+// changed, width-1 signals as single digits, wider values as
+// leading-zero-suppressed binary.
 // The returned error is bufio's sticky write error — it surfaces once the
 // buffer has actually spilled to the failed sink.
 func (v *VCD) encode(buf []uint64) error {
@@ -355,8 +353,7 @@ func (v *VCD) emit(f *field, words []uint64) error {
 // Err returns a channel that receives the first write error (capacity one,
 // never closed). Poll it mid-run to notice a dead sink before Close. In Sync
 // mode there is no writer goroutine and the channel is nil (a nil channel
-// never delivers; poll with a default case) — errors surface from Close,
-// like the legacy coordinator-side writer.
+// never delivers; poll with a default case) — errors surface from Close.
 func (v *VCD) Err() <-chan error { return v.errCh }
 
 func (v *VCD) setErr(err error) {
