@@ -113,7 +113,7 @@ func (d *CompiledDesign) DesignHash() string { return d.Prog.DesignHashString() 
 // may memoize shared per-program tables, and serializing here keeps that
 // invisible to concurrent sessions. Once constructed, engines step fully
 // concurrently — each owns its machine state; the Program is read-only.
-func (d *CompiledDesign) NewSim(cfg Config) (engine.Sim, error) {
+func (d *CompiledDesign) NewSim(cfg Config) (engine.Compiled, error) {
 	if cfg.Engine != d.Config.Engine {
 		return nil, fmt.Errorf("core: design compiled for engine %s, session asks for %s", d.Config.Engine, cfg.Engine)
 	}

@@ -21,8 +21,9 @@ import (
 // stopped. Masked execution routes through the per-lane fallback only for the
 // cycles where lanes actually diverge — a full gang runs the dense kernels.
 //
-// A Gang is not an engine.Sim (its accessors take a lane index), but it
-// follows the same lifecycle: construct, Poke/Step/Peek, Reset, Close.
+// A Gang is not an engine.Sim (its accessors take a lane index; OneLane
+// addresses a scalar engine the same way), but it follows the same
+// lifecycle: construct, Poke/Step/Peek, Reset, Close.
 // Like every engine, it is single-goroutine: no method may race another.
 type Gang struct {
 	g       *ir.Graph
@@ -129,12 +130,6 @@ func (g *Gang) checkLane(lane int) {
 // cycle count. Per-lane simulated cycles live in LaneStats (a lane parked
 // for part of the run has fewer).
 func (g *Gang) Cycles() uint64 { return g.steps }
-
-// SetCycles re-anchors the lockstep counter. A gang rebuilt on a new process
-// and refilled lane-by-lane from snapshots starts at zero Step calls; the
-// restorer sets the counter to the migrated run's cycle so wall-clock
-// reporting continues instead of restarting.
-func (g *Gang) SetCycles(c uint64) { g.steps = c }
 
 // Step simulates one clock cycle on every live lane.
 func (g *Gang) Step() { g.StepLanes(g.live) }
@@ -373,7 +368,10 @@ func (g *Gang) CaptureLane(lane int) (*SimState, error) {
 // RestoreLane overwrites one lane's state from a scalar-layout capture — the
 // inverse of CaptureLane, and the cross-shape bridge: a scalar FullCycle
 // snapshot restores into a gang lane and vice versa (same design hash). A
-// capture that fails validation leaves the lane untouched.
+// capture that fails validation leaves the lane untouched. A capture from
+// further along than the lockstep counter moves the counter up to it: a gang
+// rebuilt on a new process and refilled lane by lane from a migrated run
+// continues that run's cycle count instead of restarting from zero.
 func (g *Gang) RestoreLane(lane int, s *SimState) error {
 	if lane < 0 || lane >= g.k {
 		return fmt.Errorf("engine: gang lane %d outside [0,%d)", lane, g.k)
@@ -397,6 +395,7 @@ func (g *Gang) RestoreLane(lane int, s *SimState) error {
 	g.laneStats[lane] = s.Stats
 	g.laneStats[lane].EvaluableNodes = uint64(g.nCoded) // engine-derived, same design => same value
 	g.recountExecuted()
+	g.steps = max(g.steps, s.Stats.Cycles)
 	if g.obs != nil {
 		// Restored history is not newly simulated work: re-baseline so the
 		// jump (forward or backward) never reaches the process counters.

@@ -72,7 +72,17 @@ func (b *base) FlushObs() {
 	if m == nil {
 		return
 	}
-	s, f := &b.stats, &b.obsFlushed
+	if b.obsLevels > 0 {
+		m.BarrierWaits.Add(satSub(b.stats.Cycles, b.obsFlushed.Cycles) * uint64(b.obsLevels))
+		m.SchedLevels.Set(float64(b.obsLevels))
+		m.SchedLevelsOrig.Set(float64(b.obsOrigLevels))
+	}
+	m.fold(&b.stats, &b.obsFlushed)
+}
+
+// fold adds the progress of s since the flushed image f into the counters,
+// sets the activity gauge, and moves f up to s.
+func (m *Metrics) fold(s, f *Stats) {
 	m.Cycles.Add(satSub(s.Cycles, f.Cycles))
 	m.NodeEvals.Add(satSub(s.NodeEvals, f.NodeEvals))
 	m.Instrs.Add(satSub(s.InstrsExecuted, f.InstrsExecuted))
@@ -80,11 +90,6 @@ func (b *base) FlushObs() {
 	m.Examinations.Add(satSub(s.Examinations, f.Examinations))
 	m.RegCommits.Add(satSub(s.RegCommits, f.RegCommits))
 	m.ResetFastSkips.Add(satSub(s.ResetFastSkips, f.ResetFastSkips))
-	if b.obsLevels > 0 {
-		m.BarrierWaits.Add(satSub(s.Cycles, f.Cycles) * uint64(b.obsLevels))
-		m.SchedLevels.Set(float64(b.obsLevels))
-		m.SchedLevelsOrig.Set(float64(b.obsOrigLevels))
-	}
 	m.ActiveRatio.Set(s.ActivityFactor())
 	*f = *s
 }
@@ -108,21 +113,10 @@ func (g *Gang) AttachObs(m *Metrics) {
 // FlushObs folds the gang's unflushed aggregate stats delta into the
 // attached bundle.
 func (g *Gang) FlushObs() {
-	m := g.obs
-	if m == nil {
-		return
+	if g.obs != nil {
+		agg := g.AggregateStats()
+		g.obs.fold(&agg, &g.obsFlushed)
 	}
-	agg := g.AggregateStats()
-	f := &g.obsFlushed
-	m.Cycles.Add(satSub(agg.Cycles, f.Cycles))
-	m.NodeEvals.Add(satSub(agg.NodeEvals, f.NodeEvals))
-	m.Instrs.Add(satSub(agg.InstrsExecuted, f.InstrsExecuted))
-	m.Activations.Add(satSub(agg.Activations, f.Activations))
-	m.Examinations.Add(satSub(agg.Examinations, f.Examinations))
-	m.RegCommits.Add(satSub(agg.RegCommits, f.RegCommits))
-	m.ResetFastSkips.Add(satSub(agg.ResetFastSkips, f.ResetFastSkips))
-	m.ActiveRatio.Set(agg.ActivityFactor())
-	*f = agg
 }
 
 // satSub is saturating subtraction: a stat rewrite (Reset, snapshot restore)

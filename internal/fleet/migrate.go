@@ -26,8 +26,9 @@ func (rt *Router) DrainReplica(name string) (migrated int, failed []string, err 
 		rt.rebuildRingLocked()
 	}
 	repCopy := *rep
-	victims := rt.sessionsOnLocked(name)
+	table := rt.tableLocked()
 	rt.mu.Unlock()
+	victims := homedOn(table, name)
 
 	// Idempotent; also covers the admin-triggered path where the replica
 	// does not yet know it is being retired. Best-effort: a replica already
@@ -187,7 +188,8 @@ func (rt *Router) migrateSession(fs *fleetSession, fromReplica string) error {
 // restoreOnto replays the captured lanes into the freshly created session:
 // restore each lane's state blob (traced lanes also carry their waveform
 // prefix, arming the resume tracer), then re-park the lanes that were parked
-// at capture so the gang's live mask survives the move.
+// at capture so the gang's live mask survives the move. A scalar session's
+// one lane is always live, so it never re-parks.
 func (rt *Router) restoreOnto(c *replicaClient, backendID string, infos []server.LaneInfo, blobs [][]byte, prefixes map[int][]byte) error {
 	for i, li := range infos {
 		if err := c.restoreLane(backendID, li.Lane, blobs[i], prefixes[li.Lane]); err != nil {
@@ -196,7 +198,7 @@ func (rt *Router) restoreOnto(c *replicaClient, backendID string, infos []server
 	}
 	var parks []server.Op
 	for _, li := range infos {
-		if len(infos) > 1 && !li.Live {
+		if !li.Live {
 			lane := li.Lane
 			parks = append(parks, server.Op{Op: "park", Lane: &lane})
 		}

@@ -186,55 +186,80 @@ func TestProxyForwardsContentLength(t *testing.T) {
 	}
 }
 
-// TestMigrationGateBlocksProxiedOp: while a migration holds the session's
-// gate (paused here inside its snapshot of the old home), a proxied op does
-// not reach the old home; it waits, and lands on the new one.
-func TestMigrationGateBlocksProxiedOp(t *testing.T) {
-	rt := NewRouter(Config{RetryBackoff: time.Millisecond})
-	inSnapshot, release := make(chan struct{}), make(chan struct{})
-	var pause atomic.Bool
-	opsSeen := map[string]*atomic.Int64{}
+// pausedFleet is a two-replica fleet ("r1", "r2") whose replicas can hold one
+// snapshot request: once pause is set, the next /snapshot closes inSnapshot
+// and is served only after release closes. A migration paused there holds its
+// session's gate. opsSeen counts the ops requests each replica received.
+type pausedFleet struct {
+	rt                  *Router
+	front               *httptest.Server
+	pause               atomic.Bool
+	inSnapshot, release chan struct{}
+	opsSeen             map[string]*atomic.Int64
+}
+
+func newPausedFleet(t *testing.T) *pausedFleet {
+	pf := &pausedFleet{
+		rt:         NewRouter(Config{RetryBackoff: time.Millisecond}),
+		inSnapshot: make(chan struct{}),
+		release:    make(chan struct{}),
+		opsSeen:    map[string]*atomic.Int64{},
+	}
 	for _, name := range []string{"r1", "r2"} {
 		mgr := server.NewManager()
 		inner, seen := mgr.Handler(), new(atomic.Int64)
-		opsSeen[name] = seen
+		pf.opsSeen[name] = seen
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			switch {
 			case strings.HasSuffix(r.URL.Path, "/ops"):
 				seen.Add(1)
-			case strings.HasSuffix(r.URL.Path, "/snapshot") && pause.CompareAndSwap(true, false):
-				close(inSnapshot)
-				<-release
+			case strings.HasSuffix(r.URL.Path, "/snapshot") && pf.pause.CompareAndSwap(true, false):
+				close(pf.inSnapshot)
+				<-pf.release
 			}
 			inner.ServeHTTP(w, r)
 		}))
-		rt.Register(name, ts.URL)
+		pf.rt.Register(name, ts.URL)
 		t.Cleanup(func() {
 			_ = mgr.Drain(context.Background())
 			ts.Close()
 		})
 	}
-	front := httptest.NewServer(rt.Handler())
+	pf.front = httptest.NewServer(pf.rt.Handler())
 	t.Cleanup(func() {
-		front.Close()
-		rt.Close()
+		pf.front.Close()
+		pf.rt.Close()
 	})
+	return pf
+}
 
-	s, created := createSession(t, front.URL, readDesign(t, "counter.fir"), server.SessionSpec{})
-	s.ops(server.Op{Op: "poke", Name: "en", Value: "1"}, server.Op{Op: "step", N: 5})
-	oldHome := created.Replica
-	before := opsSeen[oldHome].Load()
-
-	pause.Store(true)
+// drain starts DrainReplica(name) and reports its outcome on the channel.
+func (pf *pausedFleet) drain(name string) <-chan error {
 	drained := make(chan error, 1)
 	go func() {
-		_, failed, err := rt.DrainReplica(oldHome)
+		_, failed, err := pf.rt.DrainReplica(name)
 		if err == nil && len(failed) != 0 {
 			err = fmt.Errorf("sessions %v did not move", failed)
 		}
 		drained <- err
 	}()
-	<-inSnapshot // the migration holds the gate from here until release
+	return drained
+}
+
+// TestMigrationGateBlocksProxiedOp: while a migration holds the session's
+// gate (paused here inside its snapshot of the old home), a proxied op does
+// not reach the old home; it waits, and lands on the new one.
+func TestMigrationGateBlocksProxiedOp(t *testing.T) {
+	pf := newPausedFleet(t)
+	front, release := pf.front, pf.release
+	s, created := createSession(t, front.URL, readDesign(t, "counter.fir"), server.SessionSpec{})
+	s.ops(server.Op{Op: "poke", Name: "en", Value: "1"}, server.Op{Op: "step", N: 5})
+	oldHome := created.Replica
+	before := pf.opsSeen[oldHome].Load()
+
+	pf.pause.Store(true)
+	drained := pf.drain(oldHome)
+	<-pf.inSnapshot // the migration holds the gate from here until release
 
 	opDone := make(chan string, 1)
 	go func() {
@@ -265,8 +290,67 @@ func TestMigrationGateBlocksProxiedOp(t *testing.T) {
 	if got := <-opDone; got != "8'h5" {
 		t.Fatalf("op after the gate: out = %q, want 8'h5 (6 cycles, none lost or doubled)", got)
 	}
-	if n := opsSeen[oldHome].Load() - before; n != 0 {
+	if n := pf.opsSeen[oldHome].Load() - before; n != 0 {
 		t.Fatalf("%d ops requests reached the old home after the migration took the gate", n)
+	}
+}
+
+// TestFleetViewDuringDrain is the router's lock-order regression: a GET
+// /fleet that arrives while a drain holds a session's gate (paused in the old
+// home's snapshot) must not wedge the router. The view once waited on the
+// gate while holding the router lock, and the migration then waited on the
+// router lock to pick its target, so neither ever returned.
+func TestFleetViewDuringDrain(t *testing.T) {
+	pf := newPausedFleet(t)
+	s, created := createSession(t, pf.front.URL, readDesign(t, "counter.fir"), server.SessionSpec{})
+	s.ops(server.Op{Op: "step", N: 3})
+
+	pf.pause.Store(true)
+	drained := pf.drain(created.Replica)
+	<-pf.inSnapshot
+	// The view runs in process, so a wedged router leaves no HTTP request
+	// behind for the servers' Close to wait on.
+	fleetView := func() (int, string) {
+		rec := httptest.NewRecorder()
+		pf.rt.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/fleet", nil))
+		return rec.Code, rec.Body.String()
+	}
+	viewed := make(chan int, 1)
+	go func() {
+		code, _ := fleetView()
+		viewed <- code
+	}()
+	time.Sleep(50 * time.Millisecond) // room for the view to reach the gate
+	close(pf.release)
+
+	timeout := time.After(5 * time.Second)
+	for pending := 2; pending > 0; pending-- {
+		select {
+		case err := <-drained:
+			if err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+		case code := <-viewed:
+			if code != http.StatusOK {
+				t.Fatalf("GET /fleet during the drain: status %d", code)
+			}
+		case <-timeout:
+			t.Fatal("router wedged: DrainReplica and GET /fleet still blocked after 5s")
+		}
+	}
+	code, body := fleetView()
+	var out struct{ Replicas []ReplicaInfo }
+	if err := json.Unmarshal([]byte(body), &out); code != http.StatusOK || err != nil {
+		t.Fatalf("GET /fleet after the drain: status %d, %v", code, err)
+	}
+	for _, ri := range out.Replicas {
+		want := 1 // the session moved to the other replica
+		if ri.Name == created.Replica {
+			want = 0
+		}
+		if ri.Sessions != want {
+			t.Fatalf("after the drain: %+v", out.Replicas)
+		}
 	}
 }
 

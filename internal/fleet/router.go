@@ -47,9 +47,9 @@ type Config struct {
 	// (0 = 1 GiB). Blobs of in-flight migrations are pinned and never
 	// evicted regardless of budget.
 	SnapshotBudget int64
-	// MaxBodyBytes caps request bodies the router itself decodes (create).
-	// 0 = 256 MiB. Proxied bodies stream through and are capped by the
-	// replica's own limit.
+	// MaxBodyBytes caps request bodies the router itself decodes (create,
+	// replica registration); a larger body is refused with 413. 0 = 256 MiB.
+	// Proxied bodies stream through and are capped by the replica's own limit.
 	MaxBodyBytes int64
 	// HTTPClient overrides the client used for all replica traffic.
 	HTTPClient *http.Client
@@ -127,7 +127,6 @@ type fleetSession struct {
 	placeKey  string // consistent-hash placement key
 	sourceKey string // content-store key of the FIRRTL source (pinned)
 	spec      server.SessionSpec
-	lanes     int
 
 	mu         sync.RWMutex
 	replica    string   // current home (registry name)
@@ -190,30 +189,47 @@ func (rt *Router) Register(name, url string) {
 	prev, existed := rt.replicas[name]
 	newProcess := existed && (prev.State == StateDead || prev.URL != url)
 	rt.registerLocked(name, url, now)
-	var orphans []*fleetSession
+	var table []*fleetSession
 	if newProcess {
-		orphans = rt.sessionsOnLocked(name)
+		// Taken with the registration, so sessions placed on the new
+		// process afterwards are not mistaken for the old one's.
+		table = rt.tableLocked()
 	}
 	rt.mu.Unlock()
 	rt.log().Info("replica registered", "replica", name, "url", url, "new_process", newProcess)
-	for _, fs := range orphans {
+	for _, fs := range homedOn(table, name) {
 		rt.dropSession(fs, "home replica restarted")
 	}
 }
 
-// sessionsOnLocked returns the sessions currently homed on name. Caller
-// holds rt.mu; the per-session read takes the session's own lock, which is
-// safe because migration never holds a session gate while taking rt.mu.
-func (rt *Router) sessionsOnLocked(name string) []*fleetSession {
-	var out []*fleetSession
+// tableLocked copies the session table. Caller holds rt.mu.
+func (rt *Router) tableLocked() []*fleetSession {
+	all := make([]*fleetSession, 0, len(rt.sessions))
 	for _, fs := range rt.sessions {
+		all = append(all, fs)
+	}
+	return all
+}
+
+// sortByID orders sessions by public ID.
+func sortByID(s []*fleetSession) {
+	sort.Slice(s, func(i, j int) bool { return s[i].id < s[j].id })
+}
+
+// homedOn returns the open sessions of table currently homed on name, by
+// ID, reading each under its own gate. The caller must not hold rt.mu:
+// migration holds a gate while it takes rt.mu (pickReplica, replicaByName),
+// so waiting on a gate under rt.mu deadlocks against it.
+func homedOn(table []*fleetSession, name string) []*fleetSession {
+	var out []*fleetSession
+	for _, fs := range table {
 		fs.mu.RLock()
 		if fs.replica == name && !fs.closed {
 			out = append(out, fs)
 		}
 		fs.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	sortByID(out)
 	return out
 }
 
@@ -382,9 +398,7 @@ type RoutedCreateResponse struct {
 
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req server.CreateRequest
-	body := http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
+	if !server.DecodeBody(w, r, rt.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if req.FIRRTL == "" {
@@ -430,7 +444,6 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 			placeKey:   key,
 			sourceKey:  sourceKey,
 			spec:       req.SessionSpec,
-			lanes:      max(req.Lanes, 1),
 			replica:    rep.Name,
 			base:       rep.base,
 			backendID:  resp.Session,
@@ -582,12 +595,9 @@ type RoutedSessionInfo struct {
 
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
-	all := make([]*fleetSession, 0, len(rt.sessions))
-	for _, fs := range rt.sessions {
-		all = append(all, fs)
-	}
+	all := rt.tableLocked()
 	rt.mu.Unlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
+	sortByID(all)
 
 	// One list fetch per distinct home, then join on backend ID.
 	byReplica := make(map[string]map[string]server.SessionInfo)
@@ -703,8 +713,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
+	if !server.DecodeBody(w, r, rt.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if req.Name == "" || req.URL == "" {
@@ -744,24 +753,25 @@ func (rt *Router) handleDrainReplica(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
+	table := rt.tableLocked()
+	infos := make([]ReplicaInfo, 0, len(rt.replicas))
+	for _, rep := range rt.replicas {
+		infos = append(infos, ReplicaInfo{Name: rep.Name, URL: rep.URL, State: rep.State.String()})
+	}
+	rt.mu.Unlock()
+	// Session homes are read under their gates, after rt.mu is released
+	// (see homedOn); a session mid-migration is counted once it has landed.
 	perReplica := make(map[string]int)
-	for _, fs := range rt.sessions {
+	for _, fs := range table {
 		fs.mu.RLock()
 		if !fs.closed {
 			perReplica[fs.replica]++
 		}
 		fs.mu.RUnlock()
 	}
-	infos := make([]ReplicaInfo, 0, len(rt.replicas))
-	for _, rep := range rt.replicas {
-		infos = append(infos, ReplicaInfo{
-			Name:     rep.Name,
-			URL:      rep.URL,
-			State:    rep.State.String(),
-			Sessions: perReplica[rep.Name],
-		})
+	for i := range infos {
+		infos[i].Sessions = perReplica[infos[i].Name]
 	}
-	rt.mu.Unlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	writeJSON(w, http.StatusOK, map[string]any{"replicas": infos})
 }
@@ -842,8 +852,9 @@ func (rt *Router) reapDeadReplica(name string) {
 		rep.State = StateDead
 		rt.rebuildRingLocked()
 	}
-	orphans := rt.sessionsOnLocked(name)
+	table := rt.tableLocked()
 	rt.mu.Unlock()
+	orphans := homedOn(table, name)
 	if died {
 		rt.log().Warn("replica dead", "replica", name, "orphans", len(orphans))
 	}

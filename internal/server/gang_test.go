@@ -179,6 +179,9 @@ func TestGangSessionHTTP(t *testing.T) {
 	if resp := postJSON(t, scalarBase[0]+"/ops", OpsRequest{Ops: []Op{{Op: "park", Lane: intp(0)}}}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("park on scalar session: status %d, want 400", resp.StatusCode)
 	}
+	if resp := postJSON(t, scalarBase[0]+"/ops", OpsRequest{Ops: []Op{{Op: "reset", Lane: intp(5)}}}, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("reset of lane 5 on scalar session: status %d, want 400", resp.StatusCode)
+	}
 	if resp := postJSON(t, ts.URL+"/v1/sessions", CreateRequest{FIRRTL: src, SessionSpec: SessionSpec{Lanes: 65}}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("lanes=65: status %d, want 400", resp.StatusCode)
 	}

@@ -7,8 +7,8 @@
 //	POST   /v1/sessions/{id}/ops      apply a batched op list atomically
 //	GET    /v1/sessions/{id}/lanes    per-lane liveness, cycles, trace status
 //	GET    /v1/sessions/{id}/vcd      fetch a traced lane's waveform (?lane=N)
-//	POST   /v1/sessions/{id}/snapshot serialize state (base64 blob; ?lane=N on gangs)
-//	POST   /v1/sessions/{id}/restore  overwrite state from a blob (?lane=N on gangs)
+//	POST   /v1/sessions/{id}/snapshot serialize one lane's state (base64 blob; ?lane=N, default 0)
+//	POST   /v1/sessions/{id}/restore  overwrite one lane's state from a blob (?lane=N, default 0)
 //	DELETE /v1/sessions/{id}          close a session
 //	GET    /v1/stats                  manager + compile-cache counters
 //	GET    /healthz                   liveness (200 while the process runs)
@@ -285,14 +285,15 @@ func writeManagerError(w http.ResponseWriter, err error, extra any) {
 	writeError(w, status, err)
 }
 
-// decodeBody decodes a JSON request body under the manager's byte cap and
-// writes the error response itself on failure (413 when the cap is hit, 400
-// for malformed JSON). Every JSON-consuming handler funnels through here:
-// request bodies were previously read unbounded, so one oversized POST could
-// balloon the heap before validation ever saw it.
-func (m *Manager) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// DecodeBody decodes a JSON request body under a byte cap (limit <= 0: none)
+// and writes the error response itself on failure (413 when the cap is hit,
+// 400 for malformed JSON). Every JSON-consuming handler of the server and of
+// the fleet router funnels through here: request bodies were previously read
+// unbounded, so one oversized POST could balloon the heap before validation
+// ever saw it.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	body := r.Body
-	if limit := m.limits.MaxBodyBytes; limit > 0 {
+	if limit > 0 {
 		body = http.MaxBytesReader(w, r.Body, limit)
 	}
 	if err := json.NewDecoder(body).Decode(v); err != nil {
@@ -323,7 +324,7 @@ func laneParam(r *http.Request) (int, error) {
 
 func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req CreateRequest
-	if !m.decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, m.limits.MaxBodyBytes, &req) {
 		return
 	}
 	if req.FIRRTL == "" {
@@ -442,11 +443,11 @@ func (sc *opsScratch) release() {
 // response itself on failure. A body of small known length — every ordinary
 // batch — is read whole into the pooled buffer and unmarshalled there, where
 // bytes trailing the JSON value are an error; anything else streams through
-// decodeBody and its byte cap.
+// DecodeBody and its byte cap.
 func (m *Manager) decodeOps(w http.ResponseWriter, r *http.Request, sc *opsScratch) bool {
 	n := r.ContentLength
 	if limit := m.limits.MaxBodyBytes; n <= 0 || n > maxPooledOps || (limit > 0 && n > limit) {
-		return m.decodeBody(w, r, &sc.req)
+		return DecodeBody(w, r, limit, &sc.req)
 	}
 	if int64(cap(sc.body)) < n {
 		sc.body = make([]byte, n, max(n, 512))
@@ -574,7 +575,7 @@ func handleSnapshot(s *Session, w http.ResponseWriter, r *http.Request) {
 
 func (m *Manager) handleRestore(s *Session, w http.ResponseWriter, r *http.Request) {
 	var req RestoreRequest
-	if !m.decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, m.limits.MaxBodyBytes, &req) {
 		return
 	}
 	lane, err := laneParam(r)

@@ -108,18 +108,12 @@ func (m *Manager) InitObs(r *obs.Registry) *Metrics {
 		return float64(m.liveLanes())
 	})
 	m.cache.SetObs(mt.Cache)
-	m.mu.Lock()
-	m.metrics = mt
-	m.mu.Unlock()
+	m.metrics.Store(mt)
 	return mt
 }
 
 // Metrics returns the bundle attached by InitObs, or nil.
-func (m *Manager) Metrics() *Metrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.metrics
-}
+func (m *Manager) Metrics() *Metrics { return m.metrics.Load() }
 
 // SetLogger routes the manager's structured logging (session lifecycle,
 // poison events, HTTP access) through l. The default is obs.NopLogger(),
@@ -128,17 +122,11 @@ func (m *Manager) SetLogger(l *slog.Logger) {
 	if l == nil {
 		l = obs.NopLogger()
 	}
-	m.mu.Lock()
-	m.logger = l
-	m.mu.Unlock()
+	m.logger.Store(l)
 }
 
 // log returns the manager's logger (never nil).
-func (m *Manager) log() *slog.Logger {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.logger
-}
+func (m *Manager) log() *slog.Logger { return m.logger.Load() }
 
 // liveLanes sums unparked gang lanes across sessions. Each session maintains
 // its count in an atomic (updated on create, park/wake, close), so the
@@ -176,39 +164,8 @@ func (mt *Metrics) opDone(kind string, seconds float64) {
 	}
 }
 
-// attachEngineObs points a session's engine at the shared engine bundle.
-func (mt *Metrics) attachEngineObs(sim engine.Sim, gang *engine.Gang) {
-	if mt == nil {
-		return
-	}
-	if gang != nil {
-		gang.AttachObs(mt.Engine)
-		return
-	}
-	if a, ok := sim.(interface{ AttachObs(*engine.Metrics) }); ok {
-		a.AttachObs(mt.Engine)
-	}
-}
-
-// flushEngineObs folds a session engine's unflushed stats into the process
-// counters — called after step batches and before close so /metrics is
-// exact at op boundaries, not just every flush window.
-func flushEngineObs(sim engine.Sim, gang *engine.Gang) {
-	if gang != nil {
-		gang.FlushObs()
-		return
-	}
-	if f, ok := sim.(interface{ FlushObs() }); ok {
-		f.FlushObs()
-	}
-}
-
-// syncLiveLanes refreshes the session's unparked-lane count from the gang
-// mask (scalar sessions always count 1). Caller holds s.mu.
+// syncLiveLanes refreshes the session's unparked-lane count from the
+// engine's live mask. Caller holds s.mu.
 func (s *Session) syncLiveLanes() {
-	if s.gang != nil {
-		s.liveLanes.Store(int64(bits.OnesCount64(s.gang.LiveMask())))
-	} else {
-		s.liveLanes.Store(1)
-	}
+	s.liveLanes.Store(int64(bits.OnesCount64(s.eng.LiveMask())))
 }

@@ -136,13 +136,13 @@ type SessionSpec struct {
 	MaxSupernode int    `json:"max_supernode,omitempty"` // supernode size cap (0 = default)
 
 	// Lanes batches K independent stimulus lanes through one compiled design
-	// (engine.Gang). 0 or 1 opens a plain scalar session; 2..emit.MaxGangLanes
-	// opens a gang session whose ops address lanes (Op.Lane). Lanes is a
-	// per-session execution knob, not a compile knob: it is deliberately
-	// absent from the compile-cache key, so scalar sessions and gangs of every
-	// width share one compiled design. Gang sessions execute on the full-cycle
-	// model regardless of Engine (the spec still selects the optimization
-	// pipeline and anchors the cache key).
+	// (engine.Gang). 0 or 1 opens a scalar session — the one-lane case, lane
+	// 0 only; 2..emit.MaxGangLanes opens a gang session whose ops address
+	// lanes (Op.Lane). Lanes is a per-session execution knob, not a compile
+	// knob: it is deliberately absent from the compile-cache key, so scalar
+	// sessions and gangs of every width share one compiled design. Gang
+	// sessions execute on the full-cycle model regardless of Engine (the spec
+	// still selects the optimization pipeline and anchors the cache key).
 	Lanes int `json:"lanes,omitempty"`
 	// TraceLanes opts the listed lanes into in-memory VCD capture (fetched via
 	// GET .../vcd?lane=N), bounded at maxTraceBytesPerLane per lane. Scalar
@@ -219,8 +219,10 @@ type Manager struct {
 	sessions map[string]*Session
 	nextID   uint64
 	draining bool
-	metrics  *Metrics     // nil until InitObs
-	logger   *slog.Logger // never nil (obs.NopLogger default)
+
+	// Read on every request, so not under mu.
+	metrics atomic.Pointer[Metrics]     // nil until InitObs
+	logger  atomic.Pointer[slog.Logger] // never nil (obs.NopLogger default)
 
 	reapStop chan struct{} // closed to stop the reaper goroutine
 	reapDone chan struct{} // closed when the reaper has exited
@@ -258,8 +260,8 @@ func NewManagerLimits(l Limits) *Manager {
 		cache:    core.NewCompileCache(),
 		limits:   l,
 		sessions: map[string]*Session{},
-		logger:   obs.NopLogger(),
 	}
+	m.logger.Store(obs.NopLogger())
 	if l.CacheBudgetBytes > 0 {
 		m.cache.SetBudget(l.CacheBudgetBytes)
 	}
@@ -302,10 +304,30 @@ type laneTrace struct {
 	vcd  *trace.VCD
 }
 
-// Session is one live simulator instance — a scalar engine (sim) or a K-lane
-// gang (gang); exactly one of the two is non-nil. All operations serialize on
-// the session's own lock; distinct sessions never contend (beyond the shared
-// read-only design).
+// laneEngine is the one engine a session runs: a K-lane *engine.Gang, or a
+// scalar engine as the one-lane case (engine.OneLane).
+type laneEngine interface {
+	Step()
+	Reset()
+	Close()
+	Poke(lane, nodeID int, v bitvec.BV)
+	Peek(lane, nodeID int) bitvec.BV
+	ResetLane(lane int)
+	SetLive(lane int, live bool)
+	LiveMask() uint64
+	Cycles() uint64
+	LaneStats(lane int) engine.Stats
+	CaptureLane(lane int) (*engine.SimState, error)
+	RestoreLane(lane int, st *engine.SimState) error
+	AttachLaneTracer(lane int, t engine.Tracer)
+	AttachObs(m *engine.Metrics)
+	FlushObs()
+	Program() *emit.Program
+}
+
+// Session is one live simulator instance over a laneEngine. All operations
+// serialize on the session's own lock; distinct sessions never contend
+// (beyond the shared read-only design).
 type Session struct {
 	ID       string
 	Design   *core.CompiledDesign
@@ -322,13 +344,12 @@ type Session struct {
 	cancelOnce   sync.Once
 
 	mu           sync.Mutex
-	sim          engine.Sim   // scalar sessions
-	gang         *engine.Gang // gang sessions (lanes >= 2)
+	eng          laneEngine
 	laneVCD      []*laneTrace // indexed by lane; nil entries for untraced lanes
 	pendingTrace []bool       // TraceResume lanes awaiting their arming restore
 	closed       bool
 	failed       error         // non-nil once poisoned by a panic
-	lastCycles   uint64        // cycle count captured at Close (sim is gone after)
+	lastCycles   uint64        // cycle count captured at Close (eng is gone after)
 	steps        uint64        // lane-cycles stepped through this session
 	stepTime     time.Duration // wall time inside Step, for sessions/s diagnostics
 }
@@ -357,11 +378,11 @@ func (m *Manager) admitSession() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.draining {
-		m.metrics.reject(rejectDraining)
+		m.Metrics().reject(rejectDraining)
 		return fmt.Errorf("server: %w, not accepting sessions", ErrDraining)
 	}
 	if m.limits.MaxSessions > 0 && len(m.sessions) >= m.limits.MaxSessions {
-		m.metrics.reject(rejectSessions)
+		m.Metrics().reject(rejectSessions)
 		return fmt.Errorf("server: %w (%d live)", ErrTooManySessions, len(m.sessions))
 	}
 	return nil
@@ -410,23 +431,10 @@ func (m *Manager) create(sourceKey string, spec SessionSpec, load func() (*ir.Gr
 	if err != nil {
 		return nil, err
 	}
-	var sim engine.Sim
-	var gang *engine.Gang
-	if lanes > 1 {
-		gang, err = design.NewGang(lanes)
-	} else {
-		sim, err = design.NewSim(cfg)
-	}
+	eng, err := newEngine(design, cfg, lanes)
 	if err != nil {
 		m.cache.Release(key)
 		return nil, err
-	}
-	closeEngine := func() {
-		if gang != nil {
-			gang.Close()
-		} else {
-			sim.Close()
-		}
 	}
 
 	// Wire opt-in per-lane VCD capture before the first step so traces start
@@ -443,9 +451,9 @@ func (m *Manager) create(sourceKey string, spec SessionSpec, load func() (*ir.Gr
 			}
 		}
 	} else {
-		laneVCD, err = attachLaneTraces(design, sim, gang, lanes, spec.TraceLanes, m.Metrics().traceMetrics())
+		laneVCD, err = attachLaneTraces(eng, lanes, spec.TraceLanes, m.Metrics().traceMetrics())
 		if err != nil {
-			closeEngine()
+			eng.Close()
 			m.cache.Release(key)
 			return nil, err
 		}
@@ -459,9 +467,9 @@ func (m *Manager) create(sourceKey string, spec SessionSpec, load func() (*ir.Gr
 		if !m.draining {
 			refuse, cause = ErrTooManySessions, rejectSessions
 		}
-		m.metrics.reject(cause)
+		m.Metrics().reject(cause)
 		m.mu.Unlock()
-		closeEngine()
+		eng.Close()
 		m.cache.Release(key)
 		return nil, fmt.Errorf("server: %w, not accepting sessions", refuse)
 	}
@@ -476,20 +484,18 @@ func (m *Manager) create(sourceKey string, spec SessionSpec, load func() (*ir.Gr
 		cacheKey:     key,
 		lanes:        lanes,
 		forceCancel:  make(chan struct{}),
-		sim:          sim,
-		gang:         gang,
+		eng:          eng,
 		laneVCD:      laneVCD,
 		pendingTrace: pendingTrace,
 	}
 	s.lastActivity.Store(time.Now().UnixNano())
 	m.sessions[s.ID] = s
-	// Metrics/logger are read directly: this goroutine holds m.mu.
-	if m.metrics != nil {
-		m.metrics.attachEngineObs(sim, gang)
-		m.metrics.SessionsCreated.Inc()
+	if mt := m.Metrics(); mt != nil {
+		eng.AttachObs(mt.Engine)
+		mt.SessionsCreated.Inc()
 	}
 	s.syncLiveLanes()
-	m.logger.Info("session created",
+	m.log().Info("session created",
 		"session", s.ID, "design", designHashPrefix(sourceKey),
 		"lanes", lanes, "cache_hit", hit)
 	return s, nil
@@ -504,9 +510,22 @@ func designHashPrefix(sourceKey string) string {
 	return sourceKey
 }
 
+// newEngine builds a session's engine: a gang for two lanes or more, else
+// the configured scalar engine as a one-lane engine.
+func newEngine(design *core.CompiledDesign, cfg core.Config, lanes int) (laneEngine, error) {
+	if lanes > 1 {
+		return design.NewGang(lanes)
+	}
+	sim, err := design.NewSim(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return engine.OneLane{Compiled: sim}, nil
+}
+
 // attachLaneTraces builds bounded in-memory VCD capture for the requested
 // lanes. Returns nil when nothing is traced.
-func attachLaneTraces(design *core.CompiledDesign, sim engine.Sim, gang *engine.Gang, lanes int, traceLanes []int, tm *trace.Metrics) ([]*laneTrace, error) {
+func attachLaneTraces(eng laneEngine, lanes int, traceLanes []int, tm *trace.Metrics) ([]*laneTrace, error) {
 	if len(traceLanes) == 0 {
 		return nil, nil
 	}
@@ -515,23 +534,27 @@ func attachLaneTraces(design *core.CompiledDesign, sim engine.Sim, gang *engine.
 		if out[l] != nil {
 			continue // duplicate opt-in
 		}
-		sink := &capWriter{limit: maxTraceBytesPerLane}
-		v, err := trace.NewVCD(sink, design.Prog, nil, trace.Options{Sync: true, Metrics: tm})
+		lt, err := traceLane(eng, l, nil, nil, tm)
 		if err != nil {
 			return nil, err
 		}
-		if gang != nil {
-			gang.AttachLaneTracer(l, v)
-		} else {
-			at, ok := sim.(interface{ AttachTracer(engine.Tracer) })
-			if !ok {
-				return nil, fmt.Errorf("server: engine does not support tracing")
-			}
-			at.AttachTracer(v)
-		}
-		out[l] = &laneTrace{sink: sink, vcd: v}
+		out[l] = lt
 	}
 	return out, nil
+}
+
+// traceLane attaches a bounded in-memory VCD capture to one lane. prefix
+// seeds the capture buffer and resume the encoder (nil for a capture from
+// cycle zero): the waveform continuation of a migration handoff.
+func traceLane(eng laneEngine, lane int, prefix []byte, resume *trace.Resume, tm *trace.Metrics) (*laneTrace, error) {
+	sink := &capWriter{limit: maxTraceBytesPerLane}
+	_, _ = sink.Write(prefix)
+	v, err := trace.NewVCD(sink, eng.Program(), nil, trace.Options{Sync: true, Resume: resume, Metrics: tm})
+	if err != nil {
+		return nil, err
+	}
+	eng.AttachLaneTracer(lane, v)
+	return &laneTrace{sink: sink, vcd: v}, nil
 }
 
 // Session returns a live session by ID.
@@ -867,11 +890,7 @@ func (s *Session) Apply(ctx context.Context, ops []Op) (results []OpResult, err 
 			if lerr != nil {
 				return results, lerr
 			}
-			if s.gang != nil {
-				s.gang.Poke(lane, n.ID, v)
-			} else {
-				s.sim.Poke(n.ID, v)
-			}
+			s.eng.Poke(lane, n.ID, v)
 		case "peek":
 			n := s.Design.Graph.FindNode(op.Name)
 			if n == nil {
@@ -881,11 +900,7 @@ func (s *Session) Apply(ctx context.Context, ops []Op) (results []OpResult, err 
 			if lerr != nil {
 				return results, lerr
 			}
-			if s.gang != nil {
-				res.Value = s.gang.Peek(lane, n.ID).String()
-			} else {
-				res.Value = s.sim.Peek(n.ID).String()
-			}
+			res.Value = s.eng.Peek(lane, n.ID).String()
 		case "step":
 			if op.Lane != nil {
 				// Lanes advance in lockstep — that is the gang's economics.
@@ -900,10 +915,7 @@ func (s *Session) Apply(ctx context.Context, ops []Op) (results []OpResult, err 
 			// Throughput reports aggregate lanes/s. The live mask is fixed for
 			// the whole op: ops in a batch are sequential, so no park/wake can
 			// interleave a step.
-			laneFactor := uint64(1)
-			if s.gang != nil {
-				laneFactor = uint64(bits.OnesCount64(s.gang.LiveMask()))
-			}
+			laneFactor := uint64(bits.OnesCount64(s.eng.LiveMask()))
 			start := time.Now()
 			done := 0
 			for done < cycles {
@@ -919,14 +931,8 @@ func (s *Session) Apply(ctx context.Context, ops []Op) (results []OpResult, err 
 				if n > chunk {
 					n = chunk
 				}
-				if s.gang != nil {
-					for c := 0; c < n; c++ {
-						s.gang.Step()
-					}
-				} else {
-					for c := 0; c < n; c++ {
-						s.sim.Step()
-					}
+				for c := 0; c < n; c++ {
+					s.eng.Step()
 				}
 				done += n
 			}
@@ -936,32 +942,25 @@ func (s *Session) Apply(ctx context.Context, ops []Op) (results []OpResult, err 
 				mt.StepCycles.Add(uint64(cycles) * laneFactor)
 				// Flush so /metrics is exact between op batches, not just at
 				// the 1k-cycle amortization boundary.
-				flushEngineObs(s.sim, s.gang)
+				s.eng.FlushObs()
 			}
-			if s.gang != nil {
-				res.Cycles = s.gang.Cycles()
-			} else {
-				res.Cycles = s.sim.Stats().Cycles
-			}
+			res.Cycles = s.eng.Cycles()
 		case "reset":
-			if s.gang != nil && op.Lane != nil {
+			if op.Lane != nil {
 				lane, lerr := s.opLane(op, i)
 				if lerr != nil {
 					return results, lerr
 				}
-				s.gang.ResetLane(lane)
-				res.Cycles = s.gang.Cycles()
+				s.eng.ResetLane(lane)
+				res.Cycles = s.eng.Cycles()
 				break
 			}
-			if s.gang != nil {
-				s.gang.Reset()
-			} else {
-				s.sim.Reset()
-			}
+			s.eng.Reset()
 			s.steps, s.stepTime = 0, 0
 			res.Cycles = 0
 		case "park", "wake":
-			if s.gang == nil {
+			// A scalar session's one lane is always live.
+			if s.lanes == 1 {
 				return results, fmt.Errorf("server: op %d: %q requires a gang session", i, op.Op)
 			}
 			if op.Lane == nil {
@@ -971,7 +970,7 @@ func (s *Session) Apply(ctx context.Context, ops []Op) (results []OpResult, err 
 			if lerr != nil {
 				return results, lerr
 			}
-			s.gang.SetLive(lane, op.Op == "wake")
+			s.eng.SetLive(lane, op.Op == "wake")
 			s.syncLiveLanes()
 		default:
 			return results, fmt.Errorf("server: op %d: unknown op %q (want poke, peek, step, reset, park, or wake)", i, op.Op)
@@ -990,11 +989,19 @@ func (s *Session) opLane(op Op, i int) (int, error) {
 	if op.Lane == nil {
 		return 0, nil
 	}
-	l := *op.Lane
-	if l < 0 || l >= s.lanes {
-		return 0, fmt.Errorf("server: op %d: lane %d outside [0,%d)", i, l, s.lanes)
+	if err := s.checkLane(*op.Lane); err != nil {
+		return 0, fmt.Errorf("server: op %d: %w", i, err)
 	}
-	return l, nil
+	return *op.Lane, nil
+}
+
+// checkLane refuses a lane outside the session's range — for a scalar
+// session, anything but lane 0.
+func (s *Session) checkLane(lane int) error {
+	if lane < 0 || lane >= s.lanes {
+		return fmt.Errorf("lane %d outside [0,%d)", lane, s.lanes)
+	}
+	return nil
 }
 
 // Poke sets an input by name from a FIRRTL-style literal.
@@ -1038,13 +1045,10 @@ func (s *Session) SnapshotLane(lane int) ([]byte, error) {
 	if s.failed != nil {
 		return nil, s.failed
 	}
-	if s.gang != nil {
-		return snapshot.SaveLane(s.gang, lane)
+	if err := s.checkLane(lane); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
-	if lane != 0 {
-		return nil, fmt.Errorf("server: session %s is scalar; lane %d does not exist", s.ID, lane)
-	}
-	return snapshot.Save(s.sim)
+	return snapshot.SaveLane(s.eng, lane)
 }
 
 // Restore overwrites the session's state from a snapshot blob. The blob must
@@ -1081,10 +1085,11 @@ func (s *Session) restoreLane(lane int, data, vcdPrefix []byte) error {
 	if s.failed != nil {
 		return s.failed
 	}
-	if s.gang == nil && lane != 0 {
-		return fmt.Errorf("server: session %s is scalar; lane %d does not exist", s.ID, lane)
+	if err := s.checkLane(lane); err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
-	if len(vcdPrefix) > 0 && (s.pendingTrace == nil || lane >= len(s.pendingTrace) || !s.pendingTrace[lane]) {
+	pending := s.pendingTrace != nil && s.pendingTrace[lane]
+	if len(vcdPrefix) > 0 && !pending {
 		return fmt.Errorf("server: lane %d is not awaiting a trace resume (create the session with trace_resume and trace_lanes)", lane)
 	}
 	// Decode once so the restored state image is in hand for the resume
@@ -1097,65 +1102,25 @@ func (s *Session) restoreLane(lane int, data, vcdPrefix []byte) error {
 	// steps/stepTime keep counting only cycles this session stepped itself —
 	// a restored snapshot's history was simulated elsewhere, and folding it
 	// in would corrupt Throughput.
-	if s.gang != nil {
-		if err := s.gang.RestoreLane(lane, st); err != nil {
-			return err
-		}
-		// The gang's lockstep counter is wall-clock-like (Step calls issued);
-		// re-anchor it so a migrated gang reports cycle continuity instead of
-		// restarting from zero on its new home.
-		if st.Stats.Cycles > s.gang.Cycles() {
-			s.gang.SetCycles(st.Stats.Cycles)
-		}
-	} else {
-		sn, ok := s.sim.(engine.Snapshotter)
-		if !ok {
-			return snapshot.ErrNotSnapshotter
-		}
-		if err := sn.RestoreState(st); err != nil {
-			return err
-		}
-	}
-	if s.pendingTrace != nil && lane < len(s.pendingTrace) && s.pendingTrace[lane] {
-		if err := s.armResumeTrace(lane, st, vcdPrefix); err != nil {
-			return err
-		}
-		s.pendingTrace[lane] = false
-	}
-	return nil
-}
-
-// armResumeTrace attaches a resume-mode tracer to a TraceResume lane after
-// its first restore: the capture buffer is seeded with the pre-handoff
-// waveform bytes, the diff base with the restored state, and the timestamp
-// with the restored cycle — the continuation appends byte-identically to the
-// prefix.
-func (s *Session) armResumeTrace(lane int, st *engine.SimState, prefix []byte) error {
-	sink := &capWriter{limit: maxTraceBytesPerLane}
-	if len(prefix) > 0 {
-		_, _ = sink.Write(prefix)
-	}
-	v, err := trace.NewVCD(sink, s.Design.Prog, nil, trace.Options{
-		Sync:    true,
-		Resume:  &trace.Resume{Time: st.Stats.Cycles, State: st.State},
-		Metrics: s.mgr.Metrics().traceMetrics(),
-	})
-	if err != nil {
+	if err := s.eng.RestoreLane(lane, st); err != nil {
 		return err
 	}
-	if s.gang != nil {
-		s.gang.AttachLaneTracer(lane, v)
-	} else {
-		at, ok := s.sim.(interface{ AttachTracer(engine.Tracer) })
-		if !ok {
-			return fmt.Errorf("server: engine does not support tracing")
-		}
-		at.AttachTracer(v)
+	if !pending {
+		return nil
+	}
+	// Arm the TraceResume lane's tracer: the capture buffer is seeded with
+	// the pre-handoff waveform bytes, the diff base with the restored state,
+	// and the timestamp with the restored cycle — the continuation appends
+	// byte-identically to the prefix.
+	lt, err := traceLane(s.eng, lane, vcdPrefix, &trace.Resume{Time: st.Stats.Cycles, State: st.State}, s.mgr.Metrics().traceMetrics())
+	if err != nil {
+		return err
 	}
 	if s.laneVCD == nil {
 		s.laneVCD = make([]*laneTrace, s.lanes)
 	}
-	s.laneVCD[lane] = &laneTrace{sink: sink, vcd: v}
+	s.laneVCD[lane] = lt
+	s.pendingTrace[lane] = false
 	return nil
 }
 
@@ -1175,10 +1140,7 @@ func (s *Session) Cycles() uint64 {
 	if s.closed {
 		return s.lastCycles
 	}
-	if s.gang != nil {
-		return s.gang.Cycles()
-	}
-	return s.sim.Stats().Cycles
+	return s.eng.Cycles()
 }
 
 // LaneInfo is one lane's state summary — GET /v1/sessions/{id}/lanes.
@@ -1200,19 +1162,10 @@ func (s *Session) LaneInfos() ([]LaneInfo, error) {
 		return nil, s.errClosed()
 	}
 	infos := make([]LaneInfo, s.lanes)
+	live := s.eng.LiveMask()
 	for l := range infos {
-		infos[l].Lane = l
-		if s.gang != nil {
-			st := s.gang.LaneStats(l)
-			infos[l].Live = s.gang.Live(l)
-			infos[l].Cycles = st.Cycles
-			infos[l].Instrs = st.InstrsExecuted
-		} else {
-			st := s.sim.Stats()
-			infos[l].Live = true
-			infos[l].Cycles = st.Cycles
-			infos[l].Instrs = st.InstrsExecuted
-		}
+		st := s.eng.LaneStats(l)
+		infos[l] = LaneInfo{Lane: l, Live: live>>l&1 != 0, Cycles: st.Cycles, Instrs: st.InstrsExecuted}
 		if s.laneVCD != nil && s.laneVCD[l] != nil {
 			infos[l].Traced = true
 			infos[l].TraceTruncated = s.laneVCD[l].sink.truncated
@@ -1233,8 +1186,8 @@ func (s *Session) FetchVCD(lane int) (vcd []byte, truncated bool, err error) {
 	if s.closed {
 		return nil, false, s.errClosed()
 	}
-	if lane < 0 || lane >= s.lanes {
-		return nil, false, fmt.Errorf("server: lane %d outside [0,%d)", lane, s.lanes)
+	if err := s.checkLane(lane); err != nil {
+		return nil, false, fmt.Errorf("server: %w", err)
 	}
 	if s.laneVCD == nil || s.laneVCD[lane] == nil {
 		return nil, false, fmt.Errorf("server: lane %d is not traced (opt in with trace_lanes at creation)", lane)
@@ -1272,15 +1225,10 @@ func (s *Session) Close() error {
 	s.closed = true
 	// Fold any unflushed engine work into the process counters before the
 	// engine is released — a session's tail cycles must not vanish.
-	flushEngineObs(s.sim, s.gang)
+	s.eng.FlushObs()
 	s.liveLanes.Store(0)
-	if s.gang != nil {
-		s.lastCycles = s.gang.Cycles()
-		s.gang.Close()
-	} else {
-		s.lastCycles = s.sim.Stats().Cycles
-		s.sim.Close()
-	}
+	s.lastCycles = s.eng.Cycles()
+	s.eng.Close()
 	for _, lt := range s.laneVCD {
 		if lt != nil {
 			_ = lt.vcd.Close()
@@ -1290,10 +1238,10 @@ func (s *Session) Close() error {
 
 	s.mgr.mu.Lock()
 	delete(s.mgr.sessions, s.ID)
-	if s.mgr.metrics != nil {
-		s.mgr.metrics.SessionsClosed.Inc()
+	if mt := s.mgr.Metrics(); mt != nil {
+		mt.SessionsClosed.Inc()
 	}
-	s.mgr.logger.Info("session closed", "session", s.ID, "cycles", s.lastCycles)
+	s.mgr.log().Info("session closed", "session", s.ID, "cycles", s.lastCycles)
 	s.mgr.mu.Unlock()
 	s.mgr.cache.Release(s.cacheKey)
 	return nil

@@ -71,18 +71,21 @@ func Save(sim engine.Sim) ([]byte, error) {
 	if m == nil {
 		return nil, fmt.Errorf("snapshot: engine has no compiled program")
 	}
-	data, err := Encode(sn.CaptureState(), m.Prog)
-	if err != nil {
-		return nil, err
-	}
-	if faultpoint.Hit(faultpoint.SnapshotCorrupt) {
+	return seal(sn.CaptureState(), m.Prog)
+}
+
+// seal encodes a capture for saving — the one path every saved blob leaves
+// through, and so the one place the SnapshotCorrupt faultpoint bites.
+func seal(st *engine.SimState, p *emit.Program) ([]byte, error) {
+	data, err := Encode(st, p)
+	if err == nil && faultpoint.Hit(faultpoint.SnapshotCorrupt) {
 		// Model a corrupted blob (torn write, bit rot in transit). Smashing
 		// the magic and the design hash guarantees every reader detects it —
 		// a corrupt snapshot must be an error on restore, never silent state.
 		data[0] ^= 0xff
 		data[12] ^= 0xff
 	}
-	return data, nil
+	return data, err
 }
 
 // Restore deserializes data and overwrites sim's state with it, after
@@ -104,34 +107,19 @@ func Restore(sim engine.Sim, data []byte) error {
 	return sn.RestoreState(st)
 }
 
-// SaveLane captures one lane of a gang and serializes it in the standard
-// scalar format: the blob is byte-identical to Save of a scalar FullCycle
-// engine that ran the same stimulus, and restores into either shape.
-func SaveLane(g *engine.Gang, lane int) ([]byte, error) {
-	st, err := g.CaptureLane(lane)
+// SaveLane captures one lane of a lane-addressed engine (engine.Gang,
+// engine.OneLane) and serializes it in the standard scalar format: a gang
+// lane's blob is byte-identical to Save of a scalar FullCycle engine that ran
+// the same stimulus, and restores into either shape.
+func SaveLane(e interface {
+	CaptureLane(lane int) (*engine.SimState, error)
+	Program() *emit.Program
+}, lane int) ([]byte, error) {
+	st, err := e.CaptureLane(lane)
 	if err != nil {
 		return nil, err
 	}
-	data, err := Encode(st, g.Program())
-	if err != nil {
-		return nil, err
-	}
-	if faultpoint.Hit(faultpoint.SnapshotCorrupt) {
-		data[0] ^= 0xff
-		data[12] ^= 0xff
-	}
-	return data, nil
-}
-
-// RestoreLane deserializes data into one lane of a gang, after the same
-// version and design-hash validation Restore applies. The other lanes are
-// untouched; a blob that fails validation leaves the lane untouched too.
-func RestoreLane(g *engine.Gang, lane int, data []byte) error {
-	st, err := Decode(data, g.Program())
-	if err != nil {
-		return err
-	}
-	return g.RestoreLane(lane, st)
+	return seal(st, e.Program())
 }
 
 // Encode serializes a captured state for the given program. The output is
