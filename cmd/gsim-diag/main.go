@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"time"
 
@@ -327,46 +328,54 @@ func main() {
 		sys3.Close()
 	}
 
-	// Fusion reach on this profile, measured over the same chains the GSIM
-	// engine actually compiles: each supernode's concatenated member
-	// instructions (not the linear stream, whose adjacencies differ). The
-	// counts are indexed by the generated FuseRule table, so a new table line
-	// shows up here without touching this tool.
-	sys, _, err := harness.BuildSystemForDiag(d, "coremark", core.GSIM())
-	if err != nil {
-		panic(err)
+	// Fusion reach on this profile and every testdata design, measured over
+	// the chains the engines actually compile: under GSIM each supernode's
+	// concatenated member instructions, under the full-cycle preset the whole
+	// stream as one chain (their adjacencies differ). The counts are indexed
+	// by the generated FuseRule table, so a new table line shows up here
+	// without touching this tool. Then the rules that fired nowhere in this
+	// whole run — a never-firing rule is either dead weight or missing a
+	// representative design, so it is flagged explicitly — and the same for
+	// inline value rows: the generic rules' producer breakdown is the
+	// evidence the value table's Inline marks are chosen from.
+	total := newFusionCounts()
+	fusion := func(label string, sys *core.System) {
+		c := chainFusionStats(sys)
+		printFusion(label, c)
+		total.add(c.instrs, c.producers)
+		sys.Close()
 	}
-	counts := chainFusionStats(sys)
-	printFusion("fusion", counts)
-	sys.Close()
-
-	// Rule coverage across the hand-written testdata designs: per-rule fire
-	// counts for both generated rule sets, then the rules that fired nowhere
-	// in this whole run — a never-firing rule is either dead weight or
-	// missing a representative design, so it is flagged explicitly.
-	fuseTotal := make([]int, emit.NumFuseRules)
-	copy(fuseTotal, counts.counts)
 	files, _ := filepath.Glob("testdata/*.fir")
-	for _, f := range files {
-		g, err := firrtl.LoadFile(f)
+	for _, fc := range []struct {
+		suffix string
+		cfg    func() core.Config
+	}{{"", core.GSIM}, {" full-cycle", core.Verilator}} {
+		sys, _, err := harness.BuildSystemForDiag(d, "coremark", fc.cfg())
 		if err != nil {
 			panic(err)
 		}
-		tsys, err := core.Build(g, core.GSIM())
-		if err != nil {
-			panic(err)
+		fusion(strings.TrimSpace("fusion"+fc.suffix), sys)
+		for _, f := range files {
+			g, err := firrtl.LoadFile(f)
+			if err != nil {
+				panic(err)
+			}
+			tsys, err := core.Build(g, fc.cfg())
+			if err != nil {
+				panic(err)
+			}
+			fusion("fusion["+filepath.Base(f)+fc.suffix+"]", tsys)
 		}
-		tc := chainFusionStats(tsys)
-		printFusion("fusion["+filepath.Base(f)+"]", tc)
-		for r, n := range tc.counts {
-			fuseTotal[r] += n
-		}
-		tsys.Close()
 	}
-	var neverFuse []string
+	var neverFuse, neverInline []string
 	for r := emit.FuseRuleNone + 1; r < emit.NumFuseRules; r++ {
-		if fuseTotal[r] == 0 {
+		if total.counts[r] == 0 {
 			neverFuse = append(neverFuse, r.String())
+		}
+	}
+	for op, n := range total.producerTotals() {
+		if emit.InlineProducer(emit.OpCode(op)) && n == 0 {
+			neverInline = append(neverInline, emit.OpCode(op).String())
 		}
 	}
 
@@ -386,21 +395,47 @@ func main() {
 	if len(neverFuse) > 0 {
 		fmt.Printf("never-fired fusion rules: %s\n", strings.Join(neverFuse, " "))
 	}
+	if len(neverInline) > 0 {
+		fmt.Printf("inline rows that never fire: %s\n", strings.Join(neverInline, " "))
+	}
 	if len(neverAlg) > 0 {
 		fmt.Printf("never-fired simplify rules: %s\n", strings.Join(neverAlg, " "))
 	}
 }
 
-// fusionCounts is a per-rule fusion histogram over one system's chains.
+// fusionCounts is a per-rule fusion histogram over one system's chains,
+// broken down by producer opcode.
 type fusionCounts struct {
-	instrs int
-	counts []int // indexed by emit.FuseRule
+	instrs    int
+	counts    []int   // indexed by emit.FuseRule
+	producers [][]int // [emit.FuseRule][emit.OpCode]
 }
 
-// chainFusionStats accumulates emit.FusionStats over every supernode chain
-// of the system, exactly as CompileChainBound sees them.
+func newFusionCounts() fusionCounts {
+	return fusionCounts{counts: make([]int, emit.NumFuseRules), producers: emit.FusionProducers(nil)}
+}
+
+// add accumulates a producer breakdown over instrs chained instructions.
+func (c *fusionCounts) add(instrs int, producers [][]int) {
+	c.instrs += instrs
+	for r, byOp := range producers {
+		for op, n := range byOp {
+			c.producers[r][op] += n
+			c.counts[r] += n
+		}
+	}
+}
+
+// chainFusionStats accumulates emit.FusionProducers over every chain the
+// system's engine compiles, exactly as CompileChainBound sees them: one per
+// supernode, or the whole stream for an unpartitioned (full-cycle) system.
 func chainFusionStats(sys *core.System) fusionCounts {
-	c := fusionCounts{counts: make([]int, emit.NumFuseRules)}
+	c := newFusionCounts()
+	add := func(chain []emit.Instr) { c.add(len(chain), emit.FusionProducers(chain)) }
+	if sys.Part == nil {
+		add(sys.Prog.Instrs)
+		return c
+	}
 	var chain []emit.Instr
 	for _, members := range sys.Part.Members {
 		chain = chain[:0]
@@ -408,16 +443,31 @@ func chainFusionStats(sys *core.System) fusionCounts {
 			r := sys.Prog.Code[id]
 			chain = append(chain, sys.Prog.Instrs[r.Start:r.End]...)
 		}
-		c.instrs += len(chain)
-		for r, n := range emit.FusionStats(chain) {
-			c.counts[r] += n
-		}
+		add(chain)
 	}
 	return c
 }
 
-// printFusion prints one per-rule fusion line. Triples cover three
-// instructions per window, so coverage is weighted by rule arity.
+// generic reports whether r is a generic rule, whose producer is any inline
+// value row.
+func generic(r emit.FuseRule) bool { return strings.HasPrefix(r.Pattern(), "(pure)") }
+
+// producerTotals sums the generic rules' windows per producer opcode.
+func (c fusionCounts) producerTotals() []int {
+	tot := make([]int, len(c.producers[0]))
+	for r := emit.FuseRuleNone + 1; r < emit.NumFuseRules; r++ {
+		if generic(r) {
+			for op, n := range c.producers[r] {
+				tot[op] += n
+			}
+		}
+	}
+	return tot
+}
+
+// printFusion prints one per-rule fusion line, then which producer opcodes
+// fired each generic rule. Triples cover three instructions per window, so
+// coverage is weighted by rule arity.
 func printFusion(label string, c fusionCounts) {
 	windows, covered := 0, 0
 	fmt.Printf("%s (of %d chained instrs):", label, c.instrs)
@@ -431,4 +481,26 @@ func printFusion(label string, c fusionCounts) {
 		pct = 100 * float64(covered) / float64(c.instrs)
 	}
 	fmt.Printf(" total=%d windows (%.1f%% of instrs fused)\n", windows, pct)
+	fmt.Printf("%s producers:", label)
+	for r := emit.FuseRuleNone + 1; r < emit.NumFuseRules; r++ {
+		if !generic(r) || c.counts[r] == 0 {
+			continue
+		}
+		ops := make([]int, 0, len(c.producers[r]))
+		for op, n := range c.producers[r] {
+			if n > 0 {
+				ops = append(ops, op)
+			}
+		}
+		sort.SliceStable(ops, func(i, j int) bool { return c.producers[r][ops[i]] > c.producers[r][ops[j]] })
+		fmt.Printf(" %s[", r)
+		for i, op := range ops {
+			if i > 0 {
+				fmt.Print(" ")
+			}
+			fmt.Printf("%s=%d", emit.OpCode(op), c.producers[r][op])
+		}
+		fmt.Print("]")
+	}
+	fmt.Println()
 }

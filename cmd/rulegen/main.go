@@ -1,7 +1,8 @@
-// Command rulegen compiles the declarative rewrite-rule tables in
-// internal/emit/rules into the exhaustive Go matchers the kernel compiler
-// and the passes pipeline run in production: internal/emit/fuse_gen.go
-// (superinstruction fusion) and internal/passes/simplify_gen.go (algebraic
+// Command rulegen compiles the declarative tables in internal/emit/rules
+// into the Go the kernel compiler and the passes pipeline run in
+// production: internal/emit/fuse_gen.go (the narrow kernels from the value
+// table, superinstruction fusion matchers and the generic pair
+// constructors) and internal/passes/simplify_gen.go (algebraic
 // simplification).
 //
 // It is wired through `go generate ./internal/emit/...` (the directive

@@ -48,7 +48,6 @@ func (p *Program) CompileNodesBound(m *Machine, ids []int32, fuse bool) []BoundF
 // matchers from the rule table, widest window first — a triple beats the
 // pair it contains), width-class specialization, operand pointers resolved
 // into m's state image. The chain need not be contiguous in the program.
-// FusionStats simulates exactly this greedy walk; keep the two in step.
 func (p *Program) CompileChainBound(m *Machine, ins []Instr) []BoundFn {
 	return p.AppendChainBound(make([]BoundFn, 0, len(ins)), m, ins, true)
 }
@@ -58,27 +57,22 @@ func (p *Program) CompileChainBound(m *Machine, ins []Instr) []BoundFn {
 // exactly one closure per instruction, the kernel-nofuse baseline fusion is
 // measured against.
 func (p *Program) AppendChainBound(fns []BoundFn, m *Machine, ins []Instr, fuse bool) []BoundFn {
-	for i := 0; i < len(ins); i++ {
-		if !fuse {
-			fns = append(fns, compileKernelBound(m, ins[i]))
-			continue
+	if !fuse {
+		for _, in := range ins {
+			fns = append(fns, compileKernelBound(m, in))
 		}
-		if i+2 < len(ins) {
-			if r := matchFuse3(ins[i], ins[i+1], ins[i+2]); r != FuseRuleNone {
-				fns = append(fns, compileFuse3(p, m, ins[i], ins[i+1], ins[i+2], r))
-				i += 2
-				continue
-			}
-		}
-		if i+1 < len(ins) {
-			if r := matchFuse2(ins[i], ins[i+1]); r != FuseRuleNone {
-				fns = append(fns, compileFuse2(p, m, ins[i], ins[i+1], r))
-				i++
-				continue
-			}
-		}
-		fns = append(fns, compileKernelBound(m, ins[i]))
+		return fns
 	}
+	fusionWalk(ins, func(i int, r FuseRule) {
+		switch r.Arity() {
+		case 3:
+			fns = append(fns, compileFuse3(m, ins[i], ins[i+1], ins[i+2], r))
+		case 2:
+			fns = append(fns, compileFuse2(m, ins[i], ins[i+1], r))
+		default:
+			fns = append(fns, compileKernelBound(m, ins[i]))
+		}
+	})
 	return fns
 }
 
@@ -97,126 +91,16 @@ func compileKernelBound(m *Machine, in Instr) BoundFn {
 // compileNarrowBound builds the specialized single-word closure: masks and
 // shift amounts baked in, mirroring execNarrow exactly (the chain property
 // tests and the cross-engine lockstep suites pin it against the interpreter).
+// Pure opcodes come from their generated value rows; the memory read needs
+// the machine's memory arrays.
 func compileNarrowBound(m *Machine, in Instr) BoundFn {
-	st := m.State
-	pd, pa := &st[in.D], &st[in.A]
-	pb := &st[in.B]
-	aw, bw := in.AW, in.BW
-	dm := mask(in.DW)
-	switch in.Op {
-	case CCopy:
-		return func() { *pd = *pa & dm }
-	case CAdd:
-		return func() { *pd = (*pa + *pb) & dm }
-	case CSub:
-		return func() { *pd = (*pa - *pb) & dm }
-	case CMul:
-		return func() { *pd = (*pa * *pb) & dm }
-	case CDiv:
-		return func() {
-			var r uint64
-			if bv := *pb; bv != 0 {
-				r = *pa / bv
-			}
-			*pd = r & dm
-		}
-	case CRem:
-		return func() {
-			var r uint64
-			if bv := *pb; bv != 0 {
-				r = *pa % bv
-			}
-			*pd = r & dm
-		}
-	case CNeg:
-		return func() { *pd = -*pa & dm }
-	case CAnd:
-		return func() { *pd = (*pa & *pb) & dm }
-	case COr:
-		return func() { *pd = (*pa | *pb) & dm }
-	case CXor:
-		return func() { *pd = (*pa ^ *pb) & dm }
-	case CNot:
-		return func() { *pd = ^*pa & dm }
-	case CAndR:
-		am := mask(aw)
-		return func() { *pd = b2u(*pa == am) }
-	case COrR:
-		return func() { *pd = b2u(*pa != 0) }
-	case CXorR:
-		return func() { *pd = uint64(bits.OnesCount64(*pa)) & 1 }
-	case CEq:
-		return func() { *pd = b2u(*pa == *pb) }
-	case CNeq:
-		return func() { *pd = b2u(*pa != *pb) }
-	case CLt:
-		return func() { *pd = b2u(*pa < *pb) }
-	case CLeq:
-		return func() { *pd = b2u(*pa <= *pb) }
-	case CGt:
-		return func() { *pd = b2u(*pa > *pb) }
-	case CGeq:
-		return func() { *pd = b2u(*pa >= *pb) }
-	case CSLt:
-		return func() { *pd = b2u(sext64(*pa, aw) < sext64(*pb, bw)) }
-	case CSLeq:
-		return func() { *pd = b2u(sext64(*pa, aw) <= sext64(*pb, bw)) }
-	case CSGt:
-		return func() { *pd = b2u(sext64(*pa, aw) > sext64(*pb, bw)) }
-	case CSGeq:
-		return func() { *pd = b2u(sext64(*pa, aw) >= sext64(*pb, bw)) }
-	case CShl:
-		sh := uint(in.Lo) // Go defines shifts >= 64 as 0, matching execNarrow
-		return func() { *pd = (*pa << sh) & dm }
-	case CShr:
-		sh := uint(in.Lo)
-		return func() { *pd = (*pa >> sh) & dm }
-	case CDshl:
-		return func() {
-			var r uint64
-			if n := *pb; n < 64 {
-				r = *pa << n
-			}
-			*pd = r & dm
-		}
-	case CDshr:
-		return func() {
-			var r uint64
-			if n := *pb; n < 64 {
-				r = *pa >> n
-			}
-			*pd = r & dm
-		}
-	case CCat:
-		sh := uint(bw)
-		return func() { *pd = (*pa<<sh | *pb) & dm }
-	case CBits:
-		sh := uint(in.Lo)
-		return func() { *pd = (*pa >> sh) & dm }
-	case CSExt:
-		return func() { *pd = uint64(sext64(*pa, aw)) & dm }
-	case CMux:
-		pc := &st[in.C]
-		return func() {
-			r := *pc
-			if *pa != 0 {
-				r = *pb
-			}
-			*pd = r & dm
-		}
-	case CMemRead:
-		mi := int(in.Lo)
-		spec := &m.Prog.Mems[mi]
-		mem := m.Mems[mi]
-		depth := uint64(spec.Depth)
-		wp := spec.WordsPer
-		return func() {
-			var r uint64
-			if addr := *pa; addr < depth {
-				r = mem[int32(addr)*wp]
-			}
-			*pd = r & dm
-		}
+	if fn := compilePureBound(m.State, in); fn != nil {
+		return fn
+	}
+	if in.Op == CMemRead {
+		pd, pa, dm := &m.State[in.D], &m.State[in.A], mask(in.DW)
+		mem, depth, wp := memPort(m, in.Lo)
+		return func() { *pd = readMem(mem, *pa, depth, wp) & dm }
 	}
 	// Panic rather than fall back, so the opcode coverage sweep catches a new
 	// opcode added without a kernel.
@@ -227,6 +111,46 @@ func compileNarrowBound(m *Machine, in Instr) BoundFn {
 func b2u(v bool) uint64 {
 	if v {
 		return 1
+	}
+	return 0
+}
+
+// divz and remz are unsigned division and remainder with the IR's result
+// for a zero divisor: 0.
+func divz(a, b uint64) uint64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
+}
+
+func remz(a, b uint64) uint64 {
+	if b == 0 {
+		return 0
+	}
+	return a % b
+}
+
+// pick is the mux: x when the selector s is non-zero, else y.
+func pick(s, x, y uint64) uint64 {
+	if s != 0 {
+		return x
+	}
+	return y
+}
+
+// memPort binds memory mi's read port: its words, its depth in elements and
+// its words per element.
+func memPort(m *Machine, mi int32) ([]uint64, uint64, int32) {
+	spec := &m.Prog.Mems[mi]
+	return m.Mems[mi], uint64(spec.Depth), spec.WordsPer
+}
+
+// readMem reads the low word of element addr of a memory port bound by
+// memPort; 0 out of range.
+func readMem(mem []uint64, addr, depth uint64, wp int32) uint64 {
+	if addr < depth {
+		return mem[int32(addr)*wp]
 	}
 	return 0
 }
@@ -310,115 +234,14 @@ func compile2WBound(m *Machine, in Instr) BoundFn {
 	return nil
 }
 
-// narrowValueBound compiles a pure narrow instruction into a no-argument
-// value closure over pre-resolved pointers — the producer half of the bound
-// generic fusion families.
-func narrowValueBound(m *Machine, in Instr) func() uint64 {
-	if !pureNarrow(in) {
-		return nil
-	}
-	st := m.State
-	pa, pb := &st[in.A], &st[in.B]
-	aw := in.AW
-	dm := mask(in.DW)
-	if isCmp(in.Op) {
-		x, y, xw, yw, negBit, kind := cmpParts(in)
-		px, py := &st[x], &st[y]
-		switch kind {
-		case cmpEqK:
-			return func() uint64 { return b2u(*px == *py) ^ negBit }
-		case cmpLtS:
-			return func() uint64 { return b2u(sext64(*px, xw) < sext64(*py, yw)) ^ negBit }
-		}
-		return func() uint64 { return b2u(*px < *py) ^ negBit }
-	}
-	switch in.Op {
-	case CCopy:
-		return func() uint64 { return *pa & dm }
-	case CAdd:
-		return func() uint64 { return (*pa + *pb) & dm }
-	case CSub:
-		return func() uint64 { return (*pa - *pb) & dm }
-	case CMul:
-		return func() uint64 { return (*pa * *pb) & dm }
-	case CDiv:
-		return func() uint64 {
-			if bv := *pb; bv != 0 {
-				return (*pa / bv) & dm
-			}
-			return 0
-		}
-	case CRem:
-		return func() uint64 {
-			if bv := *pb; bv != 0 {
-				return (*pa % bv) & dm
-			}
-			return 0
-		}
-	case CNeg:
-		return func() uint64 { return -*pa & dm }
-	case CAnd:
-		return func() uint64 { return (*pa & *pb) & dm }
-	case COr:
-		return func() uint64 { return (*pa | *pb) & dm }
-	case CXor:
-		return func() uint64 { return (*pa ^ *pb) & dm }
-	case CNot:
-		return func() uint64 { return ^*pa & dm }
-	case CAndR:
-		am := mask(aw)
-		return func() uint64 { return b2u(*pa == am) }
-	case COrR:
-		return func() uint64 { return b2u(*pa != 0) }
-	case CXorR:
-		return func() uint64 { return uint64(bits.OnesCount64(*pa)) & 1 }
-	case CShl:
-		sh := uint(in.Lo)
-		return func() uint64 { return (*pa << sh) & dm }
-	case CShr, CBits:
-		sh := uint(in.Lo)
-		return func() uint64 { return (*pa >> sh) & dm }
-	case CDshl:
-		return func() uint64 {
-			if n := *pb; n < 64 {
-				return (*pa << n) & dm
-			}
-			return 0
-		}
-	case CDshr:
-		return func() uint64 {
-			if n := *pb; n < 64 {
-				return (*pa >> n) & dm
-			}
-			return 0
-		}
-	case CCat:
-		sh := uint(in.BW)
-		return func() uint64 { return (*pa<<sh | *pb) & dm }
-	case CSExt:
-		return func() uint64 { return uint64(sext64(*pa, aw)) & dm }
-	case CMux:
-		pc := &st[in.C]
-		return func() uint64 {
-			r := *pc
-			if *pa != 0 {
-				r = *pb
-			}
-			return r & dm
-		}
-	}
-	return nil
-}
-
 // Fused-window constructors. compileFuse2/compileFuse3 (generated from the
 // rule table in internal/emit/rules) dispatch each matched window to one of
 // these; every constructor builds a single bound closure that stores every
 // source instruction's result in original order, so state-slot aliasing
 // between the window's instructions can never change the outcome relative
-// to running them back to back. The specialized constructors inline every
-// computation; the generic fuseAlu* constructors compute the producer
-// through its pre-bound value closure (one thin call) and inline the
-// consumer tail.
+// to running them back to back. These are the specialized constructors; the
+// generic fuseAlu* ones are generated into fuse_gen.go from the value table,
+// producer and consumer both inlined into the one closure.
 
 // maskShiftOf returns the right-shift a mask consumer (copy or bits)
 // applies: bits slices from its Lo, copy truncates in place.
@@ -430,7 +253,7 @@ func maskShiftOf(b Instr) uint {
 }
 
 // fuseCopyMux: a copy feeding any operand of a mux.
-func fuseCopyMux(_ *Program, m *Machine, a, b Instr) BoundFn {
+func fuseCopyMux(m *Machine, a, b Instr) BoundFn {
 	st := m.State
 	pad, paa := &st[a.D], &st[a.A]
 	adm := mask(a.DW)
@@ -447,12 +270,12 @@ func fuseCopyMux(_ *Program, m *Machine, a, b Instr) BoundFn {
 }
 
 // fuseCmpMux: a comparison result selecting a mux.
-func fuseCmpMux(_ *Program, m *Machine, a, b Instr) BoundFn {
+func fuseCmpMux(m *Machine, a, b Instr) BoundFn {
 	return compileCmpMuxBound(m.State, a, b)
 }
 
 // fuseAddMask: an add immediately truncated or sliced.
-func fuseAddMask(_ *Program, m *Machine, a, b Instr) BoundFn {
+func fuseAddMask(m *Machine, a, b Instr) BoundFn {
 	st := m.State
 	pad, paa, pab := &st[a.D], &st[a.A], &st[a.B]
 	adm := mask(a.DW)
@@ -467,7 +290,7 @@ func fuseAddMask(_ *Program, m *Machine, a, b Instr) BoundFn {
 }
 
 // fuseSubMask: the subtract twin of fuseAddMask.
-func fuseSubMask(_ *Program, m *Machine, a, b Instr) BoundFn {
+func fuseSubMask(m *Machine, a, b Instr) BoundFn {
 	st := m.State
 	pad, paa, pab := &st[a.D], &st[a.A], &st[a.B]
 	adm := mask(a.DW)
@@ -481,107 +304,10 @@ func fuseSubMask(_ *Program, m *Machine, a, b Instr) BoundFn {
 	}
 }
 
-// fuseAluMask: any pure producer into a truncation.
-func fuseAluMask(_ *Program, m *Machine, a, b Instr) BoundFn {
-	st := m.State
-	pv := narrowValueBound(m, a)
-	pad, pbd := &st[a.D], &st[b.D]
-	bdm := mask(b.DW)
-	sh := maskShiftOf(b)
-	return func() {
-		t := pv()
-		*pad = t
-		*pbd = (t >> sh) & bdm
-	}
-}
-
-// fuseAluMux: any pure producer into any operand of a mux.
-func fuseAluMux(_ *Program, m *Machine, a, b Instr) BoundFn {
-	st := m.State
-	pv := narrowValueBound(m, a)
-	pad := &st[a.D]
-	psel, pbb, pbc, pbd := &st[b.A], &st[b.B], &st[b.C], &st[b.D]
-	bdm := mask(b.DW)
-	return func() {
-		*pad = pv()
-		r := *pbc
-		if *psel != 0 {
-			r = *pbb
-		}
-		*pbd = r & bdm
-	}
-}
-
-// fuseAluCat: any pure producer into either side of a concatenation.
-func fuseAluCat(_ *Program, m *Machine, a, b Instr) BoundFn {
-	st := m.State
-	pv := narrowValueBound(m, a)
-	pad := &st[a.D]
-	pba, pbb, pbd := &st[b.A], &st[b.B], &st[b.D]
-	bdm := mask(b.DW)
-	sh := uint(b.BW)
-	return func() {
-		*pad = pv()
-		*pbd = (*pba<<sh | *pbb) & bdm
-	}
-}
-
-// fuseAluLogic: any pure producer into a binary and/or/xor.
-func fuseAluLogic(_ *Program, m *Machine, a, b Instr) BoundFn {
-	st := m.State
-	pv := narrowValueBound(m, a)
-	pad := &st[a.D]
-	pba, pbb, pbd := &st[b.A], &st[b.B], &st[b.D]
-	bdm := mask(b.DW)
-	switch b.Op {
-	case CAnd:
-		return func() { *pad = pv(); *pbd = (*pba & *pbb) & bdm }
-	case COr:
-		return func() { *pad = pv(); *pbd = (*pba | *pbb) & bdm }
-	default: // CXor
-		return func() { *pad = pv(); *pbd = (*pba ^ *pbb) & bdm }
-	}
-}
-
-// fuseAluEq: any pure producer into an equality/inequality test.
-func fuseAluEq(_ *Program, m *Machine, a, b Instr) BoundFn {
-	st := m.State
-	pv := narrowValueBound(m, a)
-	pad := &st[a.D]
-	pba, pbb, pbd := &st[b.A], &st[b.B], &st[b.D]
-	negBit := b2u(b.Op == CNeq)
-	return func() {
-		*pad = pv()
-		*pbd = b2u(*pba == *pbb) ^ negBit
-	}
-}
-
-// fuseAluMemRead: an address computation feeding a memory read port.
-func fuseAluMemRead(p *Program, m *Machine, a, b Instr) BoundFn {
-	st := m.State
-	pv := narrowValueBound(m, a)
-	pad, pbd := &st[a.D], &st[b.D]
-	bdm := mask(b.DW)
-	mi := int(b.Lo)
-	spec := &p.Mems[mi]
-	mem := m.Mems[mi]
-	depth := uint64(spec.Depth)
-	wp := spec.WordsPer
-	return func() {
-		t := pv()
-		*pad = t
-		var r uint64
-		if t < depth {
-			r = mem[int32(t)*wp]
-		}
-		*pbd = r & bdm
-	}
-}
-
 // fuseAndEqz: a bitwise and feeding an equality/inequality test or an
 // or-reduction (the and-eqz and and-orr rules both land here; the consumer
 // opcode picks the tail).
-func fuseAndEqz(_ *Program, m *Machine, a, b Instr) BoundFn {
+func fuseAndEqz(m *Machine, a, b Instr) BoundFn {
 	st := m.State
 	pad, paa, pab := &st[a.D], &st[a.A], &st[a.B]
 	adm := mask(a.DW)
@@ -611,7 +337,7 @@ func fuseAndEqz(_ *Program, m *Machine, a, b Instr) BoundFn {
 }
 
 // fuseMuxMux: a mux feeding an arm of the next mux.
-func fuseMuxMux(_ *Program, m *Machine, a, b Instr) BoundFn {
+func fuseMuxMux(m *Machine, a, b Instr) BoundFn {
 	st := m.State
 	pasel, pab, pac, pad := &st[a.A], &st[a.B], &st[a.C], &st[a.D]
 	adm := mask(a.DW)
@@ -636,7 +362,7 @@ func fuseMuxMux(_ *Program, m *Machine, a, b Instr) BoundFn {
 // pointers are read after the previous store, so any aliasing (an arm or
 // even a selector reading an earlier destination) behaves exactly like
 // sequential execution.
-func fuseMuxMuxMux(_ *Program, m *Machine, a, b, c Instr) BoundFn {
+func fuseMuxMuxMux(m *Machine, a, b, c Instr) BoundFn {
 	st := m.State
 	pasel, pab, pac, pad := &st[a.A], &st[a.B], &st[a.C], &st[a.D]
 	adm := mask(a.DW)
@@ -667,7 +393,7 @@ func fuseMuxMuxMux(_ *Program, m *Machine, a, b, c Instr) BoundFn {
 // the next mux — the head of a priority chain. The computed comparison bit
 // forwards straight into the first mux's select (the match guarantees the
 // slot identity); the second mux reads its operands after both stores.
-func fuseCmpMuxMux(_ *Program, m *Machine, a, b, c Instr) BoundFn {
+func fuseCmpMuxMux(m *Machine, a, b, c Instr) BoundFn {
 	st := m.State
 	pad := &st[a.D]
 	pbb, pbc, pbd := &st[b.B], &st[b.C], &st[b.D]

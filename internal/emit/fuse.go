@@ -20,111 +20,16 @@ package emit
 // instruction counting are untouched: a fused superinstruction still retires
 // every instruction it covers.
 //
-// The production matchers (matchFuse2, matchFuse3 in fuse_gen.go) and the
-// FuseRule enumeration are generated by cmd/rulegen from the declarative
-// rule table in internal/emit/rules. This file keeps the shared structural
-// predicates and the retired hand-written matcher, which survives unexported
-// as the reference implementation for the generated matcher's equivalence
-// test.
+// The production matchers (matchFuse2, matchFuse3 in fuse_gen.go), the
+// FuseRule enumeration and the generic rules' constructors are generated by
+// cmd/rulegen from the declarative tables in internal/emit/rules. This file
+// keeps the shared structural predicates and the fusion walk.
 
 // isCmp reports whether op is one of the ten comparisons (0/1 result).
 func isCmp(op OpCode) bool { return op >= CEq && op <= CSGeq }
 
 // narrow reports whether every width of the instruction fits one word.
 func narrow(in Instr) bool { return in.DW <= 64 && in.AW <= 64 && in.BW <= 64 }
-
-// pureNarrow reports whether the instruction is a pure narrow value producer
-// — compilable by narrowValueBound into a pre-bound value closure.
-// Everything except the memory read (which needs the machine's memory
-// arrays).
-func pureNarrow(in Instr) bool { return narrow(in) && in.Op >= CCopy && in.Op < CMemRead }
-
-// legacyPattern identifies one fusible two-instruction idiom of the retired
-// hand-written matcher. Kept only so the equivalence test can enumerate
-// matchFusionLegacy against the generated matchFuse2.
-type legacyPattern uint8
-
-const (
-	legNone legacyPattern = iota
-	legCopyMux
-	legCmpMux
-	legAddMask
-	legSubMask
-	legAndEqz
-	legMuxMux
-	legAluMask
-	legAluMux
-	legAluCat
-	legAluLogic
-	legAluEq
-	legAluMemRead
-
-	legNumPatterns
-)
-
-// matchFusionLegacy is the retired hand-written pair matcher, preserved as
-// the reference implementation: the equivalence test exhaustively checks
-// that the generated matchFuse2 reproduces its verdicts. Production code
-// must call matchFuse2/matchFuse3 instead.
-func matchFusionLegacy(a, b Instr) legacyPattern {
-	if !narrow(a) || !narrow(b) {
-		return legNone
-	}
-	pure := pureNarrow(a)
-	switch b.Op {
-	case CMux:
-		feedsArm := b.B == a.D || b.C == a.D
-		feeds := b.A == a.D || feedsArm
-		switch {
-		case a.Op == CCopy && feeds:
-			return legCopyMux
-		case isCmp(a.Op) && b.A == a.D:
-			return legCmpMux
-		case a.Op == CMux && feedsArm:
-			return legMuxMux
-		case pure && feeds:
-			return legAluMux
-		}
-	case CCopy, CBits:
-		if b.A != a.D {
-			return legNone
-		}
-		switch {
-		case a.Op == CAdd:
-			return legAddMask
-		case a.Op == CSub:
-			return legSubMask
-		case pure:
-			return legAluMask
-		}
-	case CCat:
-		if pure && (b.A == a.D || b.B == a.D) {
-			return legAluCat
-		}
-	case CAnd, COr, CXor:
-		// b.Op == CAnd also terminates an a == CAnd chain; the generic
-		// family handles it like any other producer.
-		if pure && (b.A == a.D || b.B == a.D) {
-			return legAluLogic
-		}
-	case CEq, CNeq:
-		if a.Op == CAnd && (b.A == a.D || b.B == a.D) {
-			return legAndEqz
-		}
-		if pure && (b.A == a.D || b.B == a.D) {
-			return legAluEq
-		}
-	case COrR:
-		if a.Op == CAnd && b.A == a.D {
-			return legAndEqz
-		}
-	case CMemRead:
-		if pure && b.A == a.D {
-			return legAluMemRead
-		}
-	}
-	return legNone
-}
 
 // cmpKind classifies the three comparison kernels the ten comparison opcodes
 // reduce to.
@@ -172,27 +77,51 @@ func cmpParts(a Instr) (x, y int, xw, yw int32, negBit uint64, kind cmpKind) {
 	return x, y, xw, yw, b2u(neg), kind
 }
 
+// fusionWalk is the greedy scan CompileChainBound compiles a chain with:
+// at each position the widest matching window wins (a triple beats the pair
+// it contains). It calls f once per closure the chain compiles to, with the
+// window's first index and its rule — FuseRuleNone for a lone instruction.
+func fusionWalk(ins []Instr, f func(i int, r FuseRule)) {
+	for i := 0; i < len(ins); i++ {
+		r := FuseRuleNone
+		if i+2 < len(ins) {
+			r = matchFuse3(ins[i], ins[i+1], ins[i+2])
+		}
+		if r == FuseRuleNone && i+1 < len(ins) {
+			r = matchFuse2(ins[i], ins[i+1])
+		}
+		f(i, r)
+		i += max(r.Arity()-1, 0)
+	}
+}
+
 // FusionStats counts, per generated rule, how many windows of the chain
-// would fuse — the diagnostic behind cmd/gsim-diag's fusion report. The
-// slice is indexed by FuseRule ([FuseRuleNone+1, NumFuseRules)) and the walk
-// mirrors CompileChainBound's greedy triple-then-pair scan exactly, so the
-// counts are the closures the chain actually compiles to.
+// fuse — the diagnostic behind cmd/gsim-diag's fusion report. The slice is
+// indexed by FuseRule ([FuseRuleNone+1, NumFuseRules)); the walk is
+// CompileChainBound's, so the counts are the closures the chain compiles to.
 func FusionStats(ins []Instr) []int {
 	counts := make([]int, NumFuseRules)
-	for i := 0; i < len(ins); i++ {
-		if i+2 < len(ins) {
-			if r := matchFuse3(ins[i], ins[i+1], ins[i+2]); r != FuseRuleNone {
-				counts[r]++
-				i += 2
-				continue
-			}
+	fusionWalk(ins, func(_ int, r FuseRule) {
+		if r != FuseRuleNone {
+			counts[r]++
 		}
-		if i+1 < len(ins) {
-			if r := matchFuse2(ins[i], ins[i+1]); r != FuseRuleNone {
-				counts[r]++
-				i++
-			}
-		}
+	})
+	return counts
+}
+
+// FusionProducers breaks FusionStats down by producer: counts[rule][op] is
+// the number of the rule's windows whose first instruction has opcode op.
+// gsim-diag reads the generic rules' rows to choose the value table's
+// inline producers.
+func FusionProducers(ins []Instr) [][]int {
+	counts := make([][]int, NumFuseRules)
+	for r := range counts {
+		counts[r] = make([]int, cOpCount)
 	}
+	fusionWalk(ins, func(i int, r FuseRule) {
+		if r != FuseRuleNone {
+			counts[r][ins[i].Op]++
+		}
+	})
 	return counts
 }

@@ -1,17 +1,22 @@
 package emit
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gsim/internal/bitvec"
 )
 
-// fusionCase is one exemplar instruction window for a fusion rule.
+// fusionCase is one exemplar instruction window for a fusion rule. A
+// generated generic exemplar may instead be claimed by a specialized pair
+// rule ahead of its rule in the table (earlierOK).
 type fusionCase struct {
-	name string
-	rule FuseRule
-	ins  []Instr
+	name      string
+	rule      FuseRule
+	ins       []Instr
+	earlierOK bool
 }
 
 // fusionExemplars maps every generated fusion rule to at least one concrete
@@ -24,7 +29,7 @@ type fusionCase struct {
 // destination, 11 the second's, 12 the third's (triples).
 func fusionExemplars() []fusionCase {
 	pair := func(name string, rule FuseRule, a, b Instr) fusionCase {
-		return fusionCase{name, rule, []Instr{a, b}}
+		return fusionCase{name: name, rule: rule, ins: []Instr{a, b}}
 	}
 	cmp := func(op OpCode) fusionCase {
 		return pair("cmp-mux", FuseRuleCmpMux,
@@ -77,9 +82,9 @@ func fusionExemplars() []fusionCase {
 		pair("bits-into-bits", FuseRuleAluMask,
 			Instr{Op: CBits, D: 10, DW: 12, A: 0, AW: 20, Hi: 15, Lo: 4},
 			Instr{Op: CBits, D: 11, DW: 4, A: 10, AW: 12, Hi: 5, Lo: 2}),
-		pair("shl-into-copy", FuseRuleAluMask,
-			Instr{Op: CShl, D: 10, DW: 20, A: 0, AW: 16, Lo: 4},
-			Instr{Op: CCopy, D: 11, DW: 18, A: 10, AW: 20}),
+		pair("shr-into-copy", FuseRuleAluMask,
+			Instr{Op: CShr, D: 10, DW: 12, A: 0, AW: 16, Lo: 4},
+			Instr{Op: CCopy, D: 11, DW: 10, A: 10, AW: 12}),
 		pair("bits-into-mux-arm", FuseRuleAluMux,
 			Instr{Op: CBits, D: 10, DW: 8, A: 0, AW: 20, Hi: 7, Lo: 2},
 			Instr{Op: CMux, D: 11, DW: 8, A: 1, AW: 1, B: 10, BW: 8, C: 2}),
@@ -89,17 +94,17 @@ func fusionExemplars() []fusionCase {
 		pair("bits-into-cat-hi", FuseRuleAluCat,
 			Instr{Op: CBits, D: 10, DW: 8, A: 0, AW: 20, Hi: 9, Lo: 2},
 			Instr{Op: CCat, D: 11, DW: 24, A: 10, AW: 8, B: 1, BW: 16}),
-		pair("cat-into-cat-lo", FuseRuleAluCat,
-			Instr{Op: CCat, D: 10, DW: 20, A: 0, AW: 4, B: 1, BW: 16},
+		pair("mul-into-cat-lo", FuseRuleAluCat,
+			Instr{Op: CMul, D: 10, DW: 20, A: 0, AW: 20, B: 1, BW: 20},
 			Instr{Op: CCat, D: 11, DW: 28, A: 2, AW: 8, B: 10, BW: 20}),
-		pair("eq-into-or", FuseRuleAluLogic,
-			Instr{Op: CEq, D: 10, DW: 1, A: 0, AW: 16, B: 1, BW: 16},
+		pair("lt-into-or", FuseRuleAluLogic,
+			Instr{Op: CLt, D: 10, DW: 1, A: 0, AW: 16, B: 1, BW: 16},
 			Instr{Op: COr, D: 11, DW: 1, A: 10, AW: 1, B: 2, BW: 1}),
 		pair("not-into-and", FuseRuleAluLogic,
 			Instr{Op: CNot, D: 10, DW: 16, A: 0, AW: 16},
 			Instr{Op: CAnd, D: 11, DW: 16, A: 1, AW: 16, B: 10, BW: 16}),
-		pair("slt-into-xor", FuseRuleAluLogic,
-			Instr{Op: CSLt, D: 10, DW: 1, A: 0, AW: 12, B: 1, BW: 9},
+		pair("orr-into-xor", FuseRuleAluLogic,
+			Instr{Op: COrR, D: 10, DW: 1, A: 0, AW: 12},
 			Instr{Op: CXor, D: 11, DW: 1, A: 10, AW: 1, B: 2, BW: 1}),
 		pair("bits-into-eq", FuseRuleAluEq,
 			Instr{Op: CBits, D: 10, DW: 8, A: 0, AW: 20, Hi: 7, Lo: 0},
@@ -111,29 +116,98 @@ func fusionExemplars() []fusionCase {
 			Instr{Op: CBits, D: 10, DW: 2, A: 0, AW: 16, Hi: 4, Lo: 3},
 			Instr{Op: CMemRead, D: 11, DW: 8, A: 10, AW: 2, Lo: 0}),
 		// Triples.
-		{"mux-chain-of-three", FuseRuleMuxMuxMux, []Instr{
+		{name: "mux-chain-of-three", rule: FuseRuleMuxMuxMux, ins: []Instr{
 			{Op: CMux, D: 10, DW: 16, A: 0, AW: 1, B: 1, BW: 16, C: 2},
 			{Op: CMux, D: 11, DW: 16, A: 3, AW: 1, B: 10, BW: 16, C: 4},
 			{Op: CMux, D: 12, DW: 16, A: 5, AW: 1, B: 6, BW: 16, C: 11}}},
-		{"mux-chain-aliasing", FuseRuleMuxMuxMux, []Instr{ // third mux's selector reads the first dest
+		{name: "mux-chain-aliasing", rule: FuseRuleMuxMuxMux, ins: []Instr{ // third mux's selector reads the first dest
 			{Op: CMux, D: 10, DW: 1, A: 0, AW: 1, B: 1, BW: 1, C: 2},
 			{Op: CMux, D: 11, DW: 16, A: 3, AW: 1, B: 4, BW: 16, C: 10},
 			{Op: CMux, D: 12, DW: 16, A: 10, AW: 1, B: 11, BW: 16, C: 5}}},
-		{"cmp-mux-then-mux", FuseRuleCmpMuxMux, []Instr{
+		{name: "cmp-mux-then-mux", rule: FuseRuleCmpMuxMux, ins: []Instr{
 			{Op: CLt, D: 10, DW: 1, A: 0, AW: 14, B: 1, BW: 11},
 			{Op: CMux, D: 11, DW: 16, A: 10, AW: 1, B: 2, BW: 16, C: 3},
 			{Op: CMux, D: 12, DW: 16, A: 4, AW: 1, B: 11, BW: 16, C: 5}}},
-		{"scmp-mux-then-mux", FuseRuleCmpMuxMux, []Instr{
+		{name: "scmp-mux-then-mux", rule: FuseRuleCmpMuxMux, ins: []Instr{
 			{Op: CSGeq, D: 10, DW: 1, A: 0, AW: 14, B: 1, BW: 11},
 			{Op: CMux, D: 11, DW: 16, A: 10, AW: 1, B: 2, BW: 16, C: 3},
 			{Op: CMux, D: 12, DW: 16, A: 4, AW: 1, B: 5, BW: 16, C: 11}}},
-		{"eq-mux-then-mux", FuseRuleCmpMuxMux, []Instr{
+		{name: "eq-mux-then-mux", rule: FuseRuleCmpMuxMux, ins: []Instr{
 			{Op: CEq, D: 10, DW: 1, A: 0, AW: 14, B: 1, BW: 14},
 			{Op: CMux, D: 11, DW: 16, A: 10, AW: 1, B: 2, BW: 16, C: 3},
 			{Op: CMux, D: 12, DW: 16, A: 10, AW: 1, B: 11, BW: 16, C: 5}}}, // cond reused as second selector
 	}
 	for _, op := range []OpCode{CEq, CNeq, CLt, CLeq, CGt, CGeq, CSLt, CSLeq, CSGt, CSGeq} {
 		cases = append(cases, cmp(op))
+	}
+	return append(cases, genericExemplars()...)
+}
+
+// genericConsumers lists, per generic rule, the consumer opcodes of its
+// pattern's class and the operand slots (0 = A, 1 = B, 2 = C) its pattern
+// lets the producer feed.
+var genericConsumers = map[FuseRule]struct {
+	ops   []OpCode
+	slots []int
+}{
+	FuseRuleAluMux:     {[]OpCode{CMux}, []int{0, 1, 2}},
+	FuseRuleAluMask:    {[]OpCode{CCopy, CBits}, []int{0}},
+	FuseRuleAluCat:     {[]OpCode{CCat}, []int{0, 1}},
+	FuseRuleAluLogic:   {[]OpCode{CAnd, COr, CXor}, []int{0, 1}},
+	FuseRuleAluEq:      {[]OpCode{CEq, CNeq}, []int{0, 1}},
+	FuseRuleAluMemread: {[]OpCode{CMemRead}, []int{0}},
+}
+
+// genericExemplars enumerates every window the generated generic
+// constructors can be asked to compile: each inline producer x generic rule
+// x consumer opcode x non-empty set of fed slots (so the consumer reading
+// the producer's destination in every slot is included), each in three
+// aliasing shapes — distinct slots, the producer's destination equal to its
+// own first source, and the consumer's destination equal to the producer's
+// source. Widths and static operands are random but narrow.
+func genericExemplars() []fusionCase {
+	rng := rand.New(rand.NewSource(23))
+	width := func() int32 { return []int32{1, 2, 3, 8, 16, 33, 63, 64}[rng.Intn(8)] }
+	var cases []fusionCase
+	for r := FuseRuleNone + 1; r < NumFuseRules; r++ {
+		shape, ok := genericConsumers[r]
+		if !ok {
+			continue
+		}
+		for op := CCopy; op < cOpCount; op++ {
+			if !InlineProducer(op) {
+				continue
+			}
+			for _, cop := range shape.ops {
+				for set := 1; set < 1<<len(shape.slots); set++ {
+					for alias := 0; alias < 3; alias++ {
+						a := Instr{Op: op, D: 10, DW: width(), A: 0, AW: width(), B: 1, BW: width(), C: 2}
+						a.Lo = rng.Int31n(a.AW)
+						b := Instr{Op: cop, D: 11, DW: width(), A: 3, AW: width(), B: 4, BW: width(), C: 5}
+						if cop == CMemRead {
+							b.Lo = 0
+						} else {
+							b.Lo = rng.Int31n(b.AW)
+						}
+						switch alias {
+						case 1:
+							a.D = a.A
+						case 2:
+							b.D = a.A
+						}
+						for i, slot := range shape.slots {
+							if set&(1<<i) != 0 {
+								*[]*int32{&b.A, &b.B, &b.C}[slot] = a.D
+							}
+						}
+						cases = append(cases, fusionCase{
+							name: fmt.Sprintf("%s/%s-into-%s/fed%03b/alias%d", r, op, cop, set, alias),
+							rule: r, ins: []Instr{a, b}, earlierOK: true,
+						})
+					}
+				}
+			}
+		}
 	}
 	return cases
 }
@@ -159,10 +233,11 @@ func maskOperands(st []uint64, ins ...Instr) {
 // TestFusionRuleCoverage sweeps the full generated FuseRule enumeration:
 // every rule must have at least one exemplar window, the declared arity must
 // match the exemplar, the generated matcher must classify each exemplar as
-// its rule, and the fused closure must leave the state image bit-identical
-// to executing the window's instructions back to back — over randomized
-// operand values, including the aliasing corners the store-in-order design
-// must survive.
+// its rule (a generic exemplar may go to a specialized pair rule the table
+// lists first), and the window must compile to exactly one closure that
+// leaves the state image bit-identical to executing the window's
+// instructions back to back — over randomized operand values, including the
+// aliasing corners the store-in-order design must survive.
 func TestFusionRuleCoverage(t *testing.T) {
 	cases := fusionExemplars()
 	seen := make(map[FuseRule]bool)
@@ -183,15 +258,16 @@ func TestFusionRuleCoverage(t *testing.T) {
 		if got := c.rule.Arity(); got != len(c.ins) {
 			t.Fatalf("%s: rule %s declares arity %d, exemplar has %d instructions", c.name, c.rule, got, len(c.ins))
 		}
+		got := FuseRuleNone
 		switch len(c.ins) {
 		case 2:
-			if got := matchFuse2(c.ins[0], c.ins[1]); got != c.rule {
-				t.Fatalf("%s: matchFuse2 = %s, want %s", c.name, got, c.rule)
-			}
+			got = matchFuse2(c.ins[0], c.ins[1])
 		case 3:
-			if got := matchFuse3(c.ins[0], c.ins[1], c.ins[2]); got != c.rule {
-				t.Fatalf("%s: matchFuse3 = %s, want %s", c.name, got, c.rule)
-			}
+			got = matchFuse3(c.ins[0], c.ins[1], c.ins[2])
+		}
+		specialized := got != FuseRuleNone && !strings.HasPrefix(got.Pattern(), "(pure)")
+		if got != c.rule && !(c.earlierOK && specialized && got < c.rule) {
+			t.Fatalf("%s: matched %s, want %s", c.name, got, c.rule)
 		}
 		p := &Program{NumWords: 13, Instrs: c.ins,
 			Mems: []MemSpec{{Depth: 4, Width: 8, WordsPer: 1, Init: []uint64{0x5a, 9, 0xab, 3}}}}
@@ -200,8 +276,8 @@ func TestFusionRuleCoverage(t *testing.T) {
 		if len(bfns) != 1 {
 			t.Fatalf("%s: CompileChainBound produced %d closures, want 1 fused", c.name, len(bfns))
 		}
-		if stats := FusionStats(c.ins); stats[c.rule] != 1 {
-			t.Fatalf("%s: FusionStats counted %d windows for %s, want 1", c.name, stats[c.rule], c.rule)
+		if stats := FusionStats(c.ins); stats[got] != 1 {
+			t.Fatalf("%s: FusionStats counted %d windows for %s, want 1", c.name, stats[got], got)
 		}
 		for trial := 0; trial < 200; trial++ {
 			ref := NewMachine(p)
@@ -244,6 +320,12 @@ func TestMatchFusionRejects(t *testing.T) {
 		{"orr-after-or", // the orr tail is only defined for the and producer
 			Instr{Op: COr, D: 10, DW: 16, A: 0, AW: 16, B: 1, BW: 16},
 			Instr{Op: COrR, D: 11, DW: 1, A: 10, AW: 16}},
+		{"non-inline-producer", // shl's value row is not marked Inline
+			Instr{Op: CShl, D: 10, DW: 20, A: 0, AW: 16, Lo: 4},
+			Instr{Op: CCopy, D: 11, DW: 18, A: 10, AW: 20}},
+		{"non-inline-slt", // nor is a signed compare's
+			Instr{Op: CSLt, D: 10, DW: 1, A: 0, AW: 12, B: 1, BW: 9},
+			Instr{Op: CXor, D: 11, DW: 1, A: 10, AW: 1, B: 2, BW: 1}},
 	}
 	for _, c := range cases {
 		if got := matchFuse2(c.a, c.b); got != FuseRuleNone {
@@ -270,63 +352,6 @@ func TestMatchFusionRejects(t *testing.T) {
 	for _, c := range triples {
 		if got := matchFuse3(c.a, c.b, c.c); got != FuseRuleNone {
 			t.Fatalf("%s: matchFuse3 = %s, want none", c.name, got)
-		}
-	}
-}
-
-// ruleToLegacy maps each generated pair rule to the legacyPattern verdict
-// the retired hand-written matcher returns for the same window (and-eqz and
-// and-orr were one pattern there).
-var ruleToLegacy = map[FuseRule]legacyPattern{
-	FuseRuleNone:       legNone,
-	FuseRuleCopyMux:    legCopyMux,
-	FuseRuleCmpMux:     legCmpMux,
-	FuseRuleMuxMux:     legMuxMux,
-	FuseRuleAluMux:     legAluMux,
-	FuseRuleAddMask:    legAddMask,
-	FuseRuleSubMask:    legSubMask,
-	FuseRuleAluMask:    legAluMask,
-	FuseRuleAluCat:     legAluCat,
-	FuseRuleAluLogic:   legAluLogic,
-	FuseRuleAndEqz:     legAndEqz,
-	FuseRuleAluEq:      legAluEq,
-	FuseRuleAndOrr:     legAndEqz,
-	FuseRuleAluMemread: legAluMemRead,
-}
-
-// TestGeneratedMatcherMatchesLegacy exhaustively checks that the generated
-// pair matcher reproduces the retired hand-written matcher's verdicts:
-// every opcode x opcode window, at widths crossing the narrow/wide boundary,
-// across all eight combinations of which consumer slots read the producer's
-// destination. This is the contract that made retiring the hand-written
-// dispatch safe.
-func TestGeneratedMatcherMatchesLegacy(t *testing.T) {
-	widths := []int32{1, 8, 64, 80}
-	for aOp := CCopy; aOp < OpCode(numOpCodes); aOp++ {
-		for bOp := CCopy; bOp < OpCode(numOpCodes); bOp++ {
-			for _, wa := range widths {
-				for _, wb := range widths {
-					for feed := 0; feed < 8; feed++ {
-						a := Instr{Op: aOp, D: 10, DW: wa, A: 0, AW: wa, B: 1, BW: wa, C: 2}
-						b := Instr{Op: bOp, D: 11, DW: wb, A: 3, AW: wb, B: 4, BW: wb, C: 5}
-						if feed&1 != 0 {
-							b.A = 10
-						}
-						if feed&2 != 0 {
-							b.B = 10
-						}
-						if feed&4 != 0 {
-							b.C = 10
-						}
-						got := matchFuse2(a, b)
-						want := matchFusionLegacy(a, b)
-						if ruleToLegacy[got] != want {
-							t.Fatalf("aOp=%d bOp=%d wa=%d wb=%d feed=%03b: generated %s, legacy %d",
-								aOp, bOp, wa, wb, feed, got, want)
-						}
-					}
-				}
-			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/format"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -15,18 +16,22 @@ const header = `// Code generated by rulegen from internal/emit/rules; DO NOT ED
 
 `
 
-// GenerateFuse renders the fusion rule table into the source of
-// internal/emit/fuse_gen.go: the FuseRule enumeration, the matchFuse2 and
-// matchFuse3 structural matchers, and the compileFuse2/compileFuse3
-// constructor dispatch. Output is gofmt-formatted and deterministic.
+// parsed is one fusion rule with its pattern parsed.
+type parsed struct {
+	FuseRule
+	goName string
+	stages []fuseStage
+}
+
+// GenerateFuse renders the value table and the fusion rule table into the
+// source of internal/emit/fuse_gen.go: the FuseRule enumeration, the opcode
+// names, the matchFuse2 and matchFuse3 structural matchers, the
+// compileFuse2/compileFuse3 constructor dispatch, the inline producer class,
+// the single-instruction narrow kernels and the generic rules'
+// constructors. Output is gofmt-formatted and deterministic.
 func GenerateFuse() ([]byte, error) {
 	if err := Validate(); err != nil {
 		return nil, err
-	}
-	type parsed struct {
-		FuseRule
-		goName string
-		stages []fuseStage
 	}
 	var all []parsed
 	for _, r := range FusionRules() {
@@ -39,7 +44,7 @@ func GenerateFuse() ([]byte, error) {
 
 	var sb strings.Builder
 	sb.WriteString(header)
-	sb.WriteString("package emit\n\n")
+	sb.WriteString("package emit\n\nimport \"math/bits\"\n\n")
 	sb.WriteString(`// FuseRule identifies one fusion rule of the declarative table in
 // internal/emit/rules. FuseRuleNone means no rule matches; NumFuseRules is
 // the enumeration sentinel — diagnostics and the coverage tests sweep
@@ -94,6 +99,21 @@ func (r FuseRule) Arity() int {
 }
 
 `)
+	rows := ValueRows()
+	sb.WriteString("var opcodeNames = [cOpCount]string{\n")
+	for _, r := range rows {
+		fmt.Fprintf(&sb, "\t%s: %q,\n", opcodeConst[r.Op], r.Op)
+	}
+	sb.WriteString("\tCMemRead: \"memread\",\n}\n\n")
+	sb.WriteString(`// String names the opcode as the rule tables spell it.
+func (op OpCode) String() string {
+	if int(op) < len(opcodeNames) && opcodeNames[op] != "" {
+		return opcodeNames[op]
+	}
+	return "invalid"
+}
+
+`)
 
 	vars := []string{"a", "b", "c"}
 	for _, arity := range []int{2, 3} {
@@ -122,7 +142,7 @@ func (r FuseRule) Arity() int {
 			}
 		}
 		if usesPure {
-			sb.WriteString("\tpure := pureNarrow(a)\n")
+			sb.WriteString("\tpure := InlineProducer(a.Op)\n")
 		}
 		// Group rules by the window's final (consumer) instruction, keeping
 		// first-appearance order; the consumer becomes the switch case.
@@ -152,30 +172,207 @@ func (r FuseRule) Arity() int {
 		cfn := fmt.Sprintf("compileFuse%d", arity)
 		fmt.Fprintf(&sb, "// %s dispatches a matched %d-instruction window to its rule's\n", cfn, arity)
 		fmt.Fprintf(&sb, "// bound-closure constructor.\n")
-		fmt.Fprintf(&sb, "func %s(p *Program, m *Machine, %s Instr, r FuseRule) BoundFn {\n",
+		fmt.Fprintf(&sb, "func %s(m *Machine, %s Instr, r FuseRule) BoundFn {\n",
 			cfn, strings.Join(vars[:arity], ", ")+" ")
 		sb.WriteString("\tswitch r {\n")
 		for _, p := range group {
-			fmt.Fprintf(&sb, "\tcase FuseRule%s:\n\t\treturn %s(p, m, %s)\n",
+			fmt.Fprintf(&sb, "\tcase FuseRule%s:\n\t\treturn %s(m, %s)\n",
 				p.goName, p.Emit, strings.Join(vars[:arity], ", "))
 		}
 		sb.WriteString("\t}\n")
 		fmt.Fprintf(&sb, "\tpanic(\"emit: %s: no constructor for rule \" + r.String())\n}\n\n", cfn)
 	}
+
+	var inline []string
+	for _, r := range rows {
+		if r.Inline {
+			inline = append(inline, opcodeConst[r.Op])
+		}
+	}
+	sb.WriteString(`// InlineProducer reports whether op's value row is marked Inline: the pure
+// producer class of the generic fusion rules, whose constructors inline
+// exactly these rows.
+func InlineProducer(op OpCode) bool {
+`)
+	if len(inline) > 0 {
+		fmt.Fprintf(&sb, "\tswitch op {\n\tcase %s:\n\t\treturn true\n\t}\n", strings.Join(inline, ", "))
+	}
+	sb.WriteString("\treturn false\n}\n\n")
+
+	sb.WriteString(`// compilePureBound builds the single-instruction narrow kernel of a pure
+// opcode, its value row stored to D; nil for an opcode without a row.
+func compilePureBound(st []uint64, in Instr) BoundFn {
+	pd := &st[in.D]
+	switch in.Op {
+`)
+	for _, r := range rows {
+		expr, decls := boundValue(r.Val, "in", nil)
+		fmt.Fprintf(&sb, "\tcase %s:\n\t\t%s\n\t\treturn func() { *pd = %s }\n", opcodeConst[r.Op], declLine(decls), expr)
+	}
+	sb.WriteString("\t}\n\treturn nil\n}\n\n")
+
+	for i, p := range all {
+		if p.stages[0].op == "pure" {
+			if err := writeGeneric(&sb, all, i, rows); err != nil {
+				return nil, err
+			}
+		}
+	}
 	return format.Source([]byte(sb.String()))
+}
+
+// valueIdent matches the identifiers a value row may use; valueDef gives
+// each one's build-time definition from instruction X (see ValueRow).
+var valueIdent = regexp.MustCompile(`\b(pa|pb|pc|dm|am|aw|bw|sh|cs)\b`)
+
+var valueDef = map[string]string{
+	"pa": "&st[X.A]", "pb": "&st[X.B]", "pc": "&st[X.C]", "dm": "mask(X.DW)",
+	"am": "mask(X.AW)", "aw": "X.AW", "bw": "X.BW", "sh": "uint(X.Lo)", "cs": "uint(X.BW)",
+}
+
+// memReadValue and memReadDecl stand in for the value row memread does not
+// have (its value needs the machine's memory array), so it can still be a
+// generic rule's consumer.
+const (
+	memReadValue = "readMem(mem, *pa, depth, wp) & dm"
+	memReadDecl  = "mem, depth, wp := memPort(m, b.Lo)"
+)
+
+// decl is one build-time variable of a generated closure.
+type decl struct{ name, def string }
+
+// boundValue instantiates value expression val for instruction variable x.
+// The consumer of a pair (x == "b") has its identifiers renamed (pa → pba,
+// dm → bdm, …) so they cannot collide with the producer's, and each operand
+// slot listed in fed reads t, the producer's value, instead of its state
+// word. It returns the expression and the declarations of the identifiers
+// it uses, in first-use order.
+func boundValue(val, x string, fed []int) (string, []decl) {
+	for _, j := range fed {
+		val = strings.ReplaceAll(val, "*p"+"abc"[j:j+1], "t")
+	}
+	var decls []decl
+	seen := map[string]bool{}
+	expr := valueIdent.ReplaceAllStringFunc(val, func(id string) string {
+		name := id
+		if x == "b" && id[0] == 'p' {
+			name = "pb" + id[1:]
+		} else if x == "b" {
+			name = "b" + id
+		}
+		if !seen[name] {
+			seen[name] = true
+			decls = append(decls, decl{name, strings.ReplaceAll(valueDef[id], "X", x)})
+		}
+		return name
+	})
+	return expr, decls
+}
+
+// declLine renders declarations as one multi-assignment.
+func declLine(decls []decl) string {
+	names, defs := make([]string, len(decls)), make([]string, len(decls))
+	for i, d := range decls {
+		names[i], defs[i] = d.name, d.def
+	}
+	return strings.Join(names, ", ") + " := " + strings.Join(defs, ", ")
+}
+
+// writeGeneric renders the constructor of generic rule all[i]: a build-time
+// switch on the producer over the inline rows (then on the consumer opcode,
+// for a class), every case returning one closure that computes the
+// producer's value into t, stores it, then stores the consumer's value. A
+// producer an earlier rule always claims with the same consumer stage gets
+// no case.
+func writeGeneric(sb *strings.Builder, all []parsed, i int, rows []ValueRow) error {
+	g, cons := all[i], all[i].stages[1]
+	var fed []int
+	for j, a := range cons.args {
+		if a == "t" {
+			fed = append(fed, j)
+		}
+	}
+	type tail struct{ op, expr string }
+	var tails []tail
+	var cdecls []decl
+	memRead := false
+	for _, op := range classMembers(cons.op) {
+		val := memReadValue
+		if op != "memread" {
+			r := slices.IndexFunc(rows, func(r ValueRow) bool { return r.Op == op })
+			if r < 0 {
+				return fmt.Errorf("fusion rule %q: consumer %s has no value row", g.Name, op)
+			}
+			val = rows[r].Val
+		}
+		memRead = memRead || op == "memread"
+		expr, decls := boundValue(val, "b", fed)
+		tails = append(tails, tail{opcodeConst[op], expr})
+		for _, d := range decls {
+			if !slices.Contains(cdecls, d) {
+				cdecls = append(cdecls, d)
+			}
+		}
+	}
+	fmt.Fprintf(sb, "// %s compiles %s, %s: one closure per\n// inline producer and consumer opcode, both value rows inlined.\n", g.Emit, g.Name, g.Pat)
+	fmt.Fprintf(sb, "func %s(m *Machine, a, b Instr) BoundFn {\n\tst := m.State\n\tpad, pbd := &st[a.D], &st[b.D]\n\t%s\n", g.Emit, declLine(cdecls))
+	if memRead {
+		fmt.Fprintf(sb, "\t%s\n", memReadDecl)
+	}
+	sb.WriteString("\tswitch a.Op {\n")
+	for _, r := range rows {
+		if !r.Inline || claimedBefore(all[:i], cons, r.Op) {
+			continue
+		}
+		expr, decls := boundValue(r.Val, "a", nil)
+		fmt.Fprintf(sb, "\tcase %s:\n\t\t%s\n", opcodeConst[r.Op], declLine(decls))
+		closure := func(t tail) string {
+			return fmt.Sprintf("return func() { t := %s; *pad = t; *pbd = %s }", expr, t.expr)
+		}
+		if len(tails) == 1 {
+			fmt.Fprintf(sb, "\t\t%s\n", closure(tails[0]))
+			continue
+		}
+		sb.WriteString("\t\tswitch b.Op {\n")
+		for _, t := range tails {
+			fmt.Fprintf(sb, "\t\tcase %s:\n\t\t\t%s\n", t.op, closure(t))
+		}
+		sb.WriteString("\t\t}\n")
+	}
+	fmt.Fprintf(sb, "\t}\n\tpanic(\"emit: %s: producer \" + a.Op.String() + \" is not inline\")\n}\n\n", g.Emit)
+	return nil
+}
+
+// claimedBefore reports whether an earlier, unguarded pair rule with
+// consumer stage cons names producer op: it always matches first, so the
+// generic rule never sees op.
+func claimedBefore(earlier []parsed, cons fuseStage, op string) bool {
+	for _, r := range earlier {
+		if len(r.stages) == 2 && r.Guard == "" && r.stages[1].op == cons.op &&
+			slices.Equal(r.stages[1].args, cons.args) && slices.Contains(classMembers(r.stages[0].op), op) {
+			return true
+		}
+	}
+	return false
+}
+
+// classMembers expands an opcode or class name to its opcode names.
+func classMembers(op string) []string {
+	if members, ok := opcodeClass[op]; ok {
+		return members
+	}
+	return []string{op}
 }
 
 // caseOps expands a consumer opcode or class name to its switch-case
 // constants.
 func caseOps(op string) []string {
-	if members, ok := opcodeClass[op]; ok {
-		consts := make([]string, len(members))
-		for i, m := range members {
-			consts[i] = opcodeConst[m]
-		}
-		return consts
+	members := classMembers(op)
+	consts := make([]string, len(members))
+	for i, m := range members {
+		consts[i] = opcodeConst[m]
 	}
-	return []string{opcodeConst[op]}
+	return consts
 }
 
 // windowConds renders one rule's match condition: each non-final stage's

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"go/parser"
 	"regexp"
 	"strings"
 )
@@ -35,9 +36,9 @@ var opcodeArity = map[string]int{
 
 // opcodeClass names the opcode sets usable in fusion patterns. Members are
 // listed in enum order; every member of a class must share one arity. The
-// pseudo-class pure (any narrowValueBound-compilable producer) is handled
-// separately: it takes no operand specs and is only valid as a window's
-// first instruction.
+// pseudo-class pure (the value rows marked Inline) is handled separately:
+// it takes no operand specs and is only valid as a window's first
+// instruction.
 var opcodeClass = map[string][]string{
 	"cmp":   {"eq", "neq", "lt", "leq", "gt", "geq", "slt", "sleq", "sgt", "sgeq"},
 	"mask":  {"copy", "bits"},
@@ -275,12 +276,27 @@ func checkTo(e *sexpr, binds map[string]bool) error {
 	return nil
 }
 
-// Validate checks both rule tables: names well-formed and unique, patterns
-// parse, fusion constructors named, simplify templates closed over their
-// patterns' metavariables. The generator refuses to run on a table that does
-// not validate, and the rules test suite calls this directly.
+// Validate checks the tables: one parseable value row per pure opcode, rule
+// names well-formed and unique, patterns parse, fusion constructors named,
+// simplify templates closed over their patterns' metavariables. The
+// generator refuses to run on a table that does not validate, and the rules
+// test suite calls this directly.
 func Validate() error {
 	seen := map[string]bool{}
+	for _, r := range ValueRows() {
+		if _, ok := opcodeConst[r.Op]; !ok || r.Op == "memread" || seen["v/"+r.Op] {
+			return fmt.Errorf("value row %q: not a pure opcode, or a second row for it", r.Op)
+		}
+		seen["v/"+r.Op] = true
+		if _, err := parser.ParseExpr(r.Val); err != nil {
+			return fmt.Errorf("value row %q: %v", r.Op, err)
+		}
+	}
+	for op := range opcodeConst {
+		if op != "memread" && !seen["v/"+op] {
+			return fmt.Errorf("opcode %q has no value row", op)
+		}
+	}
 	for _, r := range FusionRules() {
 		if !nameRE.MatchString(r.Name) {
 			return fmt.Errorf("fusion rule %q: bad name", r.Name)

@@ -1,12 +1,21 @@
 // Package rules is the declarative source of truth for the kernel
-// compiler's rewrite rules: the superinstruction fusion patterns applied by
-// emit.CompileChainBound and the algebraic simplification rules applied by
-// the passes pipeline before partitioning. cmd/rulegen compiles the two
-// tables into exhaustive Go match code (emit/fuse_gen.go and
+// compiler's rewrite rules and narrow opcode semantics: the per-opcode value
+// table the bound kernels are built from, the superinstruction fusion
+// patterns applied by emit.CompileChainBound, and the algebraic
+// simplification rules applied by the passes pipeline before partitioning.
+// cmd/rulegen compiles the tables into Go (emit/fuse_gen.go and
 // passes/simplify_gen.go) — the same shape sneller uses for its SSA
 // simplifier: rules as data, matchers as generated code, so adding a pattern
 // is one table line plus `go generate`, not another arm of a hand-written
 // dispatch wall.
+//
+// # Value rows
+//
+// ValueRows states each pure narrow opcode's result once, as a Go
+// expression. The generator turns every row into the opcode's
+// single-instruction kernel, and every row marked Inline into a producer
+// case of each generic fusion rule — so the generic rules' producer class
+// and their constructors come from the same rows and cannot disagree.
 //
 // # Fusion rules
 //
@@ -17,9 +26,8 @@
 //	(copy _) >> (mux t? t? t?)
 //
 // Each parenthesized group is one instruction: an opcode name, an opcode
-// class (cmp, mask, logic, eqz — see opcodeClass — or pure, the
-// narrowValueBound-compilable producers), and one operand spec per operand
-// slot (A, B, C in order):
+// class (cmp, mask, logic, eqz — see opcodeClass — or pure, the value rows
+// marked Inline), and one operand spec per operand slot (A, B, C in order):
 //
 //	_   any slot value
 //	t   the slot must read the previous instruction's destination
@@ -27,7 +35,11 @@
 //
 // Only fully narrow windows fuse (the generated matchers check that first);
 // rule order is match priority. An optional Guard is a raw Go expression
-// over the matched instructions a, b (and c for triples).
+// over the matched instructions a, b (and c for triples). A rule whose first
+// stage is pure is generic: its constructor is generated, one closure per
+// (inline producer, consumer opcode) that computes the producer's value row
+// into t, stores it, then stores the consumer's value row with every
+// t-marked slot read from t.
 //
 // # Simplify rules
 //
@@ -49,9 +61,27 @@ package rules
 
 //go:generate go run gsim/cmd/rulegen
 
+// ValueRow declares the single-word semantics of one pure opcode (every
+// opcode but memread). Val is a Go expression for the result, already
+// masked to DW, over the operand words *pa, *pb, *pc (slots A, B, C) and
+// these build-time constants of the instruction: dm = mask(DW),
+// am = mask(AW), aw = AW and bw = BW (the widths sext64 takes),
+// sh = uint(Lo) (a static shift or bits offset) and cs = uint(BW) (a cat's
+// shift). Inline puts the opcode in the pure producer class of the generic
+// fusion rules; mark a row only when gsim-diag shows it firing as a generic
+// producer on a real design, since every inline row adds one closure body
+// per generic consumer.
+type ValueRow struct {
+	Op     string // opcode name
+	Val    string // Go value expression
+	Inline bool   // inlined as the producer of the generic (pure) >> … rules
+}
+
 // FuseRule declares one superinstruction fusion rule. Emit names the
-// bound-closure constructor in package emit: func(p *Program, m *Machine,
-// a, b Instr) BoundFn for pairs, with a trailing c Instr for triples.
+// bound-closure constructor in package emit: func(m *Machine, a, b Instr)
+// BoundFn for pairs, with a trailing c Instr for triples. The constructors
+// of generic rules (first stage pure) are generated; the others are
+// hand-written.
 type FuseRule struct {
 	Name  string // kebab-case rule id; generates the emit.FuseRule constant
 	Pat   string // instruction-window pattern, stages joined by >>
@@ -68,23 +98,64 @@ type SimplifyRule struct {
 	Comm  bool   // also match with the root's operands swapped
 }
 
+// ValueRows returns the value table, one row per pure opcode in enum order.
+// The conditional results go through small helpers in package emit that
+// the Go compiler inlines: divz/remz (0 on a zero divisor) and pick (mux).
+// Dynamic shifts need no guard: Go defines a uint64 shifted by 64 or more
+// as 0, which is the IR's semantics. The Inline rows are exactly the
+// producers gsim-diag saw fire a generic rule, with every row marked, on
+// the stucore build, rocket-like and testdata/*.fir, over both the GSIM
+// supernode chains and the full-cycle stream.
+func ValueRows() []ValueRow {
+	return []ValueRow{
+		{Op: "copy", Val: "*pa & dm"},
+		{Op: "add", Val: "(*pa + *pb) & dm"},
+		{Op: "sub", Val: "(*pa - *pb) & dm"},
+		{Op: "mul", Val: "(*pa * *pb) & dm", Inline: true},
+		{Op: "div", Val: "divz(*pa, *pb) & dm"},
+		{Op: "rem", Val: "remz(*pa, *pb) & dm"},
+		{Op: "neg", Val: "-*pa & dm"},
+		{Op: "and", Val: "*pa & *pb & dm"},
+		{Op: "or", Val: "(*pa | *pb) & dm", Inline: true},
+		{Op: "xor", Val: "(*pa ^ *pb) & dm", Inline: true},
+		{Op: "not", Val: "^*pa & dm", Inline: true},
+		{Op: "andr", Val: "b2u(*pa == am)"},
+		{Op: "orr", Val: "b2u(*pa != 0)", Inline: true},
+		{Op: "xorr", Val: "uint64(bits.OnesCount64(*pa)) & 1"},
+		{Op: "eq", Val: "b2u(*pa == *pb)"},
+		{Op: "neq", Val: "b2u(*pa != *pb)"},
+		{Op: "lt", Val: "b2u(*pa < *pb)", Inline: true},
+		{Op: "leq", Val: "b2u(*pa <= *pb)"},
+		{Op: "gt", Val: "b2u(*pa > *pb)"},
+		{Op: "geq", Val: "b2u(*pa >= *pb)"},
+		{Op: "slt", Val: "b2u(sext64(*pa, aw) < sext64(*pb, bw))"},
+		{Op: "sleq", Val: "b2u(sext64(*pa, aw) <= sext64(*pb, bw))"},
+		{Op: "sgt", Val: "b2u(sext64(*pa, aw) > sext64(*pb, bw))"},
+		{Op: "sgeq", Val: "b2u(sext64(*pa, aw) >= sext64(*pb, bw))"},
+		{Op: "shl", Val: "(*pa << sh) & dm"},
+		{Op: "shr", Val: "(*pa >> sh) & dm", Inline: true},
+		{Op: "dshl", Val: "(*pa << *pb) & dm", Inline: true},
+		{Op: "dshr", Val: "(*pa >> *pb) & dm"},
+		{Op: "cat", Val: "(*pa<<cs | *pb) & dm", Inline: true},
+		{Op: "bits", Val: "(*pa >> sh) & dm", Inline: true},
+		{Op: "sext", Val: "uint64(sext64(*pa, aw)) & dm"},
+		{Op: "mux", Val: "pick(*pa, *pb, *pc) & dm", Inline: true},
+	}
+}
+
 // FusionRules returns the fusion rule table in match-priority order: the
-// two-instruction rules reproduce the retired hand-written matcher exactly
-// (the equivalence test enumerates opcode x width x feed shapes against it),
-// followed by the three-instruction families the hand-written dispatch never
-// grew. CompileChainBound tries triples before pairs at each chain position.
+// two-instruction rules, then the three-instruction families.
+// CompileChainBound tries triples before pairs at each chain position.
 func FusionRules() []FuseRule {
 	return []FuseRule{
-		// Specialized pairs: both halves compiled into one straight-line
-		// closure body.
+		// Pairs. The specialized ones have hand-written constructors; the
+		// generic (pure) ones are generated from the value table.
 		{Name: "copy-mux", Pat: "(copy _) >> (mux t? t? t?)", Emit: "fuseCopyMux"},
 		{Name: "cmp-mux", Pat: "(cmp _ _) >> (mux t _ _)", Emit: "fuseCmpMux"},
 		{Name: "mux-mux", Pat: "(mux _ _ _) >> (mux _ t? t?)", Emit: "fuseMuxMux"},
 		{Name: "alu-mux", Pat: "(pure) >> (mux t? t? t?)", Emit: "fuseAluMux"},
 		{Name: "add-mask", Pat: "(add _ _) >> (mask t)", Emit: "fuseAddMask"},
 		{Name: "sub-mask", Pat: "(sub _ _) >> (mask t)", Emit: "fuseSubMask"},
-		// Generic pairs: any pure narrow producer through its pre-bound value
-		// closure, feeding a specialized consumer tail.
 		{Name: "alu-mask", Pat: "(pure) >> (mask t)", Emit: "fuseAluMask"},
 		{Name: "alu-cat", Pat: "(pure) >> (cat t? t?)", Emit: "fuseAluCat"},
 		{Name: "alu-logic", Pat: "(pure) >> (logic t? t?)", Emit: "fuseAluLogic"},

@@ -1,7 +1,11 @@
 package rules
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -13,6 +17,96 @@ func TestValidate(t *testing.T) {
 	if err := Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestValueRowsCoverPureOpcodes checks the value table states every pure
+// opcode (all but memread) exactly once.
+func TestValueRowsCoverPureOpcodes(t *testing.T) {
+	rows := map[string]int{}
+	for _, r := range ValueRows() {
+		rows[r.Op]++
+	}
+	for op := range opcodeConst {
+		want := 1
+		if op == "memread" {
+			want = 0
+		}
+		if rows[op] != want {
+			t.Errorf("opcode %s: %d value rows, want %d", op, rows[op], want)
+		}
+	}
+	if len(rows) != len(opcodeConst)-1 {
+		t.Errorf("value table has %d opcodes, want %d", len(rows), len(opcodeConst)-1)
+	}
+}
+
+// TestGeneratedPureClassIsInlineSet parses the generated fusion source and
+// checks that the matcher's pure class (InlineProducer) and every generic
+// constructor's producer switch name exactly the value rows marked Inline —
+// minus, for a constructor, the producers an earlier specialized rule
+// always claims.
+func TestGeneratedPureClassIsInlineSet(t *testing.T) {
+	src, err := GenerateFuse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "fuse_gen.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inline []string
+	for _, r := range ValueRows() {
+		if r.Inline {
+			inline = append(inline, opcodeConst[r.Op])
+		}
+	}
+	claimed := map[string][]string{ // constructor -> producers claimed earlier
+		"fuseAluMux":  {"CCopy"},
+		"fuseAluMask": {"CAdd", "CSub"},
+		"fuseAluEq":   {"CAnd"},
+	}
+	generic := map[string]bool{}
+	for _, r := range FusionRules() {
+		if strings.HasPrefix(r.Pat, "(pure)") {
+			generic[r.Emit] = true
+		}
+	}
+	found := 0
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || (fn.Name.Name != "InlineProducer" && !generic[fn.Name.Name]) {
+			continue
+		}
+		found++
+		want := slices.DeleteFunc(slices.Clone(inline), func(c string) bool {
+			return slices.Contains(claimed[fn.Name.Name], c)
+		})
+		if got := outerCases(fn); !slices.Equal(got, want) {
+			t.Errorf("%s switches on %v, want the inline rows %v", fn.Name.Name, got, want)
+		}
+	}
+	if found != len(generic)+1 {
+		t.Errorf("found %d of the %d generated producer switches", found, len(generic)+1)
+	}
+}
+
+// outerCases returns the case constants of a function's first top-level
+// switch statement.
+func outerCases(fn *ast.FuncDecl) []string {
+	var cases []string
+	for _, st := range fn.Body.List {
+		sw, ok := st.(*ast.SwitchStmt)
+		if !ok {
+			continue
+		}
+		for _, cc := range sw.Body.List {
+			for _, e := range cc.(*ast.CaseClause).List {
+				cases = append(cases, e.(*ast.Ident).Name)
+			}
+		}
+		break
+	}
+	return cases
 }
 
 // TestParseFusePatRejects pins the fusion-pattern grammar's negative space:
