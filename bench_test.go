@@ -217,7 +217,7 @@ func BenchmarkSimplify(b *testing.B) {
 // muxChainFIR builds a FIRRTL design dominated by registered priority-mux
 // cascades: each lane is one compare feeding a deep chain of muxes whose
 // 1-bit selectors are shared bit-extracts, so the compiled chains are wall
-// to wall mux-mux-mux and cmp-mux-mux triple-fusion windows.
+// to wall mux-mux-mux triple-fusion windows.
 func muxChainFIR(lanes, depth int) string {
 	var sb strings.Builder
 	sb.WriteString("circuit MuxChain :\n  module MuxChain :\n")
@@ -243,8 +243,8 @@ func muxChainFIR(lanes, depth int) string {
 }
 
 // BenchmarkTripleFusion is the three-instruction superinstructions' own
-// datapoint: the mux-cascade design above, fused kernel vs the same bound
-// chain with fusion off. On this shape most of the fused closures
+// datapoint: the mux-cascade design above, fused kernel vs the same stream
+// with fusion off. On this shape most of the fused kernels
 // come from the triple rules, so the kernel/kernel-nofuse gap is dominated
 // by the three-wide windows rather than the pair idioms.
 func BenchmarkTripleFusion(b *testing.B) {

@@ -90,7 +90,7 @@ func main() {
 	d := harness.Synthetic(prof)
 	cfgs := []core.Config{core.Verilator(), core.VerilatorMT(2), core.Arcilator(), core.Essent(), core.GSIM()}
 	// The same pipeline under the reference interpreter and the pre-fusion
-	// kernel baseline, to see what the closure-threaded kernels — and the
+	// kernel baseline, to see what the stream kernels — and the
 	// superinstruction/width-class pipeline on top of them — buy here.
 	gi := core.GSIM()
 	gi.Name = "gsim-interp"
@@ -328,20 +328,24 @@ func main() {
 		sys3.Close()
 	}
 
-	// Fusion reach on this profile and every testdata design, measured over
-	// the chains the engines actually compile: under GSIM each supernode's
-	// concatenated member instructions, under the full-cycle preset the whole
-	// stream as one chain (their adjacencies differ). The counts are indexed
-	// by the generated FuseRule table, so a new table line shows up here
-	// without touching this tool. Then the rules that fired nowhere in this
-	// whole run — a never-firing rule is either dead weight or missing a
-	// representative design, so it is flagged explicitly — and the same for
-	// inline value rows: the generic rules' producer breakdown is the
-	// evidence the value table's Inline marks are chosen from.
+	// Fusion reach on this profile, the real RV32 core and every testdata
+	// design, measured over the chains the engines actually compile: under
+	// GSIM each supernode's concatenated member instructions, under the
+	// full-cycle preset the whole stream as one chain (their adjacencies
+	// differ). The counts are indexed by the generated FuseRule table, so a
+	// new table line shows up here without touching this tool. Each design's
+	// footprint line gives the compiled stream's size — kernels, operand
+	// records, bytes — which is what a cycle pulls through the caches. Then
+	// the rules that fired nowhere in this whole run — a never-firing rule is
+	// either dead weight or missing a representative design, so it is
+	// flagged explicitly — and the same for inline value rows: the generic
+	// rules' producer breakdown is the evidence the value table's Inline
+	// marks are chosen from.
 	total := newFusionCounts()
 	fusion := func(label string, sys *core.System) {
 		c := chainFusionStats(sys)
 		printFusion(label, c)
+		printFootprint(strings.Replace(label, "fusion", "footprint", 1), sys)
 		total.add(c.instrs, c.producers)
 		sys.Close()
 	}
@@ -355,6 +359,11 @@ func main() {
 			panic(err)
 		}
 		fusion(strings.TrimSpace("fusion"+fc.suffix), sys)
+		rv32, _, err := harness.BuildSystemForDiag(harness.StuCore(), "coremark", fc.cfg())
+		if err != nil {
+			panic(err)
+		}
+		fusion("fusion[rv32"+fc.suffix+"]", rv32)
 		for _, f := range files {
 			g, err := firrtl.LoadFile(f)
 			if err != nil {
@@ -427,7 +436,7 @@ func (c *fusionCounts) add(instrs int, producers [][]int) {
 }
 
 // chainFusionStats accumulates emit.FusionProducers over every chain the
-// system's engine compiles, exactly as CompileChainBound sees them: one per
+// system's engine compiles, exactly as emit.Stream sees them: one per
 // supernode, or the whole stream for an unpartitioned (full-cycle) system.
 func chainFusionStats(sys *core.System) fusionCounts {
 	c := newFusionCounts()
@@ -446,6 +455,23 @@ func chainFusionStats(sys *core.System) fusionCounts {
 		add(chain)
 	}
 	return c
+}
+
+// printFootprint compiles the system's chains into one stream the way its
+// engine lays them out — one chain per supernode, or the whole program —
+// and prints the stream's size.
+func printFootprint(label string, sys *core.System) {
+	s := emit.NewStream(emit.NewMachine(sys.Prog))
+	if sys.Part == nil {
+		s.Append(sys.Prog.Instrs, true)
+	} else {
+		for _, members := range sys.Part.Members {
+			s.AppendNodes(members, true)
+		}
+	}
+	kernels, records, bytes := s.Footprint()
+	fmt.Printf("%s: kernels=%d records=%d bytes=%d (%.1f B/instr)\n",
+		label, kernels, records, bytes, float64(bytes)/float64(max(len(sys.Prog.Instrs), 1)))
 }
 
 // generic reports whether r is a generic rule, whose producer is any inline

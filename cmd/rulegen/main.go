@@ -1,9 +1,8 @@
 // Command rulegen compiles the declarative tables in internal/emit/rules
 // into the Go the kernel compiler and the passes pipeline run in
-// production: internal/emit/fuse_gen.go (the narrow kernels from the value
-// table, superinstruction fusion matchers and the generic pair
-// constructors) and internal/passes/simplify_gen.go (algebraic
-// simplification).
+// production: internal/emit/fuse_gen.go (the superinstruction fusion
+// matchers and every narrow and fused-window kernel, from the value table)
+// and internal/passes/simplify_gen.go (algebraic simplification).
 //
 // It is wired through `go generate ./internal/emit/...` (the directive
 // lives in the rules package, so the default output paths are relative to

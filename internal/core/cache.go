@@ -109,16 +109,24 @@ func (d *CompiledDesign) DesignHash() string { return d.Prog.DesignHashString() 
 // cheap per-session knobs (engine kind, eval mode, threads, activity config);
 // it must request the same engine family the design was compiled for (the
 // partition and levelization are engine-specific). Construction is
-// serialized: building an engine compiles machine-bound closure chains and
+// serialized: building an engine compiles machine-bound kernel streams and
 // may memoize shared per-program tables, and serializing here keeps that
 // invisible to concurrent sessions. Once constructed, engines step fully
 // concurrently — each owns its machine state; the Program is read-only.
-func (d *CompiledDesign) NewSim(cfg Config) (engine.Compiled, error) {
+// A program the stream builder refuses (an instruction outside the state
+// image: only a compiler bug makes one) fails the call instead of the
+// process.
+func (d *CompiledDesign) NewSim(cfg Config) (sim engine.Compiled, err error) {
 	if cfg.Engine != d.Config.Engine {
 		return nil, fmt.Errorf("core: design compiled for engine %s, session asks for %s", d.Config.Engine, cfg.Engine)
 	}
 	d.simMu.Lock()
 	defer d.simMu.Unlock()
+	defer func() {
+		if r := recover(); r != nil {
+			sim, err = nil, fmt.Errorf("core: building the %s engine panicked: %v", cfg.Engine, r)
+		}
+	}()
 	switch cfg.Engine {
 	case EngineFullCycle:
 		return engine.NewFullCycle(d.Prog, cfg.Eval), nil

@@ -25,6 +25,27 @@ func cacheDesign(t *testing.T, idx int) *ir.Graph {
 	return b.G
 }
 
+// TestNewSimRefusesCorruptProgram corrupts one instruction of a compiled
+// design and checks that building each kernel-mode engine over it fails with
+// an error carrying the stream builder's refusal instead of panicking out of
+// NewSim.
+func TestNewSimRefusesCorruptProgram(t *testing.T) {
+	for _, cfg := range []Config{Verilator(), VerilatorMT(2), GSIM(), GSIMMT(2)} {
+		d, err := CompileDesign(cacheDesign(t, 0), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Prog.Instrs[0].D = int32(d.Prog.NumWords)
+		sim, err := d.NewSim(cfg)
+		if err == nil {
+			sim.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), "refusing instruction") {
+			t.Errorf("%s: NewSim over a corrupt program returned %v, want the refusal", cfg.Name, err)
+		}
+	}
+}
+
 func mustCompile(t *testing.T, c *CompileCache, idx int) (*CompiledDesign, string) {
 	t.Helper()
 	g := cacheDesign(t, idx)

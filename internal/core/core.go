@@ -60,7 +60,7 @@ type Config struct {
 
 // DefaultMaxSupernode is the supernode size cap used when unset, counted in
 // nodes (paper Fig. 9, whose optima for emitted C++ are 20-50). A supernode is
-// re-evaluated whole when any member is activated, and with closure-threaded
+// re-evaluated whole when any member is activated, and with interpreted
 // kernels that costs more than the activation bookkeeping a larger cap saves,
 // so the optimum sits lower here, on a flat top: on rocket-like gsim-bench
 // -exp fig9 cannot tell the caps from 6 to 16 apart, and in alternating pairs

@@ -2,110 +2,215 @@ package emit
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
-
-	"gsim/internal/bitvec"
+	"unsafe"
 )
 
 // Bound chains: the one compiled form every kernel-mode engine executes. A
-// bound chain is compiled for ONE machine: opcode dispatch, widths, shift
-// amounts and masks are resolved at build time, every operand becomes a
-// *uint64 into that machine's state image, every closure takes no arguments,
-// and (unless the caller turns it off) superinstruction fusion applies along
-// the way; 2-word width classes always do. This is the closest a
-// closure-threaded interpreter gets to GSIM's emitted straight-line C++ —
-// no dispatch, no operand decode, no bounds checks, no argument traffic.
+// chain compiles into a Stream for ONE machine: opcode dispatch, fusion and
+// width class are resolved at build time into one static kernel function
+// per window, and every instruction becomes one operand record — state
+// offsets and widths, no pointers — in one contiguous array. Running a chain
+// is a loop of kernel calls, each consuming its window's records and
+// returning the next one; nothing is allocated per instruction. This is the
+// closest a Go interpreter gets to GSIM's emitted straight-line C++: no
+// opcode dispatch, no operand decode, no bounds checks, and code and
+// operands laid out in execution order.
 //
-// Safety: a machine's State and Mems backing arrays are allocated once in
-// NewMachine and mutated only in place (Reset and Poke copy into them), so
-// the pre-resolved pointers stay valid for the machine's lifetime. Engines
-// build chains against their own machine at construction time.
+// Safety: kernels address the state image through unsafe.Add. Every
+// instruction is validated once, as it is appended, against len(m.State)
+// and len(m.Mems). A machine's State and Mems backing arrays are allocated
+// once in NewMachine and mutated only in place (Reset and Poke copy into
+// them), so the stream's base pointer stays valid for the machine's
+// lifetime. Engines build streams against their own machine at construction
+// time.
 
-// BoundFn is one bound superinstruction: a no-argument closure over
-// pre-resolved state pointers.
+// Op is one instruction's operand record: byte offsets into the state image
+// and the widths the kernel masks with, clamped to 255 (above 64 a width
+// only selects a 2-word operand's high word), and Sh, the static shift or
+// bits offset, clamped to 255 (any count of 64 or more shifts every bit
+// out). A memory read keeps its memory index in B. The wide fallback takes
+// two records: the instruction's word offsets, then its widths in D, A, B,
+// its Lo in C and its opcode in Sh.
+type Op struct {
+	D, A, B, C     int32
+	DW, AW, BW, Sh uint8
+}
+
+// kernel runs the records of one window, starting at a, against the state
+// image at st and returns the record after the window.
+type kernel func(st unsafe.Pointer, m *Machine, a *Op) *Op
+
+// BoundFn runs a compiled chain.
 type BoundFn func()
 
-// CompileNodesBound compiles the given nodes' code ranges, concatenated in
-// the order given, into one bound chain (fused when fuse is set). The order
-// is the execution order of the chain and must be a dependence order of the
-// nodes — engines pass chunk member lists in ascending node/supernode ID,
-// which the partition package guarantees is topological, including inside
-// coarsened (level-merged) chunks. Fusion applies across node boundaries:
-// adjacent instructions of different nodes fuse exactly like intra-node
-// pairs, which is bit-identical by the same argument (a fused closure
-// performs both stores in order).
-func (p *Program) CompileNodesBound(m *Machine, ids []int32, fuse bool) []BoundFn {
-	var chain []Instr
+// Stream is a sequence of chains compiled for one machine: one kernel per
+// window in one array, the windows' operand records in another.
+type Stream struct {
+	st      unsafe.Pointer // m.State's backing array
+	m       *Machine
+	kernels []kernel
+	ops     []Op    // every window's records, then a zero sentinel the last kernel returns
+	chain   []Instr // AppendNodes scratch
+}
+
+// Span addresses one appended chain: kernels [K, KEnd), the first of them
+// at record Rec.
+type Span struct{ K, KEnd, Rec int32 }
+
+// NewStream returns an empty stream for machine m.
+func NewStream(m *Machine) *Stream {
+	return &Stream{st: unsafe.Pointer(unsafe.SliceData(m.State)), m: m, ops: make([]Op, 1)}
+}
+
+// Append compiles the instruction chain ins onto the stream and returns its
+// span. With fuse set, superinstruction fusion applies (generated matchers
+// from the rule table, widest window first — a triple beats the pair it
+// contains); with fuse false every instruction is its own kernel, the
+// kernel-nofuse baseline fusion is measured against. The chain need not be
+// contiguous in the program. Append panics, naming the instruction, if one
+// has a zero width or reads or writes outside the machine's state image or
+// memories.
+func (s *Stream) Append(ins []Instr, fuse bool) Span {
+	for i := range ins {
+		s.check(ins[i], i)
+	}
+	sp := Span{K: int32(len(s.kernels)), Rec: int32(len(s.ops) - 1)}
+	s.ops = s.ops[:len(s.ops)-1]
+	if fuse {
+		fusionWalk(ins, func(i int, r FuseRule) { s.window(ins[i : i+max(r.Arity(), 1)]) })
+	} else {
+		for i := range ins {
+			s.window(ins[i : i+1])
+		}
+	}
+	s.ops = append(s.ops, Op{})
+	sp.KEnd = int32(len(s.kernels))
+	return sp
+}
+
+// AppendNodes appends the given nodes' code ranges, concatenated in the
+// order given, as one chain. The order is the chain's execution order and
+// must be a dependence order of the nodes — engines pass chunk member lists
+// in ascending node/supernode ID, which the partition package guarantees is
+// topological, including inside coarsened (level-merged) chunks. Fusion
+// applies across node boundaries exactly like inside a node: a kernel
+// performs every store of its window in order.
+func (s *Stream) AppendNodes(ids []int32, fuse bool) Span {
+	p := s.m.Prog
+	s.chain = s.chain[:0]
 	for _, id := range ids {
 		r := p.Code[id]
-		chain = append(chain, p.Instrs[r.Start:r.End]...)
+		s.chain = append(s.chain, p.Instrs[r.Start:r.End]...)
 	}
-	return p.AppendChainBound(make([]BoundFn, 0, len(chain)), m, chain, fuse)
+	return s.Append(s.chain, fuse)
 }
 
-// CompileChainBound compiles an instruction chain into its bound form for
-// machine m: superinstruction fusion over adjacent windows (generated
-// matchers from the rule table, widest window first — a triple beats the
-// pair it contains), width-class specialization, operand pointers resolved
-// into m's state image. The chain need not be contiguous in the program.
+// Run executes one appended chain.
+func (s *Stream) Run(sp Span) {
+	st, m, a := s.st, s.m, &s.ops[sp.Rec]
+	for _, k := range s.kernels[sp.K:sp.KEnd] {
+		a = k(st, m, a)
+	}
+}
+
+// Trim drops the arrays' spare capacity and the build scratch. The stream
+// lives as long as its engine: call Trim once the last chain is appended.
+func (s *Stream) Trim() {
+	s.kernels = append([]kernel(nil), s.kernels...)
+	s.ops = append([]Op(nil), s.ops...)
+	s.chain = nil
+}
+
+// Footprint reports the stream's size: kernels, operand records and the
+// bytes of both arrays.
+func (s *Stream) Footprint() (kernels, records, bytes int) {
+	kernels, records = len(s.kernels), len(s.ops)-1
+	return kernels, records, kernels*int(unsafe.Sizeof(kernel(nil))) + len(s.ops)*int(unsafe.Sizeof(Op{}))
+}
+
+// CompileChainBound compiles ins, fused, into a stream for machine m and
+// returns it as one BoundFn running the whole chain.
 func (p *Program) CompileChainBound(m *Machine, ins []Instr) []BoundFn {
-	return p.AppendChainBound(make([]BoundFn, 0, len(ins)), m, ins, true)
+	s := NewStream(m)
+	sp := s.Append(ins, true)
+	s.Trim()
+	return []BoundFn{func() { s.Run(sp) }}
 }
 
-// AppendChainBound appends the bound form of ins to fns, so a caller can lay
-// many chains out in one array. With fuse false the fusion walk is skipped —
-// exactly one closure per instruction, the kernel-nofuse baseline fusion is
-// measured against.
-func (p *Program) AppendChainBound(fns []BoundFn, m *Machine, ins []Instr, fuse bool) []BoundFn {
-	if !fuse {
-		for _, in := range ins {
-			fns = append(fns, compileKernelBound(m, in))
-		}
-		return fns
+// check panics unless instruction i of a chain has a valid opcode, non-zero
+// result and first-operand widths (mask8's domain; the front end refuses
+// zero-width values), every operand span inside the state image, and, for a
+// memory read, the index of one of the machine's memories.
+func (s *Stream) check(in Instr, i int) {
+	n := int64(min(len(s.m.State), math.MaxInt32/8)) // byte offsets are int32
+	inside := func(off, w int32) bool {
+		return off >= 0 && int64(off)+int64(max(wordsFor32(w), 1)) <= n
 	}
-	fusionWalk(ins, func(i int, r FuseRule) {
-		switch r.Arity() {
-		case 3:
-			fns = append(fns, compileFuse3(m, ins[i], ins[i+1], ins[i+2], r))
-		case 2:
-			fns = append(fns, compileFuse2(m, ins[i], ins[i+1], r))
-		default:
-			fns = append(fns, compileKernelBound(m, ins[i]))
-		}
-	})
-	return fns
+	cw := int32(1)
+	if in.Op == CMux {
+		cw = in.BW
+	}
+	ok := in.Op > CInvalid && in.Op < cOpCount && in.DW > 0 && in.AW > 0 &&
+		inside(in.D, in.DW) && inside(in.A, in.AW) && inside(in.B, in.BW) && inside(in.C, cw)
+	if in.Op == CMemRead && (in.Lo < 0 || int(in.Lo) >= len(s.m.Mems)) {
+		ok = false
+	}
+	if !ok {
+		panic(fmt.Sprintf("emit: refusing instruction %d of the chain (%s D=%d/%d A=%d/%d B=%d/%d C=%d Lo=%d): a zero width, or an operand outside the machine's %d state words and %d memories",
+			i, in.Op, in.D, in.DW, in.A, in.AW, in.B, in.BW, in.C, in.Lo, n, len(s.m.Mems)))
+	}
 }
 
-// compileKernelBound dispatches one instruction on width class, bound form.
-func compileKernelBound(m *Machine, in Instr) BoundFn {
-	if in.DW > 64 || in.AW > 64 || in.BW > 64 {
-		if fn := compile2WBound(m, in); fn != nil {
-			return fn
+// window appends one window: its kernel, chosen by width class and opcodes,
+// and its records.
+func (s *Stream) window(w []Instr) {
+	in := w[0]
+	var k kernel
+	switch {
+	case len(w) > 1:
+		var key [3]OpCode
+		for i := range w {
+			key[i] = w[i].Op
 		}
-		wide := in
-		return func() { m.execWide(&wide) }
+		k = windowKernels[key]
+	case narrow(in):
+		k = narrowKernels[in.Op]
+	case is2Word(in):
+		k = kernels2W[in.Op]
+	default:
+		s.kernels = append(s.kernels, kWide)
+		s.ops = append(s.ops, Op{D: in.D, A: in.A, B: in.B, C: in.C},
+			Op{D: in.DW, A: in.AW, B: in.BW, C: in.Lo, Sh: uint8(in.Op)})
+		return
 	}
-	return compileNarrowBound(m, in)
+	if k == nil {
+		// Panic rather than fall back, so the coverage sweeps catch an
+		// opcode or rule added without a kernel.
+		panic(fmt.Sprintf("emit: no kernel for the window %v", w))
+	}
+	s.kernels = append(s.kernels, k)
+	for _, in := range w {
+		r := Op{D: in.D * 8, A: in.A * 8, B: in.B * 8, C: in.C * 8, DW: clamp8(in.DW), AW: clamp8(in.AW), BW: clamp8(in.BW), Sh: clamp8(in.Lo)}
+		if in.Op == CMemRead {
+			r.B = in.Lo
+		}
+		s.ops = append(s.ops, r)
+	}
 }
 
-// compileNarrowBound builds the specialized single-word closure: masks and
-// shift amounts baked in, mirroring execNarrow exactly (the chain property
-// tests and the cross-engine lockstep suites pin it against the interpreter).
-// Pure opcodes come from their generated value rows; the memory read needs
-// the machine's memory arrays.
-func compileNarrowBound(m *Machine, in Instr) BoundFn {
-	if fn := compilePureBound(m.State, in); fn != nil {
-		return fn
-	}
-	if in.Op == CMemRead {
-		pd, pa, dm := &m.State[in.D], &m.State[in.A], mask(in.DW)
-		mem, depth, wp := memPort(m, in.Lo)
-		return func() { *pd = readMem(mem, *pa, depth, wp) & dm }
-	}
-	// Panic rather than fall back, so the opcode coverage sweep catches a new
-	// opcode added without a kernel.
-	panic(fmt.Sprintf("emit: no bound kernel for opcode %d", in.Op))
-}
+func clamp8(v int32) uint8 { return uint8(min(v, 255)) }
+
+// at addresses the state word at byte offset off of the image at st.
+func at(st unsafe.Pointer, off int32) *uint64 { return (*uint64)(unsafe.Add(st, off)) }
+
+// next returns the record after a.
+func (a *Op) next() *Op { return (*Op)(unsafe.Add(unsafe.Pointer(a), unsafe.Sizeof(Op{}))) }
+
+// mask8 is mask for a record width in [1, 64]; the & 63 lets the compiler
+// drop the fixup Go's semantics need for a shift count of 64 or more.
+func mask8(w uint8) uint64 { return ^uint64(0) >> ((64 - w) & 63) }
 
 // b2u converts a comparison result to the canonical 0/1 word.
 func b2u(v bool) uint64 {
@@ -139,15 +244,8 @@ func pick(s, x, y uint64) uint64 {
 	return y
 }
 
-// memPort binds memory mi's read port: its words, its depth in elements and
-// its words per element.
-func memPort(m *Machine, mi int32) ([]uint64, uint64, int32) {
-	spec := &m.Prog.Mems[mi]
-	return m.Mems[mi], uint64(spec.Depth), spec.WordsPer
-}
-
-// readMem reads the low word of element addr of a memory port bound by
-// memPort; 0 out of range.
+// readMem reads the low word of element addr of a memory of the given depth
+// and words per element; 0 out of range.
 func readMem(mem []uint64, addr, depth uint64, wp int32) uint64 {
 	if addr < depth {
 		return mem[int32(addr)*wp]
@@ -155,346 +253,107 @@ func readMem(mem []uint64, addr, depth uint64, wp int32) uint64 {
 	return 0
 }
 
-// bsrc2 pre-resolves a two-word operand read: low pointer, high pointer and
-// the zero-extension mask (the high pointer aliases the low word with a zero
-// mask for one-word operands, keeping the read branchless).
-func bsrc2(st []uint64, off, w int32) (lo, hi *uint64, hiMask uint64) {
-	lo = &st[off]
-	hi = lo
+// kMemread is the memory read's single kernel; the value table has no row
+// for it, since its value needs the machine's memory arrays.
+func kMemread(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	spec := &m.Prog.Mems[a.B]
+	*at(st, a.D) = readMem(m.Mems[a.B], *at(st, a.A), uint64(spec.Depth), spec.WordsPer) & mask8(a.DW)
+	return a.next()
+}
+
+// kWide runs a wide instruction through the interpreter's multi-word path.
+func kWide(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	w := a.next()
+	in := Instr{Op: OpCode(w.Sh), D: a.D, A: a.A, B: a.B, C: a.C, DW: w.D, AW: w.A, BW: w.B, Lo: w.C}
+	m.execWide(&in)
+	return w.next()
+}
+
+// The two-word width-class kernels (see the WidthClass doc in wide2.go).
+// Each reproduces execWide's result exactly, including the top-word mask,
+// reading and storing in the same order as the word loop — the width-class
+// tests pin this on randomized state.
+var kernels2W = [cOpCount]kernel{
+	CCopy: k2Copy, CAdd: k2Add, CSub: k2Sub, CAnd: k2And, COr: k2Or,
+	CXor: k2Xor, CNot: k2Not, CMux: k2Mux, CEq: k2Eq, CNeq: k2Neq,
+}
+
+// hi2 reads the high word of a 2-word-class operand of width w: zero when
+// the operand fits one word.
+func hi2(st unsafe.Pointer, off int32, w uint8) uint64 {
 	if w > 64 {
-		hi = &st[off+1]
-		hiMask = ^uint64(0)
-	}
-	return
-}
-
-// compile2WBound builds the two-word width-class closure (see the WidthClass
-// doc in wide2.go), or returns nil when the instruction is not in the 2-word
-// class; each closure reproduces execWide's result exactly, including the
-// top-word mask — the width-class tests pin this on randomized state.
-func compile2WBound(m *Machine, in Instr) BoundFn {
-	if !is2Word(in) {
-		return nil
-	}
-	st := m.State
-	hm := bitvec.TopMask(int(in.DW))
-	a0, a1, am := bsrc2(st, in.A, in.AW)
-	b0, b1, bm := bsrc2(st, in.B, in.BW)
-	switch in.Op {
-	case CCopy, CAdd, CSub, CAnd, COr, CXor, CNot, CMux:
-		d0, d1 := &st[in.D], &st[in.D+1]
-		switch in.Op {
-		case CCopy:
-			return func() { *d0 = *a0; *d1 = (*a1 & am) & hm }
-		case CAdd:
-			return func() {
-				s0, c := bits.Add64(*a0, *b0, 0)
-				*d0 = s0
-				*d1 = ((*a1 & am) + (*b1 & bm) + c) & hm
-			}
-		case CSub:
-			return func() {
-				s0, br := bits.Sub64(*a0, *b0, 0)
-				*d0 = s0
-				*d1 = ((*a1 & am) - (*b1 & bm) - br) & hm
-			}
-		case CAnd:
-			return func() { *d0 = *a0 & *b0; *d1 = (*a1 & am) & (*b1 & bm) & hm }
-		case COr:
-			return func() { *d0 = *a0 | *b0; *d1 = ((*a1 & am) | (*b1 & bm)) & hm }
-		case CXor:
-			return func() { *d0 = *a0 ^ *b0; *d1 = ((*a1 & am) ^ (*b1 & bm)) & hm }
-		case CNot:
-			return func() { *d0 = ^*a0; *d1 = ^(*a1 & am) & hm }
-		default: // CMux
-			psel := &st[in.A]
-			c0, c1, cm := bsrc2(st, in.C, in.BW)
-			return func() {
-				lo, hi := *c0, *c1&cm
-				if *psel != 0 {
-					lo, hi = *b0, *b1&bm
-				}
-				*d0 = lo
-				*d1 = hi & hm
-			}
-		}
-	case CEq:
-		pd := &st[in.D]
-		return func() {
-			diff := (*a0 ^ *b0) | ((*a1 & am) ^ (*b1 & bm))
-			*pd = b2u(diff == 0)
-		}
-	case CNeq:
-		pd := &st[in.D]
-		return func() {
-			diff := (*a0 ^ *b0) | ((*a1 & am) ^ (*b1 & bm))
-			*pd = b2u(diff != 0)
-		}
-	}
-	return nil
-}
-
-// Fused-window constructors. compileFuse2/compileFuse3 (generated from the
-// rule table in internal/emit/rules) dispatch each matched window to one of
-// these; every constructor builds a single bound closure that stores every
-// source instruction's result in original order, so state-slot aliasing
-// between the window's instructions can never change the outcome relative
-// to running them back to back. These are the specialized constructors; the
-// generic fuseAlu* ones are generated into fuse_gen.go from the value table,
-// producer and consumer both inlined into the one closure.
-
-// maskShiftOf returns the right-shift a mask consumer (copy or bits)
-// applies: bits slices from its Lo, copy truncates in place.
-func maskShiftOf(b Instr) uint {
-	if b.Op == CBits {
-		return uint(b.Lo)
+		return *at(st, off+8)
 	}
 	return 0
 }
 
-// fuseCopyMux: a copy feeding any operand of a mux.
-func fuseCopyMux(m *Machine, a, b Instr) BoundFn {
-	st := m.State
-	pad, paa := &st[a.D], &st[a.A]
-	adm := mask(a.DW)
-	psel, pbb, pbc, pbd := &st[b.A], &st[b.B], &st[b.C], &st[b.D]
-	bdm := mask(b.DW)
-	return func() {
-		*pad = *paa & adm
-		r := *pbc
-		if *psel != 0 {
-			r = *pbb
-		}
-		*pbd = r & bdm
-	}
+// top2 is the top-word mask of a 2-word result of width w.
+func top2(w uint8) uint64 { return ^uint64(0) >> (128 - w) }
+
+func k2Copy(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = *at(st, a.A)
+	*at(st, a.D+8) = hi2(st, a.A, a.AW) & top2(a.DW)
+	return a.next()
 }
 
-// fuseCmpMux: a comparison result selecting a mux.
-func fuseCmpMux(m *Machine, a, b Instr) BoundFn {
-	return compileCmpMuxBound(m.State, a, b)
+func k2Add(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	lo, c := bits.Add64(*at(st, a.A), *at(st, a.B), 0)
+	*at(st, a.D) = lo
+	*at(st, a.D+8) = (hi2(st, a.A, a.AW) + hi2(st, a.B, a.BW) + c) & top2(a.DW)
+	return a.next()
 }
 
-// fuseAddMask: an add immediately truncated or sliced.
-func fuseAddMask(m *Machine, a, b Instr) BoundFn {
-	st := m.State
-	pad, paa, pab := &st[a.D], &st[a.A], &st[a.B]
-	adm := mask(a.DW)
-	pbd := &st[b.D]
-	bdm := mask(b.DW)
-	sh := maskShiftOf(b)
-	return func() {
-		t := (*paa + *pab) & adm
-		*pad = t
-		*pbd = (t >> sh) & bdm
-	}
+func k2Sub(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	lo, b := bits.Sub64(*at(st, a.A), *at(st, a.B), 0)
+	*at(st, a.D) = lo
+	*at(st, a.D+8) = (hi2(st, a.A, a.AW) - hi2(st, a.B, a.BW) - b) & top2(a.DW)
+	return a.next()
 }
 
-// fuseSubMask: the subtract twin of fuseAddMask.
-func fuseSubMask(m *Machine, a, b Instr) BoundFn {
-	st := m.State
-	pad, paa, pab := &st[a.D], &st[a.A], &st[a.B]
-	adm := mask(a.DW)
-	pbd := &st[b.D]
-	bdm := mask(b.DW)
-	sh := maskShiftOf(b)
-	return func() {
-		t := (*paa - *pab) & adm
-		*pad = t
-		*pbd = (t >> sh) & bdm
-	}
+func k2And(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = *at(st, a.A) & *at(st, a.B)
+	*at(st, a.D+8) = hi2(st, a.A, a.AW) & hi2(st, a.B, a.BW) & top2(a.DW)
+	return a.next()
 }
 
-// fuseAndEqz: a bitwise and feeding an equality/inequality test or an
-// or-reduction (the and-eqz and and-orr rules both land here; the consumer
-// opcode picks the tail).
-func fuseAndEqz(m *Machine, a, b Instr) BoundFn {
-	st := m.State
-	pad, paa, pab := &st[a.D], &st[a.A], &st[a.B]
-	adm := mask(a.DW)
-	pbd := &st[b.D]
-	switch b.Op {
-	case CEq:
-		pother := pbb2(st, a, b)
-		return func() {
-			t := (*paa & *pab) & adm
-			*pad = t
-			*pbd = b2u(t == *pother)
-		}
-	case CNeq:
-		pother := pbb2(st, a, b)
-		return func() {
-			t := (*paa & *pab) & adm
-			*pad = t
-			*pbd = b2u(t != *pother)
-		}
-	default: // COrR
-		return func() {
-			t := (*paa & *pab) & adm
-			*pad = t
-			*pbd = b2u(t != 0)
-		}
-	}
+func k2Or(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = *at(st, a.A) | *at(st, a.B)
+	*at(st, a.D+8) = (hi2(st, a.A, a.AW) | hi2(st, a.B, a.BW)) & top2(a.DW)
+	return a.next()
 }
 
-// fuseMuxMux: a mux feeding an arm of the next mux.
-func fuseMuxMux(m *Machine, a, b Instr) BoundFn {
-	st := m.State
-	pasel, pab, pac, pad := &st[a.A], &st[a.B], &st[a.C], &st[a.D]
-	adm := mask(a.DW)
-	psel, pbb, pbc, pbd := &st[b.A], &st[b.B], &st[b.C], &st[b.D]
-	bdm := mask(b.DW)
-	return func() {
-		t := *pac
-		if *pasel != 0 {
-			t = *pab
-		}
-		*pad = t & adm
-		r := *pbc
-		if *psel != 0 {
-			r = *pbb
-		}
-		*pbd = r & bdm
-	}
+func k2Xor(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = *at(st, a.A) ^ *at(st, a.B)
+	*at(st, a.D+8) = (hi2(st, a.A, a.AW) ^ hi2(st, a.B, a.BW)) & top2(a.DW)
+	return a.next()
 }
 
-// fuseMuxMuxMux: three adjacent muxes, each feeding the next — one closure
-// per priority-encoder triple, removing two dispatches. Each mux's operand
-// pointers are read after the previous store, so any aliasing (an arm or
-// even a selector reading an earlier destination) behaves exactly like
-// sequential execution.
-func fuseMuxMuxMux(m *Machine, a, b, c Instr) BoundFn {
-	st := m.State
-	pasel, pab, pac, pad := &st[a.A], &st[a.B], &st[a.C], &st[a.D]
-	adm := mask(a.DW)
-	pbsel, pbb, pbc, pbd := &st[b.A], &st[b.B], &st[b.C], &st[b.D]
-	bdm := mask(b.DW)
-	pcsel, pcb, pcc, pcd := &st[c.A], &st[c.B], &st[c.C], &st[c.D]
-	cdm := mask(c.DW)
-	return func() {
-		t := *pac
-		if *pasel != 0 {
-			t = *pab
-		}
-		*pad = t & adm
-		u := *pbc
-		if *pbsel != 0 {
-			u = *pbb
-		}
-		*pbd = u & bdm
-		r := *pcc
-		if *pcsel != 0 {
-			r = *pcb
-		}
-		*pcd = r & cdm
-	}
+func k2Not(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = ^*at(st, a.A)
+	*at(st, a.D+8) = ^hi2(st, a.A, a.AW) & top2(a.DW)
+	return a.next()
 }
 
-// fuseCmpMuxMux: a comparison selecting a mux whose result feeds an arm of
-// the next mux — the head of a priority chain. The computed comparison bit
-// forwards straight into the first mux's select (the match guarantees the
-// slot identity); the second mux reads its operands after both stores.
-func fuseCmpMuxMux(m *Machine, a, b, c Instr) BoundFn {
-	st := m.State
-	pad := &st[a.D]
-	pbb, pbc, pbd := &st[b.B], &st[b.C], &st[b.D]
-	bdm := mask(b.DW)
-	pcsel, pcb, pcc, pcd := &st[c.A], &st[c.B], &st[c.C], &st[c.D]
-	cdm := mask(c.DW)
-	x, y, xw, yw, negBit, kind := cmpParts(a)
-	px, py := &st[x], &st[y]
-	switch kind {
-	case cmpEqK:
-		return func() {
-			cond := b2u(*px == *py) ^ negBit
-			*pad = cond
-			u := *pbc
-			if cond != 0 {
-				u = *pbb
-			}
-			*pbd = u & bdm
-			r := *pcc
-			if *pcsel != 0 {
-				r = *pcb
-			}
-			*pcd = r & cdm
-		}
-	case cmpLtS:
-		return func() {
-			cond := b2u(sext64(*px, xw) < sext64(*py, yw)) ^ negBit
-			*pad = cond
-			u := *pbc
-			if cond != 0 {
-				u = *pbb
-			}
-			*pbd = u & bdm
-			r := *pcc
-			if *pcsel != 0 {
-				r = *pcb
-			}
-			*pcd = r & cdm
-		}
+// k2Mux: A is the one-word selector; both arms share BW and read at most
+// the two result words.
+func k2Mux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	lo, hi := *at(st, a.C), hi2(st, a.C, a.BW)
+	if *at(st, a.A) != 0 {
+		lo, hi = *at(st, a.B), hi2(st, a.B, a.BW)
 	}
-	return func() {
-		cond := b2u(*px < *py) ^ negBit
-		*pad = cond
-		u := *pbc
-		if cond != 0 {
-			u = *pbb
-		}
-		*pbd = u & bdm
-		r := *pcc
-		if *pcsel != 0 {
-			r = *pcb
-		}
-		*pcd = r & cdm
-	}
+	*at(st, a.D) = lo
+	*at(st, a.D+8) = hi & top2(a.DW)
+	return a.next()
 }
 
-// pbb2 resolves the non-forwarded operand of an and-eqz consumer.
-func pbb2(st []uint64, a, b Instr) *uint64 {
-	if b.B == a.D {
-		return &st[b.A]
-	}
-	return &st[b.B]
+func k2Eq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	diff := (*at(st, a.A) ^ *at(st, a.B)) | (hi2(st, a.A, a.AW) ^ hi2(st, a.B, a.BW))
+	*at(st, a.D) = b2u(diff == 0)
+	return a.next()
 }
 
-// compileCmpMuxBound specializes compare-into-mux into one straight-line
-// closure per comparison kernel (see cmpParts).
-func compileCmpMuxBound(st []uint64, a, b Instr) BoundFn {
-	pad := &st[a.D]
-	pbb, pbc, pbd := &st[b.B], &st[b.C], &st[b.D]
-	bdm := mask(b.DW)
-	x, y, xw, yw, negBit, kind := cmpParts(a)
-	px, py := &st[x], &st[y]
-	switch kind {
-	case cmpEqK:
-		return func() {
-			c := b2u(*px == *py) ^ negBit
-			*pad = c
-			r := *pbc
-			if c != 0 {
-				r = *pbb
-			}
-			*pbd = r & bdm
-		}
-	case cmpLtS:
-		return func() {
-			c := b2u(sext64(*px, xw) < sext64(*py, yw)) ^ negBit
-			*pad = c
-			r := *pbc
-			if c != 0 {
-				r = *pbb
-			}
-			*pbd = r & bdm
-		}
-	}
-	return func() {
-		c := b2u(*px < *py) ^ negBit
-		*pad = c
-		r := *pbc
-		if c != 0 {
-			r = *pbb
-		}
-		*pbd = r & bdm
-	}
+func k2Neq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	diff := (*at(st, a.A) ^ *at(st, a.B)) | (hi2(st, a.A, a.AW) ^ hi2(st, a.B, a.BW))
+	*at(st, a.D) = b2u(diff != 0)
+	return a.next()
 }

@@ -3,6 +3,8 @@ package emit
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"gsim/internal/bitvec"
@@ -14,41 +16,43 @@ import (
 const numOpCodes = int(cOpCount)
 
 // TestKernelOpcodeCoverage pins the contract the engines rely on: every
-// opcode in the enumeration compiles in the bound-chain compiler
-// (compileKernelBound) at both narrow and wide widths, so a new opcode added
-// without a kernel fails the sweep instead of panicking at engine
-// construction.
+// opcode in the enumeration compiles to one kernel at both narrow and wide
+// widths, so a new opcode added without a kernel fails the sweep instead of
+// panicking at engine construction.
 func TestKernelOpcodeCoverage(t *testing.T) {
 	p := &Program{NumWords: 8, Mems: []MemSpec{{Depth: 2, Width: 8, WordsPer: 1, Init: make([]uint64, 2)}}}
 	mach := NewMachine(p)
 	for op := int(CCopy); op < numOpCodes; op++ {
-		narrow := Instr{Op: OpCode(op), DW: 8, AW: 8, BW: 8}
-		wide := Instr{Op: OpCode(op), DW: 128, AW: 128, BW: 128}
-		if fn := mustCompile(t, mach, narrow); fn == nil {
-			t.Fatalf("opcode %d: no narrow kernel", op)
-		}
-		if fn := mustCompile(t, mach, wide); fn == nil {
-			t.Fatalf("opcode %d: no wide fallback", op)
+		for _, w := range []int32{8, 128} {
+			in := Instr{Op: OpCode(op), DW: w, AW: w, BW: w}
+			if k := kernelsFor(t, mach, in); k != 1 {
+				t.Fatalf("opcode %s at width %d: %d kernels, want 1", in.Op, w, k)
+			}
 		}
 	}
 }
 
-func mustCompile(t *testing.T, m *Machine, in Instr) (fn BoundFn) {
+// kernelsFor compiles one instruction into a fresh stream and returns its
+// kernel count, failing the test if the build panics.
+func kernelsFor(t *testing.T, m *Machine, in Instr) int {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
-			t.Fatalf("opcode %d (widths %d/%d/%d): compile panicked: %v", in.Op, in.DW, in.AW, in.BW, r)
+			t.Fatalf("opcode %s (widths %d/%d/%d): compile panicked: %v", in.Op, in.DW, in.AW, in.BW, r)
 		}
 	}()
-	return compileKernelBound(m, in)
+	s := NewStream(m)
+	s.Append([]Instr{in}, true)
+	k, _, _ := s.Footprint()
+	return k
 }
 
 // TestChainMatchesInterp is the chain-level property test for every kernel
-// mode: for random expression trees (narrow and wide), the bound chain —
-// width classes, and superinstructions when fused — must leave the machine in
-// the exact state the interpreter leaves it in, every word including
-// temporaries. Fused, the closure count may only shrink; unfused (the
-// kernel-nofuse path), it is exactly one closure per instruction.
+// mode: for random expression trees (narrow and wide), the stream — width
+// classes, and superinstructions when fused — must leave the machine in the
+// exact state the interpreter leaves it in, every word including
+// temporaries. Fused, the kernel count may only shrink; unfused (the
+// kernel-nofuse path), it is exactly one kernel per instruction.
 func TestChainMatchesInterp(t *testing.T) {
 	for _, fuse := range []bool{true, false} {
 		t.Run(fmt.Sprintf("fuse=%v", fuse), func(t *testing.T) {
@@ -80,25 +84,97 @@ func checkChainMatchesInterp(t *testing.T, seed int64, fuse bool) {
 
 	mi := NewMachine(p)
 	mb := NewMachine(p)
-	bfns := p.AppendChainBound(nil, mb, p.Instrs, fuse)
-	if fuse && len(bfns) > len(p.Instrs) {
-		t.Fatalf("seed %d: chain grew: %d closures for %d instructions", seed, len(bfns), len(p.Instrs))
+	s := NewStream(mb)
+	chain := s.Append(p.Instrs, fuse)
+	kernels, _, _ := s.Footprint()
+	if fuse && kernels > len(p.Instrs) {
+		t.Fatalf("seed %d: chain grew: %d kernels for %d instructions", seed, kernels, len(p.Instrs))
 	}
-	if !fuse && len(bfns) != len(p.Instrs) {
-		t.Fatalf("seed %d: unfused chain has %d closures for %d instructions", seed, len(bfns), len(p.Instrs))
+	if !fuse && kernels != len(p.Instrs) {
+		t.Fatalf("seed %d: unfused chain has %d kernels for %d instructions", seed, kernels, len(p.Instrs))
 	}
 	for _, in := range inputs {
 		mi.Poke(in.ID, vals[in])
 		mb.Poke(in.ID, vals[in])
 	}
 	mi.Exec(0, int32(len(p.Instrs)))
-	for _, f := range bfns {
-		f()
-	}
+	s.Run(chain)
 	for w := range mi.State {
 		if mi.State[w] != mb.State[w] {
-			t.Fatalf("seed %d: state word %d: interp %#x vs bound chain %#x\nexpr: %s",
+			t.Fatalf("seed %d: state word %d: interp %#x vs stream %#x\nexpr: %s",
 				seed, w, mi.State[w], mb.State[w], e)
+		}
+	}
+}
+
+// TestStreamRefusesOutsideState corrupts one instruction at a time — an
+// operand past the state image, a negative offset, a 2-word operand
+// straddling the end, a memory index past Mems, a zero width — and checks
+// that building the stream refuses it, naming the instruction, instead of
+// compiling a kernel that addresses memory outside the machine or masks
+// with a width it cannot represent.
+func TestStreamRefusesOutsideState(t *testing.T) {
+	p := &Program{NumWords: 16, Mems: []MemSpec{{Depth: 4, Width: 8, WordsPer: 1, Init: make([]uint64, 4)}}}
+	m := NewMachine(p)
+	good := []Instr{
+		{Op: CAdd, D: 10, DW: 8, A: 0, AW: 8, B: 1, BW: 8},
+		{Op: CMux, D: 11, DW: 8, A: 2, AW: 1, B: 10, BW: 8, C: 3},
+		{Op: CMemRead, D: 12, DW: 8, A: 11, AW: 2, Lo: 0},
+		{Op: CCopy, D: 13, DW: 100, A: 4, AW: 100},
+	}
+	NewStream(m).Append(good, true)
+	for _, c := range []struct {
+		name    string
+		i       int
+		corrupt func(*Instr)
+	}{
+		{"destination past the image", 0, func(in *Instr) { in.D = 16 }},
+		{"negative source", 0, func(in *Instr) { in.A = -1 }},
+		{"mux arm past the image", 1, func(in *Instr) { in.C = 99 }},
+		{"memory index past Mems", 2, func(in *Instr) { in.Lo = 1 }},
+		{"2-word destination straddling the end", 3, func(in *Instr) { in.D = 15 }},
+		{"zero result width", 1, func(in *Instr) { in.DW = 0 }},
+	} {
+		ins := slices.Clone(good)
+		c.corrupt(&ins[c.i])
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			NewStream(m).Append(ins, true)
+			return "no panic"
+		}()
+		if want := fmt.Sprintf("instruction %d of the chain", c.i); !strings.Contains(msg, want) {
+			t.Errorf("%s: Append gave %q, want a refusal naming %q", c.name, msg, want)
+		}
+	}
+}
+
+// TestStreamBuildAllocs pins the absence of any per-instruction heap
+// object: building a 10 000-instruction chain, fused and unfused, costs the
+// append growth steps of the stream's two arrays and nothing per window.
+func TestStreamBuildAllocs(t *testing.T) {
+	p := &Program{NumWords: 64}
+	m := NewMachine(p)
+	shapes := []Instr{
+		{Op: CBits, D: 10, DW: 1, A: 0, AW: 20, Lo: 5},
+		{Op: CAnd, D: 11, DW: 1, A: 10, AW: 1, B: 1, BW: 1},
+		{Op: CMux, D: 12, DW: 16, A: 11, AW: 1, B: 2, BW: 16, C: 3},
+		{Op: CXor, D: 13, DW: 16, A: 12, AW: 16, B: 4, BW: 16},
+		{Op: CAdd, D: 14, DW: 16, A: 13, AW: 16, B: 5, BW: 16},
+		{Op: CCopy, D: 16, DW: 100, A: 20, AW: 100},
+		{Op: CMul, D: 18, DW: 200, A: 20, AW: 100, B: 24, BW: 100},
+	}
+	ins := make([]Instr, 10_000)
+	for i := range ins {
+		ins[i] = shapes[i%len(shapes)]
+	}
+	for _, fuse := range []bool{true, false} {
+		allocs := testing.AllocsPerRun(3, func() {
+			s := NewStream(m)
+			s.Append(ins, fuse)
+			s.Trim()
+		})
+		if allocs > 64 {
+			t.Errorf("fuse=%v: building a %d-instruction stream made %.0f allocations, want at most 64", fuse, len(ins), allocs)
 		}
 	}
 }

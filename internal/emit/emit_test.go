@@ -288,13 +288,6 @@ func TestPokeReportsChange(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestFreePadCompilesToNothing: a zero-extension that adds no state word is
 // an operand alias, not an instruction — in operand position the consumer
 // reads the source slot at the padded width, at a root the argument compiles

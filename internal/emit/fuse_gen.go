@@ -3,7 +3,10 @@
 
 package emit
 
-import "math/bits"
+import (
+	"math/bits"
+	"unsafe"
+)
 
 // FuseRule identifies one fusion rule of the declarative table in
 // internal/emit/rules. FuseRuleNone means no rule matches; NumFuseRules is
@@ -13,8 +16,6 @@ type FuseRule uint8
 
 const (
 	FuseRuleNone FuseRule = iota
-	// FuseRuleCopyMux: (copy _) >> (mux t? t? t?)
-	FuseRuleCopyMux
 	// FuseRuleCmpMux: (cmp _ _) >> (mux t _ _)
 	FuseRuleCmpMux
 	// FuseRuleMuxMux: (mux _ _ _) >> (mux _ t? t?)
@@ -31,25 +32,20 @@ const (
 	FuseRuleAluCat
 	// FuseRuleAluLogic: (pure) >> (logic t? t?)
 	FuseRuleAluLogic
-	// FuseRuleAndEqz: (and _ _) >> (eqz t? t?)
-	FuseRuleAndEqz
 	// FuseRuleAluEq: (pure) >> (eqz t? t?)
 	FuseRuleAluEq
-	// FuseRuleAndOrr: (and _ _) >> (orr t)
-	FuseRuleAndOrr
 	// FuseRuleAluMemread: (pure) >> (memread t)
 	FuseRuleAluMemread
 	// FuseRuleMuxMuxMux: (mux _ _ _) >> (mux _ t? t?) >> (mux _ t? t?)
 	FuseRuleMuxMuxMux
-	// FuseRuleCmpMuxMux: (cmp _ _) >> (mux t _ _) >> (mux _ t? t?)
-	FuseRuleCmpMuxMux
+	// FuseRuleBitsAndMux: (bits _) >> (and t? t?) >> (mux t? t? t?)
+	FuseRuleBitsAndMux
 
 	NumFuseRules
 )
 
 var fuseRuleNames = [NumFuseRules]string{
 	"none",
-	"copy-mux",
 	"cmp-mux",
 	"mux-mux",
 	"alu-mux",
@@ -58,17 +54,14 @@ var fuseRuleNames = [NumFuseRules]string{
 	"alu-mask",
 	"alu-cat",
 	"alu-logic",
-	"and-eqz",
 	"alu-eq",
-	"and-orr",
 	"alu-memread",
 	"mux-mux-mux",
-	"cmp-mux-mux",
+	"bits-and-mux",
 }
 
 var fuseRulePatterns = [NumFuseRules]string{
 	"",
-	"(copy _) >> (mux t? t? t?)",
 	"(cmp _ _) >> (mux t _ _)",
 	"(mux _ _ _) >> (mux _ t? t?)",
 	"(pure) >> (mux t? t? t?)",
@@ -77,19 +70,14 @@ var fuseRulePatterns = [NumFuseRules]string{
 	"(pure) >> (mask t)",
 	"(pure) >> (cat t? t?)",
 	"(pure) >> (logic t? t?)",
-	"(and _ _) >> (eqz t? t?)",
 	"(pure) >> (eqz t? t?)",
-	"(and _ _) >> (orr t)",
 	"(pure) >> (memread t)",
 	"(mux _ _ _) >> (mux _ t? t?) >> (mux _ t? t?)",
-	"(cmp _ _) >> (mux t _ _) >> (mux _ t? t?)",
+	"(bits _) >> (and t? t?) >> (mux t? t? t?)",
 }
 
 var fuseRuleArities = [NumFuseRules]uint8{
 	0,
-	2,
-	2,
-	2,
 	2,
 	2,
 	2,
@@ -182,10 +170,6 @@ func matchFuse2(a, b Instr) FuseRule {
 	pure := InlineProducer(a.Op)
 	switch b.Op {
 	case CMux:
-		// copy-mux: (copy _) >> (mux t? t? t?)
-		if a.Op == CCopy && (b.A == a.D || b.B == a.D || b.C == a.D) {
-			return FuseRuleCopyMux
-		}
 		// cmp-mux: (cmp _ _) >> (mux t _ _)
 		if isCmp(a.Op) && b.A == a.D {
 			return FuseRuleCmpMux
@@ -222,18 +206,9 @@ func matchFuse2(a, b Instr) FuseRule {
 			return FuseRuleAluLogic
 		}
 	case CEq, CNeq:
-		// and-eqz: (and _ _) >> (eqz t? t?)
-		if a.Op == CAnd && (b.A == a.D || b.B == a.D) {
-			return FuseRuleAndEqz
-		}
 		// alu-eq: (pure) >> (eqz t? t?)
 		if pure && (b.A == a.D || b.B == a.D) {
 			return FuseRuleAluEq
-		}
-	case COrR:
-		// and-orr: (and _ _) >> (orr t)
-		if a.Op == CAnd && b.A == a.D {
-			return FuseRuleAndOrr
 		}
 	case CMemRead:
 		// alu-memread: (pure) >> (memread t)
@@ -242,40 +217,6 @@ func matchFuse2(a, b Instr) FuseRule {
 		}
 	}
 	return FuseRuleNone
-}
-
-// compileFuse2 dispatches a matched 2-instruction window to its rule's
-// bound-closure constructor.
-func compileFuse2(m *Machine, a, b Instr, r FuseRule) BoundFn {
-	switch r {
-	case FuseRuleCopyMux:
-		return fuseCopyMux(m, a, b)
-	case FuseRuleCmpMux:
-		return fuseCmpMux(m, a, b)
-	case FuseRuleMuxMux:
-		return fuseMuxMux(m, a, b)
-	case FuseRuleAluMux:
-		return fuseAluMux(m, a, b)
-	case FuseRuleAddMask:
-		return fuseAddMask(m, a, b)
-	case FuseRuleSubMask:
-		return fuseSubMask(m, a, b)
-	case FuseRuleAluMask:
-		return fuseAluMask(m, a, b)
-	case FuseRuleAluCat:
-		return fuseAluCat(m, a, b)
-	case FuseRuleAluLogic:
-		return fuseAluLogic(m, a, b)
-	case FuseRuleAndEqz:
-		return fuseAndEqz(m, a, b)
-	case FuseRuleAluEq:
-		return fuseAluEq(m, a, b)
-	case FuseRuleAndOrr:
-		return fuseAndEqz(m, a, b)
-	case FuseRuleAluMemread:
-		return fuseAluMemRead(m, a, b)
-	}
-	panic("emit: compileFuse2: no constructor for rule " + r.String())
 }
 
 // matchFuse3 classifies an adjacent 3-instruction window (a executes
@@ -291,29 +232,16 @@ func matchFuse3(a, b, c Instr) FuseRule {
 		if a.Op == CMux && b.Op == CMux && (b.B == a.D || b.C == a.D) && (c.B == b.D || c.C == b.D) {
 			return FuseRuleMuxMuxMux
 		}
-		// cmp-mux-mux: (cmp _ _) >> (mux t _ _) >> (mux _ t? t?)
-		if isCmp(a.Op) && b.Op == CMux && b.A == a.D && (c.B == b.D || c.C == b.D) {
-			return FuseRuleCmpMuxMux
+		// bits-and-mux: (bits _) >> (and t? t?) >> (mux t? t? t?)
+		if a.Op == CBits && b.Op == CAnd && (b.A == a.D || b.B == a.D) && (c.A == b.D || c.B == b.D || c.C == b.D) {
+			return FuseRuleBitsAndMux
 		}
 	}
 	return FuseRuleNone
 }
 
-// compileFuse3 dispatches a matched 3-instruction window to its rule's
-// bound-closure constructor.
-func compileFuse3(m *Machine, a, b, c Instr, r FuseRule) BoundFn {
-	switch r {
-	case FuseRuleMuxMuxMux:
-		return fuseMuxMuxMux(m, a, b, c)
-	case FuseRuleCmpMuxMux:
-		return fuseCmpMuxMux(m, a, b, c)
-	}
-	panic("emit: compileFuse3: no constructor for rule " + r.String())
-}
-
 // InlineProducer reports whether op's value row is marked Inline: the pure
-// producer class of the generic fusion rules, whose constructors inline
-// exactly these rows.
+// producer class of the generic fusion rules.
 func InlineProducer(op OpCode) bool {
 	switch op {
 	case CMul, COr, CXor, CNot, COrR, CLt, CShr, CDshl, CCat, CBits, CMux:
@@ -322,559 +250,848 @@ func InlineProducer(op OpCode) bool {
 	return false
 }
 
-// compilePureBound builds the single-instruction narrow kernel of a pure
-// opcode, its value row stored to D; nil for an opcode without a row.
-func compilePureBound(st []uint64, in Instr) BoundFn {
-	pd := &st[in.D]
-	switch in.Op {
-	case CCopy:
-		pa, dm := &st[in.A], mask(in.DW)
-		return func() { *pd = *pa & dm }
-	case CAdd:
-		pa, pb, dm := &st[in.A], &st[in.B], mask(in.DW)
-		return func() { *pd = (*pa + *pb) & dm }
-	case CSub:
-		pa, pb, dm := &st[in.A], &st[in.B], mask(in.DW)
-		return func() { *pd = (*pa - *pb) & dm }
-	case CMul:
-		pa, pb, dm := &st[in.A], &st[in.B], mask(in.DW)
-		return func() { *pd = (*pa * *pb) & dm }
-	case CDiv:
-		pa, pb, dm := &st[in.A], &st[in.B], mask(in.DW)
-		return func() { *pd = divz(*pa, *pb) & dm }
-	case CRem:
-		pa, pb, dm := &st[in.A], &st[in.B], mask(in.DW)
-		return func() { *pd = remz(*pa, *pb) & dm }
-	case CNeg:
-		pa, dm := &st[in.A], mask(in.DW)
-		return func() { *pd = -*pa & dm }
-	case CAnd:
-		pa, pb, dm := &st[in.A], &st[in.B], mask(in.DW)
-		return func() { *pd = *pa & *pb & dm }
-	case COr:
-		pa, pb, dm := &st[in.A], &st[in.B], mask(in.DW)
-		return func() { *pd = (*pa | *pb) & dm }
-	case CXor:
-		pa, pb, dm := &st[in.A], &st[in.B], mask(in.DW)
-		return func() { *pd = (*pa ^ *pb) & dm }
-	case CNot:
-		pa, dm := &st[in.A], mask(in.DW)
-		return func() { *pd = ^*pa & dm }
-	case CAndR:
-		pa, am := &st[in.A], mask(in.AW)
-		return func() { *pd = b2u(*pa == am) }
-	case COrR:
-		pa := &st[in.A]
-		return func() { *pd = b2u(*pa != 0) }
-	case CXorR:
-		pa := &st[in.A]
-		return func() { *pd = uint64(bits.OnesCount64(*pa)) & 1 }
-	case CEq:
-		pa, pb := &st[in.A], &st[in.B]
-		return func() { *pd = b2u(*pa == *pb) }
-	case CNeq:
-		pa, pb := &st[in.A], &st[in.B]
-		return func() { *pd = b2u(*pa != *pb) }
-	case CLt:
-		pa, pb := &st[in.A], &st[in.B]
-		return func() { *pd = b2u(*pa < *pb) }
-	case CLeq:
-		pa, pb := &st[in.A], &st[in.B]
-		return func() { *pd = b2u(*pa <= *pb) }
-	case CGt:
-		pa, pb := &st[in.A], &st[in.B]
-		return func() { *pd = b2u(*pa > *pb) }
-	case CGeq:
-		pa, pb := &st[in.A], &st[in.B]
-		return func() { *pd = b2u(*pa >= *pb) }
-	case CSLt:
-		pa, aw, pb, bw := &st[in.A], in.AW, &st[in.B], in.BW
-		return func() { *pd = b2u(sext64(*pa, aw) < sext64(*pb, bw)) }
-	case CSLeq:
-		pa, aw, pb, bw := &st[in.A], in.AW, &st[in.B], in.BW
-		return func() { *pd = b2u(sext64(*pa, aw) <= sext64(*pb, bw)) }
-	case CSGt:
-		pa, aw, pb, bw := &st[in.A], in.AW, &st[in.B], in.BW
-		return func() { *pd = b2u(sext64(*pa, aw) > sext64(*pb, bw)) }
-	case CSGeq:
-		pa, aw, pb, bw := &st[in.A], in.AW, &st[in.B], in.BW
-		return func() { *pd = b2u(sext64(*pa, aw) >= sext64(*pb, bw)) }
-	case CShl:
-		pa, sh, dm := &st[in.A], uint(in.Lo), mask(in.DW)
-		return func() { *pd = (*pa << sh) & dm }
-	case CShr:
-		pa, sh, dm := &st[in.A], uint(in.Lo), mask(in.DW)
-		return func() { *pd = (*pa >> sh) & dm }
-	case CDshl:
-		pa, pb, dm := &st[in.A], &st[in.B], mask(in.DW)
-		return func() { *pd = (*pa << *pb) & dm }
-	case CDshr:
-		pa, pb, dm := &st[in.A], &st[in.B], mask(in.DW)
-		return func() { *pd = (*pa >> *pb) & dm }
-	case CCat:
-		pa, cs, pb, dm := &st[in.A], uint(in.BW), &st[in.B], mask(in.DW)
-		return func() { *pd = (*pa<<cs | *pb) & dm }
-	case CBits:
-		pa, sh, dm := &st[in.A], uint(in.Lo), mask(in.DW)
-		return func() { *pd = (*pa >> sh) & dm }
-	case CSExt:
-		pa, aw, dm := &st[in.A], in.AW, mask(in.DW)
-		return func() { *pd = uint64(sext64(*pa, aw)) & dm }
-	case CMux:
-		pa, pb, pc, dm := &st[in.A], &st[in.B], &st[in.C], mask(in.DW)
-		return func() { *pd = pick(*pa, *pb, *pc) & dm }
-	}
-	return nil
+// Kernels. Each runs the operand records of one window against the state
+// image at st: it stores every instruction's value row in window order and
+// returns the record after the window. A fused window stores its leading
+// instructions, then tail-calls its last instruction's single kernel, which
+// the Go compiler inlines; that instruction re-reads any fed operand from
+// the state image after the store.
+
+func kCopy(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = *at(st, a.A) & mask8(a.DW)
+	return a.next()
 }
 
-// fuseAluMux compiles alu-mux, (pure) >> (mux t? t? t?): one closure per
-// inline producer and consumer opcode, both value rows inlined.
-func fuseAluMux(m *Machine, a, b Instr) BoundFn {
-	st := m.State
-	pad, pbd := &st[a.D], &st[b.D]
-	pba, pbb, pbc, bdm := &st[b.A], &st[b.B], &st[b.C], mask(b.DW)
-	switch a.Op {
-	case CMul:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		return func() { t := (*pa * *pb) & dm; *pad = t; *pbd = pick(*pba, *pbb, *pbc) & bdm }
-	case COr:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		return func() { t := (*pa | *pb) & dm; *pad = t; *pbd = pick(*pba, *pbb, *pbc) & bdm }
-	case CXor:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		return func() { t := (*pa ^ *pb) & dm; *pad = t; *pbd = pick(*pba, *pbb, *pbc) & bdm }
-	case CNot:
-		pa, dm := &st[a.A], mask(a.DW)
-		return func() { t := ^*pa & dm; *pad = t; *pbd = pick(*pba, *pbb, *pbc) & bdm }
-	case COrR:
-		pa := &st[a.A]
-		return func() { t := b2u(*pa != 0); *pad = t; *pbd = pick(*pba, *pbb, *pbc) & bdm }
-	case CLt:
-		pa, pb := &st[a.A], &st[a.B]
-		return func() { t := b2u(*pa < *pb); *pad = t; *pbd = pick(*pba, *pbb, *pbc) & bdm }
-	case CShr:
-		pa, sh, dm := &st[a.A], uint(a.Lo), mask(a.DW)
-		return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = pick(*pba, *pbb, *pbc) & bdm }
-	case CDshl:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		return func() { t := (*pa << *pb) & dm; *pad = t; *pbd = pick(*pba, *pbb, *pbc) & bdm }
-	case CCat:
-		pa, cs, pb, dm := &st[a.A], uint(a.BW), &st[a.B], mask(a.DW)
-		return func() { t := (*pa<<cs | *pb) & dm; *pad = t; *pbd = pick(*pba, *pbb, *pbc) & bdm }
-	case CBits:
-		pa, sh, dm := &st[a.A], uint(a.Lo), mask(a.DW)
-		return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = pick(*pba, *pbb, *pbc) & bdm }
-	case CMux:
-		pa, pb, pc, dm := &st[a.A], &st[a.B], &st[a.C], mask(a.DW)
-		return func() { t := pick(*pa, *pb, *pc) & dm; *pad = t; *pbd = pick(*pba, *pbb, *pbc) & bdm }
-	}
-	panic("emit: fuseAluMux: producer " + a.Op.String() + " is not inline")
+func kAdd(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) + *at(st, a.B)) & mask8(a.DW)
+	return a.next()
 }
 
-// fuseAluMask compiles alu-mask, (pure) >> (mask t): one closure per
-// inline producer and consumer opcode, both value rows inlined.
-func fuseAluMask(m *Machine, a, b Instr) BoundFn {
-	st := m.State
-	pad, pbd := &st[a.D], &st[b.D]
-	bdm, bsh := mask(b.DW), uint(b.Lo)
-	switch a.Op {
-	case CMul:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		switch b.Op {
-		case CCopy:
-			return func() { t := (*pa * *pb) & dm; *pad = t; *pbd = t & bdm }
-		case CBits:
-			return func() { t := (*pa * *pb) & dm; *pad = t; *pbd = (t >> bsh) & bdm }
-		}
-	case COr:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		switch b.Op {
-		case CCopy:
-			return func() { t := (*pa | *pb) & dm; *pad = t; *pbd = t & bdm }
-		case CBits:
-			return func() { t := (*pa | *pb) & dm; *pad = t; *pbd = (t >> bsh) & bdm }
-		}
-	case CXor:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		switch b.Op {
-		case CCopy:
-			return func() { t := (*pa ^ *pb) & dm; *pad = t; *pbd = t & bdm }
-		case CBits:
-			return func() { t := (*pa ^ *pb) & dm; *pad = t; *pbd = (t >> bsh) & bdm }
-		}
-	case CNot:
-		pa, dm := &st[a.A], mask(a.DW)
-		switch b.Op {
-		case CCopy:
-			return func() { t := ^*pa & dm; *pad = t; *pbd = t & bdm }
-		case CBits:
-			return func() { t := ^*pa & dm; *pad = t; *pbd = (t >> bsh) & bdm }
-		}
-	case COrR:
-		pa := &st[a.A]
-		switch b.Op {
-		case CCopy:
-			return func() { t := b2u(*pa != 0); *pad = t; *pbd = t & bdm }
-		case CBits:
-			return func() { t := b2u(*pa != 0); *pad = t; *pbd = (t >> bsh) & bdm }
-		}
-	case CLt:
-		pa, pb := &st[a.A], &st[a.B]
-		switch b.Op {
-		case CCopy:
-			return func() { t := b2u(*pa < *pb); *pad = t; *pbd = t & bdm }
-		case CBits:
-			return func() { t := b2u(*pa < *pb); *pad = t; *pbd = (t >> bsh) & bdm }
-		}
-	case CShr:
-		pa, sh, dm := &st[a.A], uint(a.Lo), mask(a.DW)
-		switch b.Op {
-		case CCopy:
-			return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = t & bdm }
-		case CBits:
-			return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = (t >> bsh) & bdm }
-		}
-	case CDshl:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		switch b.Op {
-		case CCopy:
-			return func() { t := (*pa << *pb) & dm; *pad = t; *pbd = t & bdm }
-		case CBits:
-			return func() { t := (*pa << *pb) & dm; *pad = t; *pbd = (t >> bsh) & bdm }
-		}
-	case CCat:
-		pa, cs, pb, dm := &st[a.A], uint(a.BW), &st[a.B], mask(a.DW)
-		switch b.Op {
-		case CCopy:
-			return func() { t := (*pa<<cs | *pb) & dm; *pad = t; *pbd = t & bdm }
-		case CBits:
-			return func() { t := (*pa<<cs | *pb) & dm; *pad = t; *pbd = (t >> bsh) & bdm }
-		}
-	case CBits:
-		pa, sh, dm := &st[a.A], uint(a.Lo), mask(a.DW)
-		switch b.Op {
-		case CCopy:
-			return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = t & bdm }
-		case CBits:
-			return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = (t >> bsh) & bdm }
-		}
-	case CMux:
-		pa, pb, pc, dm := &st[a.A], &st[a.B], &st[a.C], mask(a.DW)
-		switch b.Op {
-		case CCopy:
-			return func() { t := pick(*pa, *pb, *pc) & dm; *pad = t; *pbd = t & bdm }
-		case CBits:
-			return func() { t := pick(*pa, *pb, *pc) & dm; *pad = t; *pbd = (t >> bsh) & bdm }
-		}
-	}
-	panic("emit: fuseAluMask: producer " + a.Op.String() + " is not inline")
+func kSub(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) - *at(st, a.B)) & mask8(a.DW)
+	return a.next()
 }
 
-// fuseAluCat compiles alu-cat, (pure) >> (cat t? t?): one closure per
-// inline producer and consumer opcode, both value rows inlined.
-func fuseAluCat(m *Machine, a, b Instr) BoundFn {
-	st := m.State
-	pad, pbd := &st[a.D], &st[b.D]
-	pba, bcs, pbb, bdm := &st[b.A], uint(b.BW), &st[b.B], mask(b.DW)
-	switch a.Op {
-	case CMul:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		return func() { t := (*pa * *pb) & dm; *pad = t; *pbd = (*pba<<bcs | *pbb) & bdm }
-	case COr:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		return func() { t := (*pa | *pb) & dm; *pad = t; *pbd = (*pba<<bcs | *pbb) & bdm }
-	case CXor:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		return func() { t := (*pa ^ *pb) & dm; *pad = t; *pbd = (*pba<<bcs | *pbb) & bdm }
-	case CNot:
-		pa, dm := &st[a.A], mask(a.DW)
-		return func() { t := ^*pa & dm; *pad = t; *pbd = (*pba<<bcs | *pbb) & bdm }
-	case COrR:
-		pa := &st[a.A]
-		return func() { t := b2u(*pa != 0); *pad = t; *pbd = (*pba<<bcs | *pbb) & bdm }
-	case CLt:
-		pa, pb := &st[a.A], &st[a.B]
-		return func() { t := b2u(*pa < *pb); *pad = t; *pbd = (*pba<<bcs | *pbb) & bdm }
-	case CShr:
-		pa, sh, dm := &st[a.A], uint(a.Lo), mask(a.DW)
-		return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = (*pba<<bcs | *pbb) & bdm }
-	case CDshl:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		return func() { t := (*pa << *pb) & dm; *pad = t; *pbd = (*pba<<bcs | *pbb) & bdm }
-	case CCat:
-		pa, cs, pb, dm := &st[a.A], uint(a.BW), &st[a.B], mask(a.DW)
-		return func() { t := (*pa<<cs | *pb) & dm; *pad = t; *pbd = (*pba<<bcs | *pbb) & bdm }
-	case CBits:
-		pa, sh, dm := &st[a.A], uint(a.Lo), mask(a.DW)
-		return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = (*pba<<bcs | *pbb) & bdm }
-	case CMux:
-		pa, pb, pc, dm := &st[a.A], &st[a.B], &st[a.C], mask(a.DW)
-		return func() { t := pick(*pa, *pb, *pc) & dm; *pad = t; *pbd = (*pba<<bcs | *pbb) & bdm }
-	}
-	panic("emit: fuseAluCat: producer " + a.Op.String() + " is not inline")
+func kMul(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) * *at(st, a.B)) & mask8(a.DW)
+	return a.next()
 }
 
-// fuseAluLogic compiles alu-logic, (pure) >> (logic t? t?): one closure per
-// inline producer and consumer opcode, both value rows inlined.
-func fuseAluLogic(m *Machine, a, b Instr) BoundFn {
-	st := m.State
-	pad, pbd := &st[a.D], &st[b.D]
-	pba, pbb, bdm := &st[b.A], &st[b.B], mask(b.DW)
-	switch a.Op {
-	case CMul:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		switch b.Op {
-		case CAnd:
-			return func() { t := (*pa * *pb) & dm; *pad = t; *pbd = *pba & *pbb & bdm }
-		case COr:
-			return func() { t := (*pa * *pb) & dm; *pad = t; *pbd = (*pba | *pbb) & bdm }
-		case CXor:
-			return func() { t := (*pa * *pb) & dm; *pad = t; *pbd = (*pba ^ *pbb) & bdm }
-		}
-	case COr:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		switch b.Op {
-		case CAnd:
-			return func() { t := (*pa | *pb) & dm; *pad = t; *pbd = *pba & *pbb & bdm }
-		case COr:
-			return func() { t := (*pa | *pb) & dm; *pad = t; *pbd = (*pba | *pbb) & bdm }
-		case CXor:
-			return func() { t := (*pa | *pb) & dm; *pad = t; *pbd = (*pba ^ *pbb) & bdm }
-		}
-	case CXor:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		switch b.Op {
-		case CAnd:
-			return func() { t := (*pa ^ *pb) & dm; *pad = t; *pbd = *pba & *pbb & bdm }
-		case COr:
-			return func() { t := (*pa ^ *pb) & dm; *pad = t; *pbd = (*pba | *pbb) & bdm }
-		case CXor:
-			return func() { t := (*pa ^ *pb) & dm; *pad = t; *pbd = (*pba ^ *pbb) & bdm }
-		}
-	case CNot:
-		pa, dm := &st[a.A], mask(a.DW)
-		switch b.Op {
-		case CAnd:
-			return func() { t := ^*pa & dm; *pad = t; *pbd = *pba & *pbb & bdm }
-		case COr:
-			return func() { t := ^*pa & dm; *pad = t; *pbd = (*pba | *pbb) & bdm }
-		case CXor:
-			return func() { t := ^*pa & dm; *pad = t; *pbd = (*pba ^ *pbb) & bdm }
-		}
-	case COrR:
-		pa := &st[a.A]
-		switch b.Op {
-		case CAnd:
-			return func() { t := b2u(*pa != 0); *pad = t; *pbd = *pba & *pbb & bdm }
-		case COr:
-			return func() { t := b2u(*pa != 0); *pad = t; *pbd = (*pba | *pbb) & bdm }
-		case CXor:
-			return func() { t := b2u(*pa != 0); *pad = t; *pbd = (*pba ^ *pbb) & bdm }
-		}
-	case CLt:
-		pa, pb := &st[a.A], &st[a.B]
-		switch b.Op {
-		case CAnd:
-			return func() { t := b2u(*pa < *pb); *pad = t; *pbd = *pba & *pbb & bdm }
-		case COr:
-			return func() { t := b2u(*pa < *pb); *pad = t; *pbd = (*pba | *pbb) & bdm }
-		case CXor:
-			return func() { t := b2u(*pa < *pb); *pad = t; *pbd = (*pba ^ *pbb) & bdm }
-		}
-	case CShr:
-		pa, sh, dm := &st[a.A], uint(a.Lo), mask(a.DW)
-		switch b.Op {
-		case CAnd:
-			return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = *pba & *pbb & bdm }
-		case COr:
-			return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = (*pba | *pbb) & bdm }
-		case CXor:
-			return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = (*pba ^ *pbb) & bdm }
-		}
-	case CDshl:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		switch b.Op {
-		case CAnd:
-			return func() { t := (*pa << *pb) & dm; *pad = t; *pbd = *pba & *pbb & bdm }
-		case COr:
-			return func() { t := (*pa << *pb) & dm; *pad = t; *pbd = (*pba | *pbb) & bdm }
-		case CXor:
-			return func() { t := (*pa << *pb) & dm; *pad = t; *pbd = (*pba ^ *pbb) & bdm }
-		}
-	case CCat:
-		pa, cs, pb, dm := &st[a.A], uint(a.BW), &st[a.B], mask(a.DW)
-		switch b.Op {
-		case CAnd:
-			return func() { t := (*pa<<cs | *pb) & dm; *pad = t; *pbd = *pba & *pbb & bdm }
-		case COr:
-			return func() { t := (*pa<<cs | *pb) & dm; *pad = t; *pbd = (*pba | *pbb) & bdm }
-		case CXor:
-			return func() { t := (*pa<<cs | *pb) & dm; *pad = t; *pbd = (*pba ^ *pbb) & bdm }
-		}
-	case CBits:
-		pa, sh, dm := &st[a.A], uint(a.Lo), mask(a.DW)
-		switch b.Op {
-		case CAnd:
-			return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = *pba & *pbb & bdm }
-		case COr:
-			return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = (*pba | *pbb) & bdm }
-		case CXor:
-			return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = (*pba ^ *pbb) & bdm }
-		}
-	case CMux:
-		pa, pb, pc, dm := &st[a.A], &st[a.B], &st[a.C], mask(a.DW)
-		switch b.Op {
-		case CAnd:
-			return func() { t := pick(*pa, *pb, *pc) & dm; *pad = t; *pbd = *pba & *pbb & bdm }
-		case COr:
-			return func() { t := pick(*pa, *pb, *pc) & dm; *pad = t; *pbd = (*pba | *pbb) & bdm }
-		case CXor:
-			return func() { t := pick(*pa, *pb, *pc) & dm; *pad = t; *pbd = (*pba ^ *pbb) & bdm }
-		}
-	}
-	panic("emit: fuseAluLogic: producer " + a.Op.String() + " is not inline")
+func kDiv(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = divz(*at(st, a.A), *at(st, a.B)) & mask8(a.DW)
+	return a.next()
 }
 
-// fuseAluEq compiles alu-eq, (pure) >> (eqz t? t?): one closure per
-// inline producer and consumer opcode, both value rows inlined.
-func fuseAluEq(m *Machine, a, b Instr) BoundFn {
-	st := m.State
-	pad, pbd := &st[a.D], &st[b.D]
-	pba, pbb := &st[b.A], &st[b.B]
-	switch a.Op {
-	case CMul:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		switch b.Op {
-		case CEq:
-			return func() { t := (*pa * *pb) & dm; *pad = t; *pbd = b2u(*pba == *pbb) }
-		case CNeq:
-			return func() { t := (*pa * *pb) & dm; *pad = t; *pbd = b2u(*pba != *pbb) }
-		}
-	case COr:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		switch b.Op {
-		case CEq:
-			return func() { t := (*pa | *pb) & dm; *pad = t; *pbd = b2u(*pba == *pbb) }
-		case CNeq:
-			return func() { t := (*pa | *pb) & dm; *pad = t; *pbd = b2u(*pba != *pbb) }
-		}
-	case CXor:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		switch b.Op {
-		case CEq:
-			return func() { t := (*pa ^ *pb) & dm; *pad = t; *pbd = b2u(*pba == *pbb) }
-		case CNeq:
-			return func() { t := (*pa ^ *pb) & dm; *pad = t; *pbd = b2u(*pba != *pbb) }
-		}
-	case CNot:
-		pa, dm := &st[a.A], mask(a.DW)
-		switch b.Op {
-		case CEq:
-			return func() { t := ^*pa & dm; *pad = t; *pbd = b2u(*pba == *pbb) }
-		case CNeq:
-			return func() { t := ^*pa & dm; *pad = t; *pbd = b2u(*pba != *pbb) }
-		}
-	case COrR:
-		pa := &st[a.A]
-		switch b.Op {
-		case CEq:
-			return func() { t := b2u(*pa != 0); *pad = t; *pbd = b2u(*pba == *pbb) }
-		case CNeq:
-			return func() { t := b2u(*pa != 0); *pad = t; *pbd = b2u(*pba != *pbb) }
-		}
-	case CLt:
-		pa, pb := &st[a.A], &st[a.B]
-		switch b.Op {
-		case CEq:
-			return func() { t := b2u(*pa < *pb); *pad = t; *pbd = b2u(*pba == *pbb) }
-		case CNeq:
-			return func() { t := b2u(*pa < *pb); *pad = t; *pbd = b2u(*pba != *pbb) }
-		}
-	case CShr:
-		pa, sh, dm := &st[a.A], uint(a.Lo), mask(a.DW)
-		switch b.Op {
-		case CEq:
-			return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = b2u(*pba == *pbb) }
-		case CNeq:
-			return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = b2u(*pba != *pbb) }
-		}
-	case CDshl:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		switch b.Op {
-		case CEq:
-			return func() { t := (*pa << *pb) & dm; *pad = t; *pbd = b2u(*pba == *pbb) }
-		case CNeq:
-			return func() { t := (*pa << *pb) & dm; *pad = t; *pbd = b2u(*pba != *pbb) }
-		}
-	case CCat:
-		pa, cs, pb, dm := &st[a.A], uint(a.BW), &st[a.B], mask(a.DW)
-		switch b.Op {
-		case CEq:
-			return func() { t := (*pa<<cs | *pb) & dm; *pad = t; *pbd = b2u(*pba == *pbb) }
-		case CNeq:
-			return func() { t := (*pa<<cs | *pb) & dm; *pad = t; *pbd = b2u(*pba != *pbb) }
-		}
-	case CBits:
-		pa, sh, dm := &st[a.A], uint(a.Lo), mask(a.DW)
-		switch b.Op {
-		case CEq:
-			return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = b2u(*pba == *pbb) }
-		case CNeq:
-			return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = b2u(*pba != *pbb) }
-		}
-	case CMux:
-		pa, pb, pc, dm := &st[a.A], &st[a.B], &st[a.C], mask(a.DW)
-		switch b.Op {
-		case CEq:
-			return func() { t := pick(*pa, *pb, *pc) & dm; *pad = t; *pbd = b2u(*pba == *pbb) }
-		case CNeq:
-			return func() { t := pick(*pa, *pb, *pc) & dm; *pad = t; *pbd = b2u(*pba != *pbb) }
-		}
-	}
-	panic("emit: fuseAluEq: producer " + a.Op.String() + " is not inline")
+func kRem(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = remz(*at(st, a.A), *at(st, a.B)) & mask8(a.DW)
+	return a.next()
 }
 
-// fuseAluMemRead compiles alu-memread, (pure) >> (memread t): one closure per
-// inline producer and consumer opcode, both value rows inlined.
-func fuseAluMemRead(m *Machine, a, b Instr) BoundFn {
-	st := m.State
-	pad, pbd := &st[a.D], &st[b.D]
-	bdm := mask(b.DW)
-	mem, depth, wp := memPort(m, b.Lo)
-	switch a.Op {
-	case CMul:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		return func() { t := (*pa * *pb) & dm; *pad = t; *pbd = readMem(mem, t, depth, wp) & bdm }
-	case COr:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		return func() { t := (*pa | *pb) & dm; *pad = t; *pbd = readMem(mem, t, depth, wp) & bdm }
-	case CXor:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		return func() { t := (*pa ^ *pb) & dm; *pad = t; *pbd = readMem(mem, t, depth, wp) & bdm }
-	case CNot:
-		pa, dm := &st[a.A], mask(a.DW)
-		return func() { t := ^*pa & dm; *pad = t; *pbd = readMem(mem, t, depth, wp) & bdm }
-	case COrR:
-		pa := &st[a.A]
-		return func() { t := b2u(*pa != 0); *pad = t; *pbd = readMem(mem, t, depth, wp) & bdm }
-	case CLt:
-		pa, pb := &st[a.A], &st[a.B]
-		return func() { t := b2u(*pa < *pb); *pad = t; *pbd = readMem(mem, t, depth, wp) & bdm }
-	case CShr:
-		pa, sh, dm := &st[a.A], uint(a.Lo), mask(a.DW)
-		return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = readMem(mem, t, depth, wp) & bdm }
-	case CDshl:
-		pa, pb, dm := &st[a.A], &st[a.B], mask(a.DW)
-		return func() { t := (*pa << *pb) & dm; *pad = t; *pbd = readMem(mem, t, depth, wp) & bdm }
-	case CCat:
-		pa, cs, pb, dm := &st[a.A], uint(a.BW), &st[a.B], mask(a.DW)
-		return func() { t := (*pa<<cs | *pb) & dm; *pad = t; *pbd = readMem(mem, t, depth, wp) & bdm }
-	case CBits:
-		pa, sh, dm := &st[a.A], uint(a.Lo), mask(a.DW)
-		return func() { t := (*pa >> sh) & dm; *pad = t; *pbd = readMem(mem, t, depth, wp) & bdm }
-	case CMux:
-		pa, pb, pc, dm := &st[a.A], &st[a.B], &st[a.C], mask(a.DW)
-		return func() { t := pick(*pa, *pb, *pc) & dm; *pad = t; *pbd = readMem(mem, t, depth, wp) & bdm }
-	}
-	panic("emit: fuseAluMemRead: producer " + a.Op.String() + " is not inline")
+func kNeg(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = -*at(st, a.A) & mask8(a.DW)
+	return a.next()
+}
+
+func kAnd(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = *at(st, a.A) & *at(st, a.B) & mask8(a.DW)
+	return a.next()
+}
+
+func kOr(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) | *at(st, a.B)) & mask8(a.DW)
+	return a.next()
+}
+
+func kXor(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) ^ *at(st, a.B)) & mask8(a.DW)
+	return a.next()
+}
+
+func kNot(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = ^*at(st, a.A) & mask8(a.DW)
+	return a.next()
+}
+
+func kAndr(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) == mask8(a.AW))
+	return a.next()
+}
+
+func kOrr(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) != 0)
+	return a.next()
+}
+
+func kXorr(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = uint64(bits.OnesCount64(*at(st, a.A))) & 1
+	return a.next()
+}
+
+func kEq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) == *at(st, a.B))
+	return a.next()
+}
+
+func kNeq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) != *at(st, a.B))
+	return a.next()
+}
+
+func kLt(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) < *at(st, a.B))
+	return a.next()
+}
+
+func kLeq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) <= *at(st, a.B))
+	return a.next()
+}
+
+func kGt(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) > *at(st, a.B))
+	return a.next()
+}
+
+func kGeq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) >= *at(st, a.B))
+	return a.next()
+}
+
+func kSlt(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(sext64(*at(st, a.A), int32(a.AW)) < sext64(*at(st, a.B), int32(a.BW)))
+	return a.next()
+}
+
+func kSleq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(sext64(*at(st, a.A), int32(a.AW)) <= sext64(*at(st, a.B), int32(a.BW)))
+	return a.next()
+}
+
+func kSgt(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(sext64(*at(st, a.A), int32(a.AW)) > sext64(*at(st, a.B), int32(a.BW)))
+	return a.next()
+}
+
+func kSgeq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(sext64(*at(st, a.A), int32(a.AW)) >= sext64(*at(st, a.B), int32(a.BW)))
+	return a.next()
+}
+
+func kShl(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) << a.Sh) & mask8(a.DW)
+	return a.next()
+}
+
+func kShr(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return a.next()
+}
+
+func kDshl(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) << *at(st, a.B)) & mask8(a.DW)
+	return a.next()
+}
+
+func kDshr(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> *at(st, a.B)) & mask8(a.DW)
+	return a.next()
+}
+
+func kCat(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A)<<a.BW | *at(st, a.B)) & mask8(a.DW)
+	return a.next()
+}
+
+func kBits(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return a.next()
+}
+
+func kSext(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = uint64(sext64(*at(st, a.A), int32(a.AW))) & mask8(a.DW)
+	return a.next()
+}
+
+func kMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = pick(*at(st, a.A), *at(st, a.B), *at(st, a.C)) & mask8(a.DW)
+	return a.next()
+}
+
+func kEqMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) == *at(st, a.B))
+	return kMux(st, m, a.next())
+}
+
+func kNeqMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) != *at(st, a.B))
+	return kMux(st, m, a.next())
+}
+
+func kLtMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) < *at(st, a.B))
+	return kMux(st, m, a.next())
+}
+
+func kLeqMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) <= *at(st, a.B))
+	return kMux(st, m, a.next())
+}
+
+func kGtMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) > *at(st, a.B))
+	return kMux(st, m, a.next())
+}
+
+func kGeqMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) >= *at(st, a.B))
+	return kMux(st, m, a.next())
+}
+
+func kSltMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(sext64(*at(st, a.A), int32(a.AW)) < sext64(*at(st, a.B), int32(a.BW)))
+	return kMux(st, m, a.next())
+}
+
+func kSleqMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(sext64(*at(st, a.A), int32(a.AW)) <= sext64(*at(st, a.B), int32(a.BW)))
+	return kMux(st, m, a.next())
+}
+
+func kSgtMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(sext64(*at(st, a.A), int32(a.AW)) > sext64(*at(st, a.B), int32(a.BW)))
+	return kMux(st, m, a.next())
+}
+
+func kSgeqMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(sext64(*at(st, a.A), int32(a.AW)) >= sext64(*at(st, a.B), int32(a.BW)))
+	return kMux(st, m, a.next())
+}
+
+func kMuxMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = pick(*at(st, a.A), *at(st, a.B), *at(st, a.C)) & mask8(a.DW)
+	return kMux(st, m, a.next())
+}
+
+func kMulMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) * *at(st, a.B)) & mask8(a.DW)
+	return kMux(st, m, a.next())
+}
+
+func kOrMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) | *at(st, a.B)) & mask8(a.DW)
+	return kMux(st, m, a.next())
+}
+
+func kXorMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) ^ *at(st, a.B)) & mask8(a.DW)
+	return kMux(st, m, a.next())
+}
+
+func kNotMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = ^*at(st, a.A) & mask8(a.DW)
+	return kMux(st, m, a.next())
+}
+
+func kOrrMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) != 0)
+	return kMux(st, m, a.next())
+}
+
+func kShrMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kMux(st, m, a.next())
+}
+
+func kDshlMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) << *at(st, a.B)) & mask8(a.DW)
+	return kMux(st, m, a.next())
+}
+
+func kCatMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A)<<a.BW | *at(st, a.B)) & mask8(a.DW)
+	return kMux(st, m, a.next())
+}
+
+func kBitsMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kMux(st, m, a.next())
+}
+
+func kAddCopy(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) + *at(st, a.B)) & mask8(a.DW)
+	return kCopy(st, m, a.next())
+}
+
+func kAddBits(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) + *at(st, a.B)) & mask8(a.DW)
+	return kBits(st, m, a.next())
+}
+
+func kSubCopy(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) - *at(st, a.B)) & mask8(a.DW)
+	return kCopy(st, m, a.next())
+}
+
+func kSubBits(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) - *at(st, a.B)) & mask8(a.DW)
+	return kBits(st, m, a.next())
+}
+
+func kMulCopy(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) * *at(st, a.B)) & mask8(a.DW)
+	return kCopy(st, m, a.next())
+}
+
+func kMulBits(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) * *at(st, a.B)) & mask8(a.DW)
+	return kBits(st, m, a.next())
+}
+
+func kOrCopy(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) | *at(st, a.B)) & mask8(a.DW)
+	return kCopy(st, m, a.next())
+}
+
+func kOrBits(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) | *at(st, a.B)) & mask8(a.DW)
+	return kBits(st, m, a.next())
+}
+
+func kXorCopy(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) ^ *at(st, a.B)) & mask8(a.DW)
+	return kCopy(st, m, a.next())
+}
+
+func kXorBits(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) ^ *at(st, a.B)) & mask8(a.DW)
+	return kBits(st, m, a.next())
+}
+
+func kNotCopy(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = ^*at(st, a.A) & mask8(a.DW)
+	return kCopy(st, m, a.next())
+}
+
+func kNotBits(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = ^*at(st, a.A) & mask8(a.DW)
+	return kBits(st, m, a.next())
+}
+
+func kOrrCopy(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) != 0)
+	return kCopy(st, m, a.next())
+}
+
+func kOrrBits(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) != 0)
+	return kBits(st, m, a.next())
+}
+
+func kLtCopy(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) < *at(st, a.B))
+	return kCopy(st, m, a.next())
+}
+
+func kLtBits(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) < *at(st, a.B))
+	return kBits(st, m, a.next())
+}
+
+func kShrCopy(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kCopy(st, m, a.next())
+}
+
+func kShrBits(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kBits(st, m, a.next())
+}
+
+func kDshlCopy(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) << *at(st, a.B)) & mask8(a.DW)
+	return kCopy(st, m, a.next())
+}
+
+func kDshlBits(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) << *at(st, a.B)) & mask8(a.DW)
+	return kBits(st, m, a.next())
+}
+
+func kCatCopy(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A)<<a.BW | *at(st, a.B)) & mask8(a.DW)
+	return kCopy(st, m, a.next())
+}
+
+func kCatBits(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A)<<a.BW | *at(st, a.B)) & mask8(a.DW)
+	return kBits(st, m, a.next())
+}
+
+func kBitsCopy(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kCopy(st, m, a.next())
+}
+
+func kBitsBits(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kBits(st, m, a.next())
+}
+
+func kMuxCopy(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = pick(*at(st, a.A), *at(st, a.B), *at(st, a.C)) & mask8(a.DW)
+	return kCopy(st, m, a.next())
+}
+
+func kMuxBits(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = pick(*at(st, a.A), *at(st, a.B), *at(st, a.C)) & mask8(a.DW)
+	return kBits(st, m, a.next())
+}
+
+func kMulCat(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) * *at(st, a.B)) & mask8(a.DW)
+	return kCat(st, m, a.next())
+}
+
+func kOrCat(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) | *at(st, a.B)) & mask8(a.DW)
+	return kCat(st, m, a.next())
+}
+
+func kXorCat(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) ^ *at(st, a.B)) & mask8(a.DW)
+	return kCat(st, m, a.next())
+}
+
+func kNotCat(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = ^*at(st, a.A) & mask8(a.DW)
+	return kCat(st, m, a.next())
+}
+
+func kOrrCat(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) != 0)
+	return kCat(st, m, a.next())
+}
+
+func kLtCat(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) < *at(st, a.B))
+	return kCat(st, m, a.next())
+}
+
+func kShrCat(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kCat(st, m, a.next())
+}
+
+func kDshlCat(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) << *at(st, a.B)) & mask8(a.DW)
+	return kCat(st, m, a.next())
+}
+
+func kCatCat(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A)<<a.BW | *at(st, a.B)) & mask8(a.DW)
+	return kCat(st, m, a.next())
+}
+
+func kBitsCat(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kCat(st, m, a.next())
+}
+
+func kMuxCat(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = pick(*at(st, a.A), *at(st, a.B), *at(st, a.C)) & mask8(a.DW)
+	return kCat(st, m, a.next())
+}
+
+func kMulAnd(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) * *at(st, a.B)) & mask8(a.DW)
+	return kAnd(st, m, a.next())
+}
+
+func kMulOr(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) * *at(st, a.B)) & mask8(a.DW)
+	return kOr(st, m, a.next())
+}
+
+func kMulXor(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) * *at(st, a.B)) & mask8(a.DW)
+	return kXor(st, m, a.next())
+}
+
+func kOrAnd(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) | *at(st, a.B)) & mask8(a.DW)
+	return kAnd(st, m, a.next())
+}
+
+func kOrOr(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) | *at(st, a.B)) & mask8(a.DW)
+	return kOr(st, m, a.next())
+}
+
+func kOrXor(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) | *at(st, a.B)) & mask8(a.DW)
+	return kXor(st, m, a.next())
+}
+
+func kXorAnd(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) ^ *at(st, a.B)) & mask8(a.DW)
+	return kAnd(st, m, a.next())
+}
+
+func kXorOr(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) ^ *at(st, a.B)) & mask8(a.DW)
+	return kOr(st, m, a.next())
+}
+
+func kXorXor(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) ^ *at(st, a.B)) & mask8(a.DW)
+	return kXor(st, m, a.next())
+}
+
+func kNotAnd(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = ^*at(st, a.A) & mask8(a.DW)
+	return kAnd(st, m, a.next())
+}
+
+func kNotOr(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = ^*at(st, a.A) & mask8(a.DW)
+	return kOr(st, m, a.next())
+}
+
+func kNotXor(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = ^*at(st, a.A) & mask8(a.DW)
+	return kXor(st, m, a.next())
+}
+
+func kOrrAnd(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) != 0)
+	return kAnd(st, m, a.next())
+}
+
+func kOrrOr(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) != 0)
+	return kOr(st, m, a.next())
+}
+
+func kOrrXor(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) != 0)
+	return kXor(st, m, a.next())
+}
+
+func kLtAnd(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) < *at(st, a.B))
+	return kAnd(st, m, a.next())
+}
+
+func kLtOr(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) < *at(st, a.B))
+	return kOr(st, m, a.next())
+}
+
+func kLtXor(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) < *at(st, a.B))
+	return kXor(st, m, a.next())
+}
+
+func kShrAnd(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kAnd(st, m, a.next())
+}
+
+func kShrOr(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kOr(st, m, a.next())
+}
+
+func kShrXor(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kXor(st, m, a.next())
+}
+
+func kDshlAnd(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) << *at(st, a.B)) & mask8(a.DW)
+	return kAnd(st, m, a.next())
+}
+
+func kDshlOr(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) << *at(st, a.B)) & mask8(a.DW)
+	return kOr(st, m, a.next())
+}
+
+func kDshlXor(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) << *at(st, a.B)) & mask8(a.DW)
+	return kXor(st, m, a.next())
+}
+
+func kCatAnd(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A)<<a.BW | *at(st, a.B)) & mask8(a.DW)
+	return kAnd(st, m, a.next())
+}
+
+func kCatOr(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A)<<a.BW | *at(st, a.B)) & mask8(a.DW)
+	return kOr(st, m, a.next())
+}
+
+func kCatXor(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A)<<a.BW | *at(st, a.B)) & mask8(a.DW)
+	return kXor(st, m, a.next())
+}
+
+func kBitsAnd(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kAnd(st, m, a.next())
+}
+
+func kBitsOr(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kOr(st, m, a.next())
+}
+
+func kBitsXor(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kXor(st, m, a.next())
+}
+
+func kMuxAnd(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = pick(*at(st, a.A), *at(st, a.B), *at(st, a.C)) & mask8(a.DW)
+	return kAnd(st, m, a.next())
+}
+
+func kMuxOr(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = pick(*at(st, a.A), *at(st, a.B), *at(st, a.C)) & mask8(a.DW)
+	return kOr(st, m, a.next())
+}
+
+func kMuxXor(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = pick(*at(st, a.A), *at(st, a.B), *at(st, a.C)) & mask8(a.DW)
+	return kXor(st, m, a.next())
+}
+
+func kMulEq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) * *at(st, a.B)) & mask8(a.DW)
+	return kEq(st, m, a.next())
+}
+
+func kMulNeq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) * *at(st, a.B)) & mask8(a.DW)
+	return kNeq(st, m, a.next())
+}
+
+func kOrEq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) | *at(st, a.B)) & mask8(a.DW)
+	return kEq(st, m, a.next())
+}
+
+func kOrNeq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) | *at(st, a.B)) & mask8(a.DW)
+	return kNeq(st, m, a.next())
+}
+
+func kXorEq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) ^ *at(st, a.B)) & mask8(a.DW)
+	return kEq(st, m, a.next())
+}
+
+func kXorNeq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) ^ *at(st, a.B)) & mask8(a.DW)
+	return kNeq(st, m, a.next())
+}
+
+func kNotEq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = ^*at(st, a.A) & mask8(a.DW)
+	return kEq(st, m, a.next())
+}
+
+func kNotNeq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = ^*at(st, a.A) & mask8(a.DW)
+	return kNeq(st, m, a.next())
+}
+
+func kOrrEq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) != 0)
+	return kEq(st, m, a.next())
+}
+
+func kOrrNeq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) != 0)
+	return kNeq(st, m, a.next())
+}
+
+func kLtEq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) < *at(st, a.B))
+	return kEq(st, m, a.next())
+}
+
+func kLtNeq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) < *at(st, a.B))
+	return kNeq(st, m, a.next())
+}
+
+func kShrEq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kEq(st, m, a.next())
+}
+
+func kShrNeq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kNeq(st, m, a.next())
+}
+
+func kDshlEq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) << *at(st, a.B)) & mask8(a.DW)
+	return kEq(st, m, a.next())
+}
+
+func kDshlNeq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) << *at(st, a.B)) & mask8(a.DW)
+	return kNeq(st, m, a.next())
+}
+
+func kCatEq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A)<<a.BW | *at(st, a.B)) & mask8(a.DW)
+	return kEq(st, m, a.next())
+}
+
+func kCatNeq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A)<<a.BW | *at(st, a.B)) & mask8(a.DW)
+	return kNeq(st, m, a.next())
+}
+
+func kBitsEq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kEq(st, m, a.next())
+}
+
+func kBitsNeq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kNeq(st, m, a.next())
+}
+
+func kMuxEq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = pick(*at(st, a.A), *at(st, a.B), *at(st, a.C)) & mask8(a.DW)
+	return kEq(st, m, a.next())
+}
+
+func kMuxNeq(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = pick(*at(st, a.A), *at(st, a.B), *at(st, a.C)) & mask8(a.DW)
+	return kNeq(st, m, a.next())
+}
+
+func kMulMemread(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) * *at(st, a.B)) & mask8(a.DW)
+	return kMemread(st, m, a.next())
+}
+
+func kOrMemread(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) | *at(st, a.B)) & mask8(a.DW)
+	return kMemread(st, m, a.next())
+}
+
+func kXorMemread(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) ^ *at(st, a.B)) & mask8(a.DW)
+	return kMemread(st, m, a.next())
+}
+
+func kNotMemread(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = ^*at(st, a.A) & mask8(a.DW)
+	return kMemread(st, m, a.next())
+}
+
+func kOrrMemread(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) != 0)
+	return kMemread(st, m, a.next())
+}
+
+func kLtMemread(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = b2u(*at(st, a.A) < *at(st, a.B))
+	return kMemread(st, m, a.next())
+}
+
+func kShrMemread(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kMemread(st, m, a.next())
+}
+
+func kDshlMemread(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) << *at(st, a.B)) & mask8(a.DW)
+	return kMemread(st, m, a.next())
+}
+
+func kCatMemread(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A)<<a.BW | *at(st, a.B)) & mask8(a.DW)
+	return kMemread(st, m, a.next())
+}
+
+func kBitsMemread(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	return kMemread(st, m, a.next())
+}
+
+func kMuxMemread(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	*at(st, a.D) = pick(*at(st, a.A), *at(st, a.B), *at(st, a.C)) & mask8(a.DW)
+	return kMemread(st, m, a.next())
+}
+
+func kMuxMuxMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	b := a.next()
+	*at(st, a.D) = pick(*at(st, a.A), *at(st, a.B), *at(st, a.C)) & mask8(a.DW)
+	*at(st, b.D) = pick(*at(st, b.A), *at(st, b.B), *at(st, b.C)) & mask8(b.DW)
+	return kMux(st, m, b.next())
+}
+
+func kBitsAndMux(st unsafe.Pointer, m *Machine, a *Op) *Op {
+	b := a.next()
+	*at(st, a.D) = (*at(st, a.A) >> a.Sh) & mask8(a.DW)
+	*at(st, b.D) = *at(st, b.A) & *at(st, b.B) & mask8(b.DW)
+	return kMux(st, m, b.next())
+}
+
+// narrowKernels is each opcode's single-instruction narrow kernel.
+var narrowKernels = [cOpCount]kernel{
+	CCopy: kCopy, CAdd: kAdd, CSub: kSub, CMul: kMul,
+	CDiv: kDiv, CRem: kRem, CNeg: kNeg, CAnd: kAnd,
+	COr: kOr, CXor: kXor, CNot: kNot, CAndR: kAndr,
+	COrR: kOrr, CXorR: kXorr, CEq: kEq, CNeq: kNeq,
+	CLt: kLt, CLeq: kLeq, CGt: kGt, CGeq: kGeq,
+	CSLt: kSlt, CSLeq: kSleq, CSGt: kSgt, CSGeq: kSgeq,
+	CShl: kShl, CShr: kShr, CDshl: kDshl, CDshr: kDshr,
+	CCat: kCat, CBits: kBits, CSExt: kSext, CMux: kMux,
+	CMemRead: kMemread,
+}
+
+// windowKernels maps a fused window's opcodes — a pair's third is
+// CInvalid — to its kernel.
+var windowKernels = map[[3]OpCode]kernel{
+	{CEq, CMux}: kEqMux, {CNeq, CMux}: kNeqMux, {CLt, CMux}: kLtMux, {CLeq, CMux}: kLeqMux,
+	{CGt, CMux}: kGtMux, {CGeq, CMux}: kGeqMux, {CSLt, CMux}: kSltMux, {CSLeq, CMux}: kSleqMux,
+	{CSGt, CMux}: kSgtMux, {CSGeq, CMux}: kSgeqMux, {CMux, CMux}: kMuxMux, {CMul, CMux}: kMulMux,
+	{COr, CMux}: kOrMux, {CXor, CMux}: kXorMux, {CNot, CMux}: kNotMux, {COrR, CMux}: kOrrMux,
+	{CShr, CMux}: kShrMux, {CDshl, CMux}: kDshlMux, {CCat, CMux}: kCatMux, {CBits, CMux}: kBitsMux,
+	{CAdd, CCopy}: kAddCopy, {CAdd, CBits}: kAddBits, {CSub, CCopy}: kSubCopy, {CSub, CBits}: kSubBits,
+	{CMul, CCopy}: kMulCopy, {CMul, CBits}: kMulBits, {COr, CCopy}: kOrCopy, {COr, CBits}: kOrBits,
+	{CXor, CCopy}: kXorCopy, {CXor, CBits}: kXorBits, {CNot, CCopy}: kNotCopy, {CNot, CBits}: kNotBits,
+	{COrR, CCopy}: kOrrCopy, {COrR, CBits}: kOrrBits, {CLt, CCopy}: kLtCopy, {CLt, CBits}: kLtBits,
+	{CShr, CCopy}: kShrCopy, {CShr, CBits}: kShrBits, {CDshl, CCopy}: kDshlCopy, {CDshl, CBits}: kDshlBits,
+	{CCat, CCopy}: kCatCopy, {CCat, CBits}: kCatBits, {CBits, CCopy}: kBitsCopy, {CBits, CBits}: kBitsBits,
+	{CMux, CCopy}: kMuxCopy, {CMux, CBits}: kMuxBits, {CMul, CCat}: kMulCat, {COr, CCat}: kOrCat,
+	{CXor, CCat}: kXorCat, {CNot, CCat}: kNotCat, {COrR, CCat}: kOrrCat, {CLt, CCat}: kLtCat,
+	{CShr, CCat}: kShrCat, {CDshl, CCat}: kDshlCat, {CCat, CCat}: kCatCat, {CBits, CCat}: kBitsCat,
+	{CMux, CCat}: kMuxCat, {CMul, CAnd}: kMulAnd, {CMul, COr}: kMulOr, {CMul, CXor}: kMulXor,
+	{COr, CAnd}: kOrAnd, {COr, COr}: kOrOr, {COr, CXor}: kOrXor, {CXor, CAnd}: kXorAnd,
+	{CXor, COr}: kXorOr, {CXor, CXor}: kXorXor, {CNot, CAnd}: kNotAnd, {CNot, COr}: kNotOr,
+	{CNot, CXor}: kNotXor, {COrR, CAnd}: kOrrAnd, {COrR, COr}: kOrrOr, {COrR, CXor}: kOrrXor,
+	{CLt, CAnd}: kLtAnd, {CLt, COr}: kLtOr, {CLt, CXor}: kLtXor, {CShr, CAnd}: kShrAnd,
+	{CShr, COr}: kShrOr, {CShr, CXor}: kShrXor, {CDshl, CAnd}: kDshlAnd, {CDshl, COr}: kDshlOr,
+	{CDshl, CXor}: kDshlXor, {CCat, CAnd}: kCatAnd, {CCat, COr}: kCatOr, {CCat, CXor}: kCatXor,
+	{CBits, CAnd}: kBitsAnd, {CBits, COr}: kBitsOr, {CBits, CXor}: kBitsXor, {CMux, CAnd}: kMuxAnd,
+	{CMux, COr}: kMuxOr, {CMux, CXor}: kMuxXor, {CMul, CEq}: kMulEq, {CMul, CNeq}: kMulNeq,
+	{COr, CEq}: kOrEq, {COr, CNeq}: kOrNeq, {CXor, CEq}: kXorEq, {CXor, CNeq}: kXorNeq,
+	{CNot, CEq}: kNotEq, {CNot, CNeq}: kNotNeq, {COrR, CEq}: kOrrEq, {COrR, CNeq}: kOrrNeq,
+	{CLt, CEq}: kLtEq, {CLt, CNeq}: kLtNeq, {CShr, CEq}: kShrEq, {CShr, CNeq}: kShrNeq,
+	{CDshl, CEq}: kDshlEq, {CDshl, CNeq}: kDshlNeq, {CCat, CEq}: kCatEq, {CCat, CNeq}: kCatNeq,
+	{CBits, CEq}: kBitsEq, {CBits, CNeq}: kBitsNeq, {CMux, CEq}: kMuxEq, {CMux, CNeq}: kMuxNeq,
+	{CMul, CMemRead}: kMulMemread, {COr, CMemRead}: kOrMemread, {CXor, CMemRead}: kXorMemread, {CNot, CMemRead}: kNotMemread,
+	{COrR, CMemRead}: kOrrMemread, {CLt, CMemRead}: kLtMemread, {CShr, CMemRead}: kShrMemread, {CDshl, CMemRead}: kDshlMemread,
+	{CCat, CMemRead}: kCatMemread, {CBits, CMemRead}: kBitsMemread, {CMux, CMemRead}: kMuxMemread, {CMux, CMux, CMux}: kMuxMuxMux,
+	{CBits, CAnd, CMux}: kBitsAndMux,
 }

@@ -36,16 +36,10 @@ func fusionExemplars() []fusionCase {
 			Instr{Op: op, D: 10, DW: 1, A: 0, AW: 14, B: 1, BW: 11},
 			Instr{Op: CMux, D: 11, DW: 24, A: 10, AW: 1, B: 2, BW: 24, C: 3})
 	}
+	triple := func(name string, rule FuseRule, a, b, c Instr) fusionCase {
+		return fusionCase{name: name, rule: rule, ins: []Instr{a, b, c}}
+	}
 	cases := []fusionCase{
-		pair("copy-into-mux-arm-c", FuseRuleCopyMux,
-			Instr{Op: CCopy, D: 10, DW: 16, A: 0, AW: 20},
-			Instr{Op: CMux, D: 11, DW: 16, A: 1, AW: 1, B: 2, BW: 16, C: 10}),
-		pair("copy-into-mux-arm-b", FuseRuleCopyMux,
-			Instr{Op: CCopy, D: 10, DW: 16, A: 0, AW: 20},
-			Instr{Op: CMux, D: 11, DW: 16, A: 1, AW: 1, B: 10, BW: 16, C: 2}),
-		pair("copy-into-mux-sel", FuseRuleCopyMux,
-			Instr{Op: CCopy, D: 10, DW: 1, A: 0, AW: 1},
-			Instr{Op: CMux, D: 11, DW: 16, A: 10, AW: 1, B: 2, BW: 16, C: 3}),
 		pair("add-then-mask-bits", FuseRuleAddMask,
 			Instr{Op: CAdd, D: 10, DW: 17, A: 0, AW: 16, B: 1, BW: 16},
 			Instr{Op: CBits, D: 11, DW: 16, A: 10, AW: 17, Hi: 15, Lo: 0}),
@@ -55,24 +49,6 @@ func fusionExemplars() []fusionCase {
 		pair("sub-then-mask-bits", FuseRuleSubMask,
 			Instr{Op: CSub, D: 10, DW: 16, A: 0, AW: 16, B: 1, BW: 16},
 			Instr{Op: CBits, D: 11, DW: 8, A: 10, AW: 16, Hi: 7, Lo: 0}),
-		pair("and-then-eq", FuseRuleAndEqz,
-			Instr{Op: CAnd, D: 10, DW: 16, A: 0, AW: 16, B: 1, BW: 16},
-			Instr{Op: CEq, D: 11, DW: 1, A: 10, AW: 16, B: 2, BW: 16}),
-		pair("and-then-eq-swapped", FuseRuleAndEqz,
-			Instr{Op: CAnd, D: 10, DW: 16, A: 0, AW: 16, B: 1, BW: 16},
-			Instr{Op: CEq, D: 11, DW: 1, A: 2, AW: 16, B: 10, BW: 16}),
-		pair("and-then-neq", FuseRuleAndEqz,
-			Instr{Op: CAnd, D: 10, DW: 16, A: 0, AW: 16, B: 1, BW: 16},
-			Instr{Op: CNeq, D: 11, DW: 1, A: 10, AW: 16, B: 2, BW: 16}),
-		pair("and-then-orr", FuseRuleAndOrr,
-			Instr{Op: CAnd, D: 10, DW: 16, A: 0, AW: 16, B: 1, BW: 16},
-			Instr{Op: COrR, D: 11, DW: 1, A: 10, AW: 16}),
-		pair("copy-into-mux-both-arms", FuseRuleCopyMux, // aliasing corner: t feeds both arms
-			Instr{Op: CCopy, D: 10, DW: 16, A: 0, AW: 20},
-			Instr{Op: CMux, D: 11, DW: 16, A: 1, AW: 1, B: 10, BW: 16, C: 10}),
-		pair("and-then-eq-both-sides", FuseRuleAndEqz, // aliasing corner: t == t
-			Instr{Op: CAnd, D: 10, DW: 16, A: 0, AW: 16, B: 1, BW: 16},
-			Instr{Op: CEq, D: 11, DW: 1, A: 10, AW: 16, B: 10, BW: 16}),
 		pair("mux-into-mux", FuseRuleMuxMux,
 			Instr{Op: CMux, D: 10, DW: 16, A: 0, AW: 1, B: 1, BW: 16, C: 2},
 			Instr{Op: CMux, D: 11, DW: 16, A: 3, AW: 1, B: 4, BW: 16, C: 10}),
@@ -116,26 +92,30 @@ func fusionExemplars() []fusionCase {
 			Instr{Op: CBits, D: 10, DW: 2, A: 0, AW: 16, Hi: 4, Lo: 3},
 			Instr{Op: CMemRead, D: 11, DW: 8, A: 10, AW: 2, Lo: 0}),
 		// Triples.
-		{name: "mux-chain-of-three", rule: FuseRuleMuxMuxMux, ins: []Instr{
-			{Op: CMux, D: 10, DW: 16, A: 0, AW: 1, B: 1, BW: 16, C: 2},
-			{Op: CMux, D: 11, DW: 16, A: 3, AW: 1, B: 10, BW: 16, C: 4},
-			{Op: CMux, D: 12, DW: 16, A: 5, AW: 1, B: 6, BW: 16, C: 11}}},
-		{name: "mux-chain-aliasing", rule: FuseRuleMuxMuxMux, ins: []Instr{ // third mux's selector reads the first dest
-			{Op: CMux, D: 10, DW: 1, A: 0, AW: 1, B: 1, BW: 1, C: 2},
-			{Op: CMux, D: 11, DW: 16, A: 3, AW: 1, B: 4, BW: 16, C: 10},
-			{Op: CMux, D: 12, DW: 16, A: 10, AW: 1, B: 11, BW: 16, C: 5}}},
-		{name: "cmp-mux-then-mux", rule: FuseRuleCmpMuxMux, ins: []Instr{
-			{Op: CLt, D: 10, DW: 1, A: 0, AW: 14, B: 1, BW: 11},
-			{Op: CMux, D: 11, DW: 16, A: 10, AW: 1, B: 2, BW: 16, C: 3},
-			{Op: CMux, D: 12, DW: 16, A: 4, AW: 1, B: 11, BW: 16, C: 5}}},
-		{name: "scmp-mux-then-mux", rule: FuseRuleCmpMuxMux, ins: []Instr{
-			{Op: CSGeq, D: 10, DW: 1, A: 0, AW: 14, B: 1, BW: 11},
-			{Op: CMux, D: 11, DW: 16, A: 10, AW: 1, B: 2, BW: 16, C: 3},
-			{Op: CMux, D: 12, DW: 16, A: 4, AW: 1, B: 5, BW: 16, C: 11}}},
-		{name: "eq-mux-then-mux", rule: FuseRuleCmpMuxMux, ins: []Instr{
-			{Op: CEq, D: 10, DW: 1, A: 0, AW: 14, B: 1, BW: 14},
-			{Op: CMux, D: 11, DW: 16, A: 10, AW: 1, B: 2, BW: 16, C: 3},
-			{Op: CMux, D: 12, DW: 16, A: 10, AW: 1, B: 11, BW: 16, C: 5}}}, // cond reused as second selector
+		triple("mux-chain-of-three", FuseRuleMuxMuxMux,
+			Instr{Op: CMux, D: 10, DW: 16, A: 0, AW: 1, B: 1, BW: 16, C: 2},
+			Instr{Op: CMux, D: 11, DW: 16, A: 3, AW: 1, B: 10, BW: 16, C: 4},
+			Instr{Op: CMux, D: 12, DW: 16, A: 5, AW: 1, B: 6, BW: 16, C: 11}),
+		triple("mux-chain-aliasing", FuseRuleMuxMuxMux, // third mux's selector reads the first dest
+			Instr{Op: CMux, D: 10, DW: 1, A: 0, AW: 1, B: 1, BW: 1, C: 2},
+			Instr{Op: CMux, D: 11, DW: 16, A: 3, AW: 1, B: 4, BW: 16, C: 10},
+			Instr{Op: CMux, D: 12, DW: 16, A: 10, AW: 1, B: 11, BW: 16, C: 5}),
+		triple("write-enable-decode", FuseRuleBitsAndMux, // reg next = en & bit ? data : reg
+			Instr{Op: CBits, D: 10, DW: 1, A: 0, AW: 20, Hi: 5, Lo: 5},
+			Instr{Op: CAnd, D: 11, DW: 1, A: 10, AW: 1, B: 1, BW: 1},
+			Instr{Op: CMux, D: 12, DW: 16, A: 11, AW: 1, B: 2, BW: 16, C: 3}),
+		triple("bits-and-mux-and-reads-b", FuseRuleBitsAndMux,
+			Instr{Op: CBits, D: 10, DW: 4, A: 0, AW: 20, Hi: 9, Lo: 6},
+			Instr{Op: CAnd, D: 11, DW: 4, A: 1, AW: 4, B: 10, BW: 4},
+			Instr{Op: CMux, D: 12, DW: 4, A: 2, AW: 1, B: 11, BW: 4, C: 3}),
+		triple("bits-and-mux-arm-aliases-bits", FuseRuleBitsAndMux, // both and slots and a mux arm read bits.D
+			Instr{Op: CBits, D: 10, DW: 8, A: 0, AW: 20, Hi: 10, Lo: 3},
+			Instr{Op: CAnd, D: 11, DW: 8, A: 10, AW: 8, B: 10, BW: 8},
+			Instr{Op: CMux, D: 12, DW: 8, A: 11, AW: 1, B: 10, BW: 8, C: 11}),
+		triple("bits-and-mux-dest-is-source", FuseRuleBitsAndMux, // each destination aliases its own source
+			Instr{Op: CBits, D: 0, DW: 1, A: 0, AW: 20, Hi: 7, Lo: 7},
+			Instr{Op: CAnd, D: 1, DW: 1, A: 0, AW: 1, B: 1, BW: 1},
+			Instr{Op: CMux, D: 3, DW: 16, A: 1, AW: 1, B: 2, BW: 16, C: 3}),
 	}
 	for _, op := range []OpCode{CEq, CNeq, CLt, CLeq, CGt, CGeq, CSLt, CSLeq, CSGt, CSGeq} {
 		cases = append(cases, cmp(op))
@@ -159,7 +139,7 @@ var genericConsumers = map[FuseRule]struct {
 }
 
 // genericExemplars enumerates every window the generated generic
-// constructors can be asked to compile: each inline producer x generic rule
+// kernels can be asked to run: each inline producer x generic rule
 // x consumer opcode x non-empty set of fed slots (so the consumer reading
 // the producer's destination in every slot is included), each in three
 // aliasing shapes — distinct slots, the producer's destination equal to its
@@ -234,7 +214,7 @@ func maskOperands(st []uint64, ins ...Instr) {
 // every rule must have at least one exemplar window, the declared arity must
 // match the exemplar, the generated matcher must classify each exemplar as
 // its rule (a generic exemplar may go to a specialized pair rule the table
-// lists first), and the window must compile to exactly one closure that
+// lists first), and the window must compile to exactly one kernel that
 // leaves the state image bit-identical to executing the window's
 // instructions back to back — over randomized operand values, including the
 // aliasing corners the store-in-order design must survive.
@@ -272,9 +252,10 @@ func TestFusionRuleCoverage(t *testing.T) {
 		p := &Program{NumWords: 13, Instrs: c.ins,
 			Mems: []MemSpec{{Depth: 4, Width: 8, WordsPer: 1, Init: []uint64{0x5a, 9, 0xab, 3}}}}
 		bnd := NewMachine(p)
-		bfns := p.CompileChainBound(bnd, p.Instrs)
-		if len(bfns) != 1 {
-			t.Fatalf("%s: CompileChainBound produced %d closures, want 1 fused", c.name, len(bfns))
+		s := NewStream(bnd)
+		chain := s.Append(p.Instrs, true)
+		if k, _, _ := s.Footprint(); k != 1 {
+			t.Fatalf("%s: the window compiled to %d kernels, want 1 fused", c.name, k)
 		}
 		if stats := FusionStats(c.ins); stats[got] != 1 {
 			t.Fatalf("%s: FusionStats counted %d windows for %s, want 1", c.name, stats[got], got)
@@ -287,10 +268,10 @@ func TestFusionRuleCoverage(t *testing.T) {
 			maskOperands(ref.State, c.ins...)
 			copy(bnd.State, ref.State)
 			ref.Exec(0, int32(len(c.ins)))
-			bfns[0]()
+			s.Run(chain)
 			for w := range ref.State {
 				if ref.State[w] != bnd.State[w] {
-					t.Fatalf("%s trial %d: state word %d: sequential %#x vs bound fused %#x",
+					t.Fatalf("%s trial %d: state word %d: sequential %#x vs fused kernel %#x",
 						c.name, trial, w, ref.State[w], bnd.State[w])
 				}
 			}
@@ -306,20 +287,23 @@ func TestMatchFusionRejects(t *testing.T) {
 		name string
 		a, b Instr
 	}{
-		{"no-dataflow", // copy dest feeds nothing in the mux
-			Instr{Op: CCopy, D: 10, DW: 16, A: 0, AW: 16},
+		{"no-dataflow", // xor dest feeds nothing in the mux
+			Instr{Op: CXor, D: 10, DW: 16, A: 0, AW: 16, B: 1, BW: 16},
 			Instr{Op: CMux, D: 11, DW: 16, A: 1, AW: 1, B: 2, BW: 16, C: 3}},
 		{"wide-first",
-			Instr{Op: CCopy, D: 10, DW: 80, A: 0, AW: 80},
+			Instr{Op: CXor, D: 10, DW: 80, A: 0, AW: 80, B: 1, BW: 80},
 			Instr{Op: CMux, D: 11, DW: 16, A: 1, AW: 1, B: 10, BW: 16, C: 2}},
 		{"wide-second", add,
 			Instr{Op: CCopy, D: 11, DW: 80, A: 10, AW: 80}},
 		{"memread-producer", // not a pure value producer
 			Instr{Op: CMemRead, D: 10, DW: 8, A: 0, AW: 4, Lo: 0},
 			Instr{Op: CCopy, D: 11, DW: 8, A: 10, AW: 8}},
-		{"orr-after-or", // the orr tail is only defined for the and producer
+		{"orr-after-or", // no rule has an or-reduction consumer
 			Instr{Op: COr, D: 10, DW: 16, A: 0, AW: 16, B: 1, BW: 16},
 			Instr{Op: COrR, D: 11, DW: 1, A: 10, AW: 16}},
+		{"copy-into-mux", // copy's value row is not marked Inline
+			Instr{Op: CCopy, D: 10, DW: 16, A: 0, AW: 20},
+			Instr{Op: CMux, D: 11, DW: 16, A: 1, AW: 1, B: 2, BW: 16, C: 10}},
 		{"non-inline-producer", // shl's value row is not marked Inline
 			Instr{Op: CShl, D: 10, DW: 20, A: 0, AW: 16, Lo: 4},
 			Instr{Op: CCopy, D: 11, DW: 18, A: 10, AW: 20}},
@@ -344,10 +328,14 @@ func TestMatchFusionRejects(t *testing.T) {
 			Instr{Op: CMux, D: 10, DW: 16, A: 0, AW: 1, B: 1, BW: 16, C: 2},
 			Instr{Op: CMux, D: 11, DW: 1, A: 3, AW: 1, B: 10, BW: 1, C: 4},
 			Instr{Op: CMux, D: 12, DW: 16, A: 11, AW: 1, B: 5, BW: 16, C: 6}},
-		{"cmp-mux-wide-tail",
-			Instr{Op: CLt, D: 10, DW: 1, A: 0, AW: 14, B: 1, BW: 11},
-			Instr{Op: CMux, D: 11, DW: 16, A: 10, AW: 1, B: 2, BW: 16, C: 3},
-			Instr{Op: CMux, D: 12, DW: 80, A: 4, AW: 1, B: 11, BW: 80, C: 5}},
+		{"mux-chain-wide-tail",
+			Instr{Op: CMux, D: 10, DW: 16, A: 0, AW: 1, B: 1, BW: 16, C: 2},
+			Instr{Op: CMux, D: 11, DW: 16, A: 3, AW: 1, B: 10, BW: 16, C: 4},
+			Instr{Op: CMux, D: 12, DW: 80, A: 5, AW: 1, B: 11, BW: 80, C: 6}},
+		{"bits-and-mux-arm-only", // the and result reaches the mux through no slot
+			Instr{Op: CBits, D: 10, DW: 1, A: 0, AW: 20, Hi: 5, Lo: 5},
+			Instr{Op: CAnd, D: 11, DW: 1, A: 10, AW: 1, B: 1, BW: 1},
+			Instr{Op: CMux, D: 12, DW: 16, A: 10, AW: 1, B: 2, BW: 16, C: 3}},
 	}
 	for _, c := range triples {
 		if got := matchFuse3(c.a, c.b, c.c); got != FuseRuleNone {
@@ -435,9 +423,10 @@ func TestWidthClass2WordMatchesWide(t *testing.T) {
 				p := &Program{NumWords: 16}
 				ref := NewMachine(p)
 				bnd := NewMachine(p)
-				bfn := compile2WBound(bnd, in)
-				if bfn == nil {
-					t.Fatalf("op %d shape %+v: no bound 2-word kernel", op, s)
+				stream := NewStream(bnd)
+				chain := stream.Append([]Instr{in}, true)
+				if k, recs, _ := stream.Footprint(); k != 1 || recs != 1 {
+					t.Fatalf("op %d shape %+v: %d kernels over %d records, want the 2-word kernel's one record", op, s, k, recs)
 				}
 				for w := range ref.State {
 					ref.State[w] = rng.Uint64()
@@ -463,10 +452,10 @@ func TestWidthClass2WordMatchesWide(t *testing.T) {
 				copy(bnd.State, ref.State)
 				wide := in
 				ref.execWide(&wide)
-				bfn()
+				stream.Run(chain)
 				for w := range ref.State {
 					if ref.State[w] != bnd.State[w] {
-						t.Fatalf("op %d shape %+v trial %d: state word %d: execWide %#x vs bound 2-word kernel %#x",
+						t.Fatalf("op %d shape %+v trial %d: state word %d: execWide %#x vs 2-word kernel %#x",
 							op, s, trial, w, ref.State[w], bnd.State[w])
 					}
 				}

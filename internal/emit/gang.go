@@ -3,7 +3,7 @@
 // A GangMachine holds K machine images in struct-of-arrays layout — state word
 // w of lane l lives at State[w*K+l], memory word j of lane l at Mems[m][j*K+l]
 // — so one instruction dispatch sweeps a contiguous run of K lane values. This
-// amortizes the per-instruction overhead (closure call, operand decode) that a
+// amortizes the per-instruction overhead (kernel call, operand decode) that a
 // scalar Machine pays once per lane, the CPU analogue of GPU batch simulation:
 // most real traffic against a hot design is the same compiled program under
 // different inputs.

@@ -67,8 +67,8 @@ const (
 
 	// cOpCount is the enumeration sentinel: keep it last. The kernel
 	// coverage test sweeps [CCopy, cOpCount), so an opcode added above
-	// without a compileKernelBound case fails the suite instead of panicking
-	// at engine construction.
+	// without a kernel fails the suite instead of panicking at engine
+	// construction.
 	cOpCount
 )
 

@@ -25,10 +25,10 @@ type parsed struct {
 
 // GenerateFuse renders the value table and the fusion rule table into the
 // source of internal/emit/fuse_gen.go: the FuseRule enumeration, the opcode
-// names, the matchFuse2 and matchFuse3 structural matchers, the
-// compileFuse2/compileFuse3 constructor dispatch, the inline producer class,
-// the single-instruction narrow kernels and the generic rules'
-// constructors. Output is gofmt-formatted and deterministic.
+// names, the matchFuse2 and matchFuse3 structural matchers, the inline
+// producer class, one kernel per pure opcode and one per opcode tuple a
+// fusion pattern admits, and the tables the stream builder picks kernels
+// from. Output is gofmt-formatted and deterministic.
 func GenerateFuse() ([]byte, error) {
 	if err := Validate(); err != nil {
 		return nil, err
@@ -44,7 +44,7 @@ func GenerateFuse() ([]byte, error) {
 
 	var sb strings.Builder
 	sb.WriteString(header)
-	sb.WriteString("package emit\n\nimport \"math/bits\"\n\n")
+	sb.WriteString("package emit\n\nimport (\n\t\"math/bits\"\n\t\"unsafe\"\n)\n\n")
 	sb.WriteString(`// FuseRule identifies one fusion rule of the declarative table in
 // internal/emit/rules. FuseRuleNone means no rule matches; NumFuseRules is
 // the enumeration sentinel — diagnostics and the coverage tests sweep
@@ -168,19 +168,6 @@ func (op OpCode) String() string {
 			}
 		}
 		sb.WriteString("\t}\n\treturn FuseRuleNone\n}\n\n")
-
-		cfn := fmt.Sprintf("compileFuse%d", arity)
-		fmt.Fprintf(&sb, "// %s dispatches a matched %d-instruction window to its rule's\n", cfn, arity)
-		fmt.Fprintf(&sb, "// bound-closure constructor.\n")
-		fmt.Fprintf(&sb, "func %s(m *Machine, %s Instr, r FuseRule) BoundFn {\n",
-			cfn, strings.Join(vars[:arity], ", ")+" ")
-		sb.WriteString("\tswitch r {\n")
-		for _, p := range group {
-			fmt.Fprintf(&sb, "\tcase FuseRule%s:\n\t\treturn %s(m, %s)\n",
-				p.goName, p.Emit, strings.Join(vars[:arity], ", "))
-		}
-		sb.WriteString("\t}\n")
-		fmt.Fprintf(&sb, "\tpanic(\"emit: %s: no constructor for rule \" + r.String())\n}\n\n", cfn)
 	}
 
 	var inline []string
@@ -190,8 +177,7 @@ func (op OpCode) String() string {
 		}
 	}
 	sb.WriteString(`// InlineProducer reports whether op's value row is marked Inline: the pure
-// producer class of the generic fusion rules, whose constructors inline
-// exactly these rows.
+// producer class of the generic fusion rules.
 func InlineProducer(op OpCode) bool {
 `)
 	if len(inline) > 0 {
@@ -199,161 +185,130 @@ func InlineProducer(op OpCode) bool {
 	}
 	sb.WriteString("\treturn false\n}\n\n")
 
-	sb.WriteString(`// compilePureBound builds the single-instruction narrow kernel of a pure
-// opcode, its value row stored to D; nil for an opcode without a row.
-func compilePureBound(st []uint64, in Instr) BoundFn {
-	pd := &st[in.D]
-	switch in.Op {
-`)
-	for _, r := range rows {
-		expr, decls := boundValue(r.Val, "in", nil)
-		fmt.Fprintf(&sb, "\tcase %s:\n\t\t%s\n\t\treturn func() { *pd = %s }\n", opcodeConst[r.Op], declLine(decls), expr)
-	}
-	sb.WriteString("\t}\n\treturn nil\n}\n\n")
+	sb.WriteString(`// Kernels. Each runs the operand records of one window against the state
+// image at st: it stores every instruction's value row in window order and
+// returns the record after the window. A fused window stores its leading
+// instructions, then tail-calls its last instruction's single kernel, which
+// the Go compiler inlines; that instruction re-reads any fed operand from
+// the state image after the store.
 
-	for i, p := range all {
-		if p.stages[0].op == "pure" {
-			if err := writeGeneric(&sb, all, i, rows); err != nil {
-				return nil, err
+`)
+	val := map[string]string{}
+	var singles []string
+	for _, r := range rows {
+		val[r.Op] = r.Val
+		singles = append(singles, opcodeConst[r.Op]+": "+kernelName(r.Op))
+		fmt.Fprintf(&sb, "func %s(st unsafe.Pointer, m *Machine, a *Op) *Op {\n\t*at(st, a.D) = %s\n\treturn a.next()\n}\n\n",
+			kernelName(r.Op), recordValue(r.Val, "a"))
+	}
+	var windows []string
+	for _, tuple := range windowTuples(all, rows) {
+		for _, op := range tuple[:len(tuple)-1] {
+			if _, ok := val[op]; !ok {
+				return nil, fmt.Errorf("fusion window %v: %s has no value row", tuple, op)
 			}
 		}
+		writeWindowKernel(&sb, tuple, val)
+		consts := make([]string, len(tuple))
+		for i, op := range tuple {
+			consts[i] = opcodeConst[op]
+		}
+		windows = append(windows, "{"+strings.Join(consts, ", ")+"}: "+kernelName(tuple...))
 	}
+
+	sb.WriteString("// narrowKernels is each opcode's single-instruction narrow kernel.\n")
+	writeTable(&sb, "narrowKernels = [cOpCount]kernel", append(singles, "CMemRead: kMemread"))
+	sb.WriteString("// windowKernels maps a fused window's opcodes — a pair's third is\n// CInvalid — to its kernel.\n")
+	writeTable(&sb, "windowKernels = map[[3]OpCode]kernel", windows)
 	return format.Source([]byte(sb.String()))
 }
 
 // valueIdent matches the identifiers a value row may use; valueDef gives
-// each one's build-time definition from instruction X (see ValueRow).
+// each one's definition over the operand record X (see ValueRow).
 var valueIdent = regexp.MustCompile(`\b(pa|pb|pc|dm|am|aw|bw|sh|cs)\b`)
 
 var valueDef = map[string]string{
-	"pa": "&st[X.A]", "pb": "&st[X.B]", "pc": "&st[X.C]", "dm": "mask(X.DW)",
-	"am": "mask(X.AW)", "aw": "X.AW", "bw": "X.BW", "sh": "uint(X.Lo)", "cs": "uint(X.BW)",
+	"pa": "at(st, X.A)", "pb": "at(st, X.B)", "pc": "at(st, X.C)",
+	"dm": "mask8(X.DW)", "am": "mask8(X.AW)", "aw": "int32(X.AW)", "bw": "int32(X.BW)",
+	"sh": "X.Sh", "cs": "X.BW",
 }
 
-// memReadValue and memReadDecl stand in for the value row memread does not
-// have (its value needs the machine's memory array), so it can still be a
-// generic rule's consumer.
-const (
-	memReadValue = "readMem(mem, *pa, depth, wp) & dm"
-	memReadDecl  = "mem, depth, wp := memPort(m, b.Lo)"
-)
-
-// decl is one build-time variable of a generated closure.
-type decl struct{ name, def string }
-
-// boundValue instantiates value expression val for instruction variable x.
-// The consumer of a pair (x == "b") has its identifiers renamed (pa → pba,
-// dm → bdm, …) so they cannot collide with the producer's, and each operand
-// slot listed in fed reads t, the producer's value, instead of its state
-// word. It returns the expression and the declarations of the identifiers
-// it uses, in first-use order.
-func boundValue(val, x string, fed []int) (string, []decl) {
-	for _, j := range fed {
-		val = strings.ReplaceAll(val, "*p"+"abc"[j:j+1], "t")
-	}
-	var decls []decl
-	seen := map[string]bool{}
-	expr := valueIdent.ReplaceAllStringFunc(val, func(id string) string {
-		name := id
-		if x == "b" && id[0] == 'p' {
-			name = "pb" + id[1:]
-		} else if x == "b" {
-			name = "b" + id
-		}
-		if !seen[name] {
-			seen[name] = true
-			decls = append(decls, decl{name, strings.ReplaceAll(valueDef[id], "X", x)})
-		}
-		return name
+// recordValue instantiates value expression val over operand record x.
+func recordValue(val, x string) string {
+	return valueIdent.ReplaceAllStringFunc(val, func(id string) string {
+		return strings.ReplaceAll(valueDef[id], "X", x)
 	})
-	return expr, decls
 }
 
-// declLine renders declarations as one multi-assignment.
-func declLine(decls []decl) string {
-	names, defs := make([]string, len(decls)), make([]string, len(decls))
-	for i, d := range decls {
-		names[i], defs[i] = d.name, d.def
+// kernelName names the kernel of a window of the given opcodes.
+func kernelName(ops ...string) string {
+	name := "k"
+	for _, op := range ops {
+		name += strings.ToUpper(op[:1]) + op[1:]
 	}
-	return strings.Join(names, ", ") + " := " + strings.Join(defs, ", ")
+	return name
 }
 
-// writeGeneric renders the constructor of generic rule all[i]: a build-time
-// switch on the producer over the inline rows (then on the consumer opcode,
-// for a class), every case returning one closure that computes the
-// producer's value into t, stores it, then stores the consumer's value. A
-// producer an earlier rule always claims with the same consumer stage gets
-// no case.
-func writeGeneric(sb *strings.Builder, all []parsed, i int, rows []ValueRow) error {
-	g, cons := all[i], all[i].stages[1]
-	var fed []int
-	for j, a := range cons.args {
-		if a == "t" {
-			fed = append(fed, j)
-		}
-	}
-	type tail struct{ op, expr string }
-	var tails []tail
-	var cdecls []decl
-	memRead := false
-	for _, op := range classMembers(cons.op) {
-		val := memReadValue
-		if op != "memread" {
-			r := slices.IndexFunc(rows, func(r ValueRow) bool { return r.Op == op })
-			if r < 0 {
-				return fmt.Errorf("fusion rule %q: consumer %s has no value row", g.Name, op)
+// windowTuples lists, in first-appearance order, every distinct opcode
+// tuple a fusion pattern admits: each stage expanded to its class members,
+// pure to the inline rows.
+func windowTuples(all []parsed, rows []ValueRow) [][]string {
+	var out [][]string
+	seen := map[string]bool{}
+	for _, p := range all {
+		tuples := [][]string{nil}
+		for _, st := range p.stages {
+			ops := classMembers(st.op)
+			if st.op == "pure" {
+				ops = nil
+				for _, r := range rows {
+					if r.Inline {
+						ops = append(ops, r.Op)
+					}
+				}
 			}
-			val = rows[r].Val
+			var next [][]string
+			for _, t := range tuples {
+				for _, op := range ops {
+					next = append(next, append(slices.Clone(t), op))
+				}
+			}
+			tuples = next
 		}
-		memRead = memRead || op == "memread"
-		expr, decls := boundValue(val, "b", fed)
-		tails = append(tails, tail{opcodeConst[op], expr})
-		for _, d := range decls {
-			if !slices.Contains(cdecls, d) {
-				cdecls = append(cdecls, d)
+		for _, t := range tuples {
+			if k := strings.Join(t, " "); !seen[k] {
+				seen[k] = true
+				out = append(out, t)
 			}
 		}
 	}
-	fmt.Fprintf(sb, "// %s compiles %s, %s: one closure per\n// inline producer and consumer opcode, both value rows inlined.\n", g.Emit, g.Name, g.Pat)
-	fmt.Fprintf(sb, "func %s(m *Machine, a, b Instr) BoundFn {\n\tst := m.State\n\tpad, pbd := &st[a.D], &st[b.D]\n\t%s\n", g.Emit, declLine(cdecls))
-	if memRead {
-		fmt.Fprintf(sb, "\t%s\n", memReadDecl)
-	}
-	sb.WriteString("\tswitch a.Op {\n")
-	for _, r := range rows {
-		if !r.Inline || claimedBefore(all[:i], cons, r.Op) {
-			continue
-		}
-		expr, decls := boundValue(r.Val, "a", nil)
-		fmt.Fprintf(sb, "\tcase %s:\n\t\t%s\n", opcodeConst[r.Op], declLine(decls))
-		closure := func(t tail) string {
-			return fmt.Sprintf("return func() { t := %s; *pad = t; *pbd = %s }", expr, t.expr)
-		}
-		if len(tails) == 1 {
-			fmt.Fprintf(sb, "\t\t%s\n", closure(tails[0]))
-			continue
-		}
-		sb.WriteString("\t\tswitch b.Op {\n")
-		for _, t := range tails {
-			fmt.Fprintf(sb, "\t\tcase %s:\n\t\t\t%s\n", t.op, closure(t))
-		}
-		sb.WriteString("\t\t}\n")
-	}
-	fmt.Fprintf(sb, "\t}\n\tpanic(\"emit: %s: producer \" + a.Op.String() + \" is not inline\")\n}\n\n", g.Emit)
-	return nil
+	return out
 }
 
-// claimedBefore reports whether an earlier, unguarded pair rule with
-// consumer stage cons names producer op: it always matches first, so the
-// generic rule never sees op.
-func claimedBefore(earlier []parsed, cons fuseStage, op string) bool {
-	for _, r := range earlier {
-		if len(r.stages) == 2 && r.Guard == "" && r.stages[1].op == cons.op &&
-			slices.Equal(r.stages[1].args, cons.args) && slices.Contains(classMembers(r.stages[0].op), op) {
-			return true
-		}
+// writeWindowKernel renders the kernel of one opcode tuple: the value rows
+// of all but the last instruction stored in order, then the last one's
+// single kernel.
+func writeWindowKernel(sb *strings.Builder, tuple []string, val map[string]string) {
+	vars := []string{"a", "b"}
+	fmt.Fprintf(sb, "func %s(st unsafe.Pointer, m *Machine, a *Op) *Op {\n", kernelName(tuple...))
+	if len(tuple) == 3 {
+		sb.WriteString("\tb := a.next()\n")
 	}
-	return false
+	for i, op := range tuple[:len(tuple)-1] {
+		fmt.Fprintf(sb, "\t*at(st, %s.D) = %s\n", vars[i], recordValue(val[op], vars[i]))
+	}
+	fmt.Fprintf(sb, "\treturn %s(st, m, %s.next())\n}\n\n", kernelName(tuple[len(tuple)-1]), vars[len(tuple)-2])
+}
+
+// writeTable renders a composite-literal variable, a few entries a line.
+func writeTable(sb *strings.Builder, decl string, entries []string) {
+	fmt.Fprintf(sb, "var %s{\n", decl)
+	for len(entries) > 0 {
+		n := min(4, len(entries))
+		fmt.Fprintf(sb, "\t%s,\n", strings.Join(entries[:n], ", "))
+		entries = entries[n:]
+	}
+	sb.WriteString("}\n\n")
 }
 
 // classMembers expands an opcode or class name to its opcode names.

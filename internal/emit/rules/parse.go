@@ -277,8 +277,7 @@ func checkTo(e *sexpr, binds map[string]bool) error {
 }
 
 // Validate checks the tables: one parseable value row per pure opcode, rule
-// names well-formed and unique, patterns parse, fusion constructors named,
-// simplify templates closed over their patterns' metavariables. The
+// names well-formed and unique, patterns parse, simplify templates closed over their patterns' metavariables. The
 // generator refuses to run on a table that does not validate, and the rules
 // test suite calls this directly.
 func Validate() error {
@@ -305,9 +304,6 @@ func Validate() error {
 			return fmt.Errorf("fusion rule %q: duplicate name", r.Name)
 		}
 		seen["f/"+r.Name] = true
-		if r.Emit == "" {
-			return fmt.Errorf("fusion rule %q: no emit constructor", r.Name)
-		}
 		if _, err := parseFusePat(r.Pat); err != nil {
 			return fmt.Errorf("fusion rule %q: %v", r.Name, err)
 		}

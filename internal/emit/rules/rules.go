@@ -1,7 +1,7 @@
 // Package rules is the declarative source of truth for the kernel
 // compiler's rewrite rules and narrow opcode semantics: the per-opcode value
-// table the bound kernels are built from, the superinstruction fusion
-// patterns applied by emit.CompileChainBound, and the algebraic
+// table the stream kernels are built from, the superinstruction fusion
+// patterns applied by emit.Stream, and the algebraic
 // simplification rules applied by the passes pipeline before partitioning.
 // cmd/rulegen compiles the tables into Go (emit/fuse_gen.go and
 // passes/simplify_gen.go) — the same shape sneller uses for its SSA
@@ -13,17 +13,17 @@
 //
 // ValueRows states each pure narrow opcode's result once, as a Go
 // expression. The generator turns every row into the opcode's
-// single-instruction kernel, and every row marked Inline into a producer
-// case of each generic fusion rule — so the generic rules' producer class
-// and their constructors come from the same rows and cannot disagree.
+// single-instruction kernel, and the rows of a fusion window's opcodes into
+// that window's kernel; the rows marked Inline are the generic rules'
+// producer class, so the matcher's class and the kernels come from the same
+// rows and cannot disagree.
 //
 // # Fusion rules
 //
 // A fusion rule matches a window of two or three adjacent instructions of a
-// compiled chain (execution order, left to right) and names the bound-closure
-// constructor in package emit that compiles the window into one closure:
+// compiled chain (execution order, left to right):
 //
-//	(copy _) >> (mux t? t? t?)
+//	(mux _ _ _) >> (mux _ t? t?)
 //
 // Each parenthesized group is one instruction: an opcode name, an opcode
 // class (cmp, mask, logic, eqz — see opcodeClass — or pure, the value rows
@@ -35,11 +35,11 @@
 //
 // Only fully narrow windows fuse (the generated matchers check that first);
 // rule order is match priority. An optional Guard is a raw Go expression
-// over the matched instructions a, b (and c for triples). A rule whose first
-// stage is pure is generic: its constructor is generated, one closure per
-// (inline producer, consumer opcode) that computes the producer's value row
-// into t, stores it, then stores the consumer's value row with every
-// t-marked slot read from t.
+// over the matched instructions a, b (and c for triples). A rule needs no
+// code of its own: every opcode tuple its pattern admits gets one generated
+// kernel, a static function that stores each stage's value row in window
+// order — a later stage re-reads a fed operand from the state image after
+// the earlier store, so one kernel serves every feed shape.
 //
 // # Simplify rules
 //
@@ -64,29 +64,24 @@ package rules
 // ValueRow declares the single-word semantics of one pure opcode (every
 // opcode but memread). Val is a Go expression for the result, already
 // masked to DW, over the operand words *pa, *pb, *pc (slots A, B, C) and
-// these build-time constants of the instruction: dm = mask(DW),
+// these values of the instruction's operand record: dm = mask(DW),
 // am = mask(AW), aw = AW and bw = BW (the widths sext64 takes),
-// sh = uint(Lo) (a static shift or bits offset) and cs = uint(BW) (a cat's
-// shift). Inline puts the opcode in the pure producer class of the generic
-// fusion rules; mark a row only when gsim-diag shows it firing as a generic
-// producer on a real design, since every inline row adds one closure body
-// per generic consumer.
+// sh = Lo (a static shift or bits offset) and cs = BW (a cat's shift).
+// Inline puts the opcode in the pure producer class of the generic fusion
+// rules; mark a row only when gsim-diag shows it firing as a generic
+// producer on a real design, since every inline row adds one kernel per
+// generic consumer.
 type ValueRow struct {
 	Op     string // opcode name
 	Val    string // Go value expression
-	Inline bool   // inlined as the producer of the generic (pure) >> … rules
+	Inline bool   // a producer of the generic (pure) >> … rules
 }
 
-// FuseRule declares one superinstruction fusion rule. Emit names the
-// bound-closure constructor in package emit: func(m *Machine, a, b Instr)
-// BoundFn for pairs, with a trailing c Instr for triples. The constructors
-// of generic rules (first stage pure) are generated; the others are
-// hand-written.
+// FuseRule declares one superinstruction fusion rule.
 type FuseRule struct {
 	Name  string // kebab-case rule id; generates the emit.FuseRule constant
 	Pat   string // instruction-window pattern, stages joined by >>
 	Guard string // optional extra Go condition over a, b (, c)
-	Emit  string // constructor name in package emit
 }
 
 // SimplifyRule declares one algebraic rewrite over ir expression trees.
@@ -104,8 +99,8 @@ type SimplifyRule struct {
 // Dynamic shifts need no guard: Go defines a uint64 shifted by 64 or more
 // as 0, which is the IR's semantics. The Inline rows are exactly the
 // producers gsim-diag saw fire a generic rule, with every row marked, on
-// the stucore build, rocket-like and testdata/*.fir, over both the GSIM
-// supernode chains and the full-cycle stream.
+// the stucore build, rocket-like, the RV32 core and testdata/*.fir, over
+// both the GSIM supernode chains and the full-cycle stream.
 func ValueRows() []ValueRow {
 	return []ValueRow{
 		{Op: "copy", Val: "*pa & dm"},
@@ -145,29 +140,26 @@ func ValueRows() []ValueRow {
 
 // FusionRules returns the fusion rule table in match-priority order: the
 // two-instruction rules, then the three-instruction families.
-// CompileChainBound tries triples before pairs at each chain position.
+// The fusion walk tries triples before pairs at each chain position.
 func FusionRules() []FuseRule {
 	return []FuseRule{
-		// Pairs. The specialized ones have hand-written constructors; the
-		// generic (pure) ones are generated from the value table.
-		{Name: "copy-mux", Pat: "(copy _) >> (mux t? t? t?)", Emit: "fuseCopyMux"},
-		{Name: "cmp-mux", Pat: "(cmp _ _) >> (mux t _ _)", Emit: "fuseCmpMux"},
-		{Name: "mux-mux", Pat: "(mux _ _ _) >> (mux _ t? t?)", Emit: "fuseMuxMux"},
-		{Name: "alu-mux", Pat: "(pure) >> (mux t? t? t?)", Emit: "fuseAluMux"},
-		{Name: "add-mask", Pat: "(add _ _) >> (mask t)", Emit: "fuseAddMask"},
-		{Name: "sub-mask", Pat: "(sub _ _) >> (mask t)", Emit: "fuseSubMask"},
-		{Name: "alu-mask", Pat: "(pure) >> (mask t)", Emit: "fuseAluMask"},
-		{Name: "alu-cat", Pat: "(pure) >> (cat t? t?)", Emit: "fuseAluCat"},
-		{Name: "alu-logic", Pat: "(pure) >> (logic t? t?)", Emit: "fuseAluLogic"},
-		{Name: "and-eqz", Pat: "(and _ _) >> (eqz t? t?)", Emit: "fuseAndEqz"},
-		{Name: "alu-eq", Pat: "(pure) >> (eqz t? t?)", Emit: "fuseAluEq"},
-		{Name: "and-orr", Pat: "(and _ _) >> (orr t)", Emit: "fuseAndEqz"},
-		{Name: "alu-memread", Pat: "(pure) >> (memread t)", Emit: "fuseAluMemRead"},
+		// Pairs. The generic (pure) rules take any inline producer.
+		{Name: "cmp-mux", Pat: "(cmp _ _) >> (mux t _ _)"},
+		{Name: "mux-mux", Pat: "(mux _ _ _) >> (mux _ t? t?)"},
+		{Name: "alu-mux", Pat: "(pure) >> (mux t? t? t?)"},
+		{Name: "add-mask", Pat: "(add _ _) >> (mask t)"},
+		{Name: "sub-mask", Pat: "(sub _ _) >> (mask t)"},
+		{Name: "alu-mask", Pat: "(pure) >> (mask t)"},
+		{Name: "alu-cat", Pat: "(pure) >> (cat t? t?)"},
+		{Name: "alu-logic", Pat: "(pure) >> (logic t? t?)"},
+		{Name: "alu-eq", Pat: "(pure) >> (eqz t? t?)"},
+		{Name: "alu-memread", Pat: "(pure) >> (memread t)"},
 		// Triples: the priority-encoder chains that dominate control logic
-		// compile to runs of adjacent muxes; collapsing three instructions
-		// into one closure removes two dispatches instead of one.
-		{Name: "mux-mux-mux", Pat: "(mux _ _ _) >> (mux _ t? t?) >> (mux _ t? t?)", Emit: "fuseMuxMuxMux"},
-		{Name: "cmp-mux-mux", Pat: "(cmp _ _) >> (mux t _ _) >> (mux _ t? t?)", Emit: "fuseCmpMuxMux"},
+		// compile to runs of adjacent muxes, register write enables to a bit
+		// test gated into a mux select; one kernel per window removes two
+		// dispatches instead of one.
+		{Name: "mux-mux-mux", Pat: "(mux _ _ _) >> (mux _ t? t?) >> (mux _ t? t?)"},
+		{Name: "bits-and-mux", Pat: "(bits _) >> (and t? t?) >> (mux t? t? t?)"},
 	}
 }
 
@@ -198,8 +190,7 @@ func SimplifyRules() []SimplifyRule {
 		{Name: "xorr-bool", Pat: "(xorr x)", Guard: "x.Width == 1", To: "x"},
 		{Name: "eq-self", Pat: "(eq x x)", To: "1"},
 		{Name: "neq-self", Pat: "(neq x x)", To: "0"},
-		// x != 0 is the or-reduction; saves the constant operand slot and
-		// feeds the and-orr fusion family.
+		// x != 0 is the or-reduction; saves the constant operand slot.
 		{Name: "neq-zero", Pat: "(neq x 0)", To: "(orr x)", Comm: true},
 		// Unsigned compare against zero folds to a constant or a reduction.
 		{Name: "lt-self", Pat: "(lt x x)", To: "0"},

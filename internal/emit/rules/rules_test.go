@@ -41,10 +41,10 @@ func TestValueRowsCoverPureOpcodes(t *testing.T) {
 }
 
 // TestGeneratedPureClassIsInlineSet parses the generated fusion source and
-// checks that the matcher's pure class (InlineProducer) and every generic
-// constructor's producer switch name exactly the value rows marked Inline —
-// minus, for a constructor, the producers an earlier specialized rule
-// always claims.
+// checks that the matcher's pure class (InlineProducer) names exactly the
+// value rows marked Inline, and that the window kernel table maps every
+// inline producer of every generic rule, with each consumer opcode of the
+// rule's class, to a generated kernel.
 func TestGeneratedPureClassIsInlineSet(t *testing.T) {
 	src, err := GenerateFuse()
 	if err != nil {
@@ -54,39 +54,54 @@ func TestGeneratedPureClassIsInlineSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var inline []string
+	var inline, inlineOps []string
 	for _, r := range ValueRows() {
 		if r.Inline {
 			inline = append(inline, opcodeConst[r.Op])
+			inlineOps = append(inlineOps, r.Op)
 		}
 	}
-	claimed := map[string][]string{ // constructor -> producers claimed earlier
-		"fuseAluMux":  {"CCopy"},
-		"fuseAluMask": {"CAdd", "CSub"},
-		"fuseAluEq":   {"CAnd"},
-	}
-	generic := map[string]bool{}
-	for _, r := range FusionRules() {
-		if strings.HasPrefix(r.Pat, "(pure)") {
-			generic[r.Emit] = true
-		}
-	}
-	found := 0
+	funcs := map[string]bool{}
+	windows := map[string]string{} // "CXor CMux" -> kernel name
 	for _, d := range f.Decls {
-		fn, ok := d.(*ast.FuncDecl)
-		if !ok || (fn.Name.Name != "InlineProducer" && !generic[fn.Name.Name]) {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			funcs[d.Name.Name] = true
+			if got := outerCases(d); d.Name.Name == "InlineProducer" && !slices.Equal(got, inline) {
+				t.Errorf("InlineProducer switches on %v, want the inline rows %v", got, inline)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				vs, ok := spec.(*ast.ValueSpec)
+				if !ok || vs.Names[0].Name != "windowKernels" {
+					continue
+				}
+				for _, elt := range vs.Values[0].(*ast.CompositeLit).Elts {
+					kv := elt.(*ast.KeyValueExpr)
+					var ops []string
+					for _, e := range kv.Key.(*ast.CompositeLit).Elts {
+						ops = append(ops, e.(*ast.Ident).Name)
+					}
+					windows[strings.Join(ops, " ")] = kv.Value.(*ast.Ident).Name
+				}
+			}
+		}
+	}
+	if !funcs["InlineProducer"] || len(windows) == 0 {
+		t.Fatal("generated source has no InlineProducer or no windowKernels table")
+	}
+	for _, r := range FusionRules() {
+		stages, err := parseFusePat(r.Pat)
+		if err != nil || stages[0].op != "pure" {
 			continue
 		}
-		found++
-		want := slices.DeleteFunc(slices.Clone(inline), func(c string) bool {
-			return slices.Contains(claimed[fn.Name.Name], c)
-		})
-		if got := outerCases(fn); !slices.Equal(got, want) {
-			t.Errorf("%s switches on %v, want the inline rows %v", fn.Name.Name, got, want)
+		for _, p := range inlineOps {
+			for _, c := range classMembers(stages[1].op) {
+				if k := windows[opcodeConst[p]+" "+opcodeConst[c]]; !funcs[k] {
+					t.Errorf("rule %s: window %s >> %s has kernel %q, not a generated function", r.Name, p, c, k)
+				}
+			}
 		}
-	}
-	if found != len(generic)+1 {
-		t.Errorf("found %d of the %d generated producer switches", found, len(generic)+1)
 	}
 }
 
@@ -269,9 +284,6 @@ func TestGeneratorOutputShape(t *testing.T) {
 		if !strings.Contains(fs, "FuseRule"+goName(r.Name)) {
 			t.Errorf("fusion rule %q has no generated constant", r.Name)
 		}
-		if !strings.Contains(fs, r.Emit+"(") {
-			t.Errorf("fusion rule %q: constructor %s never called", r.Name, r.Emit)
-		}
 	}
 	ss := string(simp)
 	for _, r := range SimplifyRules() {
@@ -279,10 +291,11 @@ func TestGeneratorOutputShape(t *testing.T) {
 			t.Errorf("simplify rule %q has no generated constant", r.Name)
 		}
 	}
-	// Priority order: and-eqz must be tried before alu-eq in the generated
-	// pair matcher (an and feeding eq matches both; the table puts the
+	// Priority order: mux-mux must be tried before alu-mux in the generated
+	// pair matcher (a mux feeding a mux arm matches both; the table puts the
 	// specialized rule first).
-	if i, j := strings.Index(fs, "FuseRuleAndEqz\n"), strings.Index(fs, "FuseRuleAluEq\n"); i < 0 || j < 0 || i > j {
-		t.Error("generated matcher does not try and-eqz before alu-eq")
+	m := fs[strings.Index(fs, "func matchFuse2"):]
+	if i, j := strings.Index(m, "return FuseRuleMuxMux\n"), strings.Index(m, "return FuseRuleAluMux\n"); i < 0 || j < 0 || i > j {
+		t.Error("generated matcher does not try mux-mux before alu-mux")
 	}
 }

@@ -3,12 +3,11 @@ package emit
 // Width classes. The kernel compiler picks the cheapest evaluation strategy
 // an instruction's operand and result widths allow:
 //
-//   - WCNarrow: everything fits one word — a fully specialized closure with
-//     masks and shifts pre-bound (compileNarrowBound).
-//   - WC2Word: the 65–128-bit class — a dedicated two-word closure with the
-//     high-word offsets and extension masks pre-bound (compile2WBound), so
-//     mid-width datapaths (wide buses, 128-bit stimulus registers) skip the
-//     generic word loop.
+//   - WCNarrow: everything fits one word — the opcode's generated kernel
+//     (narrowKernels), masks computed from the record's widths.
+//   - WC2Word: the 65–128-bit class — a dedicated two-word kernel
+//     (kernels2W), so mid-width datapaths (wide buses, 128-bit stimulus
+//     registers) skip the generic word loop.
 //   - WCWide: anything else — the interpreter's multi-word path (execWide).
 //
 // The class of an instruction is a pure function of its opcode and widths
@@ -35,8 +34,8 @@ func (c WidthClass) String() string {
 	return "invalid"
 }
 
-// classOf classifies an instruction by the evaluation strategy the bound
-// compiler (compileKernelBound) selects for it.
+// classOf classifies an instruction by the evaluation strategy the stream
+// builder (Stream.window) selects for it.
 func classOf(in Instr) WidthClass {
 	if in.DW <= 64 && in.AW <= 64 && in.BW <= 64 {
 		return WCNarrow

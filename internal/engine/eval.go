@@ -13,21 +13,20 @@ type EvalMode uint8
 
 const (
 	// EvalKernel (the default) runs the full kernel-compiling pipeline:
-	// pre-bound closures with opcode dispatch, operand offsets, widths, and
-	// masks resolved at build time, superinstruction fusion over adjacent
-	// two- and three-instruction idioms, width-class-specialized 2-word
-	// kernels for the 65-128-bit range, and chains fused per supernode (and
-	// per chunk, where
-	// the engine sweeps chunks) so a sweep has no range lookups.
+	// emit.Stream kernels over operand records, opcode dispatch resolved at
+	// build time, superinstruction fusion over adjacent two- and
+	// three-instruction idioms, width-class-specialized 2-word kernels for
+	// the 65-128-bit range, and chains fused per supernode (and per chunk,
+	// where the engine sweeps chunks) so a sweep has no range lookups.
 	EvalKernel EvalMode = iota
 	// EvalInterp runs the reference switch-dispatch interpreter
 	// (emit.Machine.Exec). It is the semantic baseline the kernel path is
 	// pinned against, and the fallback to reach for when debugging.
 	EvalInterp
 	// EvalKernelNoFuse is the kernel path without superinstruction fusion:
-	// every engine compiles the same bound chains as under EvalKernel with
-	// the fusion walk switched off (one closure per instruction, width
-	// classes kept) and skips ParallelActivity's word batching. It exists as
+	// every engine compiles the same streams as under EvalKernel with the
+	// fusion walk switched off (one kernel per instruction, width classes
+	// kept) and skips ParallelActivity's word batching. It exists as
 	// the measurable baseline for fusion (BenchmarkKernelVsInterp's kernel vs
 	// kernel-nofuse rows) and stays in the conformance matrix so the
 	// baseline keeps working.
@@ -60,11 +59,11 @@ func ParseEvalMode(s string) (EvalMode, error) {
 
 // supPlan is the flat, pre-resolved form of every supernode, built once per
 // engine and shared by Activity and ParallelActivity in every evaluation
-// mode. All bound chains are concatenated into one array; sups[s] and
-// sups[s+1] bracket supernode s's ranges in it and in the slot arrays (CSR,
-// with a sentinel record at the end), so evaluating a supernode touches one
-// small record and a few contiguous runs instead of a separately allocated
-// slice bundle.
+// mode. All supernode chains are appended to one emit.Stream; sups[s] and
+// sups[s+1] bracket supernode s's kernels in it and its ranges in the slot
+// arrays (CSR, with a sentinel record at the end), so evaluating a
+// supernode touches one small record and a few contiguous runs instead of a
+// separately allocated slice bundle.
 //
 // Change detection is a shadow compare (paper Listing 2: if new != old,
 // activate). A member's value slot is written only by that member's own
@@ -73,7 +72,7 @@ func ParseEvalMode(s string) (EvalMode, error) {
 // the slot compares, re-syncs, and activates through successor ranges
 // resolved at build time. Anything that rewrites the state image wholesale
 // (Reset, RestoreState) must call syncShadows. Fusion across member
-// boundaries inside a chain is safe for the same reason: a fused closure
+// boundaries inside a chain is safe for the same reason: a fused kernel
 // performs exactly the stores of its source instructions, in order.
 //
 // Members with no reader supernode get no slot. Under EvalKernelNoFuse the
@@ -83,7 +82,7 @@ func ParseEvalMode(s string) (EvalMode, error) {
 type supPlan struct {
 	kernel bool // chains and change-tracking slots are built (not EvalInterp)
 	sups   []supRec
-	fns    []emit.BoundFn
+	stream *emit.Stream // nil under EvalInterp
 	track  []trackSlot
 	wide   []wideSlot
 	wprev  []uint64 // shadow words of the wide slots
@@ -91,11 +90,12 @@ type supPlan struct {
 	regID  []int32 // regs[i]'s node ID: snapshots carry pending registers as node IDs
 }
 
-// supRec is one supernode: the first index of each of its ranges (the next
-// record's fields end them) and its pre-summed stat contributions.
+// supRec is one supernode: its first stream record, the first index of
+// each of its ranges (the next record's fields end them) and its pre-summed
+// stat contributions.
 type supRec struct {
-	fn, track, wide, reg int32
-	instrs, nodes        uint32
+	rec, k, track, wide, reg int32
+	instrs, nodes            uint32
 }
 
 // trackSlot is one change-tracked 1-word member (comb or memory read port):
@@ -127,18 +127,27 @@ type regSlot struct {
 func buildSupPlan(p *emit.Program, m *emit.Machine, ap *activationPlan, mode EvalMode) *supPlan {
 	nSups := len(ap.supStart) - 1
 	pl := &supPlan{kernel: mode != EvalInterp, sups: make([]supRec, nSups+1)}
-	var chain []emit.Instr
+	if pl.kernel {
+		pl.stream = emit.NewStream(m)
+	}
 	var wprev int32
 	for s := range pl.sups {
 		r := &pl.sups[s]
-		r.fn, r.track, r.wide, r.reg = int32(len(pl.fns)), int32(len(pl.track)), int32(len(pl.wide)), int32(len(pl.regs))
+		r.track, r.wide, r.reg = int32(len(pl.track)), int32(len(pl.wide)), int32(len(pl.regs))
+		var members []int32
+		if s < nSups {
+			members = ap.members[ap.supStart[s]:ap.supStart[s+1]]
+		}
+		if pl.kernel {
+			// The sentinel's empty chain marks where the last one ends.
+			sp := pl.stream.AppendNodes(members, mode == EvalKernel)
+			r.rec, r.k = sp.Rec, sp.K
+		}
 		if s == nSups {
 			break // sentinel
 		}
-		chain = chain[:0]
-		for _, id := range ap.members[ap.supStart[s]:ap.supStart[s+1]] {
+		for _, id := range members {
 			code := p.Code[id]
-			chain = append(chain, p.Instrs[code.Start:code.End]...)
 			r.instrs += uint32(code.Len())
 			r.nodes++
 			lo, hi := ap.succStart[id], ap.succStart[id+1]
@@ -157,13 +166,13 @@ func buildSupPlan(p *emit.Program, m *emit.Machine, ap *activationPlan, mode Eva
 				wprev += w
 			}
 		}
-		if pl.kernel {
-			pl.fns = p.AppendChainBound(pl.fns, m, chain, mode == EvalKernel)
-		}
 	}
 	// Append growth leaves up to a quarter of each array unused; the plan
 	// lives as long as the engine, so trim to size.
-	pl.fns, pl.track, pl.wide = clip(pl.fns), clip(pl.track), clip(pl.wide)
+	if pl.kernel {
+		pl.stream.Trim()
+	}
+	pl.track, pl.wide = clip(pl.track), clip(pl.wide)
 	pl.regs, pl.regID = clip(pl.regs), clip(pl.regID)
 	pl.wprev = make([]uint64, wprev)
 	pl.syncShadows(m.State)
@@ -188,9 +197,7 @@ func (pl *supPlan) syncShadows(st []uint64) {
 // slot ranges.
 func (pl *supPlan) sweep(s int32) (r, end *supRec) {
 	r, end = &pl.sups[s], &pl.sups[s+1]
-	for _, f := range pl.fns[r.fn:end.fn] {
-		f()
-	}
+	pl.stream.Run(emit.Span{K: r.k, KEnd: end.k, Rec: r.rec})
 	return r, end
 }
 

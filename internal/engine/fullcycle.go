@@ -12,23 +12,26 @@ import (
 // memory commit.
 type FullCycle struct {
 	base
-	// chain is the whole instruction stream compiled as one bound chain
-	// (width classes, operand pointers resolved into this engine's machine,
-	// superinstructions under EvalKernel). nil under EvalInterp, which
-	// sweeps the reference interpreter instead.
-	chain      []emit.BoundFn
+	// stream holds the whole instruction stream compiled as one chain
+	// (width classes, superinstructions under EvalKernel) for this engine's
+	// machine. nil under EvalInterp, which sweeps the reference interpreter
+	// instead.
+	stream     *emit.Stream
+	chain      emit.Span
 	memScratch []int32
 }
 
 // NewFullCycle builds a full-cycle engine for a compiled program. The
 // program's graph must have been compacted in topological order (core.Build
 // guarantees this). In the kernel modes the whole instruction stream is one
-// closure sweep, fused unless mode is EvalKernelNoFuse; EvalInterp selects
+// kernel sweep, fused unless mode is EvalKernelNoFuse; EvalInterp selects
 // the reference interpreter.
 func NewFullCycle(p *emit.Program, mode EvalMode) *FullCycle {
 	f := &FullCycle{base: newBase(p)}
 	if mode != EvalInterp {
-		f.chain = p.AppendChainBound(make([]emit.BoundFn, 0, len(p.Instrs)), f.m, p.Instrs, mode == EvalKernel)
+		f.stream = emit.NewStream(f.m)
+		f.chain = f.stream.Append(p.Instrs, mode == EvalKernel)
+		f.stream.Trim()
 	}
 	return f
 }
@@ -45,10 +48,8 @@ func (f *FullCycle) Close() {}
 // Step simulates one cycle.
 func (f *FullCycle) Step() {
 	f.stats.Cycles++
-	if f.chain != nil {
-		for _, fn := range f.chain {
-			fn()
-		}
+	if f.stream != nil {
+		f.stream.Run(f.chain)
 	} else {
 		f.m.Exec(0, int32(len(f.m.Prog.Instrs)))
 	}

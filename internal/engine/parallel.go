@@ -12,15 +12,16 @@ import (
 // thing, the fixed per-level synchronization cost means small designs slow
 // down while large designs speed up — the shape Fig. 6 reports.
 //
-// In the kernel modes every (level, worker) chunk compiles into one bound
-// closure chain (width classes, operand pointers pre-resolved, and
-// superinstructions unless the mode is kernel-nofuse), so a worker's share of
-// a level is a single sweep with no per-node range lookups.
+// In the kernel modes every (level, worker) chunk compiles into one chain of
+// the engine's stream (width classes, and superinstructions unless the mode
+// is kernel-nofuse), so a worker's share of a level is a single sweep with
+// no per-node range lookups.
 type Parallel struct {
 	base
 	threads    int
-	chunks     [][][]int32        // level -> worker -> node IDs
-	chains     [][][]emit.BoundFn // kernel modes: level -> worker -> bound chain; nil under EvalInterp
+	chunks     [][][]int32 // level -> worker -> node IDs
+	stream     *emit.Stream
+	chains     [][]emit.Span // kernel modes: level -> worker -> chain; nil under EvalInterp
 	pool       *workerPool
 	memScratch []int32
 }
@@ -59,13 +60,15 @@ func NewParallel(p *emit.Program, byLevel [][]int32, threads int, mode EvalMode)
 		e.chunks = append(e.chunks, chunk)
 	}
 	if mode != EvalInterp {
-		e.chains = make([][][]emit.BoundFn, len(e.chunks))
+		e.stream = emit.NewStream(e.m)
+		e.chains = make([][]emit.Span, len(e.chunks))
 		for lv, chunk := range e.chunks {
-			e.chains[lv] = make([][]emit.BoundFn, threads)
+			e.chains[lv] = make([]emit.Span, threads)
 			for w, ids := range chunk {
-				e.chains[lv][w] = p.CompileNodesBound(e.m, ids, mode == EvalKernel)
+				e.chains[lv][w] = e.stream.AppendNodes(ids, mode == EvalKernel)
 			}
 		}
+		e.stream.Trim()
 	}
 	e.pool = newWorkerPool(threads, len(e.chunks), e.runLevel)
 	e.obsLevels = len(e.chunks)
@@ -76,9 +79,7 @@ func NewParallel(p *emit.Program, byLevel [][]int32, threads int, mode EvalMode)
 // runLevel executes worker w's chunk of level lv.
 func (e *Parallel) runLevel(w, lv int) {
 	if e.chains != nil {
-		for _, f := range e.chains[lv][w] {
-			f()
-		}
+		e.stream.Run(e.chains[lv][w])
 		return
 	}
 	for _, id := range e.chunks[lv][w] {

@@ -90,15 +90,15 @@ type slotMask struct {
 }
 
 // wordBatch is one active word's supernodes concatenated into a single
-// closure sweep — the per-shard kernel batching of a (shard, level) chunk.
+// chain — the per-shard kernel batching of a (shard, level) chunk.
 // A word qualifies when none of its supernodes has change-tracked members
 // (no comb or memory-read nodes, so the sweep produces no activations); the
 // fast path fires when the word is fully active, replacing per-bit dispatch
 // with one chain sweep plus bulk stat accounting, exactly equivalent to
 // evaluating the supernodes bit by bit.
 type wordBatch struct {
-	full   uint64 // mask of populated slots; 0 = word not batchable
-	fns    []emit.BoundFn
+	full   uint64    // mask of populated slots; 0 = word not batchable
+	chain  emit.Span // in the plan's stream
 	nodes  uint64
 	instrs uint64
 	sups   []int32 // the populated slots' supernodes; their register slots get the pending check
@@ -217,6 +217,7 @@ func NewParallelActivity(p *emit.Program, part *partition.Result, cfg ActivityCo
 	e.plan = buildSupPlan(p, e.m, e.activationPlan, mode)
 	if mode == EvalKernel && cfg.MultiBitCheck {
 		e.batches = e.buildWordBatches()
+		e.plan.stream.Trim()
 	}
 	e.ws = make([]*paWorker, threads)
 	for w := 0; w < threads; w++ {
@@ -268,7 +269,7 @@ func (e *ParallelActivity) buildWordBatches() []wordBatch {
 			ba.nodes += uint64(e.plan.sups[s].nodes)
 			ba.instrs += uint64(e.plan.sups[s].instrs)
 		}
-		ba.fns = e.m.Prog.CompileNodesBound(e.m, ids, true)
+		ba.chain = e.plan.stream.AppendNodes(ids, true)
 	}
 	return batches
 }
@@ -429,9 +430,7 @@ func (e *ParallelActivity) runLevel(w, lv int) {
 // per-member bookkeeping left is the register pending check.
 func (ws *paWorker) runBatch(ba *wordBatch) {
 	ws.examinations += 1 + uint64(len(ba.sups))
-	for _, f := range ba.fns {
-		f()
-	}
+	ws.e.plan.stream.Run(ba.chain)
 	ws.nodeEvals += ba.nodes
 	ws.instrs += ba.instrs
 	pl := ws.e.plan

@@ -283,7 +283,7 @@ func TestActivityStepAllocs(t *testing.T) {
 
 // TestPlanConstructionAllocs pins the plan's shape: building an engine on the
 // rocket-like design allocates a fixed handful of slices for the plan, not
-// some per supernode. Under kernel-nofuse the closure count is the
+// some per supernode. Under kernel-nofuse the kernel count is the
 // instruction count whatever the partition, so two partitions of one program
 // differing by thousands of supernodes must cost the same number of
 // allocations, give or take append growth steps.

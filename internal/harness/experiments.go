@@ -408,7 +408,7 @@ type Fig9Point struct {
 }
 
 // Fig9Sizes spans the paper's 0-400 sweep, with extra resolution at the
-// small end where this implementation's optimum sits: closure-threaded
+// small end where this implementation's optimum sits: interpreted kernel
 // evaluation costs more per node than emitted C++, which shifts the optimum
 // below the paper's 20-50.
 var Fig9Sizes = []int{1, 2, 4, 6, 8, 12, 16, 32, 50, 100, 150, 200, 300, 400}
