@@ -99,9 +99,9 @@ func main() {
 	gnf.Name = "gsim-nofuse"
 	gnf.Eval = engine.EvalKernelNoFuse
 	cfgs = append(cfgs, gi, gnf)
-	// The multi-threaded engine, to report shard balance and batching reach,
-	// and its coarsened twin, to report the schedule delta (levels before ->
-	// after merging; one barrier per scheduled level per cycle).
+	// The multi-threaded engine, to report shard balance, and its coarsened
+	// twin, to report the schedule delta (levels before -> after merging;
+	// one barrier per scheduled level per cycle).
 	cfgs = append(cfgs, core.GSIMMT(2))
 	gco := core.GSIMMT(2)
 	gco.Name = "gsim-2T-coarsen"
@@ -152,11 +152,10 @@ func main() {
 			panic(fmt.Sprintf("%s: Machine.Executed=%d disagrees with stats.InstrsExecuted=%d", cfg.Name, ex, st.InstrsExecuted))
 		}
 		extra := ""
-		if pa, ok := sys.Sim.(*engine.ParallelActivity); ok {
-			batched, total := pa.BatchedWords()
-			sv := pa.Shard()
-			extra = fmt.Sprintf(" imbalance=%.2f batchwords=%d/%d levels=%d->%d barriers/cyc=%d",
-				sv.Imbalance(), batched, total, sv.OrigLevels, sv.Levels, sv.Levels)
+		if a, ok := sys.Sim.(*engine.Activity); ok && a.Shard() != nil {
+			sv := a.Shard()
+			extra = fmt.Sprintf(" imbalance=%.2f levels=%d->%d barriers/cyc=%d",
+				sv.Imbalance(), sv.OrigLevels, sv.Levels, sv.Levels)
 		}
 		fmt.Printf("%-16s nodes=%-6d sups=%-6d af=%.4f evals/cyc=%-7d exam/cyc=%-7d act/cyc=%-6d instr/cyc=%-8d speed=%.1fkHz%s\n",
 			cfg.Name, gstats.Nodes, nsup, st.ActivityFactor(),
@@ -390,25 +389,25 @@ func main() {
 
 	// The algebraic counters are process-wide, so after building the profile
 	// configurations and every testdata design they cover everything this run
-	// compiled.
+	// compiled. The pipeline simplifies once, before inlining, on one
+	// operation per node, so most patterns the rules match (a constant mask
+	// under an and, say) only exist after inlining and never show here.
 	alg := passes.AlgebraicRuleStats()
-	var neverAlg []string
-	fmt.Printf("simplify rule fires (all builds this run):")
+	fmt.Printf("simplify rules fired before inlining (all builds this run):")
+	idle := 0
 	for r := passes.AlgRuleNone + 1; r < passes.NumAlgRules; r++ {
-		fmt.Printf(" %s=%d", r, alg[r])
 		if alg[r] == 0 {
-			neverAlg = append(neverAlg, r.String())
+			idle++
+			continue
 		}
+		fmt.Printf(" %s=%d", r, alg[r])
 	}
-	fmt.Println()
+	fmt.Printf(" (%d of %d rules idle)\n", idle, passes.NumAlgRules-1)
 	if len(neverFuse) > 0 {
 		fmt.Printf("never-fired fusion rules: %s\n", strings.Join(neverFuse, " "))
 	}
 	if len(neverInline) > 0 {
 		fmt.Printf("inline rows that never fire: %s\n", strings.Join(neverInline, " "))
-	}
-	if len(neverAlg) > 0 {
-		fmt.Printf("never-fired simplify rules: %s\n", strings.Join(neverAlg, " "))
 	}
 }
 

@@ -126,8 +126,8 @@ func main() {
 		fmt.Printf("partition: %d supernodes (avg %.1f nodes, cut %d)\n",
 			sys.Part.Count(), sys.Part.AvgSize(), sys.Part.CutEdges)
 	}
-	if pa, ok := sys.Sim.(*engine.ParallelActivity); ok {
-		sv := pa.Shard()
+	if a, ok := sys.Sim.(*engine.Activity); ok && a.Shard() != nil {
+		sv := a.Shard()
 		fmt.Printf("schedule: %d levels (%d before coarsening), %d barriers/cycle\n",
 			sv.Levels, sv.OrigLevels, sv.Levels)
 	}

@@ -32,7 +32,7 @@ type CompiledDesign struct {
 	Graph   *ir.Graph
 	Prog    *emit.Program
 	Part    *partition.Result // nil for full-cycle engines
-	ByLevel [][]int32         // nil unless Config.Engine == EngineParallel
+	ByLevel [][]int32         // nil unless a multi-worker full-cycle schedule needs it
 
 	PassResult  passes.Result
 	PassTime    time.Duration
@@ -55,6 +55,7 @@ func CompileDesign(g *ir.Graph, cfg Config) (*CompiledDesign, error) {
 	if cfg.MaxSupernode <= 0 {
 		cfg.MaxSupernode = DefaultMaxSupernode
 	}
+	cfg.Threads = cfg.workers()
 	work := g.Clone()
 
 	passStart := time.Now()
@@ -85,14 +86,15 @@ func CompileDesign(g *ir.Graph, cfg Config) (*CompiledDesign, error) {
 	}
 	switch cfg.Engine {
 	case EngineFullCycle:
-		// no schedule artifacts
-	case EngineParallel:
-		order := make([]int32, len(work.Nodes))
-		for i := range order {
-			order[i] = int32(i)
+		// One worker sweeps the nodes in ID order; more need the levels.
+		if cfg.Threads > 1 {
+			order := make([]int32, len(work.Nodes))
+			for i := range order {
+				order[i] = int32(i)
+			}
+			_, d.ByLevel = work.Levelize(order)
 		}
-		_, d.ByLevel = work.Levelize(order)
-	case EngineActivity, EngineParallelActivity:
+	case EngineActivity:
 		d.Part = partition.Build(work, cfg.Partition, cfg.MaxSupernode)
 	default:
 		return nil, fmt.Errorf("core: unknown engine %d", cfg.Engine)
@@ -107,8 +109,9 @@ func (d *CompiledDesign) DesignHash() string { return d.Prog.DesignHashString() 
 
 // NewSim instantiates one engine over the shared artifacts. cfg selects the
 // cheap per-session knobs (engine kind, eval mode, threads, activity config);
-// it must request the same engine family the design was compiled for (the
-// partition and levelization are engine-specific). Construction is
+// it must request the engine the design was compiled for (the partition and
+// levelization are engine-specific), and a multi-worker full-cycle engine
+// needs a design compiled for more than one worker. Construction is
 // serialized: building an engine compiles machine-bound kernel streams and
 // may memoize shared per-program tables, and serializing here keeps that
 // invisible to concurrent sessions. Once constructed, engines step fully
@@ -120,6 +123,10 @@ func (d *CompiledDesign) NewSim(cfg Config) (sim engine.Compiled, err error) {
 	if cfg.Engine != d.Config.Engine {
 		return nil, fmt.Errorf("core: design compiled for engine %s, session asks for %s", d.Config.Engine, cfg.Engine)
 	}
+	threads := cfg.workers()
+	if cfg.Engine == EngineFullCycle && threads > 1 && d.ByLevel == nil {
+		return nil, fmt.Errorf("core: design compiled for one full-cycle worker, session asks for %d", threads)
+	}
 	d.simMu.Lock()
 	defer d.simMu.Unlock()
 	defer func() {
@@ -129,13 +136,9 @@ func (d *CompiledDesign) NewSim(cfg Config) (sim engine.Compiled, err error) {
 	}()
 	switch cfg.Engine {
 	case EngineFullCycle:
-		return engine.NewFullCycle(d.Prog, cfg.Eval), nil
-	case EngineParallel:
-		return engine.NewParallel(d.Prog, d.ByLevel, cfg.Threads, cfg.Eval), nil
+		return engine.NewFullCycle(d.Prog, d.ByLevel, threads, cfg.Eval), nil
 	case EngineActivity:
-		return engine.NewActivity(d.Prog, d.Part, cfg.Activity, cfg.Eval), nil
-	case EngineParallelActivity:
-		return engine.NewParallelActivity(d.Prog, d.Part, cfg.Activity, cfg.Threads, cfg.Eval), nil
+		return engine.NewActivity(d.Prog, d.Part, cfg.Activity, threads, cfg.Eval), nil
 	}
 	return nil, fmt.Errorf("core: unknown engine %d", cfg.Engine)
 }
@@ -161,11 +164,12 @@ func (d *CompiledDesign) NewGang(k int) (*engine.Gang, error) {
 // artifact or the per-session engine shape is folded in — optimization
 // options, engine, eval mode, threads, coarsening, partitioner, supernode
 // cap — so sessions share a cache entry exactly when their builds would be
-// interchangeable.
+// interchangeable. Unset and one-worker thread counts are the same build.
 func CacheKey(sourceHash string, cfg Config) string {
 	if cfg.MaxSupernode <= 0 {
 		cfg.MaxSupernode = DefaultMaxSupernode
 	}
+	cfg.Threads = cfg.workers()
 	return fmt.Sprintf("%s|opt=%+v|engine=%s|eval=%s|threads=%d|coarsen=%v/%d|part=%d|maxsup=%d|act=%d/%d/%v",
 		sourceHash, cfg.Opt, cfg.Engine, cfg.Eval, cfg.Threads,
 		cfg.Activity.Coarsen, cfg.Activity.CoarsenGrain,

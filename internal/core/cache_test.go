@@ -46,6 +46,43 @@ func TestNewSimRefusesCorruptProgram(t *testing.T) {
 	}
 }
 
+// TestOneWorkerSharesCompile: an unset thread count and one worker build
+// the same engine, so GSIM and GSIMMT(1) — and Verilator and VerilatorMT(1) —
+// share one cache entry: one miss, then a hit on the same design, and the
+// hit builds an engine.
+func TestOneWorkerSharesCompile(t *testing.T) {
+	for _, pair := range [][2]Config{{GSIM(), GSIMMT(1)}, {Verilator(), VerilatorMT(1)}} {
+		c := NewCompileCache()
+		g := cacheDesign(t, 0)
+		var designs [2]*CompiledDesign
+		for i, cfg := range pair {
+			d, hit, err := c.Get(CacheKey("test:0", cfg), func() (*CompiledDesign, error) { return CompileDesign(g, cfg) })
+			if err != nil || hit != (i == 1) {
+				t.Fatalf("%s: hit=%v err=%v, want a miss then a hit", cfg.Name, hit, err)
+			}
+			designs[i] = d
+			sim, err := d.NewSim(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", cfg.Name, err)
+			}
+			sim.Close()
+		}
+		if hits, misses := c.Stats(); hits != 1 || misses != 1 || designs[0] != designs[1] {
+			t.Fatalf("%s/%s: %d hits, %d misses, shared=%v", pair[0].Name, pair[1].Name, hits, misses, designs[0] == designs[1])
+		}
+	}
+	// A one-worker full-cycle compile has no levelization, so it refuses a
+	// session asking for more workers instead of sweeping nothing.
+	d, err := CompileDesign(cacheDesign(t, 0), Verilator())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim, err := d.NewSim(VerilatorMT(2)); err == nil {
+		sim.Close()
+		t.Fatal("a one-worker full-cycle design built a two-worker engine")
+	}
+}
+
 func mustCompile(t *testing.T, c *CompileCache, idx int) (*CompiledDesign, string) {
 	t.Helper()
 	g := cacheDesign(t, idx)

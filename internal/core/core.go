@@ -19,18 +19,17 @@ import (
 	"gsim/internal/passes"
 )
 
-// EngineKind selects the simulation engine.
+// EngineKind selects the simulation model; Config.Threads picks how many
+// workers run it.
 type EngineKind uint8
 
 // Engine kinds.
 const (
 	EngineFullCycle EngineKind = iota
-	EngineParallel
 	EngineActivity
-	EngineParallelActivity
 )
 
-var engineNames = [...]string{"fullcycle", "parallel", "activity", "parallel-activity"}
+var engineNames = [...]string{"fullcycle", "activity"}
 
 // String returns the engine name.
 func (k EngineKind) String() string { return engineNames[k] }
@@ -43,7 +42,7 @@ type Config struct {
 	Opt passes.Options
 
 	Engine  EngineKind
-	Threads int // EngineParallel / EngineParallelActivity worker count
+	Threads int // worker count; 0 and 1 both mean one worker (see workers)
 
 	// Eval selects instruction evaluation: the fused kernel pipeline
 	// (the zero value, default on for every preset — superinstruction
@@ -112,7 +111,7 @@ func Build(g *ir.Graph, cfg Config) (*System, error) {
 	return sys, nil
 }
 
-// Close releases engine resources (parallel workers).
+// Close releases engine resources (worker goroutines).
 func (s *System) Close() { s.Sim.Close() }
 
 // Node returns the optimized graph's node with the given name, or nil. Note
@@ -131,11 +130,11 @@ func Verilator() Config {
 	return Config{Name: "verilator", Opt: opt, Engine: EngineFullCycle}
 }
 
-// VerilatorMT models Verilator --threads N.
+// VerilatorMT models Verilator --threads N: the full-cycle engine with N
+// workers. VerilatorMT(1) builds exactly what Verilator() does.
 func VerilatorMT(threads int) Config {
 	cfg := Verilator()
 	cfg.Name = fmt.Sprintf("verilator-%dT", threads)
-	cfg.Engine = EngineParallel
 	cfg.Threads = threads
 	return cfg
 }
@@ -183,13 +182,16 @@ func GSIM() Config {
 	}
 }
 
-// GSIMMT is the multi-threaded GSIM: the full essential-signal pipeline
-// executed by the ParallelActivity engine, which shards supernodes across N
-// persistent workers with level barriers.
+// GSIMMT is the multi-threaded GSIM: the essential-signal engine sharding
+// supernodes across N persistent workers with level barriers. GSIMMT(1)
+// builds exactly what GSIM() does.
 func GSIMMT(threads int) Config {
 	cfg := GSIM()
 	cfg.Name = fmt.Sprintf("gsim-%dT", threads)
-	cfg.Engine = EngineParallelActivity
 	cfg.Threads = threads
 	return cfg
 }
+
+// workers is a configuration's worker count: Threads, with every value
+// below one meaning one worker.
+func (c Config) workers() int { return max(c.Threads, 1) }

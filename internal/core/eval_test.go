@@ -13,9 +13,9 @@ import (
 )
 
 // evalLockstepConfigs are the engine configurations the kernel/interp
-// equivalence suite pins: full-cycle, parallel full-cycle, essential-signal,
-// and the multi-threaded essential-signal engine at 2 and 4 threads (the
-// race detector covers the threaded runs in CI).
+// equivalence suite pins: full-cycle at one and two workers, and
+// essential-signal at one, two and four (the race detector covers the
+// multi-worker runs in CI).
 func evalLockstepConfigs() []Config {
 	return []Config{Verilator(), VerilatorMT(2), GSIM(), GSIMMT(2), GSIMMT(4)}
 }
@@ -106,18 +106,17 @@ func interpTwin(t *testing.T, sys *System) engine.Sim {
 	cfg := sys.Config
 	switch cfg.Engine {
 	case EngineFullCycle:
-		return engine.NewFullCycle(sys.Prog, engine.EvalInterp)
-	case EngineParallel:
-		order := make([]int32, len(sys.Graph.Nodes))
-		for i := range order {
-			order[i] = int32(i)
+		var byLevel [][]int32
+		if cfg.Threads > 1 {
+			order := make([]int32, len(sys.Graph.Nodes))
+			for i := range order {
+				order[i] = int32(i)
+			}
+			_, byLevel = sys.Graph.Levelize(order)
 		}
-		_, byLevel := sys.Graph.Levelize(order)
-		return engine.NewParallel(sys.Prog, byLevel, cfg.Threads, engine.EvalInterp)
+		return engine.NewFullCycle(sys.Prog, byLevel, cfg.Threads, engine.EvalInterp)
 	case EngineActivity:
-		return engine.NewActivity(sys.Prog, sys.Part, cfg.Activity, engine.EvalInterp)
-	case EngineParallelActivity:
-		return engine.NewParallelActivity(sys.Prog, sys.Part, cfg.Activity, cfg.Threads, engine.EvalInterp)
+		return engine.NewActivity(sys.Prog, sys.Part, cfg.Activity, cfg.Threads, engine.EvalInterp)
 	}
 	t.Fatalf("unknown engine %v", cfg.Engine)
 	return nil
@@ -204,9 +203,7 @@ func TestEvalModesLockstep(t *testing.T) {
 			if ex := simI.Machine().Executed; ex != b.InstrsExecuted {
 				t.Fatalf("%s/%s: interp Machine.Executed=%d vs stats %d", names[di], cfg.Name, ex, b.InstrsExecuted)
 			}
-			if c, ok := simI.(interface{ Close() }); ok {
-				c.Close()
-			}
+			simI.Close()
 			sysK.Close()
 		}
 	}

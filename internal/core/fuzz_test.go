@@ -117,19 +117,19 @@ func FuzzKernelLockstep(f *testing.F) {
 			t.Skip("design does not compile:", err)
 		}
 		defer sysK.Close()
-		simNF := engine.NewActivity(sysK.Prog, sysK.Part, sysK.Config.Activity, engine.EvalKernelNoFuse)
-		simI := engine.NewActivity(sysK.Prog, sysK.Part, sysK.Config.Activity, engine.EvalInterp)
+		simNF := engine.NewActivity(sysK.Prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalKernelNoFuse)
+		simI := engine.NewActivity(sysK.Prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalInterp)
 		// The coarsening axis: the merged-level schedule at its most
 		// aggressive grain, two workers, must track the same trajectory.
 		coarseCfg := sysK.Config.Activity
 		coarseCfg.Coarsen = true
 		coarseCfg.CoarsenGrain = 1 << 30
-		simC := engine.NewParallelActivity(sysK.Prog, sysK.Part, coarseCfg, 2, engine.EvalKernel)
+		simC := engine.NewActivity(sysK.Prog, sysK.Part, coarseCfg, 2, engine.EvalKernel)
 		defer simC.Close()
 		// The snapshot axis: this engine is serialized through the versioned
 		// snapshot format and restored into a fresh engine mid-run; its
 		// trajectory and stats must never diverge from the uninterrupted one.
-		var simS engine.Sim = engine.NewActivity(sysK.Prog, sysK.Part, sysK.Config.Activity, engine.EvalKernel)
+		var simS engine.Sim = engine.NewActivity(sysK.Prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalKernel)
 		ref, err := engine.NewReference(sysK.Graph)
 		if err != nil {
 			t.Fatal(err)
@@ -191,7 +191,7 @@ func FuzzKernelLockstep(f *testing.F) {
 		// lane's blob must equal the twin's byte for byte.
 		gang := engine.NewGang(sysK.Prog, 2)
 		defer gang.Close()
-		twin := engine.NewFullCycle(sysK.Prog, engine.EvalKernel)
+		twin := engine.NewFullCycle(sysK.Prog, nil, 1, engine.EvalKernel)
 		defer twin.Close()
 		rngL1 := rand.New(rand.NewSource(int64(len(data))*77 + 3))
 
@@ -205,7 +205,7 @@ func FuzzKernelLockstep(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fresh := engine.NewActivity(sysK.Prog, sysK.Part, sysK.Config.Activity, engine.EvalKernel)
+				fresh := engine.NewActivity(sysK.Prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalKernel)
 				if err := snapshot.Restore(fresh, blob); err != nil {
 					t.Fatal(err)
 				}

@@ -18,22 +18,20 @@ type matrixSim struct {
 	sim  engine.Sim
 }
 
-// matrixEngines instantiates the full engine × eval-mode × thread-count ×
+// matrixEngines instantiates the full engine × eval-mode × worker-count ×
 // coarsening matrix over ONE compiled program and partition, so every cell
 // shares node IDs and state layout and the state images can be compared word
 // for word:
 //
-//	fullcycle, activity                   × {kernel, kernel-nofuse, interp}
-//	parallel, parallel-activity           × {kernel, kernel-nofuse, interp} × {1, 2, 4} threads
-//	parallel-activity (coarsened)         × {kernel, kernel-nofuse, interp} × {1, 2, 4} threads
+//	fullcycle, activity          × {kernel, kernel-nofuse, interp} × {1, 2, 4} workers
+//	activity (coarsened)         × {kernel, kernel-nofuse, interp} × {1, 2, 4} workers
 //
 // The coarsened cells run the merged-level schedule with an aggressive grain
 // (so merging actually happens on small designs) and must stay bit-identical
 // to every other cell — the adaptive-coarsening correctness pin.
 //
 // All engines must produce identical state trajectories (the package
-// contract in internal/engine); before this test only kernel-vs-interp pairs
-// of the same engine were pinned.
+// contract in internal/engine).
 func matrixEngines(t *testing.T, sys *System) []matrixSim {
 	t.Helper()
 	order := make([]int32, len(sys.Graph.Nodes))
@@ -49,18 +47,14 @@ func matrixEngines(t *testing.T, sys *System) []matrixSim {
 	modes := []engine.EvalMode{engine.EvalKernel, engine.EvalKernelNoFuse, engine.EvalInterp}
 	var sims []matrixSim
 	for _, mode := range modes {
-		sims = append(sims,
-			matrixSim{fmt.Sprintf("fullcycle/%s", mode), engine.NewFullCycle(sys.Prog, mode)},
-			matrixSim{fmt.Sprintf("activity/%s", mode), engine.NewActivity(sys.Prog, sys.Part, sys.Config.Activity, mode)},
-		)
 		for _, threads := range []int{1, 2, 4} {
 			sims = append(sims,
-				matrixSim{fmt.Sprintf("parallel-%dT/%s", threads, mode),
-					engine.NewParallel(sys.Prog, byLevel, threads, mode)},
-				matrixSim{fmt.Sprintf("parallel-activity-%dT/%s", threads, mode),
-					engine.NewParallelActivity(sys.Prog, sys.Part, sys.Config.Activity, threads, mode)},
-				matrixSim{fmt.Sprintf("parallel-activity-coarsen-%dT/%s", threads, mode),
-					engine.NewParallelActivity(sys.Prog, sys.Part, coarse, threads, mode)},
+				matrixSim{fmt.Sprintf("fullcycle-%dT/%s", threads, mode),
+					engine.NewFullCycle(sys.Prog, byLevel, threads, mode)},
+				matrixSim{fmt.Sprintf("activity-%dT/%s", threads, mode),
+					engine.NewActivity(sys.Prog, sys.Part, sys.Config.Activity, threads, mode)},
+				matrixSim{fmt.Sprintf("activity-coarsen-%dT/%s", threads, mode),
+					engine.NewActivity(sys.Prog, sys.Part, coarse, threads, mode)},
 			)
 		}
 	}
@@ -79,13 +73,13 @@ func matrixDesigns(t *testing.T) (names []string, graphs []*ir.Graph) {
 	return names, graphs
 }
 
-// TestEngineMatrixLockstep sweeps the conformance matrix: all four engines,
-// all three evaluation modes, threaded engines at 1/2/4 workers, lockstep
+// TestEngineMatrixLockstep sweeps the conformance matrix: both engines, all
+// three evaluation modes, 1/2/4 workers, lockstep
 // over every design with randomized stimulus and reset pulses. Every cell's
 // full state image must stay bit-identical to the first cell every cycle,
 // and the first cell's outputs must match the independent ir-reference
-// oracle — so superinstruction fusion, width classes, and chunk batching can
-// never diverge any engine from any other.
+// oracle — so superinstruction fusion, width classes, and the worker
+// schedules can never diverge any engine from any other.
 func TestEngineMatrixLockstep(t *testing.T) {
 	cycles := 60
 	if testing.Short() {
@@ -171,9 +165,7 @@ func TestEngineMatrixLockstep(t *testing.T) {
 		}
 
 		for _, ms := range sims {
-			if c, ok := ms.sim.(interface{ Close() }); ok {
-				c.Close()
-			}
+			ms.sim.Close()
 		}
 		gang.Close()
 		sys.Close()

@@ -19,7 +19,7 @@ func TestPresetShapes(t *testing.T) {
 		t.Fatalf("verilator preset drifted: %+v", v)
 	}
 	mt := VerilatorMT(4)
-	if mt.Engine != EngineParallel || mt.Threads != 4 || mt.Name != "verilator-4T" {
+	if mt.Engine != EngineFullCycle || mt.Threads != 4 || mt.Name != "verilator-4T" {
 		t.Fatalf("verilator-MT preset drifted: %+v", mt)
 	}
 	a := Arcilator()
@@ -38,7 +38,7 @@ func TestPresetShapes(t *testing.T) {
 		t.Fatalf("gsim preset drifted: %+v", g)
 	}
 	gmt := GSIMMT(4)
-	if gmt.Engine != EngineParallelActivity || gmt.Threads != 4 || gmt.Name != "gsim-4T" ||
+	if gmt.Engine != EngineActivity || gmt.Threads != 4 || gmt.Name != "gsim-4T" ||
 		gmt.Partition != partition.Enhanced || !gmt.Activity.MultiBitCheck ||
 		gmt.Activity.Activation != engine.ActCostModel || !gmt.Opt.BitSplit {
 		t.Fatalf("gsimmt preset drifted: %+v", gmt)

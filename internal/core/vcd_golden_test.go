@@ -154,15 +154,13 @@ func TestGoldenVCDAsync(t *testing.T) {
 		thr    int
 		coarse bool
 	}{
-		{"fullcycle", EngineFullCycle, 0, false},
-		{"activity", EngineActivity, 0, false},
-		{"parallel-1T", EngineParallel, 1, false},
-		{"parallel-2T", EngineParallel, 2, false},
-		{"parallel-4T", EngineParallel, 4, false},
-		{"parallel-activity-1T", EngineParallelActivity, 1, false},
-		{"parallel-activity-2T", EngineParallelActivity, 2, false},
-		{"parallel-activity-4T", EngineParallelActivity, 4, false},
-		{"parallel-activity-coarsen-2T", EngineParallelActivity, 2, true},
+		{"fullcycle-1T", EngineFullCycle, 1, false},
+		{"fullcycle-2T", EngineFullCycle, 2, false},
+		{"fullcycle-4T", EngineFullCycle, 4, false},
+		{"activity-1T", EngineActivity, 1, false},
+		{"activity-2T", EngineActivity, 2, false},
+		{"activity-4T", EngineActivity, 4, false},
+		{"activity-coarsen-2T", EngineActivity, 2, true},
 	}
 	for _, e := range engines {
 		for _, m := range []engine.EvalMode{engine.EvalKernel, engine.EvalKernelNoFuse, engine.EvalInterp} {

@@ -37,11 +37,10 @@ type ActivityConfig struct {
 	// BranchlessMax is the cost-model threshold for ActCostModel: nodes with
 	// more successor supernodes than this use the branching strategy.
 	BranchlessMax int
-	// Coarsen enables adaptive level coarsening in the parallel engine
-	// (ParallelActivity): consecutive sparse levels of the shard schedule
-	// merge into one barrier span wherever the cross-level edges permit,
-	// cutting barriers per cycle on deep, narrow designs. The serial engine
-	// has no barriers and ignores it.
+	// Coarsen enables adaptive level coarsening of the multi-worker schedule:
+	// consecutive sparse levels merge into one barrier span wherever the
+	// cross-level edges permit, cutting barriers per cycle on deep, narrow
+	// designs. One worker has no barriers and ignores it.
 	Coarsen bool
 	// CoarsenGrain overrides the coarsening grain (target minimum evaluation
 	// weight per merged level); zero selects the adaptive default (mean
@@ -55,27 +54,66 @@ const DefaultBranchlessMax = 6
 
 // Activity is the essential-signal engine (paper Listing 2/3/4): every
 // supernode has an active bit; only active supernodes are evaluated; value
-// changes activate reader supernodes.
+// changes activate reader supernodes. The worker count is a schedule over
+// that one model.
+//
+// Supernodes are levelized over the dependence condensation and distributed
+// across persistent worker shards (partition.Result.Shard). Each (shard,
+// level) chunk owns a private, word-aligned range of the active-bit array —
+// its slots — so the Listing-4 multi-bit check runs per shard with no
+// sharing: a worker scans exactly its own words. Intra-cycle activations
+// always target strictly later levels (dependence edges cannot stay within a
+// level), so workers publish them into per-worker outbox masks that the
+// owning shard OR-merges into its active words at the level barrier — never
+// touching a word another worker can write in the same level. A per-(writer,
+// chunk) dirty flag lets the merge skip outboxes that published nothing into
+// the chunk. Register and memory commits, external pokes, and the reset slow
+// path run serially between cycles.
+//
+// With ActivityConfig.Coarsen the schedule is the coarsened shard view
+// (partition.ShardOpts): consecutive sparse levels merge into one barrier
+// span, with every dependence edge inside a merged span co-assigned to one
+// shard and ordered inside that shard's chunk. Activations can then target
+// the worker's own current chunk — a strictly later slot, because chunks are
+// sorted in supernode (== topological) order — so they go straight into the
+// active words (the worker owns them for the whole span) and the scan loop
+// re-reads each word until it drains. Cross-chunk targets still go through
+// the outbox and merge at the next barrier.
+//
+// One worker needs no barrier, so its schedule is a single level: one chunk
+// holding every supernode in ascending ID, whose slot is its ID. Every
+// activation lands in the current chunk, the outboxes stay empty, and the
+// sweep runs inline on the caller — the serial loop of Listing 4, with the
+// same examinations, activations and evaluations.
+//
+// Every worker count produces the same state trajectory as Reference in
+// every evaluation mode; the equivalence tests enforce this.
 type Activity struct {
 	base
-	part *partition.Result
-	cfg  ActivityConfig
+	part   *partition.Result
+	cfg    ActivityConfig
+	shard  *partition.ShardView // nil with one worker
+	levels int
+	pool   *workerPool
 	*activationPlan
 
-	active []uint64 // one bit per supernode
+	// Active-bit storage: one concatenated word array, shard-major then
+	// level-minor, each (shard, level) chunk padded to whole words.
+	active    []uint64
+	wordLo    [][]int32 // [shard][level] -> first word; [shard][levels] ends it
+	wordChunk []int32   // word -> owning chunk (shard*levels + level)
+	supSlot   []int32   // supernode -> slot (word*64 + bit)
+	slotSup   []int32   // slot -> supernode; -1 for padding bits
 
 	plan       *supPlan
-	scratch    []uint64 // interpreter sweep's old-value buffer; nil in kernel modes
-	pending    []int32  // plan register slots awaiting commit
 	memScratch []int32
+	ws         []*worker
 }
 
-// activationPlan is the supernode-level activation policy shared by the
-// serial (Activity) and parallel (ParallelActivity) essential-signal
-// engines: per-node reader-supernode lists, the per-node activation
-// strategy, and the supernodes re-armed by memory writes and reset pokes.
-// Keeping it in one place guarantees the two engines activate identically —
-// the equivalence tests assume exactly that.
+// activationPlan is the supernode-level activation policy: per-node
+// reader lists, the per-node activation strategy, and the readers re-armed by
+// memory writes and reset pokes. Readers are slots of the engine's active-bit
+// array, not supernode IDs, so activating one is a single bit set.
 type activationPlan struct {
 	supStart []int32 // members[supStart[s]:supStart[s+1]] are supernode s's nodes
 	members  []int32
@@ -83,7 +121,7 @@ type activationPlan struct {
 	// Per-node tables (indexed by node ID).
 	kind      []ir.NodeKind
 	succStart []int32
-	succSups  []int32 // flattened reader-supernode lists
+	succSlot  []int32 // flattened reader-supernode slot lists
 
 	// Activation strategy, decided per node from its successor count.
 	activation    ActivationMode
@@ -91,19 +129,20 @@ type activationPlan struct {
 
 	maxWords int32 // widest node value, sizing the interpreter's old-value buffer
 
-	memReadSups [][]int32 // memory ID -> read-port supernodes
+	memReadSlots [][]int32 // memory ID -> read-port supernode slots
 
-	// resetRegSups maps a reset signal's node ID to the supernodes holding
-	// its registers. Poking a reset signal re-arms those supernodes so the
-	// registers recompute their next values the cycle reset deasserts —
-	// after reset extraction the signal no longer appears in their
+	// resetSlots maps a reset signal's node ID to the slots of the supernodes
+	// holding its registers. Poking a reset signal re-arms those supernodes
+	// so the registers recompute their next values the cycle reset deasserts
+	// — after reset extraction the signal no longer appears in their
 	// expressions, so normal dataflow activation cannot reach them.
-	resetRegSups map[int32][]int32
+	resetSlots map[int32][]int32
 }
 
 // buildActivationPlan derives the activation policy for a compiled program
-// and partition. resets is the engine's reset grouping (base.resets).
-func buildActivationPlan(p *emit.Program, part *partition.Result, cfg ActivityConfig, resets []resetGroup) *activationPlan {
+// and partition. resets is the engine's reset grouping (base.resets) and
+// supSlot its slot layout.
+func buildActivationPlan(p *emit.Program, part *partition.Result, cfg ActivityConfig, resets []resetGroup, supSlot []int32) *activationPlan {
 	g := p.Graph
 	n := len(g.Nodes)
 	pl := &activationPlan{maxWords: 1, activation: cfg.Activation, branchlessMax: cfg.BranchlessMax}
@@ -139,7 +178,7 @@ func buildActivationPlan(p *emit.Program, part *partition.Result, cfg ActivityCo
 			return list
 		}
 		stamp[s] = gen
-		return append(list, s)
+		return append(list, supSlot[s])
 	}
 	adj := g.BuildAdjacency()
 	pl.succStart = make([]int32, n+1)
@@ -152,34 +191,34 @@ func buildActivationPlan(p *emit.Program, part *partition.Result, cfg ActivityCo
 			}
 		}
 		for _, r := range adj.Succs[id] {
-			pl.succSups = addSup(pl.succSups, part.SupOf[r])
+			pl.succSlot = addSup(pl.succSlot, part.SupOf[r])
 		}
-		pl.succStart[id+1] = int32(len(pl.succSups))
+		pl.succStart[id+1] = int32(len(pl.succSlot))
 	}
 
 	// Memory read-port supernodes, activated when a write changes contents.
-	pl.memReadSups = make([][]int32, len(g.Mems))
+	pl.memReadSlots = make([][]int32, len(g.Mems))
 	for mi, mem := range g.Mems {
 		gen++
 		for _, rp := range mem.Reads {
-			pl.memReadSups[mi] = addSup(pl.memReadSups[mi], part.SupOf[rp.ID])
+			pl.memReadSlots[mi] = addSup(pl.memReadSlots[mi], part.SupOf[rp.ID])
 		}
 	}
 
 	if len(resets) > 0 {
-		pl.resetRegSups = map[int32][]int32{}
+		pl.resetSlots = map[int32][]int32{}
 		for _, rg := range resets {
 			gen++
 			for _, reg := range rg.regs {
-				pl.resetRegSups[rg.sig] = addSup(pl.resetRegSups[rg.sig], part.SupOf[reg])
+				pl.resetSlots[rg.sig] = addSup(pl.resetSlots[rg.sig], part.SupOf[reg])
 			}
 		}
 	}
 	return pl
 }
 
-// useBranch is the activation strategy of a node whose reader supernodes are
-// succSups[lo:hi].
+// useBranch is the activation strategy of a node whose reader slots are
+// succSlot[lo:hi].
 func (pl *activationPlan) useBranch(lo, hi int32) bool {
 	switch pl.activation {
 	case ActBranch:
@@ -190,196 +229,350 @@ func (pl *activationPlan) useBranch(lo, hi int32) bool {
 	return int(hi-lo) > pl.branchlessMax
 }
 
+// worker is one worker's private state: its outbox, the slot range of the
+// chunk it is sweeping, its pending-register list and stat counters, merged
+// serially at end of cycle.
+type worker struct {
+	e       *Activity
+	out     []uint64 // activation outbox, in the active words' space
+	dirty   []bool   // chunk index -> out has bits for that chunk
+	lo, n   uint32   // current chunk's slots are [lo, lo+n)
+	scratch []uint64 // interpreter sweep's old-value buffer; nil in kernel modes
+	pending []int32  // plan register slots awaiting commit
+
+	nodeEvals    uint64
+	activations  uint64
+	examinations uint64
+	instrs       uint64
+}
+
 // NewActivity builds the essential-signal engine over a compiled program and
-// a supernode partition of the same graph. In the kernel modes every
-// supernode runs through the flat plan (supPlan); EvalInterp selects the
-// per-instruction reference interpreter.
-func NewActivity(p *emit.Program, part *partition.Result, cfg ActivityConfig, mode EvalMode) *Activity {
+// a supernode partition of the same graph, swept by threads workers (< 1
+// means one). In the kernel modes every supernode runs through the flat
+// plan (supPlan); EvalInterp selects the per-instruction reference
+// interpreter.
+func NewActivity(p *emit.Program, part *partition.Result, cfg ActivityConfig, threads int, mode EvalMode) *Activity {
+	threads = max(threads, 1)
 	if cfg.BranchlessMax == 0 {
 		cfg.BranchlessMax = DefaultBranchlessMax
 	}
-	a := &Activity{base: newBase(p), part: part, cfg: cfg}
-	a.activationPlan = buildActivationPlan(p, part, cfg, a.resets)
-	a.active = make([]uint64, (part.Count()+63)/64)
-	a.plan = buildSupPlan(p, a.m, a.activationPlan, mode)
-	if !a.plan.kernel {
-		a.scratch = make([]uint64, a.maxWords)
+	e := &Activity{base: newBase(p), part: part, cfg: cfg}
+
+	// chunks[lv][w] lists the supernodes worker w sweeps at level lv,
+	// ascending.
+	var chunks [][][]int32
+	if threads == 1 {
+		all := make([]int32, part.Count())
+		for s := range all {
+			all[s] = int32(s)
+		}
+		chunks = [][][]int32{{all}}
+	} else {
+		e.shard = part.ShardOpts(p.Graph, threads,
+			func(id int32) int64 { return int64(p.Code[id].Len()) },
+			partition.CoarsenOptions{Enable: cfg.Coarsen, Grain: cfg.CoarsenGrain})
+		chunks = e.shard.Chunks
+		e.obsLevels = e.shard.Levels
+		e.obsOrigLevels = e.shard.OrigLevels
 	}
-	a.activateAll()
-	return a
+	e.levels = len(chunks)
+
+	// Slot layout: shard-major, level-minor, each chunk padded to whole
+	// words, so no active word is shared between shards or between levels.
+	e.supSlot = make([]int32, part.Count())
+	e.wordLo = make([][]int32, threads)
+	var words int32
+	for w := 0; w < threads; w++ {
+		e.wordLo[w] = make([]int32, e.levels+1)
+		for lv := range chunks {
+			e.wordLo[w][lv] = words
+			for i, s := range chunks[lv][w] {
+				e.supSlot[s] = words*64 + int32(i)
+			}
+			words += int32(len(chunks[lv][w])+63) / 64
+		}
+		e.wordLo[w][e.levels] = words
+	}
+	e.active = make([]uint64, words)
+	e.slotSup = make([]int32, int(words)*64)
+	for i := range e.slotSup {
+		e.slotSup[i] = -1
+	}
+	for s, slot := range e.supSlot {
+		e.slotSup[slot] = int32(s)
+	}
+	e.wordChunk = make([]int32, words)
+	for w := 0; w < threads; w++ {
+		for lv := 0; lv < e.levels; lv++ {
+			for wi := e.wordLo[w][lv]; wi < e.wordLo[w][lv+1]; wi++ {
+				e.wordChunk[wi] = int32(w*e.levels + lv)
+			}
+		}
+	}
+	e.ws = make([]*worker, threads)
+	for w := range e.ws {
+		e.ws[w] = &worker{e: e, out: make([]uint64, words), dirty: make([]bool, threads*e.levels)}
+	}
+
+	e.activationPlan = buildActivationPlan(p, part, cfg, e.resets, e.supSlot)
+	e.plan = buildSupPlan(p, e.m, e.activationPlan, mode)
+	if !e.plan.kernel {
+		for _, ws := range e.ws {
+			ws.scratch = make([]uint64, e.maxWords)
+		}
+	}
+	e.pool = newWorkerPool(threads, e.levels, e.runLevel)
+	e.activateAll()
+	return e
 }
 
-func (a *Activity) activateAll() {
-	for i := range a.active {
-		a.active[i] = ^uint64(0)
+func (e *Activity) activateAll() {
+	for _, slot := range e.supSlot {
+		e.active[slot>>6] |= uint64(1) << uint(slot&63)
 	}
-	if n := uint(a.part.Count()) % 64; n != 0 && len(a.active) > 0 {
-		a.active[len(a.active)-1] = (uint64(1) << n) - 1
+}
+
+// clearActivity empties the active bits, outboxes, dirty flags and pending
+// lists — everything but the stat counters a fresh engine starts without.
+func (e *Activity) clearActivity() {
+	clear(e.active)
+	for _, ws := range e.ws {
+		clear(ws.out)
+		clear(ws.dirty)
+		ws.pending = ws.pending[:0]
 	}
 }
 
 // Reset restores complete power-on state (image, memories, counters) and
-// re-arms full evaluation — bit-for-bit the post-construction shape, with no
-// recompilation.
-func (a *Activity) Reset() {
-	a.resetBase()
-	a.plan.syncShadows(a.m.State)
-	a.activateAll()
-	a.pending = a.pending[:0]
+// re-arms full evaluation: active bits, outboxes, dirty flags, and pending
+// lists all return to their post-construction shape, with no recompilation.
+func (e *Activity) Reset() {
+	e.resetBase()
+	e.plan.syncShadows(e.m.State)
+	e.clearActivity()
+	e.activateAll()
+	for _, ws := range e.ws {
+		ws.nodeEvals, ws.activations, ws.examinations, ws.instrs = 0, 0, 0, 0
+	}
 }
 
-// Close is a no-op: the serial engine owns no goroutines. It exists so every
-// engine satisfies the same lifecycle (session pools Close uniformly).
-func (a *Activity) Close() {}
-
 // Poke sets an input and activates its readers when the value changes.
-func (a *Activity) Poke(nodeID int, v bitvec.BV) {
-	if a.m.Poke(nodeID, v) {
-		a.activateReaders(int32(nodeID))
-		for _, s := range a.resetRegSups[int32(nodeID)] {
-			a.active[s>>6] |= uint64(1) << uint(s&63)
-		}
+func (e *Activity) Poke(nodeID int, v bitvec.BV) {
+	if e.m.Poke(nodeID, v) {
+		e.activateReaders(int32(nodeID))
+		e.arm(e.resetSlots[int32(nodeID)])
+	}
+}
+
+// arm sets the active bits of slots directly; only safe while the workers
+// are idle (poke, commit, and reset time).
+func (e *Activity) arm(slots []int32) {
+	for _, slot := range slots {
+		e.active[slot>>6] |= uint64(1) << uint(slot&63)
 	}
 }
 
 // activateReaders arms every reader supernode of a node whose value changed
-// outside the sweep (poke, reset).
-func (a *Activity) activateReaders(id int32) {
-	a.activate(a.succStart[id], a.succStart[id+1], true, 1)
+// outside the sweep (poke, commit, reset), counting the activations.
+func (e *Activity) activateReaders(id int32) { e.activateRange(e.succStart[id], e.succStart[id+1]) }
+
+func (e *Activity) activateRange(lo, hi int32) {
+	e.arm(e.succSlot[lo:hi])
+	e.stats.Activations += uint64(hi - lo)
 }
 
-// Step simulates one cycle: sweep active supernodes in topological order,
-// then commit registers and memory writes, then run the reset slow path.
-func (a *Activity) Step() {
-	a.stats.Cycles++
-	if a.cfg.MultiBitCheck {
-		for wi := range a.active {
-			a.stats.Examinations++
-			for a.active[wi] != 0 {
-				b := bits.TrailingZeros64(a.active[wi])
-				a.active[wi] &^= uint64(1) << uint(b)
-				a.stats.Examinations++
-				a.evalSupernode(int32(wi<<6 + b))
-			}
-		}
-	} else {
-		nSups := int32(a.part.Count())
-		for s := int32(0); s < nSups; s++ {
-			a.stats.Examinations++
-			w, b := s>>6, uint(s&63)
-			if a.active[w]&(1<<b) != 0 {
-				a.active[w] &^= 1 << b
-				a.evalSupernode(s)
-			}
-		}
+// Step simulates one cycle: all workers sweep their shards level by level,
+// then registers, memories, and resets commit serially.
+func (e *Activity) Step() {
+	e.stats.Cycles++
+	e.pool.cycle()
+	for _, ws := range e.ws {
+		e.stats.NodeEvals += ws.nodeEvals
+		e.stats.Activations += ws.activations
+		e.stats.Examinations += ws.examinations
+		e.countInstrs(ws.instrs)
+		ws.nodeEvals, ws.activations, ws.examinations, ws.instrs = 0, 0, 0, 0
 	}
-	a.commit()
-	a.sampleTrace()
+	e.commit()
+	e.sampleTrace()
 }
 
-// evalSupernode runs the supernode through the flat plan or, under
-// EvalInterp, the reference interpreter sweep.
-func (a *Activity) evalSupernode(s int32) {
-	if a.plan.kernel {
-		a.evalSupernodeKernel(s)
+// runLevel sweeps worker w's chunk of level lv. The worker first drains
+// every outbox marked dirty for its chunk (all writers finished strictly
+// earlier levels, so the merge is race-free), then applies the multi-bit
+// check to the merged words. Clean outboxes — the common case on idle
+// designs — are skipped entirely.
+//
+// The scan re-reads each active word until it drains rather than working on
+// a snapshot: with one worker or under coarsening a supernode can activate a
+// later slot of the chunk being swept — including a later bit of the same
+// word — and the re-read picks it up. Activation targets never precede their
+// source in slot order (chunks are sorted in topological supernode order), so
+// the forward scan misses nothing.
+func (e *Activity) runLevel(w, lv int) {
+	ws := e.ws[w]
+	lo, hi := e.wordLo[w][lv], e.wordLo[w][lv+1]
+	if lo == hi {
 		return
 	}
-	p := a.m.Prog
-	st := a.m.State
-	ri := a.plan.sups[s].reg // the supernode's register slots, in member order
-	for k := a.supStart[s]; k < a.supStart[s+1]; k++ {
-		id := a.members[k]
+	ws.lo, ws.n = uint32(lo)<<6, uint32(hi-lo)<<6
+	chunk := int32(w*e.levels + lv)
+	for _, u := range e.ws {
+		if !u.dirty[chunk] {
+			continue
+		}
+		u.dirty[chunk] = false
+		for wi := lo; wi < hi; wi++ {
+			e.active[wi] |= u.out[wi]
+			u.out[wi] = 0
+		}
+	}
+	for wi := lo; wi < hi; wi++ {
+		if e.cfg.MultiBitCheck {
+			// Listing 4: one test clears 64 bits.
+			ws.examinations++
+			for {
+				word := e.active[wi]
+				if word == 0 {
+					break
+				}
+				b := bits.TrailingZeros64(word)
+				e.active[wi] &^= uint64(1) << uint(b)
+				ws.examinations++
+				ws.evalSupernode(e.slotSup[int(wi)<<6+b])
+			}
+		} else {
+			for b := 0; b < 64; b++ {
+				s := e.slotSup[int(wi)<<6+b]
+				if s < 0 {
+					break // padding tail; real slots are packed low
+				}
+				ws.examinations++
+				if mask := uint64(1) << uint(b); e.active[wi]&mask != 0 {
+					e.active[wi] &^= mask
+					ws.evalSupernode(s)
+				}
+			}
+		}
+	}
+}
+
+// evalSupernode evaluates one supernode's members through the flat plan or,
+// under EvalInterp, the reference interpreter sweep. The two produce the same
+// state trajectory, activations, and stat counters (activation bit-ORs
+// commute).
+func (ws *worker) evalSupernode(s int32) {
+	e := ws.e
+	pl := e.plan
+	st := e.m.State
+	if pl.kernel {
+		r, end := pl.sweep(s)
+		ws.nodeEvals += uint64(r.nodes)
+		ws.instrs += uint64(r.instrs)
+		for i := r.track; i < end.track; i++ {
+			t := &pl.track[i]
+			v := st[t.off]
+			ws.activate(t.succ, t.succEnd, t.branch, v^t.prev)
+			t.prev = v
+		}
+		for i := r.wide; i < end.wide; i++ {
+			t := &pl.wide[i]
+			ws.activate(t.succ, t.succEnd, t.branch, pl.wideDiff(st, t))
+		}
+		ws.pending = pl.queueRegs(st, r.reg, end.reg, ws.pending)
+		return
+	}
+	p := e.m.Prog
+	ri := pl.sups[s].reg // the supernode's register slots, in member order
+	for k := e.supStart[s]; k < e.supStart[s+1]; k++ {
+		id := e.members[k]
 		code := p.Code[id]
-		a.stats.NodeEvals++
-		a.countInstrs(uint64(code.Len()))
-		switch a.kind[id] {
+		ws.nodeEvals++
+		ws.instrs += uint64(code.Len())
+		switch e.kind[id] {
 		case ir.KindReg:
-			a.m.Exec(code.Start, code.End)
-			a.pending = a.plan.queueRegs(st, ri, ri+1, a.pending)
+			e.m.Exec(code.Start, code.End)
+			ws.pending = pl.queueRegs(st, ri, ri+1, ws.pending)
 			ri++
 		case ir.KindMemWrite:
-			a.m.Exec(code.Start, code.End)
+			e.m.Exec(code.Start, code.End)
 		default: // comb, memread
 			off, w := p.Off[id], p.WordsOf[id]
-			old := a.scratch[:w]
+			old := ws.scratch[:w]
 			copy(old, st[off:off+w])
-			a.m.Exec(code.Start, code.End)
+			e.m.Exec(code.Start, code.End)
 			var diff uint64
 			for i := int32(0); i < w; i++ {
 				diff |= old[i] ^ st[off+i]
 			}
-			lo, hi := a.succStart[id], a.succStart[id+1]
-			a.activate(lo, hi, a.useBranch(lo, hi), diff)
+			lo, hi := e.succStart[id], e.succStart[id+1]
+			ws.activate(lo, hi, e.useBranch(lo, hi), diff)
 		}
 	}
 }
 
-// evalSupernodeKernel is the plan path: run the supernode's chain, then
-// shadow-compare its tracked slots and queue its changed registers. It
-// produces the same state trajectory, activations, and stat counters as the
-// interpreter path (activation bit-ORs commute).
-func (a *Activity) evalSupernodeKernel(s int32) {
-	pl := a.plan
-	st := a.m.State
-	r, end := pl.sweep(s)
-	a.stats.NodeEvals += uint64(r.nodes)
-	a.countInstrs(uint64(r.instrs))
-	for i := r.track; i < end.track; i++ {
-		t := &pl.track[i]
-		v := st[t.off]
-		a.activate(t.succ, t.succEnd, t.branch, v^t.prev)
-		t.prev = v
-	}
-	for i := r.wide; i < end.wide; i++ {
-		t := &pl.wide[i]
-		a.activate(t.succ, t.succEnd, t.branch, pl.wideDiff(st, t))
-	}
-	a.pending = pl.queueRegs(st, r.reg, end.reg, a.pending)
-}
-
-// activate applies an activation strategy to the reader supernodes
-// succSups[lo:hi], given the XOR difference of a value's old and new words.
-func (a *Activity) activate(lo, hi int32, branch bool, diff uint64) {
-	if branch {
-		if diff != 0 {
-			for _, s := range a.succSups[lo:hi] {
-				a.active[s>>6] |= uint64(1) << uint(s&63)
-			}
-			a.stats.Activations += uint64(hi - lo)
-		}
+// activate applies an activation strategy to the reader slots
+// succSlot[start:end], given the XOR difference of a value's old and new
+// words. A slot inside the chunk the worker is sweeping goes straight into
+// the active words, which the worker owns for the whole level and re-reads
+// as it scans forward; any other slot sits in a strictly later level, so it
+// goes into the worker's outbox and marks its chunk dirty for the owner to
+// merge. The branchless path marks dirty even for a zero mask (by design: it
+// exists to avoid the data-dependent branch); a spurious dirty flag only
+// costs the owner one clean-range scan, never correctness.
+func (ws *worker) activate(start, end int32, branch bool, diff uint64) {
+	if branch && diff == 0 {
 		return
 	}
 	// Branchless: mask is all-ones iff diff != 0.
 	m := uint64(0) - ((diff | -diff) >> 63)
-	for _, s := range a.succSups[lo:hi] {
-		a.active[s>>6] |= (uint64(1) << uint(s&63)) & m
+	e := ws.e
+	for _, slot := range e.succSlot[start:end] {
+		bit := uint64(1) << uint(slot&63) & m
+		if uint32(slot)-ws.lo < ws.n { // lo <= slot < lo+n, one compare
+			e.active[slot>>6] |= bit
+			continue
+		}
+		ws.out[slot>>6] |= bit
+		ws.dirty[e.wordChunk[slot>>6]] = true
 	}
-	a.stats.Activations += uint64(hi - lo)
+	ws.activations += uint64(end - start)
 }
 
-func (a *Activity) commit() {
-	st := a.m.State
-	// Registers queued during evaluation have next != cur.
-	for _, ri := range a.pending {
-		g := &a.plan.regs[ri]
-		g.commit(st)
-		a.stats.RegCommits++
-		a.activate(g.succ, g.succEnd, true, 1)
+// commit batches register and memory commits at end of cycle, then runs the
+// reset slow path — all serial, while the workers are parked.
+func (e *Activity) commit() {
+	st := e.m.State
+	for _, ws := range e.ws {
+		for _, ri := range ws.pending {
+			g := &e.plan.regs[ri]
+			g.commit(st)
+			e.stats.RegCommits++
+			e.activateRange(g.succ, g.succEnd)
+		}
+		ws.pending = ws.pending[:0]
 	}
-	a.pending = a.pending[:0]
 
 	// Memory writes; content changes re-arm the read ports.
-	a.memScratch = a.commitWrites(a.memScratch[:0])
-	for _, memID := range a.memScratch {
-		for _, s := range a.memReadSups[memID] {
-			a.active[s>>6] |= uint64(1) << uint(s&63)
-		}
+	e.memScratch = e.commitWrites(e.memScratch[:0])
+	for _, memID := range e.memScratch {
+		e.arm(e.memReadSlots[memID])
 	}
 
 	// Reset slow path: one check per reset *signal* instead of one per
 	// register with a reset port (paper Listing 6).
-	a.applyResets(a.activateReaders)
+	e.applyResets(e.activateReaders)
 }
+
+// Close shuts down the worker goroutines and blocks until every one has
+// exited (with one worker there are none). It must not be called
+// concurrently with Step; calling it more than once is safe.
+func (e *Activity) Close() { e.pool.Close() }
+
+// Shard exposes the engine's thread-shard view (chunk membership and weight
+// metadata) for diagnostics; nil with one worker, whose schedule is a single
+// level of every supernode.
+func (e *Activity) Shard() *partition.ShardView { return e.shard }
 
 func wordsEqual(st []uint64, a, b, w int32) bool {
 	for i := int32(0); i < w; i++ {

@@ -1,16 +1,20 @@
-// Package engine implements the RTL simulation engines the paper compares:
+// Package engine implements the two RTL simulation models the paper
+// compares, each as one engine whose worker count is only a schedule:
 //
 //   - FullCycle: static topological-order evaluation of every node every
 //     cycle — the Verilator model (paper Listing 1). On an optimized graph it
 //     also stands in for Arcilator (expression optimization, no activity
-//     tracking).
-//   - Parallel: the multi-threaded full-cycle variant (Verilator -NT),
-//     levelized with barriers between levels.
+//     tracking). With N workers it levelizes the nodes and runs each level
+//     across them between barriers (Verilator -threads N).
 //   - Activity: the essential-signal engine (paper Listing 2/3/4) with
 //     per-supernode active bits. Configured with MFFC partitions and
 //     always-branchless activation it models ESSENT; with the enhanced
 //     partitioner, multi-bit active-word checking, the activation cost model,
-//     and the reset slow path it is GSIM.
+//     and the reset slow path it is GSIM — and with N workers sharding the
+//     supernodes across barrier levels, GSIMMT.
+//
+// One worker is the degenerate schedule of both: a single level, run inline
+// on the caller with no goroutine and no barrier.
 //
 // All engines run the same compiled emit.Program and must produce identical
 // state trajectories; the test suite enforces this on randomized circuits.
@@ -30,8 +34,8 @@ type Sim interface {
 	// re-armed for the next Step. Session pools rely on Reset being
 	// indistinguishable from a fresh build of the same configuration.
 	Reset()
-	// Close releases engine resources (parallel worker goroutines; a no-op
-	// for serial engines). Idempotent, and safe to interleave with Reset —
+	// Close releases engine resources (worker goroutines; a no-op for
+	// one-worker engines). Idempotent, and safe to interleave with Reset —
 	// but never concurrent with Step. A closed engine must not be stepped.
 	Close()
 	// Step simulates one clock cycle.
@@ -193,7 +197,7 @@ func (b *base) countInstrs(n uint64) {
 // AttachTracer routes waveform capture through t: every subsequent Step ends
 // with one t.Snapshot call over the machine state. Attach nil to detach.
 // Because every engine embeds base, the async pipeline (internal/trace) plugs
-// into all four the same way.
+// into both the same way.
 func (b *base) AttachTracer(t Tracer) { b.tracer = t }
 
 // sampleTrace feeds the attached tracer, if any, and amortizes the metrics

@@ -29,7 +29,7 @@ func buildCounter(t *testing.T) (*emit.Program, *ir.Graph, *ir.Node, *ir.Node) {
 
 func TestFullCycleCounter(t *testing.T) {
 	p, _, en, c := buildCounter(t)
-	sim := NewFullCycle(p, EvalKernel)
+	sim := NewFullCycle(p, nil, 1, EvalKernel)
 	sim.Poke(en.ID, bitvec.FromUint64(1, 1))
 	StepN(sim, 5)
 	if got := sim.Peek(c.ID).Uint64(); got != 5 {
@@ -49,7 +49,7 @@ func TestFullCycleCounter(t *testing.T) {
 func activityFor(t *testing.T, p *emit.Program, g *ir.Graph, kind partition.Kind, cfg ActivityConfig) *Activity {
 	t.Helper()
 	part := partition.Build(g, kind, 4)
-	return NewActivity(p, part, cfg, EvalKernel)
+	return NewActivity(p, part, cfg, 1, EvalKernel)
 }
 
 func TestActivitySkipsIdleWork(t *testing.T) {
@@ -95,17 +95,19 @@ func TestActivityModesAgree(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesFullCycle: the multi-worker full-cycle schedule tracks
+// the one-worker sweep.
 func TestParallelMatchesFullCycle(t *testing.T) {
-	for _, threads := range []int{1, 2, 3} {
+	for _, threads := range []int{2, 3} {
 		p1, _, en1, c1 := buildCounter(t)
-		full := NewFullCycle(p1, EvalKernel)
+		full := NewFullCycle(p1, nil, 1, EvalKernel)
 		p2, g2, en2, c2 := buildCounter(t)
 		order := make([]int32, len(g2.Nodes))
 		for i := range order {
 			order[i] = int32(i)
 		}
 		_, byLevel := g2.Levelize(order)
-		par := NewParallel(p2, byLevel, threads, EvalKernel)
+		par := NewFullCycle(p2, byLevel, threads, EvalKernel)
 		defer par.Close()
 		full.Poke(en1.ID, bitvec.FromUint64(1, 1))
 		par.Poke(en2.ID, bitvec.FromUint64(1, 1))
@@ -164,7 +166,7 @@ func TestResetSlowPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	part := partition.Build(b.G, partition.Enhanced, 4)
-	sim := NewActivity(p, part, ActivityConfig{MultiBitCheck: true, Activation: ActCostModel}, EvalKernel)
+	sim := NewActivity(p, part, ActivityConfig{MultiBitCheck: true, Activation: ActCostModel}, 1, EvalKernel)
 
 	dn := b.G.FindNode("d")
 	sim.Poke(dn.ID, bitvec.FromUint64(8, 0x40))
@@ -193,7 +195,7 @@ func TestResetSlowPath(t *testing.T) {
 
 func TestReferenceAgainstFullCycle(t *testing.T) {
 	p, g, en, c := buildCounter(t)
-	full := NewFullCycle(p, EvalKernel)
+	full := NewFullCycle(p, nil, 1, EvalKernel)
 	ref, err := NewReference(g)
 	if err != nil {
 		t.Fatal(err)

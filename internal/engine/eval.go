@@ -26,7 +26,7 @@ const (
 	// EvalKernelNoFuse is the kernel path without superinstruction fusion:
 	// every engine compiles the same streams as under EvalKernel with the
 	// fusion walk switched off (one kernel per instruction, width classes
-	// kept) and skips ParallelActivity's word batching. It exists as
+	// kept). It exists as
 	// the measurable baseline for fusion (BenchmarkKernelVsInterp's kernel vs
 	// kernel-nofuse rows) and stays in the conformance matrix so the
 	// baseline keeps working.
@@ -58,10 +58,10 @@ func ParseEvalMode(s string) (EvalMode, error) {
 }
 
 // supPlan is the flat, pre-resolved form of every supernode, built once per
-// engine and shared by Activity and ParallelActivity in every evaluation
-// mode. All supernode chains are appended to one emit.Stream; sups[s] and
-// sups[s+1] bracket supernode s's kernels in it and its ranges in the slot
-// arrays (CSR, with a sentinel record at the end), so evaluating a
+// Activity engine in every evaluation mode. All supernode chains are appended
+// to one emit.Stream; sups[s] and sups[s+1] bracket supernode s's kernels in
+// it and its ranges in the slot arrays (CSR, with a sentinel record at the
+// end), so evaluating a
 // supernode touches one small record and a few contiguous runs instead of a
 // separately allocated slice bundle.
 //
@@ -100,7 +100,7 @@ type supRec struct {
 
 // trackSlot is one change-tracked 1-word member (comb or memory read port):
 // its state word, its shadow, and its activation strategy and successor
-// range in the engine's successor arrays (activationPlan.succSups space).
+// range in the engine's successor arrays (activationPlan.succSlot space).
 type trackSlot struct {
 	off           int32
 	succ, succEnd int32

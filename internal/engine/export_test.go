@@ -6,9 +6,6 @@ import "fmt"
 // rests on: between Steps every tracked slot's shadow equals its state word.
 func (a *Activity) CheckShadows() error { return a.plan.checkShadows(a.m.State) }
 
-// CheckShadows is the ParallelActivity twin of Activity.CheckShadows.
-func (e *ParallelActivity) CheckShadows() error { return e.plan.checkShadows(e.m.State) }
-
 func (pl *supPlan) checkShadows(st []uint64) error {
 	for i := range pl.track {
 		if t := &pl.track[i]; t.prev != st[t.off] {

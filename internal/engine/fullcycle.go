@@ -6,62 +6,119 @@ import (
 )
 
 // FullCycle evaluates every node every cycle in topological order — the
-// paper's Listing 1, the Verilator scheduling model. Because the compiler
-// emits instructions in topological node order, one Step is a single linear
-// sweep over the whole instruction stream followed by the register and
-// memory commit.
+// paper's Listing 1, the Verilator scheduling model. The worker count is a
+// schedule over it.
+//
+// With more than one worker it is the stand-in for Verilator's -threads mode:
+// nodes are levelized (all nodes in one level are mutually independent given
+// earlier levels), and each level is split across persistent workers
+// separated by barriers (workerPool). Like the real thing, the fixed
+// per-level synchronization cost means small designs slow down while large
+// designs speed up — the shape Fig. 6 reports. One worker needs no barrier:
+// its schedule is one level holding every node in ID order, so a Step is a
+// single linear sweep over the whole instruction stream, run inline on the
+// caller.
+//
+// In the kernel modes every (level, worker) chunk compiles into one chain of
+// the engine's stream (width classes, and superinstructions unless the mode
+// is kernel-nofuse), so a worker's share of a level is a single sweep with
+// no per-node range lookups.
 type FullCycle struct {
 	base
-	// stream holds the whole instruction stream compiled as one chain
-	// (width classes, superinstructions under EvalKernel) for this engine's
-	// machine. nil under EvalInterp, which sweeps the reference interpreter
-	// instead.
+	chunks     [][][]int32 // level -> worker -> node IDs
 	stream     *emit.Stream
-	chain      emit.Span
+	chains     [][]emit.Span // kernel modes: level -> worker -> chain; nil under EvalInterp
+	pool       *workerPool
 	memScratch []int32
 }
 
-// NewFullCycle builds a full-cycle engine for a compiled program. The
-// program's graph must have been compacted in topological order (core.Build
-// guarantees this). In the kernel modes the whole instruction stream is one
-// kernel sweep, fused unless mode is EvalKernelNoFuse; EvalInterp selects
-// the reference interpreter.
-func NewFullCycle(p *emit.Program, mode EvalMode) *FullCycle {
-	f := &FullCycle{base: newBase(p)}
-	if mode != EvalInterp {
-		f.stream = emit.NewStream(f.m)
-		f.chain = f.stream.Append(p.Instrs, mode == EvalKernel)
-		f.stream.Trim()
-	}
-	return f
-}
-
-// Reset restores complete power-on state (image, memories, counters).
-func (f *FullCycle) Reset() {
-	f.resetBase()
-}
-
-// Close is a no-op: the serial engine owns no goroutines. It exists so every
-// engine satisfies the same lifecycle (session pools Close uniformly).
-func (f *FullCycle) Close() {}
-
-// Step simulates one cycle.
-func (f *FullCycle) Step() {
-	f.stats.Cycles++
-	if f.stream != nil {
-		f.stream.Run(f.chain)
+// NewFullCycle builds a full-cycle engine for a compiled program, swept by
+// threads workers (< 1 means one). The program's graph must have been
+// compacted in topological order (core.Build guarantees this). byLevel is
+// the graph's levelization (ir.Graph.Levelize), which only a multi-worker
+// schedule reads: one worker may pass nil.
+func NewFullCycle(p *emit.Program, byLevel [][]int32, threads int, mode EvalMode) *FullCycle {
+	threads = max(threads, 1)
+	e := &FullCycle{base: newBase(p)}
+	if threads == 1 {
+		e.chunks = [][][]int32{{e.coded}}
 	} else {
-		f.m.Exec(0, int32(len(f.m.Prog.Instrs)))
+		// Split each level into per-worker chunks, skipping nodes with no
+		// code and balancing by instruction count.
+		for _, level := range byLevel {
+			var ids []int32
+			total := int64(0)
+			for _, id := range level {
+				if r := p.Code[id]; r.Len() > 0 {
+					ids = append(ids, id)
+					total += int64(r.Len())
+				}
+			}
+			chunk := make([][]int32, threads)
+			if len(ids) > 0 {
+				per := total/int64(threads) + 1
+				w, acc := 0, int64(0)
+				for _, id := range ids {
+					chunk[w] = append(chunk[w], id)
+					acc += int64(p.Code[id].Len())
+					if acc >= per && w < threads-1 {
+						w++
+						acc = 0
+					}
+				}
+			}
+			e.chunks = append(e.chunks, chunk)
+		}
+		e.obsLevels = len(e.chunks)
+		e.obsOrigLevels = len(e.chunks)
 	}
-	f.stats.NodeEvals += uint64(len(f.coded))
-	f.countInstrs(uint64(len(f.m.Prog.Instrs)))
-	f.commitRegs()
-	f.memScratch = f.commitWrites(f.memScratch[:0])
-	f.applyResets(nil)
-	f.sampleTrace()
+	if mode != EvalInterp {
+		e.stream = emit.NewStream(e.m)
+		e.chains = make([][]emit.Span, len(e.chunks))
+		for lv, chunk := range e.chunks {
+			e.chains[lv] = make([]emit.Span, threads)
+			for w, ids := range chunk {
+				e.chains[lv][w] = e.stream.AppendNodes(ids, mode == EvalKernel)
+			}
+		}
+		e.stream.Trim()
+	}
+	e.pool = newWorkerPool(threads, len(e.chunks), e.runLevel)
+	return e
 }
+
+// runLevel executes worker w's chunk of level lv.
+func (e *FullCycle) runLevel(w, lv int) {
+	if e.chains != nil {
+		e.stream.Run(e.chains[lv][w])
+		return
+	}
+	for _, id := range e.chunks[lv][w] {
+		e.m.ExecRange(e.m.Prog.Code[id])
+	}
+}
+
+// Reset restores complete power-on state (image, memories, counters). The
+// worker pool is untouched — workers are stateless between cycles — so Reset
+// never recompiles and composes with Close in either order.
+func (e *FullCycle) Reset() { e.resetBase() }
+
+// Step simulates one cycle across all workers.
+func (e *FullCycle) Step() {
+	e.stats.Cycles++
+	e.pool.cycle()
+	e.stats.NodeEvals += uint64(len(e.coded))
+	e.countInstrs(uint64(len(e.m.Prog.Instrs)))
+	e.commitRegs()
+	e.memScratch = e.commitWrites(e.memScratch[:0])
+	e.applyResets(nil)
+	e.sampleTrace()
+}
+
+// Close shuts down the worker goroutines and blocks until every one has
+// exited (with one worker there are none). It must not be called
+// concurrently with Step; calling it more than once is safe.
+func (e *FullCycle) Close() { e.pool.Close() }
 
 // Poke sets an input value.
-func (f *FullCycle) Poke(nodeID int, v bitvec.BV) {
-	f.m.Poke(nodeID, v)
-}
+func (e *FullCycle) Poke(nodeID int, v bitvec.BV) { e.m.Poke(nodeID, v) }

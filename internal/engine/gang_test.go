@@ -107,7 +107,7 @@ func TestGangLockstepScalar(t *testing.T) {
 	rngs := make([]*rand.Rand, k)
 	var gangVCD, twinVCD [k]*bytes.Buffer
 	for l := 0; l < k; l++ {
-		twins[l] = NewFullCycle(p, EvalKernel)
+		twins[l] = NewFullCycle(p, nil, 1, EvalKernel)
 		rngs[l] = rand.New(rand.NewSource(int64(100 + l)))
 		gangVCD[l], twinVCD[l] = &bytes.Buffer{}, &bytes.Buffer{}
 		gv, err := trace.NewVCD(gangVCD[l], p, nil, trace.Options{Sync: true})
@@ -154,7 +154,7 @@ func TestGangParkWake(t *testing.T) {
 	twins := make([]*FullCycle, k)
 	rngs := make([]*rand.Rand, k)
 	for l := 0; l < k; l++ {
-		twins[l] = NewFullCycle(p, EvalKernel)
+		twins[l] = NewFullCycle(p, nil, 1, EvalKernel)
 		rngs[l] = rand.New(rand.NewSource(int64(200 + l)))
 	}
 	ctrl := rand.New(rand.NewSource(42))
@@ -202,7 +202,7 @@ func TestGangLaneReset(t *testing.T) {
 	}
 	keep := append([]uint64(nil), before1.State...)
 	g.ResetLane(0)
-	fresh := NewFullCycle(p, EvalKernel)
+	fresh := NewFullCycle(p, nil, 1, EvalKernel)
 	requireLaneEqualsTwin(t, g, 0, fresh, -1)
 	after1, err := g.CaptureLane(1)
 	if err != nil {

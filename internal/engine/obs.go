@@ -21,14 +21,14 @@ type Metrics struct {
 	RegCommits     *obs.Counter
 	ResetFastSkips *obs.Counter
 	// BarrierWaits counts worker-pool level barriers crossed: cycles × the
-	// engine's scheduled levels. Serial engines contribute zero.
+	// engine's scheduled levels. One-worker engines contribute zero.
 	BarrierWaits *obs.Counter
 	// ActiveRatio is the paper's activity factor af over each flushing
 	// engine's lifetime (last engine to flush wins; with one dominant design
 	// per replica this is the signal the paper's model wants).
 	ActiveRatio *obs.Gauge
 	// SchedLevels / SchedLevelsOrig expose the (coarsened) barrier schedule
-	// depth of the most recently flushed level-scheduled engine.
+	// depth of the most recently flushed multi-worker engine.
 	SchedLevels     *obs.Gauge
 	SchedLevelsOrig *obs.Gauge
 }

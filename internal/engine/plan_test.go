@@ -51,27 +51,24 @@ type planCell struct {
 	build func() activitySim
 }
 
-// planCells enumerates both activity engines × {kernel, kernel-nofuse,
-// interp} × {1, 2, 4} threads (plus the coarsened schedule) over one compiled
-// program and partition, under activity configuration act.
+// planCells enumerates the activity engine × {kernel, kernel-nofuse, interp}
+// × {1, 2, 4} workers, each with and without the coarsened schedule, over
+// one compiled program and partition, under activity configuration act. The
+// first cell is the one-worker kernel engine GSIM builds; the fourth, the
+// coarsened two-worker one.
 func planCells(sys *core.System, act engine.ActivityConfig) []planCell {
 	coarse := act
 	coarse.Coarsen = true
 	coarse.CoarsenGrain = 1 << 30
 	var cells []planCell
 	for _, mode := range []engine.EvalMode{engine.EvalKernel, engine.EvalKernelNoFuse, engine.EvalInterp} {
-		mode := mode
-		cells = append(cells, planCell{fmt.Sprintf("activity/%s", mode), func() activitySim {
-			return engine.NewActivity(sys.Prog, sys.Part, act, mode)
-		}})
 		for _, threads := range []int{1, 2, 4} {
-			threads := threads
 			cells = append(cells,
-				planCell{fmt.Sprintf("parallel-activity-%dT/%s", threads, mode), func() activitySim {
-					return engine.NewParallelActivity(sys.Prog, sys.Part, act, threads, mode)
+				planCell{fmt.Sprintf("activity-%dT/%s", threads, mode), func() activitySim {
+					return engine.NewActivity(sys.Prog, sys.Part, act, threads, mode)
 				}},
-				planCell{fmt.Sprintf("parallel-activity-coarsen-%dT/%s", threads, mode), func() activitySim {
-					return engine.NewParallelActivity(sys.Prog, sys.Part, coarse, threads, mode)
+				planCell{fmt.Sprintf("activity-coarsen-%dT/%s", threads, mode), func() activitySim {
+					return engine.NewActivity(sys.Prog, sys.Part, coarse, threads, mode)
 				}})
 		}
 	}
@@ -184,9 +181,9 @@ func copyState(s *engine.SimState) *engine.SimState {
 // TestShadowInvariant runs every activity cell in lockstep and asserts the
 // shadow invariant (every tracked slot's shadow equals its state word) at
 // every point the engine is at rest: after each poke round (reset pokes
-// included), each Step, a mid-run Reset, and RestoreState — from an Activity
-// capture into every cell and from a ParallelActivity capture into every
-// cell, always into used engines that have since moved on.
+// included), each Step, a mid-run Reset, and RestoreState — from a
+// one-worker capture into every cell and from a coarsened two-worker capture
+// into every cell, always into used engines that have since moved on.
 func TestShadowInvariant(t *testing.T) {
 	const cycles = 48
 	for name, g := range planDesigns(t) {
@@ -220,19 +217,19 @@ func TestShadowInvariant(t *testing.T) {
 				}
 			}
 		}
-		var fromSerial, fromParallel *engine.SimState
+		var fromOne, fromTwo *engine.SimState
 		check("after build", 0)
 		for c := 0; c < cycles; c++ {
 			switch c {
 			case 10:
-				fromSerial = copyState(sims[0].CaptureState())   // activity/kernel
-				fromParallel = copyState(sims[2].CaptureState()) // parallel-activity-coarsen-1T/kernel
+				fromOne = copyState(sims[0].CaptureState()) // activity-1T/kernel
+				fromTwo = copyState(sims[3].CaptureState()) // activity-coarsen-2T/kernel
 			case 20:
-				restoreAll(fromSerial, c)
-				check("after restore of an Activity capture", c)
+				restoreAll(fromOne, c)
+				check("after restore of a one-worker capture", c)
 			case 30:
-				restoreAll(fromParallel, c)
-				check("after restore of a ParallelActivity capture", c)
+				restoreAll(fromTwo, c)
+				check("after restore of a two-worker capture", c)
 			case 40:
 				for _, sim := range sims {
 					sim.Reset()
@@ -255,15 +252,19 @@ func TestShadowInvariant(t *testing.T) {
 	}
 }
 
-// TestActivityStepAllocs pins the steady-state step of the serial
-// essential-signal engine at zero allocations: the plan is pre-resolved and
-// the pending-register list is reused across cycles.
+// TestActivityStepAllocs pins the steady-state step of the one-worker
+// essential-signal engine GSIM builds at zero allocations: the plan is
+// pre-resolved, the pending-register list is reused across cycles, and the
+// sweep runs inline with no worker handoff.
 func TestActivityStepAllocs(t *testing.T) {
 	sys, err := core.Build(gen.BuildProfile(gen.StuCoreLike()), core.GSIM())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	if a, ok := sys.Sim.(*engine.Activity); !ok || a.Shard() != nil {
+		t.Fatalf("GSIM built %T, want a one-worker Activity", sys.Sim)
+	}
 	const cycles = 64
 	stim := newStimulus(sys.Graph, 3, cycles)
 	for c := 0; c < cycles; c++ { // grow the pending list to its working size
@@ -298,7 +299,7 @@ func TestPlanConstructionAllocs(t *testing.T) {
 	defer sys.Close()
 	allocs := func(part *partition.Result) float64 {
 		return testing.AllocsPerRun(1, func() {
-			engine.NewActivity(sys.Prog, part, sys.Config.Activity, engine.EvalKernelNoFuse)
+			engine.NewActivity(sys.Prog, part, sys.Config.Activity, 1, engine.EvalKernelNoFuse)
 		})
 	}
 	fine := partition.Build(sys.Graph, partition.Enhanced, 1)

@@ -11,23 +11,28 @@ import (
 )
 
 // workerPool is the persistent worker-pool and level-barrier scaffolding
-// shared by Parallel and ParallelActivity. It owns the goroutines, the
-// per-cycle start/done handshake, the atomic level countdown between
-// barriers, and the deterministic idempotent Close — keeping the two
-// engines' synchronization behavior from diverging (ROADMAP open item).
+// shared by FullCycle and Activity. It owns the goroutines, the per-cycle
+// start/done handshake, the atomic level countdown between barriers, and the
+// deterministic idempotent Close — keeping the two engines' synchronization
+// behavior from diverging.
 //
 // Each cycle() runs every worker through levels 0..levels-1: a worker calls
 // run(w, lv) for its share of level lv, then waits at the barrier until the
 // last worker through opens the next level. run must only touch state that
 // is private to (w, lv) or published by strictly earlier levels; the barrier
 // atomics provide the happens-before edges.
+//
+// One worker has no one to wait for: the pool starts no goroutine, cycle()
+// runs the levels inline on the calling goroutine through the same safeRun
+// (so panic containment and the PoolPanic fault point behave as they do with
+// many workers), and Close has nothing to stop.
 type workerPool struct {
 	threads int
 	levels  int
 	run     func(w, lv int)
 
 	wg        sync.WaitGroup
-	startCh   []chan struct{}
+	startCh   []chan struct{} // nil with one worker
 	doneCh    chan struct{}
 	level     atomic.Int32
 	pending   atomic.Int32
@@ -43,15 +48,15 @@ type workerPool struct {
 	panicVal error
 }
 
-// newWorkerPool starts threads persistent workers executing run.
+// newWorkerPool starts threads persistent workers executing run; with one
+// worker it starts none.
 func newWorkerPool(threads, levels int, run func(w, lv int)) *workerPool {
-	p := &workerPool{
-		threads: threads,
-		levels:  levels,
-		run:     run,
-		startCh: make([]chan struct{}, threads),
-		doneCh:  make(chan struct{}),
+	p := &workerPool{threads: threads, levels: levels, run: run}
+	if threads == 1 {
+		return p
 	}
+	p.startCh = make([]chan struct{}, threads)
+	p.doneCh = make(chan struct{})
 	p.wg.Add(threads)
 	for w := 0; w < threads; w++ {
 		p.startCh[w] = make(chan struct{}, 1)
@@ -110,19 +115,24 @@ func (p *workerPool) safeRun(w, lv int) {
 // synchronization state is intact: the caller may Close it, and isolation
 // layers above (server sessions) recover and poison only their own session.
 func (p *workerPool) cycle() {
-	p.level.Store(0)
-	p.pending.Store(int32(p.threads))
-	for w := 0; w < p.threads; w++ {
-		p.startCh[w] <- struct{}{}
+	if p.startCh == nil {
+		for lv := 0; lv < p.levels; lv++ {
+			p.safeRun(0, lv)
+		}
+	} else {
+		p.level.Store(0)
+		p.pending.Store(int32(p.threads))
+		for _, ch := range p.startCh {
+			ch <- struct{}{}
+		}
+		for range p.startCh {
+			<-p.doneCh
+		}
 	}
-	for w := 0; w < p.threads; w++ {
-		<-p.doneCh
-	}
-	p.panicMu.Lock()
-	pv := p.panicVal
-	p.panicVal = nil
-	p.panicMu.Unlock()
-	if pv != nil {
+	// Every worker has parked (or the one worker is this goroutine), and each
+	// done receive orders that worker's panicVal write before this read.
+	if pv := p.panicVal; pv != nil {
+		p.panicVal = nil
 		panic(pv)
 	}
 }
@@ -132,8 +142,8 @@ func (p *workerPool) cycle() {
 // than once is safe.
 func (p *workerPool) Close() {
 	p.closeOnce.Do(func() {
-		for w := 0; w < p.threads; w++ {
-			close(p.startCh[w])
+		for _, ch := range p.startCh {
+			close(ch)
 		}
 		p.wg.Wait()
 	})

@@ -70,7 +70,7 @@ func TestParallelEngineInjectedPanic(t *testing.T) {
 		order[i] = int32(i)
 	}
 	_, byLevel := g.Levelize(order)
-	sim := NewParallel(p, byLevel, 2, EvalKernel)
+	sim := NewFullCycle(p, byLevel, 2, EvalKernel)
 	defer sim.Close()
 	sim.Poke(en.ID, bitvec.FromUint64(1, 1))
 	sim.Step()

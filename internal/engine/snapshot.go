@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // SimState is the complete mutable state of a Sim between Steps — everything
 // a checkpoint must carry for a resumed run to be bit-identical (state image,
@@ -13,10 +10,10 @@ import (
 //
 // The first four fields are engine-independent (they mirror emit.Machine plus
 // the Stats block every engine keeps). The activity fields carry the
-// essential-signal engines' arming state in partition space — supernode
-// indices, not active-word layouts — so a capture from the serial Activity
-// engine restores into a ParallelActivity at any thread count (and vice
-// versa): each engine re-derives its own word layout from the supernode set.
+// essential-signal engine's arming state in partition space — supernode
+// indices, not active-word layouts — so a capture at one worker count
+// restores at any other: each engine re-derives its own word layout from the
+// supernode set.
 type SimState struct {
 	State    []uint64   // machine state image (Program.NumWords words)
 	Mems     [][]uint64 // memory arrays, per MemSpec
@@ -24,7 +21,7 @@ type SimState struct {
 	Stats    Stats
 
 	// SupCount is the supernode count of the capturing engine's partition; 0
-	// when the engine tracks no activity (FullCycle, Parallel). Restoring an
+	// when the engine tracks no activity (FullCycle). Restoring an
 	// activity engine validates it against its own partition.
 	SupCount int
 	// ActiveSups lists the armed supernodes, ascending. Meaningful only when
@@ -95,85 +92,37 @@ func (b *base) restoreBase(s *SimState) error {
 }
 
 // CaptureState enumerates the full-cycle engine's state: the machine image
-// and counters are everything it has.
-func (f *FullCycle) CaptureState() *SimState { return f.captureBase() }
+// and counters are everything it has (workers hold no per-cycle residue
+// between Steps).
+func (e *FullCycle) CaptureState() *SimState { return e.captureBase() }
 
 // RestoreState overwrites the full-cycle engine's state.
-func (f *FullCycle) RestoreState(s *SimState) error { return f.restoreBase(s) }
+func (e *FullCycle) RestoreState(s *SimState) error { return e.restoreBase(s) }
 
-// CaptureState enumerates the parallel full-cycle engine's state. Workers
-// hold no per-cycle residue between Steps, so the base state is complete.
-func (e *Parallel) CaptureState() *SimState { return e.captureBase() }
-
-// RestoreState overwrites the parallel full-cycle engine's state.
-func (e *Parallel) RestoreState(s *SimState) error { return e.restoreBase(s) }
-
-// CaptureState enumerates the essential-signal engine's state: machine image,
-// counters, the armed supernode set, and any uncommitted registers.
-func (a *Activity) CaptureState() *SimState {
-	s := a.captureBase()
-	s.SupCount = a.part.Count()
-	for sup := int32(0); sup < int32(s.SupCount); sup++ {
-		if a.active[sup>>6]&(uint64(1)<<uint(sup&63)) != 0 {
-			s.ActiveSups = append(s.ActiveSups, sup)
-		}
-	}
-	s.PendingRegs = a.plan.pendingIDs(nil, a.pending)
-	return s
-}
-
-// RestoreState overwrites the essential-signal engine's state and re-derives
-// its activity bookkeeping — armed supernodes, shadow words, queued
-// registers — from the snapshot.
-func (a *Activity) RestoreState(s *SimState) error {
-	pending, err := a.plan.checkActivity(s)
-	if err != nil {
-		return err
-	}
-	if err := a.restoreBase(s); err != nil {
-		return err
-	}
-	a.plan.syncShadows(a.m.State)
-	a.pending = append(a.pending[:0], pending...)
-	for i := range a.active {
-		a.active[i] = 0
-	}
-	if s.SupCount == 0 {
-		a.activateAll() // capture carried no activity info: full re-evaluation is safe
-	} else {
-		for _, sup := range s.ActiveSups {
-			a.active[sup>>6] |= uint64(1) << uint(sup&63)
-		}
-	}
-	return nil
-}
-
-// CaptureState enumerates the multi-threaded essential-signal engine's state.
+// CaptureState enumerates the essential-signal engine's state: machine
+// image, counters, the armed supernode set, and any uncommitted registers.
 // Outboxes and dirty flags are always drained by the end of a Step (every
 // published activation targets a level the sweep still visits, and serial
-// commits write active words directly), so the armed supernode set plus the
-// base state is complete.
-func (e *ParallelActivity) CaptureState() *SimState {
+// commits write active words directly), so nothing else is live.
+func (e *Activity) CaptureState() *SimState {
 	s := e.captureBase()
 	s.SupCount = e.part.Count()
-	for sup := range e.supSlot {
-		slot := e.supSlot[sup]
+	for sup, slot := range e.supSlot {
 		if e.active[slot>>6]&(uint64(1)<<uint(slot&63)) != 0 {
 			s.ActiveSups = append(s.ActiveSups, int32(sup))
 		}
 	}
-	sort.Slice(s.ActiveSups, func(i, j int) bool { return s.ActiveSups[i] < s.ActiveSups[j] })
 	for _, ws := range e.ws {
 		s.PendingRegs = e.plan.pendingIDs(s.PendingRegs, ws.pending)
 	}
 	return s
 }
 
-// RestoreState overwrites the multi-threaded essential-signal engine's state,
-// re-deriving its private word layout from the snapshot's supernode set and
-// clearing all worker residue (outboxes, dirty flags, pending lists) — the
-// same shape a fresh engine has.
-func (e *ParallelActivity) RestoreState(s *SimState) error {
+// RestoreState overwrites the essential-signal engine's state, re-deriving
+// its private word layout from the snapshot's supernode set and clearing all
+// worker residue (outboxes, dirty flags, pending lists) — the same shape a
+// fresh engine has.
+func (e *Activity) RestoreState(s *SimState) error {
 	pending, err := e.plan.checkActivity(s)
 	if err != nil {
 		return err
@@ -182,24 +131,9 @@ func (e *ParallelActivity) RestoreState(s *SimState) error {
 		return err
 	}
 	e.plan.syncShadows(e.m.State)
-	for i := range e.active {
-		e.active[i] = 0
-	}
-	for w := range e.out {
-		out := e.out[w]
-		for i := range out {
-			out[i] = 0
-		}
-		dirty := e.dirty[w]
-		for i := range dirty {
-			dirty[i] = false
-		}
-	}
-	for _, ws := range e.ws {
-		ws.pending = ws.pending[:0]
-	}
+	e.clearActivity()
 	if s.SupCount == 0 {
-		e.activateAll()
+		e.activateAll() // capture carried no activity info: full re-evaluation is safe
 	} else {
 		for _, sup := range s.ActiveSups {
 			slot := e.supSlot[sup]

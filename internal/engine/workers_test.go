@@ -1,15 +1,19 @@
 package engine
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"gsim/internal/bitvec"
 	"gsim/internal/emit"
+	"gsim/internal/faultpoint"
 	"gsim/internal/gen"
 	"gsim/internal/ir"
+	"gsim/internal/obs"
 	"gsim/internal/partition"
 )
 
@@ -29,7 +33,7 @@ func buildRandomCompiled(t *testing.T, seed int64) (*ir.Graph, *emit.Program) {
 	return g, p
 }
 
-// TestParallelActivityMatchesReference runs the multi-threaded essential-
+// TestParallelActivityMatchesReference runs the multi-worker essential-
 // signal engine in lockstep against the golden model on random designs with
 // random stimulus, at several thread counts and partitionings.
 func TestParallelActivityMatchesReference(t *testing.T) {
@@ -45,7 +49,7 @@ func TestParallelActivityMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			part := partition.Build(g, partition.Enhanced, 4)
-			sim := NewParallelActivity(p, part, ActivityConfig{MultiBitCheck: true, Activation: ActCostModel}, threads, EvalKernel)
+			sim := NewActivity(p, part, ActivityConfig{MultiBitCheck: true, Activation: ActCostModel}, threads, EvalKernel)
 			defer sim.Close()
 
 			var inputs []*ir.Node
@@ -100,7 +104,7 @@ func TestParallelActivityModesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		part := partition.Build(g, partition.MFFC, 8)
-		sim := NewParallelActivity(p, part, cfg, 3, EvalKernel)
+		sim := NewActivity(p, part, cfg, 3, EvalKernel)
 		var outs []*ir.Node
 		for _, n := range g.Nodes {
 			if n.IsOutput {
@@ -134,7 +138,7 @@ func TestParallelActivityModesAgree(t *testing.T) {
 func TestParallelActivitySkipsIdleWork(t *testing.T) {
 	p, g, en, c := buildCounter(t)
 	part := partition.Build(g, partition.Enhanced, 4)
-	sim := NewParallelActivity(p, part, ActivityConfig{MultiBitCheck: true, Activation: ActCostModel}, 2, EvalKernel)
+	sim := NewActivity(p, part, ActivityConfig{MultiBitCheck: true, Activation: ActCostModel}, 2, EvalKernel)
 	defer sim.Close()
 	StepN(sim, 2)
 	evalsBefore := sim.Stats().NodeEvals
@@ -177,7 +181,7 @@ func TestParallelCloseJoinsWorkers(t *testing.T) {
 		order[i] = int32(i)
 	}
 	_, byLevel := g.Levelize(order)
-	sim := NewParallel(p, byLevel, 4, EvalKernel)
+	sim := NewFullCycle(p, byLevel, 4, EvalKernel)
 	sim.Poke(en.ID, bitvec.FromUint64(1, 1))
 	StepN(sim, 3)
 	sim.Close()
@@ -190,10 +194,123 @@ func TestParallelActivityCloseJoinsWorkers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	p, g, en, _ := buildCounter(t)
 	part := partition.Build(g, partition.Enhanced, 4)
-	sim := NewParallelActivity(p, part, ActivityConfig{MultiBitCheck: true, Activation: ActCostModel}, 4, EvalKernel)
+	sim := NewActivity(p, part, ActivityConfig{MultiBitCheck: true, Activation: ActCostModel}, 4, EvalKernel)
 	sim.Poke(en.ID, bitvec.FromUint64(1, 1))
 	StepN(sim, 3)
 	sim.Close()
 	sim.Close() // idempotent
 	waitForGoroutines(t, base)
+}
+
+// oneWorkerEngines builds both engines at one worker over the counter design.
+func oneWorkerEngines(t *testing.T) (sims []Compiled, en *ir.Node) {
+	t.Helper()
+	p, g, en, _ := buildCounter(t)
+	part := partition.Build(g, partition.Enhanced, 4)
+	return []Compiled{
+		NewFullCycle(p, nil, 1, EvalKernel),
+		NewActivity(p, part, ActivityConfig{MultiBitCheck: true, Activation: ActCostModel}, 1, EvalKernel),
+	}, en
+}
+
+// TestOneWorkerStartsNoGoroutine: a one-worker engine sweeps inline on the
+// caller, so building, stepping and closing one never changes the goroutine
+// count.
+func TestOneWorkerStartsNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	sims, en := oneWorkerEngines(t)
+	for _, sim := range sims {
+		sim.Poke(en.ID, bitvec.FromUint64(1, 1))
+		StepN(sim, 3)
+		if n := runtime.NumGoroutine(); n != base {
+			t.Fatalf("%T: %d goroutines while stepping, %d before building", sim, n, base)
+		}
+		sim.Close()
+		sim.Close()
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after Close, %d before building", n, base)
+	}
+}
+
+// TestOneWorkerInjectedPanic: the inline sweep keeps the pool's containment
+// contract — an injected worker panic surfaces from Step on the caller, and
+// the engine still resets, steps and closes afterwards.
+func TestOneWorkerInjectedPanic(t *testing.T) {
+	defer faultpoint.Reset()
+	sims, en := oneWorkerEngines(t)
+	for _, sim := range sims {
+		sim.Poke(en.ID, bitvec.FromUint64(1, 1))
+		sim.Step()
+		faultpoint.Arm(faultpoint.PoolPanic, 1)
+		func() {
+			defer func() {
+				r := recover()
+				err, ok := r.(error)
+				if !ok || !strings.Contains(err.Error(), "worker 0 panicked at level 0") {
+					t.Fatalf("%T: Step panicked with %v, want the contained worker panic", sim, r)
+				}
+			}()
+			sim.Step()
+		}()
+		if faultpoint.Fired(faultpoint.PoolPanic) != 1 {
+			t.Fatalf("%T: fault point did not fire", sim)
+		}
+		faultpoint.Reset()
+		sim.Reset()
+		StepN(sim, 2)
+		if got := sim.Stats().Cycles; got != 2 {
+			t.Fatalf("%T: %d cycles after Reset and two Steps", sim, got)
+		}
+		sim.Close()
+	}
+}
+
+// TestOneWorkerSchedulesNoBarriers: a one-worker engine reports no barrier
+// waits and no scheduled levels on /metrics, and the same engine at two
+// workers reports both.
+func TestOneWorkerSchedulesNoBarriers(t *testing.T) {
+	p, g, en, _ := buildCounter(t)
+	_, byLevel := g.Levelize(identityOrder(len(g.Nodes)))
+	part := partition.Build(g, partition.Enhanced, 4)
+	cfg := ActivityConfig{MultiBitCheck: true, Activation: ActCostModel}
+	for _, c := range []struct {
+		name string
+		sim  Compiled
+		want bool
+	}{
+		{"fullcycle-1T", NewFullCycle(p, nil, 1, EvalKernel), false},
+		{"activity-1T", NewActivity(p, part, cfg, 1, EvalKernel), false},
+		{"fullcycle-2T", NewFullCycle(p, byLevel, 2, EvalKernel), true},
+		{"activity-2T", NewActivity(p, part, cfg, 2, EvalKernel), true},
+	} {
+		reg := obs.NewRegistry()
+		c.sim.AttachObs(NewMetrics(reg))
+		c.sim.Poke(en.ID, bitvec.FromUint64(1, 1))
+		StepN(c.sim, 5)
+		c.sim.FlushObs()
+		c.sim.Close()
+		var buf bytes.Buffer
+		if _, err := reg.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		scrape, err := obs.ParseText(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles, _ := scrape.Value("gsim_engine_cycles_total")
+		waits, _ := scrape.Value("gsim_engine_barrier_waits_total")
+		levels, _ := scrape.Value("gsim_engine_sched_levels")
+		if cycles != 5 || (waits > 0) != c.want || (levels > 0) != c.want {
+			t.Fatalf("%s: cycles=%v barrier_waits=%v sched_levels=%v, want barriers %v", c.name, cycles, waits, levels, c.want)
+		}
+	}
+}
+
+func identityOrder(n int) []int32 {
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	return order
 }

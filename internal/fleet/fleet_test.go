@@ -188,14 +188,16 @@ func refServer(t *testing.T) string {
 // --- placement + proxy -----------------------------------------------------
 
 // TestPlacementAffinity pins the economics the router exists for: every
-// session of one design — scalar or gang, traced or not — lands on the same
-// replica, so the whole fleet pays exactly one compile for it.
+// session of one design — scalar or gang, traced or not, one worker asked
+// for or left unset — lands on the same replica, so the whole fleet pays
+// exactly one compile for it.
 func TestPlacementAffinity(t *testing.T) {
 	fl := newTestFleet(t, "r1", "r2", "r3")
 	src := readDesign(t, "counter.fir")
 
 	specs := []server.SessionSpec{
 		{},
+		{Threads: 1},
 		{Lanes: 4},
 		{TraceLanes: []int{0}},
 		{Lanes: 2, TraceLanes: []int{1}},

@@ -170,12 +170,13 @@ func (rt *Router) Close() {
 // any width for one design co-locate and share a single compiled artifact.
 // (The true DesignHash only exists after compiling; with deterministic
 // compiles, equal placement keys imply equal design hashes, which is all
-// affinity needs.)
+// affinity needs.) Unset and one-worker thread counts build the same engine,
+// so they share a key.
 func PlacementKey(firrtl string, spec server.SessionSpec) string {
 	h := sha256.New()
 	io.WriteString(h, firrtl)
 	fmt.Fprintf(h, "|engine=%s|eval=%s|threads=%d|coarsen=%t|maxsup=%d",
-		spec.Engine, spec.Eval, spec.Threads, spec.Coarsen, spec.MaxSupernode)
+		spec.Engine, spec.Eval, max(spec.Threads, 1), spec.Coarsen, spec.MaxSupernode)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

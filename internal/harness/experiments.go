@@ -212,8 +212,8 @@ type CoarsenRow struct {
 	Design     string
 	Workload   string
 	Threads    int
-	LevelsOff  int // barrier levels without coarsening (== OrigLevels)
-	LevelsOn   int // barrier levels of the coarsened schedule
+	LevelsOff  int // barrier levels without coarsening (== OrigLevels); 0 at one thread
+	LevelsOn   int // barrier levels of the coarsened schedule; 0 at one thread
 	SpeedOffHz float64
 	SpeedOnHz  float64
 	Speedup    float64 // coarsened / uncoarsened
@@ -238,17 +238,20 @@ func CoarsenSweep(designs []Design, threadCounts []int, b Budget) ([]CoarsenRow,
 						return nil, fmt.Errorf("%s/%s/%dT: %v", d.Name, wl, th, err)
 					}
 					hz := measure(sys, drive, b)
-					pa, ok := sys.Sim.(*engine.ParallelActivity)
+					a, ok := sys.Sim.(*engine.Activity)
 					if !ok {
 						sys.Close()
-						return nil, fmt.Errorf("%s/%s/%dT: engine is not ParallelActivity", d.Name, wl, th)
+						return nil, fmt.Errorf("%s/%s/%dT: engine is not Activity", d.Name, wl, th)
 					}
-					sv := pa.Shard()
+					levels := 0 // one worker schedules no barrier
+					if sv := a.Shard(); sv != nil {
+						levels = sv.Levels
+					}
 					if on {
-						row.LevelsOn = sv.Levels
+						row.LevelsOn = levels
 						row.SpeedOnHz = hz
 					} else {
-						row.LevelsOff = sv.Levels
+						row.LevelsOff = levels
 						row.SpeedOffHz = hz
 					}
 					sys.Close()

@@ -3,10 +3,9 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
-
-	"gsim/internal/stats"
 )
 
 // RenderTable1 prints Table I.
@@ -103,7 +102,23 @@ func RenderFig7(w io.Writer, rows []Fig7Row) {
 		gg = append(gg, r.Vs1T)
 	}
 	fmt.Fprintf(w, "%-20s %13.2fx %13.2fx %7.2fx\n", "geometric mean",
-		stats.GeoMean(g4), stats.GeoMean(g8), stats.GeoMean(gg))
+		geoMean(g4), geoMean(g8), geoMean(gg))
+}
+
+// geoMean returns the geometric mean of positive values; non-positive values
+// are skipped. Returns 0 for an empty (or all-skipped) input.
+func geoMean(xs []float64) float64 {
+	sum, n := 0.0, 0
+	for _, x := range xs {
+		if x > 0 {
+			sum += math.Log(x)
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return math.Exp(sum / float64(n))
 }
 
 // RenderFig8 prints the per-technique breakdown.

@@ -11,9 +11,10 @@ import (
 // the dependence condensation (all supernodes in one level are mutually
 // independent given earlier levels), then each level's supernodes are spread
 // across shards balanced by evaluation weight. The view is what
-// engine.ParallelActivity executes: workers sweep level by level with a
-// barrier between levels, so intra-cycle activations — which always target
-// strictly later levels — are visible before their targets are examined.
+// engine.Activity executes at more than one worker: workers sweep level by
+// level with a barrier between levels, so intra-cycle activations — which
+// always target strictly later levels — are visible before their targets are
+// examined.
 //
 // With coarsening (CoarsenOptions.Enable) consecutive sparse levels are
 // merged into one scheduled level wherever the cross-level edges permit:
