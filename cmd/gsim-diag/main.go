@@ -238,63 +238,6 @@ func main() {
 		}
 	}
 
-	// Gang batching: 8 stimulus lanes through one compiled design vs 8
-	// independent scalar sessions of the same execution model (full-cycle —
-	// what a gang lane mirrors bit-exactly). The gang's win is dispatch
-	// amortization: one instruction walk drives all lanes, so aggregate
-	// lane-cycles/s should scale well past the scalar fleet on one core.
-	{
-		gd, _, err := harness.BuildSystemForDiag(d, "coremark", core.Verilator())
-		if err != nil {
-			panic(err)
-		}
-		graph := gd.Graph
-		gd.Close()
-		mgr := server.NewManager()
-		const lanes = 8
-		n := 400
-		spec := server.SessionSpec{Engine: "verilator"}
-		var scalar []*server.Session
-		for i := 0; i < lanes; i++ {
-			s, err := mgr.CreateSessionGraph(graph, "diag-gang", spec)
-			if err != nil {
-				panic(err)
-			}
-			scalar = append(scalar, s)
-		}
-		start := time.Now()
-		for _, s := range scalar {
-			if _, err := s.Apply(context.Background(), []server.Op{{Op: "step", N: n}}); err != nil {
-				panic(err)
-			}
-		}
-		scalarAgg := float64(lanes*n) / time.Since(start).Seconds() / 1000
-		gspec := spec
-		gspec.Lanes = lanes
-		gs, err := mgr.CreateSessionGraph(graph, "diag-gang", gspec)
-		if err != nil {
-			panic(err)
-		}
-		start = time.Now()
-		if _, err := gs.Apply(context.Background(), []server.Op{{Op: "step", N: n}}); err != nil {
-			panic(err)
-		}
-		gangAgg := float64(lanes*n) / time.Since(start).Seconds() / 1000
-		fmt.Printf("gang             lanes=%d cycles=%d gang=%.1fkHz-agg scalarx%d=%.1fkHz-agg speedup=%.2fx\n",
-			lanes, n, gangAgg, lanes, scalarAgg, gangAgg/scalarAgg)
-		infos, err := gs.LaneInfos()
-		if err != nil {
-			panic(err)
-		}
-		for _, li := range infos {
-			fmt.Printf("gang-lane        lane=%d live=%v cycles=%d instr/cyc=%d\n",
-				li.Lane, li.Live, li.Cycles, li.Instrs/li.Cycles)
-		}
-		if err := mgr.Drain(context.Background()); err != nil {
-			panic(err)
-		}
-	}
-
 	// Snapshot cost on this profile: blob size and encode/decode time for a
 	// mid-run checkpoint (the quantities a checkpointing service budgets).
 	{
@@ -460,7 +403,7 @@ func chainFusionStats(sys *core.System) fusionCounts {
 // engine lays them out — one chain per supernode, or the whole program —
 // and prints the stream's size.
 func printFootprint(label string, sys *core.System) {
-	s := emit.NewStream(emit.NewMachine(sys.Prog))
+	s := emit.NewStream(sys.Prog)
 	if sys.Part == nil {
 		s.Append(sys.Prog.Instrs, true)
 	} else {

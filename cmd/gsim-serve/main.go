@@ -35,10 +35,10 @@
 //	POST   /admin/drain               begin a migration-window drain (refuse new
 //	                                  sessions, keep serving existing ones)
 //
-// "lanes": K > 1 opens a gang session: K independent stimulus lanes batched
-// through one compiled design (one instruction dispatch drives all lanes).
-// Ops address lanes via "lane"; step advances every live lane in lockstep;
-// park/wake freeze and resume individual lanes.
+// "lanes": K > 1 opens a gang session: K independent stimulus lanes, each an
+// engine of the spec's kind over the design's one shared plan. Ops address
+// lanes via "lane"; step advances every live lane in lockstep; park/wake
+// freeze and resume individual lanes.
 //
 // Admission refusals return 429/503 with a Retry-After header; a session
 // poisoned by an internal panic returns 500 and must be closed and

@@ -31,7 +31,7 @@
 //
 // Example:
 //
-//	gsim -engine gsim -cycles 100 -poke en=1 -watch out examples/quickstart/counter.fir
+//	gsim -engine gsim -cycles 100 -poke en=1 -watch out testdata/counter.fir
 package main
 
 import (

@@ -2,10 +2,10 @@
 // simulation-as-a-service. GSIM's whole premise is that an expensive build
 // (graph passes, supernode partitioning, kernel-pipeline compilation) buys
 // fast cycles; this file makes the expensive half a durable, shareable
-// artifact. CompileDesign produces an immutable CompiledDesign; NewSim stamps
-// out per-session engines over it (each engine owns only its mutable machine
-// state); CompileCache deduplicates concurrent compiles under singleflight so
-// N sessions of one design pay for one build.
+// artifact. CompileDesign produces an immutable CompiledDesign, engine plan
+// included; NewSim stamps out per-session engines over it (each engine owns
+// only its mutable state); CompileCache deduplicates concurrent compiles
+// under singleflight so N sessions of one design pay for one build.
 package core
 
 import (
@@ -22,28 +22,27 @@ import (
 )
 
 // CompiledDesign is the immutable output of the expensive build half:
-// optimized graph, compiled program, supernode partition, and (for the
-// level-scheduled engine) the levelization. Safe to share across concurrent
-// sessions — nothing here is written after CompileDesign returns, and engine
-// construction over it is serialized internally (some build-time helpers
-// memoize into shared tables).
+// optimized graph, compiled program, supernode partition, and the engine
+// plan — kernel streams, slot layout, activation tables — that every engine
+// of the design reads. Safe to share across concurrent sessions: nothing
+// here is written after CompileDesign returns.
 type CompiledDesign struct {
-	Config  Config // the normalized configuration it was compiled under
-	Graph   *ir.Graph
-	Prog    *emit.Program
-	Part    *partition.Result // nil for full-cycle engines
-	ByLevel [][]int32         // nil unless a multi-worker full-cycle schedule needs it
+	Config Config // the normalized configuration it was compiled under
+	Graph  *ir.Graph
+	Prog   *emit.Program
+	Part   *partition.Result // nil for full-cycle engines
+	plan   engine.Plan
 
 	PassResult  passes.Result
 	PassTime    time.Duration
-	CompileTime time.Duration // passes + sort + emit + partition
-
-	simMu sync.Mutex
+	CompileTime time.Duration // passes + sort + emit + partition + plan
 }
 
 // CompileDesign runs the compile half of Build: clone, normalize, optimize,
-// topo-sort, emit, partition. The result is immutable and reusable by any
-// number of NewSim calls.
+// topo-sort, emit, partition, plan. The result is immutable and reusable by
+// any number of NewSim calls. A program the stream builder refuses (an
+// instruction outside the state image: only a compiler bug makes one) fails
+// the compile instead of the process.
 func CompileDesign(g *ir.Graph, cfg Config) (*CompiledDesign, error) {
 	if faultpoint.Hit(faultpoint.CompileFail) {
 		return nil, fmt.Errorf("core: injected compile failure (faultpoint %s)", faultpoint.CompileFail)
@@ -52,10 +51,7 @@ func CompileDesign(g *ir.Graph, cfg Config) (*CompiledDesign, error) {
 		panic(fmt.Sprintf("core: injected compile panic (faultpoint %s)", faultpoint.CompilePanic))
 	}
 	start := time.Now()
-	if cfg.MaxSupernode <= 0 {
-		cfg.MaxSupernode = DefaultMaxSupernode
-	}
-	cfg.Threads = cfg.workers()
+	cfg = cfg.normalized()
 	work := g.Clone()
 
 	passStart := time.Now()
@@ -84,78 +80,62 @@ func CompileDesign(g *ir.Graph, cfg Config) (*CompiledDesign, error) {
 		PassResult: passRes,
 		PassTime:   passTime,
 	}
-	switch cfg.Engine {
-	case EngineFullCycle:
-		// One worker sweeps the nodes in ID order; more need the levels.
-		if cfg.Threads > 1 {
-			order := make([]int32, len(work.Nodes))
-			for i := range order {
-				order[i] = int32(i)
-			}
-			_, d.ByLevel = work.Levelize(order)
-		}
-	case EngineActivity:
+	if cfg.Engine == EngineActivity {
 		d.Part = partition.Build(work, cfg.Partition, cfg.MaxSupernode)
-	default:
-		return nil, fmt.Errorf("core: unknown engine %d", cfg.Engine)
+	}
+	if err := d.buildPlan(); err != nil {
+		return nil, err
 	}
 	d.CompileTime = time.Since(start)
 	return d, nil
+}
+
+// buildPlan builds the design's engine plan, turning the stream builder's refusal
+// of a corrupt program into an error.
+func (d *CompiledDesign) buildPlan() (err error) {
+	cfg := d.Config
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: planning the %s engine panicked: %v", cfg.Engine, r)
+		}
+	}()
+	switch cfg.Engine {
+	case EngineFullCycle:
+		// One worker sweeps the nodes in ID order; more need the levels.
+		var byLevel [][]int32
+		if cfg.Threads > 1 {
+			order := make([]int32, len(d.Graph.Nodes))
+			for i := range order {
+				order[i] = int32(i)
+			}
+			_, byLevel = d.Graph.Levelize(order)
+		}
+		d.plan = engine.PlanFullCycle(d.Prog, byLevel, cfg.Threads, cfg.Eval)
+	case EngineActivity:
+		d.plan = engine.PlanActivity(d.Prog, d.Part, cfg.Activity, cfg.Threads, cfg.Eval)
+	default:
+		return fmt.Errorf("core: unknown engine %d", cfg.Engine)
+	}
+	return nil
 }
 
 // DesignHash returns the compiled program's identity hash (hex) — the
 // snapshot compatibility key.
 func (d *CompiledDesign) DesignHash() string { return d.Prog.DesignHashString() }
 
-// NewSim instantiates one engine over the shared artifacts. cfg selects the
-// cheap per-session knobs (engine kind, eval mode, threads, activity config);
-// it must request the engine the design was compiled for (the partition and
-// levelization are engine-specific), and a multi-worker full-cycle engine
-// needs a design compiled for more than one worker. Construction is
-// serialized: building an engine compiles machine-bound kernel streams and
-// may memoize shared per-program tables, and serializing here keeps that
-// invisible to concurrent sessions. Once constructed, engines step fully
-// concurrently — each owns its machine state; the Program is read-only.
-// A program the stream builder refuses (an instruction outside the state
-// image: only a compiler bug makes one) fails the call instead of the
-// process.
-func (d *CompiledDesign) NewSim(cfg Config) (sim engine.Compiled, err error) {
-	if cfg.Engine != d.Config.Engine {
-		return nil, fmt.Errorf("core: design compiled for engine %s, session asks for %s", d.Config.Engine, cfg.Engine)
+// NewSim instantiates one engine over the design's plan. It only allocates:
+// the engine's machine, active bits, shadows and worker scratch. cfg must be
+// the design's own configuration — every field CacheKey folds in but the
+// optimization options (engine, eval mode, workers, coarsening, activation
+// knobs, partitioner, supernode cap), since the plan was built for exactly
+// those; a mismatch is refused with an error naming the first differing
+// field. Engines step fully concurrently: each owns its state, and the plan
+// and Program are read-only.
+func (d *CompiledDesign) NewSim(cfg Config) (engine.Compiled, error) {
+	if field := d.Config.mismatch(cfg.normalized()); field != "" {
+		return nil, fmt.Errorf("core: the session's %s differs from the one design %q was compiled for", field, d.Config.Name)
 	}
-	threads := cfg.workers()
-	if cfg.Engine == EngineFullCycle && threads > 1 && d.ByLevel == nil {
-		return nil, fmt.Errorf("core: design compiled for one full-cycle worker, session asks for %d", threads)
-	}
-	d.simMu.Lock()
-	defer d.simMu.Unlock()
-	defer func() {
-		if r := recover(); r != nil {
-			sim, err = nil, fmt.Errorf("core: building the %s engine panicked: %v", cfg.Engine, r)
-		}
-	}()
-	switch cfg.Engine {
-	case EngineFullCycle:
-		return engine.NewFullCycle(d.Prog, d.ByLevel, threads, cfg.Eval), nil
-	case EngineActivity:
-		return engine.NewActivity(d.Prog, d.Part, cfg.Activity, threads, cfg.Eval), nil
-	}
-	return nil, fmt.Errorf("core: unknown engine %d", cfg.Engine)
-}
-
-// NewGang instantiates a k-lane gang engine over the shared artifacts — K
-// independent stimulus lanes through the one compiled program (see
-// engine.Gang). Lane count is a per-session execution knob, deliberately NOT
-// part of CacheKey: one compile serves scalar sessions and gangs of every
-// width. Construction is serialized like NewSim — building a gang memoizes a
-// per-lane-count kernel table into the shared Program.
-func (d *CompiledDesign) NewGang(k int) (*engine.Gang, error) {
-	if k < 1 || k > emit.MaxGangLanes {
-		return nil, fmt.Errorf("core: gang lane count %d outside [1,%d]", k, emit.MaxGangLanes)
-	}
-	d.simMu.Lock()
-	defer d.simMu.Unlock()
-	return engine.NewGang(d.Prog, k), nil
+	return d.plan.NewEngine(), nil
 }
 
 // CacheKey derives the compile-cache key for a design source identity (the
@@ -166,10 +146,7 @@ func (d *CompiledDesign) NewGang(k int) (*engine.Gang, error) {
 // cap — so sessions share a cache entry exactly when their builds would be
 // interchangeable. Unset and one-worker thread counts are the same build.
 func CacheKey(sourceHash string, cfg Config) string {
-	if cfg.MaxSupernode <= 0 {
-		cfg.MaxSupernode = DefaultMaxSupernode
-	}
-	cfg.Threads = cfg.workers()
+	cfg = cfg.normalized()
 	return fmt.Sprintf("%s|opt=%+v|engine=%s|eval=%s|threads=%d|coarsen=%v/%d|part=%d|maxsup=%d|act=%d/%d/%v",
 		sourceHash, cfg.Opt, cfg.Engine, cfg.Eval, cfg.Threads,
 		cfg.Activity.Coarsen, cfg.Activity.CoarsenGrain,
@@ -190,7 +167,7 @@ func CacheKey(sourceHash string, cfg Config) string {
 // request.
 //
 // Residency is governed by a byte budget: each entry's cost is its compiled
-// code + state-image + memory-image bytes, and when the cached total exceeds
+// code + state-image + memory-image + plan bytes, and when the cached total exceeds
 // SetBudget's limit, least-recently-used entries are evicted — but only
 // unreferenced ones. Get acquires a reference (released with Release), so a
 // design with live sessions is pinned no matter how cold its key is; the
@@ -216,7 +193,7 @@ type cacheEntry struct {
 
 	// Governance fields, guarded by the cache mutex.
 	refs      int    // live Get acquisitions not yet Released
-	cost      int64  // code+data+mem bytes, known once compile completes
+	cost      int64  // designCost, known once compile completes
 	accounted bool   // cost already folded into used
 	failed    bool   // compile finished with an error (err itself is read outside the mutex)
 	lastUse   uint64 // recency stamp for LRU
@@ -261,10 +238,11 @@ func (c *CompileCache) syncGaugesLocked() {
 }
 
 // designCost is an entry's residency weight: the bytes that stay alive as
-// long as the compiled design does. Code dominates for logic-heavy designs,
-// the initial state image and memory images for state-heavy ones.
+// long as the compiled design does. Code and the engine plan (stream, slot
+// and activation tables) dominate for logic-heavy designs, the initial
+// state image and memory images for state-heavy ones.
 func designCost(d *CompiledDesign) int64 {
-	return int64(d.Prog.CodeBytes() + d.Prog.DataBytes() + d.Prog.MemBytes())
+	return int64(d.Prog.CodeBytes() + d.Prog.DataBytes() + d.Prog.MemBytes() + d.plan.Bytes())
 }
 
 // Get returns the design for key, invoking compile at most once per key

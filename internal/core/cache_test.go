@@ -2,11 +2,16 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"gsim/internal/bitvec"
+	"gsim/internal/engine"
 	"gsim/internal/faultpoint"
 	"gsim/internal/ir"
+	"gsim/internal/partition"
 )
 
 // cacheDesign builds a small distinct design per index (the register count
@@ -25,24 +30,107 @@ func cacheDesign(t *testing.T, idx int) *ir.Graph {
 	return b.G
 }
 
-// TestNewSimRefusesCorruptProgram corrupts one instruction of a compiled
-// design and checks that building each kernel-mode engine over it fails with
-// an error carrying the stream builder's refusal instead of panicking out of
-// NewSim.
-func TestNewSimRefusesCorruptProgram(t *testing.T) {
+// TestCompileDesignRefusesCorruptProgram corrupts one instruction of a
+// compiled design and checks that planning each kernel-mode engine over it —
+// the last step of CompileDesign — fails with an error carrying the stream
+// builder's refusal instead of panicking.
+func TestCompileDesignRefusesCorruptProgram(t *testing.T) {
 	for _, cfg := range []Config{Verilator(), VerilatorMT(2), GSIM(), GSIMMT(2)} {
 		d, err := CompileDesign(cacheDesign(t, 0), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		d.Prog.Instrs[0].D = int32(d.Prog.NumWords)
-		sim, err := d.NewSim(cfg)
-		if err == nil {
+		if err := d.buildPlan(); err == nil || !strings.Contains(err.Error(), "refusing instruction") {
+			t.Errorf("%s: planning a corrupt program returned %v, want the refusal", cfg.Name, err)
+		}
+	}
+}
+
+// TestNewSimRefusesOtherConfig: the plan is built for the design's own
+// configuration, so NewSim refuses a session config differing in any field
+// that shapes it, naming the field — and accepts the spellings CacheKey
+// treats as one build.
+func TestNewSimRefusesOtherConfig(t *testing.T) {
+	d, err := CompileDesign(cacheDesign(t, 0), GSIM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for field, change := range map[string]func(*Config){
+		"engine":        func(c *Config) { c.Engine = EngineFullCycle },
+		"eval mode":     func(c *Config) { c.Eval = engine.EvalInterp },
+		"worker count":  func(c *Config) { c.Threads = 2 },
+		"coarsening":    func(c *Config) { c.Activity.Coarsen = true },
+		"activation":    func(c *Config) { c.Activity.Activation = engine.ActBranch },
+		"partitioner":   func(c *Config) { c.Partition = partition.MFFC },
+		"supernode cap": func(c *Config) { c.MaxSupernode = 2 * DefaultMaxSupernode },
+	} {
+		cfg := GSIM()
+		change(&cfg)
+		if sim, err := d.NewSim(cfg); err == nil {
 			sim.Close()
+			t.Errorf("%s: NewSim accepted a different %s", field, field)
+		} else if !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: the refusal %q does not name the field", field, err)
 		}
-		if err == nil || !strings.Contains(err.Error(), "refusing instruction") {
-			t.Errorf("%s: NewSim over a corrupt program returned %v, want the refusal", cfg.Name, err)
+	}
+	same := GSIMMT(1)
+	same.MaxSupernode = DefaultMaxSupernode
+	same.Opt.Inline = !same.Opt.Inline // the compile is done: passes do not shape the engine
+	sim, err := d.NewSim(same)
+	if err != nil {
+		t.Fatalf("NewSim refused an equivalent config: %v", err)
+	}
+	sim.Close()
+}
+
+// TestNewSimConcurrent: NewSim only allocates over the shared plan, so
+// engines built and stepped on four goroutines at once (run it under -race)
+// reach one state.
+func TestNewSimConcurrent(t *testing.T) {
+	g := cacheDesign(t, 3)
+	for _, cfg := range []Config{GSIM(), Verilator()} {
+		d, err := CompileDesign(g, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		en := d.Graph.FindNode("en").ID
+		states := make([][]uint64, 4)
+		var wg sync.WaitGroup
+		for i := range states {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sim, err := d.NewSim(cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer sim.Close()
+				sim.Poke(en, bitvec.FromUint64(1, 1))
+				engine.StepN(sim, 100)
+				states[i] = sim.Machine().State
+			}()
+		}
+		wg.Wait()
+		for i := range states {
+			if !slices.Equal(states[i], states[0]) {
+				t.Fatalf("%s: engine %d ended in another state than engine 0", cfg.Name, i)
+			}
+		}
+	}
+}
+
+// TestDesignCostCountsPlan: the cache weighs a design by everything it pins,
+// the shared engine plan included.
+func TestDesignCostCountsPlan(t *testing.T) {
+	d, err := CompileDesign(cacheDesign(t, 0), GSIM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := int64(d.Prog.CodeBytes() + d.Prog.DataBytes() + d.Prog.MemBytes())
+	if cost := designCost(d); cost <= bare {
+		t.Fatalf("designCost %d does not exceed code+data+mem %d: the plan is not counted", cost, bare)
 	}
 }
 
@@ -71,8 +159,8 @@ func TestOneWorkerSharesCompile(t *testing.T) {
 			t.Fatalf("%s/%s: %d hits, %d misses, shared=%v", pair[0].Name, pair[1].Name, hits, misses, designs[0] == designs[1])
 		}
 	}
-	// A one-worker full-cycle compile has no levelization, so it refuses a
-	// session asking for more workers instead of sweeping nothing.
+	// A one-worker full-cycle plan has no levelized schedule, so the design
+	// refuses a session asking for more workers instead of sweeping nothing.
 	d, err := CompileDesign(cacheDesign(t, 0), Verilator())
 	if err != nil {
 		t.Fatal(err)

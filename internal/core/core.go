@@ -195,3 +195,37 @@ func GSIMMT(threads int) Config {
 // workers is a configuration's worker count: Threads, with every value
 // below one meaning one worker.
 func (c Config) workers() int { return max(c.Threads, 1) }
+
+// normalized resolves the defaults CompileDesign and CacheKey apply: the
+// supernode cap and the worker count.
+func (c Config) normalized() Config {
+	if c.MaxSupernode <= 0 {
+		c.MaxSupernode = DefaultMaxSupernode
+	}
+	c.Threads = c.workers()
+	return c
+}
+
+// mismatch names the first engine-shaping field in which o differs from c
+// (both normalized), or returns "" when an engine of c serves o: the fields
+// CacheKey folds in, optimization options aside.
+func (c Config) mismatch(o Config) string {
+	switch {
+	case c.Engine != o.Engine:
+		return "engine"
+	case c.Eval != o.Eval:
+		return "eval mode"
+	case c.Threads != o.Threads:
+		return "worker count"
+	case c.Activity.Coarsen != o.Activity.Coarsen || c.Activity.CoarsenGrain != o.Activity.CoarsenGrain:
+		return "coarsening"
+	case c.Activity.Activation != o.Activity.Activation || c.Activity.BranchlessMax != o.Activity.BranchlessMax ||
+		c.Activity.MultiBitCheck != o.Activity.MultiBitCheck:
+		return "activation"
+	case c.Partition != o.Partition:
+		return "partitioner"
+	case c.MaxSupernode != o.MaxSupernode:
+		return "supernode cap"
+	}
+	return ""
+}

@@ -183,16 +183,27 @@ func FuzzKernelLockstep(f *testing.F) {
 			sysK.Sim.(interface{ AttachTracer(engine.Tracer) }).AttachTracer(trK)
 			sysNA.Sim.(interface{ AttachTracer(engine.Tracer) }).AttachTracer(trNA)
 		}
-		// The gang axis: a 2-lane gang over the same compiled program. Lane 0
-		// rides the main stimulus and must track the kernel engine's state
-		// image word for word; lane 1 runs divergent stimulus beside a scalar
-		// full-cycle twin — parked at random so the masked gather/scatter
-		// paths fuzz too — and finishes with a snapshot epilogue where the
+		// The lane axis: 2 lanes of each engine kind over one shared plan.
+		// Lane 0 rides the main stimulus and must track the kernel engine's
+		// state image word for word; lane 1 runs divergent stimulus beside a
+		// scalar twin of its own kind — parked at random, so a parked lane's
+		// freeze fuzzes too — and finishes with a snapshot epilogue where the
 		// lane's blob must equal the twin's byte for byte.
-		gang := engine.NewGang(sysK.Prog, 2)
-		defer gang.Close()
-		twin := engine.NewFullCycle(sysK.Prog, nil, 1, engine.EvalKernel)
-		defer twin.Close()
+		type laneAxis struct {
+			kind  string
+			lanes *engine.Lanes
+			twin  engine.Compiled
+		}
+		var laneAxes []laneAxis
+		for kind, pl := range map[string]engine.Plan{
+			"fullcycle": engine.PlanFullCycle(sysK.Prog, nil, 1, engine.EvalKernel),
+			"activity":  engine.PlanActivity(sysK.Prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalKernel),
+		} {
+			ax := laneAxis{kind, newLanes(pl, 2), pl.NewEngine()}
+			defer ax.lanes.Close()
+			defer ax.twin.Close()
+			laneAxes = append(laneAxes, ax)
+		}
 		rngL1 := rand.New(rand.NewSource(int64(len(data))*77 + 3))
 
 		rng := rand.New(rand.NewSource(int64(len(data))*31 + 5))
@@ -222,13 +233,15 @@ func FuzzKernelLockstep(f *testing.F) {
 				simI.Poke(in.ID, v)
 				simC.Poke(in.ID, v)
 				simS.Poke(in.ID, v)
-				gang.Poke(0, in.ID, v)
 				// Lane 1 and its twin always receive the divergent stimulus —
 				// pokes land on a parked lane too (they write state, they do
 				// not step it), and the twin mirrors that exactly.
 				v1 := bitvec.FromUint64(in.Width, rngL1.Uint64())
-				gang.Poke(1, in.ID, v1)
-				twin.Poke(in.ID, v1)
+				for _, ax := range laneAxes {
+					ax.lanes.Poke(0, in.ID, v)
+					ax.lanes.Poke(1, in.ID, v1)
+					ax.twin.Poke(in.ID, v1)
+				}
 				if errNA == nil {
 					if m, ok := naByID[in.ID]; ok {
 						sysNA.Sim.Poke(m.ID, v)
@@ -236,16 +249,18 @@ func FuzzKernelLockstep(f *testing.F) {
 				}
 			}
 			lane1Live := rngL1.Intn(6) != 0
-			gang.SetLive(1, lane1Live)
 			ref.Step()
 			sysK.Sim.Step()
 			simNF.Step()
 			simI.Step()
 			simC.Step()
 			simS.Step()
-			gang.Step()
-			if lane1Live {
-				twin.Step()
+			for _, ax := range laneAxes {
+				ax.lanes.SetLive(1, lane1Live)
+				ax.lanes.Step()
+				if lane1Live {
+					ax.twin.Step()
+				}
 			}
 			if errNA == nil {
 				sysNA.Sim.Step()
@@ -256,32 +271,35 @@ func FuzzKernelLockstep(f *testing.F) {
 				}
 			}
 			stK := sysK.Sim.Machine().State
-			lane0, err := gang.CaptureLane(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lane1, err := gang.CaptureLane(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, st := range map[string][]uint64{
+			states := map[string][]uint64{
 				"kernel-nofuse":      simNF.Machine().State,
 				"interp":             simI.Machine().State,
 				"coarsen-2T":         simC.Machine().State,
 				"snapshot-roundtrip": simS.Machine().State,
-				"gang-lane0":         lane0.State,
-			} {
+			}
+			for _, ax := range laneAxes {
+				lane0, err := ax.lanes.CaptureLane(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				states[ax.kind+"-lane0"] = lane0.State
+				lane1, err := ax.lanes.CaptureLane(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for w, tw := range ax.twin.Machine().State {
+					if lane1.State[w] != tw {
+						t.Fatalf("cycle %d: state word %d: %s lane1 %#x vs scalar twin %#x (live=%v)",
+							c, w, ax.kind, lane1.State[w], tw, lane1Live)
+					}
+				}
+			}
+			for name, st := range states {
 				for w := range stK {
 					if stK[w] != st[w] {
 						t.Fatalf("cycle %d: state word %d: kernel %#x vs %s %#x",
 							c, w, stK[w], name, st[w])
 					}
-				}
-			}
-			for w, tw := range twin.Machine().State {
-				if lane1.State[w] != tw {
-					t.Fatalf("cycle %d: state word %d: gang lane1 %#x vs scalar twin %#x (live=%v)",
-						c, w, lane1.State[w], tw, lane1Live)
 				}
 			}
 			for _, n := range outputs {
@@ -291,19 +309,21 @@ func FuzzKernelLockstep(f *testing.F) {
 			}
 		}
 
-		// Gang epilogue: the divergent lane's snapshot must be byte-identical
+		// Lane epilogue: the divergent lane's snapshot must be byte-identical
 		// to its scalar twin's — one blob format across shapes, stats and all.
-		laneBlob, err := snapshot.SaveLane(gang, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		twinBlob, err := snapshot.Save(twin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(laneBlob, twinBlob) {
-			t.Fatalf("gang lane 1 snapshot differs from scalar twin (%d vs %d bytes)",
-				len(laneBlob), len(twinBlob))
+		for _, ax := range laneAxes {
+			laneBlob, err := snapshot.SaveLane(ax.lanes, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twinBlob, err := snapshot.Save(ax.twin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(laneBlob, twinBlob) {
+				t.Fatalf("%s lane 1 snapshot differs from scalar twin (%d vs %d bytes)",
+					ax.kind, len(laneBlob), len(twinBlob))
+			}
 		}
 
 		// Stats must not depend on the evaluation mode — nor on a snapshot

@@ -106,12 +106,15 @@ func TestEngineMatrixLockstep(t *testing.T) {
 				outputs = append(outputs, n)
 			}
 		}
-		// The gang cell: a 3-lane gang with every lane fed the matrix
-		// stimulus. Each lane's extracted state must track the scalar cells
-		// word for word — the batched-lane sweep kernels join the same
-		// bit-identity contract as every engine × mode × thread cell.
+		// The lane cells: 3 lanes of each engine kind over one shared plan,
+		// every lane fed the matrix stimulus. Each lane's state must track
+		// the scalar cells word for word — engines sharing a plan join the
+		// same bit-identity contract as every engine × mode × thread cell.
 		const gangLanes = 3
-		gang := engine.NewGang(sys.Prog, gangLanes)
+		laneSets := map[string]*engine.Lanes{
+			"fullcycle": newLanes(engine.PlanFullCycle(sys.Prog, nil, 1, engine.EvalKernel), gangLanes),
+			"activity":  newLanes(engine.PlanActivity(sys.Prog, sys.Part, sys.Config.Activity, 1, engine.EvalKernel), gangLanes),
+		}
 
 		rng := rand.New(rand.NewSource(int64(di)*977 + 13))
 		base := sims[0]
@@ -125,15 +128,19 @@ func TestEngineMatrixLockstep(t *testing.T) {
 				for _, ms := range sims {
 					ms.sim.Poke(in.ID, v)
 				}
-				for l := 0; l < gangLanes; l++ {
-					gang.Poke(l, in.ID, v)
+				for _, lanes := range laneSets {
+					for l := 0; l < gangLanes; l++ {
+						lanes.Poke(l, in.ID, v)
+					}
 				}
 			}
 			ref.Step()
 			for _, ms := range sims {
 				ms.sim.Step()
 			}
-			gang.Step()
+			for _, lanes := range laneSets {
+				lanes.Step()
+			}
 			st0 := base.sim.Machine().State
 			for _, ms := range sims[1:] {
 				st := ms.sim.Machine().State
@@ -144,15 +151,17 @@ func TestEngineMatrixLockstep(t *testing.T) {
 					}
 				}
 			}
-			for l := 0; l < gangLanes; l++ {
-				gst, err := gang.CaptureLane(l)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for w := range st0 {
-					if st0[w] != gst.State[w] {
-						t.Fatalf("%s cycle %d: state word %d: %s %#x vs gang lane %d %#x",
-							names[di], c, w, base.name, st0[w], l, gst.State[w])
+			for kind, lanes := range laneSets {
+				for l := 0; l < gangLanes; l++ {
+					gst, err := lanes.CaptureLane(l)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for w := range st0 {
+						if st0[w] != gst.State[w] {
+							t.Fatalf("%s cycle %d: state word %d: %s %#x vs %s lane %d %#x",
+								names[di], c, w, base.name, st0[w], kind, l, gst.State[w])
+						}
 					}
 				}
 			}
@@ -167,7 +176,18 @@ func TestEngineMatrixLockstep(t *testing.T) {
 		for _, ms := range sims {
 			ms.sim.Close()
 		}
-		gang.Close()
+		for _, lanes := range laneSets {
+			lanes.Close()
+		}
 		sys.Close()
 	}
+}
+
+// newLanes builds k lanes over one plan.
+func newLanes(pl engine.Plan, k int) *engine.Lanes {
+	engs := make([]engine.Compiled, k)
+	for l := range engs {
+		engs[l] = pl.NewEngine()
+	}
+	return engine.NewLanes(engs)
 }

@@ -8,23 +8,26 @@ import (
 )
 
 // Bound chains: the one compiled form every kernel-mode engine executes. A
-// chain compiles into a Stream for ONE machine: opcode dispatch, fusion and
+// chain compiles into a Stream for a Program: opcode dispatch, fusion and
 // width class are resolved at build time into one static kernel function
 // per window, and every instruction becomes one operand record — state
 // offsets and widths, no pointers — in one contiguous array. Running a chain
-// is a loop of kernel calls, each consuming its window's records and
-// returning the next one; nothing is allocated per instruction. This is the
-// closest a Go interpreter gets to GSIM's emitted straight-line C++: no
-// opcode dispatch, no operand decode, no bounds checks, and code and
-// operands laid out in execution order.
+// is a loop of kernel calls over one machine's state image, each consuming
+// its window's records and returning the next one; nothing is allocated per
+// instruction. This is the closest a Go interpreter gets to GSIM's emitted
+// straight-line C++: no opcode dispatch, no operand decode, no bounds
+// checks, and code and operands laid out in execution order.
+//
+// A stream holds no machine state, so one stream serves every machine of
+// its program: a compiled design builds it once and every engine and lane
+// of the design runs it.
 //
 // Safety: kernels address the state image through unsafe.Add. Every
-// instruction is validated once, as it is appended, against len(m.State)
-// and len(m.Mems). A machine's State and Mems backing arrays are allocated
-// once in NewMachine and mutated only in place (Reset and Poke copy into
-// them), so the stream's base pointer stays valid for the machine's
-// lifetime. Engines build streams against their own machine at construction
-// time.
+// instruction is validated once, as it is appended, against p.NumWords and
+// len(p.Mems). Every machine of p has NumWords state words and p's memory
+// shapes: NewMachine allocates them and nothing reallocates them (Reset,
+// Poke and restores copy into them in place). CheckMachine asserts that
+// once, where an engine binds a machine to a stream, not on every Run.
 
 // Op is one instruction's operand record: byte offsets into the state image
 // and the widths the kernel masks with, clamped to 255 (above 64 a width
@@ -39,17 +42,18 @@ type Op struct {
 }
 
 // kernel runs the records of one window, starting at a, against the state
-// image at st and returns the record after the window.
+// image at st (m's) and returns the record after the window.
 type kernel func(st unsafe.Pointer, m *Machine, a *Op) *Op
 
 // BoundFn runs a compiled chain.
 type BoundFn func()
 
-// Stream is a sequence of chains compiled for one machine: one kernel per
-// window in one array, the windows' operand records in another.
+// Stream is a sequence of chains compiled for one program: one kernel per
+// window in one array, the windows' operand records in another. Once
+// trimmed it is immutable, and any number of machines of the program may
+// run it concurrently.
 type Stream struct {
-	st      unsafe.Pointer // m.State's backing array
-	m       *Machine
+	p       *Program
 	kernels []kernel
 	ops     []Op    // every window's records, then a zero sentinel the last kernel returns
 	chain   []Instr // AppendNodes scratch
@@ -59,9 +63,23 @@ type Stream struct {
 // at record Rec.
 type Span struct{ K, KEnd, Rec int32 }
 
-// NewStream returns an empty stream for machine m.
-func NewStream(m *Machine) *Stream {
-	return &Stream{st: unsafe.Pointer(unsafe.SliceData(m.State)), m: m, ops: make([]Op, 1)}
+// NewStream returns an empty stream for program p.
+func NewStream(p *Program) *Stream {
+	return &Stream{p: p, ops: make([]Op, 1)}
+}
+
+// CheckMachine panics unless m is shaped like every machine of the
+// stream's program — the one assertion the kernels' unchecked addressing
+// rests on, made where an engine binds its machine.
+func (s *Stream) CheckMachine(m *Machine) {
+	p := s.p
+	ok := m.Prog == p && len(m.State) == p.NumWords && len(m.Mems) == len(p.Mems)
+	for i := 0; ok && i < len(m.Mems); i++ {
+		ok = len(m.Mems[i]) == len(p.Mems[i].Init)
+	}
+	if !ok {
+		panic("emit: a machine not shaped like its stream's program")
+	}
 }
 
 // Append compiles the instruction chain ins onto the stream and returns its
@@ -70,7 +88,7 @@ func NewStream(m *Machine) *Stream {
 // contains); with fuse false every instruction is its own kernel, the
 // kernel-nofuse baseline fusion is measured against. The chain need not be
 // contiguous in the program. Append panics, naming the instruction, if one
-// has a zero width or reads or writes outside the machine's state image or
+// has a zero width or reads or writes outside the program's state image or
 // memories.
 func (s *Stream) Append(ins []Instr, fuse bool) Span {
 	for i := range ins {
@@ -98,7 +116,7 @@ func (s *Stream) Append(ins []Instr, fuse bool) Span {
 // applies across node boundaries exactly like inside a node: a kernel
 // performs every store of its window in order.
 func (s *Stream) AppendNodes(ids []int32, fuse bool) Span {
-	p := s.m.Prog
+	p := s.p
 	s.chain = s.chain[:0]
 	for _, id := range ids {
 		r := p.Code[id]
@@ -107,16 +125,17 @@ func (s *Stream) AppendNodes(ids []int32, fuse bool) Span {
 	return s.Append(s.chain, fuse)
 }
 
-// Run executes one appended chain.
-func (s *Stream) Run(sp Span) {
-	st, m, a := s.st, s.m, &s.ops[sp.Rec]
+// Run executes one appended chain on machine m, which must have passed
+// CheckMachine.
+func (s *Stream) Run(m *Machine, sp Span) {
+	st, a := unsafe.Pointer(unsafe.SliceData(m.State)), &s.ops[sp.Rec]
 	for _, k := range s.kernels[sp.K:sp.KEnd] {
 		a = k(st, m, a)
 	}
 }
 
 // Trim drops the arrays' spare capacity and the build scratch. The stream
-// lives as long as its engine: call Trim once the last chain is appended.
+// lives as long as its design: call Trim once the last chain is appended.
 func (s *Stream) Trim() {
 	s.kernels = append([]kernel(nil), s.kernels...)
 	s.ops = append([]Op(nil), s.ops...)
@@ -130,21 +149,22 @@ func (s *Stream) Footprint() (kernels, records, bytes int) {
 	return kernels, records, kernels*int(unsafe.Sizeof(kernel(nil))) + len(s.ops)*int(unsafe.Sizeof(Op{}))
 }
 
-// CompileChainBound compiles ins, fused, into a stream for machine m and
-// returns it as one BoundFn running the whole chain.
+// CompileChainBound compiles ins, fused, into a stream for p and returns it
+// as one BoundFn running the whole chain on machine m.
 func (p *Program) CompileChainBound(m *Machine, ins []Instr) []BoundFn {
-	s := NewStream(m)
+	s := NewStream(p)
+	s.CheckMachine(m)
 	sp := s.Append(ins, true)
 	s.Trim()
-	return []BoundFn{func() { s.Run(sp) }}
+	return []BoundFn{func() { s.Run(m, sp) }}
 }
 
 // check panics unless instruction i of a chain has a valid opcode, non-zero
 // result and first-operand widths (mask8's domain; the front end refuses
 // zero-width values), every operand span inside the state image, and, for a
-// memory read, the index of one of the machine's memories.
+// memory read, the index of one of the program's memories.
 func (s *Stream) check(in Instr, i int) {
-	n := int64(min(len(s.m.State), math.MaxInt32/8)) // byte offsets are int32
+	n := int64(min(s.p.NumWords, math.MaxInt32/8)) // byte offsets are int32
 	inside := func(off, w int32) bool {
 		return off >= 0 && int64(off)+int64(max(wordsFor32(w), 1)) <= n
 	}
@@ -154,12 +174,12 @@ func (s *Stream) check(in Instr, i int) {
 	}
 	ok := in.Op > CInvalid && in.Op < cOpCount && in.DW > 0 && in.AW > 0 &&
 		inside(in.D, in.DW) && inside(in.A, in.AW) && inside(in.B, in.BW) && inside(in.C, cw)
-	if in.Op == CMemRead && (in.Lo < 0 || int(in.Lo) >= len(s.m.Mems)) {
+	if in.Op == CMemRead && (in.Lo < 0 || int(in.Lo) >= len(s.p.Mems)) {
 		ok = false
 	}
 	if !ok {
-		panic(fmt.Sprintf("emit: refusing instruction %d of the chain (%s D=%d/%d A=%d/%d B=%d/%d C=%d Lo=%d): a zero width, or an operand outside the machine's %d state words and %d memories",
-			i, in.Op, in.D, in.DW, in.A, in.AW, in.B, in.BW, in.C, in.Lo, n, len(s.m.Mems)))
+		panic(fmt.Sprintf("emit: refusing instruction %d of the chain (%s D=%d/%d A=%d/%d B=%d/%d C=%d Lo=%d): a zero width, or an operand outside the program's %d state words and %d memories",
+			i, in.Op, in.D, in.DW, in.A, in.AW, in.B, in.BW, in.C, in.Lo, n, len(s.p.Mems)))
 	}
 }
 

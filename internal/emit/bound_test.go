@@ -21,11 +21,10 @@ const numOpCodes = int(cOpCount)
 // panicking at engine construction.
 func TestKernelOpcodeCoverage(t *testing.T) {
 	p := &Program{NumWords: 8, Mems: []MemSpec{{Depth: 2, Width: 8, WordsPer: 1, Init: make([]uint64, 2)}}}
-	mach := NewMachine(p)
 	for op := int(CCopy); op < numOpCodes; op++ {
 		for _, w := range []int32{8, 128} {
 			in := Instr{Op: OpCode(op), DW: w, AW: w, BW: w}
-			if k := kernelsFor(t, mach, in); k != 1 {
+			if k := kernelsFor(t, p, in); k != 1 {
 				t.Fatalf("opcode %s at width %d: %d kernels, want 1", in.Op, w, k)
 			}
 		}
@@ -34,14 +33,14 @@ func TestKernelOpcodeCoverage(t *testing.T) {
 
 // kernelsFor compiles one instruction into a fresh stream and returns its
 // kernel count, failing the test if the build panics.
-func kernelsFor(t *testing.T, m *Machine, in Instr) int {
+func kernelsFor(t *testing.T, p *Program, in Instr) int {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
 			t.Fatalf("opcode %s (widths %d/%d/%d): compile panicked: %v", in.Op, in.DW, in.AW, in.BW, r)
 		}
 	}()
-	s := NewStream(m)
+	s := NewStream(p)
 	s.Append([]Instr{in}, true)
 	k, _, _ := s.Footprint()
 	return k
@@ -84,7 +83,7 @@ func checkChainMatchesInterp(t *testing.T, seed int64, fuse bool) {
 
 	mi := NewMachine(p)
 	mb := NewMachine(p)
-	s := NewStream(mb)
+	s := NewStream(p)
 	chain := s.Append(p.Instrs, fuse)
 	kernels, _, _ := s.Footprint()
 	if fuse && kernels > len(p.Instrs) {
@@ -98,7 +97,7 @@ func checkChainMatchesInterp(t *testing.T, seed int64, fuse bool) {
 		mb.Poke(in.ID, vals[in])
 	}
 	mi.Exec(0, int32(len(p.Instrs)))
-	s.Run(chain)
+	s.Run(mb, chain)
 	for w := range mi.State {
 		if mi.State[w] != mb.State[w] {
 			t.Fatalf("seed %d: state word %d: interp %#x vs stream %#x\nexpr: %s",
@@ -115,14 +114,13 @@ func checkChainMatchesInterp(t *testing.T, seed int64, fuse bool) {
 // with a width it cannot represent.
 func TestStreamRefusesOutsideState(t *testing.T) {
 	p := &Program{NumWords: 16, Mems: []MemSpec{{Depth: 4, Width: 8, WordsPer: 1, Init: make([]uint64, 4)}}}
-	m := NewMachine(p)
 	good := []Instr{
 		{Op: CAdd, D: 10, DW: 8, A: 0, AW: 8, B: 1, BW: 8},
 		{Op: CMux, D: 11, DW: 8, A: 2, AW: 1, B: 10, BW: 8, C: 3},
 		{Op: CMemRead, D: 12, DW: 8, A: 11, AW: 2, Lo: 0},
 		{Op: CCopy, D: 13, DW: 100, A: 4, AW: 100},
 	}
-	NewStream(m).Append(good, true)
+	NewStream(p).Append(good, true)
 	for _, c := range []struct {
 		name    string
 		i       int
@@ -139,12 +137,26 @@ func TestStreamRefusesOutsideState(t *testing.T) {
 		c.corrupt(&ins[c.i])
 		msg := func() (msg string) {
 			defer func() { msg = fmt.Sprint(recover()) }()
-			NewStream(m).Append(ins, true)
+			NewStream(p).Append(ins, true)
 			return "no panic"
 		}()
 		if want := fmt.Sprintf("instruction %d of the chain", c.i); !strings.Contains(msg, want) {
 			t.Errorf("%s: Append gave %q, want a refusal naming %q", c.name, msg, want)
 		}
+	}
+
+	// The stream is validated against the program, so a machine that is not
+	// shaped like it is refused where an engine binds one.
+	m := NewMachine(p)
+	NewStream(p).CheckMachine(m)
+	m.Mems[0] = m.Mems[0][:2]
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		NewStream(p).CheckMachine(m)
+		return "no panic"
+	}()
+	if !strings.Contains(msg, "not shaped like") {
+		t.Errorf("CheckMachine of a machine with a short memory gave %q, want a refusal", msg)
 	}
 }
 
@@ -153,7 +165,6 @@ func TestStreamRefusesOutsideState(t *testing.T) {
 // append growth steps of the stream's two arrays and nothing per window.
 func TestStreamBuildAllocs(t *testing.T) {
 	p := &Program{NumWords: 64}
-	m := NewMachine(p)
 	shapes := []Instr{
 		{Op: CBits, D: 10, DW: 1, A: 0, AW: 20, Lo: 5},
 		{Op: CAnd, D: 11, DW: 1, A: 10, AW: 1, B: 1, BW: 1},
@@ -169,7 +180,7 @@ func TestStreamBuildAllocs(t *testing.T) {
 	}
 	for _, fuse := range []bool{true, false} {
 		allocs := testing.AllocsPerRun(3, func() {
-			s := NewStream(m)
+			s := NewStream(p)
 			s.Append(ins, fuse)
 			s.Trim()
 		})

@@ -252,7 +252,7 @@ func TestFusionRuleCoverage(t *testing.T) {
 		p := &Program{NumWords: 13, Instrs: c.ins,
 			Mems: []MemSpec{{Depth: 4, Width: 8, WordsPer: 1, Init: []uint64{0x5a, 9, 0xab, 3}}}}
 		bnd := NewMachine(p)
-		s := NewStream(bnd)
+		s := NewStream(p)
 		chain := s.Append(p.Instrs, true)
 		if k, _, _ := s.Footprint(); k != 1 {
 			t.Fatalf("%s: the window compiled to %d kernels, want 1 fused", c.name, k)
@@ -268,7 +268,7 @@ func TestFusionRuleCoverage(t *testing.T) {
 			maskOperands(ref.State, c.ins...)
 			copy(bnd.State, ref.State)
 			ref.Exec(0, int32(len(c.ins)))
-			s.Run(chain)
+			s.Run(bnd, chain)
 			for w := range ref.State {
 				if ref.State[w] != bnd.State[w] {
 					t.Fatalf("%s trial %d: state word %d: sequential %#x vs fused kernel %#x",
@@ -423,7 +423,7 @@ func TestWidthClass2WordMatchesWide(t *testing.T) {
 				p := &Program{NumWords: 16}
 				ref := NewMachine(p)
 				bnd := NewMachine(p)
-				stream := NewStream(bnd)
+				stream := NewStream(p)
 				chain := stream.Append([]Instr{in}, true)
 				if k, recs, _ := stream.Footprint(); k != 1 || recs != 1 {
 					t.Fatalf("op %d shape %+v: %d kernels over %d records, want the 2-word kernel's one record", op, s, k, recs)
@@ -452,7 +452,7 @@ func TestWidthClass2WordMatchesWide(t *testing.T) {
 				copy(bnd.State, ref.State)
 				wide := in
 				ref.execWide(&wide)
-				stream.Run(chain)
+				stream.Run(bnd, chain)
 				for w := range ref.State {
 					if ref.State[w] != bnd.State[w] {
 						t.Fatalf("op %d shape %+v trial %d: state word %d: execWide %#x vs 2-word kernel %#x",

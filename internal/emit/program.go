@@ -134,13 +134,6 @@ type Program struct {
 	// compiled-design cache hands one Program to many sessions).
 	hashOnce sync.Once
 	hash     [32]byte
-
-	// Gang kernel tables, built lazily per lane count by GangKernels and
-	// shared by every GangMachine of that shape (see gang.go). None of this
-	// affects the design hash: gang tables are execution strategy, not
-	// design identity.
-	gangMu      sync.Mutex
-	gangKernels map[int][]GangFn
 }
 
 // CodeBytes returns the emitted code size in bytes (Table IV "Code Size").

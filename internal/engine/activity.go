@@ -90,24 +90,39 @@ const DefaultBranchlessMax = 6
 // every evaluation mode; the equivalence tests enforce this.
 type Activity struct {
 	base
-	part   *partition.Result
-	cfg    ActivityConfig
-	shard  *partition.ShardView // nil with one worker
-	levels int
-	pool   *workerPool
+	pl *ActivityPlan
 	*activationPlan
+	plan *supPlan
+	pool *workerPool
 
-	// Active-bit storage: one concatenated word array, shard-major then
+	active     []uint64 // active bits, in the plan's slot layout
+	prev       []uint64 // shadow of each plan track slot (supPlan.track)
+	wprev      []uint64 // shadow words of the plan's wide slots
+	memScratch []int32
+	ws         []*worker
+}
+
+// ActivityPlan is the essential-signal engine's immutable half: the
+// schedule, the active-bit slot layout, the activation plan and the flat
+// supernode plan with its stream.
+type ActivityPlan struct {
+	t       *tables
+	part    *partition.Result
+	cfg     ActivityConfig
+	threads int
+	shard   *partition.ShardView // nil with one worker
+	levels  int
+
+	// Active-bit layout: one concatenated word array, shard-major then
 	// level-minor, each (shard, level) chunk padded to whole words.
-	active    []uint64
+	words     int32
 	wordLo    [][]int32 // [shard][level] -> first word; [shard][levels] ends it
 	wordChunk []int32   // word -> owning chunk (shard*levels + level)
 	supSlot   []int32   // supernode -> slot (word*64 + bit)
 	slotSup   []int32   // slot -> supernode; -1 for padding bits
 
-	plan       *supPlan
-	memScratch []int32
-	ws         []*worker
+	*activationPlan
+	plan *supPlan
 }
 
 // activationPlan is the supernode-level activation policy: per-node
@@ -217,6 +232,18 @@ func buildActivationPlan(p *emit.Program, part *partition.Result, cfg ActivityCo
 	return pl
 }
 
+// bytes is the plan's resident size.
+func (pl *activationPlan) bytes() int {
+	n := 4*(len(pl.supStart)+len(pl.members)+len(pl.succStart)+len(pl.succSlot)) + len(pl.kind)
+	for _, slots := range pl.memReadSlots {
+		n += 4 * len(slots)
+	}
+	for _, slots := range pl.resetSlots {
+		n += 4*len(slots) + 8
+	}
+	return n
+}
+
 // useBranch is the activation strategy of a node whose reader slots are
 // succSlot[lo:hi].
 func (pl *activationPlan) useBranch(lo, hi int32) bool {
@@ -246,17 +273,16 @@ type worker struct {
 	instrs       uint64
 }
 
-// NewActivity builds the essential-signal engine over a compiled program and
-// a supernode partition of the same graph, swept by threads workers (< 1
-// means one). In the kernel modes every supernode runs through the flat
-// plan (supPlan); EvalInterp selects the per-instruction reference
-// interpreter.
-func NewActivity(p *emit.Program, part *partition.Result, cfg ActivityConfig, threads int, mode EvalMode) *Activity {
+// PlanActivity builds the essential-signal plan over a compiled program and a
+// supernode partition of the same graph, swept by threads workers (< 1 means
+// one). In the kernel modes every supernode runs through the flat plan
+// (supPlan); EvalInterp selects the per-instruction reference interpreter.
+func PlanActivity(p *emit.Program, part *partition.Result, cfg ActivityConfig, threads int, mode EvalMode) *ActivityPlan {
 	threads = max(threads, 1)
 	if cfg.BranchlessMax == 0 {
 		cfg.BranchlessMax = DefaultBranchlessMax
 	}
-	e := &Activity{base: newBase(p), part: part, cfg: cfg}
+	pl := &ActivityPlan{t: newTables(p), part: part, cfg: cfg, threads: threads}
 
 	// chunks[lv][w] lists the supernodes worker w sweeps at level lv,
 	// ascending.
@@ -268,66 +294,105 @@ func NewActivity(p *emit.Program, part *partition.Result, cfg ActivityConfig, th
 		}
 		chunks = [][][]int32{{all}}
 	} else {
-		e.shard = part.ShardOpts(p.Graph, threads,
+		pl.shard = part.ShardOpts(p.Graph, threads,
 			func(id int32) int64 { return int64(p.Code[id].Len()) },
 			partition.CoarsenOptions{Enable: cfg.Coarsen, Grain: cfg.CoarsenGrain})
-		chunks = e.shard.Chunks
-		e.obsLevels = e.shard.Levels
-		e.obsOrigLevels = e.shard.OrigLevels
+		chunks = pl.shard.Chunks
+		pl.t.obsLevels = pl.shard.Levels
+		pl.t.obsOrigLevels = pl.shard.OrigLevels
 	}
-	e.levels = len(chunks)
+	pl.levels = len(chunks)
 
 	// Slot layout: shard-major, level-minor, each chunk padded to whole
 	// words, so no active word is shared between shards or between levels.
-	e.supSlot = make([]int32, part.Count())
-	e.wordLo = make([][]int32, threads)
+	pl.supSlot = make([]int32, part.Count())
+	pl.wordLo = make([][]int32, threads)
 	var words int32
 	for w := 0; w < threads; w++ {
-		e.wordLo[w] = make([]int32, e.levels+1)
+		pl.wordLo[w] = make([]int32, pl.levels+1)
 		for lv := range chunks {
-			e.wordLo[w][lv] = words
+			pl.wordLo[w][lv] = words
 			for i, s := range chunks[lv][w] {
-				e.supSlot[s] = words*64 + int32(i)
+				pl.supSlot[s] = words*64 + int32(i)
 			}
 			words += int32(len(chunks[lv][w])+63) / 64
 		}
-		e.wordLo[w][e.levels] = words
+		pl.wordLo[w][pl.levels] = words
 	}
-	e.active = make([]uint64, words)
-	e.slotSup = make([]int32, int(words)*64)
-	for i := range e.slotSup {
-		e.slotSup[i] = -1
+	pl.words = words
+	pl.slotSup = make([]int32, int(words)*64)
+	for i := range pl.slotSup {
+		pl.slotSup[i] = -1
 	}
-	for s, slot := range e.supSlot {
-		e.slotSup[slot] = int32(s)
+	for s, slot := range pl.supSlot {
+		pl.slotSup[slot] = int32(s)
 	}
-	e.wordChunk = make([]int32, words)
+	pl.wordChunk = make([]int32, words)
 	for w := 0; w < threads; w++ {
-		for lv := 0; lv < e.levels; lv++ {
-			for wi := e.wordLo[w][lv]; wi < e.wordLo[w][lv+1]; wi++ {
-				e.wordChunk[wi] = int32(w*e.levels + lv)
+		for lv := 0; lv < pl.levels; lv++ {
+			for wi := pl.wordLo[w][lv]; wi < pl.wordLo[w][lv+1]; wi++ {
+				pl.wordChunk[wi] = int32(w*pl.levels + lv)
 			}
 		}
 	}
-	e.ws = make([]*worker, threads)
-	for w := range e.ws {
-		e.ws[w] = &worker{e: e, out: make([]uint64, words), dirty: make([]bool, threads*e.levels)}
-	}
 
-	e.activationPlan = buildActivationPlan(p, part, cfg, e.resets, e.supSlot)
-	e.plan = buildSupPlan(p, e.m, e.activationPlan, mode)
-	if !e.plan.kernel {
-		for _, ws := range e.ws {
-			ws.scratch = make([]uint64, e.maxWords)
+	pl.activationPlan = buildActivationPlan(p, part, cfg, pl.t.resets, pl.supSlot)
+	pl.plan = buildSupPlan(p, pl.activationPlan, mode)
+	return pl
+}
+
+// NewEngine builds an essential-signal engine over the plan.
+func (pl *ActivityPlan) NewEngine() Compiled { return pl.newEngine() }
+
+func (pl *ActivityPlan) newEngine() *Activity {
+	e := &Activity{
+		base:           newBase(pl.t),
+		pl:             pl,
+		activationPlan: pl.activationPlan,
+		plan:           pl.plan,
+		active:         make([]uint64, pl.words),
+		prev:           make([]uint64, len(pl.plan.track)),
+		wprev:          make([]uint64, pl.plan.wideWords),
+	}
+	if pl.plan.stream != nil {
+		pl.plan.stream.CheckMachine(e.m)
+	}
+	e.ws = make([]*worker, pl.threads)
+	for w := range e.ws {
+		e.ws[w] = &worker{e: e, out: make([]uint64, pl.words), dirty: make([]bool, pl.threads*pl.levels)}
+		if !pl.plan.kernel {
+			e.ws[w].scratch = make([]uint64, pl.maxWords)
 		}
 	}
-	e.pool = newWorkerPool(threads, e.levels, e.runLevel)
+	e.syncShadows()
+	e.pool = newWorkerPool(pl.threads, pl.levels, e.runLevel)
 	e.activateAll()
 	return e
 }
 
+// Bytes is the plan's resident size.
+func (pl *ActivityPlan) Bytes() int {
+	n := pl.t.bytes() + pl.activationPlan.bytes() + pl.plan.bytes()
+	n += 4 * (len(pl.wordChunk) + len(pl.supSlot) + len(pl.slotSup) + len(pl.wordLo)*(pl.levels+1))
+	if pl.shard != nil {
+		for _, lv := range pl.shard.Chunks {
+			for _, sups := range lv {
+				n += 4 * len(sups)
+			}
+		}
+	}
+	return n
+}
+
+// NewActivity builds an essential-signal engine over its own plan:
+// PlanActivity then NewEngine, for callers that build one engine of a
+// program.
+func NewActivity(p *emit.Program, part *partition.Result, cfg ActivityConfig, threads int, mode EvalMode) *Activity {
+	return PlanActivity(p, part, cfg, threads, mode).newEngine()
+}
+
 func (e *Activity) activateAll() {
-	for _, slot := range e.supSlot {
+	for _, slot := range e.pl.supSlot {
 		e.active[slot>>6] |= uint64(1) << uint(slot&63)
 	}
 }
@@ -348,7 +413,7 @@ func (e *Activity) clearActivity() {
 // lists all return to their post-construction shape, with no recompilation.
 func (e *Activity) Reset() {
 	e.resetBase()
-	e.plan.syncShadows(e.m.State)
+	e.syncShadows()
 	e.clearActivity()
 	e.activateAll()
 	for _, ws := range e.ws {
@@ -410,13 +475,13 @@ func (e *Activity) Step() {
 // source in slot order (chunks are sorted in topological supernode order), so
 // the forward scan misses nothing.
 func (e *Activity) runLevel(w, lv int) {
-	ws := e.ws[w]
-	lo, hi := e.wordLo[w][lv], e.wordLo[w][lv+1]
+	ws, pl := e.ws[w], e.pl
+	lo, hi := pl.wordLo[w][lv], pl.wordLo[w][lv+1]
 	if lo == hi {
 		return
 	}
 	ws.lo, ws.n = uint32(lo)<<6, uint32(hi-lo)<<6
-	chunk := int32(w*e.levels + lv)
+	chunk := int32(w*pl.levels + lv)
 	for _, u := range e.ws {
 		if !u.dirty[chunk] {
 			continue
@@ -428,7 +493,7 @@ func (e *Activity) runLevel(w, lv int) {
 		}
 	}
 	for wi := lo; wi < hi; wi++ {
-		if e.cfg.MultiBitCheck {
+		if pl.cfg.MultiBitCheck {
 			// Listing 4: one test clears 64 bits.
 			ws.examinations++
 			for {
@@ -439,11 +504,11 @@ func (e *Activity) runLevel(w, lv int) {
 				b := bits.TrailingZeros64(word)
 				e.active[wi] &^= uint64(1) << uint(b)
 				ws.examinations++
-				ws.evalSupernode(e.slotSup[int(wi)<<6+b])
+				ws.evalSupernode(pl.slotSup[int(wi)<<6+b])
 			}
 		} else {
 			for b := 0; b < 64; b++ {
-				s := e.slotSup[int(wi)<<6+b]
+				s := pl.slotSup[int(wi)<<6+b]
 				if s < 0 {
 					break // padding tail; real slots are packed low
 				}
@@ -466,18 +531,20 @@ func (ws *worker) evalSupernode(s int32) {
 	pl := e.plan
 	st := e.m.State
 	if pl.kernel {
-		r, end := pl.sweep(s)
+		r, end := pl.sweep(e.m, s)
 		ws.nodeEvals += uint64(r.nodes)
 		ws.instrs += uint64(r.instrs)
-		for i := r.track; i < end.track; i++ {
-			t := &pl.track[i]
+		track, prev := pl.track[r.track:end.track], e.prev[r.track:end.track]
+		prev = prev[:len(track)]
+		for i := range track {
+			t := &track[i]
 			v := st[t.off]
-			ws.activate(t.succ, t.succEnd, t.branch, v^t.prev)
-			t.prev = v
+			ws.activate(t.succ, t.succEnd, t.branch, v^prev[i])
+			prev[i] = v
 		}
 		for i := r.wide; i < end.wide; i++ {
 			t := &pl.wide[i]
-			ws.activate(t.succ, t.succEnd, t.branch, pl.wideDiff(st, t))
+			ws.activate(t.succ, t.succEnd, t.branch, wideDiff(st, e.wprev, t))
 		}
 		ws.pending = pl.queueRegs(st, r.reg, end.reg, ws.pending)
 		return
@@ -534,7 +601,7 @@ func (ws *worker) activate(start, end int32, branch bool, diff uint64) {
 			continue
 		}
 		ws.out[slot>>6] |= bit
-		ws.dirty[e.wordChunk[slot>>6]] = true
+		ws.dirty[e.pl.wordChunk[slot>>6]] = true
 	}
 	ws.activations += uint64(end - start)
 }
@@ -572,7 +639,7 @@ func (e *Activity) Close() { e.pool.Close() }
 // Shard exposes the engine's thread-shard view (chunk membership and weight
 // metadata) for diagnostics; nil with one worker, whose schedule is a single
 // level of every supernode.
-func (e *Activity) Shard() *partition.ShardView { return e.shard }
+func (e *Activity) Shard() *partition.ShardView { return e.pl.shard }
 
 func wordsEqual(st []uint64, a, b, w int32) bool {
 	for i := int32(0); i < w; i++ {

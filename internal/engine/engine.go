@@ -16,6 +16,12 @@
 // One worker is the degenerate schedule of both: a single level, run inline
 // on the caller with no goroutine and no barrier.
 //
+// Each engine splits into an immutable Plan — kernel stream, schedule, slot
+// layout, activation tables — built once per compiled design, and the
+// per-engine state an engine of the plan owns: machine, active bits, shadows,
+// worker scratch. Lanes steps K engines of one plan in lockstep, the
+// multi-stimulus session; a scalar session is its one-lane case.
+//
 // All engines run the same compiled emit.Program and must produce identical
 // state trajectories; the test suite enforces this on randomized circuits.
 package engine
@@ -85,24 +91,45 @@ type Tracer interface {
 	Snapshot(st []uint64)
 }
 
-// base carries the plumbing shared by every engine.
-type base struct {
-	g      *ir.Graph
-	m      *emit.Machine
+// Plan is the immutable half of an engine: every table a compiled program
+// and its schedule determine — kernel streams, slot layouts, activation
+// lists, register and reset lists. A compiled design builds its plan once,
+// and every engine of the design (every session, every lane) reads it
+// concurrently; an engine owns only its mutable state.
+type Plan interface {
+	// NewEngine builds an engine over the plan. It allocates the engine's
+	// machine and bookkeeping and compiles nothing.
+	NewEngine() Compiled
+	// Bytes is the plan's resident size: its stream and tables.
+	Bytes() int
+}
+
+// tables are the engine-independent part of every plan.
+type tables struct {
+	p      *emit.Program
 	regs   []int32 // register node IDs
 	writes []int32 // memory write-port node IDs
 	coded  []int32 // all node IDs with evaluation work, in ID (== topo) order
 	resets []resetGroup
+
+	// The barrier schedule's shape, reported by multi-worker engines (see
+	// obs.go); zero with one worker.
+	obsLevels     int
+	obsOrigLevels int
+}
+
+// base carries the per-engine plumbing shared by every engine: the machine,
+// tracer and counters over the plan's tables.
+type base struct {
+	*tables
+	m      *emit.Machine
 	tracer Tracer
 	stats  Stats
 
-	// Observability plumbing (see obs.go): the attached process-wide bundle,
-	// the stats image as of the last flush, and the barrier-schedule shape
-	// level-scheduled engines report.
-	obs           *Metrics
-	obsFlushed    Stats
-	obsLevels     int
-	obsOrigLevels int
+	// Observability plumbing (see obs.go): the attached process-wide bundle
+	// and the stats image as of the last flush.
+	obs        *Metrics
+	obsFlushed Stats
 }
 
 // resetGroup is the set of registers sharing one extracted reset signal.
@@ -115,30 +142,44 @@ type resetGroup struct {
 	regs []int32
 }
 
-func newBase(p *emit.Program) base {
-	b := base{g: p.Graph, m: emit.NewMachine(p)}
+func newTables(p *emit.Program) *tables {
+	t := &tables{p: p}
 	bySig := map[int32]int{}
 	for _, n := range p.Graph.Nodes {
 		if n.HasCode() {
-			b.coded = append(b.coded, int32(n.ID))
+			t.coded = append(t.coded, int32(n.ID))
 		}
 		switch n.Kind {
 		case ir.KindReg:
-			b.regs = append(b.regs, int32(n.ID))
+			t.regs = append(t.regs, int32(n.ID))
 			if n.ResetSig != nil {
 				sig := int32(n.ResetSig.ID)
 				gi, ok := bySig[sig]
 				if !ok {
-					gi = len(b.resets)
+					gi = len(t.resets)
 					bySig[sig] = gi
-					b.resets = append(b.resets, resetGroup{sig: sig})
+					t.resets = append(t.resets, resetGroup{sig: sig})
 				}
-				b.resets[gi].regs = append(b.resets[gi].regs, int32(n.ID))
+				t.resets[gi].regs = append(t.resets[gi].regs, int32(n.ID))
 			}
 		case ir.KindMemWrite:
-			b.writes = append(b.writes, int32(n.ID))
+			t.writes = append(t.writes, int32(n.ID))
 		}
 	}
+	return t
+}
+
+// bytes is the tables' resident size.
+func (t *tables) bytes() int {
+	n := 4 * (len(t.regs) + len(t.writes) + len(t.coded))
+	for _, rg := range t.resets {
+		n += 4 * len(rg.regs)
+	}
+	return n
+}
+
+func newBase(t *tables) base {
+	b := base{tables: t, m: emit.NewMachine(t.p)}
 	b.stats.EvaluableNodes = uint64(len(b.coded))
 	return b
 }
@@ -237,8 +278,7 @@ func (b *base) commitWrites(changed []int32) []int32 {
 		if st[p.WEnOff[id]] == 0 {
 			continue
 		}
-		n := b.g.Nodes[id]
-		memID := n.Mem.ID
+		memID := p.Graph.Nodes[id].Mem.ID
 		spec := &p.Mems[memID]
 		addr := st[p.WAddrOff[id]]
 		if addr >= uint64(spec.Depth) {

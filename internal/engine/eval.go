@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"unsafe"
 
 	"gsim/internal/emit"
 	"gsim/internal/ir"
@@ -24,7 +25,7 @@ const (
 	// pinned against, and the fallback to reach for when debugging.
 	EvalInterp
 	// EvalKernelNoFuse is the kernel path without superinstruction fusion:
-	// every engine compiles the same streams as under EvalKernel with the
+	// every plan compiles the same streams as under EvalKernel with the
 	// fusion walk switched off (one kernel per instruction, width classes
 	// kept). It exists as
 	// the measurable baseline for fusion (BenchmarkKernelVsInterp's kernel vs
@@ -58,36 +59,37 @@ func ParseEvalMode(s string) (EvalMode, error) {
 }
 
 // supPlan is the flat, pre-resolved form of every supernode, built once per
-// Activity engine in every evaluation mode. All supernode chains are appended
-// to one emit.Stream; sups[s] and sups[s+1] bracket supernode s's kernels in
-// it and its ranges in the slot arrays (CSR, with a sentinel record at the
-// end), so evaluating a
-// supernode touches one small record and a few contiguous runs instead of a
-// separately allocated slice bundle.
+// ActivityPlan in every evaluation mode and shared by every engine of it.
+// All supernode chains are appended to one emit.Stream; sups[s] and
+// sups[s+1] bracket supernode s's kernels in it and its ranges in the slot
+// arrays (CSR, with a sentinel record at the end), so evaluating a supernode
+// touches one small record and a few contiguous runs instead of a separately
+// allocated slice bundle.
 //
 // Change detection is a shadow compare (paper Listing 2: if new != old,
-// activate). A member's value slot is written only by that member's own
-// instructions, so between evaluations the shadow word kept in its slot
-// equals the state word: nothing is parked before the sweep, and after it
-// the slot compares, re-syncs, and activates through successor ranges
-// resolved at build time. Anything that rewrites the state image wholesale
-// (Reset, RestoreState) must call syncShadows. Fusion across member
-// boundaries inside a chain is safe for the same reason: a fused kernel
-// performs exactly the stores of its source instructions, in order.
+// activate). Each engine keeps one shadow word per track slot (Activity.prev,
+// indexed like track) and the wide slots' words (Activity.wprev). A member's
+// value slot is written only by that member's own instructions, so between
+// evaluations the shadow equals the state word: nothing is parked before the
+// sweep, and after it the slot compares, re-syncs, and activates through
+// successor ranges resolved at build time. Anything that rewrites the state
+// image wholesale (Reset, RestoreState) must call syncShadows. Fusion across
+// member boundaries inside a chain is safe for the same reason: a fused
+// kernel performs exactly the stores of its source instructions, in order.
 //
 // Members with no reader supernode get no slot. Under EvalKernelNoFuse the
 // plan is the same with the fusion walk disabled; under EvalInterp only the
 // register slots are built (the interpreter sweep walks members itself and
 // consumes a supernode's register slots in member order).
 type supPlan struct {
-	kernel bool // chains and change-tracking slots are built (not EvalInterp)
-	sups   []supRec
-	stream *emit.Stream // nil under EvalInterp
-	track  []trackSlot
-	wide   []wideSlot
-	wprev  []uint64 // shadow words of the wide slots
-	regs   []regSlot
-	regID  []int32 // regs[i]'s node ID: snapshots carry pending registers as node IDs
+	kernel    bool // chains and change-tracking slots are built (not EvalInterp)
+	sups      []supRec
+	stream    *emit.Stream // nil under EvalInterp
+	track     []trackSlot
+	wide      []wideSlot
+	wideWords int32 // shadow words the wide slots need
+	regs      []regSlot
+	regID     []int32 // regs[i]'s node ID: snapshots carry pending registers as node IDs
 }
 
 // supRec is one supernode: its first stream record, the first index of
@@ -99,17 +101,16 @@ type supRec struct {
 }
 
 // trackSlot is one change-tracked 1-word member (comb or memory read port):
-// its state word, its shadow, and its activation strategy and successor
-// range in the engine's successor arrays (activationPlan.succSlot space).
+// its state word, and its activation strategy and successor range in the
+// successor arrays (activationPlan.succSlot space).
 type trackSlot struct {
 	off           int32
 	succ, succEnd int32
 	branch        bool
-	prev          uint64
 }
 
 // wideSlot is the rare multi-word change-tracked member; its shadow words
-// are wprev[prev : prev+w].
+// are an engine's wprev[prev : prev+w].
 type wideSlot struct {
 	off, w, prev  int32
 	succ, succEnd int32
@@ -123,14 +124,13 @@ type regSlot struct {
 	succ, succEnd int32
 }
 
-// buildSupPlan flattens the activation plan's supernodes against machine m.
-func buildSupPlan(p *emit.Program, m *emit.Machine, ap *activationPlan, mode EvalMode) *supPlan {
+// buildSupPlan flattens the activation plan's supernodes.
+func buildSupPlan(p *emit.Program, ap *activationPlan, mode EvalMode) *supPlan {
 	nSups := len(ap.supStart) - 1
 	pl := &supPlan{kernel: mode != EvalInterp, sups: make([]supRec, nSups+1)}
 	if pl.kernel {
-		pl.stream = emit.NewStream(m)
+		pl.stream = emit.NewStream(p)
 	}
-	var wprev int32
 	for s := range pl.sups {
 		r := &pl.sups[s]
 		r.track, r.wide, r.reg = int32(len(pl.track)), int32(len(pl.wide)), int32(len(pl.regs))
@@ -162,52 +162,61 @@ func buildSupPlan(p *emit.Program, m *emit.Machine, ap *activationPlan, mode Eva
 				pl.track = append(pl.track, trackSlot{off: p.Off[id], succ: lo, succEnd: hi, branch: ap.useBranch(lo, hi)})
 			default:
 				w := p.WordsOf[id]
-				pl.wide = append(pl.wide, wideSlot{off: p.Off[id], w: w, prev: wprev, succ: lo, succEnd: hi, branch: ap.useBranch(lo, hi)})
-				wprev += w
+				pl.wide = append(pl.wide, wideSlot{off: p.Off[id], w: w, prev: pl.wideWords, succ: lo, succEnd: hi, branch: ap.useBranch(lo, hi)})
+				pl.wideWords += w
 			}
 		}
 	}
 	// Append growth leaves up to a quarter of each array unused; the plan
-	// lives as long as the engine, so trim to size.
+	// lives as long as its design, so trim to size.
 	if pl.kernel {
 		pl.stream.Trim()
 	}
 	pl.track, pl.wide = clip(pl.track), clip(pl.wide)
 	pl.regs, pl.regID = clip(pl.regs), clip(pl.regID)
-	pl.wprev = make([]uint64, wprev)
-	pl.syncShadows(m.State)
 	return pl
 }
 
 func clip[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
 
+// bytes is the plan's resident size: its stream and slot tables.
+func (pl *supPlan) bytes() int {
+	n := len(pl.sups)*int(unsafe.Sizeof(supRec{})) + len(pl.track)*int(unsafe.Sizeof(trackSlot{})) +
+		len(pl.wide)*int(unsafe.Sizeof(wideSlot{})) + len(pl.regs)*int(unsafe.Sizeof(regSlot{})) + 4*len(pl.regID)
+	if pl.stream != nil {
+		_, _, b := pl.stream.Footprint()
+		n += b
+	}
+	return n
+}
+
 // syncShadows re-derives every shadow word from the state image.
-func (pl *supPlan) syncShadows(st []uint64) {
+func (e *Activity) syncShadows() {
+	st, pl := e.m.State, e.plan
 	for i := range pl.track {
-		t := &pl.track[i]
-		t.prev = st[t.off]
+		e.prev[i] = st[pl.track[i].off]
 	}
 	for i := range pl.wide {
 		t := &pl.wide[i]
-		copy(pl.wprev[t.prev:t.prev+t.w], st[t.off:t.off+t.w])
+		copy(e.wprev[t.prev:t.prev+t.w], st[t.off:t.off+t.w])
 	}
 }
 
-// sweep runs supernode s's chain and returns the records bracketing its
-// slot ranges.
-func (pl *supPlan) sweep(s int32) (r, end *supRec) {
+// sweep runs supernode s's chain on machine m and returns the records
+// bracketing its slot ranges.
+func (pl *supPlan) sweep(m *emit.Machine, s int32) (r, end *supRec) {
 	r, end = &pl.sups[s], &pl.sups[s+1]
-	pl.stream.Run(emit.Span{K: r.k, KEnd: end.k, Rec: r.rec})
+	pl.stream.Run(m, emit.Span{K: r.k, KEnd: end.k, Rec: r.rec})
 	return r, end
 }
 
-// wideDiff returns the XOR difference of a wide slot against its shadow and
-// re-syncs the shadow.
-func (pl *supPlan) wideDiff(st []uint64, t *wideSlot) (diff uint64) {
+// wideDiff returns the XOR difference of a wide slot against its shadow
+// words in wprev and re-syncs them.
+func wideDiff(st, wprev []uint64, t *wideSlot) (diff uint64) {
 	for i := int32(0); i < t.w; i++ {
 		v := st[t.off+i]
-		diff |= v ^ pl.wprev[t.prev+i]
-		pl.wprev[t.prev+i] = v
+		diff |= v ^ wprev[t.prev+i]
+		wprev[t.prev+i] = v
 	}
 	return diff
 }

@@ -4,20 +4,19 @@ import "fmt"
 
 // CheckShadows asserts the shadow-compare invariant the flat supernode plan
 // rests on: between Steps every tracked slot's shadow equals its state word.
-func (a *Activity) CheckShadows() error { return a.plan.checkShadows(a.m.State) }
-
-func (pl *supPlan) checkShadows(st []uint64) error {
+func (a *Activity) CheckShadows() error {
+	st, pl := a.m.State, a.plan
 	for i := range pl.track {
-		if t := &pl.track[i]; t.prev != st[t.off] {
-			return fmt.Errorf("track slot %d (state word %d): shadow %#x, state %#x", i, t.off, t.prev, st[t.off])
+		if t := &pl.track[i]; a.prev[i] != st[t.off] {
+			return fmt.Errorf("track slot %d (state word %d): shadow %#x, state %#x", i, t.off, a.prev[i], st[t.off])
 		}
 	}
 	for i := range pl.wide {
 		t := &pl.wide[i]
 		for k := int32(0); k < t.w; k++ {
-			if pl.wprev[t.prev+k] != st[t.off+k] {
+			if a.wprev[t.prev+k] != st[t.off+k] {
 				return fmt.Errorf("wide slot %d word %d (state word %d): shadow %#x, state %#x",
-					i, k, t.off+k, pl.wprev[t.prev+k], st[t.off+k])
+					i, k, t.off+k, a.wprev[t.prev+k], st[t.off+k])
 			}
 		}
 	}

@@ -20,28 +20,36 @@ import (
 // caller.
 //
 // In the kernel modes every (level, worker) chunk compiles into one chain of
-// the engine's stream (width classes, and superinstructions unless the mode
-// is kernel-nofuse), so a worker's share of a level is a single sweep with
-// no per-node range lookups.
+// the plan's stream (width classes, and superinstructions unless the mode is
+// kernel-nofuse), so a worker's share of a level is a single sweep with no
+// per-node range lookups.
 type FullCycle struct {
 	base
-	chunks     [][][]int32 // level -> worker -> node IDs
-	stream     *emit.Stream
-	chains     [][]emit.Span // kernel modes: level -> worker -> chain; nil under EvalInterp
+	pl         *FullCyclePlan
 	pool       *workerPool
 	memScratch []int32
 }
 
-// NewFullCycle builds a full-cycle engine for a compiled program, swept by
+// FullCyclePlan is the full-cycle engine's immutable half: the schedule and,
+// in the kernel modes, the stream of its chains.
+type FullCyclePlan struct {
+	t       *tables
+	threads int
+	chunks  [][][]int32 // level -> worker -> node IDs
+	stream  *emit.Stream
+	chains  [][]emit.Span // kernel modes: level -> worker -> chain; nil under EvalInterp
+}
+
+// PlanFullCycle builds the full-cycle plan for a compiled program, swept by
 // threads workers (< 1 means one). The program's graph must have been
 // compacted in topological order (core.Build guarantees this). byLevel is
 // the graph's levelization (ir.Graph.Levelize), which only a multi-worker
 // schedule reads: one worker may pass nil.
-func NewFullCycle(p *emit.Program, byLevel [][]int32, threads int, mode EvalMode) *FullCycle {
+func PlanFullCycle(p *emit.Program, byLevel [][]int32, threads int, mode EvalMode) *FullCyclePlan {
 	threads = max(threads, 1)
-	e := &FullCycle{base: newBase(p)}
+	pl := &FullCyclePlan{t: newTables(p), threads: threads}
 	if threads == 1 {
-		e.chunks = [][][]int32{{e.coded}}
+		pl.chunks = [][][]int32{{pl.t.coded}}
 	} else {
 		// Split each level into per-worker chunks, skipping nodes with no
 		// code and balancing by instruction count.
@@ -67,34 +75,68 @@ func NewFullCycle(p *emit.Program, byLevel [][]int32, threads int, mode EvalMode
 					}
 				}
 			}
-			e.chunks = append(e.chunks, chunk)
+			pl.chunks = append(pl.chunks, chunk)
 		}
-		e.obsLevels = len(e.chunks)
-		e.obsOrigLevels = len(e.chunks)
+		pl.t.obsLevels = len(pl.chunks)
+		pl.t.obsOrigLevels = len(pl.chunks)
 	}
 	if mode != EvalInterp {
-		e.stream = emit.NewStream(e.m)
-		e.chains = make([][]emit.Span, len(e.chunks))
-		for lv, chunk := range e.chunks {
-			e.chains[lv] = make([]emit.Span, threads)
+		pl.stream = emit.NewStream(p)
+		pl.chains = make([][]emit.Span, len(pl.chunks))
+		for lv, chunk := range pl.chunks {
+			pl.chains[lv] = make([]emit.Span, threads)
 			for w, ids := range chunk {
-				e.chains[lv][w] = e.stream.AppendNodes(ids, mode == EvalKernel)
+				pl.chains[lv][w] = pl.stream.AppendNodes(ids, mode == EvalKernel)
 			}
 		}
-		e.stream.Trim()
+		pl.stream.Trim()
 	}
-	e.pool = newWorkerPool(threads, len(e.chunks), e.runLevel)
+	return pl
+}
+
+// NewEngine builds a full-cycle engine over the plan.
+func (pl *FullCyclePlan) NewEngine() Compiled { return pl.newEngine() }
+
+func (pl *FullCyclePlan) newEngine() *FullCycle {
+	e := &FullCycle{base: newBase(pl.t), pl: pl}
+	if pl.stream != nil {
+		pl.stream.CheckMachine(e.m)
+	}
+	e.pool = newWorkerPool(pl.threads, len(pl.chunks), e.runLevel)
 	return e
+}
+
+// Bytes is the plan's resident size.
+func (pl *FullCyclePlan) Bytes() int {
+	n := pl.t.bytes()
+	if pl.threads > 1 {
+		for _, lv := range pl.chunks {
+			for _, ids := range lv {
+				n += 4 * len(ids)
+			}
+		}
+	}
+	if pl.stream != nil {
+		_, _, b := pl.stream.Footprint()
+		n += b + 12*pl.threads*len(pl.chains)
+	}
+	return n
+}
+
+// NewFullCycle builds a full-cycle engine over its own plan: PlanFullCycle
+// then NewEngine, for callers that build one engine of a program.
+func NewFullCycle(p *emit.Program, byLevel [][]int32, threads int, mode EvalMode) *FullCycle {
+	return PlanFullCycle(p, byLevel, threads, mode).newEngine()
 }
 
 // runLevel executes worker w's chunk of level lv.
 func (e *FullCycle) runLevel(w, lv int) {
-	if e.chains != nil {
-		e.stream.Run(e.chains[lv][w])
+	if e.pl.chains != nil {
+		e.pl.stream.Run(e.m, e.pl.chains[lv][w])
 		return
 	}
-	for _, id := range e.chunks[lv][w] {
-		e.m.ExecRange(e.m.Prog.Code[id])
+	for _, id := range e.pl.chunks[lv][w] {
+		e.m.ExecRange(e.p.Code[id])
 	}
 }
 
@@ -108,7 +150,7 @@ func (e *FullCycle) Step() {
 	e.stats.Cycles++
 	e.pool.cycle()
 	e.stats.NodeEvals += uint64(len(e.coded))
-	e.countInstrs(uint64(len(e.m.Prog.Instrs)))
+	e.countInstrs(uint64(len(e.p.Instrs)))
 	e.commitRegs()
 	e.memScratch = e.commitWrites(e.memScratch[:0])
 	e.applyResets(nil)

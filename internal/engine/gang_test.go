@@ -2,16 +2,18 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"gsim/internal/bitvec"
 	"gsim/internal/emit"
 	"gsim/internal/ir"
+	"gsim/internal/partition"
 	"gsim/internal/trace"
 )
 
-// buildGangDesign compiles a design that exercises every gang execution
+// buildGangDesign compiles a design that exercises every lane execution
 // shape: narrow ALU work, a mux-gated accumulator, a wide (>64-bit) datapath,
 // a memory with read and write ports, and an extracted reset group.
 func buildGangDesign(t *testing.T) (*emit.Program, *ir.Graph) {
@@ -46,9 +48,29 @@ func buildGangDesign(t *testing.T) (*emit.Program, *ir.Graph) {
 	return p, b.G
 }
 
-// pokeInputs drives the same random stimulus into one gang lane and its
-// scalar twin.
-func pokeInputs(g *Gang, lane int, twin *FullCycle, graph *ir.Graph, rng *rand.Rand) {
+// lanePlans are the plans a lane can run on the gang design, one per engine
+// kind: the full-cycle engine (the verilator preset's) and the
+// essential-signal engine (gsim's).
+func lanePlans(p *emit.Program, g *ir.Graph) map[string]Plan {
+	return map[string]Plan{
+		"fullcycle": PlanFullCycle(p, nil, 1, EvalKernel),
+		"activity": PlanActivity(p, partition.Build(g, partition.Enhanced, 4),
+			ActivityConfig{MultiBitCheck: true, Activation: ActCostModel}, 1, EvalKernel),
+	}
+}
+
+// newLanes builds k lanes over one plan.
+func newLanes(pl Plan, k int) *Lanes {
+	engs := make([]Compiled, k)
+	for l := range engs {
+		engs[l] = pl.NewEngine()
+	}
+	return NewLanes(engs)
+}
+
+// pokeInputs drives the same random stimulus into one lane and its scalar
+// twin.
+func pokeInputs(g *Lanes, lane int, twin Compiled, graph *ir.Graph, rng *rand.Rand) {
 	for _, name := range []string{"en", "d", "rst", "waddr", "wen"} {
 		n := graph.FindNode(name)
 		var v bitvec.BV
@@ -65,157 +87,169 @@ func pokeInputs(g *Gang, lane int, twin *FullCycle, graph *ir.Graph, rng *rand.R
 	}
 }
 
-// requireLaneEqualsTwin compares a gang lane's complete state (image, mems,
-// stats, executed counter) against its scalar twin.
-func requireLaneEqualsTwin(t *testing.T, g *Gang, lane int, twin *FullCycle, cycle int) {
+// requireLaneEqualsTwin compares a lane's complete state (image, mems,
+// stats, executed counter, activity arming) against its scalar twin's.
+func requireLaneEqualsTwin(t *testing.T, g *Lanes, lane int, twin Compiled, cycle int) {
 	t.Helper()
 	st, err := g.CaptureLane(lane)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := twin.Machine()
+	tw := twin.CaptureState()
 	for w := range st.State {
-		if st.State[w] != tm.State[w] {
-			t.Fatalf("cycle %d lane %d: state word %d = %#x, twin %#x", cycle, lane, w, st.State[w], tm.State[w])
+		if st.State[w] != tw.State[w] {
+			t.Fatalf("cycle %d lane %d: state word %d = %#x, twin %#x", cycle, lane, w, st.State[w], tw.State[w])
 		}
 	}
 	for mi := range st.Mems {
 		for j := range st.Mems[mi] {
-			if st.Mems[mi][j] != tm.Mems[mi][j] {
-				t.Fatalf("cycle %d lane %d: mem %d word %d = %#x, twin %#x", cycle, lane, mi, j, st.Mems[mi][j], tm.Mems[mi][j])
+			if st.Mems[mi][j] != tw.Mems[mi][j] {
+				t.Fatalf("cycle %d lane %d: mem %d word %d = %#x, twin %#x", cycle, lane, mi, j, st.Mems[mi][j], tw.Mems[mi][j])
 			}
 		}
 	}
-	if st.Executed != tm.Executed {
-		t.Fatalf("cycle %d lane %d: executed %d, twin %d", cycle, lane, st.Executed, tm.Executed)
+	if st.Executed != tw.Executed {
+		t.Fatalf("cycle %d lane %d: executed %d, twin %d", cycle, lane, st.Executed, tw.Executed)
 	}
-	if st.Stats != *twin.Stats() {
-		t.Fatalf("cycle %d lane %d: stats %+v, twin %+v", cycle, lane, st.Stats, *twin.Stats())
+	if st.Stats != tw.Stats {
+		t.Fatalf("cycle %d lane %d: stats %+v, twin %+v", cycle, lane, st.Stats, tw.Stats)
+	}
+	if fmt.Sprint(st.SupCount, st.ActiveSups, st.PendingRegs) != fmt.Sprint(tw.SupCount, tw.ActiveSups, tw.PendingRegs) {
+		t.Fatalf("cycle %d lane %d: arming %d %v %v, twin %d %v %v", cycle, lane,
+			st.SupCount, st.ActiveSups, st.PendingRegs, tw.SupCount, tw.ActiveSups, tw.PendingRegs)
 	}
 }
 
-// TestGangLockstepScalar drives each lane of a 4-lane gang with its own
-// random stimulus and checks every lane stays bit-identical — state, mems,
-// stats, waveform — to a scalar FullCycle twin fed the same stimulus.
+// TestGangLockstepScalar drives each lane of 4-lane sets of both engine
+// kinds with its own random stimulus and checks every lane stays
+// bit-identical — state, mems, stats, waveform — to a scalar twin of its own
+// kind fed the same stimulus.
 func TestGangLockstepScalar(t *testing.T) {
 	p, graph := buildGangDesign(t)
-	const k = 4
-	g := NewGang(p, k)
-	defer g.Close()
-
-	twins := make([]*FullCycle, k)
-	rngs := make([]*rand.Rand, k)
-	var gangVCD, twinVCD [k]*bytes.Buffer
-	for l := 0; l < k; l++ {
-		twins[l] = NewFullCycle(p, nil, 1, EvalKernel)
-		rngs[l] = rand.New(rand.NewSource(int64(100 + l)))
-		gangVCD[l], twinVCD[l] = &bytes.Buffer{}, &bytes.Buffer{}
-		gv, err := trace.NewVCD(gangVCD[l], p, nil, trace.Options{Sync: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tv, err := trace.NewVCD(twinVCD[l], p, nil, trace.Options{Sync: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.AttachLaneTracer(l, gv)
-		twins[l].AttachTracer(tv)
-	}
-
-	const cycles = 50
-	for c := 0; c < cycles; c++ {
+	for kind, pl := range lanePlans(p, graph) {
+		const k = 4
+		g := newLanes(pl, k)
+		twins := make([]Compiled, k)
+		rngs := make([]*rand.Rand, k)
+		var gangVCD, twinVCD [k]*bytes.Buffer
 		for l := 0; l < k; l++ {
-			pokeInputs(g, l, twins[l], graph, rngs[l])
+			twins[l] = pl.NewEngine()
+			rngs[l] = rand.New(rand.NewSource(int64(100 + l)))
+			gangVCD[l], twinVCD[l] = &bytes.Buffer{}, &bytes.Buffer{}
+			gv, err := trace.NewVCD(gangVCD[l], p, nil, trace.Options{Sync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tv, err := trace.NewVCD(twinVCD[l], p, nil, trace.Options{Sync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.AttachLaneTracer(l, gv)
+			twins[l].AttachTracer(tv)
 		}
-		g.Step()
+
+		const cycles = 50
+		for c := 0; c < cycles; c++ {
+			for l := 0; l < k; l++ {
+				pokeInputs(g, l, twins[l], graph, rngs[l])
+			}
+			g.Step()
+			for l := 0; l < k; l++ {
+				twins[l].Step()
+				requireLaneEqualsTwin(t, g, l, twins[l], c)
+			}
+		}
 		for l := 0; l < k; l++ {
-			twins[l].Step()
-			requireLaneEqualsTwin(t, g, l, twins[l], c)
+			if !bytes.Equal(gangVCD[l].Bytes(), twinVCD[l].Bytes()) {
+				t.Fatalf("%s lane %d VCD diverges from scalar twin (%d vs %d bytes)", kind, l, gangVCD[l].Len(), twinVCD[l].Len())
+			}
 		}
-	}
-	for l := 0; l < k; l++ {
-		if !bytes.Equal(gangVCD[l].Bytes(), twinVCD[l].Bytes()) {
-			t.Fatalf("lane %d VCD diverges from scalar twin (%d vs %d bytes)", l, gangVCD[l].Len(), twinVCD[l].Len())
+		if g.Cycles() != cycles {
+			t.Fatalf("%s: lockstep cycles = %d, want %d", kind, g.Cycles(), cycles)
 		}
-	}
-	if agg := g.AggregateStats(); agg.Cycles != k*cycles {
-		t.Fatalf("aggregate cycles = %d, want %d", agg.Cycles, k*cycles)
+		g.Close()
 	}
 }
 
 // TestGangParkWake parks and wakes lanes at random and checks a parked lane
 // freezes completely (its twin is stepped only on the lane's live cycles) and
-// resumes bit-identically.
+// resumes bit-identically, for both engine kinds.
 func TestGangParkWake(t *testing.T) {
 	p, graph := buildGangDesign(t)
-	const k = 3
-	g := NewGang(p, k)
-	defer g.Close()
-	twins := make([]*FullCycle, k)
-	rngs := make([]*rand.Rand, k)
-	for l := 0; l < k; l++ {
-		twins[l] = NewFullCycle(p, nil, 1, EvalKernel)
-		rngs[l] = rand.New(rand.NewSource(int64(200 + l)))
-	}
-	ctrl := rand.New(rand.NewSource(42))
-	for c := 0; c < 80; c++ {
+	for kind, pl := range lanePlans(p, graph) {
+		const k = 3
+		g := newLanes(pl, k)
+		twins := make([]Compiled, k)
+		rngs := make([]*rand.Rand, k)
 		for l := 0; l < k; l++ {
-			if ctrl.Intn(4) == 0 {
-				g.SetLive(l, !g.Live(l))
+			twins[l] = pl.NewEngine()
+			rngs[l] = rand.New(rand.NewSource(int64(200 + l)))
+		}
+		ctrl := rand.New(rand.NewSource(42))
+		live := func(l int) bool { return g.LiveMask()>>l&1 != 0 }
+		for c := 0; c < 80; c++ {
+			for l := 0; l < k; l++ {
+				if ctrl.Intn(4) == 0 {
+					g.SetLive(l, !live(l))
+				}
+			}
+			for l := 0; l < k; l++ {
+				if live(l) {
+					// Stimulus only lands on live lanes so the twin stream stays
+					// aligned; a parked lane's inputs freeze with the rest of it.
+					pokeInputs(g, l, twins[l], graph, rngs[l])
+				}
+			}
+			g.Step()
+			for l := 0; l < k; l++ {
+				if live(l) {
+					twins[l].Step()
+				}
+				requireLaneEqualsTwin(t, g, l, twins[l], c)
 			}
 		}
-		for l := 0; l < k; l++ {
-			if g.Live(l) {
-				// Stimulus only lands on live lanes so the twin stream stays
-				// aligned; a parked lane's inputs freeze with the rest of it.
-				pokeInputs(g, l, twins[l], graph, rngs[l])
-			}
+		if g.Cycles() != 80 {
+			t.Fatalf("%s: lockstep cycles = %d, want 80", kind, g.Cycles())
 		}
-		g.Step()
-		for l := 0; l < k; l++ {
-			if g.Live(l) {
-				twins[l].Step()
-			}
-			requireLaneEqualsTwin(t, g, l, twins[l], c)
-		}
-	}
-	if g.Cycles() != 80 {
-		t.Fatalf("gang cycles = %d, want 80", g.Cycles())
+		g.Close()
 	}
 }
 
 // TestGangLaneReset checks ResetLane restores power-on state for one lane
-// without disturbing the others, and Reset restores the whole gang.
+// without disturbing the others, and Reset restores every lane.
 func TestGangLaneReset(t *testing.T) {
 	p, graph := buildGangDesign(t)
-	g := NewGang(p, 2)
-	defer g.Close()
-	rng := rand.New(rand.NewSource(7))
-	for c := 0; c < 10; c++ {
-		pokeInputs(g, 0, nil, graph, rng)
-		pokeInputs(g, 1, nil, graph, rng)
-		g.Step()
-	}
-	before1, err := g.CaptureLane(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keep := append([]uint64(nil), before1.State...)
-	g.ResetLane(0)
-	fresh := NewFullCycle(p, nil, 1, EvalKernel)
-	requireLaneEqualsTwin(t, g, 0, fresh, -1)
-	after1, err := g.CaptureLane(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := range keep {
-		if keep[w] != after1.State[w] {
-			t.Fatalf("ResetLane(0) disturbed lane 1 at word %d", w)
+	for kind, pl := range lanePlans(p, graph) {
+		g := newLanes(pl, 2)
+		rng := rand.New(rand.NewSource(7))
+		for c := 0; c < 10; c++ {
+			pokeInputs(g, 0, nil, graph, rng)
+			pokeInputs(g, 1, nil, graph, rng)
+			g.Step()
 		}
-	}
-	g.Reset()
-	requireLaneEqualsTwin(t, g, 1, fresh, -2)
-	if g.LiveMask() != emit.GangFullMask(2) || g.Cycles() != 0 {
-		t.Fatalf("Reset left live=%#x cycles=%d", g.LiveMask(), g.Cycles())
+		before1, err := g.CaptureLane(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep := append([]uint64(nil), before1.State...)
+		g.ResetLane(0)
+		fresh := pl.NewEngine()
+		requireLaneEqualsTwin(t, g, 0, fresh, -1)
+		after1, err := g.CaptureLane(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := range keep {
+			if keep[w] != after1.State[w] {
+				t.Fatalf("%s: ResetLane(0) disturbed lane 1 at word %d", kind, w)
+			}
+		}
+		g.SetLive(1, false)
+		g.Reset()
+		requireLaneEqualsTwin(t, g, 1, fresh, -2)
+		if g.LiveMask() != 3 || g.Cycles() != 0 {
+			t.Fatalf("%s: Reset left live=%#x cycles=%d", kind, g.LiveMask(), g.Cycles())
+		}
+		g.Close()
 	}
 }

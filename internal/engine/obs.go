@@ -65,24 +65,20 @@ func (b *base) AttachObs(m *Metrics) {
 	b.obsFlushed = b.stats
 }
 
-// FlushObs folds the unflushed stats delta into the attached bundle. Safe to
-// call at any serial point (between Steps); a no-op with nothing attached.
+// FlushObs folds the unflushed stats delta into the attached bundle, sets
+// the activity gauge and moves the flush baseline up. Safe to call at any
+// serial point (between Steps); a no-op with nothing attached.
 func (b *base) FlushObs() {
 	m := b.obs
 	if m == nil {
 		return
 	}
+	s, f := &b.stats, &b.obsFlushed
 	if b.obsLevels > 0 {
-		m.BarrierWaits.Add(satSub(b.stats.Cycles, b.obsFlushed.Cycles) * uint64(b.obsLevels))
+		m.BarrierWaits.Add(satSub(s.Cycles, f.Cycles) * uint64(b.obsLevels))
 		m.SchedLevels.Set(float64(b.obsLevels))
 		m.SchedLevelsOrig.Set(float64(b.obsOrigLevels))
 	}
-	m.fold(&b.stats, &b.obsFlushed)
-}
-
-// fold adds the progress of s since the flushed image f into the counters,
-// sets the activity gauge, and moves f up to s.
-func (m *Metrics) fold(s, f *Stats) {
 	m.Cycles.Add(satSub(s.Cycles, f.Cycles))
 	m.NodeEvals.Add(satSub(s.NodeEvals, f.NodeEvals))
 	m.Instrs.Add(satSub(s.InstrsExecuted, f.InstrsExecuted))
@@ -102,23 +98,6 @@ func (b *base) maybeFlushObs() {
 	}
 }
 
-// AttachObs points the gang at a metrics bundle. The gang flushes its
-// aggregate (all-lane) stats delta on the same amortization schedule as
-// scalar engines.
-func (g *Gang) AttachObs(m *Metrics) {
-	g.obs = m
-	g.obsFlushed = g.AggregateStats()
-}
-
-// FlushObs folds the gang's unflushed aggregate stats delta into the
-// attached bundle.
-func (g *Gang) FlushObs() {
-	if g.obs != nil {
-		agg := g.AggregateStats()
-		g.obs.fold(&agg, &g.obsFlushed)
-	}
-}
-
 // satSub is saturating subtraction: a stat rewrite (Reset, snapshot restore)
 // can move a counter backward between flushes; monotone process counters
 // must absorb that as zero progress, never wrap.
@@ -127,11 +106,4 @@ func satSub(a, b uint64) uint64 {
 		return 0
 	}
 	return a - b
-}
-
-// maybeFlushObs amortizes gang flushing by wall-clock gang cycles.
-func (g *Gang) maybeFlushObs() {
-	if g.obs != nil && g.steps%obsFlushEvery == 0 {
-		g.FlushObs()
-	}
 }

@@ -40,8 +40,9 @@ type SimState struct {
 // between Steps (never concurrently with one). The returned SimState aliases
 // live engine storage — serialize or copy it before stepping again.
 // RestoreState copies out of the argument into the engine's existing buffers
-// (compiled bound chains hold pointers into the machine's state image, so the
-// image is overwritten in place, never reallocated) and fully re-derives the
+// (the plan's stream addresses the machine's state image unchecked, on the
+// shape it was bound with, so the image is overwritten in place, never
+// reallocated) and fully re-derives the
 // engine's private bookkeeping, so restoring into a used engine is exactly a
 // restore into a fresh one.
 type Snapshotter interface {
@@ -106,8 +107,8 @@ func (e *FullCycle) RestoreState(s *SimState) error { return e.restoreBase(s) }
 // commits write active words directly), so nothing else is live.
 func (e *Activity) CaptureState() *SimState {
 	s := e.captureBase()
-	s.SupCount = e.part.Count()
-	for sup, slot := range e.supSlot {
+	s.SupCount = e.pl.part.Count()
+	for sup, slot := range e.pl.supSlot {
 		if e.active[slot>>6]&(uint64(1)<<uint(slot&63)) != 0 {
 			s.ActiveSups = append(s.ActiveSups, int32(sup))
 		}
@@ -130,13 +131,13 @@ func (e *Activity) RestoreState(s *SimState) error {
 	if err := e.restoreBase(s); err != nil {
 		return err
 	}
-	e.plan.syncShadows(e.m.State)
+	e.syncShadows()
 	e.clearActivity()
 	if s.SupCount == 0 {
 		e.activateAll() // capture carried no activity info: full re-evaluation is safe
 	} else {
 		for _, sup := range s.ActiveSups {
-			slot := e.supSlot[sup]
+			slot := e.pl.supSlot[sup]
 			e.active[slot>>6] |= uint64(1) << uint(slot&63)
 		}
 	}

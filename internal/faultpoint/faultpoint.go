@@ -39,6 +39,12 @@ const (
 	SnapshotCorrupt = "snapshot-corrupt"
 	// SlowOp stalls a session op batch for the armed delay.
 	SlowOp = "slow-op"
+	// FleetRestoreFail makes a live migration's target refuse a lane
+	// restore, leaving a half-built session on the target.
+	FleetRestoreFail = "fleet-restore-fail"
+	// HandoffCorrupt damages one lane blob in the router's handoff store
+	// between capture and restore.
+	HandoffCorrupt = "handoff-corrupt"
 )
 
 // armed is the fast-path gate: false means no point anywhere is armed and

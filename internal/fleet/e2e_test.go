@@ -37,6 +37,14 @@ func TestFleetEndToEnd(t *testing.T) {
 			t.Fatalf("building %s: %v\n%s", target, err, out)
 		}
 	}
+	for _, engineName := range []string{"gsim", "verilator"} {
+		t.Run(engineName, func(t *testing.T) { fleetEndToEnd(t, bin, engineName) })
+	}
+}
+
+// fleetEndToEnd is one TestFleetEndToEnd run, every session on engine
+// engineName.
+func fleetEndToEnd(t *testing.T, bin, engineName string) {
 	src := readDesign(t, "counter.fir")
 
 	// The router, on an ephemeral port with fast health probing.
@@ -76,8 +84,8 @@ func TestFleetEndToEnd(t *testing.T) {
 		return ready == 3
 	})
 
-	scalarSpec := server.SessionSpec{TraceLanes: []int{0}}
-	gangSpec := server.SessionSpec{Lanes: 3, TraceLanes: []int{1}}
+	scalarSpec := server.SessionSpec{Engine: engineName, TraceLanes: []int{0}}
+	gangSpec := server.SessionSpec{Engine: engineName, Lanes: 3, TraceLanes: []int{1}}
 	scalarP1 := []server.Op{{Op: "poke", Name: "en", Value: "1"}, {Op: "step", N: 12}}
 	scalarP2 := []server.Op{{Op: "step", N: 9}, {Op: "peek", Name: "out"}}
 	gangP1 := []server.Op{

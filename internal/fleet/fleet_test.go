@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"gsim/internal/faultpoint"
 	"gsim/internal/server"
 )
 
@@ -359,13 +360,19 @@ func TestMigrationScalarBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMigrationGangBitIdentical extends the property to gang sessions:
-// per-lane state, per-lane waveforms, and the park/wake live mask all
-// survive the move.
+// TestMigrationGangBitIdentical extends the property to gang sessions of
+// both engine kinds: per-lane state, per-lane waveforms, and the park/wake
+// live mask all survive the move.
 func TestMigrationGangBitIdentical(t *testing.T) {
+	for _, engineName := range []string{"gsim", "verilator"} {
+		t.Run(engineName, func(t *testing.T) { migrationGangBitIdentical(t, engineName) })
+	}
+}
+
+func migrationGangBitIdentical(t *testing.T, engineName string) {
 	fl := newTestFleet(t, "r1", "r2", "r3")
 	src := readDesign(t, "counter.fir")
-	spec := server.SessionSpec{Lanes: 4, TraceLanes: []int{0, 2}}
+	spec := server.SessionSpec{Engine: engineName, Lanes: 4, TraceLanes: []int{0, 2}}
 
 	phase1 := []server.Op{
 		{Op: "poke", Name: "en", Value: "1", Lane: lane(0)},
@@ -438,6 +445,99 @@ func TestMigrationGangBitIdentical(t *testing.T) {
 		if migInfos[l].Live != refInfos[l].Live || migInfos[l].Cycles != refInfos[l].Cycles {
 			t.Fatalf("lane %d info diverged: migrated %+v, reference %+v", l, migInfos[l], refInfos[l])
 		}
+	}
+}
+
+// TestMigrationFaultpoints: a migration whose target refuses a lane restore
+// (fleet-restore-fail), or whose handoff blob rots in the store before the
+// restore (handoff-corrupt), fails whole. It is counted failed, the
+// half-built target session is closed, the handoff pins are released, and
+// the session keeps serving from its old home on a trajectory and waveform
+// bit-identical to an undisturbed run. Once the fault clears, the same
+// session migrates.
+func TestMigrationFaultpoints(t *testing.T) {
+	for _, fp := range []string{faultpoint.FleetRestoreFail, faultpoint.HandoffCorrupt} {
+		t.Run(fp, func(t *testing.T) {
+			defer faultpoint.Reset()
+			fl := newTestFleet(t, "r1", "r2", "r3")
+			src := readDesign(t, "counter.fir")
+			spec := server.SessionSpec{Lanes: 3, TraceLanes: []int{1}}
+			phase1 := []server.Op{
+				{Op: "poke", Name: "en", Value: "1", Lane: lane(0)},
+				{Op: "poke", Name: "en", Value: "1", Lane: lane(1)},
+				{Op: "step", N: 5},
+				{Op: "park", Lane: lane(2)},
+				{Op: "step", N: 3},
+			}
+			phase2 := []server.Op{
+				{Op: "step", N: 4},
+				{Op: "wake", Lane: lane(2)},
+				{Op: "step", N: 2},
+				{Op: "peek", Name: "out", Lane: lane(1)},
+			}
+			finish := func(s apiSession) (peek string, blobs [][]byte, vcd []byte) {
+				peek = s.ops(phase2...)[3].Value
+				for l := 0; l < 3; l++ {
+					blob, _ := s.snapshotLane(l)
+					blobs = append(blobs, blob)
+				}
+				return peek, blobs, s.vcd(1)
+			}
+
+			ref, _ := createSession(t, refServer(t), src, spec)
+			ref.ops(phase1...)
+			refPeek, refBlobs, refVCD := finish(ref)
+
+			s, created := createSession(t, fl.router.URL, src, spec)
+			s.ops(phase1...)
+			pinned := fl.rt.store.PinnedBytes() // the session's pinned source
+			faultpoint.Arm(fp, 1)
+			migrated, failed, err := fl.rt.DrainReplica(created.Replica)
+			if err != nil || migrated != 0 || len(failed) != 1 || failed[0] != s.id {
+				t.Fatalf("drain: migrated=%d failed=%v err=%v, want the one session failed", migrated, failed, err)
+			}
+			if n := faultpoint.Fired(fp); n != 1 {
+				t.Fatalf("%s fired %d times", fp, n)
+			}
+			if home := fl.home(s.id); home != created.Replica {
+				t.Fatalf("failed migration moved the session to %s", home)
+			}
+			for name, mgr := range fl.mgrs {
+				if name != created.Replica && mgr.SessionCount() != 0 {
+					t.Fatalf("half-built target session left on %s", name)
+				}
+			}
+			if got := fl.rt.store.PinnedBytes(); got != pinned {
+				t.Fatalf("handoff store pins %d bytes after the failed move, %d before it", got, pinned)
+			}
+			var stats FleetStats
+			if doJSON(t, "GET", fl.router.URL+"/v1/stats", nil, &stats) != http.StatusOK || stats.MigrationsFail != 1 || stats.Migrated != 0 {
+				t.Fatalf("migration accounting: %+v", stats)
+			}
+
+			peek, blobs, vcd := finish(s)
+			if peek != refPeek {
+				t.Fatalf("peek on the old home: %s, reference %s", peek, refPeek)
+			}
+			for l := range refBlobs {
+				if !bytes.Equal(blobs[l], refBlobs[l]) {
+					t.Fatalf("lane %d state snapshot differs from the undisturbed run", l)
+				}
+			}
+			if !bytes.Equal(vcd, refVCD) {
+				t.Fatalf("VCD differs from the undisturbed run:\n--- faulted\n%s\n--- reference\n%s", vcd, refVCD)
+			}
+
+			if migrated, failed, err := fl.rt.DrainReplica(created.Replica); err != nil || migrated != 1 || len(failed) != 0 {
+				t.Fatalf("drain after the fault: migrated=%d failed=%v err=%v", migrated, failed, err)
+			}
+			if doJSON(t, "DELETE", fl.router.URL+"/v1/sessions/"+s.id, nil, nil) != http.StatusOK {
+				t.Fatal("delete failed")
+			}
+			if got := fl.rt.store.PinnedBytes(); got != 0 {
+				t.Fatalf("handoff store still pins %d bytes with no session left", got)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"gsim/internal/faultpoint"
 	"gsim/internal/server"
 )
 
@@ -97,24 +98,28 @@ func (rt *Router) migrateSession(fs *fleetSession, fromReplica string) error {
 		prefixes[li.Lane] = data
 		tracedLanes = append(tracedLanes, li.Lane)
 	}
-	blobKeys := make([]string, len(infos))
-	blobs := make([][]byte, len(infos))
-	for i, li := range infos {
-		blob, err := oldC.snapshotLane(fs.backendID, li.Lane)
-		if err != nil {
-			return fmt.Errorf("fleet: snapshot lane %d of %s: %w", li.Lane, fs.id, err)
-		}
-		// Pinned in the handoff store for the duration of the move: dedup
-		// collapses identical lane images (fresh gangs, retried migrations)
-		// and the pin shields them from budget eviction mid-move.
-		blobs[i] = blob
-		blobKeys[i] = rt.store.PutPinned(blob)
-	}
+	var moved uint64
+	blobKeys := make([]string, 0, len(infos))
 	defer func() {
 		for _, k := range blobKeys {
 			rt.store.Unpin(k)
 		}
 	}()
+	for _, li := range infos {
+		blob, err := oldC.snapshotLane(fs.backendID, li.Lane)
+		if err != nil {
+			return fmt.Errorf("fleet: snapshot lane %d of %s: %w", li.Lane, fs.id, err)
+		}
+		// The handoff: pinned in the store for the duration of the move and
+		// read back, content-verified, for the restore. Dedup collapses
+		// identical lane images (fresh gangs, retried migrations) and the pin
+		// shields them from budget eviction mid-move.
+		blobKeys = append(blobKeys, rt.store.PutPinned(blob))
+		moved += uint64(len(blob))
+	}
+	if faultpoint.Hit(faultpoint.HandoffCorrupt) {
+		rt.store.Damage(blobKeys[len(blobKeys)-1])
+	}
 	src, err := rt.store.Get(fs.sourceKey)
 	if err != nil {
 		return fmt.Errorf("fleet: source of %s: %w", fs.id, err)
@@ -147,7 +152,7 @@ func (rt *Router) migrateSession(fs *fleetSession, fromReplica string) error {
 			}
 			return fmt.Errorf("fleet: recreate %s on %s: %w", fs.id, newRep.Name, err)
 		}
-		if err := rt.restoreOnto(newC, created.Session, infos, blobs, prefixes); err != nil {
+		if err := rt.restoreOnto(newC, created.Session, infos, blobKeys, prefixes); err != nil {
 			// Half-restored target: destroy it and fail the move rather than
 			// flip routing onto a session in an unknown state.
 			_ = newC.deleteSession(created.Session)
@@ -162,10 +167,6 @@ func (rt *Router) migrateSession(fs *fleetSession, fromReplica string) error {
 		fs.designHash = created.DesignHash
 		_ = oldC.deleteSession(oldBackend)
 		rt.migrated.Add(1)
-		var moved uint64
-		for _, b := range blobs {
-			moved += uint64(len(b))
-		}
 		for _, p := range prefixes {
 			moved += uint64(len(p))
 		}
@@ -186,13 +187,20 @@ func (rt *Router) migrateSession(fs *fleetSession, fromReplica string) error {
 }
 
 // restoreOnto replays the captured lanes into the freshly created session:
-// restore each lane's state blob (traced lanes also carry their waveform
-// prefix, arming the resume tracer), then re-park the lanes that were parked
-// at capture so the gang's live mask survives the move. A scalar session's
-// one lane is always live, so it never re-parks.
-func (rt *Router) restoreOnto(c *replicaClient, backendID string, infos []server.LaneInfo, blobs [][]byte, prefixes map[int][]byte) error {
+// restore each lane's state blob, read from the handoff store (traced lanes
+// also carry their waveform prefix, arming the resume tracer), then re-park
+// the lanes that were parked at capture so the gang's live mask survives the
+// move. A scalar session's one lane is always live, so it never re-parks.
+func (rt *Router) restoreOnto(c *replicaClient, backendID string, infos []server.LaneInfo, blobKeys []string, prefixes map[int][]byte) error {
 	for i, li := range infos {
-		if err := c.restoreLane(backendID, li.Lane, blobs[i], prefixes[li.Lane]); err != nil {
+		blob, err := rt.store.Get(blobKeys[i])
+		if err != nil {
+			return fmt.Errorf("handoff of lane %d: %w", li.Lane, err)
+		}
+		if faultpoint.Hit(faultpoint.FleetRestoreFail) {
+			return fmt.Errorf("restore lane %d: injected refusal (faultpoint %s)", li.Lane, faultpoint.FleetRestoreFail)
+		}
+		if err := c.restoreLane(backendID, li.Lane, blob, prefixes[li.Lane]); err != nil {
 			return fmt.Errorf("restore lane %d: %w", li.Lane, err)
 		}
 	}

@@ -24,8 +24,15 @@ func decodeInto(t *testing.T, resp *http.Response, out any) {
 // the same design over the HTTP API with identical per-lane stimulus, and
 // requires the gang to be indistinguishable lane-for-lane: same peeks, same
 // snapshot bytes, same waveform bytes — while all five sessions share one
-// compiled design (lanes are not a compile knob).
+// compiled design (lanes are not a compile knob). A lane is a scalar engine
+// of the spec's kind, so this holds for both kinds.
 func TestGangSessionHTTP(t *testing.T) {
+	for _, engineName := range []string{"gsim", "verilator"} {
+		t.Run(engineName, func(t *testing.T) { gangSessionHTTP(t, engineName) })
+	}
+}
+
+func gangSessionHTTP(t *testing.T, engineName string) {
 	m := NewManager()
 	ts := httptest.NewServer(m.Handler())
 	defer ts.Close()
@@ -34,9 +41,7 @@ func TestGangSessionHTTP(t *testing.T) {
 	src := readDesign(t, "counter.fir")
 	const k = 4
 	const cycles = 12
-	// The verilator preset maps to the full-cycle engine — the scalar model a
-	// gang lane mirrors exactly, stats included.
-	spec := SessionSpec{Engine: "verilator"}
+	spec := SessionSpec{Engine: engineName}
 
 	var gangCreated CreateResponse
 	gangSpec := spec
@@ -182,7 +187,7 @@ func TestGangSessionHTTP(t *testing.T) {
 	if resp := postJSON(t, scalarBase[0]+"/ops", OpsRequest{Ops: []Op{{Op: "reset", Lane: intp(5)}}}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("reset of lane 5 on scalar session: status %d, want 400", resp.StatusCode)
 	}
-	if resp := postJSON(t, ts.URL+"/v1/sessions", CreateRequest{FIRRTL: src, SessionSpec: SessionSpec{Lanes: 65}}, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts.URL+"/v1/sessions", CreateRequest{FIRRTL: src, SessionSpec: SessionSpec{Engine: engineName, Lanes: 65}}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("lanes=65: status %d, want 400", resp.StatusCode)
 	}
 

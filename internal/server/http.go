@@ -2,7 +2,7 @@
 //
 // Endpoints (all JSON bodies; errors are {"error": "..."} with 4xx/5xx):
 //
-//	POST   /v1/sessions               create a session (spec "lanes" > 1 opens a gang)
+//	POST   /v1/sessions               create a session ("lanes" > 1: K engines in lockstep)
 //	GET    /v1/sessions               list live sessions
 //	POST   /v1/sessions/{id}/ops      apply a batched op list atomically
 //	GET    /v1/sessions/{id}/lanes    per-lane liveness, cycles, trace status

@@ -83,6 +83,9 @@ const DefaultMaxBodyBytes int64 = 64 << 20
 // goroutine busy-spin on its ticker; anything below this is clamped.
 const minReapInterval = time.Millisecond
 
+// maxLanes caps a session's lane count: the engine's live set is one word.
+const maxLanes = 64
+
 // maxTraceBytesPerLane caps each lane's in-memory VCD capture. A traced lane
 // that outgrows the cap keeps simulating; the waveform is truncated and
 // flagged, never the session killed.
@@ -135,14 +138,15 @@ type SessionSpec struct {
 	Coarsen      bool   `json:"coarsen,omitempty"`       // adaptive level coarsening (parallel essential-signal)
 	MaxSupernode int    `json:"max_supernode,omitempty"` // supernode size cap (0 = default)
 
-	// Lanes batches K independent stimulus lanes through one compiled design
-	// (engine.Gang). 0 or 1 opens a scalar session — the one-lane case, lane
-	// 0 only; 2..emit.MaxGangLanes opens a gang session whose ops address
-	// lanes (Op.Lane). Lanes is a per-session execution knob, not a compile
-	// knob: it is deliberately absent from the compile-cache key, so scalar
-	// sessions and gangs of every width share one compiled design. Gang
-	// sessions execute on the full-cycle model regardless of Engine (the spec
-	// still selects the optimization pipeline and anchors the cache key).
+	// Lanes steps K independent stimulus lanes through one compiled design
+	// (engine.Lanes): K engines of the configured kind over the design's one
+	// shared plan, in lockstep. 0 or 1 opens a scalar session — the one-lane
+	// case, lane 0 only; 2..64 opens a gang session whose ops address lanes
+	// (Op.Lane). Lanes is a per-session execution knob, not a compile knob:
+	// it is deliberately absent from the compile-cache key, so scalar
+	// sessions and gangs of every width share one compiled design. Every lane
+	// runs the spec's engine: {"engine":"gsim","lanes":8} is eight
+	// essential-signal engines.
 	Lanes int `json:"lanes,omitempty"`
 	// TraceLanes opts the listed lanes into in-memory VCD capture (fetched via
 	// GET .../vcd?lane=N), bounded at maxTraceBytesPerLane per lane. Scalar
@@ -304,8 +308,8 @@ type laneTrace struct {
 	vcd  *trace.VCD
 }
 
-// laneEngine is the one engine a session runs: a K-lane *engine.Gang, or a
-// scalar engine as the one-lane case (engine.OneLane).
+// laneEngine is the one engine a session runs: K lanes of the configured
+// engine, a scalar session being the one-lane case (*engine.Lanes).
 type laneEngine interface {
 	Step()
 	Reset()
@@ -394,8 +398,8 @@ func resolveLanes(spec SessionSpec) (int, error) {
 	if lanes == 0 {
 		lanes = 1
 	}
-	if lanes < 1 || lanes > emit.MaxGangLanes {
-		return 0, fmt.Errorf("server: lanes %d outside [1,%d]", spec.Lanes, emit.MaxGangLanes)
+	if lanes < 1 || lanes > maxLanes {
+		return 0, fmt.Errorf("server: lanes %d outside [1,%d]", spec.Lanes, maxLanes)
 	}
 	for _, l := range spec.TraceLanes {
 		if l < 0 || l >= lanes {
@@ -510,17 +514,21 @@ func designHashPrefix(sourceKey string) string {
 	return sourceKey
 }
 
-// newEngine builds a session's engine: a gang for two lanes or more, else
-// the configured scalar engine as a one-lane engine.
+// newEngine builds a session's engine: one engine of the configured kind
+// per lane, all over the design's shared plan.
 func newEngine(design *core.CompiledDesign, cfg core.Config, lanes int) (laneEngine, error) {
-	if lanes > 1 {
-		return design.NewGang(lanes)
+	engs := make([]engine.Compiled, lanes)
+	for l := range engs {
+		sim, err := design.NewSim(cfg)
+		if err != nil {
+			for _, e := range engs[:l] {
+				e.Close()
+			}
+			return nil, err
+		}
+		engs[l] = sim
 	}
-	sim, err := design.NewSim(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return engine.OneLane{Compiled: sim}, nil
+	return engine.NewLanes(engs), nil
 }
 
 // attachLaneTraces builds bounded in-memory VCD capture for the requested
@@ -737,7 +745,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 //
 // On gang sessions Lane addresses one stimulus lane: poke/peek default to
 // lane 0 when Lane is nil; step advances every live lane at once (Lane is
-// rejected — lanes advance in lockstep, that is the point of a gang); reset
+// rejected — lanes advance in lockstep); reset
 // with Lane resets one lane, without it the whole gang; park/wake (gang-only)
 // require Lane and toggle the lane's liveness — a parked lane freezes
 // bit-exactly and skips all work until woken. Scalar sessions accept only a
@@ -903,8 +911,8 @@ func (s *Session) Apply(ctx context.Context, ops []Op) (results []OpResult, err 
 			res.Value = s.eng.Peek(lane, n.ID).String()
 		case "step":
 			if op.Lane != nil {
-				// Lanes advance in lockstep — that is the gang's economics.
-				// Park a lane to exclude it instead of stepping one lane.
+				// Lanes advance in lockstep: park a lane to exclude it
+				// instead of stepping one lane.
 				return results, fmt.Errorf("server: op %d: step takes no lane (park/wake control per-lane progress)", i)
 			}
 			cycles := op.N

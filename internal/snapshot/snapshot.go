@@ -107,10 +107,10 @@ func Restore(sim engine.Sim, data []byte) error {
 	return sn.RestoreState(st)
 }
 
-// SaveLane captures one lane of a lane-addressed engine (engine.Gang,
-// engine.OneLane) and serializes it in the standard scalar format: a gang
-// lane's blob is byte-identical to Save of a scalar FullCycle engine that ran
-// the same stimulus, and restores into either shape.
+// SaveLane captures one lane of a lane-addressed engine (engine.Lanes) and
+// serializes it in the standard scalar format. A lane is a scalar engine, so
+// its blob is byte-identical to Save of a scalar engine of the same kind that
+// ran the same stimulus, and restores into either shape.
 func SaveLane(e interface {
 	CaptureLane(lane int) (*engine.SimState, error)
 	Program() *emit.Program

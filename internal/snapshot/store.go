@@ -105,7 +105,9 @@ func (s *Store) pinLocked(e *storeEntry) {
 
 // Get returns a copy of the blob stored under key. The bytes are re-hashed on
 // every read; a mismatch (memory corruption, a bug writing through the map)
-// returns an error instead of the poisoned blob.
+// returns an error instead of the poisoned blob and drops the entry, pins
+// and all, so the next Put of the same bytes stores them afresh instead of
+// deduplicating onto the rotted copy.
 func (s *Store) Get(key string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -118,6 +120,8 @@ func (s *Store) Get(key string) ([]byte, error) {
 	}
 	sum := sha256.Sum256(e.data)
 	if hex.EncodeToString(sum[:]) != key {
+		s.removeLocked(e)
+		s.syncGaugesLocked()
 		return nil, fmt.Errorf("snapshot: blob %s failed content verification (stored bytes hash to %x)", key, sum)
 	}
 	s.lru.MoveToFront(e.elem)
@@ -165,6 +169,26 @@ func (s *Store) Delete(key string) {
 		s.removeLocked(e)
 		s.syncGaugesLocked()
 	}
+}
+
+// Damage flips one byte of the stored copy of key in place, modelling bit
+// rot for fault injection: the next Get of key must refuse the blob. It
+// reports whether key was present.
+func (s *Store) Damage(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.blobs[key]
+	if ok && len(e.data) > 0 {
+		e.data[len(e.data)/2] ^= 0xff
+	}
+	return ok
+}
+
+// PinnedBytes reports the bytes of blobs with at least one pin.
+func (s *Store) PinnedBytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pinned
 }
 
 // Stats reports current occupancy and lifetime eviction count.

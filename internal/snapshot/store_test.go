@@ -163,18 +163,31 @@ func TestStorePutPinnedDedupNestsPins(t *testing.T) {
 
 func TestStoreRefusesHashMismatch(t *testing.T) {
 	s := NewStore(0)
-	key := s.Put([]byte("pristine checkpoint"))
+	blob := []byte("pristine checkpoint")
+	key := s.PutPinned(blob)
 
-	// Corrupt the stored bytes behind the store's back (white-box: same
-	// package). This models memory corruption between Put and Get.
-	s.mu.Lock()
-	s.blobs[key].data[0] ^= 0x01
-	s.mu.Unlock()
-
+	// Corrupt the stored bytes behind the store's back: memory corruption
+	// between Put and Get.
+	if !s.Damage(key) {
+		t.Fatal("Damage missed a stored key")
+	}
 	if _, err := s.Get(key); err == nil {
 		t.Fatal("Get returned a blob whose bytes no longer match its content key")
 	} else if !strings.Contains(err.Error(), "content verification") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+
+	// The refused entry is gone, pin included, so the same bytes put again
+	// are stored afresh instead of deduplicating onto the rotted copy.
+	if s.PinnedBytes() != 0 {
+		t.Fatalf("a refused blob still pins %d bytes", s.PinnedBytes())
+	}
+	s.Unpin(key) // the holder's release finds nothing to release
+	if again := s.Put(blob); again != key {
+		t.Fatalf("re-put under key %s, want %s", again, key)
+	}
+	if got, err := s.Get(key); err != nil || string(got) != string(blob) {
+		t.Fatalf("re-put blob reads %q, %v", got, err)
 	}
 }
 
