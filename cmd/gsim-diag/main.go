@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -39,7 +40,7 @@ import (
 	"gsim/internal/trace"
 )
 
-// refCountSummary renders the compiled graph's combinational nodes by
+// refCountSummary renders the optimized graph's combinational nodes by
 // reference count — the k of the node-level rule cost·k > cost + cost_node,
 // which no plain node passes at k = 1 — and the share of them that node
 // extraction made (_cse).
@@ -88,6 +89,13 @@ func main() {
 		}
 	}
 	d := harness.Synthetic(prof)
+	// The source graph: graph statistics read it optimized (core.Optimize),
+	// since a compiled design keeps no expression trees, and sessions start
+	// from it.
+	src, _, err := d.Build(harness.WorkloadCoreMark)
+	if err != nil {
+		panic(err)
+	}
 	cfgs := []core.Config{core.Verilator(), core.VerilatorMT(2), core.Arcilator(), core.Essent(), core.GSIM()}
 	// The same pipeline under the reference interpreter and the pre-fusion
 	// kernel baseline, to see what the stream kernels — and the
@@ -141,7 +149,11 @@ func main() {
 		}
 		hz := float64(n) / time.Since(start).Seconds()
 		st := sys.Sim.Stats()
-		gstats := sys.Graph.ComputeStats()
+		og, _, err := core.Optimize(src, cfg.Opt)
+		if err != nil {
+			panic(err)
+		}
+		gstats := og.ComputeStats()
 		nsup := 0
 		if sys.Part != nil {
 			nsup = sys.Part.Count()
@@ -161,8 +173,23 @@ func main() {
 			cfg.Name, gstats.Nodes, nsup, st.ActivityFactor(),
 			st.NodeEvals/st.Cycles, st.Examinations/st.Cycles, st.Activations/st.Cycles, sys.Sim.Machine().Executed/st.Cycles, hz/1000, extra)
 		fmt.Printf("%-16s passes %v: %s\n", "", sys.PassTime.Round(time.Microsecond), sys.PassResult.Timing())
-		fmt.Printf("%-16s %s\n", "", refCountSummary(sys.Graph))
+		fmt.Printf("%-16s %s\n", "", refCountSummary(og))
 		sys.Close()
+	}
+
+	// What one compiled design keeps alive, per design and engine kind: the
+	// measured heap next to the compile cache's accounting of it.
+	rv32, _, err := harness.StuCore().Build(harness.WorkloadCoreMark)
+	if err != nil {
+		panic(err)
+	}
+	for _, dg := range []struct {
+		name string
+		g    *ir.Graph
+	}{{d.Name, src}, {"rv32", rv32}} {
+		for _, cfg := range []core.Config{core.GSIM(), core.Verilator()} {
+			printRetained(dg.name, dg.g, cfg)
+		}
 	}
 
 	// Traced throughput: the same engine with waveform capture through the
@@ -204,16 +231,10 @@ func main() {
 	// lookups); per-session step throughput shows what each concurrent
 	// session of the shared design sustains through the batched-op path.
 	{
-		gd, _, err := harness.BuildSystemForDiag(d, "coremark", core.GSIM())
-		if err != nil {
-			panic(err)
-		}
-		graph := gd.Graph
-		gd.Close()
 		mgr := server.NewManager()
 		var sess []*server.Session
 		for i := 0; i < 2; i++ {
-			s, err := mgr.CreateSessionGraph(graph, "diag", server.SessionSpec{})
+			s, err := mgr.CreateSessionGraph(src, "diag", server.SessionSpec{})
 			if err != nil {
 				panic(err)
 			}
@@ -352,6 +373,29 @@ func main() {
 	if len(neverInline) > 0 {
 		fmt.Printf("inline rows that never fire: %s\n", strings.Join(neverInline, " "))
 	}
+}
+
+// printRetained compiles g under cfg and prints the heap the compiled design
+// keeps alive — the HeapAlloc delta across the compile, each side read after
+// two GCs — next to the compile cache's cost of it and that cost's parts.
+func printRetained(design string, g *ir.Graph, cfg core.Config) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	cd, err := core.CompileDesign(g, cfg)
+	if err != nil {
+		panic(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	f := cd.Footprint()
+	const mb = 1 << 20
+	fmt.Printf("retained[%s %s] heap=%.2fMB cost=%.2fMB (code=%.2f data=%.2f mem=%.2f plan=%.2f graph=%.2f)\n",
+		design, cd.Config.Engine, float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/mb, float64(f.Total())/mb,
+		float64(f.Code)/mb, float64(f.Data)/mb, float64(f.Mem)/mb, float64(f.Plan)/mb, float64(f.Graph)/mb)
+	runtime.KeepAlive(cd)
 }
 
 // fusionCounts is a per-rule fusion histogram over one system's chains,

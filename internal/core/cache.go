@@ -28,21 +28,52 @@ import (
 // here is written after CompileDesign returns.
 type CompiledDesign struct {
 	Config Config // the normalized configuration it was compiled under
-	Graph  *ir.Graph
-	Prog   *emit.Program
-	Part   *partition.Result // nil for full-cycle engines
-	plan   engine.Plan
+	// Graph is the optimized graph, released (ir.Graph.ReleaseExprs): its
+	// nodes keep their IDs, names, kinds, widths, reset signals and initial
+	// values, and its memories stay, which is all Peek, Poke, FindNode,
+	// tracing and snapshots read. Its expression trees are gone; analysis
+	// and extra plans start from Optimize.
+	Graph *ir.Graph
+	Prog  *emit.Program
+	Part  *partition.Result // nil for full-cycle engines
+	plan  engine.Plan
 
 	PassResult  passes.Result
-	PassTime    time.Duration
-	CompileTime time.Duration // passes + sort + emit + partition + plan
+	PassTime    time.Duration // Optimize: clone, normalize, passes, sort, validate
+	CompileTime time.Duration // Optimize + emit + partition + plan
 }
 
-// CompileDesign runs the compile half of Build: clone, normalize, optimize,
-// topo-sort, emit, partition, plan. The result is immutable and reusable by
-// any number of NewSim calls. A program the stream builder refuses (an
-// instruction outside the state image: only a compiler bug makes one) fails
-// the compile instead of the process.
+// Optimize runs the front half of CompileDesign: clone, normalize,
+// optimize, topo-sort, validate. The input graph is never mutated. The
+// result keeps its expression trees, so it is what analysis (statistics,
+// levelization, engine.Reference) and plans built outside CompileDesign
+// start from: emit.Compile of it has the design hash CompileDesign's program
+// has. A released graph is refused.
+func Optimize(g *ir.Graph, opt passes.Options) (*ir.Graph, passes.Result, error) {
+	if g.Released() {
+		return nil, passes.Result{}, fmt.Errorf("core: %w", ir.ErrReleased)
+	}
+	work := g.Clone()
+	// Canonicalize to one operation per node (the paper's input form) so
+	// every configuration optimizes the same fine-grained graph.
+	passes.Normalize(work)
+	res := passes.Run(work, opt)
+	if err := work.SortTopological(); err != nil {
+		return nil, res, fmt.Errorf("core: %v", err)
+	}
+	// The sort just ordered every node, which is Validate's acyclicity check.
+	if err := work.ValidateNodes(); err != nil {
+		return nil, res, fmt.Errorf("core: optimized graph invalid: %v", err)
+	}
+	return work, res, nil
+}
+
+// CompileDesign runs the compile half of Build: Optimize, emit, partition,
+// plan, and last, release the graph's expression trees, which nothing that
+// simulates reads. The result is immutable and reusable by any number of
+// NewSim calls. A program the stream builder refuses (an instruction outside
+// the state image: only a compiler bug makes one) fails the compile instead
+// of the process.
 func CompileDesign(g *ir.Graph, cfg Config) (*CompiledDesign, error) {
 	if faultpoint.Hit(faultpoint.CompileFail) {
 		return nil, fmt.Errorf("core: injected compile failure (faultpoint %s)", faultpoint.CompileFail)
@@ -52,21 +83,10 @@ func CompileDesign(g *ir.Graph, cfg Config) (*CompiledDesign, error) {
 	}
 	start := time.Now()
 	cfg = cfg.normalized()
-	work := g.Clone()
-
-	passStart := time.Now()
-	// Canonicalize to one operation per node (the paper's input form) so
-	// every configuration optimizes the same fine-grained graph.
-	passes.Normalize(work)
-	passRes := passes.Run(work, cfg.Opt)
-	passTime := time.Since(passStart)
-
-	if err := work.SortTopological(); err != nil {
-		return nil, fmt.Errorf("core: %v", err)
-	}
-	// The sort just ordered every node, which is Validate's acyclicity check.
-	if err := work.ValidateNodes(); err != nil {
-		return nil, fmt.Errorf("core: optimized graph invalid: %v", err)
+	work, passRes, err := Optimize(g, cfg.Opt)
+	passTime := time.Since(start)
+	if err != nil {
+		return nil, err
 	}
 	prog, err := emit.Compile(work)
 	if err != nil {
@@ -86,6 +106,7 @@ func CompileDesign(g *ir.Graph, cfg Config) (*CompiledDesign, error) {
 	if err := d.buildPlan(); err != nil {
 		return nil, err
 	}
+	work.ReleaseExprs()
 	d.CompileTime = time.Since(start)
 	return d, nil
 }
@@ -167,13 +188,13 @@ func CacheKey(sourceHash string, cfg Config) string {
 // request.
 //
 // Residency is governed by a byte budget: each entry's cost is its compiled
-// code + state-image + memory-image + plan bytes, and when the cached total exceeds
-// SetBudget's limit, least-recently-used entries are evicted — but only
-// unreferenced ones. Get acquires a reference (released with Release), so a
-// design with live sessions is pinned no matter how cold its key is; the
-// cache may run over budget while everything resident is pinned, and settles
-// back under it as references drop. A zero budget (the default) disables
-// eviction entirely.
+// code, state image, memory images, plan and released graph (designCost),
+// and when the cached total exceeds SetBudget's limit, least-recently-used
+// entries are evicted — but only unreferenced ones. Get acquires a reference
+// (released with Release), so a design with live sessions is pinned no
+// matter how cold its key is; the cache may run over budget while everything
+// resident is pinned, and settles back under it as references drop. A zero
+// budget (the default) disables eviction entirely.
 type CompileCache struct {
 	mu        sync.Mutex
 	entries   map[string]*cacheEntry
@@ -237,13 +258,33 @@ func (c *CompileCache) syncGaugesLocked() {
 	c.m.Designs.Set(float64(len(c.entries)))
 }
 
-// designCost is an entry's residency weight: the bytes that stay alive as
-// long as the compiled design does. Code and the engine plan (stream, slot
-// and activation tables) dominate for logic-heavy designs, the initial
-// state image and memory images for state-heavy ones.
-func designCost(d *CompiledDesign) int64 {
-	return int64(d.Prog.CodeBytes() + d.Prog.DataBytes() + d.Prog.MemBytes() + d.plan.Bytes())
+// Footprint is what a compiled design keeps resident, in bytes, by part.
+type Footprint struct {
+	Code, Data, Mem int // program: instructions, initial state image, memory images
+	Plan            int // engine plan: streams, slot and activation tables
+	Graph           int // released graph: nodes, names, initial values, memories
 }
+
+// Total sums the parts.
+func (f Footprint) Total() int { return f.Code + f.Data + f.Mem + f.Plan + f.Graph }
+
+// Footprint reports the bytes the design keeps resident, by part.
+func (d *CompiledDesign) Footprint() Footprint {
+	return Footprint{
+		Code:  d.Prog.CodeBytes(),
+		Data:  d.Prog.DataBytes(),
+		Mem:   d.Prog.MemBytes(),
+		Plan:  d.plan.Bytes(),
+		Graph: d.Graph.ResidentBytes(),
+	}
+}
+
+// designCost is an entry's residency weight: the bytes that stay alive as
+// long as the compiled design does. Code, the engine plan and the released
+// graph's nodes dominate for logic-heavy designs (rocket-like under GSIM:
+// 2.6, 2.5 and 2.5 MB), the initial state image and memory images for
+// state-heavy ones.
+func designCost(d *CompiledDesign) int64 { return int64(d.Footprint().Total()) }
 
 // Get returns the design for key, invoking compile at most once per key
 // across all concurrent callers. The bool reports whether the entry already

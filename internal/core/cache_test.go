@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"gsim/internal/bitvec"
+	"gsim/internal/emit"
 	"gsim/internal/engine"
 	"gsim/internal/faultpoint"
+	"gsim/internal/gen"
 	"gsim/internal/ir"
 	"gsim/internal/partition"
 )
@@ -31,14 +33,24 @@ func cacheDesign(t *testing.T, idx int) *ir.Graph {
 }
 
 // TestCompileDesignRefusesCorruptProgram corrupts one instruction of a
-// compiled design and checks that planning each kernel-mode engine over it —
-// the last step of CompileDesign — fails with an error carrying the stream
-// builder's refusal instead of panicking.
+// design compiled the way CompileDesign compiles it and checks that planning
+// each kernel-mode engine over it — the step of CompileDesign before the
+// release — fails with an error carrying the stream builder's refusal
+// instead of panicking.
 func TestCompileDesignRefusesCorruptProgram(t *testing.T) {
 	for _, cfg := range []Config{Verilator(), VerilatorMT(2), GSIM(), GSIMMT(2)} {
-		d, err := CompileDesign(cacheDesign(t, 0), cfg)
+		cfg = cfg.normalized()
+		g, _, err := Optimize(cacheDesign(t, 0), cfg.Opt)
 		if err != nil {
 			t.Fatal(err)
+		}
+		prog, err := emit.Compile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &CompiledDesign{Config: cfg, Graph: g, Prog: prog}
+		if cfg.Engine == EngineActivity {
+			d.Part = partition.Build(g, cfg.Partition, cfg.MaxSupernode)
 		}
 		d.Prog.Instrs[0].D = int32(d.Prog.NumWords)
 		if err := d.buildPlan(); err == nil || !strings.Contains(err.Error(), "refusing instruction") {
@@ -131,6 +143,26 @@ func TestDesignCostCountsPlan(t *testing.T) {
 	bare := int64(d.Prog.CodeBytes() + d.Prog.DataBytes() + d.Prog.MemBytes())
 	if cost := designCost(d); cost <= bare {
 		t.Fatalf("designCost %d does not exceed code+data+mem %d: the plan is not counted", cost, bare)
+	}
+}
+
+// TestDesignCostCountsGraph: the released graph a compiled design keeps —
+// nodes, names, initial values — is part of its cost, and with the
+// expression trees gone it weighs less than the code and plan that run.
+func TestDesignCostCountsGraph(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles the rocket-like design")
+	}
+	d, err := CompileDesign(gen.BuildProfile(gen.RocketLike()), GSIM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := d.Footprint()
+	if f.Graph == 0 || designCost(d) != int64(f.Total()) {
+		t.Fatalf("designCost %d leaves out the graph: %+v", designCost(d), f)
+	}
+	if f.Graph >= f.Code+f.Plan {
+		t.Fatalf("the released graph weighs %d bytes, more than the code and plan that run (%d)", f.Graph, f.Code+f.Plan)
 	}
 }
 

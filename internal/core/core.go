@@ -73,7 +73,7 @@ const DefaultMaxSupernode = 6
 // System is a compiled, runnable simulator for one design.
 type System struct {
 	Config Config
-	Graph  *ir.Graph // the optimized graph (topologically numbered)
+	Graph  *ir.Graph // the optimized graph, topologically numbered and released (see CompiledDesign.Graph)
 	Prog   *emit.Program
 	Part   *partition.Result // nil for full-cycle engines
 	Sim    engine.Sim

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gsim/internal/bitvec"
+	"gsim/internal/emit"
 	"gsim/internal/engine"
 	"gsim/internal/firrtl"
 	"gsim/internal/gen"
@@ -98,25 +99,46 @@ func lockstepDesigns(t *testing.T) (names []string, graphs []*ir.Graph) {
 	return names, graphs
 }
 
-// interpTwin instantiates an interpreter-mode engine over the same compiled
-// program (and partition) as sys, so the two share node IDs and state layout
-// and their state images can be compared word for word.
-func interpTwin(t *testing.T, sys *System) engine.Sim {
+// analyzable returns the program sys runs, rebuilt from its source graph g
+// with the expression trees a compiled design releases: Optimize under sys's
+// options, then emit.Compile. Its graph is what the reference oracle and
+// levelization read, and engines over it share sys's node IDs, state layout
+// and partition; the design hash pins it to sys's program.
+func analyzable(t testing.TB, g *ir.Graph, sys *System) *emit.Program {
+	t.Helper()
+	og, _, err := Optimize(g, sys.Config.Opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := emit.Compile(og)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := prog.DesignHashString(), sys.Prog.DesignHashString(); got != want {
+		t.Fatalf("Optimize + emit.Compile hash to %s, the compiled design to %s", got, want)
+	}
+	return prog
+}
+
+// interpTwin instantiates an interpreter-mode engine over prog (sys's
+// program, see analyzable) and sys's partition, so the two share node IDs
+// and state layout and their state images can be compared word for word.
+func interpTwin(t *testing.T, prog *emit.Program, sys *System) engine.Sim {
 	t.Helper()
 	cfg := sys.Config
 	switch cfg.Engine {
 	case EngineFullCycle:
 		var byLevel [][]int32
 		if cfg.Threads > 1 {
-			order := make([]int32, len(sys.Graph.Nodes))
+			order := make([]int32, len(prog.Graph.Nodes))
 			for i := range order {
 				order[i] = int32(i)
 			}
-			_, byLevel = sys.Graph.Levelize(order)
+			_, byLevel = prog.Graph.Levelize(order)
 		}
-		return engine.NewFullCycle(sys.Prog, byLevel, cfg.Threads, engine.EvalInterp)
+		return engine.NewFullCycle(prog, byLevel, cfg.Threads, engine.EvalInterp)
 	case EngineActivity:
-		return engine.NewActivity(sys.Prog, sys.Part, cfg.Activity, cfg.Threads, engine.EvalInterp)
+		return engine.NewActivity(prog, sys.Part, cfg.Activity, cfg.Threads, engine.EvalInterp)
 	}
 	t.Fatalf("unknown engine %v", cfg.Engine)
 	return nil
@@ -143,8 +165,9 @@ func TestEvalModesLockstep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", names[di], cfg.Name, err)
 			}
-			simI := interpTwin(t, sysK)
-			ref, err := engine.NewReference(sysK.Graph)
+			prog := analyzable(t, g, sysK)
+			simI := interpTwin(t, prog, sysK)
+			ref, err := engine.NewReference(prog.Graph)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", names[di], cfg.Name, err)
 			}

@@ -117,20 +117,21 @@ func FuzzKernelLockstep(f *testing.F) {
 			t.Skip("design does not compile:", err)
 		}
 		defer sysK.Close()
-		simNF := engine.NewActivity(sysK.Prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalKernelNoFuse)
-		simI := engine.NewActivity(sysK.Prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalInterp)
+		prog := analyzable(t, g, sysK)
+		simNF := engine.NewActivity(prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalKernelNoFuse)
+		simI := engine.NewActivity(prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalInterp)
 		// The coarsening axis: the merged-level schedule at its most
 		// aggressive grain, two workers, must track the same trajectory.
 		coarseCfg := sysK.Config.Activity
 		coarseCfg.Coarsen = true
 		coarseCfg.CoarsenGrain = 1 << 30
-		simC := engine.NewActivity(sysK.Prog, sysK.Part, coarseCfg, 2, engine.EvalKernel)
+		simC := engine.NewActivity(prog, sysK.Part, coarseCfg, 2, engine.EvalKernel)
 		defer simC.Close()
 		// The snapshot axis: this engine is serialized through the versioned
 		// snapshot format and restored into a fresh engine mid-run; its
 		// trajectory and stats must never diverge from the uninterrupted one.
-		var simS engine.Sim = engine.NewActivity(sysK.Prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalKernel)
-		ref, err := engine.NewReference(sysK.Graph)
+		var simS engine.Sim = engine.NewActivity(prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalKernel)
+		ref, err := engine.NewReference(prog.Graph)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,8 +197,8 @@ func FuzzKernelLockstep(f *testing.F) {
 		}
 		var laneAxes []laneAxis
 		for kind, pl := range map[string]engine.Plan{
-			"fullcycle": engine.PlanFullCycle(sysK.Prog, nil, 1, engine.EvalKernel),
-			"activity":  engine.PlanActivity(sysK.Prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalKernel),
+			"fullcycle": engine.PlanFullCycle(prog, nil, 1, engine.EvalKernel),
+			"activity":  engine.PlanActivity(prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalKernel),
 		} {
 			ax := laneAxis{kind, newLanes(pl, 2), pl.NewEngine()}
 			defer ax.lanes.Close()
@@ -216,7 +217,7 @@ func FuzzKernelLockstep(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fresh := engine.NewActivity(sysK.Prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalKernel)
+				fresh := engine.NewActivity(prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalKernel)
 				if err := snapshot.Restore(fresh, blob); err != nil {
 					t.Fatal(err)
 				}

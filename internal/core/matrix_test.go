@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gsim/internal/bitvec"
+	"gsim/internal/emit"
 	"gsim/internal/engine"
 	"gsim/internal/gen"
 	"gsim/internal/ir"
@@ -19,9 +20,9 @@ type matrixSim struct {
 }
 
 // matrixEngines instantiates the full engine × eval-mode × worker-count ×
-// coarsening matrix over ONE compiled program and partition, so every cell
-// shares node IDs and state layout and the state images can be compared word
-// for word:
+// coarsening matrix over ONE compiled program (sys's, rebuilt by analyzable)
+// and partition, so every cell shares node IDs and state layout and the
+// state images can be compared word for word:
 //
 //	fullcycle, activity          × {kernel, kernel-nofuse, interp} × {1, 2, 4} workers
 //	activity (coarsened)         × {kernel, kernel-nofuse, interp} × {1, 2, 4} workers
@@ -32,13 +33,13 @@ type matrixSim struct {
 //
 // All engines must produce identical state trajectories (the package
 // contract in internal/engine).
-func matrixEngines(t *testing.T, sys *System) []matrixSim {
+func matrixEngines(t *testing.T, prog *emit.Program, sys *System) []matrixSim {
 	t.Helper()
-	order := make([]int32, len(sys.Graph.Nodes))
+	order := make([]int32, len(prog.Graph.Nodes))
 	for i := range order {
 		order[i] = int32(i)
 	}
-	_, byLevel := sys.Graph.Levelize(order)
+	_, byLevel := prog.Graph.Levelize(order)
 
 	coarse := sys.Config.Activity
 	coarse.Coarsen = true
@@ -50,11 +51,11 @@ func matrixEngines(t *testing.T, sys *System) []matrixSim {
 		for _, threads := range []int{1, 2, 4} {
 			sims = append(sims,
 				matrixSim{fmt.Sprintf("fullcycle-%dT/%s", threads, mode),
-					engine.NewFullCycle(sys.Prog, byLevel, threads, mode)},
+					engine.NewFullCycle(prog, byLevel, threads, mode)},
 				matrixSim{fmt.Sprintf("activity-%dT/%s", threads, mode),
-					engine.NewActivity(sys.Prog, sys.Part, sys.Config.Activity, threads, mode)},
+					engine.NewActivity(prog, sys.Part, sys.Config.Activity, threads, mode)},
 				matrixSim{fmt.Sprintf("activity-coarsen-%dT/%s", threads, mode),
-					engine.NewActivity(sys.Prog, sys.Part, coarse, threads, mode)},
+					engine.NewActivity(prog, sys.Part, coarse, threads, mode)},
 			)
 		}
 	}
@@ -91,8 +92,9 @@ func TestEngineMatrixLockstep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", names[di], err)
 		}
-		sims := matrixEngines(t, sys)
-		ref, err := engine.NewReference(sys.Graph)
+		prog := analyzable(t, g, sys)
+		sims := matrixEngines(t, prog, sys)
+		ref, err := engine.NewReference(prog.Graph)
 		if err != nil {
 			t.Fatalf("%s: %v", names[di], err)
 		}
@@ -112,8 +114,8 @@ func TestEngineMatrixLockstep(t *testing.T) {
 		// same bit-identity contract as every engine × mode × thread cell.
 		const gangLanes = 3
 		laneSets := map[string]*engine.Lanes{
-			"fullcycle": newLanes(engine.PlanFullCycle(sys.Prog, nil, 1, engine.EvalKernel), gangLanes),
-			"activity":  newLanes(engine.PlanActivity(sys.Prog, sys.Part, sys.Config.Activity, 1, engine.EvalKernel), gangLanes),
+			"fullcycle": newLanes(engine.PlanFullCycle(prog, nil, 1, engine.EvalKernel), gangLanes),
+			"activity":  newLanes(engine.PlanActivity(prog, sys.Part, sys.Config.Activity, 1, engine.EvalKernel), gangLanes),
 		}
 
 		rng := rand.New(rand.NewSource(int64(di)*977 + 13))

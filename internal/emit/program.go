@@ -111,6 +111,9 @@ type MemSpec struct {
 
 // Program is a compiled circuit.
 type Program struct {
+	// Graph is the graph the program was compiled from. Engines read only
+	// its nodes (kinds, widths, reset signals, initial values, memories), so
+	// a compiled design's program holds it released (ir.Graph.ReleaseExprs).
 	Graph    *ir.Graph
 	NumWords int
 	Init     []uint64 // initial state image: const pool + register init values
@@ -186,6 +189,9 @@ func (c *compiler) constSlot(v bitvec.BV) int32 {
 // Compile lowers a validated graph into a Program. The graph must be
 // compacted (dense IDs).
 func Compile(g *ir.Graph) (*Program, error) {
+	if g.Released() {
+		return nil, fmt.Errorf("emit: %w", ir.ErrReleased)
+	}
 	start := time.Now()
 	n := len(g.Nodes)
 	p := &Program{

@@ -106,12 +106,13 @@ type Activity struct {
 // schedule, the active-bit slot layout, the activation plan and the flat
 // supernode plan with its stream.
 type ActivityPlan struct {
-	t       *tables
-	part    *partition.Result
-	cfg     ActivityConfig
-	threads int
-	shard   *partition.ShardView // nil with one worker
-	levels  int
+	t         *tables
+	part      *partition.Result
+	partPrint uint64 // part.Fingerprint(), what snapshots name the partition by
+	cfg       ActivityConfig
+	threads   int
+	shard     *partition.ShardView // nil with one worker
+	levels    int
 
 	// Active-bit layout: one concatenated word array, shard-major then
 	// level-minor, each (shard, level) chunk padded to whole words.
@@ -282,7 +283,7 @@ func PlanActivity(p *emit.Program, part *partition.Result, cfg ActivityConfig, t
 	if cfg.BranchlessMax == 0 {
 		cfg.BranchlessMax = DefaultBranchlessMax
 	}
-	pl := &ActivityPlan{t: newTables(p), part: part, cfg: cfg, threads: threads}
+	pl := &ActivityPlan{t: newTables(p), part: part, partPrint: part.Fingerprint(), cfg: cfg, threads: threads}
 
 	// chunks[lv][w] lists the supernodes worker w sweeps at level lv,
 	// ascending.

@@ -8,6 +8,7 @@ import (
 
 	"gsim/internal/bitvec"
 	"gsim/internal/core"
+	"gsim/internal/emit"
 	"gsim/internal/engine"
 	"gsim/internal/firrtl"
 	"gsim/internal/gen"
@@ -51,12 +52,32 @@ type planCell struct {
 	build func() activitySim
 }
 
+// analyzable rebuilds the program sys runs from its source graph g with the
+// expression trees a compiled design releases (plans read its edges):
+// core.Optimize under sys's options, then emit.Compile, pinned to sys's
+// program by the design hash.
+func analyzable(t *testing.T, g *ir.Graph, sys *core.System) *emit.Program {
+	t.Helper()
+	og, _, err := core.Optimize(g, sys.Config.Opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := emit.Compile(og)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := prog.DesignHashString(), sys.Prog.DesignHashString(); got != want {
+		t.Fatalf("core.Optimize + emit.Compile hash to %s, the compiled design to %s", got, want)
+	}
+	return prog
+}
+
 // planCells enumerates the activity engine × {kernel, kernel-nofuse, interp}
 // × {1, 2, 4} workers, each with and without the coarsened schedule, over
-// one compiled program and partition, under activity configuration act. The
-// first cell is the one-worker kernel engine GSIM builds; the fourth, the
+// one program and partition, under activity configuration act. The first
+// cell is the one-worker kernel engine GSIM builds; the fourth, the
 // coarsened two-worker one.
-func planCells(sys *core.System, act engine.ActivityConfig) []planCell {
+func planCells(prog *emit.Program, part *partition.Result, act engine.ActivityConfig) []planCell {
 	coarse := act
 	coarse.Coarsen = true
 	coarse.CoarsenGrain = 1 << 30
@@ -65,10 +86,10 @@ func planCells(sys *core.System, act engine.ActivityConfig) []planCell {
 		for _, threads := range []int{1, 2, 4} {
 			cells = append(cells,
 				planCell{fmt.Sprintf("activity-%dT/%s", threads, mode), func() activitySim {
-					return engine.NewActivity(sys.Prog, sys.Part, act, threads, mode)
+					return engine.NewActivity(prog, part, act, threads, mode)
 				}},
 				planCell{fmt.Sprintf("activity-coarsen-%dT/%s", threads, mode), func() activitySim {
-					return engine.NewActivity(sys.Prog, sys.Part, coarse, threads, mode)
+					return engine.NewActivity(prog, part, coarse, threads, mode)
 				}})
 		}
 	}
@@ -137,7 +158,8 @@ func TestResetEqualsFreshBuild(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		stim := newStimulus(sys.Graph, 41, dirty+replay)
-		for _, cell := range append(planCells(sys, sys.Config.Activity), planCells(sys, branch)...) {
+		prog := analyzable(t, g, sys)
+		for _, cell := range append(planCells(prog, sys.Part, sys.Config.Activity), planCells(prog, sys.Part, branch)...) {
 			used, fresh := cell.build(), cell.build()
 			for c := 0; c < dirty; c++ {
 				stim.poke(used, replay+c)
@@ -192,7 +214,7 @@ func TestShadowInvariant(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		stim := newStimulus(sys.Graph, 7, cycles)
-		cells := planCells(sys, sys.Config.Activity)
+		cells := planCells(analyzable(t, g, sys), sys.Part, sys.Config.Activity)
 		sims := make([]activitySim, len(cells))
 		for i, cell := range cells {
 			sims[i] = cell.build()
@@ -292,18 +314,20 @@ func TestPlanConstructionAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the rocket-like design")
 	}
-	sys, err := core.Build(gen.BuildProfile(gen.RocketLike()), core.GSIM())
+	g := gen.BuildProfile(gen.RocketLike())
+	sys, err := core.Build(g, core.GSIM())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	prog := analyzable(t, g, sys)
 	allocs := func(part *partition.Result) float64 {
 		return testing.AllocsPerRun(1, func() {
-			engine.NewActivity(sys.Prog, part, sys.Config.Activity, 1, engine.EvalKernelNoFuse)
+			engine.NewActivity(prog, part, sys.Config.Activity, 1, engine.EvalKernelNoFuse)
 		})
 	}
-	fine := partition.Build(sys.Graph, partition.Enhanced, 1)
-	coarse := partition.Build(sys.Graph, partition.Enhanced, 16)
+	fine := partition.Build(prog.Graph, partition.Enhanced, 1)
+	coarse := partition.Build(prog.Graph, partition.Enhanced, 16)
 	if d := fine.Count() - coarse.Count(); d < 5000 {
 		t.Fatalf("partitions differ by only %d supernodes (%d vs %d); the test needs thousands", d, fine.Count(), coarse.Count())
 	}

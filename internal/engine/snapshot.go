@@ -21,9 +21,13 @@ type SimState struct {
 	Stats    Stats
 
 	// SupCount is the supernode count of the capturing engine's partition; 0
-	// when the engine tracks no activity (FullCycle). Restoring an
-	// activity engine validates it against its own partition.
-	SupCount int
+	// when the engine tracks no activity (FullCycle). PartPrint is that
+	// partition's membership fingerprint (partition.Result.Fingerprint), 0
+	// with SupCount. Restoring an activity engine validates both against its
+	// own partition: the design hash does not cover the partition, and
+	// supernode indices mean nothing under another one.
+	SupCount  int
+	PartPrint uint64
 	// ActiveSups lists the armed supernodes, ascending. Meaningful only when
 	// SupCount > 0; restoring from a SupCount == 0 capture conservatively
 	// re-arms everything (a full evaluation is always semantically safe).
@@ -108,6 +112,7 @@ func (e *FullCycle) RestoreState(s *SimState) error { return e.restoreBase(s) }
 func (e *Activity) CaptureState() *SimState {
 	s := e.captureBase()
 	s.SupCount = e.pl.part.Count()
+	s.PartPrint = e.pl.partPrint
 	for sup, slot := range e.pl.supSlot {
 		if e.active[slot>>6]&(uint64(1)<<uint(slot&63)) != 0 {
 			s.ActiveSups = append(s.ActiveSups, int32(sup))
@@ -124,7 +129,7 @@ func (e *Activity) CaptureState() *SimState {
 // worker residue (outboxes, dirty flags, pending lists) — the same shape a
 // fresh engine has.
 func (e *Activity) RestoreState(s *SimState) error {
-	pending, err := e.plan.checkActivity(s)
+	pending, err := e.plan.checkActivity(s, e.pl.partPrint)
 	if err != nil {
 		return err
 	}
@@ -149,15 +154,17 @@ func (e *Activity) RestoreState(s *SimState) error {
 }
 
 // checkActivity validates a snapshot's activity section against the restoring
-// engine's partition — a capture that carried supernode state must come from
-// the same partition shape, every listed index must be in range and above the
+// engine's partition, whose fingerprint is partPrint — a capture that carried
+// supernode state must come from the same partition (count and membership
+// fingerprint), every listed index must be in range and above the
 // one before it (the order captures write: a second spelling of one set would
 // save back as different bytes), and pending IDs must be registers — before
 // any engine state is mutated. It returns the pending registers as plan slots.
-func (pl *supPlan) checkActivity(s *SimState) ([]int32, error) {
+func (pl *supPlan) checkActivity(s *SimState, partPrint uint64) ([]int32, error) {
 	count := len(pl.sups) - 1
-	if s.SupCount != 0 && s.SupCount != count {
-		return nil, fmt.Errorf("engine: snapshot partition has %d supernodes, engine has %d", s.SupCount, count)
+	if s.SupCount != 0 && (s.SupCount != count || s.PartPrint != partPrint) {
+		return nil, fmt.Errorf("engine: snapshot partition %016x (%d supernodes) is not this engine's %016x (%d supernodes)",
+			s.PartPrint, s.SupCount, partPrint, count)
 	}
 	for k, sup := range s.ActiveSups {
 		if sup < 0 || int(sup) >= count {

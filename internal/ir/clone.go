@@ -7,6 +7,7 @@ import "gsim/internal/bitvec"
 // Experiments use this to run many independent optimization pipelines over
 // one elaborated design.
 func (g *Graph) Clone() *Graph {
+	g.mustHoldExprs()
 	ng := NewGraph(g.Name)
 	memMap := make(map[*Memory]*Memory, len(g.Mems))
 	for _, m := range g.Mems {

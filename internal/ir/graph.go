@@ -1,18 +1,75 @@
 package ir
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"gsim/internal/bitvec"
 )
 
 // Graph is the dataflow graph for one elaborated circuit. Nodes are indexed
 // by ID; deleted nodes are nil until Compact is called.
+//
+// A graph can be released (ReleaseExprs): its nodes and memories stay, their
+// expression trees go. A compiled design's graph is released, since the
+// simulation reads only node identities, widths and initial values; a walk
+// over a released graph's edges panics with ErrReleased.
 type Graph struct {
 	Name  string
 	Nodes []*Node
 	Mems  []*Memory
+
+	released bool
+}
+
+// ErrReleased is the refusal for a graph whose expressions were released:
+// walks over its edges panic with it, compilers return it.
+var ErrReleased = errors.New("ir: the graph's expressions were released when its design was compiled; core.Optimize returns a graph that keeps them")
+
+// ReleaseExprs drops every node's expression trees (Expr, WAddr, WData, WEn)
+// and marks the graph released. Names, kinds, widths, reset signals, initial
+// values and memories stay.
+func (g *Graph) ReleaseExprs() {
+	for _, n := range g.Nodes {
+		if n != nil {
+			n.Expr, n.WAddr, n.WData, n.WEn = nil, nil, nil, nil
+			n.released = true
+		}
+	}
+	g.released = true
+}
+
+// Released reports whether ReleaseExprs dropped the graph's expressions.
+func (g *Graph) Released() bool { return g.released }
+
+// mustHoldExprs panics on a released graph, for the walks that do not reach
+// Node.EachExpr before they would misread one.
+func (g *Graph) mustHoldExprs() {
+	if g.released {
+		panic(ErrReleased)
+	}
+}
+
+// ResidentBytes estimates the heap a released graph keeps alive: the node
+// table, the nodes, their names and initial values, and the memories' names,
+// port lists and initial contents. Expression trees are not counted.
+func (g *Graph) ResidentBytes() int {
+	const word = int(unsafe.Sizeof(uintptr(0)))
+	b := int(unsafe.Sizeof(*g)) + len(g.Name) + cap(g.Nodes)*word
+	for _, n := range g.Nodes {
+		if n != nil {
+			b += int(unsafe.Sizeof(*n)) + len(n.Name) + 8*cap(n.Init.W)
+		}
+	}
+	for _, m := range g.Mems {
+		b += word + int(unsafe.Sizeof(*m)) + len(m.Name) + (cap(m.Reads)+cap(m.Writes))*word
+		for _, v := range m.Init {
+			b += 2*word + int(unsafe.Sizeof(v)) + 8*cap(v.W)
+		}
+	}
+	return b
 }
 
 // NewGraph returns an empty graph.
@@ -250,6 +307,7 @@ func (g *Graph) Validate() error {
 // ValidateNodes is Validate without the acyclicity check, for a caller that
 // holds a topological order already (SortTopological just succeeded).
 func (g *Graph) ValidateNodes() error {
+	g.mustHoldExprs()
 	for id, n := range g.Nodes {
 		if n == nil {
 			continue

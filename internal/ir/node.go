@@ -85,6 +85,8 @@ type Node struct {
 
 	// IsOutput marks externally observable nodes; they are never eliminated.
 	IsOutput bool
+
+	released bool // Graph.ReleaseExprs dropped the expressions
 }
 
 // String returns a short description of the node.
@@ -93,8 +95,13 @@ func (n *Node) String() string {
 }
 
 // EachExpr calls f with a pointer to each of the node's root expression
-// slots, allowing passes to rewrite them in place. Nil slots are skipped.
+// slots, allowing passes to rewrite them in place. Nil slots are skipped. It
+// panics with ErrReleased on a node of a released graph, whose slots are
+// empty, not absent: every walk over edges goes through here.
 func (n *Node) EachExpr(f func(slot **Expr)) {
+	if n.released {
+		panic(ErrReleased)
+	}
 	if n.Expr != nil {
 		f(&n.Expr)
 	}

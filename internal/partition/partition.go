@@ -25,7 +25,9 @@
 package partition
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"time"
 
@@ -82,6 +84,27 @@ func (r *Result) AvgSize() float64 {
 		total += len(m)
 	}
 	return float64(total) / float64(len(r.Members))
+}
+
+// Fingerprint hashes the partition's membership — every supernode's member
+// node IDs, in supernode order — into 64 bits (FNV-1a). Partitions that
+// agree in supernode count but not in members differ in it, which is what a
+// snapshot's activity section, stored as supernode indices, must be checked
+// against.
+func (r *Result) Fingerprint() uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	put := func(v int32) {
+		binary.LittleEndian.PutUint32(b[:], uint32(v))
+		h.Write(b[:])
+	}
+	for _, m := range r.Members {
+		put(int32(len(m)))
+		for _, id := range m {
+			put(id)
+		}
+	}
+	return h.Sum64()
 }
 
 // graphView is the precomputed edge structure partitioners work on.

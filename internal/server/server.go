@@ -372,8 +372,13 @@ func (m *Manager) CreateSession(src string, spec SessionSpec) (*Session, error) 
 
 // CreateSessionGraph opens a session over a pre-elaborated graph. sourceKey
 // must identify the design content (it anchors the compile-cache key the way
-// the FIRRTL content hash does for CreateSession).
+// the FIRRTL content hash does for CreateSession). A compiled design's
+// graph is released and refused here, before it can wedge a failed compile
+// under sourceKey: sessions start from the source graph.
 func (m *Manager) CreateSessionGraph(g *ir.Graph, sourceKey string, spec SessionSpec) (*Session, error) {
+	if g.Released() {
+		return nil, fmt.Errorf("server: %w", ir.ErrReleased)
+	}
 	return m.create("graph:"+sourceKey, spec, func() (*ir.Graph, error) { return g, nil })
 }
 

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -22,6 +23,7 @@ import (
 	"gsim/internal/bitvec"
 	"gsim/internal/core"
 	"gsim/internal/firrtl"
+	"gsim/internal/ir"
 )
 
 func readDesign(t testing.TB, name string) string {
@@ -111,6 +113,35 @@ func TestConcurrentSessionsShareOneCompile(t *testing.T) {
 	if cs.Misses != 1 || cs.Hits != nSessions-1 || cs.Designs != 1 {
 		t.Fatalf("cache stats: hits=%d misses=%d designs=%d, want %d/1/1", cs.Hits, cs.Misses, cs.Designs, nSessions-1)
 	}
+}
+
+// TestCreateSessionGraphRefusesReleased: a compiled design's graph has no
+// expression trees left, so a session over it is refused before it reaches
+// the compile cache, where a cached failure would wedge its source key for
+// the real graph.
+func TestCreateSessionGraphRefusesReleased(t *testing.T) {
+	g, err := firrtl.Load(readDesign(t, "counter.fir"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.Build(g, core.GSIM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Close()
+	m := NewManager()
+	defer m.Drain(context.Background())
+	if _, err := m.CreateSessionGraph(sys.Graph, "counter", SessionSpec{}); !errors.Is(err, ir.ErrReleased) {
+		t.Fatalf("CreateSessionGraph of a compiled graph returned %v, want ir.ErrReleased", err)
+	}
+	if cs := m.CacheStats(); cs.Designs != 0 || cs.Misses != 0 {
+		t.Fatalf("the refusal reached the compile cache: %+v", cs)
+	}
+	s, err := m.CreateSessionGraph(g, "counter", SessionSpec{})
+	if err != nil {
+		t.Fatalf("the source graph under the same key: %v", err)
+	}
+	s.Close()
 }
 
 func postJSON(t *testing.T, url string, body, out any) *http.Response {

@@ -15,7 +15,8 @@ import (
 // be stepped; never a panic, never a half-restored engine. Every iteration
 // gets a fresh engine over one compiled design, so a failure reproduces from
 // its input alone. The seeds are a real blob of the essential-signal engine
-// (memory, armed supernodes, pending registers) and damaged copies of it;
+// (memory, armed supernodes, pending registers, its partition's
+// fingerprint), the same blob in format version 1, and damaged copies of it;
 // `go test -fuzz=FuzzSnapshotRestore ./internal/snapshot` explores from there
 // (CI rotates it with the other targets).
 func FuzzSnapshotRestore(f *testing.F) {
@@ -45,9 +46,10 @@ func FuzzSnapshotRestore(f *testing.F) {
 	sim.Close()
 	f.Add(good)
 	f.Add(pristine)
+	f.Add(v1Blob(f, good, design.Prog))
 	f.Add(good[:len(good)/2])
 	f.Add(append(append([]byte{}, good...), 0))
-	for _, at := range []int{0, 8, 12, 44, 52, 60, len(good) - 12, len(good) - 4} {
+	for _, at := range []int{0, 8, 12, 44, 52, 60, partPrintAt(f, good, design.Prog), len(good) - 12, len(good) - 4} {
 		bad := append([]byte{}, good...)
 		bad[at] ^= 0x81
 		f.Add(bad)

@@ -10,7 +10,7 @@
 // Format (all integers little-endian):
 //
 //	magic      [8]byte  "GSIMSNAP"
-//	version    u32      format version (currently 1)
+//	version    u32      format version (currently 2)
 //	designHash [32]byte emit.Program.DesignHash of the build that captured it
 //	cycles     u64      Stats.Cycles at capture (redundant with the stats
 //	                    section; lets tools report resume points header-only)
@@ -19,6 +19,7 @@
 //	executed   u64                        Machine.Executed
 //	stats      8 x u64                    the engine.Stats block
 //	supCount   u64                        capturing partition size (0 = none)
+//	partPrint  u64                        its membership fingerprint (0 = none)
 //	active     u64 n, then n x u32        armed supernode indices, ascending
 //	pending    u64 n, then n x u32        uncommitted register node IDs
 //
@@ -29,8 +30,11 @@
 // across engines, eval modes, and thread counts (the activity section is
 // stored in partition space, not engine-word space, for the same reason).
 // Unequal hashes (different design, different optimization level) refuse to
-// restore instead of corrupting silently. The version field gates format
-// evolution: readers reject versions they do not understand.
+// restore instead of corrupting silently. The hash does not cover the
+// partition, so the activity section names its own (supCount, partPrint),
+// and an essential-signal engine refuses a section from another partition.
+// The version field gates format evolution: readers reject versions they do
+// not understand. Version 2 added partPrint; version 1 blobs are refused.
 package snapshot
 
 import (
@@ -46,7 +50,7 @@ import (
 const Magic = "GSIMSNAP"
 
 // Version is the current format version.
-const Version = 1
+const Version = 2
 
 const headerBytes = 8 + 4 + 32 + 8
 
@@ -133,7 +137,7 @@ func Encode(st *engine.SimState, p *emit.Program) ([]byte, error) {
 	}
 	size += 8     // executed
 	size += 8 * 8 // stats
-	size += 8     // supCount
+	size += 8 + 8 // supCount, partPrint
 	size += 8 + 4*len(st.ActiveSups)
 	size += 8 + 4*len(st.PendingRegs)
 
@@ -152,6 +156,7 @@ func Encode(st *engine.SimState, p *emit.Program) ([]byte, error) {
 	w.u64(st.Executed)
 	w.stats(&st.Stats)
 	w.u64(uint64(st.SupCount))
+	w.u64(st.PartPrint)
 	w.i32s(st.ActiveSups)
 	w.i32s(st.PendingRegs)
 	if w.off != len(buf) {
@@ -204,6 +209,7 @@ func Decode(data []byte, p *emit.Program) (*engine.SimState, error) {
 	st.Executed = r.u64()
 	r.stats(&st.Stats)
 	st.SupCount = int(r.u64())
+	st.PartPrint = r.u64()
 	st.ActiveSups = r.i32s()
 	st.PendingRegs = r.i32s()
 	if r.err != nil {
@@ -214,6 +220,9 @@ func Decode(data []byte, p *emit.Program) (*engine.SimState, error) {
 	}
 	if h.Cycles != st.Stats.Cycles {
 		return nil, fmt.Errorf("snapshot: header cycles %d disagree with stats %d", h.Cycles, st.Stats.Cycles)
+	}
+	if st.SupCount == 0 && st.PartPrint != 0 {
+		return nil, fmt.Errorf("snapshot: partition fingerprint %016x without a partition", st.PartPrint)
 	}
 	return st, nil
 }

@@ -2,6 +2,7 @@ package snapshot_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"strings"
@@ -9,11 +10,13 @@ import (
 
 	"gsim/internal/bitvec"
 	"gsim/internal/core"
+	"gsim/internal/emit"
 	"gsim/internal/engine"
 	"gsim/internal/firrtl"
 	"gsim/internal/gen"
 	"gsim/internal/harness"
 	"gsim/internal/ir"
+	"gsim/internal/partition"
 	"gsim/internal/snapshot"
 	"gsim/internal/trace"
 )
@@ -427,6 +430,40 @@ func TestRestoreValidation(t *testing.T) {
 			t.Fatal("restore onto a different partition shape succeeded")
 		}
 	})
+	t.Run("same-count-other-members", func(t *testing.T) {
+		// The design hash does not cover the partition: an engine over the
+		// same program whose partition has as many supernodes but other
+		// members must refuse the blob, naming both partitions.
+		og, _, err := core.Optimize(g, sys.Config.Opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := emit.Compile(og)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog.DesignHash() != sys.Prog.DesignHash() {
+			t.Fatal("core.Optimize + emit.Compile built another program than the design's")
+		}
+		moved := shiftMember(t, sys.Part)
+		other := engine.NewActivity(prog, moved, sys.Config.Activity, 1, engine.EvalKernel)
+		defer other.Close()
+		err = snapshot.Restore(other, blob)
+		if err == nil {
+			t.Fatal("restore onto a partition with other members succeeded")
+		}
+		for _, fp := range []uint64{sys.Part.Fingerprint(), moved.Fingerprint()} {
+			if !strings.Contains(err.Error(), fmt.Sprintf("%016x", fp)) {
+				t.Fatalf("the refusal %q does not name partition %016x", err, fp)
+			}
+		}
+	})
+	t.Run("v1", func(t *testing.T) {
+		err := snapshot.Restore(sys.Sim, v1Blob(t, blob, sys.Prog))
+		if err == nil || !strings.Contains(err.Error(), "version 1") {
+			t.Fatalf("restore of a version-1 blob returned %v, want the version refusal", err)
+		}
+	})
 	t.Run("truncated", func(t *testing.T) {
 		for _, n := range []int{0, 7, 43, len(blob) / 2, len(blob) - 1} {
 			if err := snapshot.Restore(sys.Sim, blob[:n]); err == nil {
@@ -454,6 +491,53 @@ func TestRestoreValidation(t *testing.T) {
 			t.Fatal("restore with trailing bytes succeeded")
 		}
 	})
+}
+
+// shiftMember returns a copy of part with the last member of the first
+// supernode holding two or more moved to the front of the next one: the same
+// supernode count, other members, still a topological interval order.
+func shiftMember(t *testing.T, part *partition.Result) *partition.Result {
+	t.Helper()
+	moved := &partition.Result{Kind: part.Kind, SupOf: append([]int32(nil), part.SupOf...)}
+	for _, m := range part.Members {
+		moved.Members = append(moved.Members, append([]int32(nil), m...))
+	}
+	for s := 0; s+1 < len(moved.Members); s++ {
+		if m := moved.Members[s]; len(m) >= 2 {
+			id := m[len(m)-1]
+			moved.Members[s] = m[:len(m)-1]
+			moved.Members[s+1] = append([]int32{id}, moved.Members[s+1]...)
+			moved.SupOf[id] = int32(s + 1)
+			return moved
+		}
+	}
+	t.Fatal("no supernode of two or more members to move one from")
+	return nil
+}
+
+// partPrintAt returns the offset of a blob's partition fingerprint.
+func partPrintAt(t testing.TB, blob []byte, p *emit.Program) int {
+	t.Helper()
+	st, err := snapshot.Decode(blob, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := 8 + 4 + 32 + 8 // header
+	at += 8 + 8*len(st.State) + 8
+	for _, m := range st.Mems {
+		at += 8 + 8*len(m)
+	}
+	return at + 8 + 8*8 + 8 // executed, stats, supCount
+}
+
+// v1Blob rewrites a current blob of p into format version 1: the version
+// word, and no partition fingerprint after the supernode count.
+func v1Blob(t testing.TB, blob []byte, p *emit.Program) []byte {
+	t.Helper()
+	at := partPrintAt(t, blob, p)
+	v1 := append(append([]byte{}, blob[:at]...), blob[at+8:]...)
+	binary.LittleEndian.PutUint32(v1[8:], 1)
+	return v1
 }
 
 // TestSnapshotFromOtherProgramRefused: a release that changes what the
