@@ -5,7 +5,6 @@
 //	gsim-bench -exp table1|fig6|gsimmt|coarsen|sessions|fig7|fig8|fig9|table3|table4|all [-quick] [-cycles N]
 //	           [-threads 1,2,4,8]   thread counts for the gsimmt and coarsen sweeps
 //	                                (doubles as the session counts for -exp sessions)
-//	           [-eval kernel|kernel-nofuse|interp] evaluation mode for every measured config
 //	           [-coarsen]           adaptive level coarsening for every measured config
 //
 // Results print as text tables in the paper's layout; the README's
@@ -19,7 +18,6 @@ import (
 	"strconv"
 	"strings"
 
-	"gsim/internal/engine"
 	"gsim/internal/gen"
 	"gsim/internal/harness"
 )
@@ -30,16 +28,10 @@ func main() {
 	medium := flag.Bool("medium", false, "stucore + rocket-scale designs, full budget")
 	cycles := flag.Int("cycles", 0, "override timed cycles per measurement")
 	threadList := flag.String("threads", "1,2,4,8", "comma-separated thread counts for the gsimmt and coarsen sweeps")
-	evalName := flag.String("eval", "kernel", "instruction evaluation for every measured config: kernel, kernel-nofuse, or interp")
 	coarsen := flag.Bool("coarsen", false, "adaptive level coarsening for every measured config")
 	flag.Parse()
 
 	threadCounts, err := parseThreads(*threadList)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	evalMode, err := engine.ParseEvalMode(*evalName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -65,7 +57,6 @@ func main() {
 	if *cycles > 0 {
 		budget.TimedCycles = *cycles
 	}
-	budget.Eval = evalMode
 	budget.Coarsen = *coarsen
 
 	run := func(name string, f func() error) {

@@ -447,12 +447,12 @@ func chainFusionStats(sys *core.System) fusionCounts {
 // engine lays them out — one chain per supernode, or the whole program —
 // and prints the stream's size.
 func printFootprint(label string, sys *core.System) {
-	s := emit.NewStream(sys.Prog)
+	s := emit.NewStream(sys.Prog, emit.Fused)
 	if sys.Part == nil {
-		s.Append(sys.Prog.Instrs, true)
+		s.Append(sys.Prog.Instrs)
 	} else {
 		for _, members := range sys.Part.Members {
-			s.AppendNodes(members, true)
+			s.AppendNodes(members)
 		}
 	}
 	kernels, records, bytes := s.Footprint()

@@ -5,11 +5,6 @@
 //	gsim [flags] design.fir
 //
 //	-engine gsim|verilator|essent|arcilator   simulator preset (default gsim)
-//	-eval kernel|kernel-nofuse|interp         instruction evaluation: the fused kernel
-//	                                          pipeline (default: superinstructions,
-//	                                          width classes, bound chains), the
-//	                                          pre-fusion kernel baseline, or the
-//	                                          reference interpreter
 //	-threads N                                multi-threaded engine: gsim -> GSIMMT
 //	                                          (parallel essential-signal), verilator
 //	                                          -> Verilator-MT (parallel full-cycle)
@@ -55,7 +50,6 @@ func (r *repeated) Set(v string) error { *r = append(*r, v); return nil }
 
 func main() {
 	engineName := flag.String("engine", "gsim", "simulator preset: gsim, verilator, essent, arcilator")
-	evalName := flag.String("eval", "kernel", "instruction evaluation: kernel (fused pipeline, default), kernel-nofuse (pre-fusion baseline), or interp (reference interpreter)")
 	threads := flag.Int("threads", 0, "worker count: gsim -> parallel essential-signal (GSIMMT), verilator -> parallel full-cycle")
 	cycles := flag.Int("cycles", 10, "cycles to simulate")
 	coarsen := flag.Bool("coarsen", false, "adaptive level coarsening: merge sparse schedule levels (parallel essential-signal engine)")
@@ -107,11 +101,6 @@ func main() {
 	if *threads > 0 && cfg.Threads == 0 {
 		fatal(fmt.Errorf("-threads is only valid with -engine gsim or verilator"))
 	}
-	evalMode, err := engine.ParseEvalMode(*evalName)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Eval = evalMode
 	cfg.Activity.Coarsen = *coarsen
 	if *maxSup > 0 {
 		cfg.MaxSupernode = *maxSup
@@ -121,7 +110,7 @@ func main() {
 		fatal(err)
 	}
 	defer sys.Close()
-	fmt.Printf("built %s (%s eval) in %v (passes: %s; %s)\n", cfg.Name, cfg.Eval, sys.BuildTime.Round(1000), sys.PassResult, sys.PassResult.Timing())
+	fmt.Printf("built %s in %v (passes: %s; %s)\n", cfg.Name, sys.BuildTime.Round(1000), sys.PassResult, sys.PassResult.Timing())
 	if sys.Part != nil {
 		fmt.Printf("partition: %d supernodes (avg %.1f nodes, cut %d)\n",
 			sys.Part.Count(), sys.Part.AvgSize(), sys.Part.CutEdges)

@@ -34,27 +34,33 @@ func cacheDesign(t *testing.T, idx int) *ir.Graph {
 
 // TestCompileDesignRefusesCorruptProgram corrupts one instruction of a
 // design compiled the way CompileDesign compiles it and checks that planning
-// each kernel-mode engine over it — the step of CompileDesign before the
-// release — fails with an error carrying the stream builder's refusal
-// instead of panicking.
+// each engine over it, in every stream mode — the step of CompileDesign
+// before the release — fails with an error carrying the stream builder's
+// refusal, instead of panicking or, as the interpreter once did, indexing
+// out of range at the first Step.
 func TestCompileDesignRefusesCorruptProgram(t *testing.T) {
-	for _, cfg := range []Config{Verilator(), VerilatorMT(2), GSIM(), GSIMMT(2)} {
-		cfg = cfg.normalized()
-		g, _, err := Optimize(cacheDesign(t, 0), cfg.Opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := emit.Compile(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := &CompiledDesign{Config: cfg, Graph: g, Prog: prog}
-		if cfg.Engine == EngineActivity {
-			d.Part = partition.Build(g, cfg.Partition, cfg.MaxSupernode)
-		}
-		d.Prog.Instrs[0].D = int32(d.Prog.NumWords)
-		if err := d.buildPlan(); err == nil || !strings.Contains(err.Error(), "refusing instruction") {
-			t.Errorf("%s: planning a corrupt program returned %v, want the refusal", cfg.Name, err)
+	modes := []engine.EvalMode{engine.EvalKernel, engine.EvalKernelNoFuse, engine.EvalInterp}
+	for _, preset := range []Config{Verilator(), VerilatorMT(2), GSIM(), GSIMMT(2)} {
+		for _, mode := range modes {
+			cfg := preset
+			cfg.Eval = mode
+			cfg = cfg.normalized()
+			g, _, err := Optimize(cacheDesign(t, 0), cfg.Opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := emit.Compile(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := &CompiledDesign{Config: cfg, Graph: g, Prog: prog}
+			if cfg.Engine == EngineActivity {
+				d.Part = partition.Build(g, cfg.Partition, cfg.MaxSupernode)
+			}
+			d.Prog.Instrs[0].D = int32(d.Prog.NumWords)
+			if err := d.buildPlan(); err == nil || !strings.Contains(err.Error(), "refusing instruction") {
+				t.Errorf("%s/%s: planning a corrupt program returned %v, want the refusal", cfg.Name, mode, err)
+			}
 		}
 	}
 }

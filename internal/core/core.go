@@ -44,11 +44,12 @@ type Config struct {
 	Engine  EngineKind
 	Threads int // worker count; 0 and 1 both mean one worker (see workers)
 
-	// Eval selects instruction evaluation: the fused kernel pipeline
-	// (the zero value, default on for every preset — superinstruction
-	// fusion, 2-word width classes, machine-bound chains), the same chains
-	// with fusion off (engine.EvalKernelNoFuse), or the reference
-	// switch-dispatch interpreter (engine.EvalInterp).
+	// Eval is the build mode of the plan's stream. Engines run every mode
+	// through one path; only the kernels differ. The zero value, the fused
+	// kernels, is the product and every preset's. Fusion off
+	// (engine.EvalKernelNoFuse) and the reference interpreter
+	// (engine.EvalInterp) are for tests, go-bench rows and diagnostics, and
+	// no session spec or command-line flag selects them.
 	Eval engine.EvalMode
 
 	// Activity-engine knobs.

@@ -19,13 +19,18 @@ type matrixSim struct {
 	sim  engine.Sim
 }
 
-// matrixEngines instantiates the full engine × eval-mode × worker-count ×
+// matrixEngines instantiates the full engine × stream-mode × worker-count ×
 // coarsening matrix over ONE compiled program (sys's, rebuilt by analyzable)
 // and partition, so every cell shares node IDs and state layout and the
 // state images can be compared word for word:
 //
-//	fullcycle, activity          × {kernel, kernel-nofuse, interp} × {1, 2, 4} workers
-//	activity (coarsened)         × {kernel, kernel-nofuse, interp} × {1, 2, 4} workers
+//	fullcycle, activity          × {kernel, interp} × {1, 2, 4} workers
+//	activity (coarsened)         × {kernel, interp} × {1, 2, 4} workers
+//
+// Engines run every stream mode through one path, so the interp cells run
+// the whole engine over the interpreter, while kernel-nofuse would differ
+// from kernel only in which stream kernels run — TestChainMatchesInterp in
+// internal/emit pins those.
 //
 // The coarsened cells run the merged-level schedule with an aggressive grain
 // (so merging actually happens on small designs) and must stay bit-identical
@@ -45,7 +50,7 @@ func matrixEngines(t *testing.T, prog *emit.Program, sys *System) []matrixSim {
 	coarse.Coarsen = true
 	coarse.CoarsenGrain = 1 << 30 // merge everything mergeable: worst case for ordering bugs
 
-	modes := []engine.EvalMode{engine.EvalKernel, engine.EvalKernelNoFuse, engine.EvalInterp}
+	modes := []engine.EvalMode{engine.EvalKernel, engine.EvalInterp}
 	var sims []matrixSim
 	for _, mode := range modes {
 		for _, threads := range []int{1, 2, 4} {
@@ -74,13 +79,13 @@ func matrixDesigns(t *testing.T) (names []string, graphs []*ir.Graph) {
 	return names, graphs
 }
 
-// TestEngineMatrixLockstep sweeps the conformance matrix: both engines, all
-// three evaluation modes, 1/2/4 workers, lockstep
-// over every design with randomized stimulus and reset pulses. Every cell's
-// full state image must stay bit-identical to the first cell every cycle,
-// and the first cell's outputs must match the independent ir-reference
-// oracle — so superinstruction fusion, width classes, and the worker
-// schedules can never diverge any engine from any other.
+// TestEngineMatrixLockstep sweeps the conformance matrix: both engines, the
+// kernel and interp stream modes, 1/2/4 workers, lockstep over every design
+// with two seeds of randomized stimulus and reset pulses. Every cell's full
+// state image must stay bit-identical to the first cell every cycle, and the
+// first cell's outputs must match the independent ir-reference oracle — so
+// superinstruction fusion, width classes, and the worker schedules can never
+// diverge any engine from any other.
 func TestEngineMatrixLockstep(t *testing.T) {
 	cycles := 60
 	if testing.Short() {
@@ -93,95 +98,104 @@ func TestEngineMatrixLockstep(t *testing.T) {
 			t.Fatalf("%s: %v", names[di], err)
 		}
 		prog := analyzable(t, g, sys)
-		sims := matrixEngines(t, prog, sys)
-		ref, err := engine.NewReference(prog.Graph)
-		if err != nil {
-			t.Fatalf("%s: %v", names[di], err)
-		}
-
-		var inputs, outputs []*ir.Node
-		for _, n := range sys.Graph.Nodes {
-			if n.Kind == ir.KindInput {
-				inputs = append(inputs, n)
-			}
-			if n.IsOutput {
-				outputs = append(outputs, n)
-			}
-		}
-		// The lane cells: 3 lanes of each engine kind over one shared plan,
-		// every lane fed the matrix stimulus. Each lane's state must track
-		// the scalar cells word for word — engines sharing a plan join the
-		// same bit-identity contract as every engine × mode × thread cell.
-		const gangLanes = 3
-		laneSets := map[string]*engine.Lanes{
-			"fullcycle": newLanes(engine.PlanFullCycle(prog, nil, 1, engine.EvalKernel), gangLanes),
-			"activity":  newLanes(engine.PlanActivity(prog, sys.Part, sys.Config.Activity, 1, engine.EvalKernel), gangLanes),
-		}
-
-		rng := rand.New(rand.NewSource(int64(di)*977 + 13))
-		base := sims[0]
-		for c := 0; c < cycles; c++ {
-			for _, in := range inputs {
-				v := bitvec.FromUint64(in.Width, rng.Uint64())
-				if in.Name == "reset" {
-					v = bitvec.FromUint64(1, uint64(rng.Intn(12)/11))
-				}
-				ref.Poke(in.ID, v)
-				for _, ms := range sims {
-					ms.sim.Poke(in.ID, v)
-				}
-				for _, lanes := range laneSets {
-					for l := 0; l < gangLanes; l++ {
-						lanes.Poke(l, in.ID, v)
-					}
-				}
-			}
-			ref.Step()
-			for _, ms := range sims {
-				ms.sim.Step()
-			}
-			for _, lanes := range laneSets {
-				lanes.Step()
-			}
-			st0 := base.sim.Machine().State
-			for _, ms := range sims[1:] {
-				st := ms.sim.Machine().State
-				for w := range st0 {
-					if st0[w] != st[w] {
-						t.Fatalf("%s cycle %d: state word %d: %s %#x vs %s %#x",
-							names[di], c, w, base.name, st0[w], ms.name, st[w])
-					}
-				}
-			}
-			for kind, lanes := range laneSets {
-				for l := 0; l < gangLanes; l++ {
-					gst, err := lanes.CaptureLane(l)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for w := range st0 {
-						if st0[w] != gst.State[w] {
-							t.Fatalf("%s cycle %d: state word %d: %s %#x vs %s lane %d %#x",
-								names[di], c, w, base.name, st0[w], kind, l, gst.State[w])
-						}
-					}
-				}
-			}
-			for _, n := range outputs {
-				if a, b := ref.Peek(n.ID), base.sim.Peek(n.ID); !a.EqValue(b) {
-					t.Fatalf("%s cycle %d: output %q: reference %s vs %s %s",
-						names[di], c, n.Name, a, base.name, b)
-				}
-			}
-		}
-
-		for _, ms := range sims {
-			ms.sim.Close()
-		}
-		for _, lanes := range laneSets {
-			lanes.Close()
+		for _, seed := range []int64{13, 7919} {
+			lockstepMatrix(t, names[di], prog, sys, int64(di)*977+seed, cycles)
 		}
 		sys.Close()
+	}
+}
+
+// lockstepMatrix runs every matrix cell, the lane cells and the reference
+// oracle in lockstep on one seed of stimulus for the given cycles.
+func lockstepMatrix(t *testing.T, name string, prog *emit.Program, sys *System, seed int64, cycles int) {
+	t.Helper()
+	sims := matrixEngines(t, prog, sys)
+	ref, err := engine.NewReference(prog.Graph)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+
+	var inputs, outputs []*ir.Node
+	for _, n := range sys.Graph.Nodes {
+		if n.Kind == ir.KindInput {
+			inputs = append(inputs, n)
+		}
+		if n.IsOutput {
+			outputs = append(outputs, n)
+		}
+	}
+	// The lane cells: 3 lanes of each engine kind over one shared plan,
+	// every lane fed the matrix stimulus. Each lane's state must track
+	// the scalar cells word for word — engines sharing a plan join the
+	// same bit-identity contract as every engine × mode × thread cell.
+	const gangLanes = 3
+	laneSets := map[string]*engine.Lanes{
+		"fullcycle": newLanes(engine.PlanFullCycle(prog, nil, 1, engine.EvalKernel), gangLanes),
+		"activity":  newLanes(engine.PlanActivity(prog, sys.Part, sys.Config.Activity, 1, engine.EvalKernel), gangLanes),
+	}
+
+	rng := rand.New(rand.NewSource(seed))
+	base := sims[0]
+	for c := 0; c < cycles; c++ {
+		for _, in := range inputs {
+			v := bitvec.FromUint64(in.Width, rng.Uint64())
+			if in.Name == "reset" {
+				v = bitvec.FromUint64(1, uint64(rng.Intn(12)/11))
+			}
+			ref.Poke(in.ID, v)
+			for _, ms := range sims {
+				ms.sim.Poke(in.ID, v)
+			}
+			for _, lanes := range laneSets {
+				for l := 0; l < gangLanes; l++ {
+					lanes.Poke(l, in.ID, v)
+				}
+			}
+		}
+		ref.Step()
+		for _, ms := range sims {
+			ms.sim.Step()
+		}
+		for _, lanes := range laneSets {
+			lanes.Step()
+		}
+		st0 := base.sim.Machine().State
+		for _, ms := range sims[1:] {
+			st := ms.sim.Machine().State
+			for w := range st0 {
+				if st0[w] != st[w] {
+					t.Fatalf("%s seed %d cycle %d: state word %d: %s %#x vs %s %#x",
+						name, seed, c, w, base.name, st0[w], ms.name, st[w])
+				}
+			}
+		}
+		for kind, lanes := range laneSets {
+			for l := 0; l < gangLanes; l++ {
+				gst, err := lanes.CaptureLane(l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for w := range st0 {
+					if st0[w] != gst.State[w] {
+						t.Fatalf("%s seed %d cycle %d: state word %d: %s %#x vs %s lane %d %#x",
+							name, seed, c, w, base.name, st0[w], kind, l, gst.State[w])
+					}
+				}
+			}
+		}
+		for _, n := range outputs {
+			if a, b := ref.Peek(n.ID), base.sim.Peek(n.ID); !a.EqValue(b) {
+				t.Fatalf("%s seed %d cycle %d: output %q: reference %s vs %s %s",
+					name, seed, c, n.Name, a, base.name, b)
+			}
+		}
+	}
+
+	for _, ms := range sims {
+		ms.sim.Close()
+	}
+	for _, lanes := range laneSets {
+		lanes.Close()
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 	"unsafe"
 )
 
-// Bound chains: the one compiled form every kernel-mode engine executes. A
-// chain compiles into a Stream for a Program: opcode dispatch, fusion and
-// width class are resolved at build time into one static kernel function
-// per window, and every instruction becomes one operand record — state
-// offsets and widths, no pointers — in one contiguous array. Running a chain
+// Bound chains: the one compiled form every engine executes. A chain
+// compiles into a Stream for a Program: opcode dispatch, fusion and width
+// class are resolved at build time into one static kernel function per
+// window, and every instruction becomes one operand record — state offsets
+// and widths, no pointers — in one contiguous array. Running a chain
 // is a loop of kernel calls over one machine's state image, each consuming
 // its window's records and returning the next one; nothing is allocated per
 // instruction. This is the closest a Go interpreter gets to GSIM's emitted
@@ -21,6 +21,10 @@ import (
 // A stream holds no machine state, so one stream serves every machine of
 // its program: a compiled design builds it once and every engine and lane
 // of the design runs it.
+//
+// A stream's Mode, fixed when it is built, picks its kernels: fused (the
+// product), unfused (fusion's baseline) or interp (the reference
+// interpreter, one window per node). Engines run every mode the same way.
 //
 // Safety: kernels address the state image through unsafe.Add. Every
 // instruction is validated once, as it is appended, against p.NumWords and
@@ -35,7 +39,8 @@ import (
 // bits offset, clamped to 255 (any count of 64 or more shifts every bit
 // out). A memory read keeps its memory index in B. The wide fallback takes
 // two records: the instruction's word offsets, then its widths in D, A, B,
-// its Lo in C and its opcode in Sh.
+// its Lo in C and its opcode in Sh. An Interp window's one record holds its
+// node's instruction range in D and A.
 type Op struct {
 	D, A, B, C     int32
 	DW, AW, BW, Sh uint8
@@ -48,12 +53,42 @@ type kernel func(st unsafe.Pointer, m *Machine, a *Op) *Op
 // BoundFn runs a compiled chain.
 type BoundFn func()
 
+// Mode is how a stream compiles its chains.
+type Mode uint8
+
+const (
+	// Fused applies superinstruction fusion (generated matchers from the
+	// rule table, widest window first — a triple beats the pair it
+	// contains) on top of the width-class kernels.
+	Fused Mode = iota
+	// Interp runs each node's code range through the reference
+	// switch-dispatch interpreter (Machine.Exec): one window per node,
+	// whose record holds the range. It is the semantic baseline the
+	// kernels are pinned against.
+	Interp
+	// Unfused compiles every instruction to its own kernel, width classes
+	// kept: the baseline fusion is measured against.
+	Unfused
+)
+
+// String returns the mode's flag spelling, which names the benchmark rows.
+func (m Mode) String() string {
+	switch m {
+	case Interp:
+		return "interp"
+	case Unfused:
+		return "kernel-nofuse"
+	}
+	return "kernel"
+}
+
 // Stream is a sequence of chains compiled for one program: one kernel per
 // window in one array, the windows' operand records in another. Once
 // trimmed it is immutable, and any number of machines of the program may
 // run it concurrently.
 type Stream struct {
 	p       *Program
+	mode    Mode
 	kernels []kernel
 	ops     []Op    // every window's records, then a zero sentinel the last kernel returns
 	chain   []Instr // AppendNodes scratch
@@ -63,9 +98,9 @@ type Stream struct {
 // at record Rec.
 type Span struct{ K, KEnd, Rec int32 }
 
-// NewStream returns an empty stream for program p.
-func NewStream(p *Program) *Stream {
-	return &Stream{p: p, ops: make([]Op, 1)}
+// NewStream returns an empty stream for program p, compiling in mode.
+func NewStream(p *Program, mode Mode) *Stream {
+	return &Stream{p: p, mode: mode, ops: make([]Op, 1)}
 }
 
 // CheckMachine panics unless m is shaped like every machine of the
@@ -83,29 +118,27 @@ func (s *Stream) CheckMachine(m *Machine) {
 }
 
 // Append compiles the instruction chain ins onto the stream and returns its
-// span. With fuse set, superinstruction fusion applies (generated matchers
-// from the rule table, widest window first — a triple beats the pair it
-// contains); with fuse false every instruction is its own kernel, the
-// kernel-nofuse baseline fusion is measured against. The chain need not be
-// contiguous in the program. Append panics, naming the instruction, if one
-// has a zero width or reads or writes outside the program's state image or
-// memories.
-func (s *Stream) Append(ins []Instr, fuse bool) Span {
+// span: fused windows in Fused mode, one kernel per instruction in Unfused.
+// The chain need not be contiguous in the program. Append panics, naming
+// the instruction, if one has a zero width or reads or writes outside the
+// program's state image or memories. An Interp stream runs node ranges of
+// the program, so it takes chains only through AppendNodes.
+func (s *Stream) Append(ins []Instr) Span {
+	if s.mode == Interp {
+		panic("emit: an interp stream appends node ranges (AppendNodes), not instructions")
+	}
 	for i := range ins {
 		s.check(ins[i], i)
 	}
-	sp := Span{K: int32(len(s.kernels)), Rec: int32(len(s.ops) - 1)}
-	s.ops = s.ops[:len(s.ops)-1]
-	if fuse {
+	sp := s.begin()
+	if s.mode == Fused {
 		fusionWalk(ins, func(i int, r FuseRule) { s.window(ins[i : i+max(r.Arity(), 1)]) })
 	} else {
 		for i := range ins {
 			s.window(ins[i : i+1])
 		}
 	}
-	s.ops = append(s.ops, Op{})
-	sp.KEnd = int32(len(s.kernels))
-	return sp
+	return s.end(sp)
 }
 
 // AppendNodes appends the given nodes' code ranges, concatenated in the
@@ -114,15 +147,46 @@ func (s *Stream) Append(ins []Instr, fuse bool) Span {
 // in ascending node/supernode ID, which the partition package guarantees is
 // topological, including inside coarsened (level-merged) chunks. Fusion
 // applies across node boundaries exactly like inside a node: a kernel
-// performs every store of its window in order.
-func (s *Stream) AppendNodes(ids []int32, fuse bool) Span {
+// performs every store of its window in order. Every instruction is
+// validated as Append validates it, in every mode.
+func (s *Stream) AppendNodes(ids []int32) Span {
 	p := s.p
-	s.chain = s.chain[:0]
+	if s.mode != Interp {
+		s.chain = s.chain[:0]
+		for _, id := range ids {
+			r := p.Code[id]
+			s.chain = append(s.chain, p.Instrs[r.Start:r.End]...)
+		}
+		return s.Append(s.chain)
+	}
+	sp, i := s.begin(), 0
 	for _, id := range ids {
 		r := p.Code[id]
-		s.chain = append(s.chain, p.Instrs[r.Start:r.End]...)
+		for _, in := range p.Instrs[r.Start:r.End] {
+			s.check(in, i)
+			i++
+		}
+		if r.Len() > 0 {
+			s.kernels = append(s.kernels, kExec)
+			s.ops = append(s.ops, Op{D: r.Start, A: r.End})
+		}
 	}
-	return s.Append(s.chain, fuse)
+	return s.end(sp)
+}
+
+// begin opens a chain: its span starts at the next kernel and at the
+// sentinel record, which the chain's first window overwrites.
+func (s *Stream) begin() Span {
+	sp := Span{K: int32(len(s.kernels)), Rec: int32(len(s.ops) - 1)}
+	s.ops = s.ops[:len(s.ops)-1]
+	return sp
+}
+
+// end closes the chain begin opened and restores the sentinel.
+func (s *Stream) end(sp Span) Span {
+	s.ops = append(s.ops, Op{})
+	sp.KEnd = int32(len(s.kernels))
+	return sp
 }
 
 // Run executes one appended chain on machine m, which must have passed
@@ -152,9 +216,9 @@ func (s *Stream) Footprint() (kernels, records, bytes int) {
 // CompileChainBound compiles ins, fused, into a stream for p and returns it
 // as one BoundFn running the whole chain on machine m.
 func (p *Program) CompileChainBound(m *Machine, ins []Instr) []BoundFn {
-	s := NewStream(p)
+	s := NewStream(p, Fused)
 	s.CheckMachine(m)
-	sp := s.Append(ins, true)
+	sp := s.Append(ins)
 	s.Trim()
 	return []BoundFn{func() { s.Run(m, sp) }}
 }
@@ -278,6 +342,13 @@ func readMem(mem []uint64, addr, depth uint64, wp int32) uint64 {
 func kMemread(st unsafe.Pointer, m *Machine, a *Op) *Op {
 	spec := &m.Prog.Mems[a.B]
 	*at(st, a.D) = readMem(m.Mems[a.B], *at(st, a.A), uint64(spec.Depth), spec.WordsPer) & mask8(a.DW)
+	return a.next()
+}
+
+// kExec is the Interp mode's one kernel: it runs a node's code range,
+// [a.D, a.A), through the interpreter.
+func kExec(_ unsafe.Pointer, m *Machine, a *Op) *Op {
+	m.Exec(a.D, a.A)
 	return a.next()
 }
 

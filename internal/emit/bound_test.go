@@ -40,29 +40,30 @@ func kernelsFor(t *testing.T, p *Program, in Instr) int {
 			t.Fatalf("opcode %s (widths %d/%d/%d): compile panicked: %v", in.Op, in.DW, in.AW, in.BW, r)
 		}
 	}()
-	s := NewStream(p)
-	s.Append([]Instr{in}, true)
+	s := NewStream(p, Fused)
+	s.Append([]Instr{in})
 	k, _, _ := s.Footprint()
 	return k
 }
 
-// TestChainMatchesInterp is the chain-level property test for every kernel
-// mode: for random expression trees (narrow and wide), the stream — width
-// classes, and superinstructions when fused — must leave the machine in the
-// exact state the interpreter leaves it in, every word including
-// temporaries. Fused, the kernel count may only shrink; unfused (the
-// kernel-nofuse path), it is exactly one kernel per instruction.
+// TestChainMatchesInterp is the chain-level property test for every stream
+// mode: for random expression trees (narrow and wide), the whole program
+// appended node by node — width classes, and superinstructions when fused —
+// must leave the machine in the exact state Machine.Exec leaves it in, every
+// word including temporaries. Fused, the kernel count may only shrink;
+// unfused (the kernel-nofuse path), it is exactly one kernel per
+// instruction; interp, one per node with code.
 func TestChainMatchesInterp(t *testing.T) {
-	for _, fuse := range []bool{true, false} {
-		t.Run(fmt.Sprintf("fuse=%v", fuse), func(t *testing.T) {
+	for _, mode := range []Mode{Fused, Unfused, Interp} {
+		t.Run(mode.String(), func(t *testing.T) {
 			for seed := int64(300); seed < 360; seed++ {
-				checkChainMatchesInterp(t, seed, fuse)
+				checkChainMatchesInterp(t, seed, mode)
 			}
 		})
 	}
 }
 
-func checkChainMatchesInterp(t *testing.T, seed int64, fuse bool) {
+func checkChainMatchesInterp(t *testing.T, seed int64, mode Mode) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	b := ir.NewBuilder(fmt.Sprintf("c%d", seed))
@@ -83,20 +84,30 @@ func checkChainMatchesInterp(t *testing.T, seed int64, fuse bool) {
 
 	mi := NewMachine(p)
 	mb := NewMachine(p)
-	s := NewStream(p)
-	chain := s.Append(p.Instrs, fuse)
-	kernels, _, _ := s.Footprint()
-	if fuse && kernels > len(p.Instrs) {
-		t.Fatalf("seed %d: chain grew: %d kernels for %d instructions", seed, kernels, len(p.Instrs))
+	s := NewStream(p, mode)
+	ids, coded := make([]int32, len(p.Code)), 0
+	for id, r := range p.Code {
+		ids[id] = int32(id)
+		if r.Len() > 0 {
+			coded++
+		}
 	}
-	if !fuse && kernels != len(p.Instrs) {
+	chain := s.AppendNodes(ids)
+	kernels, _, _ := s.Footprint()
+	switch {
+	case mode == Fused && kernels > len(p.Instrs):
+		t.Fatalf("seed %d: chain grew: %d kernels for %d instructions", seed, kernels, len(p.Instrs))
+	case mode == Unfused && kernels != len(p.Instrs):
 		t.Fatalf("seed %d: unfused chain has %d kernels for %d instructions", seed, kernels, len(p.Instrs))
+	case mode == Interp && kernels != coded:
+		t.Fatalf("seed %d: interp chain has %d kernels for %d nodes with code", seed, kernels, coded)
 	}
 	for _, in := range inputs {
 		mi.Poke(in.ID, vals[in])
 		mb.Poke(in.ID, vals[in])
 	}
 	mi.Exec(0, int32(len(p.Instrs)))
+	s.CheckMachine(mb)
 	s.Run(mb, chain)
 	for w := range mi.State {
 		if mi.State[w] != mb.State[w] {
@@ -109,9 +120,9 @@ func checkChainMatchesInterp(t *testing.T, seed int64, fuse bool) {
 // TestStreamRefusesOutsideState corrupts one instruction at a time — an
 // operand past the state image, a negative offset, a 2-word operand
 // straddling the end, a memory index past Mems, a zero width — and checks
-// that building the stream refuses it, naming the instruction, instead of
-// compiling a kernel that addresses memory outside the machine or masks
-// with a width it cannot represent.
+// that building the stream in every mode refuses it, naming the
+// instruction, instead of compiling a kernel that addresses memory outside
+// the machine or masks with a width it cannot represent.
 func TestStreamRefusesOutsideState(t *testing.T) {
 	p := &Program{NumWords: 16, Mems: []MemSpec{{Depth: 4, Width: 8, WordsPer: 1, Init: make([]uint64, 4)}}}
 	good := []Instr{
@@ -120,7 +131,16 @@ func TestStreamRefusesOutsideState(t *testing.T) {
 		{Op: CMemRead, D: 12, DW: 8, A: 11, AW: 2, Lo: 0},
 		{Op: CCopy, D: 13, DW: 100, A: 4, AW: 100},
 	}
-	NewStream(p).Append(good, true)
+	// appendAll appends ins as the code of a one-node program, the form
+	// every mode accepts.
+	appendAll := func(mode Mode, ins []Instr) {
+		q := &Program{NumWords: p.NumWords, Mems: p.Mems, Instrs: ins, Code: []Range{{0, int32(len(ins))}}}
+		NewStream(q, mode).AppendNodes([]int32{0})
+	}
+	modes := []Mode{Fused, Unfused, Interp}
+	for _, mode := range modes {
+		appendAll(mode, good)
+	}
 	for _, c := range []struct {
 		name    string
 		i       int
@@ -135,24 +155,26 @@ func TestStreamRefusesOutsideState(t *testing.T) {
 	} {
 		ins := slices.Clone(good)
 		c.corrupt(&ins[c.i])
-		msg := func() (msg string) {
-			defer func() { msg = fmt.Sprint(recover()) }()
-			NewStream(p).Append(ins, true)
-			return "no panic"
-		}()
-		if want := fmt.Sprintf("instruction %d of the chain", c.i); !strings.Contains(msg, want) {
-			t.Errorf("%s: Append gave %q, want a refusal naming %q", c.name, msg, want)
+		for _, mode := range modes {
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				appendAll(mode, ins)
+				return "no panic"
+			}()
+			if want := fmt.Sprintf("instruction %d of the chain", c.i); !strings.Contains(msg, want) {
+				t.Errorf("%s, %s: AppendNodes gave %q, want a refusal naming %q", c.name, mode, msg, want)
+			}
 		}
 	}
 
 	// The stream is validated against the program, so a machine that is not
 	// shaped like it is refused where an engine binds one.
 	m := NewMachine(p)
-	NewStream(p).CheckMachine(m)
+	NewStream(p, Fused).CheckMachine(m)
 	m.Mems[0] = m.Mems[0][:2]
 	msg := func() (msg string) {
 		defer func() { msg = fmt.Sprint(recover()) }()
-		NewStream(p).CheckMachine(m)
+		NewStream(p, Fused).CheckMachine(m)
 		return "no panic"
 	}()
 	if !strings.Contains(msg, "not shaped like") {
@@ -178,14 +200,14 @@ func TestStreamBuildAllocs(t *testing.T) {
 	for i := range ins {
 		ins[i] = shapes[i%len(shapes)]
 	}
-	for _, fuse := range []bool{true, false} {
+	for _, mode := range []Mode{Fused, Unfused} {
 		allocs := testing.AllocsPerRun(3, func() {
-			s := NewStream(p)
-			s.Append(ins, fuse)
+			s := NewStream(p, mode)
+			s.Append(ins)
 			s.Trim()
 		})
 		if allocs > 64 {
-			t.Errorf("fuse=%v: building a %d-instruction stream made %.0f allocations, want at most 64", fuse, len(ins), allocs)
+			t.Errorf("%s: building a %d-instruction stream made %.0f allocations, want at most 64", mode, len(ins), allocs)
 		}
 	}
 }

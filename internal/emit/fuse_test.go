@@ -252,8 +252,8 @@ func TestFusionRuleCoverage(t *testing.T) {
 		p := &Program{NumWords: 13, Instrs: c.ins,
 			Mems: []MemSpec{{Depth: 4, Width: 8, WordsPer: 1, Init: []uint64{0x5a, 9, 0xab, 3}}}}
 		bnd := NewMachine(p)
-		s := NewStream(p)
-		chain := s.Append(p.Instrs, true)
+		s := NewStream(p, Fused)
+		chain := s.Append(p.Instrs)
 		if k, _, _ := s.Footprint(); k != 1 {
 			t.Fatalf("%s: the window compiled to %d kernels, want 1 fused", c.name, k)
 		}
@@ -423,8 +423,8 @@ func TestWidthClass2WordMatchesWide(t *testing.T) {
 				p := &Program{NumWords: 16}
 				ref := NewMachine(p)
 				bnd := NewMachine(p)
-				stream := NewStream(p)
-				chain := stream.Append([]Instr{in}, true)
+				stream := NewStream(p, Fused)
+				chain := stream.Append([]Instr{in})
 				if k, recs, _ := stream.Footprint(); k != 1 || recs != 1 {
 					t.Fatalf("op %d shape %+v: %d kernels over %d records, want the 2-word kernel's one record", op, s, k, recs)
 				}

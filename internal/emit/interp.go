@@ -17,7 +17,7 @@ type Machine struct {
 	// Executed counts instructions retired since the owning engine's last
 	// Reset. Engines add range lengths from serial context (per step or at the
 	// end-of-cycle stat merge) so the hot loops stay branch-free and the
-	// counter stays race-free and accurate in both evaluation modes.
+	// counter stays race-free and accurate whatever stream mode runs.
 	Executed uint64
 }
 
@@ -62,9 +62,6 @@ func (m *Machine) Exec(start, end int32) {
 		}
 	}
 }
-
-// ExecRange runs a node's compiled range.
-func (m *Machine) ExecRange(r Range) { m.Exec(r.Start, r.End) }
 
 // execNarrow handles instructions whose operands and result all fit in one
 // word. This is the fast path covering nearly all instructions in processor

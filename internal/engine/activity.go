@@ -86,8 +86,8 @@ const DefaultBranchlessMax = 6
 // sweep runs inline on the caller — the serial loop of Listing 4, with the
 // same examinations, activations and evaluations.
 //
-// Every worker count produces the same state trajectory as Reference in
-// every evaluation mode; the equivalence tests enforce this.
+// Every worker count produces the same state trajectory as Reference; the
+// equivalence tests enforce this.
 type Activity struct {
 	base
 	pl *ActivityPlan
@@ -131,19 +131,13 @@ type ActivityPlan struct {
 // memory writes and reset pokes. Readers are slots of the engine's active-bit
 // array, not supernode IDs, so activating one is a single bit set.
 type activationPlan struct {
-	supStart []int32 // members[supStart[s]:supStart[s+1]] are supernode s's nodes
-	members  []int32
-
 	// Per-node tables (indexed by node ID).
-	kind      []ir.NodeKind
 	succStart []int32
 	succSlot  []int32 // flattened reader-supernode slot lists
 
 	// Activation strategy, decided per node from its successor count.
 	activation    ActivationMode
 	branchlessMax int
-
-	maxWords int32 // widest node value, sizing the interpreter's old-value buffer
 
 	memReadSlots [][]int32 // memory ID -> read-port supernode slots
 
@@ -161,23 +155,7 @@ type activationPlan struct {
 func buildActivationPlan(p *emit.Program, part *partition.Result, cfg ActivityConfig, resets []resetGroup, supSlot []int32) *activationPlan {
 	g := p.Graph
 	n := len(g.Nodes)
-	pl := &activationPlan{maxWords: 1, activation: cfg.Activation, branchlessMax: cfg.BranchlessMax}
-
-	// Flatten supernode membership.
-	pl.supStart = make([]int32, part.Count()+1)
-	for s, m := range part.Members {
-		pl.supStart[s+1] = pl.supStart[s] + int32(len(m))
-		pl.members = append(pl.members, m...)
-	}
-
-	// Node kind table and max value width.
-	pl.kind = make([]ir.NodeKind, n)
-	for _, node := range g.Nodes {
-		pl.kind[node.ID] = node.Kind
-		if w := p.WordsOf[node.ID]; w > pl.maxWords {
-			pl.maxWords = w
-		}
-	}
+	pl := &activationPlan{activation: cfg.Activation, branchlessMax: cfg.BranchlessMax}
 
 	// Reader-supernode lists. For combinational nodes the node's own
 	// supernode is excluded (members of one supernode are evaluated together
@@ -235,7 +213,7 @@ func buildActivationPlan(p *emit.Program, part *partition.Result, cfg ActivityCo
 
 // bytes is the plan's resident size.
 func (pl *activationPlan) bytes() int {
-	n := 4*(len(pl.supStart)+len(pl.members)+len(pl.succStart)+len(pl.succSlot)) + len(pl.kind)
+	n := 4 * (len(pl.succStart) + len(pl.succSlot))
 	for _, slots := range pl.memReadSlots {
 		n += 4 * len(slots)
 	}
@@ -265,7 +243,6 @@ type worker struct {
 	out     []uint64 // activation outbox, in the active words' space
 	dirty   []bool   // chunk index -> out has bits for that chunk
 	lo, n   uint32   // current chunk's slots are [lo, lo+n)
-	scratch []uint64 // interpreter sweep's old-value buffer; nil in kernel modes
 	pending []int32  // plan register slots awaiting commit
 
 	nodeEvals    uint64
@@ -276,8 +253,8 @@ type worker struct {
 
 // PlanActivity builds the essential-signal plan over a compiled program and a
 // supernode partition of the same graph, swept by threads workers (< 1 means
-// one). In the kernel modes every supernode runs through the flat plan
-// (supPlan); EvalInterp selects the per-instruction reference interpreter.
+// one). Every supernode runs through the flat plan (supPlan), whose stream
+// mode decides the kernels.
 func PlanActivity(p *emit.Program, part *partition.Result, cfg ActivityConfig, threads int, mode EvalMode) *ActivityPlan {
 	threads = max(threads, 1)
 	if cfg.BranchlessMax == 0 {
@@ -338,7 +315,7 @@ func PlanActivity(p *emit.Program, part *partition.Result, cfg ActivityConfig, t
 	}
 
 	pl.activationPlan = buildActivationPlan(p, part, cfg, pl.t.resets, pl.supSlot)
-	pl.plan = buildSupPlan(p, pl.activationPlan, mode)
+	pl.plan = buildSupPlan(p, part, pl.activationPlan, mode)
 	return pl
 }
 
@@ -355,15 +332,10 @@ func (pl *ActivityPlan) newEngine() *Activity {
 		prev:           make([]uint64, len(pl.plan.track)),
 		wprev:          make([]uint64, pl.plan.wideWords),
 	}
-	if pl.plan.stream != nil {
-		pl.plan.stream.CheckMachine(e.m)
-	}
+	pl.plan.stream.CheckMachine(e.m)
 	e.ws = make([]*worker, pl.threads)
 	for w := range e.ws {
 		e.ws[w] = &worker{e: e, out: make([]uint64, pl.words), dirty: make([]bool, pl.threads*pl.levels)}
-		if !pl.plan.kernel {
-			e.ws[w].scratch = make([]uint64, pl.maxWords)
-		}
 	}
 	e.syncShadows()
 	e.pool = newWorkerPool(pl.threads, pl.levels, e.runLevel)
@@ -523,60 +495,29 @@ func (e *Activity) runLevel(w, lv int) {
 	}
 }
 
-// evalSupernode evaluates one supernode's members through the flat plan or,
-// under EvalInterp, the reference interpreter sweep. The two produce the same
-// state trajectory, activations, and stat counters (activation bit-ORs
-// commute).
+// evalSupernode runs one supernode's chain, then shadow-compares its
+// tracked members, activating the readers of each that changed, and queues
+// its registers whose next value differs.
 func (ws *worker) evalSupernode(s int32) {
 	e := ws.e
 	pl := e.plan
 	st := e.m.State
-	if pl.kernel {
-		r, end := pl.sweep(e.m, s)
-		ws.nodeEvals += uint64(r.nodes)
-		ws.instrs += uint64(r.instrs)
-		track, prev := pl.track[r.track:end.track], e.prev[r.track:end.track]
-		prev = prev[:len(track)]
-		for i := range track {
-			t := &track[i]
-			v := st[t.off]
-			ws.activate(t.succ, t.succEnd, t.branch, v^prev[i])
-			prev[i] = v
-		}
-		for i := r.wide; i < end.wide; i++ {
-			t := &pl.wide[i]
-			ws.activate(t.succ, t.succEnd, t.branch, wideDiff(st, e.wprev, t))
-		}
-		ws.pending = pl.queueRegs(st, r.reg, end.reg, ws.pending)
-		return
+	r, end := pl.sweep(e.m, s)
+	ws.nodeEvals += uint64(r.nodes)
+	ws.instrs += uint64(r.instrs)
+	track, prev := pl.track[r.track:end.track], e.prev[r.track:end.track]
+	prev = prev[:len(track)]
+	for i := range track {
+		t := &track[i]
+		v := st[t.off]
+		ws.activate(t.succ, t.succEnd, t.branch, v^prev[i])
+		prev[i] = v
 	}
-	p := e.m.Prog
-	ri := pl.sups[s].reg // the supernode's register slots, in member order
-	for k := e.supStart[s]; k < e.supStart[s+1]; k++ {
-		id := e.members[k]
-		code := p.Code[id]
-		ws.nodeEvals++
-		ws.instrs += uint64(code.Len())
-		switch e.kind[id] {
-		case ir.KindReg:
-			e.m.Exec(code.Start, code.End)
-			ws.pending = pl.queueRegs(st, ri, ri+1, ws.pending)
-			ri++
-		case ir.KindMemWrite:
-			e.m.Exec(code.Start, code.End)
-		default: // comb, memread
-			off, w := p.Off[id], p.WordsOf[id]
-			old := ws.scratch[:w]
-			copy(old, st[off:off+w])
-			e.m.Exec(code.Start, code.End)
-			var diff uint64
-			for i := int32(0); i < w; i++ {
-				diff |= old[i] ^ st[off+i]
-			}
-			lo, hi := e.succStart[id], e.succStart[id+1]
-			ws.activate(lo, hi, e.useBranch(lo, hi), diff)
-		}
+	for i := r.wide; i < end.wide; i++ {
+		t := &pl.wide[i]
+		ws.activate(t.succ, t.succEnd, t.branch, wideDiff(st, e.wprev, t))
 	}
+	ws.pending = pl.queueRegs(st, r.reg, end.reg, ws.pending)
 }
 
 // activate applies an activation strategy to the reader slots

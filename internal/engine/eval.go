@@ -1,65 +1,35 @@
 package engine
 
 import (
-	"fmt"
 	"unsafe"
 
 	"gsim/internal/emit"
 	"gsim/internal/ir"
+	"gsim/internal/partition"
 )
 
-// EvalMode selects how an engine executes compiled instructions on its
-// hottest path.
-type EvalMode uint8
+// EvalMode is the build mode of an engine plan's stream (emit.Mode): the
+// kernels its chains compile to. Engines run every mode through the same
+// path, so the mode is a test and benchmark knob, not a product axis.
+type EvalMode = emit.Mode
 
 const (
-	// EvalKernel (the default) runs the full kernel-compiling pipeline:
-	// emit.Stream kernels over operand records, opcode dispatch resolved at
-	// build time, superinstruction fusion over adjacent two- and
-	// three-instruction idioms, width-class-specialized 2-word kernels for
-	// the 65-128-bit range, and chains fused per supernode (and per chunk,
-	// where the engine sweeps chunks) so a sweep has no range lookups.
-	EvalKernel EvalMode = iota
-	// EvalInterp runs the reference switch-dispatch interpreter
-	// (emit.Machine.Exec). It is the semantic baseline the kernel path is
-	// pinned against, and the fallback to reach for when debugging.
-	EvalInterp
-	// EvalKernelNoFuse is the kernel path without superinstruction fusion:
-	// every plan compiles the same streams as under EvalKernel with the
-	// fusion walk switched off (one kernel per instruction, width classes
-	// kept). It exists as
-	// the measurable baseline for fusion (BenchmarkKernelVsInterp's kernel vs
-	// kernel-nofuse rows) and stays in the conformance matrix so the
-	// baseline keeps working.
-	EvalKernelNoFuse
+	// EvalKernel (the default) is the product: fused kernels over operand
+	// records, opcode dispatch resolved at build time, width-class
+	// kernels for the 65-128-bit range.
+	EvalKernel = emit.Fused
+	// EvalInterp runs each node through the reference switch-dispatch
+	// interpreter (emit.Machine.Exec), the semantic baseline the kernels
+	// are pinned against.
+	EvalInterp = emit.Interp
+	// EvalKernelNoFuse is EvalKernel with the fusion walk switched off, the
+	// measurable baseline for fusion (BenchmarkKernelVsInterp's kernel vs
+	// kernel-nofuse rows).
+	EvalKernelNoFuse = emit.Unfused
 )
 
-// String returns the flag spelling of the mode.
-func (m EvalMode) String() string {
-	switch m {
-	case EvalInterp:
-		return "interp"
-	case EvalKernelNoFuse:
-		return "kernel-nofuse"
-	}
-	return "kernel"
-}
-
-// ParseEvalMode parses a -eval flag value.
-func ParseEvalMode(s string) (EvalMode, error) {
-	switch s {
-	case "kernel":
-		return EvalKernel, nil
-	case "interp":
-		return EvalInterp, nil
-	case "kernel-nofuse":
-		return EvalKernelNoFuse, nil
-	}
-	return 0, fmt.Errorf("unknown eval mode %q (want kernel, kernel-nofuse, or interp)", s)
-}
-
 // supPlan is the flat, pre-resolved form of every supernode, built once per
-// ActivityPlan in every evaluation mode and shared by every engine of it.
+// ActivityPlan and shared by every engine of it.
 // All supernode chains are appended to one emit.Stream; sups[s] and
 // sups[s+1] bracket supernode s's kernels in it and its ranges in the slot
 // arrays (CSR, with a sentinel record at the end), so evaluating a supernode
@@ -77,14 +47,12 @@ func ParseEvalMode(s string) (EvalMode, error) {
 // member boundaries inside a chain is safe for the same reason: a fused
 // kernel performs exactly the stores of its source instructions, in order.
 //
-// Members with no reader supernode get no slot. Under EvalKernelNoFuse the
-// plan is the same with the fusion walk disabled; under EvalInterp only the
-// register slots are built (the interpreter sweep walks members itself and
-// consumes a supernode's register slots in member order).
+// Members with no reader supernode get no slot. The evaluation mode
+// changes only the stream's kernels: the slots, and so the activations and
+// stat counters, are the same in every mode.
 type supPlan struct {
-	kernel    bool // chains and change-tracking slots are built (not EvalInterp)
 	sups      []supRec
-	stream    *emit.Stream // nil under EvalInterp
+	stream    *emit.Stream
 	track     []trackSlot
 	wide      []wideSlot
 	wideWords int32 // shadow words the wide slots need
@@ -124,25 +92,21 @@ type regSlot struct {
 	succ, succEnd int32
 }
 
-// buildSupPlan flattens the activation plan's supernodes.
-func buildSupPlan(p *emit.Program, ap *activationPlan, mode EvalMode) *supPlan {
-	nSups := len(ap.supStart) - 1
-	pl := &supPlan{kernel: mode != EvalInterp, sups: make([]supRec, nSups+1)}
-	if pl.kernel {
-		pl.stream = emit.NewStream(p)
-	}
+// buildSupPlan flattens the partition's supernodes under the activation
+// plan.
+func buildSupPlan(p *emit.Program, part *partition.Result, ap *activationPlan, mode EvalMode) *supPlan {
+	nSups := part.Count()
+	pl := &supPlan{sups: make([]supRec, nSups+1), stream: emit.NewStream(p, mode)}
 	for s := range pl.sups {
 		r := &pl.sups[s]
 		r.track, r.wide, r.reg = int32(len(pl.track)), int32(len(pl.wide)), int32(len(pl.regs))
 		var members []int32
 		if s < nSups {
-			members = ap.members[ap.supStart[s]:ap.supStart[s+1]]
+			members = part.Members[s]
 		}
-		if pl.kernel {
-			// The sentinel's empty chain marks where the last one ends.
-			sp := pl.stream.AppendNodes(members, mode == EvalKernel)
-			r.rec, r.k = sp.Rec, sp.K
-		}
+		// The sentinel's empty chain marks where the last one ends.
+		sp := pl.stream.AppendNodes(members)
+		r.rec, r.k = sp.Rec, sp.K
 		if s == nSups {
 			break // sentinel
 		}
@@ -151,11 +115,11 @@ func buildSupPlan(p *emit.Program, ap *activationPlan, mode EvalMode) *supPlan {
 			r.instrs += uint32(code.Len())
 			r.nodes++
 			lo, hi := ap.succStart[id], ap.succStart[id+1]
-			switch {
-			case ap.kind[id] == ir.KindReg:
+			switch kind := p.Graph.Nodes[id].Kind; {
+			case kind == ir.KindReg:
 				pl.regs = append(pl.regs, regSlot{cur: p.Off[id], next: p.NextOff[id], w: p.WordsOf[id], succ: lo, succEnd: hi})
 				pl.regID = append(pl.regID, id)
-			case ap.kind[id] == ir.KindMemWrite || !pl.kernel || lo == hi:
+			case kind == ir.KindMemWrite || lo == hi:
 				// write-port expressions land in dedicated slots the commit
 				// phase reads; a value nobody reads activates nothing
 			case p.WordsOf[id] == 1:
@@ -169,9 +133,7 @@ func buildSupPlan(p *emit.Program, ap *activationPlan, mode EvalMode) *supPlan {
 	}
 	// Append growth leaves up to a quarter of each array unused; the plan
 	// lives as long as its design, so trim to size.
-	if pl.kernel {
-		pl.stream.Trim()
-	}
+	pl.stream.Trim()
 	pl.track, pl.wide = clip(pl.track), clip(pl.wide)
 	pl.regs, pl.regID = clip(pl.regs), clip(pl.regID)
 	return pl
@@ -181,13 +143,9 @@ func clip[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
 
 // bytes is the plan's resident size: its stream and slot tables.
 func (pl *supPlan) bytes() int {
-	n := len(pl.sups)*int(unsafe.Sizeof(supRec{})) + len(pl.track)*int(unsafe.Sizeof(trackSlot{})) +
+	_, _, b := pl.stream.Footprint()
+	return b + len(pl.sups)*int(unsafe.Sizeof(supRec{})) + len(pl.track)*int(unsafe.Sizeof(trackSlot{})) +
 		len(pl.wide)*int(unsafe.Sizeof(wideSlot{})) + len(pl.regs)*int(unsafe.Sizeof(regSlot{})) + 4*len(pl.regID)
-	if pl.stream != nil {
-		_, _, b := pl.stream.Footprint()
-		n += b
-	}
-	return n
 }
 
 // syncShadows re-derives every shadow word from the state image.

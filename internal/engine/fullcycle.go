@@ -19,10 +19,9 @@ import (
 // single linear sweep over the whole instruction stream, run inline on the
 // caller.
 //
-// In the kernel modes every (level, worker) chunk compiles into one chain of
-// the plan's stream (width classes, and superinstructions unless the mode is
-// kernel-nofuse), so a worker's share of a level is a single sweep with no
-// per-node range lookups.
+// Every (level, worker) chunk compiles into one chain of the plan's stream,
+// so a worker's share of a level is a single sweep with no per-node range
+// lookups.
 type FullCycle struct {
 	base
 	pl         *FullCyclePlan
@@ -30,14 +29,13 @@ type FullCycle struct {
 	memScratch []int32
 }
 
-// FullCyclePlan is the full-cycle engine's immutable half: the schedule and,
-// in the kernel modes, the stream of its chains.
+// FullCyclePlan is the full-cycle engine's immutable half: the schedule and
+// the stream of its chains.
 type FullCyclePlan struct {
 	t       *tables
 	threads int
-	chunks  [][][]int32 // level -> worker -> node IDs
 	stream  *emit.Stream
-	chains  [][]emit.Span // kernel modes: level -> worker -> chain; nil under EvalInterp
+	chains  [][]emit.Span // level -> worker -> chain
 }
 
 // PlanFullCycle builds the full-cycle plan for a compiled program, swept by
@@ -48,8 +46,10 @@ type FullCyclePlan struct {
 func PlanFullCycle(p *emit.Program, byLevel [][]int32, threads int, mode EvalMode) *FullCyclePlan {
 	threads = max(threads, 1)
 	pl := &FullCyclePlan{t: newTables(p), threads: threads}
+	// chunks[lv][w] lists the nodes worker w sweeps at level lv.
+	var chunks [][][]int32
 	if threads == 1 {
-		pl.chunks = [][][]int32{{pl.t.coded}}
+		chunks = [][][]int32{{pl.t.coded}}
 	} else {
 		// Split each level into per-worker chunks, skipping nodes with no
 		// code and balancing by instruction count.
@@ -75,22 +75,20 @@ func PlanFullCycle(p *emit.Program, byLevel [][]int32, threads int, mode EvalMod
 					}
 				}
 			}
-			pl.chunks = append(pl.chunks, chunk)
+			chunks = append(chunks, chunk)
 		}
-		pl.t.obsLevels = len(pl.chunks)
-		pl.t.obsOrigLevels = len(pl.chunks)
+		pl.t.obsLevels = len(chunks)
+		pl.t.obsOrigLevels = len(chunks)
 	}
-	if mode != EvalInterp {
-		pl.stream = emit.NewStream(p)
-		pl.chains = make([][]emit.Span, len(pl.chunks))
-		for lv, chunk := range pl.chunks {
-			pl.chains[lv] = make([]emit.Span, threads)
-			for w, ids := range chunk {
-				pl.chains[lv][w] = pl.stream.AppendNodes(ids, mode == EvalKernel)
-			}
+	pl.stream = emit.NewStream(p, mode)
+	pl.chains = make([][]emit.Span, len(chunks))
+	for lv, chunk := range chunks {
+		pl.chains[lv] = make([]emit.Span, threads)
+		for w, ids := range chunk {
+			pl.chains[lv][w] = pl.stream.AppendNodes(ids)
 		}
-		pl.stream.Trim()
 	}
+	pl.stream.Trim()
 	return pl
 }
 
@@ -99,28 +97,15 @@ func (pl *FullCyclePlan) NewEngine() Compiled { return pl.newEngine() }
 
 func (pl *FullCyclePlan) newEngine() *FullCycle {
 	e := &FullCycle{base: newBase(pl.t), pl: pl}
-	if pl.stream != nil {
-		pl.stream.CheckMachine(e.m)
-	}
-	e.pool = newWorkerPool(pl.threads, len(pl.chunks), e.runLevel)
+	pl.stream.CheckMachine(e.m)
+	e.pool = newWorkerPool(pl.threads, len(pl.chains), e.runLevel)
 	return e
 }
 
 // Bytes is the plan's resident size.
 func (pl *FullCyclePlan) Bytes() int {
-	n := pl.t.bytes()
-	if pl.threads > 1 {
-		for _, lv := range pl.chunks {
-			for _, ids := range lv {
-				n += 4 * len(ids)
-			}
-		}
-	}
-	if pl.stream != nil {
-		_, _, b := pl.stream.Footprint()
-		n += b + 12*pl.threads*len(pl.chains)
-	}
-	return n
+	_, _, b := pl.stream.Footprint()
+	return pl.t.bytes() + b + 12*pl.threads*len(pl.chains)
 }
 
 // NewFullCycle builds a full-cycle engine over its own plan: PlanFullCycle
@@ -130,15 +115,7 @@ func NewFullCycle(p *emit.Program, byLevel [][]int32, threads int, mode EvalMode
 }
 
 // runLevel executes worker w's chunk of level lv.
-func (e *FullCycle) runLevel(w, lv int) {
-	if e.pl.chains != nil {
-		e.pl.stream.Run(e.m, e.pl.chains[lv][w])
-		return
-	}
-	for _, id := range e.pl.chunks[lv][w] {
-		e.m.ExecRange(e.p.Code[id])
-	}
-}
+func (e *FullCycle) runLevel(w, lv int) { e.pl.stream.Run(e.m, e.pl.chains[lv][w]) }
 
 // Reset restores complete power-on state (image, memories, counters). The
 // worker pool is untouched — workers are stateless between cycles — so Reset

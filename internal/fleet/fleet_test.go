@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -229,10 +230,34 @@ func TestPlacementAffinity(t *testing.T) {
 
 	// A spec that changes the compile key places independently — and also
 	// deterministically (same key, same home).
-	_, a := createSession(t, fl.router.URL, src, server.SessionSpec{Eval: "interp"})
-	_, b := createSession(t, fl.router.URL, src, server.SessionSpec{Eval: "interp"})
+	_, a := createSession(t, fl.router.URL, src, server.SessionSpec{MaxSupernode: 3})
+	_, b := createSession(t, fl.router.URL, src, server.SessionSpec{MaxSupernode: 3})
 	if a.Replica != b.Replica {
 		t.Fatalf("same placement key landed on %s then %s", a.Replica, b.Replica)
+	}
+}
+
+// TestRouterRefusesRemovedField: a create body naming the removed "eval"
+// field is refused by the router itself, with the replica's 400 naming the
+// field, and is placed nowhere.
+func TestRouterRefusesRemovedField(t *testing.T) {
+	fl := newTestFleet(t, "r1")
+	body := fmt.Sprintf(`{"firrtl": %q, "eval": "interp"}`, readDesign(t, "counter.fir"))
+	resp, err := http.Post(fl.router.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var refusal struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&refusal); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(refusal.Error, `"eval"`) {
+		t.Fatalf("create naming eval: status %d, error %q; want 400 naming the field", resp.StatusCode, refusal.Error)
+	}
+	var list []RoutedSessionInfo
+	if status := doJSON(t, "GET", fl.router.URL+"/v1/sessions", nil, &list); status != http.StatusOK || len(list) != 0 {
+		t.Fatalf("after the refusal: status %d, sessions %+v", status, list)
 	}
 }
 

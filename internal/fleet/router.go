@@ -175,8 +175,8 @@ func (rt *Router) Close() {
 func PlacementKey(firrtl string, spec server.SessionSpec) string {
 	h := sha256.New()
 	io.WriteString(h, firrtl)
-	fmt.Fprintf(h, "|engine=%s|eval=%s|threads=%d|coarsen=%t|maxsup=%d",
-		spec.Engine, spec.Eval, max(spec.Threads, 1), spec.Coarsen, spec.MaxSupernode)
+	fmt.Fprintf(h, "|engine=%s|threads=%d|coarsen=%t|maxsup=%d",
+		spec.Engine, max(spec.Threads, 1), spec.Coarsen, spec.MaxSupernode)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -402,8 +402,8 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if !server.DecodeBody(w, r, rt.cfg.MaxBodyBytes, &req) {
 		return
 	}
-	if req.FIRRTL == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("firrtl source required"))
+	if err := req.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	key := PlacementKey(req.FIRRTL, req.SessionSpec)

@@ -11,18 +11,11 @@ import (
 	"gsim/internal/partition"
 )
 
-// Budget controls how long each measurement runs, and which evaluation mode
-// every measured configuration uses. The defaults keep the whole suite in
-// CI-scale time; -full in cmd/gsim-bench raises them.
+// Budget controls how long each measurement runs. The defaults keep the
+// whole suite in CI-scale time; -full in cmd/gsim-bench raises them.
 type Budget struct {
 	WarmupCycles int
 	TimedCycles  int
-
-	// Eval is applied to every configuration the experiments build: the
-	// fused kernel pipeline (zero value, default), the pre-fusion kernel
-	// baseline (cmd/gsim-bench -eval kernel-nofuse), or the reference
-	// interpreter (-eval interp).
-	Eval engine.EvalMode
 
 	// Coarsen applies adaptive level coarsening to every measured
 	// configuration that schedules with barriers (the parallel
@@ -56,7 +49,6 @@ func measure(sys *core.System, drive Driver, b Budget) float64 {
 
 // runConfig builds and measures one (design, workload, config) cell.
 func runConfig(d Design, workload string, cfg core.Config, b Budget) (float64, *core.System, error) {
-	cfg.Eval = b.Eval
 	if b.Coarsen {
 		cfg.Activity.Coarsen = true
 	}
@@ -90,7 +82,6 @@ func Table1(designs []Design, b Budget) ([]Table1Row, error) {
 		}
 		stats := g.ComputeStats()
 		cfg := core.Verilator()
-		cfg.Eval = b.Eval
 		sys, err := core.Build(g, cfg)
 		if err != nil {
 			return nil, err
@@ -231,7 +222,6 @@ func CoarsenSweep(designs []Design, threadCounts []int, b Budget) ([]CoarsenRow,
 				row := CoarsenRow{Design: d.Name, Workload: wl, Threads: th}
 				for _, on := range []bool{false, true} {
 					cfg := core.GSIMMT(th)
-					cfg.Eval = b.Eval
 					cfg.Activity.Coarsen = on
 					sys, drive, err := buildSystem(d, wl, cfg)
 					if err != nil {
@@ -298,7 +288,6 @@ func Fig7(p gen.Profile, b Budget) ([]Fig7Row, error) {
 		seed := int64(1000 + i*17)
 		speed := map[string]float64{}
 		for _, cfg := range []core.Config{core.Verilator(), core.VerilatorMT(4), core.VerilatorMT(8), core.GSIM()} {
-			cfg.Eval = b.Eval
 			sys, err := core.Build(g, cfg)
 			if err != nil {
 				return nil, err
@@ -484,7 +473,6 @@ func Table3(d Design, b Budget) ([]Table3Row, error) {
 			Partition:    a.kind,
 			MaxSupernode: a.size,
 			Activity:     engine.ActivityConfig{Activation: engine.ActBranch},
-			Eval:         b.Eval,
 		}
 		sys, drive, err := buildSystem(d, WorkloadCoreMark, cfg)
 		if err != nil {
@@ -526,7 +514,6 @@ func Table4(designs []Design, b Budget) ([]Table4Row, error) {
 	var rows []Table4Row
 	for _, d := range designs {
 		for _, cfg := range cfgs {
-			cfg.Eval = b.Eval
 			g, _, err := d.Build(WorkloadLinux)
 			if err != nil {
 				return nil, err

@@ -39,8 +39,8 @@ func sessionStim(g *ir.Graph) string {
 // SessionsSweep measures the session server in-process (no HTTP): for each
 // design and session count, one manager compiles the design once, opens N
 // sessions over the shared artifact, and all N step concurrently in batched
-// ops with a toggling input. Budget scales the cycle count; Eval/Coarsen
-// apply to every session like the other experiments.
+// ops with a toggling input. Budget scales the cycle count; Coarsen
+// applies to every session like the other experiments.
 func SessionsSweep(designs []Design, counts []int, b Budget) ([]SessionsRow, error) {
 	var rows []SessionsRow
 	for _, d := range designs {
@@ -48,7 +48,7 @@ func SessionsSweep(designs []Design, counts []int, b Budget) ([]SessionsRow, err
 		if err != nil {
 			return nil, err
 		}
-		spec := server.SessionSpec{Eval: b.Eval.String(), Coarsen: b.Coarsen}
+		spec := server.SessionSpec{Coarsen: b.Coarsen}
 		for _, n := range counts {
 			mgr := server.NewManager()
 			key := d.Name + "/" + WorkloadCoreMark

@@ -47,6 +47,22 @@ import (
 type CreateRequest struct {
 	FIRRTL string `json:"firrtl"`
 	SessionSpec
+	// Eval is decoded only to be refused. The evaluation mode left the
+	// session spec; a body that still names it gets a 400 naming the field
+	// instead of silently running another engine than it asked for.
+	Eval json.RawMessage `json:"eval,omitempty"`
+}
+
+// Validate refuses a create body without a design source or naming a
+// removed field. The server and the fleet router both apply it.
+func (r *CreateRequest) Validate() error {
+	if r.Eval != nil {
+		return errors.New(`the session spec field "eval" was removed: every session runs the fused kernel stream`)
+	}
+	if r.FIRRTL == "" {
+		return errors.New("firrtl source required")
+	}
+	return nil
 }
 
 // CreateResponse reports the opened session and how its compile was served.
@@ -327,8 +343,8 @@ func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if !DecodeBody(w, r, m.limits.MaxBodyBytes, &req) {
 		return
 	}
-	if req.FIRRTL == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("firrtl source required"))
+	if err := req.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	s, err := m.CreateSession(req.FIRRTL, req.SessionSpec)

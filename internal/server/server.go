@@ -130,10 +130,9 @@ type Limits struct {
 }
 
 // SessionSpec is a client's session configuration: the same knobs cmd/gsim
-// exposes as flags, with the same defaults (gsim preset, kernel eval).
+// exposes as flags, with the same defaults (gsim preset).
 type SessionSpec struct {
 	Engine       string `json:"engine,omitempty"`        // gsim | verilator | essent | arcilator (default gsim)
-	Eval         string `json:"eval,omitempty"`          // kernel | kernel-nofuse | interp (default kernel)
 	Threads      int    `json:"threads,omitempty"`       // gsim -> GSIMMT, verilator -> Verilator-MT
 	Coarsen      bool   `json:"coarsen,omitempty"`       // adaptive level coarsening (parallel essential-signal)
 	MaxSupernode int    `json:"max_supernode,omitempty"` // supernode size cap (0 = default)
@@ -196,15 +195,6 @@ func (sp SessionSpec) coreConfig() (core.Config, error) {
 	if sp.Threads > 0 && cfg.Threads == 0 {
 		return cfg, fmt.Errorf("server: threads only valid with engine gsim or verilator")
 	}
-	evalName := sp.Eval
-	if evalName == "" {
-		evalName = "kernel"
-	}
-	mode, err := engine.ParseEvalMode(evalName)
-	if err != nil {
-		return cfg, fmt.Errorf("server: %v", err)
-	}
-	cfg.Eval = mode
 	cfg.Activity.Coarsen = sp.Coarsen
 	if sp.MaxSupernode > 0 {
 		cfg.MaxSupernode = sp.MaxSupernode

@@ -286,6 +286,12 @@ func TestHTTPErrors(t *testing.T) {
 		CreateRequest{FIRRTL: readDesign(t, "counter.fir"), SessionSpec: SessionSpec{Engine: "essent", Threads: 2}}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("threads with essent: status %d", resp.StatusCode)
 	}
+	var refusal struct{ Error string }
+	if resp := postJSON(t, ts.URL+"/v1/sessions",
+		map[string]string{"firrtl": readDesign(t, "counter.fir"), "eval": "kernel"}, &refusal); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(refusal.Error, `"eval"`) {
+		t.Fatalf("removed eval field: status %d, error %q; want 400 naming the field", resp.StatusCode, refusal.Error)
+	}
 
 	var created CreateResponse
 	postJSON(t, ts.URL+"/v1/sessions", CreateRequest{FIRRTL: readDesign(t, "counter.fir")}, &created)
