@@ -187,7 +187,7 @@ func main() {
 		name string
 		g    *ir.Graph
 	}{{d.Name, src}, {"rv32", rv32}} {
-		for _, cfg := range []core.Config{core.GSIM(), core.Verilator()} {
+		for _, cfg := range []core.Config{core.GSIM(), core.GSIMMT(2), core.Verilator()} {
 			printRetained(dg.name, dg.g, cfg)
 		}
 	}
@@ -309,7 +309,7 @@ func main() {
 		c := chainFusionStats(sys)
 		printFusion(label, c)
 		printFootprint(strings.Replace(label, "fusion", "footprint", 1), sys)
-		total.add(c.instrs, c.producers)
+		total.add(c.instrs, c.producers, c.elidable)
 		sys.Close()
 	}
 	files, _ := filepath.Glob("testdata/*.fir")
@@ -377,7 +377,10 @@ func main() {
 
 // printRetained compiles g under cfg and prints the heap the compiled design
 // keeps alive — the HeapAlloc delta across the compile, each side read after
-// two GCs — next to the compile cache's cost of it and that cost's parts.
+// two GCs — next to the compile cache's cost of it and that cost's parts,
+// then the design's state image layout: persistent words, the words of one
+// temporary region, and the regions an engine of cfg allocates, one per
+// worker.
 func printRetained(design string, g *ir.Graph, cfg core.Config) {
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -395,6 +398,10 @@ func printRetained(design string, g *ir.Graph, cfg core.Config) {
 	fmt.Printf("retained[%s %s] heap=%.2fMB cost=%.2fMB (code=%.2f data=%.2f mem=%.2f plan=%.2f graph=%.2f)\n",
 		design, cd.Config.Engine, float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/mb, float64(f.Total())/mb,
 		float64(f.Code)/mb, float64(f.Data)/mb, float64(f.Mem)/mb, float64(f.Plan)/mb, float64(f.Graph)/mb)
+	// The state image split: what every engine, snapshot and migration
+	// carries (state) against the scratch each worker owns (temps).
+	fmt.Printf("layout[%s %s] state=%d temps=%d regions=%d\n",
+		design, cd.Config.Engine, cd.Prog.StateWords, cd.Prog.TempWords, max(cd.Config.Threads, 1))
 	runtime.KeepAlive(cd)
 }
 
@@ -404,20 +411,23 @@ type fusionCounts struct {
 	instrs    int
 	counts    []int   // indexed by emit.FuseRule
 	producers [][]int // [emit.FuseRule][emit.OpCode]
+	elidable  []int   // indexed by emit.FuseRule: windows whose producer's store only the consumer reads
 }
 
 func newFusionCounts() fusionCounts {
-	return fusionCounts{counts: make([]int, emit.NumFuseRules), producers: emit.FusionProducers(nil)}
+	return fusionCounts{counts: make([]int, emit.NumFuseRules), producers: emit.FusionProducers(nil), elidable: make([]int, emit.NumFuseRules)}
 }
 
-// add accumulates a producer breakdown over instrs chained instructions.
-func (c *fusionCounts) add(instrs int, producers [][]int) {
+// add accumulates a producer breakdown and elidable-store counts over
+// instrs chained instructions.
+func (c *fusionCounts) add(instrs int, producers [][]int, elidable []int) {
 	c.instrs += instrs
 	for r, byOp := range producers {
 		for op, n := range byOp {
 			c.producers[r][op] += n
 			c.counts[r] += n
 		}
+		c.elidable[r] += elidable[r]
 	}
 }
 
@@ -426,7 +436,9 @@ func (c *fusionCounts) add(instrs int, producers [][]int) {
 // supernode, or the whole stream for an unpartitioned (full-cycle) system.
 func chainFusionStats(sys *core.System) fusionCounts {
 	c := newFusionCounts()
-	add := func(chain []emit.Instr) { c.add(len(chain), emit.FusionProducers(chain)) }
+	add := func(chain []emit.Instr) {
+		c.add(len(chain), emit.FusionProducers(chain), emit.ElidableStores(sys.Prog, chain))
+	}
 	if sys.Part == nil {
 		add(sys.Prog.Instrs)
 		return c
@@ -478,8 +490,11 @@ func (c fusionCounts) producerTotals() []int {
 }
 
 // printFusion prints one per-rule fusion line, then which producer opcodes
-// fired each generic rule. Triples cover three instructions per window, so
-// coverage is weighted by rule arity.
+// fired each generic rule, then how many of each generic rule's windows
+// store a temporary only their consumer reads — the stores ROADMAP
+// direction 2(b) would keep in a register — out of its windows. Triples
+// cover three instructions per window, so coverage is weighted by rule
+// arity.
 func printFusion(label string, c fusionCounts) {
 	windows, covered := 0, 0
 	fmt.Printf("%s (of %d chained instrs):", label, c.instrs)
@@ -513,6 +528,13 @@ func printFusion(label string, c fusionCounts) {
 			fmt.Printf("%s=%d", emit.OpCode(op), c.producers[r][op])
 		}
 		fmt.Print("]")
+	}
+	fmt.Println()
+	fmt.Printf("%s elidable stores:", label)
+	for r := emit.FuseRuleNone + 1; r < emit.NumFuseRules; r++ {
+		if generic(r) {
+			fmt.Printf(" %s=%d/%d", r, c.elidable[r], c.counts[r])
+		}
 	}
 	fmt.Println()
 }

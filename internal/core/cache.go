@@ -260,7 +260,7 @@ func (c *CompileCache) syncGaugesLocked() {
 
 // Footprint is what a compiled design keeps resident, in bytes, by part.
 type Footprint struct {
-	Code, Data, Mem int // program: instructions, initial state image, memory images
+	Code, Data, Mem int // program: instructions, initial persistent words, memory images
 	Plan            int // engine plan: streams, slot and activation tables
 	Graph           int // released graph: nodes, names, initial values, memories
 }
@@ -272,7 +272,7 @@ func (f Footprint) Total() int { return f.Code + f.Data + f.Mem + f.Plan + f.Gra
 func (d *CompiledDesign) Footprint() Footprint {
 	return Footprint{
 		Code:  d.Prog.CodeBytes(),
-		Data:  d.Prog.DataBytes(),
+		Data:  8 * len(d.Prog.Init),
 		Mem:   d.Prog.MemBytes(),
 		Plan:  d.plan.Bytes(),
 		Graph: d.Graph.ResidentBytes(),

@@ -37,29 +37,36 @@ func cacheDesign(t *testing.T, idx int) *ir.Graph {
 // each engine over it, in every stream mode — the step of CompileDesign
 // before the release — fails with an error carrying the stream builder's
 // refusal, instead of panicking or, as the interpreter once did, indexing
-// out of range at the first Step.
+// out of range at the first Step. The corrupt operand lands just past the
+// first temporary region — inside a multi-worker machine, in another
+// worker's region — or past the last region a multi-worker machine has.
 func TestCompileDesignRefusesCorruptProgram(t *testing.T) {
 	modes := []engine.EvalMode{engine.EvalKernel, engine.EvalKernelNoFuse, engine.EvalInterp}
-	for _, preset := range []Config{Verilator(), VerilatorMT(2), GSIM(), GSIMMT(2)} {
+	for _, preset := range []Config{Verilator(), VerilatorMT(2), GSIM(), GSIMMT(2), GSIMMT(4)} {
 		for _, mode := range modes {
-			cfg := preset
-			cfg.Eval = mode
-			cfg = cfg.normalized()
-			g, _, err := Optimize(cacheDesign(t, 0), cfg.Opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog, err := emit.Compile(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := &CompiledDesign{Config: cfg, Graph: g, Prog: prog}
-			if cfg.Engine == EngineActivity {
-				d.Part = partition.Build(g, cfg.Partition, cfg.MaxSupernode)
-			}
-			d.Prog.Instrs[0].D = int32(d.Prog.NumWords)
-			if err := d.buildPlan(); err == nil || !strings.Contains(err.Error(), "refusing instruction") {
-				t.Errorf("%s/%s: planning a corrupt program returned %v, want the refusal", cfg.Name, mode, err)
+			for _, past := range []string{"first region", "last region"} {
+				cfg := preset
+				cfg.Eval = mode
+				cfg = cfg.normalized()
+				g, _, err := Optimize(cacheDesign(t, 0), cfg.Opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prog, err := emit.Compile(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d := &CompiledDesign{Config: cfg, Graph: g, Prog: prog}
+				if cfg.Engine == EngineActivity {
+					d.Part = partition.Build(g, cfg.Partition, cfg.MaxSupernode)
+				}
+				d.Prog.Instrs[0].D = int32(prog.NumWords)
+				if past == "last region" {
+					d.Prog.Instrs[0].D = int32(prog.StateWords + max(cfg.Threads, 1)*prog.TempWords)
+				}
+				if err := d.buildPlan(); err == nil || !strings.Contains(err.Error(), "refusing instruction") {
+					t.Errorf("%s/%s, past the %s: planning a corrupt program returned %v, want the refusal", cfg.Name, mode, past, err)
+				}
 			}
 		}
 	}
@@ -149,6 +156,11 @@ func TestDesignCostCountsPlan(t *testing.T) {
 	bare := int64(d.Prog.CodeBytes() + d.Prog.DataBytes() + d.Prog.MemBytes())
 	if cost := designCost(d); cost <= bare {
 		t.Fatalf("designCost %d does not exceed code+data+mem %d: the plan is not counted", cost, bare)
+	}
+	// The design keeps the persistent words' initial image, not a machine's:
+	// every engine allocates its own temporary regions.
+	if f := d.Footprint(); f.Data != 8*d.Prog.StateWords || d.Prog.TempWords == 0 {
+		t.Fatalf("footprint data %d B, want the %d persistent words (temporaries: %d words)", f.Data, d.Prog.StateWords, d.Prog.TempWords)
 	}
 }
 

@@ -87,9 +87,12 @@ func parseFIRRTL(data []byte) *ir.Graph {
 // compiler: for every fuzz input, decode a design, then run the fused kernel
 // pipeline, the pre-fusion kernel baseline, the reference interpreter, and
 // the independent ir-reference oracle in lockstep, failing on any state or
-// stat divergence. The seed corpus is the committed testdata designs plus a
-// handful of byte seeds for the generator path; `go test -fuzz=FuzzKernelLockstep`
-// explores from there (CI runs a 30s smoke).
+// stat divergence. Every temporary region is filled with random words before
+// every Step, and only the persistent words are compared: temporaries are
+// scratch, so stale ones must never reach a result. The seed corpus is the
+// committed testdata designs plus a handful of byte seeds for the generator
+// path; `go test -fuzz=FuzzKernelLockstep` explores from there (CI runs a
+// 30s smoke).
 func FuzzKernelLockstep(f *testing.F) {
 	files, err := filepath.Glob("../../testdata/*.fir")
 	if err != nil || len(files) == 0 {
@@ -208,6 +211,7 @@ func FuzzKernelLockstep(f *testing.F) {
 		rngL1 := rand.New(rand.NewSource(int64(len(data))*77 + 3))
 
 		rng := rand.New(rand.NewSource(int64(len(data))*31 + 5))
+		rngP := rand.New(rand.NewSource(int64(len(data))*13 + 1))
 		const cycles = 24
 		for c := 0; c < cycles; c++ {
 			if c == cycles/2 {
@@ -250,6 +254,9 @@ func FuzzKernelLockstep(f *testing.F) {
 				}
 			}
 			lane1Live := rngL1.Intn(6) != 0
+			for _, sim := range []engine.Sim{sysK.Sim, simNF, simI, simC, simS} {
+				poisonTemps(sim, rngP)
+			}
 			ref.Step()
 			sysK.Sim.Step()
 			simNF.Step()
@@ -271,12 +278,12 @@ func FuzzKernelLockstep(f *testing.F) {
 					}
 				}
 			}
-			stK := sysK.Sim.Machine().State
+			stK := persistent(sysK.Sim)
 			states := map[string][]uint64{
-				"kernel-nofuse":      simNF.Machine().State,
-				"interp":             simI.Machine().State,
-				"coarsen-2T":         simC.Machine().State,
-				"snapshot-roundtrip": simS.Machine().State,
+				"kernel-nofuse":      persistent(simNF),
+				"interp":             persistent(simI),
+				"coarsen-2T":         persistent(simC),
+				"snapshot-roundtrip": persistent(simS),
 			}
 			for _, ax := range laneAxes {
 				lane0, err := ax.lanes.CaptureLane(0)
@@ -288,7 +295,7 @@ func FuzzKernelLockstep(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for w, tw := range ax.twin.Machine().State {
+				for w, tw := range persistent(ax.twin) {
 					if lane1.State[w] != tw {
 						t.Fatalf("cycle %d: state word %d: %s lane1 %#x vs scalar twin %#x (live=%v)",
 							c, w, ax.kind, lane1.State[w], tw, lane1Live)

@@ -22,7 +22,7 @@ type matrixSim struct {
 // matrixEngines instantiates the full engine × stream-mode × worker-count ×
 // coarsening matrix over ONE compiled program (sys's, rebuilt by analyzable)
 // and partition, so every cell shares node IDs and state layout and the
-// state images can be compared word for word:
+// persistent state words can be compared word for word:
 //
 //	fullcycle, activity          × {kernel, interp} × {1, 2, 4} workers
 //	activity (coarsened)         × {kernel, interp} × {1, 2, 4} workers
@@ -81,8 +81,9 @@ func matrixDesigns(t *testing.T) (names []string, graphs []*ir.Graph) {
 
 // TestEngineMatrixLockstep sweeps the conformance matrix: both engines, the
 // kernel and interp stream modes, 1/2/4 workers, lockstep over every design
-// with two seeds of randomized stimulus and reset pulses. Every cell's full
-// state image must stay bit-identical to the first cell every cycle, and the
+// with two seeds of randomized stimulus and reset pulses. Every cell's
+// persistent state words must stay bit-identical to the first cell every
+// cycle (temporaries are per-worker scratch and differ by design), and the
 // first cell's outputs must match the independent ir-reference oracle — so
 // superinstruction fusion, width classes, and the worker schedules can never
 // diverge any engine from any other.
@@ -159,9 +160,9 @@ func lockstepMatrix(t *testing.T, name string, prog *emit.Program, sys *System, 
 		for _, lanes := range laneSets {
 			lanes.Step()
 		}
-		st0 := base.sim.Machine().State
+		st0 := persistent(base.sim)
 		for _, ms := range sims[1:] {
-			st := ms.sim.Machine().State
+			st := persistent(ms.sim)
 			for w := range st0 {
 				if st0[w] != st[w] {
 					t.Fatalf("%s seed %d cycle %d: state word %d: %s %#x vs %s %#x",

@@ -26,12 +26,20 @@ import (
 // product), unfused (fusion's baseline) or interp (the reference
 // interpreter, one window per node). Engines run every mode the same way.
 //
+// A chain runs in one temporary region: AppendNodesIn moves the
+// temporaries of a worker's chains into that worker's region, so workers
+// running concurrently never share a temporary. A stream's region count is
+// the highest region a chain was appended into, plus one.
+//
 // Safety: kernels address the state image through unsafe.Add. Every
-// instruction is validated once, as it is appended, against p.NumWords and
-// len(p.Mems). Every machine of p has NumWords state words and p's memory
-// shapes: NewMachine allocates them and nothing reallocates them (Reset,
-// Poke and restores copy into them in place). CheckMachine asserts that
-// once, where an engine binds a machine to a stream, not on every Run.
+// instruction is validated once, as it is appended: each operand lies in
+// the persistent words or in one temporary region of p, and a memory read
+// names one of p's memories. The chain then moves into its region, inside
+// the stream's region count. Every machine a stream runs has p's memory
+// shapes and at least that many regions: NewMachineRegions allocates them
+// and nothing reallocates them (Reset, Poke and restores copy into them in
+// place). CheckMachine asserts that once, where an engine binds a machine
+// to a stream, not on every Run.
 
 // Op is one instruction's operand record: byte offsets into the state image
 // and the widths the kernel masks with, clamped to 255 (above 64 a width
@@ -40,7 +48,8 @@ import (
 // out). A memory read keeps its memory index in B. The wide fallback takes
 // two records: the instruction's word offsets, then its widths in D, A, B,
 // its Lo in C and its opcode in Sh. An Interp window's one record holds its
-// node's instruction range in D and A.
+// node's instruction range in D and A, and in B the shift, in words, that
+// moves the node's temporaries into the chain's region.
 type Op struct {
 	D, A, B, C     int32
 	DW, AW, BW, Sh uint8
@@ -89,6 +98,7 @@ func (m Mode) String() string {
 type Stream struct {
 	p       *Program
 	mode    Mode
+	regions int32 // temporary regions the chains run in
 	kernels []kernel
 	ops     []Op    // every window's records, then a zero sentinel the last kernel returns
 	chain   []Instr // AppendNodes scratch
@@ -100,36 +110,43 @@ type Span struct{ K, KEnd, Rec int32 }
 
 // NewStream returns an empty stream for program p, compiling in mode.
 func NewStream(p *Program, mode Mode) *Stream {
-	return &Stream{p: p, mode: mode, ops: make([]Op, 1)}
+	return &Stream{p: p, mode: mode, regions: 1, ops: make([]Op, 1)}
 }
 
-// CheckMachine panics unless m is shaped like every machine of the
-// stream's program — the one assertion the kernels' unchecked addressing
-// rests on, made where an engine binds its machine.
+// CheckMachine panics unless m is a machine of the stream's program with
+// the stream's temporary regions — the one assertion the kernels' unchecked
+// addressing rests on, made where an engine binds its machine.
 func (s *Stream) CheckMachine(m *Machine) {
 	p := s.p
-	ok := m.Prog == p && len(m.State) == p.NumWords && len(m.Mems) == len(p.Mems)
+	ok := m.Prog == p && len(m.State) >= p.NumWords+int(s.regions-1)*p.TempWords && len(m.Mems) == len(p.Mems)
 	for i := 0; ok && i < len(m.Mems); i++ {
 		ok = len(m.Mems[i]) == len(p.Mems[i].Init)
 	}
 	if !ok {
-		panic("emit: a machine not shaped like its stream's program")
+		panic(fmt.Sprintf("emit: a machine not shaped like its stream's program (%d state words for %d persistent ones and %d temporary regions of %d)",
+			len(m.State), p.StateWords, s.regions, p.TempWords))
 	}
 }
 
-// Append compiles the instruction chain ins onto the stream and returns its
-// span: fused windows in Fused mode, one kernel per instruction in Unfused.
-// The chain need not be contiguous in the program. Append panics, naming
-// the instruction, if one has a zero width or reads or writes outside the
-// program's state image or memories. An Interp stream runs node ranges of
-// the program, so it takes chains only through AppendNodes.
+// Append compiles the instruction chain ins, whose temporaries are in the
+// first region, onto the stream and returns its span: fused windows in
+// Fused mode, one kernel per instruction in Unfused. The chain need not be
+// contiguous in the program. Append panics, naming the instruction, if one
+// has a zero width or reads or writes outside the program's persistent
+// words, one temporary region and its memories. An Interp stream runs node
+// ranges of the program, so it takes chains only through AppendNodesIn.
 func (s *Stream) Append(ins []Instr) Span {
 	if s.mode == Interp {
-		panic("emit: an interp stream appends node ranges (AppendNodes), not instructions")
+		panic("emit: an interp stream appends node ranges (AppendNodesIn), not instructions")
 	}
 	for i := range ins {
 		s.check(ins[i], i)
 	}
+	return s.compile(ins)
+}
+
+// compile appends the windows of a validated chain.
+func (s *Stream) compile(ins []Instr) Span {
 	sp := s.begin()
 	if s.mode == Fused {
 		fusionWalk(ins, func(i int, r FuseRule) { s.window(ins[i : i+max(r.Arity(), 1)]) })
@@ -141,23 +158,40 @@ func (s *Stream) Append(ins []Instr) Span {
 	return s.end(sp)
 }
 
-// AppendNodes appends the given nodes' code ranges, concatenated in the
-// order given, as one chain. The order is the chain's execution order and
-// must be a dependence order of the nodes — engines pass chunk member lists
-// in ascending node/supernode ID, which the partition package guarantees is
-// topological, including inside coarsened (level-merged) chunks. Fusion
-// applies across node boundaries exactly like inside a node: a kernel
-// performs every store of its window in order. Every instruction is
-// validated as Append validates it, in every mode.
-func (s *Stream) AppendNodes(ids []int32) Span {
+// AppendNodes appends the given nodes' code ranges as one chain in the
+// first temporary region: AppendNodesIn(ids, 0).
+func (s *Stream) AppendNodes(ids []int32) Span { return s.AppendNodesIn(ids, 0) }
+
+// AppendNodesIn appends the given nodes' code ranges, concatenated in the
+// order given, as one chain whose temporaries live in the given region —
+// the one of the worker that runs the chain. The order is the chain's
+// execution order and must be a dependence order of the nodes — engines
+// pass chunk member lists in ascending node/supernode ID, which the
+// partition package guarantees is topological, including inside coarsened
+// (level-merged) chunks. Fusion applies across node boundaries exactly like
+// inside a node: a kernel performs every store of its window in order, and
+// a node's first instruction reads no temporary, so a window spanning two
+// nodes fuses as it did before the nodes shared a region. Every
+// instruction is validated as Append validates it, in every mode, before
+// it moves into the region.
+func (s *Stream) AppendNodesIn(ids []int32, region int) Span {
 	p := s.p
+	if region < 0 || int64(p.StateWords)+int64(region+1)*int64(p.TempWords) > math.MaxInt32/8 { // byte offsets are int32
+		panic(fmt.Sprintf("emit: temporary region %d out of range", region))
+	}
+	s.regions = max(s.regions, int32(region)+1)
+	shift := int32(region * p.TempWords)
 	if s.mode != Interp {
 		s.chain = s.chain[:0]
 		for _, id := range ids {
 			r := p.Code[id]
 			s.chain = append(s.chain, p.Instrs[r.Start:r.End]...)
 		}
-		return s.Append(s.chain)
+		for i := range s.chain {
+			s.check(s.chain[i], i)
+			s.chain[i].relocate(int32(p.StateWords), shift)
+		}
+		return s.compile(s.chain)
 	}
 	sp, i := s.begin(), 0
 	for _, id := range ids {
@@ -168,7 +202,7 @@ func (s *Stream) AppendNodes(ids []int32) Span {
 		}
 		if r.Len() > 0 {
 			s.kernels = append(s.kernels, kExec)
-			s.ops = append(s.ops, Op{D: r.Start, A: r.End})
+			s.ops = append(s.ops, Op{D: r.Start, A: r.End, B: shift})
 		}
 	}
 	return s.end(sp)
@@ -225,12 +259,15 @@ func (p *Program) CompileChainBound(m *Machine, ins []Instr) []BoundFn {
 
 // check panics unless instruction i of a chain has a valid opcode, non-zero
 // result and first-operand widths (mask8's domain; the front end refuses
-// zero-width values), every operand span inside the state image, and, for a
-// memory read, the index of one of the program's memories.
+// zero-width values), every operand span inside the persistent words or
+// inside the first temporary region, and, for a memory read, the index of
+// one of the program's memories. The stream moves the chain into its region
+// after the check, and the region count bounds what a machine must hold.
 func (s *Stream) check(in Instr, i int) {
-	n := int64(min(s.p.NumWords, math.MaxInt32/8)) // byte offsets are int32
+	sw, n := int64(s.p.StateWords), int64(min(s.p.NumWords, math.MaxInt32/8)) // byte offsets are int32
 	inside := func(off, w int32) bool {
-		return off >= 0 && int64(off)+int64(max(wordsFor32(w), 1)) <= n
+		end := int64(off) + int64(max(wordsFor32(w), 1))
+		return off >= 0 && (end <= sw || int64(off) >= sw && end <= n)
 	}
 	cw := int32(1)
 	if in.Op == CMux {
@@ -242,8 +279,8 @@ func (s *Stream) check(in Instr, i int) {
 		ok = false
 	}
 	if !ok {
-		panic(fmt.Sprintf("emit: refusing instruction %d of the chain (%s D=%d/%d A=%d/%d B=%d/%d C=%d Lo=%d): a zero width, or an operand outside the program's %d state words and %d memories",
-			i, in.Op, in.D, in.DW, in.A, in.AW, in.B, in.BW, in.C, in.Lo, n, len(s.p.Mems)))
+		panic(fmt.Sprintf("emit: refusing instruction %d of the chain (%s D=%d/%d A=%d/%d B=%d/%d C=%d Lo=%d): a zero width, or an operand outside the program's %d state words, its %d-word temporary region and %d memories",
+			i, in.Op, in.D, in.DW, in.A, in.AW, in.B, in.BW, in.C, in.Lo, sw, n-sw, len(s.p.Mems)))
 	}
 }
 
@@ -346,9 +383,9 @@ func kMemread(st unsafe.Pointer, m *Machine, a *Op) *Op {
 }
 
 // kExec is the Interp mode's one kernel: it runs a node's code range,
-// [a.D, a.A), through the interpreter.
+// [a.D, a.A), through the interpreter, its temporaries a.B words on.
 func kExec(_ unsafe.Pointer, m *Machine, a *Op) *Op {
-	m.Exec(a.D, a.A)
+	m.execIn(a.D, a.A, a.B)
 	return a.next()
 }
 

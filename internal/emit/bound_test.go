@@ -53,6 +53,13 @@ func kernelsFor(t *testing.T, p *Program, in Instr) int {
 // word including temporaries. Fused, the kernel count may only shrink;
 // unfused (the kernel-nofuse path), it is exactly one kernel per
 // instruction; interp, one per node with code.
+//
+// The same program then runs a second time as one chain per node, the
+// nodes alternating between two temporary regions of one machine, with
+// both regions filled with random words before every node: a temporary is
+// scratch, written before it is read inside its node, and a stale word —
+// upper bits included, the masked-storage invariant unpad relies on — must
+// never reach a persistent one.
 func TestChainMatchesInterp(t *testing.T) {
 	for _, mode := range []Mode{Fused, Unfused, Interp} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -84,6 +91,7 @@ func checkChainMatchesInterp(t *testing.T, seed int64, mode Mode) {
 
 	mi := NewMachine(p)
 	mb := NewMachine(p)
+	mn := NewMachineRegions(p, 2)
 	s := NewStream(p, mode)
 	ids, coded := make([]int32, len(p.Code)), 0
 	for id, r := range p.Code {
@@ -102,24 +110,45 @@ func checkChainMatchesInterp(t *testing.T, seed int64, mode Mode) {
 	case mode == Interp && kernels != coded:
 		t.Fatalf("seed %d: interp chain has %d kernels for %d nodes with code", seed, kernels, coded)
 	}
+	sn, perNode := NewStream(p, mode), make([]Span, len(ids))
+	for _, id := range ids {
+		perNode[id] = sn.AppendNodesIn([]int32{id}, int(id)%2)
+	}
 	for _, in := range inputs {
-		mi.Poke(in.ID, vals[in])
-		mb.Poke(in.ID, vals[in])
+		for _, m := range []*Machine{mi, mb, mn} {
+			m.Poke(in.ID, vals[in])
+		}
 	}
 	mi.Exec(0, int32(len(p.Instrs)))
 	s.CheckMachine(mb)
 	s.Run(mb, chain)
-	for w := range mi.State {
-		if mi.State[w] != mb.State[w] {
-			t.Fatalf("seed %d: state word %d: interp %#x vs stream %#x\nexpr: %s",
-				seed, w, mi.State[w], mb.State[w], e)
+	sn.CheckMachine(mn)
+	for _, sp := range perNode {
+		for w := p.StateWords; w < len(mn.State); w++ {
+			mn.State[w] = rng.Uint64()
+		}
+		sn.Run(mn, sp)
+	}
+	// The whole chain runs in the interpreter's region: every word matches,
+	// temporaries included. Node by node, only the persistent words do.
+	for name, m := range map[string]*Machine{"stream": mb, "node by node over poisoned regions": mn} {
+		words := len(mi.State)
+		if m == mn {
+			words = p.StateWords
+		}
+		for w := range words {
+			if mi.State[w] != m.State[w] {
+				t.Fatalf("seed %d: state word %d: interp %#x vs %s %#x\nexpr: %s",
+					seed, w, mi.State[w], name, m.State[w], e)
+			}
 		}
 	}
 }
 
 // TestStreamRefusesOutsideState corrupts one instruction at a time — an
 // operand past the state image, a negative offset, a 2-word operand
-// straddling the end, a memory index past Mems, a zero width — and checks
+// straddling the end, a memory index past Mems, a zero width, a temporary
+// past its region — and checks
 // that building the stream in every mode refuses it, naming the
 // instruction, instead of compiling a kernel that addresses memory outside
 // the machine or masks with a width it cannot represent.
@@ -167,12 +196,43 @@ func TestStreamRefusesOutsideState(t *testing.T) {
 		}
 	}
 
+	// A temporary operand is bounded by one region: past it — in another
+	// worker's region or past the last one a machine has — it is refused
+	// whatever region the chain is appended into.
+	q := &Program{StateWords: 8, TempWords: 4, NumWords: 12, Mems: p.Mems,
+		Instrs: []Instr{{Op: CAdd, D: 12, DW: 8, A: 0, AW: 8, B: 8, BW: 8}}, Code: []Range{{0, 1}}}
+	for _, mode := range modes {
+		for _, region := range []int{0, 1} {
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				NewStream(q, mode).AppendNodesIn([]int32{0}, region)
+				return "no panic"
+			}()
+			if !strings.Contains(msg, "instruction 0 of the chain") {
+				t.Errorf("temporary past the region, %s, region %d: AppendNodesIn gave %q, want a refusal", mode, region, msg)
+			}
+		}
+	}
+	// A chain in region 1 needs a machine of two regions.
+	q.Instrs[0].D = 11
+	two := NewStream(q, Fused)
+	two.AppendNodesIn([]int32{0}, 1)
+	two.CheckMachine(NewMachineRegions(q, 2))
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		two.CheckMachine(NewMachine(q))
+		return "no panic"
+	}()
+	if !strings.Contains(msg, "not shaped like") {
+		t.Errorf("CheckMachine of a one-region machine for a chain in region 1 gave %q, want a refusal", msg)
+	}
+
 	// The stream is validated against the program, so a machine that is not
 	// shaped like it is refused where an engine binds one.
 	m := NewMachine(p)
 	NewStream(p, Fused).CheckMachine(m)
 	m.Mems[0] = m.Mems[0][:2]
-	msg := func() (msg string) {
+	msg = func() (msg string) {
 		defer func() { msg = fmt.Sprint(recover()) }()
 		NewStream(p, Fused).CheckMachine(m)
 		return "no panic"

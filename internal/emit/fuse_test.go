@@ -3,6 +3,7 @@ package emit
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -460,6 +461,40 @@ func TestWidthClass2WordMatchesWide(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestElidableStores pins the direction-2(b) count: a generic window counts
+// when its producer stores a temporary only the window's consumer reads
+// before the word is written again — not when the store is persistent, and
+// not when a later instruction reads the temporary too.
+func TestElidableStores(t *testing.T) {
+	p := &Program{StateWords: 8, TempWords: 2, NumWords: 10}
+	window := []Instr{
+		{Op: CXor, D: 8, DW: 8, A: 0, AW: 8, B: 1, BW: 8},
+		{Op: CMux, D: 2, DW: 8, A: 3, AW: 1, B: 8, BW: 8, C: 4},
+	}
+	overwrite := Instr{Op: COr, D: 8, DW: 8, A: 5, AW: 8, B: 6, BW: 8}
+	reread := Instr{Op: CNot, D: 7, DW: 8, A: 8, AW: 8}
+	persistent := slices.Clone(window)
+	persistent[0].D, persistent[1].B = 5, 5
+	for _, c := range []struct {
+		name string
+		ins  []Instr
+		want int
+	}{
+		{"temporary read once", window, 1},
+		{"temporary overwritten, then read", append(slices.Clone(window), overwrite, reread), 1},
+		{"temporary read again", append(slices.Clone(window), reread), 0},
+		{"persistent store", persistent, 0},
+	} {
+		rule := FuseRuleAluMux
+		if got := FusionStats(c.ins)[rule]; got != 1 {
+			t.Fatalf("%s: the window fuses as %s %d times, want once", c.name, rule, got)
+		}
+		if got := ElidableStores(p, c.ins)[rule]; got != c.want {
+			t.Errorf("%s: %d elidable %s stores, want %d", c.name, got, rule, c.want)
 		}
 	}
 }

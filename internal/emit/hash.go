@@ -8,7 +8,8 @@ import (
 
 // DesignHash returns a stable identity for the compiled artifact: a SHA-256
 // over everything that determines execution semantics and state layout — the
-// instruction stream, the storage maps, the initial image, and the memory
+// instruction stream, the storage maps, the split of the state image into
+// persistent words and a temporary region, the initial image, and the memory
 // specs. Two Programs with equal hashes have interchangeable state images, so
 // the hash is the compatibility rule for snapshots (internal/snapshot stamps
 // it into every header and refuses to restore across a mismatch) and the
@@ -45,7 +46,8 @@ func (p *Program) computeHash() [32]byte {
 		}
 	}
 
-	wU64(uint64(p.NumWords))
+	wU64(uint64(p.StateWords))
+	wU64(uint64(p.TempWords))
 	wWords(p.Init)
 	wU64(uint64(len(p.Instrs)))
 	for i := range p.Instrs {

@@ -9,6 +9,9 @@ import (
 
 // Machine is one executable instance of a Program: a private state image and
 // memory arrays. Multiple machines can run the same Program concurrently.
+// The image is the program's StateWords persistent words, then one
+// temporary region of TempWords words per worker of the engine that owns
+// the machine.
 type Machine struct {
 	Prog  *Program
 	State []uint64
@@ -21,9 +24,14 @@ type Machine struct {
 	Executed uint64
 }
 
-// NewMachine instantiates a machine with the program's initial image.
-func NewMachine(p *Program) *Machine {
-	m := &Machine{Prog: p, State: make([]uint64, p.NumWords)}
+// NewMachine instantiates a one-worker machine with the program's initial
+// image.
+func NewMachine(p *Program) *Machine { return NewMachineRegions(p, 1) }
+
+// NewMachineRegions instantiates a machine with the program's initial image
+// and the given number of temporary regions, one per worker.
+func NewMachineRegions(p *Program, regions int) *Machine {
+	m := &Machine{Prog: p, State: make([]uint64, p.NumWords+(max(regions, 1)-1)*p.TempWords)}
 	copy(m.State, p.Init)
 	m.Mems = make([][]uint64, len(p.Mems))
 	for i := range p.Mems {
@@ -33,7 +41,9 @@ func NewMachine(p *Program) *Machine {
 	return m
 }
 
-// Reset restores the initial state image and memory contents.
+// Reset restores the initial state image and memory contents. It copies
+// only the persistent words: a temporary is always written before it is
+// read inside its node's range, so the regions need no reset.
 func (m *Machine) Reset() {
 	copy(m.State, m.Prog.Init)
 	for i := range m.Mems {
@@ -49,16 +59,25 @@ func mask(w int32) uint64 {
 	return (uint64(1) << uint(w)) - 1
 }
 
-// Exec runs instructions [start, end) against the machine state.
-func (m *Machine) Exec(start, end int32) {
+// Exec runs instructions [start, end) against the machine state, their
+// temporaries in the first region.
+func (m *Machine) Exec(start, end int32) { m.execIn(start, end, 0) }
+
+// execIn runs instructions [start, end) with their temporaries moved shift
+// words on, into another worker's region.
+func (m *Machine) execIn(start, end, shift int32) {
 	st := m.State
 	ins := m.Prog.Instrs
+	from := int32(m.Prog.StateWords)
 	for i := start; i < end; i++ {
-		in := &ins[i]
+		in := ins[i]
+		if shift != 0 {
+			in.relocate(from, shift)
+		}
 		if in.DW <= 64 && in.AW <= 64 && in.BW <= 64 {
-			m.execNarrow(st, in)
+			m.execNarrow(st, &in)
 		} else {
-			m.execWide(in)
+			m.execWide(&in)
 		}
 	}
 }

@@ -5,12 +5,19 @@
 // Table IV.
 //
 // Layout:
-//   - every node gets a word-aligned storage slot (registers get two: current
-//     and next);
-//   - constants live in a deduplicated pool inside the state image;
+//   - the persistent words come first, [0, StateWords): every node gets a
+//     word-aligned storage slot (registers get two: current and next), and
+//     memory write ports get their address, data and enable slots;
+//   - constants live in a deduplicated pool among the persistent words;
 //   - every node's expression tree compiles to a contiguous instruction range
-//     with private temporaries, so engines can evaluate nodes independently
-//     (including concurrently) by executing ranges.
+//     whose temporaries are scratch: they live in one temporary region of
+//     TempWords words after the persistent ones, every node's temporaries
+//     start at the region's base, and a temporary is always written before
+//     it is read inside its node's range. A schedule of K workers gives each
+//     worker a region of its own (Stream.AppendNodesIn), so engines can still
+//     evaluate nodes independently, including concurrently, while the state
+//     every engine, snapshot and migration carries is the persistent prefix
+//     alone.
 package emit
 
 import (
@@ -114,10 +121,17 @@ type Program struct {
 	// Graph is the graph the program was compiled from. Engines read only
 	// its nodes (kinds, widths, reset signals, initial values, memories), so
 	// a compiled design's program holds it released (ir.Graph.ReleaseExprs).
-	Graph    *ir.Graph
-	NumWords int
-	Init     []uint64 // initial state image: const pool + register init values
-	Instrs   []Instr
+	Graph *ir.Graph
+
+	// StateWords is the persistent part of the state image: node values,
+	// register next values, memory write-port slots and the constant pool.
+	// TempWords is one temporary region, sized to the largest node's
+	// temporaries. NumWords, StateWords + TempWords, is one single-worker
+	// machine's image.
+	StateWords, TempWords, NumWords int
+
+	Init   []uint64 // the persistent words at power-on: const pool + register init values
+	Instrs []Instr
 
 	// Per node-ID tables (indexed by ir.Node.ID).
 	Code    []Range // instruction range evaluating the node
@@ -142,8 +156,10 @@ type Program struct {
 // CodeBytes returns the emitted code size in bytes (Table IV "Code Size").
 func (p *Program) CodeBytes() int { return len(p.Instrs) * InstrBytes }
 
-// DataBytes returns the state image size in bytes, excluding main-memory
-// arrays, matching the paper's Table IV exclusion of the 128MB memory array.
+// DataBytes returns the state image size in bytes — the persistent words
+// plus one temporary region, one single-worker machine's image — excluding
+// main-memory arrays, matching the paper's Table IV exclusion of the 128MB
+// memory array.
 func (p *Program) DataBytes() int { return p.NumWords * 8 }
 
 // MemBytes returns the total memory-array bytes.
@@ -157,10 +173,17 @@ func (p *Program) MemBytes() int {
 
 type compiler struct {
 	p         *Program
-	next      int32
+	next      int32 // next persistent word
+	temp      int32 // next word of the current node's temporaries
 	constPool map[string]int32
 	constVals []constFill
 }
+
+// tempTag marks a temporary's offset while the code is generated: the
+// temporary region starts after the constant pool, whose size is known only
+// once every node is compiled, so temporaries are allocated at tempTag + t
+// and relocated to StateWords + t at the end of Compile.
+const tempTag = 1 << 30
 
 type constFill struct {
 	off int32
@@ -171,6 +194,13 @@ func (c *compiler) alloc(width int) int32 {
 	off := c.next
 	c.next += int32(bitvec.WordsFor(width))
 	return off
+}
+
+// allocTemp allocates one of the current node's temporaries.
+func (c *compiler) allocTemp(width int) int32 {
+	off := c.temp
+	c.temp += int32(bitvec.WordsFor(width))
+	return tempTag + off
 }
 
 func (c *compiler) constSlot(v bitvec.BV) int32 {
@@ -229,9 +259,12 @@ func Compile(g *ir.Graph) (*Program, error) {
 		}
 	}
 
-	// Code generation pass.
+	// Code generation pass. Every node's temporaries start at the region's
+	// base.
+	var tempWords int32
 	for _, node := range g.Nodes {
 		startIdx := int32(len(p.Instrs))
+		c.temp = 0
 		var err error
 		switch node.Kind {
 		case ir.KindInput:
@@ -260,11 +293,19 @@ func Compile(g *ir.Graph) (*Program, error) {
 			return nil, fmt.Errorf("emit: node %q: %v", node.Name, err)
 		}
 		p.Code[node.ID] = Range{Start: startIdx, End: int32(len(p.Instrs))}
+		tempWords = max(tempWords, c.temp)
 	}
 
-	// Finalize the state image: zero, then fill constants and register inits.
-	p.NumWords = int(c.next)
-	p.Init = make([]uint64, p.NumWords)
+	// The constant pool is final: place the temporary region after it.
+	p.StateWords, p.TempWords = int(c.next), int(tempWords)
+	p.NumWords = p.StateWords + p.TempWords
+	for i := range p.Instrs {
+		p.Instrs[i].relocate(tempTag, c.next-tempTag)
+	}
+
+	// Finalize the persistent image: zero, then fill constants and register
+	// inits.
+	p.Init = make([]uint64, p.StateWords)
 	for _, cf := range c.constVals {
 		copy(p.Init[cf.off:], cf.val.W)
 	}
@@ -288,6 +329,25 @@ func Compile(g *ir.Graph) (*Program, error) {
 
 	p.EmitTime = time.Since(start)
 	return p, nil
+}
+
+// relocate adds shift to every operand offset at or above from: the move of
+// the temporaries into their region, and of a region's chain into another
+// worker's region. An operand an instruction does not read is 0, below any
+// temporary.
+func (in *Instr) relocate(from, shift int32) {
+	if in.D >= from {
+		in.D += shift
+	}
+	if in.A >= from {
+		in.A += shift
+	}
+	if in.B >= from {
+		in.B += shift
+	}
+	if in.C >= from {
+		in.C += shift
+	}
 }
 
 type operand struct {
@@ -337,7 +397,7 @@ func (c *compiler) compileExpr(e *ir.Expr) (operand, error) {
 	case ir.OpConst:
 		return operand{c.constSlot(e.Imm), int32(e.Width)}, nil
 	}
-	dst := c.alloc(e.Width)
+	dst := c.allocTemp(e.Width)
 	if err := c.compileInto(e, dst); err != nil {
 		return operand{}, err
 	}

@@ -314,8 +314,18 @@ func PlanActivity(p *emit.Program, part *partition.Result, cfg ActivityConfig, t
 		}
 	}
 
+	// A supernode's chain runs in the temporary region of the worker whose
+	// shard holds it.
+	region := make([]int, part.Count())
+	for _, chunk := range chunks {
+		for w, sups := range chunk {
+			for _, s := range sups {
+				region[s] = w
+			}
+		}
+	}
 	pl.activationPlan = buildActivationPlan(p, part, cfg, pl.t.resets, pl.supSlot)
-	pl.plan = buildSupPlan(p, part, pl.activationPlan, mode)
+	pl.plan = buildSupPlan(p, part, pl.activationPlan, mode, region)
 	return pl
 }
 
@@ -324,7 +334,7 @@ func (pl *ActivityPlan) NewEngine() Compiled { return pl.newEngine() }
 
 func (pl *ActivityPlan) newEngine() *Activity {
 	e := &Activity{
-		base:           newBase(pl.t),
+		base:           newBase(pl.t, pl.threads),
 		pl:             pl,
 		activationPlan: pl.activationPlan,
 		plan:           pl.plan,

@@ -178,8 +178,10 @@ func (t *tables) bytes() int {
 	return n
 }
 
-func newBase(t *tables) base {
-	b := base{tables: t, m: emit.NewMachine(t.p)}
+// newBase allocates an engine's machine: the program's persistent words and
+// one temporary region per worker of its schedule.
+func newBase(t *tables, workers int) base {
+	b := base{tables: t, m: emit.NewMachineRegions(t.p, workers)}
 	b.stats.EvaluableNodes = uint64(len(b.coded))
 	return b
 }

@@ -93,19 +93,20 @@ type regSlot struct {
 }
 
 // buildSupPlan flattens the partition's supernodes under the activation
-// plan.
-func buildSupPlan(p *emit.Program, part *partition.Result, ap *activationPlan, mode EvalMode) *supPlan {
+// plan; supernode s's chain runs in temporary region region[s].
+func buildSupPlan(p *emit.Program, part *partition.Result, ap *activationPlan, mode EvalMode, region []int) *supPlan {
 	nSups := part.Count()
 	pl := &supPlan{sups: make([]supRec, nSups+1), stream: emit.NewStream(p, mode)}
 	for s := range pl.sups {
 		r := &pl.sups[s]
 		r.track, r.wide, r.reg = int32(len(pl.track)), int32(len(pl.wide)), int32(len(pl.regs))
 		var members []int32
+		rg := 0
 		if s < nSups {
-			members = part.Members[s]
+			members, rg = part.Members[s], region[s]
 		}
 		// The sentinel's empty chain marks where the last one ends.
-		sp := pl.stream.AppendNodes(members)
+		sp := pl.stream.AppendNodesIn(members, rg)
 		r.rec, r.k = sp.Rec, sp.K
 		if s == nSups {
 			break // sentinel

@@ -21,7 +21,7 @@ import (
 //
 // Every (level, worker) chunk compiles into one chain of the plan's stream,
 // so a worker's share of a level is a single sweep with no per-node range
-// lookups.
+// lookups. Worker w's chains run in temporary region w.
 type FullCycle struct {
 	base
 	pl         *FullCyclePlan
@@ -85,7 +85,7 @@ func PlanFullCycle(p *emit.Program, byLevel [][]int32, threads int, mode EvalMod
 	for lv, chunk := range chunks {
 		pl.chains[lv] = make([]emit.Span, threads)
 		for w, ids := range chunk {
-			pl.chains[lv][w] = pl.stream.AppendNodes(ids)
+			pl.chains[lv][w] = pl.stream.AppendNodesIn(ids, w)
 		}
 	}
 	pl.stream.Trim()
@@ -96,7 +96,7 @@ func PlanFullCycle(p *emit.Program, byLevel [][]int32, threads int, mode EvalMod
 func (pl *FullCyclePlan) NewEngine() Compiled { return pl.newEngine() }
 
 func (pl *FullCyclePlan) newEngine() *FullCycle {
-	e := &FullCycle{base: newBase(pl.t), pl: pl}
+	e := &FullCycle{base: newBase(pl.t, pl.threads), pl: pl}
 	pl.stream.CheckMachine(e.m)
 	e.pool = newWorkerPool(pl.threads, len(pl.chains), e.runLevel)
 	return e

@@ -129,9 +129,13 @@ func (s *stimulus) poke(sim engine.Sim, cycle int) {
 	}
 }
 
+// requireSameState compares two engines' persistent state words: the
+// temporaries are per-worker scratch, so they differ between worker counts,
+// and a Reset leaves them as they are.
 func requireSameState(t *testing.T, what string, a, b engine.Sim) {
 	t.Helper()
-	sa, sb := a.Machine().State, b.Machine().State
+	sw := a.Machine().Prog.StateWords
+	sa, sb := a.Machine().State[:sw], b.Machine().State[:sw]
 	for w := range sa {
 		if sa[w] != sb[w] {
 			t.Fatalf("%s: state word %d: %#x vs %#x", what, w, sa[w], sb[w])
@@ -140,14 +144,15 @@ func requireSameState(t *testing.T, what string, a, b engine.Sim) {
 }
 
 // TestResetEqualsFreshBuild pins Reset against a freshly built engine of the
-// same cell: after Reset the replayed stimulus must produce the same state
-// image AND the same full Stats block every cycle. A Reset that forgets to
-// re-sync the plan's shadow words still reaches the right state (a stale
-// shadow only costs or saves activations of an already fully armed design)
-// but miscounts Activations in the first cycle, which only a per-cycle stats
-// comparison sees — and only where activation branches on the change, hence
-// the always-branch configuration next to GSIM's cost model (which picks
-// branchless for the few-reader nodes small designs are made of).
+// same cell: after Reset the replayed stimulus must produce the same
+// persistent state words AND the same full Stats block every cycle. A Reset
+// that forgets to re-sync the plan's shadow words still reaches the right
+// state (a stale shadow only costs or saves activations of an already fully
+// armed design) but miscounts Activations in the first cycle, which only a
+// per-cycle stats comparison sees — and only where activation branches on
+// the change, hence the always-branch configuration next to GSIM's cost
+// model (which picks branchless for the few-reader nodes small designs are
+// made of).
 func TestResetEqualsFreshBuild(t *testing.T) {
 	const dirty, replay = 25, 25
 	branch := core.GSIM().Activity

@@ -15,7 +15,7 @@ import "fmt"
 // restores at any other: each engine re-derives its own word layout from the
 // supernode set.
 type SimState struct {
-	State    []uint64   // machine state image (Program.NumWords words)
+	State    []uint64   // the machine's persistent words (Program.StateWords); temporaries are scratch
 	Mems     [][]uint64 // memory arrays, per MemSpec
 	Executed uint64     // Machine.Executed
 	Stats    Stats
@@ -54,21 +54,23 @@ type Snapshotter interface {
 	RestoreState(*SimState) error
 }
 
-// captureBase fills the engine-independent fields.
+// captureBase fills the engine-independent fields. The state is the
+// persistent prefix of the image: the temporary regions hold nothing a
+// Step reads before writing it.
 func (b *base) captureBase() *SimState {
 	return &SimState{
-		State:    b.m.State,
+		State:    b.m.State[:b.p.StateWords],
 		Mems:     b.m.Mems,
 		Executed: b.m.Executed,
 		Stats:    b.stats,
 	}
 }
 
-// restoreBase validates shapes and copies the machine image and counters in
-// place.
+// restoreBase validates shapes and copies the persistent words and
+// counters in place.
 func (b *base) restoreBase(s *SimState) error {
-	if len(s.State) != len(b.m.State) {
-		return fmt.Errorf("engine: state image is %d words, engine has %d", len(s.State), len(b.m.State))
+	if len(s.State) != b.p.StateWords {
+		return fmt.Errorf("engine: state image is %d words, engine has %d", len(s.State), b.p.StateWords)
 	}
 	if len(s.Mems) != len(b.m.Mems) {
 		return fmt.Errorf("engine: snapshot has %d memories, engine has %d", len(s.Mems), len(b.m.Mems))

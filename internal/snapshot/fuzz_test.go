@@ -16,9 +16,9 @@ import (
 // gets a fresh engine over one compiled design, so a failure reproduces from
 // its input alone. The seeds are a real blob of the essential-signal engine
 // (memory, armed supernodes, pending registers, its partition's
-// fingerprint), the same blob in format version 1, and damaged copies of it;
-// `go test -fuzz=FuzzSnapshotRestore ./internal/snapshot` explores from there
-// (CI rotates it with the other targets).
+// fingerprint), the same blob in format versions 1 and 2, and damaged copies
+// of it; `go test -fuzz=FuzzSnapshotRestore ./internal/snapshot` explores
+// from there (CI rotates it with the other targets).
 func FuzzSnapshotRestore(f *testing.F) {
 	cfg := core.GSIM()
 	design, err := core.CompileDesign(loadDesign(f, "lfsr.fir"), cfg)
@@ -47,6 +47,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 	f.Add(good)
 	f.Add(pristine)
 	f.Add(v1Blob(f, good, design.Prog))
+	f.Add(fullImageBlob(f, good, design.Prog, 2))
 	f.Add(good[:len(good)/2])
 	f.Add(append(append([]byte{}, good...), 0))
 	for _, at := range []int{0, 8, 12, 44, 52, 60, partPrintAt(f, good, design.Prog), len(good) - 12, len(good) - 4} {

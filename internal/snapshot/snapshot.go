@@ -1,20 +1,20 @@
 // Package snapshot serializes complete simulator state — the durable half of
 // the simulation-as-a-service split. A compiled design (emit.Program) is an
 // immutable artifact; everything that changes as a simulation runs fits in an
-// engine.SimState (machine image, memories, counters, activity arming). This
-// package turns that state into a versioned, deterministic byte blob and
-// back, so a run can stop, persist, move between processes (or engines, or
-// thread counts), and resume bit-identically — final state image, stat
-// counters, and waveform bytes all match an uninterrupted run.
+// engine.SimState (persistent state words, memories, counters, activity
+// arming). This package turns that state into a versioned, deterministic
+// byte blob and back, so a run can stop, persist, move between processes (or
+// engines, or thread counts), and resume bit-identically — final state
+// image, stat counters, and waveform bytes all match an uninterrupted run.
 //
 // Format (all integers little-endian):
 //
 //	magic      [8]byte  "GSIMSNAP"
-//	version    u32      format version (currently 2)
+//	version    u32      format version (currently 3)
 //	designHash [32]byte emit.Program.DesignHash of the build that captured it
 //	cycles     u64      Stats.Cycles at capture (redundant with the stats
 //	                    section; lets tools report resume points header-only)
-//	state      u64 n, then n x u64        machine state image
+//	state      u64 n, then n x u64        persistent state words, [0, StateWords)
 //	mems       u64 k, then k x (u64 n, n x u64)
 //	executed   u64                        Machine.Executed
 //	stats      8 x u64                    the engine.Stats block
@@ -33,8 +33,12 @@
 // restore instead of corrupting silently. The hash does not cover the
 // partition, so the activity section names its own (supCount, partPrint),
 // and an essential-signal engine refuses a section from another partition.
-// The version field gates format evolution: readers reject versions they do
-// not understand. Version 2 added partPrint; version 1 blobs are refused.
+// The state section carries only the persistent words: expression
+// temporaries are per-worker scratch, written before they are read inside
+// every Step, so no blob carries them. The version field gates format
+// evolution: readers reject versions they do not understand. Version 2
+// added partPrint; version 3 dropped the temporaries from the state
+// section. Version 1 and 2 blobs are refused.
 package snapshot
 
 import (
@@ -50,7 +54,7 @@ import (
 const Magic = "GSIMSNAP"
 
 // Version is the current format version.
-const Version = 2
+const Version = 3
 
 const headerBytes = 8 + 4 + 32 + 8
 

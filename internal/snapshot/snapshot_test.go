@@ -265,7 +265,8 @@ func TestCrossEngineRestore(t *testing.T) {
 				drive(dst.Sim, dins, c)
 				dst.Sim.Step()
 			}
-			ga, gb := gold.Sim.Machine().State, dst.Sim.Machine().State
+			sw := gold.Prog.StateWords
+			ga, gb := gold.Sim.Machine().State[:sw], dst.Sim.Machine().State[:sw]
 			for w := range ga {
 				if ga[w] != gb[w] {
 					t.Fatalf("state word %d: 1T %#x vs %dT %#x", w, ga[w], threads, gb[w])
@@ -325,7 +326,8 @@ func TestRestoreIntoUsedEngine(t *testing.T) {
 		fresh.Sim.Step()
 		used.Sim.Step()
 	}
-	fa, fb := fresh.Sim.Machine().State, used.Sim.Machine().State
+	sw := fresh.Prog.StateWords
+	fa, fb := fresh.Sim.Machine().State[:sw], used.Sim.Machine().State[:sw]
 	for w := range fa {
 		if fa[w] != fb[w] {
 			t.Fatalf("state word %d: fresh-restore %#x vs used-restore %#x", w, fa[w], fb[w])
@@ -464,6 +466,22 @@ func TestRestoreValidation(t *testing.T) {
 			t.Fatalf("restore of a version-1 blob returned %v, want the version refusal", err)
 		}
 	})
+	t.Run("v2", func(t *testing.T) {
+		err := snapshot.Restore(sys.Sim, fullImageBlob(t, blob, sys.Prog, 2))
+		if err == nil || !strings.Contains(err.Error(), "version 2") {
+			t.Fatalf("restore of a version-2 blob returned %v, want the version refusal", err)
+		}
+	})
+	t.Run("v3-full-image", func(t *testing.T) {
+		// A v3 header over a state section of the old length — persistent
+		// words and the temporary region — is refused by the engine, which
+		// names both lengths.
+		p := sys.Prog
+		err := snapshot.Restore(sys.Sim, fullImageBlob(t, blob, p, snapshot.Version))
+		if want := fmt.Sprintf("state image is %d words, engine has %d", p.NumWords, p.StateWords); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("restore of a full-image v3 blob returned %v, want a refusal naming %q", err, want)
+		}
+	})
 	t.Run("truncated", func(t *testing.T) {
 		for _, n := range []int{0, 7, 43, len(blob) / 2, len(blob) - 1} {
 			if err := snapshot.Restore(sys.Sim, blob[:n]); err == nil {
@@ -538,6 +556,23 @@ func v1Blob(t testing.TB, blob []byte, p *emit.Program) []byte {
 	v1 := append(append([]byte{}, blob[:at]...), blob[at+8:]...)
 	binary.LittleEndian.PutUint32(v1[8:], 1)
 	return v1
+}
+
+// fullImageBlob rewrites a current blob of p into the state layout of
+// format version 2 — the state section is the whole one-worker image, the
+// persistent words then one zeroed temporary region — stamped with the
+// given version.
+func fullImageBlob(t testing.TB, blob []byte, p *emit.Program, version uint32) []byte {
+	t.Helper()
+	if p.TempWords == 0 {
+		t.Fatal("the design has no temporaries: a full image would equal the persistent words")
+	}
+	const stateAt = 8 + 4 + 32 + 8 // header; the state section's word count follows
+	end := stateAt + 8 + 8*p.StateWords
+	full := append(append(append([]byte{}, blob[:end]...), make([]byte, 8*p.TempWords)...), blob[end:]...)
+	binary.LittleEndian.PutUint64(full[stateAt:], uint64(p.NumWords))
+	binary.LittleEndian.PutUint32(full[8:], version)
+	return full
 }
 
 // TestSnapshotFromOtherProgramRefused: a release that changes what the
