@@ -2,10 +2,12 @@
 //
 // Usage:
 //
-//	gsim-bench -exp table1|fig6|gsimmt|coarsen|sessions|fig7|fig8|fig9|table3|table4|all [-quick] [-cycles N]
-//	           [-threads 1,2,4,8]   thread counts for the gsimmt and coarsen sweeps
+//	gsim-bench -exp table1|fig6|gsimmt|sessions|fig7|fig8|fig9|table3|table4|all [-quick] [-cycles N]
+//	           [-threads 1,2,4,8]   thread counts for the gsimmt sweep
 //	                                (doubles as the session counts for -exp sessions)
-//	           [-coarsen]           adaptive level coarsening for every measured config
+//
+// -exp gsimmt prints each multi-worker row's schedule change: the dependence
+// levels the merged-level schedule collapses into its barrier levels.
 //
 // Results print as text tables in the paper's layout; the README's
 // "Benchmarks" section carries the measured findings.
@@ -23,12 +25,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, fig6, gsimmt, coarsen, sessions, fig7, fig8, fig9, table3, table4, all")
+	exp := flag.String("exp", "all", "experiment: table1, fig6, gsimmt, sessions, fig7, fig8, fig9, table3, table4, all")
 	quick := flag.Bool("quick", false, "small designs and short measurements (smoke run)")
 	medium := flag.Bool("medium", false, "stucore + rocket-scale designs, full budget")
 	cycles := flag.Int("cycles", 0, "override timed cycles per measurement")
-	threadList := flag.String("threads", "1,2,4,8", "comma-separated thread counts for the gsimmt and coarsen sweeps")
-	coarsen := flag.Bool("coarsen", false, "adaptive level coarsening for every measured config")
+	threadList := flag.String("threads", "1,2,4,8", "comma-separated thread counts for the gsimmt sweep")
 	flag.Parse()
 
 	threadCounts, err := parseThreads(*threadList)
@@ -57,12 +58,13 @@ func main() {
 	if *cycles > 0 {
 		budget.TimedCycles = *cycles
 	}
-	budget.Coarsen = *coarsen
 
+	ran := false
 	run := func(name string, f func() error) {
 		if *exp != "all" && *exp != name {
 			return
 		}
+		ran = true
 		fmt.Printf("=== %s ===\n", name)
 		if err := f(); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
@@ -93,14 +95,6 @@ func main() {
 			return err
 		}
 		harness.RenderGSIMMT(os.Stdout, rows)
-		return nil
-	})
-	run("coarsen", func() error {
-		rows, err := harness.CoarsenSweep(designs, threadCounts, budget)
-		if err != nil {
-			return err
-		}
-		harness.RenderCoarsen(os.Stdout, rows)
 		return nil
 	})
 	run("sessions", func() error {
@@ -152,6 +146,10 @@ func main() {
 		harness.RenderTable4(os.Stdout, rows)
 		return nil
 	})
+	if !ran {
+		fmt.Fprintf(os.Stderr, "gsim-bench: unknown experiment %q\n", *exp)
+		os.Exit(2)
+	}
 }
 
 // parseThreads parses a comma-separated list of positive thread counts.

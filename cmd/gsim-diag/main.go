@@ -107,14 +107,10 @@ func main() {
 	gnf.Name = "gsim-nofuse"
 	gnf.Eval = engine.EvalKernelNoFuse
 	cfgs = append(cfgs, gi, gnf)
-	// The multi-threaded engine, to report shard balance, and its coarsened
-	// twin, to report the schedule delta (levels before -> after merging;
-	// one barrier per scheduled level per cycle).
+	// The multi-threaded engine, to report shard balance and the schedule
+	// change (dependence levels -> scheduled levels after merging; one
+	// barrier per scheduled level per cycle).
 	cfgs = append(cfgs, core.GSIMMT(2))
-	gco := core.GSIMMT(2)
-	gco.Name = "gsim-2T-coarsen"
-	gco.Activity.Coarsen = true
-	cfgs = append(cfgs, gco)
 	// add gsim variants
 	g2 := core.GSIM()
 	g2.Name = "gsim-mffc"

@@ -16,8 +16,9 @@
 // API (JSON; see internal/server):
 //
 //	POST   /v1/sessions               {"firrtl": "...", "engine": "gsim", "threads": 0,
-//	                                   "coarsen": false, "lanes": 8, "trace_lanes": [0,3]}
-//	                                   (a body naming the removed "eval" field gets a 400)
+//	                                   "lanes": 8, "trace_lanes": [0,3]}
+//	                                   (a body naming the removed "eval" or "coarsen"
+//	                                   field gets a 400)
 //	GET    /v1/sessions               list live sessions
 //	POST   /v1/sessions/{id}/ops      {"ops": [{"op":"poke","name":"en","value":"1","lane":2},
 //	                                           {"op":"step","n":100},

@@ -6,11 +6,10 @@
 //
 //	-engine gsim|verilator|essent|arcilator   simulator preset (default gsim)
 //	-threads N                                multi-threaded engine: gsim -> GSIMMT
-//	                                          (parallel essential-signal), verilator
+//	                                          (parallel essential-signal, on the
+//	                                          merged-level schedule), verilator
 //	                                          -> Verilator-MT (parallel full-cycle)
 //	-cycles N                                 cycles to simulate
-//	-coarsen                                  merge sparse schedule levels (GSIMMT):
-//	                                          fewer barriers per cycle on deep designs
 //	-max-supernode N                          supernode size cap (paper Fig. 9)
 //	-poke name=value                          set an input before simulation (repeatable)
 //	-watch name                               print a node's value every cycle (repeatable)
@@ -52,7 +51,6 @@ func main() {
 	engineName := flag.String("engine", "gsim", "simulator preset: gsim, verilator, essent, arcilator")
 	threads := flag.Int("threads", 0, "worker count: gsim -> parallel essential-signal (GSIMMT), verilator -> parallel full-cycle")
 	cycles := flag.Int("cycles", 10, "cycles to simulate")
-	coarsen := flag.Bool("coarsen", false, "adaptive level coarsening: merge sparse schedule levels (parallel essential-signal engine)")
 	maxSup := flag.Int("max-supernode", 0, "maximum supernode size (0 = default)")
 	showStats := flag.Bool("stats", false, "print engine counters and build info")
 	vcdPath := flag.String("vcd", "", "dump a VCD waveform of inputs/outputs/registers to this file")
@@ -101,7 +99,6 @@ func main() {
 	if *threads > 0 && cfg.Threads == 0 {
 		fatal(fmt.Errorf("-threads is only valid with -engine gsim or verilator"))
 	}
-	cfg.Activity.Coarsen = *coarsen
 	if *maxSup > 0 {
 		cfg.MaxSupernode = *maxSup
 	}
@@ -117,8 +114,8 @@ func main() {
 	}
 	if a, ok := sys.Sim.(*engine.Activity); ok && a.Shard() != nil {
 		sv := a.Shard()
-		fmt.Printf("schedule: %d levels (%d before coarsening), %d barriers/cycle\n",
-			sv.Levels, sv.OrigLevels, sv.Levels)
+		fmt.Printf("schedule: %d dependence levels merged into %d, %d barriers/cycle\n",
+			sv.OrigLevels, sv.Levels, sv.Levels)
 	}
 
 	// Checkpoint restore happens before pokes and tracing: pokes override

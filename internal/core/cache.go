@@ -147,11 +147,11 @@ func (d *CompiledDesign) DesignHash() string { return d.Prog.DesignHashString() 
 // NewSim instantiates one engine over the design's plan. It only allocates:
 // the engine's machine, active bits, shadows and worker scratch. cfg must be
 // the design's own configuration — every field CacheKey folds in but the
-// optimization options (engine, eval mode, workers, coarsening, activation
-// knobs, partitioner, supernode cap), since the plan was built for exactly
-// those; a mismatch is refused with an error naming the first differing
-// field. Engines step fully concurrently: each owns its state, and the plan
-// and Program are read-only.
+// optimization options (engine, eval mode, workers, activation knobs,
+// partitioner, supernode cap), since the plan was built for exactly those;
+// a mismatch is refused with an error naming the first differing field.
+// Engines step fully concurrently: each owns its state, and the plan and
+// Program are read-only.
 func (d *CompiledDesign) NewSim(cfg Config) (engine.Compiled, error) {
 	if field := d.Config.mismatch(cfg.normalized()); field != "" {
 		return nil, fmt.Errorf("core: the session's %s differs from the one design %q was compiled for", field, d.Config.Name)
@@ -163,14 +163,13 @@ func (d *CompiledDesign) NewSim(cfg Config) (engine.Compiled, error) {
 // caller supplies a content hash of the elaborated input, e.g. a FIRRTL text
 // hash) under a configuration. Every knob that can change the compiled
 // artifact or the per-session engine shape is folded in — optimization
-// options, engine, eval mode, threads, coarsening, partitioner, supernode
-// cap — so sessions share a cache entry exactly when their builds would be
+// options, engine, eval mode, threads, partitioner, supernode cap — so
+// sessions share a cache entry exactly when their builds would be
 // interchangeable. Unset and one-worker thread counts are the same build.
 func CacheKey(sourceHash string, cfg Config) string {
 	cfg = cfg.normalized()
-	return fmt.Sprintf("%s|opt=%+v|engine=%s|eval=%s|threads=%d|coarsen=%v/%d|part=%d|maxsup=%d|act=%d/%d/%v",
+	return fmt.Sprintf("%s|opt=%+v|engine=%s|eval=%s|threads=%d|part=%d|maxsup=%d|act=%d/%d/%v",
 		sourceHash, cfg.Opt, cfg.Engine, cfg.Eval, cfg.Threads,
-		cfg.Activity.Coarsen, cfg.Activity.CoarsenGrain,
 		cfg.Partition, cfg.MaxSupernode,
 		cfg.Activity.Activation, cfg.Activity.BranchlessMax, cfg.Activity.MultiBitCheck)
 }

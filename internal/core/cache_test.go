@@ -85,7 +85,6 @@ func TestNewSimRefusesOtherConfig(t *testing.T) {
 		"engine":        func(c *Config) { c.Engine = EngineFullCycle },
 		"eval mode":     func(c *Config) { c.Eval = engine.EvalInterp },
 		"worker count":  func(c *Config) { c.Threads = 2 },
-		"coarsening":    func(c *Config) { c.Activity.Coarsen = true },
 		"activation":    func(c *Config) { c.Activity.Activation = engine.ActBranch },
 		"partitioner":   func(c *Config) { c.Partition = partition.MFFC },
 		"supernode cap": func(c *Config) { c.MaxSupernode = 2 * DefaultMaxSupernode },

@@ -218,8 +218,6 @@ func (c Config) mismatch(o Config) string {
 		return "eval mode"
 	case c.Threads != o.Threads:
 		return "worker count"
-	case c.Activity.Coarsen != o.Activity.Coarsen || c.Activity.CoarsenGrain != o.Activity.CoarsenGrain:
-		return "coarsening"
 	case c.Activity.Activation != o.Activity.Activation || c.Activity.BranchlessMax != o.Activity.BranchlessMax ||
 		c.Activity.MultiBitCheck != o.Activity.MultiBitCheck:
 		return "activation"

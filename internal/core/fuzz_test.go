@@ -123,13 +123,10 @@ func FuzzKernelLockstep(f *testing.F) {
 		prog := analyzable(t, g, sysK)
 		simNF := engine.NewActivity(prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalKernelNoFuse)
 		simI := engine.NewActivity(prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalInterp)
-		// The coarsening axis: the merged-level schedule at its most
-		// aggressive grain, two workers, must track the same trajectory.
-		coarseCfg := sysK.Config.Activity
-		coarseCfg.Coarsen = true
-		coarseCfg.CoarsenGrain = 1 << 30
-		simC := engine.NewActivity(prog, sysK.Part, coarseCfg, 2, engine.EvalKernel)
-		defer simC.Close()
+		// The multi-worker axis: two workers on the merged-level schedule
+		// must track the same trajectory.
+		sim2 := engine.NewActivity(prog, sysK.Part, sysK.Config.Activity, 2, engine.EvalKernel)
+		defer sim2.Close()
 		// The snapshot axis: this engine is serialized through the versioned
 		// snapshot format and restored into a fresh engine mid-run; its
 		// trajectory and stats must never diverge from the uninterrupted one.
@@ -236,7 +233,7 @@ func FuzzKernelLockstep(f *testing.F) {
 				sysK.Sim.Poke(in.ID, v)
 				simNF.Poke(in.ID, v)
 				simI.Poke(in.ID, v)
-				simC.Poke(in.ID, v)
+				sim2.Poke(in.ID, v)
 				simS.Poke(in.ID, v)
 				// Lane 1 and its twin always receive the divergent stimulus —
 				// pokes land on a parked lane too (they write state, they do
@@ -254,14 +251,14 @@ func FuzzKernelLockstep(f *testing.F) {
 				}
 			}
 			lane1Live := rngL1.Intn(6) != 0
-			for _, sim := range []engine.Sim{sysK.Sim, simNF, simI, simC, simS} {
+			for _, sim := range []engine.Sim{sysK.Sim, simNF, simI, sim2, simS} {
 				poisonTemps(sim, rngP)
 			}
 			ref.Step()
 			sysK.Sim.Step()
 			simNF.Step()
 			simI.Step()
-			simC.Step()
+			sim2.Step()
 			simS.Step()
 			for _, ax := range laneAxes {
 				ax.lanes.SetLive(1, lane1Live)
@@ -282,7 +279,7 @@ func FuzzKernelLockstep(f *testing.F) {
 			states := map[string][]uint64{
 				"kernel-nofuse":      persistent(simNF),
 				"interp":             persistent(simI),
-				"coarsen-2T":         persistent(simC),
+				"activity-2T":        persistent(sim2),
 				"snapshot-roundtrip": persistent(simS),
 			}
 			for _, ax := range laneAxes {

@@ -19,22 +19,20 @@ type matrixSim struct {
 	sim  engine.Sim
 }
 
-// matrixEngines instantiates the full engine × stream-mode × worker-count ×
-// coarsening matrix over ONE compiled program (sys's, rebuilt by analyzable)
-// and partition, so every cell shares node IDs and state layout and the
+// matrixEngines instantiates the full engine × stream-mode × worker-count
+// matrix over ONE compiled program (sys's, rebuilt by analyzable) and
+// partition, so every cell shares node IDs and state layout and the
 // persistent state words can be compared word for word:
 //
-//	fullcycle, activity          × {kernel, interp} × {1, 2, 4} workers
-//	activity (coarsened)         × {kernel, interp} × {1, 2, 4} workers
+//	fullcycle, activity × {kernel, interp} × {1, 2, 4} workers
 //
 // Engines run every stream mode through one path, so the interp cells run
 // the whole engine over the interpreter, while kernel-nofuse would differ
 // from kernel only in which stream kernels run — TestChainMatchesInterp in
-// internal/emit pins those.
-//
-// The coarsened cells run the merged-level schedule with an aggressive grain
-// (so merging actually happens on small designs) and must stay bit-identical
-// to every other cell — the adaptive-coarsening correctness pin.
+// internal/emit pins those. The multi-worker activity cells run the
+// merged-level schedule; TestEngineMatrixLockstep's scheduleShapes check
+// pins that both of its halves (ordered chains inside a merged level, outbox
+// activations across levels) are exercised.
 //
 // All engines must produce identical state trajectories (the package
 // contract in internal/engine).
@@ -46,10 +44,6 @@ func matrixEngines(t *testing.T, prog *emit.Program, sys *System) []matrixSim {
 	}
 	_, byLevel := prog.Graph.Levelize(order)
 
-	coarse := sys.Config.Activity
-	coarse.Coarsen = true
-	coarse.CoarsenGrain = 1 << 30 // merge everything mergeable: worst case for ordering bugs
-
 	modes := []engine.EvalMode{engine.EvalKernel, engine.EvalInterp}
 	var sims []matrixSim
 	for _, mode := range modes {
@@ -59,8 +53,6 @@ func matrixEngines(t *testing.T, prog *emit.Program, sys *System) []matrixSim {
 					engine.NewFullCycle(prog, byLevel, threads, mode)},
 				matrixSim{fmt.Sprintf("activity-%dT/%s", threads, mode),
 					engine.NewActivity(prog, sys.Part, sys.Config.Activity, threads, mode)},
-				matrixSim{fmt.Sprintf("activity-coarsen-%dT/%s", threads, mode),
-					engine.NewActivity(prog, sys.Part, coarse, threads, mode)},
 			)
 		}
 	}
@@ -70,7 +62,7 @@ func matrixEngines(t *testing.T, prog *emit.Program, sys *System) []matrixSim {
 // matrixDesigns: every testdata FIRRTL design, two generated random designs,
 // and the small generated profile (the synthetic processor shape with
 // clusters, one-hot decode, FIFOs, and a 128-bit stimulus register that
-// exercises the 2-word width class).
+// exercises the wide fallback).
 func matrixDesigns(t *testing.T) (names []string, graphs []*ir.Graph) {
 	t.Helper()
 	names, graphs = lockstepDesigns(t)
@@ -93,16 +85,76 @@ func TestEngineMatrixLockstep(t *testing.T) {
 		cycles = 20
 	}
 	names, graphs := matrixDesigns(t)
+	shapes := map[int]*scheduleShapes{2: {}, 4: {}}
 	for di, g := range graphs {
 		sys, err := Build(g, GSIM())
 		if err != nil {
 			t.Fatalf("%s: %v", names[di], err)
 		}
 		prog := analyzable(t, g, sys)
+		for threads, sh := range shapes {
+			sh.add(t, names[di], prog, sys, threads)
+		}
 		for _, seed := range []int64{13, 7919} {
 			lockstepMatrix(t, names[di], prog, sys, int64(di)*977+seed, cycles)
 		}
 		sys.Close()
+	}
+	for threads, sh := range shapes {
+		if sh.merged == "" {
+			t.Errorf("%dT: no matrix design's schedule merges into one level with fused components", threads)
+		}
+		if sh.split == "" {
+			t.Errorf("%dT: no matrix design's schedule keeps >= 2 levels with activations across chunks", threads)
+		}
+		t.Logf("%dT: %s merges into one level, %s keeps several", threads, sh.merged, sh.split)
+	}
+}
+
+// scheduleShapes records, at one worker count, a matrix design whose
+// merged-level schedule exercises each half of the activity engine's
+// multi-worker protocol: merged, whose dependence levels collapse into one
+// scheduled level holding a fused component (a dependence edge inside one
+// chunk, run as an ordered chain); and split, which keeps two or more
+// scheduled levels, so some activation crosses chunks through the outbox and
+// a barrier.
+type scheduleShapes struct{ merged, split string }
+
+// add classifies the design's schedule at threads workers by walking its
+// dependence edges between supernodes.
+func (sh *scheduleShapes) add(t *testing.T, name string, prog *emit.Program, sys *System, threads int) {
+	t.Helper()
+	a := engine.NewActivity(prog, sys.Part, sys.Config.Activity, threads, engine.EvalKernel)
+	defer a.Close()
+	sv := a.Shard()
+	var inChunk, crossChunk bool
+	for _, n := range prog.Graph.Nodes {
+		sn := sys.Part.SupOf[n.ID]
+		if sn < 0 {
+			continue
+		}
+		n.EachExpr(func(slot **ir.Expr) {
+			(*slot).Walk(func(e *ir.Expr) {
+				if e.Op != ir.OpRef || e.Node.Kind == ir.KindReg || e.Node.Kind == ir.KindInput {
+					return
+				}
+				su := sys.Part.SupOf[e.Node.ID]
+				if su < 0 || su == sn {
+					return
+				}
+				if sv.LevelOf[su] == sv.LevelOf[sn] && sv.ShardOf[su] == sv.ShardOf[sn] {
+					inChunk = true
+				} else {
+					crossChunk = true
+				}
+			})
+		})
+	}
+	if sh.merged == "" && sv.Levels == 1 && sv.OrigLevels > 1 && inChunk {
+		sh.merged = fmt.Sprintf("%s (%d -> 1 levels)", name, sv.OrigLevels)
+	}
+	if sh.split == "" && sv.Levels >= 2 && crossChunk {
+		sh.split = fmt.Sprintf("%s (%d -> %d levels)", name, sv.OrigLevels, sv.Levels)
 	}
 }
 

@@ -32,11 +32,11 @@ func poisonTemps(sim engine.Sim, rng *rand.Rand) {
 // is always written before it is read inside its node's range, so whatever
 // a region holds between Steps never reaches a result. Every temporary
 // region is filled with random words before every Step, across both
-// engines, the kernel and interp stream modes, 1, 2 and 4 workers and the
-// coarsened schedule, and the persistent words must track the reference
-// oracle every cycle. Random upper bits in a reused word also pin the
-// masked-storage invariant unpad relies on: a kernel that read a stale
-// word past its operand's width would leak them.
+// engines, the kernel and interp stream modes and 1, 2 and 4 workers, and
+// the persistent words must track the reference oracle every cycle. Random
+// upper bits in a reused word also pin the masked-storage invariant unpad
+// relies on: a kernel that read a stale word past its operand's width would
+// leak them.
 func TestTemporariesAreScratch(t *testing.T) {
 	cycles := 40
 	if testing.Short() {

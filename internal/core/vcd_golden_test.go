@@ -131,11 +131,11 @@ func goldenVCD(t *testing.T, g *ir.Graph, name string, cfg Config, ring int, syn
 }
 
 // TestGoldenVCDAsync pins the committed reference waveforms through the
-// asynchronous pipeline for every engine × eval mode × thread count (plus the
-// coarsened schedule and the tracer's own sync mode), byte for byte. Same
-// optimization pipeline as the goldens (GSIM passes + enhanced partition);
-// only the execution engine and tracer vary — so waveform capture moving off
-// the coordinator can never change what lands in the file.
+// asynchronous pipeline for every engine × eval mode × thread count (plus
+// the tracer's own sync mode), byte for byte. Same optimization pipeline as
+// the goldens (GSIM passes + enhanced partition); only the execution engine
+// and tracer vary — so waveform capture moving off the coordinator can never
+// change what lands in the file.
 func TestGoldenVCDAsync(t *testing.T) {
 	files, err := filepath.Glob("../../testdata/*.fir")
 	if err != nil || len(files) == 0 {
@@ -152,15 +152,13 @@ func TestGoldenVCDAsync(t *testing.T) {
 		label  string
 		engine EngineKind
 		thr    int
-		coarse bool
 	}{
-		{"fullcycle-1T", EngineFullCycle, 1, false},
-		{"fullcycle-2T", EngineFullCycle, 2, false},
-		{"fullcycle-4T", EngineFullCycle, 4, false},
-		{"activity-1T", EngineActivity, 1, false},
-		{"activity-2T", EngineActivity, 2, false},
-		{"activity-4T", EngineActivity, 4, false},
-		{"activity-coarsen-2T", EngineActivity, 2, true},
+		{"fullcycle-1T", EngineFullCycle, 1},
+		{"fullcycle-2T", EngineFullCycle, 2},
+		{"fullcycle-4T", EngineFullCycle, 4},
+		{"activity-1T", EngineActivity, 1},
+		{"activity-2T", EngineActivity, 2},
+		{"activity-4T", EngineActivity, 4},
 	}
 	for _, e := range engines {
 		for _, m := range []engine.EvalMode{engine.EvalKernel, engine.EvalKernelNoFuse, engine.EvalInterp} {
@@ -172,10 +170,6 @@ func TestGoldenVCDAsync(t *testing.T) {
 					cfg.Engine = e.engine
 					cfg.Threads = e.thr
 					cfg.Eval = m
-					cfg.Activity.Coarsen = e.coarse
-					if e.coarse {
-						cfg.Activity.CoarsenGrain = 1 << 30
-					}
 					return cfg
 				},
 			})

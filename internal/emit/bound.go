@@ -3,7 +3,6 @@ package emit
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"unsafe"
 )
 
@@ -42,8 +41,9 @@ import (
 // to a stream, not on every Run.
 
 // Op is one instruction's operand record: byte offsets into the state image
-// and the widths the kernel masks with, clamped to 255 (above 64 a width
-// only selects a 2-word operand's high word), and Sh, the static shift or
+// and the widths the kernel masks with (at most 64: only instructions whose
+// operands and result fit one word get a record of their own), and Sh, the
+// static shift or
 // bits offset, clamped to 255 (any count of 64 or more shifts every bit
 // out). A memory read keeps its memory index in B. The wide fallback takes
 // two records: the instruction's word offsets, then its widths in D, A, B,
@@ -68,15 +68,15 @@ type Mode uint8
 const (
 	// Fused applies superinstruction fusion (generated matchers from the
 	// rule table, widest window first — a triple beats the pair it
-	// contains) on top of the width-class kernels.
+	// contains) on top of the one-instruction kernels.
 	Fused Mode = iota
 	// Interp runs each node's code range through the reference
 	// switch-dispatch interpreter (Machine.Exec): one window per node,
 	// whose record holds the range. It is the semantic baseline the
 	// kernels are pinned against.
 	Interp
-	// Unfused compiles every instruction to its own kernel, width classes
-	// kept: the baseline fusion is measured against.
+	// Unfused compiles every instruction to its own kernel: the baseline
+	// fusion is measured against.
 	Unfused
 )
 
@@ -167,8 +167,8 @@ func (s *Stream) AppendNodes(ids []int32) Span { return s.AppendNodesIn(ids, 0) 
 // the one of the worker that runs the chain. The order is the chain's
 // execution order and must be a dependence order of the nodes — engines
 // pass chunk member lists in ascending node/supernode ID, which the
-// partition package guarantees is topological, including inside coarsened
-// (level-merged) chunks. Fusion applies across node boundaries exactly like
+// partition package guarantees is topological, including inside chunks
+// that merge several dependence levels. Fusion applies across node boundaries exactly like
 // inside a node: a kernel performs every store of its window in order, and
 // a node's first instruction reads no temporary, so a window spanning two
 // nodes fuses as it did before the nodes shared a region. Every
@@ -284,8 +284,9 @@ func (s *Stream) check(in Instr, i int) {
 	}
 }
 
-// window appends one window: its kernel, chosen by width class and opcodes,
-// and its records.
+// window appends one window: its kernel, chosen by opcodes — a one-word
+// kernel when every operand and the result fit one word, the wide fallback
+// (execWide) otherwise — and its records.
 func (s *Stream) window(w []Instr) {
 	in := w[0]
 	var k kernel
@@ -298,8 +299,6 @@ func (s *Stream) window(w []Instr) {
 		k = windowKernels[key]
 	case narrow(in):
 		k = narrowKernels[in.Op]
-	case is2Word(in):
-		k = kernels2W[in.Op]
 	default:
 		s.kernels = append(s.kernels, kWide)
 		s.ops = append(s.ops, Op{D: in.D, A: in.A, B: in.B, C: in.C},
@@ -395,93 +394,4 @@ func kWide(st unsafe.Pointer, m *Machine, a *Op) *Op {
 	in := Instr{Op: OpCode(w.Sh), D: a.D, A: a.A, B: a.B, C: a.C, DW: w.D, AW: w.A, BW: w.B, Lo: w.C}
 	m.execWide(&in)
 	return w.next()
-}
-
-// The two-word width-class kernels (see the WidthClass doc in wide2.go).
-// Each reproduces execWide's result exactly, including the top-word mask,
-// reading and storing in the same order as the word loop — the width-class
-// tests pin this on randomized state.
-var kernels2W = [cOpCount]kernel{
-	CCopy: k2Copy, CAdd: k2Add, CSub: k2Sub, CAnd: k2And, COr: k2Or,
-	CXor: k2Xor, CNot: k2Not, CMux: k2Mux, CEq: k2Eq, CNeq: k2Neq,
-}
-
-// hi2 reads the high word of a 2-word-class operand of width w: zero when
-// the operand fits one word.
-func hi2(st unsafe.Pointer, off int32, w uint8) uint64 {
-	if w > 64 {
-		return *at(st, off+8)
-	}
-	return 0
-}
-
-// top2 is the top-word mask of a 2-word result of width w.
-func top2(w uint8) uint64 { return ^uint64(0) >> (128 - w) }
-
-func k2Copy(st unsafe.Pointer, m *Machine, a *Op) *Op {
-	*at(st, a.D) = *at(st, a.A)
-	*at(st, a.D+8) = hi2(st, a.A, a.AW) & top2(a.DW)
-	return a.next()
-}
-
-func k2Add(st unsafe.Pointer, m *Machine, a *Op) *Op {
-	lo, c := bits.Add64(*at(st, a.A), *at(st, a.B), 0)
-	*at(st, a.D) = lo
-	*at(st, a.D+8) = (hi2(st, a.A, a.AW) + hi2(st, a.B, a.BW) + c) & top2(a.DW)
-	return a.next()
-}
-
-func k2Sub(st unsafe.Pointer, m *Machine, a *Op) *Op {
-	lo, b := bits.Sub64(*at(st, a.A), *at(st, a.B), 0)
-	*at(st, a.D) = lo
-	*at(st, a.D+8) = (hi2(st, a.A, a.AW) - hi2(st, a.B, a.BW) - b) & top2(a.DW)
-	return a.next()
-}
-
-func k2And(st unsafe.Pointer, m *Machine, a *Op) *Op {
-	*at(st, a.D) = *at(st, a.A) & *at(st, a.B)
-	*at(st, a.D+8) = hi2(st, a.A, a.AW) & hi2(st, a.B, a.BW) & top2(a.DW)
-	return a.next()
-}
-
-func k2Or(st unsafe.Pointer, m *Machine, a *Op) *Op {
-	*at(st, a.D) = *at(st, a.A) | *at(st, a.B)
-	*at(st, a.D+8) = (hi2(st, a.A, a.AW) | hi2(st, a.B, a.BW)) & top2(a.DW)
-	return a.next()
-}
-
-func k2Xor(st unsafe.Pointer, m *Machine, a *Op) *Op {
-	*at(st, a.D) = *at(st, a.A) ^ *at(st, a.B)
-	*at(st, a.D+8) = (hi2(st, a.A, a.AW) ^ hi2(st, a.B, a.BW)) & top2(a.DW)
-	return a.next()
-}
-
-func k2Not(st unsafe.Pointer, m *Machine, a *Op) *Op {
-	*at(st, a.D) = ^*at(st, a.A)
-	*at(st, a.D+8) = ^hi2(st, a.A, a.AW) & top2(a.DW)
-	return a.next()
-}
-
-// k2Mux: A is the one-word selector; both arms share BW and read at most
-// the two result words.
-func k2Mux(st unsafe.Pointer, m *Machine, a *Op) *Op {
-	lo, hi := *at(st, a.C), hi2(st, a.C, a.BW)
-	if *at(st, a.A) != 0 {
-		lo, hi = *at(st, a.B), hi2(st, a.B, a.BW)
-	}
-	*at(st, a.D) = lo
-	*at(st, a.D+8) = hi & top2(a.DW)
-	return a.next()
-}
-
-func k2Eq(st unsafe.Pointer, m *Machine, a *Op) *Op {
-	diff := (*at(st, a.A) ^ *at(st, a.B)) | (hi2(st, a.A, a.AW) ^ hi2(st, a.B, a.BW))
-	*at(st, a.D) = b2u(diff == 0)
-	return a.next()
-}
-
-func k2Neq(st unsafe.Pointer, m *Machine, a *Op) *Op {
-	diff := (*at(st, a.A) ^ *at(st, a.B)) | (hi2(st, a.A, a.AW) ^ hi2(st, a.B, a.BW))
-	*at(st, a.D) = b2u(diff != 0)
-	return a.next()
 }

@@ -99,26 +99,60 @@ func randExpr(rng *rand.Rand, b *ir.Builder, inputs []*ir.Node, depth int) *ir.E
 	}
 }
 
+// midWidthShapes are the 65-128-bit shapes of the opcodes mid-width
+// datapaths use — copy, add, sub, and, or, xor, not, mux, eq and neq — over
+// inputs of the given widths, including one-word operands zero-extended into
+// two-word results and operands wider than the result. They run on the wide
+// fallback (execWide) like every other instruction wider than a word.
+var midWidthShapes = []struct {
+	name   string
+	widths []int
+	expr   func(b *ir.Builder, x []*ir.Expr) *ir.Expr
+}{
+	{"copy-96", []int{96}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return x[0] }},
+	{"copy-pad-40-96", []int{40}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.Fit(x[0], 96) }},
+	{"add-64-64", []int{64, 64}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.Add(x[0], x[1]) }},
+	{"add-96-40", []int{96, 40}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.Add(x[0], x[1]) }},
+	{"add-127-127", []int{127, 127}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.Add(x[0], x[1]) }},
+	{"sub-96-96", []int{96, 96}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.Sub(x[0], x[1]) }},
+	{"sub-40-100", []int{40, 100}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.Sub(x[0], x[1]) }},
+	{"and-96-96", []int{96, 96}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.And(x[0], x[1]) }},
+	{"and-128-40", []int{128, 40}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.And(x[0], x[1]) }},
+	{"or-65-65", []int{65, 65}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.Or(x[0], x[1]) }},
+	{"or-20-128", []int{20, 128}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.Or(x[0], x[1]) }},
+	{"xor-128-128", []int{128, 128}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.Xor(x[0], x[1]) }},
+	{"xor-70-64", []int{70, 64}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.Xor(x[0], x[1]) }},
+	{"not-65", []int{65}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.Not(x[0]) }},
+	{"not-128", []int{128}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.Not(x[0]) }},
+	{"mux-96", []int{1, 96, 96}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.Mux(x[0], x[1], x[2]) }},
+	{"mux-128-40", []int{1, 128, 40}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.Mux(x[0], x[1], x[2]) }},
+	{"eq-96-96", []int{96, 96}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.Eq(x[0], x[1]) }},
+	{"eq-65-128", []int{65, 128}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.Eq(x[0], x[1]) }},
+	{"neq-96-20", []int{96, 20}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.Neq(x[0], x[1]) }},
+	{"neq-128-128", []int{128, 128}, func(b *ir.Builder, x []*ir.Expr) *ir.Expr { return b.Neq(x[0], x[1]) }},
+}
+
 // TestInterpreterMatchesEval is the emit-level property test: for random
-// expression trees (narrow and wide), the compiled interpreter must agree
-// with the bitvec reference evaluator bit for bit.
+// expression trees (narrow and wide), and for every mid-width shape over
+// random values, the compiled interpreter must agree with the bitvec
+// reference evaluator bit for bit.
 func TestInterpreterMatchesEval(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		b := ir.NewBuilder(fmt.Sprintf("x%d", seed))
+	check := func(label string, rng *rand.Rand, widths []int, expr func(b *ir.Builder, x []*ir.Expr) *ir.Expr) {
+		t.Helper()
+		b := ir.NewBuilder(label)
 		var inputs []*ir.Node
+		var refs []*ir.Expr
 		vals := map[*ir.Node]bitvec.BV{}
-		for i := 0; i < 4; i++ {
-			w := 1 + rng.Intn(130)
+		for i, w := range widths {
 			in := b.Input(fmt.Sprintf("i%d", i), w)
-			inputs = append(inputs, in)
+			inputs, refs = append(inputs, in), append(refs, ir.Ref(in))
 			v := bitvec.New(w)
 			for j := range v.W {
 				v.W[j] = rng.Uint64()
 			}
 			vals[in] = bitvec.FromWords(w, v.W)
 		}
-		e := randExpr(rng, b, inputs, 5)
+		e := expr(b, refs)
 		want := ir.EvalExpr(e, func(n *ir.Node) bitvec.BV { return vals[n] })
 
 		p, out := compileExpr(t, inputs, b.G, e)
@@ -129,7 +163,27 @@ func TestInterpreterMatchesEval(t *testing.T) {
 		m.Exec(0, int32(len(p.Instrs)))
 		got := m.Peek(out.ID)
 		if !got.Equal(want) {
-			t.Fatalf("seed %d: interp = %s, eval = %s\nexpr: %s", seed, got, want, e)
+			t.Fatalf("%s: interp = %s, eval = %s\nexpr: %s", label, got, want, e)
+		}
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		widths := make([]int, 4)
+		for i := range widths {
+			widths[i] = 1 + rng.Intn(130)
+		}
+		check(fmt.Sprintf("x%d", seed), rng, widths, func(b *ir.Builder, x []*ir.Expr) *ir.Expr {
+			var inputs []*ir.Node
+			for _, r := range x {
+				inputs = append(inputs, r.Node)
+			}
+			return randExpr(rng, b, inputs, 5)
+		})
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, sh := range midWidthShapes {
+		for trial := 0; trial < 20; trial++ {
+			check(fmt.Sprintf("%s/%d", sh.name, trial), rng, sh.widths, sh.expr)
 		}
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"gsim/internal/bitvec"
 )
 
 // fusionCase is one exemplar instruction window for a fusion rule. A
@@ -345,121 +343,27 @@ func TestMatchFusionRejects(t *testing.T) {
 	}
 }
 
-// widthClassExpectation is the per-opcode classification at a representative
-// 2-word shape. TestWidthClassCoverage sweeps the full opcode enumeration
-// against it, so a new opcode cannot land without declaring (and, for
-// WC2Word, exercising) its width class.
-var widthClassExpectation = map[OpCode]WidthClass{
-	CCopy: WC2Word, CAdd: WC2Word, CSub: WC2Word, CAnd: WC2Word, COr: WC2Word,
-	CXor: WC2Word, CNot: WC2Word, CMux: WC2Word, CEq: WC2Word, CNeq: WC2Word,
-	CMul: WCWide, CDiv: WCWide, CRem: WCWide, CNeg: WCWide,
-	CAndR: WCWide, COrR: WCWide, CXorR: WCWide,
-	CLt: WCWide, CLeq: WCWide, CGt: WCWide, CGeq: WCWide,
-	CSLt: WCWide, CSLeq: WCWide, CSGt: WCWide, CSGeq: WCWide,
-	CShl: WCWide, CShr: WCWide, CDshl: WCWide, CDshr: WCWide,
-	CCat: WCWide, CBits: WCWide, CSExt: WCWide, CMemRead: WCWide,
-}
-
-// instr2W builds the representative 2-word-shape instruction for an opcode.
-func instr2W(op OpCode, dw, aw, bw int32) Instr {
-	in := Instr{Op: op, D: 12, DW: dw, A: 0, AW: aw, B: 4, BW: bw}
-	if op == CMux {
-		in.A, in.AW = 8, 1 // one-word selector
-		in.B, in.BW = 0, aw
-		in.C = 4
-	}
-	if op == CEq || op == CNeq {
-		in.DW = 1
-	}
-	return in
-}
-
-// TestWidthClassCoverage sweeps every opcode through the width classifier at
-// a 96-bit shape and pins the expected class; narrow shapes must classify
-// WCNarrow for every opcode. A missing map entry is a failure, so the opcode
-// and width-class enumerations stay covered together.
+// TestWidthClassCoverage sweeps every opcode through the stream builder's two
+// width classes: at one-word widths an instruction gets a one-word kernel
+// over one record; at any wider width — the 65-128-bit shapes included — it
+// takes the wide fallback, one kernel over two records (word offsets, then
+// widths and opcode) that runs execWide.
 func TestWidthClassCoverage(t *testing.T) {
+	p := &Program{NumWords: 16, Mems: []MemSpec{{Depth: 2, Width: 8, WordsPer: 1, Init: make([]uint64, 2)}}}
 	for op := CCopy; op < OpCode(numOpCodes); op++ {
-		want, ok := widthClassExpectation[op]
-		if !ok {
-			t.Fatalf("opcode %d has no width-class expectation — extend widthClassExpectation", op)
-		}
-		if got := classOf(instr2W(op, 96, 96, 96)); got != want {
-			t.Fatalf("opcode %d at 96 bits: class %s, want %s", op, got, want)
-		}
-		narrow := Instr{Op: op, DW: 8, AW: 8, BW: 8}
-		if got := classOf(narrow); got != WCNarrow {
-			t.Fatalf("opcode %d at 8 bits: class %s, want narrow", op, got)
-		}
-	}
-}
-
-// TestWidthClass2WordMatchesWide executes every 2-word kernel against the
-// execWide reference over randomized canonical state, across width shapes
-// that exercise zero extension (one-word operands into two-word results),
-// truncation (wider-than-class operands), and the top-word mask.
-func TestWidthClass2WordMatchesWide(t *testing.T) {
-	shapes := []struct{ dw, aw, bw int32 }{
-		{96, 96, 96}, {128, 128, 128}, {65, 65, 65},
-		{96, 40, 96}, {96, 96, 40}, {70, 64, 70}, {128, 1, 128},
-	}
-	eqShapes := []struct{ dw, aw, bw int32 }{
-		{1, 96, 96}, {1, 65, 128}, {1, 96, 20}, {1, 20, 96}, {1, 128, 128},
-	}
-	rng := rand.New(rand.NewSource(11))
-	for op, class := range widthClassExpectation {
-		if class != WC2Word {
-			continue
-		}
-		sh := shapes
-		if op == CEq || op == CNeq {
-			sh = eqShapes
-		}
-		for _, s := range sh {
-			in := instr2W(op, s.dw, s.aw, s.bw)
-			if classOf(in) != WC2Word {
-				t.Fatalf("op %d shape %+v: expected 2-word class", op, s)
+		for _, w := range []int32{1, 8, 64, 65, 96, 128, 200} {
+			in := Instr{Op: op, D: 12, DW: w, A: 0, AW: w, B: 4, BW: w, C: 8}
+			if op == CMux {
+				in.AW = 1 // one-word selector
 			}
-			for trial := 0; trial < 100; trial++ {
-				p := &Program{NumWords: 16}
-				ref := NewMachine(p)
-				bnd := NewMachine(p)
-				stream := NewStream(p, Fused)
-				chain := stream.Append([]Instr{in})
-				if k, recs, _ := stream.Footprint(); k != 1 || recs != 1 {
-					t.Fatalf("op %d shape %+v: %d kernels over %d records, want the 2-word kernel's one record", op, s, k, recs)
-				}
-				for w := range ref.State {
-					ref.State[w] = rng.Uint64()
-				}
-				// Canonicalize the operand slots to their widths.
-				operands := []struct {
-					off int32
-					w   int32
-				}{{in.A, in.AW}, {in.B, in.BW}}
-				if in.Op == CMux {
-					operands = append(operands, struct {
-						off int32
-						w   int32
-					}{in.C, in.BW})
-				}
-				for _, o := range operands {
-					words := wordsFor32(o.w)
-					if words == 0 {
-						continue
-					}
-					ref.State[o.off+words-1] &= bitvec.TopMask(int(o.w))
-				}
-				copy(bnd.State, ref.State)
-				wide := in
-				ref.execWide(&wide)
-				stream.Run(bnd, chain)
-				for w := range ref.State {
-					if ref.State[w] != bnd.State[w] {
-						t.Fatalf("op %d shape %+v trial %d: state word %d: execWide %#x vs 2-word kernel %#x",
-							op, s, trial, w, ref.State[w], bnd.State[w])
-					}
-				}
+			wantRecs := 1
+			if !narrow(in) {
+				wantRecs = 2
+			}
+			s := NewStream(p, Unfused)
+			s.Append([]Instr{in})
+			if k, recs, _ := s.Footprint(); k != 1 || recs != wantRecs {
+				t.Fatalf("opcode %s at %d bits: %d kernels over %d records, want 1 over %d", op, w, k, recs, wantRecs)
 			}
 		}
 	}

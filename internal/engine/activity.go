@@ -37,15 +37,6 @@ type ActivityConfig struct {
 	// BranchlessMax is the cost-model threshold for ActCostModel: nodes with
 	// more successor supernodes than this use the branching strategy.
 	BranchlessMax int
-	// Coarsen enables adaptive level coarsening of the multi-worker schedule:
-	// consecutive sparse levels merge into one barrier span wherever the
-	// cross-level edges permit, cutting barriers per cycle on deep, narrow
-	// designs. One worker has no barriers and ignores it.
-	Coarsen bool
-	// CoarsenGrain overrides the coarsening grain (target minimum evaluation
-	// weight per merged level); zero selects the adaptive default (mean
-	// original level weight). See partition.CoarsenOptions.
-	CoarsenGrain int64
 }
 
 // DefaultBranchlessMax is the activation cost-model threshold used when the
@@ -57,28 +48,25 @@ const DefaultBranchlessMax = 6
 // changes activate reader supernodes. The worker count is a schedule over
 // that one model.
 //
-// Supernodes are levelized over the dependence condensation and distributed
-// across persistent worker shards (partition.Result.Shard). Each (shard,
-// level) chunk owns a private, word-aligned range of the active-bit array —
-// its slots — so the Listing-4 multi-bit check runs per shard with no
-// sharing: a worker scans exactly its own words. Intra-cycle activations
-// always target strictly later levels (dependence edges cannot stay within a
-// level), so workers publish them into per-worker outbox masks that the
-// owning shard OR-merges into its active words at the level barrier — never
+// With more than one worker the schedule is the shard view
+// (partition.Result.Shard): supernodes are levelized over the dependence
+// condensation, consecutive sparse levels merge into one barrier span until
+// the span carries the adaptive grain's weight, and each span's supernodes
+// are distributed across persistent worker shards, with every dependence
+// edge inside a span co-assigned to one shard. Each (shard, level) chunk owns
+// a private, word-aligned range of the active-bit array — its slots — so the
+// Listing-4 multi-bit check runs per shard with no sharing: a worker scans
+// exactly its own words. An activation that targets the worker's own current
+// chunk lands on a strictly later slot, because chunks are sorted in
+// supernode (== topological) order, so it goes straight into the active
+// words (the worker owns them for the whole span) and the scan loop re-reads
+// each word until it drains. Every other target sits in a strictly later
+// level, so the worker publishes it into its outbox mask, which the owning
+// shard OR-merges into its active words at the level barrier — never
 // touching a word another worker can write in the same level. A per-(writer,
 // chunk) dirty flag lets the merge skip outboxes that published nothing into
 // the chunk. Register and memory commits, external pokes, and the reset slow
 // path run serially between cycles.
-//
-// With ActivityConfig.Coarsen the schedule is the coarsened shard view
-// (partition.ShardOpts): consecutive sparse levels merge into one barrier
-// span, with every dependence edge inside a merged span co-assigned to one
-// shard and ordered inside that shard's chunk. Activations can then target
-// the worker's own current chunk — a strictly later slot, because chunks are
-// sorted in supernode (== topological) order — so they go straight into the
-// active words (the worker owns them for the whole span) and the scan loop
-// re-reads each word until it drains. Cross-chunk targets still go through
-// the outbox and merge at the next barrier.
 //
 // One worker needs no barrier, so its schedule is a single level: one chunk
 // holding every supernode in ascending ID, whose slot is its ID. Every
@@ -272,9 +260,8 @@ func PlanActivity(p *emit.Program, part *partition.Result, cfg ActivityConfig, t
 		}
 		chunks = [][][]int32{{all}}
 	} else {
-		pl.shard = part.ShardOpts(p.Graph, threads,
-			func(id int32) int64 { return int64(p.Code[id].Len()) },
-			partition.CoarsenOptions{Enable: cfg.Coarsen, Grain: cfg.CoarsenGrain})
+		pl.shard = part.Shard(p.Graph, threads,
+			func(id int32) int64 { return int64(p.Code[id].Len()) })
 		chunks = pl.shard.Chunks
 		pl.t.obsLevels = pl.shard.Levels
 		pl.t.obsOrigLevels = pl.shard.OrigLevels
@@ -452,9 +439,9 @@ func (e *Activity) Step() {
 // designs — are skipped entirely.
 //
 // The scan re-reads each active word until it drains rather than working on
-// a snapshot: with one worker or under coarsening a supernode can activate a
-// later slot of the chunk being swept — including a later bit of the same
-// word — and the re-read picks it up. Activation targets never precede their
+// a snapshot: a supernode can activate a later slot of the chunk being
+// swept — including a later bit of the same word — and the re-read picks it
+// up. Activation targets never precede their
 // source in slot order (chunks are sorted in topological supernode order), so
 // the forward scan misses nothing.
 func (e *Activity) runLevel(w, lv int) {

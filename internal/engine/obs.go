@@ -27,8 +27,9 @@ type Metrics struct {
 	// engine's lifetime (last engine to flush wins; with one dominant design
 	// per replica this is the signal the paper's model wants).
 	ActiveRatio *obs.Gauge
-	// SchedLevels / SchedLevelsOrig expose the (coarsened) barrier schedule
-	// depth of the most recently flushed multi-worker engine.
+	// SchedLevels / SchedLevelsOrig expose the barrier schedule depth of the
+	// most recently flushed multi-worker engine: its scheduled levels and
+	// the dependence levels they merge.
 	SchedLevels     *obs.Gauge
 	SchedLevelsOrig *obs.Gauge
 }
@@ -46,8 +47,8 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		ResetFastSkips:  r.Counter("gsim_engine_reset_fast_skips_total", "Reset checks skipped by the slow-path optimization."),
 		BarrierWaits:    r.Counter("gsim_engine_barrier_waits_total", "Worker-pool level barriers crossed (cycles x scheduled levels)."),
 		ActiveRatio:     r.Gauge("gsim_engine_active_ratio", "Activity factor af of the most recently flushed engine."),
-		SchedLevels:     r.Gauge("gsim_engine_sched_levels", "Scheduled (coarsened) barrier levels per cycle of the most recently flushed level-scheduled engine."),
-		SchedLevelsOrig: r.Gauge("gsim_engine_sched_levels_orig", "Pre-coarsening dependence levels of the most recently flushed level-scheduled engine."),
+		SchedLevels:     r.Gauge("gsim_engine_sched_levels", "Scheduled barrier levels per cycle of the most recently flushed level-scheduled engine."),
+		SchedLevelsOrig: r.Gauge("gsim_engine_sched_levels_orig", "Dependence levels before merging of the most recently flushed level-scheduled engine."),
 	}
 }
 

@@ -73,24 +73,16 @@ func analyzable(t *testing.T, g *ir.Graph, sys *core.System) *emit.Program {
 }
 
 // planCells enumerates the activity engine × {kernel, kernel-nofuse, interp}
-// × {1, 2, 4} workers, each with and without the coarsened schedule, over
-// one program and partition, under activity configuration act. The first
-// cell is the one-worker kernel engine GSIM builds; the fourth, the
-// coarsened two-worker one.
+// × {1, 2, 4} workers over one program and partition, under activity
+// configuration act. The first cell is the one-worker kernel engine GSIM
+// builds; the second, the two-worker one on the merged-level schedule.
 func planCells(prog *emit.Program, part *partition.Result, act engine.ActivityConfig) []planCell {
-	coarse := act
-	coarse.Coarsen = true
-	coarse.CoarsenGrain = 1 << 30
 	var cells []planCell
 	for _, mode := range []engine.EvalMode{engine.EvalKernel, engine.EvalKernelNoFuse, engine.EvalInterp} {
 		for _, threads := range []int{1, 2, 4} {
-			cells = append(cells,
-				planCell{fmt.Sprintf("activity-%dT/%s", threads, mode), func() activitySim {
-					return engine.NewActivity(prog, part, act, threads, mode)
-				}},
-				planCell{fmt.Sprintf("activity-coarsen-%dT/%s", threads, mode), func() activitySim {
-					return engine.NewActivity(prog, part, coarse, threads, mode)
-				}})
+			cells = append(cells, planCell{fmt.Sprintf("activity-%dT/%s", threads, mode), func() activitySim {
+				return engine.NewActivity(prog, part, act, threads, mode)
+			}})
 		}
 	}
 	return cells
@@ -209,7 +201,7 @@ func copyState(s *engine.SimState) *engine.SimState {
 // shadow invariant (every tracked slot's shadow equals its state word) at
 // every point the engine is at rest: after each poke round (reset pokes
 // included), each Step, a mid-run Reset, and RestoreState — from a
-// one-worker capture into every cell and from a coarsened two-worker capture
+// one-worker capture into every cell and from a two-worker capture
 // into every cell, always into used engines that have since moved on.
 func TestShadowInvariant(t *testing.T) {
 	const cycles = 48
@@ -250,7 +242,7 @@ func TestShadowInvariant(t *testing.T) {
 			switch c {
 			case 10:
 				fromOne = copyState(sims[0].CaptureState()) // activity-1T/kernel
-				fromTwo = copyState(sims[3].CaptureState()) // activity-coarsen-2T/kernel
+				fromTwo = copyState(sims[1].CaptureState()) // activity-2T/kernel
 			case 20:
 				restoreAll(fromOne, c)
 				check("after restore of a one-worker capture", c)

@@ -237,27 +237,37 @@ func TestPlacementAffinity(t *testing.T) {
 	}
 }
 
-// TestRouterRefusesRemovedField: a create body naming the removed "eval"
-// field is refused by the router itself, with the replica's 400 naming the
-// field, and is placed nowhere.
+// TestRouterRefusesRemovedField: a create body naming a removed spec field
+// ("eval", "coarsen") is refused by the router itself, with the replica's
+// 400 naming the field, and is placed nowhere: no session is created and no
+// replica compiles or pins a design.
 func TestRouterRefusesRemovedField(t *testing.T) {
 	fl := newTestFleet(t, "r1")
-	body := fmt.Sprintf(`{"firrtl": %q, "eval": "interp"}`, readDesign(t, "counter.fir"))
-	resp, err := http.Post(fl.router.URL+"/v1/sessions", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var refusal struct{ Error string }
-	if err := json.NewDecoder(resp.Body).Decode(&refusal); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(refusal.Error, `"eval"`) {
-		t.Fatalf("create naming eval: status %d, error %q; want 400 naming the field", resp.StatusCode, refusal.Error)
+	for _, removed := range []string{`"eval": "interp"`, `"coarsen": true`, `"coarsen": false`} {
+		field, _, _ := strings.Cut(removed, ":")
+		body := fmt.Sprintf(`{"firrtl": %q, "threads": 2, %s}`, readDesign(t, "counter.fir"), removed)
+		resp, err := http.Post(fl.router.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var refusal struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&refusal)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(refusal.Error, field) {
+			t.Fatalf("create naming %s: status %d, error %q; want 400 naming the field", field, resp.StatusCode, refusal.Error)
+		}
 	}
 	var list []RoutedSessionInfo
 	if status := doJSON(t, "GET", fl.router.URL+"/v1/sessions", nil, &list); status != http.StatusOK || len(list) != 0 {
-		t.Fatalf("after the refusal: status %d, sessions %+v", status, list)
+		t.Fatalf("after the refusals: status %d, sessions %+v", status, list)
+	}
+	for name, m := range fl.mgrs {
+		if n, st := m.SessionCount(), m.CacheStats(); n != 0 || st.Designs != 0 || st.Misses != 0 {
+			t.Fatalf("replica %s after the refusals: %d sessions, cache %+v", name, n, st)
+		}
 	}
 }
 

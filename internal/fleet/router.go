@@ -23,8 +23,7 @@ import (
 	"gsim/internal/snapshot"
 )
 
-// Config tunes a Router. The zero value is usable; DefaultConfig fills in
-// production defaults.
+// Config tunes a Router. The zero value is usable.
 type Config struct {
 	// Vnodes per replica on the placement ring (0 = DefaultVnodes).
 	Vnodes int
@@ -53,14 +52,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// HTTPClient overrides the client used for all replica traffic.
 	HTTPClient *http.Client
-}
-
-// DefaultConfig returns production defaults.
-func DefaultConfig() Config {
-	return Config{
-		HeartbeatTTL:  10 * time.Second,
-		ProbeInterval: 2 * time.Second,
-	}
 }
 
 func (c *Config) fill() {
@@ -175,8 +166,8 @@ func (rt *Router) Close() {
 func PlacementKey(firrtl string, spec server.SessionSpec) string {
 	h := sha256.New()
 	io.WriteString(h, firrtl)
-	fmt.Fprintf(h, "|engine=%s|threads=%d|coarsen=%t|maxsup=%d",
-		spec.Engine, max(spec.Threads, 1), spec.Coarsen, spec.MaxSupernode)
+	fmt.Fprintf(h, "|engine=%s|threads=%d|maxsup=%d",
+		spec.Engine, max(spec.Threads, 1), spec.MaxSupernode)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -16,11 +16,6 @@ import (
 type Budget struct {
 	WarmupCycles int
 	TimedCycles  int
-
-	// Coarsen applies adaptive level coarsening to every measured
-	// configuration that schedules with barriers (the parallel
-	// essential-signal engine); cmd/gsim-bench -coarsen sets it.
-	Coarsen bool
 }
 
 // DefaultBudget is sized so every experiment completes in minutes.
@@ -49,9 +44,6 @@ func measure(sys *core.System, drive Driver, b Budget) float64 {
 
 // runConfig builds and measures one (design, workload, config) cell.
 func runConfig(d Design, workload string, cfg core.Config, b Budget) (float64, *core.System, error) {
-	if b.Coarsen {
-		cfg.Activity.Coarsen = true
-	}
 	sys, drive, err := buildSystem(d, workload, cfg)
 	if err != nil {
 		return 0, nil, err
@@ -154,13 +146,17 @@ func Fig6(designs []Design, b Budget) ([]Fig6Cell, error) {
 // --- GSIMMT: multi-threaded essential-signal thread sweep ---
 
 // GSIMMTRow is one (design, workload, thread-count) datapoint of the GSIMMT
-// sweep, normalized to single-threaded GSIM on the same cell.
+// sweep, normalized to single-threaded GSIM on the same cell, with the
+// schedule change the multi-worker engine made: OrigLevels dependence levels
+// merged into Levels scheduled ones (barriers per cycle). Both are 0 for one
+// worker, which schedules no barrier.
 type GSIMMTRow struct {
-	Design   string
-	Workload string
-	Threads  int // 0 marks the single-threaded GSIM baseline
-	SpeedHz  float64
-	Speedup  float64
+	Design             string
+	Workload           string
+	Threads            int // 0 marks the single-threaded GSIM baseline
+	OrigLevels, Levels int
+	SpeedHz            float64
+	Speedup            float64
 }
 
 // GSIMMTSweep measures the parallel essential-signal engine across thread
@@ -176,78 +172,16 @@ func GSIMMTSweep(designs []Design, threadCounts []int, b Budget) ([]GSIMMTRow, e
 			}
 			rows = append(rows, GSIMMTRow{Design: d.Name, Workload: wl, SpeedHz: base, Speedup: 1})
 			for _, th := range threadCounts {
-				hz, _, err := runConfig(d, wl, core.GSIMMT(th), b)
+				hz, sys, err := runConfig(d, wl, core.GSIMMT(th), b)
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s/gsim-%dT: %v", d.Name, wl, th, err)
 				}
-				sp := 0.0
+				row := GSIMMTRow{Design: d.Name, Workload: wl, Threads: th, SpeedHz: hz}
 				if base > 0 {
-					sp = hz / base
+					row.Speedup = hz / base
 				}
-				rows = append(rows, GSIMMTRow{
-					Design: d.Name, Workload: wl, Threads: th, SpeedHz: hz, Speedup: sp,
-				})
-			}
-		}
-	}
-	return rows, nil
-}
-
-// --- Coarsening: schedule delta and throughput, barriers on vs merged ---
-
-// CoarsenRow is one (design, workload, threads) comparison of the GSIMMT
-// schedule with and without adaptive level coarsening: the schedule delta
-// (levels == barriers per cycle, before and after merging) plus the measured
-// throughput of both.
-type CoarsenRow struct {
-	Design     string
-	Workload   string
-	Threads    int
-	LevelsOff  int // barrier levels without coarsening (== OrigLevels); 0 at one thread
-	LevelsOn   int // barrier levels of the coarsened schedule; 0 at one thread
-	SpeedOffHz float64
-	SpeedOnHz  float64
-	Speedup    float64 // coarsened / uncoarsened
-}
-
-// CoarsenSweep measures adaptive level coarsening across thread counts: for
-// every (design, workload, threads) cell it builds the parallel
-// essential-signal engine twice — barriers at every dependence level, and the
-// merged schedule — and reports the schedule delta with both throughputs.
-func CoarsenSweep(designs []Design, threadCounts []int, b Budget) ([]CoarsenRow, error) {
-	var rows []CoarsenRow
-	for _, d := range designs {
-		for _, wl := range []string{WorkloadLinux, WorkloadCoreMark} {
-			for _, th := range threadCounts {
-				row := CoarsenRow{Design: d.Name, Workload: wl, Threads: th}
-				for _, on := range []bool{false, true} {
-					cfg := core.GSIMMT(th)
-					cfg.Activity.Coarsen = on
-					sys, drive, err := buildSystem(d, wl, cfg)
-					if err != nil {
-						return nil, fmt.Errorf("%s/%s/%dT: %v", d.Name, wl, th, err)
-					}
-					hz := measure(sys, drive, b)
-					a, ok := sys.Sim.(*engine.Activity)
-					if !ok {
-						sys.Close()
-						return nil, fmt.Errorf("%s/%s/%dT: engine is not Activity", d.Name, wl, th)
-					}
-					levels := 0 // one worker schedules no barrier
-					if sv := a.Shard(); sv != nil {
-						levels = sv.Levels
-					}
-					if on {
-						row.LevelsOn = levels
-						row.SpeedOnHz = hz
-					} else {
-						row.LevelsOff = levels
-						row.SpeedOffHz = hz
-					}
-					sys.Close()
-				}
-				if row.SpeedOffHz > 0 {
-					row.Speedup = row.SpeedOnHz / row.SpeedOffHz
+				if a, ok := sys.Sim.(*engine.Activity); ok && a.Shard() != nil {
+					row.OrigLevels, row.Levels = a.Shard().OrigLevels, a.Shard().Levels
 				}
 				rows = append(rows, row)
 			}

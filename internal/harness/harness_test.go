@@ -71,11 +71,14 @@ func TestExperimentsSmoke(t *testing.T) {
 			if r.Threads == 0 && (r.Speedup < 0.99 || r.Speedup > 1.01) {
 				t.Fatalf("baseline not normalized: %+v", r)
 			}
+			if r.Threads > 1 && (r.Levels < 1 || r.Levels > r.OrigLevels) {
+				t.Fatalf("schedule change not reported: %+v", r)
+			}
 		}
 		var sb strings.Builder
 		RenderGSIMMT(&sb, rows)
-		if !strings.Contains(sb.String(), "4T") {
-			t.Fatal("render missing thread count")
+		if !strings.Contains(sb.String(), "4T") || !strings.Contains(sb.String(), " -> ") {
+			t.Fatal("render missing thread count or schedule change")
 		}
 	})
 

@@ -64,29 +64,20 @@ func RenderFig6(w io.Writer, cells []Fig6Cell) {
 	}
 }
 
-// RenderGSIMMT prints the multi-threaded GSIM thread sweep.
+// RenderGSIMMT prints the multi-threaded GSIM thread sweep, with each
+// multi-worker row's schedule change (dependence levels -> scheduled levels).
 func RenderGSIMMT(w io.Writer, rows []GSIMMTRow) {
 	fmt.Fprintf(w, "GSIMMT: parallel essential-signal engine thread sweep (speedup vs 1T GSIM)\n")
-	fmt.Fprintf(w, "%-16s %-9s %-9s %12s %9s\n", "Design", "Workload", "Threads", "Speed", "Speedup")
+	fmt.Fprintf(w, "%-16s %-9s %-9s %12s %9s %12s\n", "Design", "Workload", "Threads", "Speed", "Speedup", "levels")
 	for _, r := range rows {
-		label := "gsim"
+		label, levels := "gsim", "-"
 		if r.Threads > 0 {
 			label = fmt.Sprintf("%dT", r.Threads)
 		}
-		fmt.Fprintf(w, "%-16s %-9s %-9s %12s %8.2fx\n", r.Design, r.Workload, label, hz(r.SpeedHz), r.Speedup)
-	}
-}
-
-// RenderCoarsen prints the level-coarsening study: the schedule delta and
-// both throughputs per cell.
-func RenderCoarsen(w io.Writer, rows []CoarsenRow) {
-	fmt.Fprintf(w, "Coarsening: GSIMMT barrier schedule, per-level vs adaptively merged\n")
-	fmt.Fprintf(w, "%-16s %-9s %-8s %16s %12s %12s %9s\n",
-		"Design", "Workload", "Threads", "levels (off->on)", "speed off", "speed on", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-16s %-9s %-8d %11d->%-4d %12s %12s %8.2fx\n",
-			r.Design, r.Workload, r.Threads, r.LevelsOff, r.LevelsOn,
-			hz(r.SpeedOffHz), hz(r.SpeedOnHz), r.Speedup)
+		if r.Levels > 0 {
+			levels = fmt.Sprintf("%d -> %d", r.OrigLevels, r.Levels)
+		}
+		fmt.Fprintf(w, "%-16s %-9s %-9s %12s %8.2fx %12s\n", r.Design, r.Workload, label, hz(r.SpeedHz), r.Speedup, levels)
 	}
 }
 

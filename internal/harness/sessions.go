@@ -39,8 +39,7 @@ func sessionStim(g *ir.Graph) string {
 // SessionsSweep measures the session server in-process (no HTTP): for each
 // design and session count, one manager compiles the design once, opens N
 // sessions over the shared artifact, and all N step concurrently in batched
-// ops with a toggling input. Budget scales the cycle count; Coarsen
-// applies to every session like the other experiments.
+// ops with a toggling input. Budget scales the cycle count.
 func SessionsSweep(designs []Design, counts []int, b Budget) ([]SessionsRow, error) {
 	var rows []SessionsRow
 	for _, d := range designs {
@@ -48,13 +47,12 @@ func SessionsSweep(designs []Design, counts []int, b Budget) ([]SessionsRow, err
 		if err != nil {
 			return nil, err
 		}
-		spec := server.SessionSpec{Coarsen: b.Coarsen}
 		for _, n := range counts {
 			mgr := server.NewManager()
 			key := d.Name + "/" + WorkloadCoreMark
 
 			// Cold create compiles; it is the cost every later session shares.
-			first, err := mgr.CreateSessionGraph(g, key, spec)
+			first, err := mgr.CreateSessionGraph(g, key, server.SessionSpec{})
 			if err != nil {
 				return nil, err
 			}
@@ -64,7 +62,7 @@ func SessionsSweep(designs []Design, counts []int, b Budget) ([]SessionsRow, err
 			const warmCreates = 32
 			start := time.Now()
 			for i := 0; i < warmCreates; i++ {
-				s, err := mgr.CreateSessionGraph(g, key, spec)
+				s, err := mgr.CreateSessionGraph(g, key, server.SessionSpec{})
 				if err != nil {
 					return nil, err
 				}
@@ -75,7 +73,7 @@ func SessionsSweep(designs []Design, counts []int, b Budget) ([]SessionsRow, err
 			// n concurrent sessions stepping batched cycles.
 			sessions := []*server.Session{first}
 			for len(sessions) < n {
-				s, err := mgr.CreateSessionGraph(g, key, spec)
+				s, err := mgr.CreateSessionGraph(g, key, server.SessionSpec{})
 				if err != nil {
 					return nil, err
 				}

@@ -259,15 +259,3 @@ func (b *Builder) Counter(name string, width int, step uint64) *Node {
 	b.SetNext(r, b.Add(b.R(r), b.C(width, step)))
 	return r
 }
-
-// Pipeline builds a chain of n registers fed by e; returns the final stage.
-func (b *Builder) Pipeline(name string, e *Expr, n int) *Node {
-	var last *Node
-	for i := 0; i < n; i++ {
-		r := b.Reg(fmt.Sprintf("%s_s%d", name, i), e.Width)
-		b.SetNext(r, e)
-		e = b.R(r)
-		last = r
-	}
-	return last
-}

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"regexp"
 	"sort"
@@ -55,8 +56,7 @@ type family struct {
 }
 
 // Registry holds metric families and renders them in the Prometheus text
-// exposition format. A Registry may also have child registries attached
-// (per-component sub-registries); WriteTo gathers the whole tree.
+// exposition format.
 //
 // Registration is idempotent: asking for a series that already exists with an
 // identical spec returns the existing instance, so component bundles can be
@@ -66,7 +66,6 @@ type family struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
-	children []*Registry
 }
 
 // NewRegistry returns an empty registry.
@@ -81,15 +80,6 @@ var Default = NewRegistry()
 // tighter than Prometheus' own grammar (TestMetricNameLint pins the gsim_
 // prefix on top of it).
 var nameRE = regexp.MustCompile(`^[a-z_][a-z0-9_]*$`)
-
-// Attach makes child a sub-registry: its families render inside r's output.
-// Binaries attach one child per component when they want per-component
-// scoping; most callers simply register into one registry directly.
-func (r *Registry) Attach(child *Registry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.children = append(r.children, child)
-}
 
 // lookup finds or creates the (family, series) slot, enforcing spec
 // consistency. Caller does NOT hold r.mu.
@@ -179,37 +169,24 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	return r.lookup(name, help, kindHistogram, buckets, labels).h
 }
 
-// Names returns every registered family name in the registry tree, sorted.
-// The metric-name lint test walks this.
+// Names returns every registered family name, sorted. The metric-name lint
+// test walks this.
 func (r *Registry) Names() []string {
-	seen := map[string]bool{}
-	r.collectNames(seen)
-	out := make([]string, 0, len(seen))
-	for n := range seen {
+	r.mu.Lock()
+	out := make([]string, 0, len(r.families))
+	for n := range r.families {
 		out = append(out, n)
 	}
+	r.mu.Unlock()
 	sort.Strings(out)
 	return out
 }
 
-func (r *Registry) collectNames(seen map[string]bool) {
-	r.mu.Lock()
-	for n := range r.families {
-		seen[n] = true
-	}
-	children := append([]*Registry(nil), r.children...)
-	r.mu.Unlock()
-	for _, c := range children {
-		c.collectNames(seen)
-	}
-}
-
-// WriteTo renders the registry tree in the Prometheus text exposition format:
+// WriteTo renders the registry in the Prometheus text exposition format:
 // families sorted by name, series sorted by label signature, histograms as
 // cumulative _bucket/_sum/_count expansions.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	fams := map[string]*family{}
-	r.gather(fams)
+	fams := r.gather()
 	names := make([]string, 0, len(fams))
 	for n := range fams {
 		names = append(names, n)
@@ -254,32 +231,16 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// gather merges the registry tree's families into fams. Two registries
-// contributing the same family name must agree on its spec; their series
-// merge (distinct label sets coexist, an identical label set panics — two
-// components are fighting over one series).
-func (r *Registry) gather(fams map[string]*family) {
+// gather copies the families and their series maps under the lock, so a
+// scrape renders a consistent set while registration goes on.
+func (r *Registry) gather() map[string]*family {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	fams := make(map[string]*family, len(r.families))
 	for name, f := range r.families {
-		dst, ok := fams[name]
-		if !ok {
-			dst = &family{name: f.name, help: f.help, kind: f.kind, buckets: f.buckets, series: map[string]*series{}}
-			fams[name] = dst
-		} else if dst.kind != f.kind || dst.help != f.help || !equalBuckets(dst.buckets, f.buckets) {
-			panic(fmt.Sprintf("obs: family %q registered with conflicting specs across registries", name))
-		}
-		for sig, s := range f.series {
-			if _, dup := dst.series[sig]; dup {
-				panic(fmt.Sprintf("obs: series %s%s registered in multiple registries", name, sig))
-			}
-			dst.series[sig] = s
-		}
+		fams[name] = &family{name: f.name, help: f.help, kind: f.kind, buckets: f.buckets, series: maps.Clone(f.series)}
 	}
-	children := append([]*Registry(nil), r.children...)
-	r.mu.Unlock()
-	for _, c := range children {
-		c.gather(fams)
-	}
+	return fams
 }
 
 // withLE splices le="v" into an existing label signature (or creates one).

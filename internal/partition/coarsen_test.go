@@ -33,121 +33,46 @@ func deepChainGraph(t *testing.T, depth, lanes int) *ir.Graph {
 	return g
 }
 
-// checkCoarsenInvariants verifies the coarsened schedule's contract: full
-// coverage, chunk/table consistency, and — the correctness-critical one —
-// that a merged level never reorders a cross-level dependency: every
-// dependence edge either still advances to a strictly later scheduled level
-// (sequenced by the barrier) or lands inside one shard's chunk with the
-// source strictly before the target in chunk order (sequenced by the ordered
-// chain).
-func checkCoarsenInvariants(t *testing.T, g *ir.Graph, r *Result, v *ShardView) {
-	t.Helper()
-	if v.Levels > v.OrigLevels {
-		t.Fatalf("coarsening grew the schedule: %d levels from %d", v.Levels, v.OrigLevels)
-	}
-	seen := make(map[int32]bool)
-	pos := make(map[int32]int) // supernode -> index within its chunk
-	for lv, shards := range v.Chunks {
-		if len(shards) != v.Threads {
-			t.Fatalf("level %d has %d shards, want %d", lv, len(shards), v.Threads)
-		}
-		for w, chunk := range shards {
-			for i, s := range chunk {
-				if seen[s] {
-					t.Fatalf("supernode %d in two chunks", s)
-				}
-				seen[s] = true
-				pos[s] = i
-				if v.LevelOf[s] != int32(lv) || v.ShardOf[s] != int32(w) {
-					t.Fatalf("supernode %d chunk (%d,%d) disagrees with LevelOf=%d ShardOf=%d",
-						s, lv, w, v.LevelOf[s], v.ShardOf[s])
-				}
-				if i > 0 && chunk[i-1] >= s {
-					t.Fatalf("chunk (%d,%d) not ascending", lv, w)
-				}
-			}
-		}
-	}
-	if len(seen) != r.Count() {
-		t.Fatalf("coarsened view covers %d supernodes, want %d", len(seen), r.Count())
-	}
-	for _, n := range g.Nodes {
-		if n == nil || !n.HasCode() {
-			continue
-		}
-		n.EachExpr(func(slot **ir.Expr) {
-			(*slot).Walk(func(e *ir.Expr) {
-				if e.Op != ir.OpRef {
-					return
-				}
-				u := e.Node
-				if u.Kind == ir.KindReg || u.Kind == ir.KindInput {
-					return
-				}
-				us, ns := r.SupOf[u.ID], r.SupOf[n.ID]
-				if us < 0 || us == ns {
-					return
-				}
-				switch {
-				case v.LevelOf[us] < v.LevelOf[ns]:
-					// Cross-level: the barrier sequences it.
-				case v.LevelOf[us] > v.LevelOf[ns]:
-					t.Fatalf("dep edge %s -> %s goes backward across levels (%d > %d)",
-						u.Name, n.Name, v.LevelOf[us], v.LevelOf[ns])
-				default:
-					// Merged into one level: must be one shard's ordered chain.
-					if v.ShardOf[us] != v.ShardOf[ns] {
-						t.Fatalf("dep edge %s -> %s split across shards %d/%d inside merged level %d",
-							u.Name, n.Name, v.ShardOf[us], v.ShardOf[ns], v.LevelOf[us])
-					}
-					if pos[us] >= pos[ns] {
-						t.Fatalf("dep edge %s -> %s reordered inside merged level %d (chunk pos %d >= %d)",
-							u.Name, n.Name, v.LevelOf[us], pos[us], pos[ns])
-					}
-				}
-			})
-		})
-	}
-}
-
+// TestCoarsenInvariants sweeps the grain, from one scheduled level per
+// dependence level (1) to everything mergeable merged (1 << 20), through the
+// shard contract.
 func TestCoarsenInvariants(t *testing.T) {
 	graphs := []*ir.Graph{deepChainGraph(t, 40, 3)}
 	for seed := int64(0); seed < 3; seed++ {
 		graphs = append(graphs, testGraph(t, seed))
 	}
-	for gi, g := range graphs {
+	for _, g := range graphs {
 		for _, kind := range []Kind{None, Enhanced} {
 			r := Build(g, kind, 8)
 			for _, threads := range []int{1, 2, 4} {
 				for _, grain := range []int64{0, 1, 64, 1 << 20} {
-					v := r.ShardOpts(g, threads, nil, CoarsenOptions{Enable: true, Grain: grain})
-					checkCoarsenInvariants(t, g, r, v)
-					_ = gi
+					checkShardInvariants(t, g, r, r.shard(g, threads, nil, grain))
 				}
 			}
 		}
 	}
 }
 
-// TestCoarsenCutsDeepSchedule pins the point of the feature: on a deep,
-// narrow design the coarsened schedule must use far fewer barrier levels
-// than the dependence depth, while a disabled pass must leave it alone.
+// TestCoarsenCutsDeepSchedule pins the point of merging: on a deep, narrow
+// design the adaptive schedule must use far fewer barrier levels than the
+// dependence depth, while a grain of one weight unit keeps one level per
+// dependence level.
 func TestCoarsenCutsDeepSchedule(t *testing.T) {
 	g := deepChainGraph(t, 60, 2)
 	r := Build(g, Enhanced, 4)
-	plain := r.Shard(g, 2, nil)
+	plain := r.shard(g, 2, nil, 1)
 	if plain.Levels != plain.OrigLevels {
-		t.Fatalf("uncoarsened view reports Levels=%d != OrigLevels=%d", plain.Levels, plain.OrigLevels)
+		t.Fatalf("grain-1 view reports Levels=%d != OrigLevels=%d", plain.Levels, plain.OrigLevels)
 	}
 	if plain.OrigLevels < 20 {
 		t.Fatalf("deep chain levelized to only %d levels; test design too shallow", plain.OrigLevels)
 	}
-	v := r.ShardOpts(g, 2, nil, CoarsenOptions{Enable: true})
+	v := r.Shard(g, 2, nil)
 	if v.OrigLevels != plain.OrigLevels {
-		t.Fatalf("coarsened OrigLevels=%d, want %d", v.OrigLevels, plain.OrigLevels)
+		t.Fatalf("adaptive OrigLevels=%d, want %d", v.OrigLevels, plain.OrigLevels)
 	}
 	if v.Levels*2 > v.OrigLevels {
-		t.Fatalf("coarsening left %d of %d levels; expected at least a 2x cut on a deep chain",
+		t.Fatalf("merging left %d of %d levels; expected at least a 2x cut on a deep chain",
 			v.Levels, v.OrigLevels)
 	}
 }
@@ -158,7 +83,7 @@ func TestCoarsenGrainMonotone(t *testing.T) {
 	r := Build(g, Enhanced, 4)
 	prev := -1
 	for _, grain := range []int64{1, 8, 64, 1 << 20} {
-		v := r.ShardOpts(g, 2, nil, CoarsenOptions{Enable: true, Grain: grain})
+		v := r.shard(g, 2, nil, grain)
 		if prev >= 0 && v.Levels > prev {
 			t.Fatalf("grain %d produced %d levels, more than the finer grain's %d", grain, v.Levels, prev)
 		}
@@ -166,17 +91,33 @@ func TestCoarsenGrainMonotone(t *testing.T) {
 	}
 }
 
+// TestCoarsenDeterminism: merging is a pure function of the partition, the
+// thread count and the grain. Two independently built partitions of the deep
+// chain — the shape where levels actually merge — must yield identical
+// schedules at every grain, chunk by chunk.
 func TestCoarsenDeterminism(t *testing.T) {
-	g := testGraph(t, 2)
-	r := Build(g, Enhanced, 8)
-	a := r.ShardOpts(g, 4, nil, CoarsenOptions{Enable: true})
-	b := r.ShardOpts(g, 4, nil, CoarsenOptions{Enable: true})
-	if a.Levels != b.Levels || a.OrigLevels != b.OrigLevels {
-		t.Fatalf("nondeterministic level counts: %d/%d vs %d/%d", a.Levels, a.OrigLevels, b.Levels, b.OrigLevels)
-	}
-	for s := range a.ShardOf {
-		if a.ShardOf[s] != b.ShardOf[s] || a.LevelOf[s] != b.LevelOf[s] {
-			t.Fatalf("nondeterministic coarsened assignment at supernode %d", s)
+	g := deepChainGraph(t, 40, 3)
+	ra := Build(g, Enhanced, 8)
+	rb := Build(g, Enhanced, 8)
+	for _, grain := range []int64{1, 64, 1 << 20} {
+		a := ra.shard(g, 4, nil, grain)
+		b := rb.shard(g, 4, nil, grain)
+		if a.Levels != b.Levels || a.OrigLevels != b.OrigLevels {
+			t.Fatalf("grain %d: nondeterministic level counts: %d/%d vs %d/%d",
+				grain, a.Levels, a.OrigLevels, b.Levels, b.OrigLevels)
+		}
+		for s := range a.ShardOf {
+			if a.ShardOf[s] != b.ShardOf[s] || a.LevelOf[s] != b.LevelOf[s] {
+				t.Fatalf("grain %d: nondeterministic merged assignment at supernode %d", grain, s)
+			}
+		}
+		for lv := range a.Chunks {
+			for w := range a.Chunks[lv] {
+				if fmt.Sprint(a.Chunks[lv][w]) != fmt.Sprint(b.Chunks[lv][w]) {
+					t.Fatalf("grain %d: chunk (%d,%d) differs: %v vs %v",
+						grain, lv, w, a.Chunks[lv][w], b.Chunks[lv][w])
+				}
+			}
 		}
 	}
 }

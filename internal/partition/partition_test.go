@@ -199,12 +199,18 @@ func TestMFFCFanoutFree(t *testing.T) {
 
 // checkShardInvariants verifies the thread-shard view's contract: every
 // supernode appears in exactly one (level, shard) chunk consistent with
-// LevelOf/ShardOf, and every dependence edge between distinct supernodes
-// crosses to a strictly later level — the property the parallel engine's
-// level barriers rely on.
+// LevelOf/ShardOf, chunks are ascending, and — the correctness-critical one —
+// a merged level never reorders a dependency: every dependence edge between
+// distinct supernodes either advances to a strictly later scheduled level
+// (sequenced by the barrier) or lands inside one shard's chunk with the
+// source strictly before the target (sequenced by the ordered chain).
 func checkShardInvariants(t *testing.T, g *ir.Graph, r *Result, v *ShardView) {
 	t.Helper()
+	if v.Levels > v.OrigLevels {
+		t.Fatalf("merging grew the schedule: %d levels from %d", v.Levels, v.OrigLevels)
+	}
 	seen := make(map[int32]bool)
+	pos := make(map[int32]int) // supernode -> index within its chunk
 	for lv, shards := range v.Chunks {
 		if len(shards) != v.Threads {
 			t.Fatalf("level %d has %d shards, want %d", lv, len(shards), v.Threads)
@@ -215,6 +221,7 @@ func checkShardInvariants(t *testing.T, g *ir.Graph, r *Result, v *ShardView) {
 					t.Fatalf("supernode %d in two chunks", s)
 				}
 				seen[s] = true
+				pos[s] = i
 				if v.LevelOf[s] != int32(lv) || v.ShardOf[s] != int32(w) {
 					t.Fatalf("supernode %d chunk (%d,%d) disagrees with LevelOf=%d ShardOf=%d",
 						s, lv, w, v.LevelOf[s], v.ShardOf[s])
@@ -268,9 +275,22 @@ func checkShardInvariants(t *testing.T, g *ir.Graph, r *Result, v *ShardView) {
 				if us < 0 || us == ns {
 					return
 				}
-				if v.LevelOf[us] >= v.LevelOf[ns] {
-					t.Fatalf("dep edge %s -> %s does not advance levels (%d >= %d)",
+				switch {
+				case v.LevelOf[us] < v.LevelOf[ns]:
+					// Cross-level: the barrier sequences it.
+				case v.LevelOf[us] > v.LevelOf[ns]:
+					t.Fatalf("dep edge %s -> %s goes backward across levels (%d > %d)",
 						u.Name, n.Name, v.LevelOf[us], v.LevelOf[ns])
+				default:
+					// Merged into one level: must be one shard's ordered chain.
+					if v.ShardOf[us] != v.ShardOf[ns] {
+						t.Fatalf("dep edge %s -> %s split across shards %d/%d inside merged level %d",
+							u.Name, n.Name, v.ShardOf[us], v.ShardOf[ns], v.LevelOf[us])
+					}
+					if pos[us] >= pos[ns] {
+						t.Fatalf("dep edge %s -> %s reordered inside merged level %d (chunk pos %d >= %d)",
+							u.Name, n.Name, v.LevelOf[us], pos[us], pos[ns])
+					}
 				}
 			})
 		})
@@ -293,8 +313,8 @@ func TestShardInvariants(t *testing.T) {
 // assignment must not put everything on one shard.
 func TestShardBalance(t *testing.T) {
 	g := testGraph(t, 1)
-	r := Build(g, None, 1) // singletons: plenty of parallel slack
-	v := r.Shard(g, 4, nil)
+	r := Build(g, None, 1)     // singletons: plenty of parallel slack
+	v := r.shard(g, 4, nil, 1) // one scheduled level per dependence level
 	perShard := make([]int, v.Threads)
 	for _, s := range v.ShardOf {
 		perShard[s]++
@@ -345,11 +365,16 @@ func levelSups(v *ShardView) [][]int32 {
 	return out
 }
 
+// TestShardDeterminism: the same partition shards identically every time,
+// levels, shards and the schedule change alike.
 func TestShardDeterminism(t *testing.T) {
 	g := testGraph(t, 2)
 	r := Build(g, Enhanced, 8)
 	a := r.Shard(g, 4, nil)
 	b := r.Shard(g, 4, nil)
+	if a.Levels != b.Levels || a.OrigLevels != b.OrigLevels {
+		t.Fatalf("nondeterministic level counts: %d/%d vs %d/%d", a.Levels, a.OrigLevels, b.Levels, b.OrigLevels)
+	}
 	for s := range a.ShardOf {
 		if a.ShardOf[s] != b.ShardOf[s] || a.LevelOf[s] != b.LevelOf[s] {
 			t.Fatalf("nondeterministic shard assignment at supernode %d", s)

@@ -7,34 +7,34 @@ import (
 )
 
 // ShardView distributes a partition's supernodes across thread shards for
-// parallel essential-signal evaluation. Supernodes are first levelized over
-// the dependence condensation (all supernodes in one level are mutually
-// independent given earlier levels), then each level's supernodes are spread
-// across shards balanced by evaluation weight. The view is what
+// parallel essential-signal evaluation. It is the one schedule
 // engine.Activity executes at more than one worker: workers sweep level by
-// level with a barrier between levels, so intra-cycle activations — which
-// always target strictly later levels — are visible before their targets are
-// examined.
+// level with a barrier between levels.
 //
-// With coarsening (CoarsenOptions.Enable) consecutive sparse levels are
-// merged into one scheduled level wherever the cross-level edges permit:
-// supernodes connected by an intra-merged-range dependence edge are
-// co-assigned to one shard, and each shard's chunk keeps its members in
-// ascending supernode order — a topological order of the dependence
-// condensation (the package invariant) — so the chunk executes as an ordered
-// chain and the dependence is honored without a barrier. Deep, narrow designs
-// pay one barrier per scheduled level; coarsening cuts Levels (and with it
-// barriers per cycle) from OrigLevels down to roughly total-weight/grain.
+// Supernodes are first levelized over the dependence condensation (all
+// supernodes in one level are mutually independent given earlier levels).
+// Consecutive sparse levels are then merged into one scheduled level until
+// the merged run carries the adaptive grain's weight, so a barrier is only
+// paid where enough work amortizes it. Supernodes connected by a dependence
+// edge inside a merged run are co-assigned to one shard, and each shard's
+// chunk keeps its members in ascending supernode order — a topological order
+// of the dependence condensation (the package invariant) — so the chunk
+// executes as an ordered chain and the dependence is honored without a
+// barrier. Every other edge targets a strictly later scheduled level, so
+// intra-cycle activations across chunks are visible before their targets
+// are examined. Deep, narrow designs pay one barrier per scheduled level,
+// down from one per dependence level; bulky ones, whose levels already
+// reach the grain, keep one per level.
 type ShardView struct {
 	Threads int
-	Levels  int         // scheduled levels (== OrigLevels when coarsening is off)
+	Levels  int         // scheduled levels (<= OrigLevels)
 	LevelOf []int32     // supernode -> scheduled level
 	ShardOf []int32     // supernode -> shard
 	Chunks  [][][]int32 // level -> shard -> supernode IDs, ascending
 
-	// OrigLevels is the dependence levelization depth before coarsening —
-	// the barrier count the schedule would have paid without merging. The
-	// schedule delta (OrigLevels -> Levels) is what gsim-diag and the
+	// OrigLevels is the dependence levelization depth before merging — the
+	// barrier count a schedule of one level per dependence level would pay.
+	// The schedule change (OrigLevels -> Levels) is what gsim-diag and the
 	// harness report.
 	OrigLevels int
 
@@ -45,26 +45,15 @@ type ShardView struct {
 	ChunkWeight [][]int64
 }
 
-// CoarsenOptions configures adaptive level coarsening.
-type CoarsenOptions struct {
-	// Enable turns coarsening on.
-	Enable bool
-	// Grain is the target minimum evaluation weight per merged level:
-	// consecutive levels merge until the run reaches it, so barriers are only
-	// paid where at least Grain work amortizes them. Zero or negative selects
-	// the adaptive default: threads x DefaultGrainPerShard — the work a
-	// barrier must buy each worker — floored at the mean original level
-	// weight, so bulky schedules (whose levels already dwarf the barrier)
-	// are left alone however many threads run.
-	Grain int64
-}
-
 // DefaultGrainPerShard is the per-worker evaluation weight (in nodeWeight
 // units — compiled instructions, when the engine supplies its weighting) a
 // scheduled level should reach before a barrier is worth paying. Sized
 // against the level-barrier cost: workers hand off through one atomic
 // countdown plus a spin-yield, which costs on the order of dozens of
-// instruction evaluations per worker.
+// instruction evaluations per worker. A schedule's grain is threads x
+// DefaultGrainPerShard, floored at the mean dependence level weight, so
+// bulky schedules (whose levels already dwarf the barrier) keep one level
+// per dependence level however many threads run.
 const DefaultGrainPerShard = 64
 
 // Imbalance reports the worst per-level load ratio: max over levels of
@@ -91,19 +80,19 @@ func (v *ShardView) Imbalance() float64 {
 	return worst
 }
 
-// Shard builds the thread-shard view of the partition with coarsening off.
-// nodeWeight gives the evaluation cost of one node (typically its compiled
-// instruction count); nil weighs every node equally. threads < 1 is treated
-// as 1.
+// Shard builds the thread-shard view of the partition at the adaptive
+// grain. nodeWeight gives the evaluation cost of one node (typically its
+// compiled instruction count); nil weighs every node equally. threads < 1 is
+// treated as 1.
 func (r *Result) Shard(g *ir.Graph, threads int, nodeWeight func(id int32) int64) *ShardView {
-	return r.ShardOpts(g, threads, nodeWeight, CoarsenOptions{})
+	return r.shard(g, threads, nodeWeight, 0)
 }
 
-// ShardOpts builds the thread-shard view, optionally coarsening the level
-// schedule. The assignment is one algorithm for both modes: original levels
-// are grouped into runs (every run a single level when coarsening is off),
-// supernodes connected by an intra-run dependence edge are fused into
-// components (always singletons when runs are single levels, because
+// shard builds the view at a given grain, the target minimum evaluation
+// weight per scheduled level; grain <= 0 selects the adaptive one. The
+// assignment is one algorithm at every grain: dependence levels are grouped
+// into runs, supernodes connected by an intra-run dependence edge are fused
+// into components (always singletons when runs are single levels, because
 // dependence edges strictly increase the level), and each run's components
 // are spread across shards longest-processing-time first.
 //
@@ -113,8 +102,8 @@ func (r *Result) Shard(g *ir.Graph, threads int, nodeWeight func(id int32) int64
 // invariant guarantees is a topological order of the dependence
 // condensation, so the chunk's ordered chain evaluates the edge's source
 // before its target. Edges entering the run from earlier runs are sequenced
-// by the barrier, exactly as before.
-func (r *Result) ShardOpts(g *ir.Graph, threads int, nodeWeight func(id int32) int64, co CoarsenOptions) *ShardView {
+// by the barrier.
+func (r *Result) shard(g *ir.Graph, threads int, nodeWeight func(id int32) int64, grain int64) *ShardView {
 	if threads < 1 {
 		threads = 1
 	}
@@ -169,63 +158,53 @@ func (r *Result) ShardOpts(g *ir.Graph, threads int, nodeWeight func(id int32) i
 	}
 	v.OrigLevels = origLevels
 
-	// Group original levels into runs. Without coarsening every level is its
-	// own run; with it, consecutive levels accumulate until the run carries
-	// at least Grain weight (a level that alone reaches the grain always
-	// starts fresh, so heavy levels never serialize behind a sparse prefix).
-	runOf := make([]int32, origLevels)
-	coarsened := false
-	if co.Enable {
-		levelWeight := make([]int64, origLevels)
-		var total int64
-		for s := 0; s < n; s++ {
-			levelWeight[origLevel[s]] += weights[s]
-			total += weights[s]
-		}
-		grain := co.Grain
-		if grain <= 0 {
-			grain = int64(threads) * DefaultGrainPerShard
-			if mean := total / int64(origLevels); mean > grain {
-				grain = mean
-			}
-		}
-		run, acc := int32(0), int64(0)
-		open := false
-		for lv := 0; lv < origLevels; lv++ {
-			if open && levelWeight[lv] >= grain {
-				run++
-				acc = 0
-			}
-			runOf[lv] = run
-			open = true
-			acc += levelWeight[lv]
-			if acc >= grain {
-				run++
-				acc = 0
-				open = false
-			}
-		}
-		if open {
-			run++
-		}
-		v.Levels = int(run)
-		coarsened = v.Levels < origLevels
-	} else {
-		for lv := range runOf {
-			runOf[lv] = int32(lv)
-		}
-		v.Levels = origLevels
+	// Group dependence levels into runs: consecutive levels accumulate until
+	// the run carries at least the grain's weight (a level that alone
+	// reaches the grain always starts fresh, so heavy levels never serialize
+	// behind a sparse prefix).
+	levelWeight := make([]int64, origLevels)
+	var total int64
+	for s := 0; s < n; s++ {
+		levelWeight[origLevel[s]] += weights[s]
+		total += weights[s]
 	}
+	if grain <= 0 {
+		grain = int64(threads) * DefaultGrainPerShard
+		if mean := total / int64(origLevels); mean > grain {
+			grain = mean
+		}
+	}
+	runOf := make([]int32, origLevels)
+	run, acc := int32(0), int64(0)
+	open := false
+	for lv := 0; lv < origLevels; lv++ {
+		if open && levelWeight[lv] >= grain {
+			run++
+			acc = 0
+		}
+		runOf[lv] = run
+		open = true
+		acc += levelWeight[lv]
+		if acc >= grain {
+			run++
+			acc = 0
+			open = false
+		}
+	}
+	if open {
+		run++
+	}
+	v.Levels = int(run)
 
 	// Component fusion: supernodes joined by a dependence edge that stays
 	// inside one run must share a shard. Dependence edges strictly increase
-	// the original level, so with single-level runs no edge qualifies and
+	// the dependence level, so with single-level runs no edge qualifies and
 	// every component is a singleton — the classic per-supernode LPT.
 	root := make([]int32, n)
 	for s := range root {
 		root[s] = int32(s)
 	}
-	if coarsened {
+	if v.Levels < origLevels {
 		for _, node := range g.Nodes {
 			sv := r.SupOf[node.ID]
 			if sv < 0 {

@@ -47,10 +47,11 @@ import (
 type CreateRequest struct {
 	FIRRTL string `json:"firrtl"`
 	SessionSpec
-	// Eval is decoded only to be refused. The evaluation mode left the
-	// session spec; a body that still names it gets a 400 naming the field
+	// Eval and Coarsen are decoded only to be refused. Both left the
+	// session spec; a body that still names one gets a 400 naming the field
 	// instead of silently running another engine than it asked for.
-	Eval json.RawMessage `json:"eval,omitempty"`
+	Eval    json.RawMessage `json:"eval,omitempty"`
+	Coarsen json.RawMessage `json:"coarsen,omitempty"`
 }
 
 // Validate refuses a create body without a design source or naming a
@@ -58,6 +59,9 @@ type CreateRequest struct {
 func (r *CreateRequest) Validate() error {
 	if r.Eval != nil {
 		return errors.New(`the session spec field "eval" was removed: every session runs the fused kernel stream`)
+	}
+	if r.Coarsen != nil {
+		return errors.New(`the session spec field "coarsen" was removed: every multi-worker session runs the merged-level schedule`)
 	}
 	if r.FIRRTL == "" {
 		return errors.New("firrtl source required")

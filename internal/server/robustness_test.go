@@ -547,7 +547,7 @@ func TestCacheBudgetOverServer(t *testing.T) {
 	if _, err := probe.CreateSessionGraph(sessionGraph(t, 0), "probe", SessionSpec{}); err != nil {
 		t.Fatal(err)
 	}
-	unit, _, _ := probe.CacheGovernance()
+	unit := probe.CacheStats().Bytes
 	if err := probe.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +573,7 @@ func TestCacheBudgetOverServer(t *testing.T) {
 		}
 		open = append(open, s)
 	}
-	if _, _, ev := m.CacheGovernance(); ev != 0 {
+	if ev := m.CacheStats().Evictions; ev != 0 {
 		t.Fatalf("%d evictions while every design had live sessions", ev)
 	}
 	if designs := m.CacheStats().Designs; designs != 6 {
@@ -586,11 +586,14 @@ func TestCacheBudgetOverServer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	used, _, ev := m.CacheGovernance()
-	if used > budget {
-		t.Fatalf("used %d > budget %d after all sessions closed", used, budget)
+	st := m.CacheStats()
+	if st.Budget != budget {
+		t.Fatalf("budget reads %d, want %d", st.Budget, budget)
 	}
-	if ev == 0 {
+	if st.Bytes > budget {
+		t.Fatalf("used %d > budget %d after all sessions closed", st.Bytes, budget)
+	}
+	if st.Evictions == 0 {
 		t.Fatal("overcommit produced no evictions")
 	}
 
@@ -603,7 +606,7 @@ func TestCacheBudgetOverServer(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if used, _, _ := m.CacheGovernance(); used > budget {
+		if used := m.CacheStats().Bytes; used > budget {
 			t.Fatalf("churn round %d: used %d > budget %d", i, used, budget)
 		}
 	}

@@ -40,7 +40,6 @@ import (
 
 	"gsim/internal/bitvec"
 	"gsim/internal/core"
-	"gsim/internal/emit"
 	"gsim/internal/engine"
 	"gsim/internal/faultpoint"
 	"gsim/internal/firrtl"
@@ -134,7 +133,6 @@ type Limits struct {
 type SessionSpec struct {
 	Engine       string `json:"engine,omitempty"`        // gsim | verilator | essent | arcilator (default gsim)
 	Threads      int    `json:"threads,omitempty"`       // gsim -> GSIMMT, verilator -> Verilator-MT
-	Coarsen      bool   `json:"coarsen,omitempty"`       // adaptive level coarsening (parallel essential-signal)
 	MaxSupernode int    `json:"max_supernode,omitempty"` // supernode size cap (0 = default)
 
 	// Lanes steps K independent stimulus lanes through one compiled design
@@ -195,7 +193,6 @@ func (sp SessionSpec) coreConfig() (core.Config, error) {
 	if sp.Threads > 0 && cfg.Threads == 0 {
 		return cfg, fmt.Errorf("server: threads only valid with engine gsim or verilator")
 	}
-	cfg.Activity.Coarsen = sp.Coarsen
 	if sp.MaxSupernode > 0 {
 		cfg.MaxSupernode = sp.MaxSupernode
 	}
@@ -298,30 +295,10 @@ type laneTrace struct {
 	vcd  *trace.VCD
 }
 
-// laneEngine is the one engine a session runs: K lanes of the configured
-// engine, a scalar session being the one-lane case (*engine.Lanes).
-type laneEngine interface {
-	Step()
-	Reset()
-	Close()
-	Poke(lane, nodeID int, v bitvec.BV)
-	Peek(lane, nodeID int) bitvec.BV
-	ResetLane(lane int)
-	SetLive(lane int, live bool)
-	LiveMask() uint64
-	Cycles() uint64
-	LaneStats(lane int) engine.Stats
-	CaptureLane(lane int) (*engine.SimState, error)
-	RestoreLane(lane int, st *engine.SimState) error
-	AttachLaneTracer(lane int, t engine.Tracer)
-	AttachObs(m *engine.Metrics)
-	FlushObs()
-	Program() *emit.Program
-}
-
-// Session is one live simulator instance over a laneEngine. All operations
-// serialize on the session's own lock; distinct sessions never contend
-// (beyond the shared read-only design).
+// Session is one live simulator instance over K lanes of the configured
+// engine (engine.Lanes), a scalar session being the one-lane case. All
+// operations serialize on the session's own lock; distinct sessions never
+// contend (beyond the shared read-only design).
 type Session struct {
 	ID       string
 	Design   *core.CompiledDesign
@@ -338,7 +315,7 @@ type Session struct {
 	cancelOnce   sync.Once
 
 	mu           sync.Mutex
-	eng          laneEngine
+	eng          *engine.Lanes
 	laneVCD      []*laneTrace // indexed by lane; nil entries for untraced lanes
 	pendingTrace []bool       // TraceResume lanes awaiting their arming restore
 	closed       bool
@@ -511,7 +488,7 @@ func designHashPrefix(sourceKey string) string {
 
 // newEngine builds a session's engine: one engine of the configured kind
 // per lane, all over the design's shared plan.
-func newEngine(design *core.CompiledDesign, cfg core.Config, lanes int) (laneEngine, error) {
+func newEngine(design *core.CompiledDesign, cfg core.Config, lanes int) (*engine.Lanes, error) {
 	engs := make([]engine.Compiled, lanes)
 	for l := range engs {
 		sim, err := design.NewSim(cfg)
@@ -528,7 +505,7 @@ func newEngine(design *core.CompiledDesign, cfg core.Config, lanes int) (laneEng
 
 // attachLaneTraces builds bounded in-memory VCD capture for the requested
 // lanes. Returns nil when nothing is traced.
-func attachLaneTraces(eng laneEngine, lanes int, traceLanes []int, tm *trace.Metrics) ([]*laneTrace, error) {
+func attachLaneTraces(eng *engine.Lanes, lanes int, traceLanes []int, tm *trace.Metrics) ([]*laneTrace, error) {
 	if len(traceLanes) == 0 {
 		return nil, nil
 	}
@@ -549,7 +526,7 @@ func attachLaneTraces(eng laneEngine, lanes int, traceLanes []int, tm *trace.Met
 // traceLane attaches a bounded in-memory VCD capture to one lane. prefix
 // seeds the capture buffer and resume the encoder (nil for a capture from
 // cycle zero): the waveform continuation of a migration handoff.
-func traceLane(eng laneEngine, lane int, prefix []byte, resume *trace.Resume, tm *trace.Metrics) (*laneTrace, error) {
+func traceLane(eng *engine.Lanes, lane int, prefix []byte, resume *trace.Resume, tm *trace.Metrics) (*laneTrace, error) {
 	sink := &capWriter{limit: maxTraceBytesPerLane}
 	_, _ = sink.Write(prefix)
 	v, err := trace.NewVCD(sink, eng.Program(), nil, trace.Options{Sync: true, Resume: resume, Metrics: tm})
@@ -623,12 +600,6 @@ func (m *Manager) CacheStats() CacheStats {
 		Bytes:     used,
 		Budget:    budget,
 	}
-}
-
-// CacheGovernance reports the compile cache's resident bytes, byte budget
-// (0 = unlimited), and lifetime evictions.
-func (m *Manager) CacheGovernance() (usedBytes, budgetBytes int64, evictions uint64) {
-	return m.cache.Governance()
 }
 
 // reapLoop closes idle sessions until Drain stops it.

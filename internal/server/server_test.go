@@ -286,11 +286,24 @@ func TestHTTPErrors(t *testing.T) {
 		CreateRequest{FIRRTL: readDesign(t, "counter.fir"), SessionSpec: SessionSpec{Engine: "essent", Threads: 2}}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("threads with essent: status %d", resp.StatusCode)
 	}
-	var refusal struct{ Error string }
-	if resp := postJSON(t, ts.URL+"/v1/sessions",
-		map[string]string{"firrtl": readDesign(t, "counter.fir"), "eval": "kernel"}, &refusal); resp.StatusCode != http.StatusBadRequest ||
-		!strings.Contains(refusal.Error, `"eval"`) {
-		t.Fatalf("removed eval field: status %d, error %q; want 400 naming the field", resp.StatusCode, refusal.Error)
+	before := m.CacheStats()
+	for _, removed := range []struct {
+		field string
+		value any
+	}{{"eval", "kernel"}, {"coarsen", true}, {"coarsen", false}} {
+		var refusal struct{ Error string }
+		body := map[string]any{"firrtl": readDesign(t, "counter.fir"), "threads": 2, removed.field: removed.value}
+		if resp := postJSON(t, ts.URL+"/v1/sessions", body, &refusal); resp.StatusCode != http.StatusBadRequest ||
+			!strings.Contains(refusal.Error, `"`+removed.field+`"`) {
+			t.Fatalf("removed field %s=%v: status %d, error %q; want 400 naming the field",
+				removed.field, removed.value, resp.StatusCode, refusal.Error)
+		}
+	}
+	if n := m.SessionCount(); n != 0 {
+		t.Fatalf("%d sessions open after the refusals, want 0", n)
+	}
+	if after := m.CacheStats(); after != before {
+		t.Fatalf("the refusals reached the compile cache: %+v, then %+v", before, after)
 	}
 
 	var created CreateResponse

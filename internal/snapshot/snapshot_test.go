@@ -71,19 +71,24 @@ func drive(sim engine.Sim, ins []*ir.Node, cycle int) {
 }
 
 // matrixCell is one row of the round-trip matrix: the configuration that
-// captures the snapshot and the one that resumes from it.
+// captures the snapshot, the one that resumes from it, and whether the
+// cell's runs compile once.
 type matrixCell struct {
 	name         string
 	save, resume core.Config
+	compileOnce  bool
 }
 
 // matrixCells enumerates the acceptance matrix: both engines x 3 eval modes
-// x {1,2,4} workers x {coarsen off,on}, each captured and resumed at the
-// same worker count, and the same cells again (the "parallel-" rows) resumed
-// at the next count of {1,2,4}, 4 wrapping to 1: a snapshot must carry over
-// between worker counts in every mode. Coarsening is inert for the
-// full-cycle engine and at one worker; every cell still runs, pinning that
-// the inert axes really are inert.
+// x {1,2,4} workers x {compiled per run, compiled once}, each captured and
+// resumed at the same worker count, and the same cells again (the
+// "parallel-" rows) resumed at the next count of {1,2,4}, 4 wrapping to 1:
+// a snapshot must carry over between worker counts in every mode. A
+// compile-once cell ("-cotrue") draws every engine of one configuration from
+// one shared core.CompiledDesign, as a replica's sessions of one spec do, so
+// the snapshot restores into a sibling of the engine that took it; the
+// others ("-cofalse") build every run from scratch, as a replica receiving a
+// migration does.
 func matrixCells() []matrixCell {
 	var cells []matrixCell
 	next := map[int]int{1: 2, 2: 4, 4: 1}
@@ -95,17 +100,17 @@ func matrixCells() []matrixCell {
 			}
 			for _, eval := range []engine.EvalMode{engine.EvalKernel, engine.EvalInterp, engine.EvalKernelNoFuse} {
 				for _, threads := range []int{1, 2, 4} {
-					for _, coarsen := range []bool{false, true} {
+					for _, once := range []bool{false, true} {
 						cfg := func(threads int) core.Config {
 							cfg := core.VerilatorMT(threads)
 							if kind == core.EngineActivity {
 								cfg = core.GSIMMT(threads)
 							}
 							cfg.Eval = eval
-							cfg.Activity.Coarsen = coarsen
 							return cfg
 						}
-						c := matrixCell{name: fmt.Sprintf("%s-%s-%dT-co%v", label, eval, threads, coarsen), save: cfg(threads), resume: cfg(threads)}
+						c := matrixCell{name: fmt.Sprintf("%s-%s-%dT-co%v", label, eval, threads, once),
+							save: cfg(threads), resume: cfg(threads), compileOnce: once}
 						if cross {
 							c.resume = cfg(next[threads])
 						}
@@ -118,15 +123,43 @@ func matrixCells() []matrixCell {
 	return cells
 }
 
+// builder returns how a cell's runs get their systems: core.Build per run,
+// or, compiling once, a new engine of the configuration's one shared
+// compiled design.
+func builder(t *testing.T, g *ir.Graph, compileOnce bool) func(core.Config) *core.System {
+	designs := map[string]*core.CompiledDesign{}
+	return func(cfg core.Config) *core.System {
+		t.Helper()
+		if !compileOnce {
+			sys, err := core.Build(g, cfg)
+			if err != nil {
+				t.Fatalf("%s: build: %v", cfg.Name, err)
+			}
+			return sys
+		}
+		key := core.CacheKey("", cfg)
+		d := designs[key]
+		if d == nil {
+			var err error
+			if d, err = core.CompileDesign(g, cfg); err != nil {
+				t.Fatalf("%s: compile: %v", cfg.Name, err)
+			}
+			designs[key] = d
+		}
+		sim, err := d.NewSim(cfg)
+		if err != nil {
+			t.Fatalf("%s: new sim: %v", cfg.Name, err)
+		}
+		return &core.System{Config: d.Config, Graph: d.Graph, Prog: d.Prog, Part: d.Part, Sim: sim}
+	}
+}
+
 // runTraced builds a simulator, optionally restores a snapshot into it,
 // drives cycles [from, to) with the shared stimulus, captures the VCD bytes
 // produced, and returns the system still open.
-func runTraced(t *testing.T, g *ir.Graph, cfg core.Config, blob []byte, from, to int, vcd *bytes.Buffer) *core.System {
+func runTraced(t *testing.T, build func(core.Config) *core.System, cfg core.Config, blob []byte, from, to int, vcd *bytes.Buffer) *core.System {
 	t.Helper()
-	sys, err := core.Build(g, cfg)
-	if err != nil {
-		t.Fatalf("%s: build: %v", cfg.Name, err)
-	}
+	sys := build(cfg)
 	opts := trace.Options{}
 	if blob != nil {
 		if err := snapshot.Restore(sys.Sim, blob); err != nil {
@@ -164,23 +197,24 @@ func TestRoundTripMatrix(t *testing.T) {
 		g := loadDesign(t, designName)
 		for _, c := range matrixCells() {
 			t.Run(designName+"/"+c.name, func(t *testing.T) {
+				build := builder(t, g, c.compileOnce)
 				// Uninterrupted K+M-cycle run.
 				var goldVCD bytes.Buffer
-				gold := runTraced(t, g, c.resume, nil, 0, K+M, &goldVCD)
+				gold := runTraced(t, build, c.resume, nil, 0, K+M, &goldVCD)
 				defer gold.Close()
 
 				// Segment 1: K cycles, then snapshot.
 				var vcd1 bytes.Buffer
-				seg1 := runTraced(t, g, c.save, nil, 0, K, &vcd1)
+				seg1 := runTraced(t, build, c.save, nil, 0, K, &vcd1)
 				blob, err := snapshot.Save(seg1.Sim)
 				if err != nil {
 					t.Fatal(err)
 				}
 				seg1.Close()
 
-				// Segment 2: fresh build, restore, M more cycles.
+				// Segment 2: a new engine, restore, M more cycles.
 				var vcd2 bytes.Buffer
-				seg2 := runTraced(t, g, c.resume, blob, K, K+M, &vcd2)
+				seg2 := runTraced(t, build, c.resume, blob, K, K+M, &vcd2)
 				defer seg2.Close()
 
 				a, b := gold.Sim.Machine(), seg2.Sim.Machine()
