@@ -65,6 +65,17 @@ func refCountSummary(g *ir.Graph) string {
 		comb, by[0], by[1], by[2], by[3], cse, 100*float64(cse)/float64(max(comb, 1)))
 }
 
+// scheduleSummary is a row's multi-worker schedule: shard imbalance and the
+// dependence levels merged into scheduled ones (one barrier per scheduled
+// level per cycle). Empty for a one-worker engine, which has none.
+func scheduleSummary(sv *partition.ShardView) string {
+	if sv == nil {
+		return ""
+	}
+	return fmt.Sprintf(" imbalance=%.2f levels=%d->%d barriers/cyc=%d",
+		sv.Imbalance(), sv.OrigLevels, sv.Levels, sv.Levels)
+}
+
 func main() {
 	live := flag.String("live", "", "base URL of a running gsim-serve/gsim-router; scrape its /metrics twice and render rates instead of the synthetic suite")
 	interval := flag.Duration("interval", 2*time.Second, "gap between the two -live scrapes")
@@ -107,9 +118,8 @@ func main() {
 	gnf.Name = "gsim-nofuse"
 	gnf.Eval = engine.EvalKernelNoFuse
 	cfgs = append(cfgs, gi, gnf)
-	// The multi-threaded engine, to report shard balance and the schedule
-	// change (dependence levels -> scheduled levels after merging; one
-	// barrier per scheduled level per cycle).
+	// The multi-threaded essential-signal engine; it and verilator-2T report
+	// shard balance and the schedule change (scheduleSummary).
 	cfgs = append(cfgs, core.GSIMMT(2))
 	// add gsim variants
 	g2 := core.GSIM()
@@ -159,15 +169,10 @@ func main() {
 		if ex := sys.Sim.Machine().Executed; ex != st.InstrsExecuted {
 			panic(fmt.Sprintf("%s: Machine.Executed=%d disagrees with stats.InstrsExecuted=%d", cfg.Name, ex, st.InstrsExecuted))
 		}
-		extra := ""
-		if a, ok := sys.Sim.(*engine.Activity); ok && a.Shard() != nil {
-			sv := a.Shard()
-			extra = fmt.Sprintf(" imbalance=%.2f levels=%d->%d barriers/cyc=%d",
-				sv.Imbalance(), sv.OrigLevels, sv.Levels, sv.Levels)
-		}
 		fmt.Printf("%-16s nodes=%-6d sups=%-6d af=%.4f evals/cyc=%-7d exam/cyc=%-7d act/cyc=%-6d instr/cyc=%-8d speed=%.1fkHz%s\n",
 			cfg.Name, gstats.Nodes, nsup, st.ActivityFactor(),
-			st.NodeEvals/st.Cycles, st.Examinations/st.Cycles, st.Activations/st.Cycles, sys.Sim.Machine().Executed/st.Cycles, hz/1000, extra)
+			st.NodeEvals/st.Cycles, st.Examinations/st.Cycles, st.Activations/st.Cycles, sys.Sim.Machine().Executed/st.Cycles, hz/1000,
+			scheduleSummary(sys.Sim.Shard()))
 		fmt.Printf("%-16s passes %v: %s\n", "", sys.PassTime.Round(time.Microsecond), sys.PassResult.Timing())
 		fmt.Printf("%-16s %s\n", "", refCountSummary(og))
 		sys.Close()

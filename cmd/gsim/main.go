@@ -112,8 +112,7 @@ func main() {
 		fmt.Printf("partition: %d supernodes (avg %.1f nodes, cut %d)\n",
 			sys.Part.Count(), sys.Part.AvgSize(), sys.Part.CutEdges)
 	}
-	if a, ok := sys.Sim.(*engine.Activity); ok && a.Shard() != nil {
-		sv := a.Shard()
+	if sv := sys.Sim.Shard(); sv != nil {
 		fmt.Printf("schedule: %d dependence levels merged into %d, %d barriers/cycle\n",
 			sv.OrigLevels, sv.Levels, sv.Levels)
 	}

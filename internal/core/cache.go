@@ -122,16 +122,7 @@ func (d *CompiledDesign) buildPlan() (err error) {
 	}()
 	switch cfg.Engine {
 	case EngineFullCycle:
-		// One worker sweeps the nodes in ID order; more need the levels.
-		var byLevel [][]int32
-		if cfg.Threads > 1 {
-			order := make([]int32, len(d.Graph.Nodes))
-			for i := range order {
-				order[i] = int32(i)
-			}
-			_, byLevel = d.Graph.Levelize(order)
-		}
-		d.plan = engine.PlanFullCycle(d.Prog, byLevel, cfg.Threads, cfg.Eval)
+		d.plan = engine.PlanFullCycle(d.Prog, cfg.Threads, cfg.Eval)
 	case EngineActivity:
 		d.plan = engine.PlanActivity(d.Prog, d.Part, cfg.Activity, cfg.Threads, cfg.Eval)
 	default:

@@ -208,7 +208,7 @@ func TestOneWorkerSharesCompile(t *testing.T) {
 			t.Fatalf("%s/%s: %d hits, %d misses, shared=%v", pair[0].Name, pair[1].Name, hits, misses, designs[0] == designs[1])
 		}
 	}
-	// A one-worker full-cycle plan has no levelized schedule, so the design
+	// A one-worker full-cycle plan has no multi-worker schedule, so the design
 	// refuses a session asking for more workers instead of sweeping nothing.
 	d, err := CompileDesign(cacheDesign(t, 0), Verilator())
 	if err != nil {

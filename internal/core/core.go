@@ -77,7 +77,7 @@ type System struct {
 	Graph  *ir.Graph // the optimized graph, topologically numbered and released (see CompiledDesign.Graph)
 	Prog   *emit.Program
 	Part   *partition.Result // nil for full-cycle engines
-	Sim    engine.Sim
+	Sim    engine.Compiled
 
 	PassResult passes.Result
 	PassTime   time.Duration

@@ -128,15 +128,7 @@ func interpTwin(t *testing.T, prog *emit.Program, sys *System) engine.Sim {
 	cfg := sys.Config
 	switch cfg.Engine {
 	case EngineFullCycle:
-		var byLevel [][]int32
-		if cfg.Threads > 1 {
-			order := make([]int32, len(prog.Graph.Nodes))
-			for i := range order {
-				order[i] = int32(i)
-			}
-			_, byLevel = prog.Graph.Levelize(order)
-		}
-		return engine.NewFullCycle(prog, byLevel, cfg.Threads, engine.EvalInterp)
+		return engine.NewFullCycle(prog, cfg.Threads, engine.EvalInterp)
 	case EngineActivity:
 		return engine.NewActivity(prog, sys.Part, cfg.Activity, cfg.Threads, engine.EvalInterp)
 	}

@@ -123,10 +123,13 @@ func FuzzKernelLockstep(f *testing.F) {
 		prog := analyzable(t, g, sysK)
 		simNF := engine.NewActivity(prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalKernelNoFuse)
 		simI := engine.NewActivity(prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalInterp)
-		// The multi-worker axis: two workers on the merged-level schedule
-		// must track the same trajectory.
+		// The multi-worker axis: two workers on the merged-level schedule,
+		// over the partition and over singleton nodes, must track the same
+		// trajectory.
 		sim2 := engine.NewActivity(prog, sysK.Part, sysK.Config.Activity, 2, engine.EvalKernel)
 		defer sim2.Close()
+		simF2 := engine.NewFullCycle(prog, 2, engine.EvalKernel)
+		defer simF2.Close()
 		// The snapshot axis: this engine is serialized through the versioned
 		// snapshot format and restored into a fresh engine mid-run; its
 		// trajectory and stats must never diverge from the uninterrupted one.
@@ -197,7 +200,7 @@ func FuzzKernelLockstep(f *testing.F) {
 		}
 		var laneAxes []laneAxis
 		for kind, pl := range map[string]engine.Plan{
-			"fullcycle": engine.PlanFullCycle(prog, nil, 1, engine.EvalKernel),
+			"fullcycle": engine.PlanFullCycle(prog, 1, engine.EvalKernel),
 			"activity":  engine.PlanActivity(prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalKernel),
 		} {
 			ax := laneAxis{kind, newLanes(pl, 2), pl.NewEngine()}
@@ -234,6 +237,7 @@ func FuzzKernelLockstep(f *testing.F) {
 				simNF.Poke(in.ID, v)
 				simI.Poke(in.ID, v)
 				sim2.Poke(in.ID, v)
+				simF2.Poke(in.ID, v)
 				simS.Poke(in.ID, v)
 				// Lane 1 and its twin always receive the divergent stimulus —
 				// pokes land on a parked lane too (they write state, they do
@@ -251,7 +255,7 @@ func FuzzKernelLockstep(f *testing.F) {
 				}
 			}
 			lane1Live := rngL1.Intn(6) != 0
-			for _, sim := range []engine.Sim{sysK.Sim, simNF, simI, sim2, simS} {
+			for _, sim := range []engine.Sim{sysK.Sim, simNF, simI, sim2, simF2, simS} {
 				poisonTemps(sim, rngP)
 			}
 			ref.Step()
@@ -259,6 +263,7 @@ func FuzzKernelLockstep(f *testing.F) {
 			simNF.Step()
 			simI.Step()
 			sim2.Step()
+			simF2.Step()
 			simS.Step()
 			for _, ax := range laneAxes {
 				ax.lanes.SetLive(1, lane1Live)
@@ -280,6 +285,7 @@ func FuzzKernelLockstep(f *testing.F) {
 				"kernel-nofuse":      persistent(simNF),
 				"interp":             persistent(simI),
 				"activity-2T":        persistent(sim2),
+				"fullcycle-2T":       persistent(simF2),
 				"snapshot-roundtrip": persistent(simS),
 			}
 			for _, ax := range laneAxes {

@@ -10,6 +10,7 @@ import (
 	"gsim/internal/engine"
 	"gsim/internal/gen"
 	"gsim/internal/ir"
+	"gsim/internal/partition"
 )
 
 // matrixSim is one cell of the conformance matrix: an engine instance over
@@ -38,19 +39,13 @@ type matrixSim struct {
 // contract in internal/engine).
 func matrixEngines(t *testing.T, prog *emit.Program, sys *System) []matrixSim {
 	t.Helper()
-	order := make([]int32, len(prog.Graph.Nodes))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	_, byLevel := prog.Graph.Levelize(order)
-
 	modes := []engine.EvalMode{engine.EvalKernel, engine.EvalInterp}
 	var sims []matrixSim
 	for _, mode := range modes {
 		for _, threads := range []int{1, 2, 4} {
 			sims = append(sims,
 				matrixSim{fmt.Sprintf("fullcycle-%dT/%s", threads, mode),
-					engine.NewFullCycle(prog, byLevel, threads, mode)},
+					engine.NewFullCycle(prog, threads, mode)},
 				matrixSim{fmt.Sprintf("activity-%dT/%s", threads, mode),
 					engine.NewActivity(prog, sys.Part, sys.Config.Activity, threads, mode)},
 			)
@@ -85,69 +80,91 @@ func TestEngineMatrixLockstep(t *testing.T) {
 		cycles = 20
 	}
 	names, graphs := matrixDesigns(t)
-	shapes := map[int]*scheduleShapes{2: {}, 4: {}}
+	var shapes []*scheduleShapes
+	for _, fullCycle := range []bool{false, true} {
+		for _, threads := range []int{2, 4} {
+			shapes = append(shapes, &scheduleShapes{fullCycle: fullCycle, threads: threads})
+		}
+	}
 	for di, g := range graphs {
 		sys, err := Build(g, GSIM())
 		if err != nil {
 			t.Fatalf("%s: %v", names[di], err)
 		}
 		prog := analyzable(t, g, sys)
-		for threads, sh := range shapes {
-			sh.add(t, names[di], prog, sys, threads)
+		for _, sh := range shapes {
+			sh.add(t, names[di], prog, sys)
 		}
 		for _, seed := range []int64{13, 7919} {
 			lockstepMatrix(t, names[di], prog, sys, int64(di)*977+seed, cycles)
 		}
 		sys.Close()
 	}
-	for threads, sh := range shapes {
+	for _, sh := range shapes {
 		if sh.merged == "" {
-			t.Errorf("%dT: no matrix design's schedule merges into one level with fused components", threads)
+			t.Errorf("%s: no matrix design's schedule merges into one level with fused components", sh)
 		}
 		if sh.split == "" {
-			t.Errorf("%dT: no matrix design's schedule keeps >= 2 levels with activations across chunks", threads)
+			t.Errorf("%s: no matrix design's schedule keeps >= 2 levels with edges across chunks", sh)
 		}
-		t.Logf("%dT: %s merges into one level, %s keeps several", threads, sh.merged, sh.split)
+		t.Logf("%s: %s merges into one level, %s keeps several", sh, sh.merged, sh.split)
 	}
 }
 
-// scheduleShapes records, at one worker count, a matrix design whose
-// merged-level schedule exercises each half of the activity engine's
-// multi-worker protocol: merged, whose dependence levels collapse into one
-// scheduled level holding a fused component (a dependence edge inside one
-// chunk, run as an ordered chain); and split, which keeps two or more
-// scheduled levels, so some activation crosses chunks through the outbox and
-// a barrier.
-type scheduleShapes struct{ merged, split string }
+// scheduleShapes records, for one engine at one worker count, a matrix
+// design whose merged-level schedule exercises each half of the multi-worker
+// protocol: merged, whose dependence levels collapse into one scheduled
+// level holding a fused component (a dependence edge inside one chunk, run
+// as an ordered chain); and split, which keeps two or more scheduled levels,
+// so some dependence crosses chunks through a barrier (for the activity
+// engine, an activation through the outbox).
+type scheduleShapes struct {
+	fullCycle     bool
+	threads       int
+	merged, split string
+}
 
-// add classifies the design's schedule at threads workers by walking its
-// dependence edges between supernodes.
-func (sh *scheduleShapes) add(t *testing.T, name string, prog *emit.Program, sys *System, threads int) {
+func (sh *scheduleShapes) String() string {
+	if sh.fullCycle {
+		return fmt.Sprintf("fullcycle-%dT", sh.threads)
+	}
+	return fmt.Sprintf("activity-%dT", sh.threads)
+}
+
+// add classifies the design's schedule by walking its dependence edges
+// between supernodes: the design's partition for the activity engine, the
+// singleton partition the full-cycle engine shards.
+func (sh *scheduleShapes) add(t *testing.T, name string, prog *emit.Program, sys *System) {
 	t.Helper()
-	a := engine.NewActivity(prog, sys.Part, sys.Config.Activity, threads, engine.EvalKernel)
-	defer a.Close()
-	sv := a.Shard()
+	part := sys.Part
+	var sim engine.Compiled
+	if sh.fullCycle {
+		part = partition.Build(prog.Graph, partition.None, 1)
+		sim = engine.NewFullCycle(prog, sh.threads, engine.EvalKernel)
+	} else {
+		sim = engine.NewActivity(prog, sys.Part, sys.Config.Activity, sh.threads, engine.EvalKernel)
+	}
+	defer sim.Close()
+	sv := sim.Shard()
 	var inChunk, crossChunk bool
 	for _, n := range prog.Graph.Nodes {
-		sn := sys.Part.SupOf[n.ID]
+		sn := part.SupOf[n.ID]
 		if sn < 0 {
 			continue
 		}
-		n.EachExpr(func(slot **ir.Expr) {
-			(*slot).Walk(func(e *ir.Expr) {
-				if e.Op != ir.OpRef || e.Node.Kind == ir.KindReg || e.Node.Kind == ir.KindInput {
-					return
-				}
-				su := sys.Part.SupOf[e.Node.ID]
-				if su < 0 || su == sn {
-					return
-				}
-				if sv.LevelOf[su] == sv.LevelOf[sn] && sv.ShardOf[su] == sv.ShardOf[sn] {
-					inChunk = true
-				} else {
-					crossChunk = true
-				}
-			})
+		n.EachRef(func(u *ir.Node) {
+			if u.Kind == ir.KindReg || u.Kind == ir.KindInput {
+				return
+			}
+			su := part.SupOf[u.ID]
+			if su < 0 || su == sn {
+				return
+			}
+			if sv.LevelOf[su] == sv.LevelOf[sn] && sv.ShardOf[su] == sv.ShardOf[sn] {
+				inChunk = true
+			} else {
+				crossChunk = true
+			}
 		})
 	}
 	if sh.merged == "" && sv.Levels == 1 && sv.OrigLevels > 1 && inChunk {
@@ -183,7 +200,7 @@ func lockstepMatrix(t *testing.T, name string, prog *emit.Program, sys *System, 
 	// same bit-identity contract as every engine × mode × thread cell.
 	const gangLanes = 3
 	laneSets := map[string]*engine.Lanes{
-		"fullcycle": newLanes(engine.PlanFullCycle(prog, nil, 1, engine.EvalKernel), gangLanes),
+		"fullcycle": newLanes(engine.PlanFullCycle(prog, 1, engine.EvalKernel), gangLanes),
 		"activity":  newLanes(engine.PlanActivity(prog, sys.Part, sys.Config.Activity, 1, engine.EvalKernel), gangLanes),
 	}
 

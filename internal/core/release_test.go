@@ -77,20 +77,16 @@ func TestReleasedGraphRefuses(t *testing.T) {
 	if _, err := emit.Compile(g); !errors.Is(err, ir.ErrReleased) {
 		t.Errorf("emit.Compile of a released graph returned %v, want ir.ErrReleased", err)
 	}
-	order := make([]int32, len(g.Nodes))
-	for i := range order {
-		order[i] = int32(i)
-	}
 	for what, walk := range map[string]func(){
-		"Levelize":       func() { g.Levelize(order) },
-		"BuildAdjacency": func() { g.BuildAdjacency() },
-		"TopoOrder":      func() { g.TopoOrder() },
-		"NumEdges":       func() { g.NumEdges() },
-		"ComputeStats":   func() { g.ComputeStats() },
-		"ValidateNodes":  func() { g.ValidateNodes() },
-		"Clone":          func() { g.Clone() },
-		"NewReference":   func() { engine.NewReference(g) },
-		"PlanActivity":   func() { engine.PlanActivity(sys.Prog, sys.Part, sys.Config.Activity, 1, engine.EvalKernel) },
+		"BuildAdjacency":  func() { g.BuildAdjacency() },
+		"TopoOrder":       func() { g.TopoOrder() },
+		"NumEdges":        func() { g.NumEdges() },
+		"ComputeStats":    func() { g.ComputeStats() },
+		"ValidateNodes":   func() { g.ValidateNodes() },
+		"Clone":           func() { g.Clone() },
+		"NewReference":    func() { engine.NewReference(g) },
+		"PlanActivity":    func() { engine.PlanActivity(sys.Prog, sys.Part, sys.Config.Activity, 1, engine.EvalKernel) },
+		"PlanFullCycle2T": func() { engine.PlanFullCycle(sys.Prog, 2, engine.EvalKernel) },
 	} {
 		mustPanicReleased(t, what, walk)
 	}

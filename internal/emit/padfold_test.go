@@ -65,9 +65,9 @@ func TestFoldedPadConsumersLockstep(t *testing.T) {
 		t.Fatal(err)
 	}
 	sims := []engine.Sim{
-		engine.NewFullCycle(p, nil, 1, engine.EvalKernel),
-		engine.NewFullCycle(p, nil, 1, engine.EvalKernelNoFuse),
-		engine.NewFullCycle(p, nil, 1, engine.EvalInterp),
+		engine.NewFullCycle(p, 1, engine.EvalKernel),
+		engine.NewFullCycle(p, 1, engine.EvalKernelNoFuse),
+		engine.NewFullCycle(p, 1, engine.EvalInterp),
 	}
 	rng := rand.New(rand.NewSource(20))
 	for cycle := 0; cycle < 300; cycle++ {

@@ -99,7 +99,6 @@ type ActivityPlan struct {
 	partPrint uint64 // part.Fingerprint(), what snapshots name the partition by
 	cfg       ActivityConfig
 	threads   int
-	shard     *partition.ShardView // nil with one worker
 	levels    int
 
 	// Active-bit layout: one concatenated word array, shard-major then
@@ -260,11 +259,8 @@ func PlanActivity(p *emit.Program, part *partition.Result, cfg ActivityConfig, t
 		}
 		chunks = [][][]int32{{all}}
 	} else {
-		pl.shard = part.Shard(p.Graph, threads,
-			func(id int32) int64 { return int64(p.Code[id].Len()) })
-		chunks = pl.shard.Chunks
-		pl.t.obsLevels = pl.shard.Levels
-		pl.t.obsOrigLevels = pl.shard.OrigLevels
+		pl.t.shard = part.Shard(p.Graph, threads, instrWeight(p))
+		chunks = pl.t.shard.Chunks
 	}
 	pl.levels = len(chunks)
 
@@ -343,15 +339,7 @@ func (pl *ActivityPlan) newEngine() *Activity {
 // Bytes is the plan's resident size.
 func (pl *ActivityPlan) Bytes() int {
 	n := pl.t.bytes() + pl.activationPlan.bytes() + pl.plan.bytes()
-	n += 4 * (len(pl.wordChunk) + len(pl.supSlot) + len(pl.slotSup) + len(pl.wordLo)*(pl.levels+1))
-	if pl.shard != nil {
-		for _, lv := range pl.shard.Chunks {
-			for _, sups := range lv {
-				n += 4 * len(sups)
-			}
-		}
-	}
-	return n
+	return n + 4*(len(pl.wordChunk)+len(pl.supSlot)+len(pl.slotSup)+len(pl.wordLo)*(pl.levels+1))
 }
 
 // NewActivity builds an essential-signal engine over its own plan:
@@ -574,11 +562,6 @@ func (e *Activity) commit() {
 // exited (with one worker there are none). It must not be called
 // concurrently with Step; calling it more than once is safe.
 func (e *Activity) Close() { e.pool.Close() }
-
-// Shard exposes the engine's thread-shard view (chunk membership and weight
-// metadata) for diagnostics; nil with one worker, whose schedule is a single
-// level of every supernode.
-func (e *Activity) Shard() *partition.ShardView { return e.pl.shard }
 
 func wordsEqual(st []uint64, a, b, w int32) bool {
 	for i := int32(0); i < w; i++ {

@@ -4,8 +4,8 @@
 //   - FullCycle: static topological-order evaluation of every node every
 //     cycle — the Verilator model (paper Listing 1). On an optimized graph it
 //     also stands in for Arcilator (expression optimization, no activity
-//     tracking). With N workers it levelizes the nodes and runs each level
-//     across them between barriers (Verilator -threads N).
+//     tracking). With N workers it runs the merged-level shard schedule
+//     over its nodes between barriers (Verilator -threads N).
 //   - Activity: the essential-signal engine (paper Listing 2/3/4) with
 //     per-supernode active bits. Configured with MFFC partitions and
 //     always-branchless activation it models ESSENT; with the enhanced
@@ -13,8 +13,11 @@
 //     and the reset slow path it is GSIM — and with N workers sharding the
 //     supernodes across barrier levels, GSIMMT.
 //
-// One worker is the degenerate schedule of both: a single level, run inline
-// on the caller with no goroutine and no barrier.
+// Both build their multi-worker schedule the same way, as a
+// partition.ShardView (Compiled.Shard): dependence levels merged until a
+// barrier is worth paying, each level split across the workers. One worker
+// is the degenerate schedule of both: a single level, run inline on the
+// caller with no goroutine and no barrier.
 //
 // Each engine splits into an immutable Plan — kernel stream, schedule, slot
 // layout, activation tables — built once per compiled design, and the
@@ -30,6 +33,7 @@ import (
 	"gsim/internal/bitvec"
 	"gsim/internal/emit"
 	"gsim/internal/ir"
+	"gsim/internal/partition"
 )
 
 // Sim is a cycle-accurate simulator instance.
@@ -112,10 +116,8 @@ type tables struct {
 	coded  []int32 // all node IDs with evaluation work, in ID (== topo) order
 	resets []resetGroup
 
-	// The barrier schedule's shape, reported by multi-worker engines (see
-	// obs.go); zero with one worker.
-	obsLevels     int
-	obsOrigLevels int
+	// The multi-worker schedule (see Shard); nil with one worker.
+	shard *partition.ShardView
 }
 
 // base carries the per-engine plumbing shared by every engine: the machine,
@@ -175,7 +177,27 @@ func (t *tables) bytes() int {
 	for _, rg := range t.resets {
 		n += 4 * len(rg.regs)
 	}
+	if v := t.shard; v != nil {
+		n += 4 * (len(v.LevelOf) + len(v.ShardOf))
+		for _, lv := range v.Chunks {
+			for _, sups := range lv {
+				n += 4 * len(sups)
+			}
+		}
+	}
 	return n
+}
+
+// Shard is the engine's multi-worker schedule: the merged-level shard view
+// (partition.Result.Shard) its workers sweep, over the design's partition
+// for Activity and over singleton supernodes for FullCycle. Nil with one
+// worker, whose schedule is a single level with no barrier.
+func (t *tables) Shard() *partition.ShardView { return t.shard }
+
+// instrWeight weighs a node by its compiled instruction count, the cost the
+// shard view balances.
+func instrWeight(p *emit.Program) func(id int32) int64 {
+	return func(id int32) int64 { return int64(p.Code[id].Len()) }
 }
 
 // newBase allocates an engine's machine: the program's persistent words and

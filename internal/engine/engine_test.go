@@ -29,7 +29,7 @@ func buildCounter(t *testing.T) (*emit.Program, *ir.Graph, *ir.Node, *ir.Node) {
 
 func TestFullCycleCounter(t *testing.T) {
 	p, _, en, c := buildCounter(t)
-	sim := NewFullCycle(p, nil, 1, EvalKernel)
+	sim := NewFullCycle(p, 1, EvalKernel)
 	sim.Poke(en.ID, bitvec.FromUint64(1, 1))
 	StepN(sim, 5)
 	if got := sim.Peek(c.ID).Uint64(); got != 5 {
@@ -100,14 +100,9 @@ func TestActivityModesAgree(t *testing.T) {
 func TestParallelMatchesFullCycle(t *testing.T) {
 	for _, threads := range []int{2, 3} {
 		p1, _, en1, c1 := buildCounter(t)
-		full := NewFullCycle(p1, nil, 1, EvalKernel)
-		p2, g2, en2, c2 := buildCounter(t)
-		order := make([]int32, len(g2.Nodes))
-		for i := range order {
-			order[i] = int32(i)
-		}
-		_, byLevel := g2.Levelize(order)
-		par := NewFullCycle(p2, byLevel, threads, EvalKernel)
+		full := NewFullCycle(p1, 1, EvalKernel)
+		p2, _, en2, c2 := buildCounter(t)
+		par := NewFullCycle(p2, threads, EvalKernel)
 		defer par.Close()
 		full.Poke(en1.ID, bitvec.FromUint64(1, 1))
 		par.Poke(en2.ID, bitvec.FromUint64(1, 1))
@@ -195,7 +190,7 @@ func TestResetSlowPath(t *testing.T) {
 
 func TestReferenceAgainstFullCycle(t *testing.T) {
 	p, g, en, c := buildCounter(t)
-	full := NewFullCycle(p, nil, 1, EvalKernel)
+	full := NewFullCycle(p, 1, EvalKernel)
 	ref, err := NewReference(g)
 	if err != nil {
 		t.Fatal(err)

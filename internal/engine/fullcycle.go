@@ -1,27 +1,35 @@
 package engine
 
 import (
+	"slices"
+
 	"gsim/internal/bitvec"
 	"gsim/internal/emit"
+	"gsim/internal/partition"
 )
 
 // FullCycle evaluates every node every cycle in topological order — the
 // paper's Listing 1, the Verilator scheduling model. The worker count is a
 // schedule over it.
 //
-// With more than one worker it is the stand-in for Verilator's -threads mode:
-// nodes are levelized (all nodes in one level are mutually independent given
-// earlier levels), and each level is split across persistent workers
-// separated by barriers (workerPool). Like the real thing, the fixed
-// per-level synchronization cost means small designs slow down while large
-// designs speed up — the shape Fig. 6 reports. One worker needs no barrier:
-// its schedule is one level holding every node in ID order, so a Step is a
-// single linear sweep over the whole instruction stream, run inline on the
-// caller.
+// With more than one worker it is the stand-in for Verilator's -threads mode,
+// and its schedule is the Activity engine's: the merged-level shard view
+// (partition.Result.Shard) over singleton supernodes. Nodes are levelized
+// over their dependences, consecutive sparse levels merge until a level
+// carries the adaptive grain's weight, and each scheduled level is split
+// across persistent workers separated by barriers (workerPool), with nodes
+// joined by an edge inside a merged level on one worker. Like the real
+// thing, the per-level synchronization cost means small designs slow down
+// while large designs speed up — the shape Fig. 6 reports. One worker needs
+// no barrier: its schedule is one level holding every node in ID order, so a
+// Step is a single linear sweep over the whole instruction stream, run
+// inline on the caller.
 //
 // Every (level, worker) chunk compiles into one chain of the plan's stream,
-// so a worker's share of a level is a single sweep with no per-node range
-// lookups. Worker w's chains run in temporary region w.
+// its nodes in ascending ID (== topological) order, so a worker's share of a
+// level is a single sweep with no per-node range lookups and every edge
+// inside the chunk runs source first. Worker w's chains run in temporary
+// region w.
 type FullCycle struct {
 	base
 	pl         *FullCyclePlan
@@ -40,45 +48,28 @@ type FullCyclePlan struct {
 
 // PlanFullCycle builds the full-cycle plan for a compiled program, swept by
 // threads workers (< 1 means one). The program's graph must have been
-// compacted in topological order (core.Build guarantees this). byLevel is
-// the graph's levelization (ir.Graph.Levelize), which only a multi-worker
-// schedule reads: one worker may pass nil.
-func PlanFullCycle(p *emit.Program, byLevel [][]int32, threads int, mode EvalMode) *FullCyclePlan {
+// compacted in topological order (core.Build guarantees this), and a
+// multi-worker plan walks its edges.
+func PlanFullCycle(p *emit.Program, threads int, mode EvalMode) *FullCyclePlan {
 	threads = max(threads, 1)
 	pl := &FullCyclePlan{t: newTables(p), threads: threads}
-	// chunks[lv][w] lists the nodes worker w sweeps at level lv.
-	var chunks [][][]int32
-	if threads == 1 {
-		chunks = [][][]int32{{pl.t.coded}}
-	} else {
-		// Split each level into per-worker chunks, skipping nodes with no
-		// code and balancing by instruction count.
-		for _, level := range byLevel {
-			var ids []int32
-			total := int64(0)
-			for _, id := range level {
-				if r := p.Code[id]; r.Len() > 0 {
-					ids = append(ids, id)
-					total += int64(r.Len())
+	// chunks[lv][w] lists the nodes worker w sweeps at level lv, ascending.
+	chunks := [][][]int32{{pl.t.coded}}
+	if threads > 1 {
+		part := partition.Build(p.Graph, partition.None, 1)
+		pl.t.shard = part.Shard(p.Graph, threads, instrWeight(p))
+		chunks = make([][][]int32, pl.t.shard.Levels)
+		for lv, level := range pl.t.shard.Chunks {
+			chunks[lv] = make([][]int32, threads)
+			for w, sups := range level {
+				ids := make([]int32, len(sups))
+				for i, s := range sups {
+					ids[i] = part.Members[s][0]
 				}
+				slices.Sort(ids)
+				chunks[lv][w] = ids
 			}
-			chunk := make([][]int32, threads)
-			if len(ids) > 0 {
-				per := total/int64(threads) + 1
-				w, acc := 0, int64(0)
-				for _, id := range ids {
-					chunk[w] = append(chunk[w], id)
-					acc += int64(p.Code[id].Len())
-					if acc >= per && w < threads-1 {
-						w++
-						acc = 0
-					}
-				}
-			}
-			chunks = append(chunks, chunk)
 		}
-		pl.t.obsLevels = len(chunks)
-		pl.t.obsOrigLevels = len(chunks)
 	}
 	pl.stream = emit.NewStream(p, mode)
 	pl.chains = make([][]emit.Span, len(chunks))
@@ -110,8 +101,8 @@ func (pl *FullCyclePlan) Bytes() int {
 
 // NewFullCycle builds a full-cycle engine over its own plan: PlanFullCycle
 // then NewEngine, for callers that build one engine of a program.
-func NewFullCycle(p *emit.Program, byLevel [][]int32, threads int, mode EvalMode) *FullCycle {
-	return PlanFullCycle(p, byLevel, threads, mode).newEngine()
+func NewFullCycle(p *emit.Program, threads int, mode EvalMode) *FullCycle {
+	return PlanFullCycle(p, threads, mode).newEngine()
 }
 
 // runLevel executes worker w's chunk of level lv.

@@ -53,7 +53,7 @@ func buildGangDesign(t *testing.T) (*emit.Program, *ir.Graph) {
 // essential-signal engine (gsim's).
 func lanePlans(p *emit.Program, g *ir.Graph) map[string]Plan {
 	return map[string]Plan{
-		"fullcycle": PlanFullCycle(p, nil, 1, EvalKernel),
+		"fullcycle": PlanFullCycle(p, 1, EvalKernel),
 		"activity": PlanActivity(p, partition.Build(g, partition.Enhanced, 4),
 			ActivityConfig{MultiBitCheck: true, Activation: ActCostModel}, 1, EvalKernel),
 	}

@@ -5,16 +5,19 @@ import (
 
 	"gsim/internal/bitvec"
 	"gsim/internal/emit"
+	"gsim/internal/partition"
 )
 
 // Compiled is a Sim over a compiled program — every engine but Reference:
-// it snapshots, traces and reports into a metrics bundle.
+// it snapshots, traces, reports into a metrics bundle and exposes its
+// multi-worker schedule.
 type Compiled interface {
 	Sim
 	Snapshotter
 	AttachTracer(Tracer)
 	AttachObs(*Metrics)
 	FlushObs()
+	Shard() *partition.ShardView
 }
 
 // Lanes steps K independent stimulus lanes in lockstep, each an ordinary

@@ -75,10 +75,10 @@ func (b *base) FlushObs() {
 		return
 	}
 	s, f := &b.stats, &b.obsFlushed
-	if b.obsLevels > 0 {
-		m.BarrierWaits.Add(satSub(s.Cycles, f.Cycles) * uint64(b.obsLevels))
-		m.SchedLevels.Set(float64(b.obsLevels))
-		m.SchedLevelsOrig.Set(float64(b.obsOrigLevels))
+	if v := b.shard; v != nil {
+		m.BarrierWaits.Add(satSub(s.Cycles, f.Cycles) * uint64(v.Levels))
+		m.SchedLevels.Set(float64(v.Levels))
+		m.SchedLevelsOrig.Set(float64(v.OrigLevels))
 	}
 	m.Cycles.Add(satSub(s.Cycles, f.Cycles))
 	m.NodeEvals.Add(satSub(s.NodeEvals, f.NodeEvals))

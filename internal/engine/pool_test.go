@@ -64,13 +64,8 @@ func TestWorkerPoolPanicContained(t *testing.T) {
 // the process survives, and the engine can still be closed.
 func TestParallelEngineInjectedPanic(t *testing.T) {
 	defer faultpoint.Reset()
-	p, g, en, _ := buildCounter(t)
-	order := make([]int32, len(g.Nodes))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	_, byLevel := g.Levelize(order)
-	sim := NewFullCycle(p, byLevel, 2, EvalKernel)
+	p, _, en, _ := buildCounter(t)
+	sim := NewFullCycle(p, 2, EvalKernel)
 	defer sim.Close()
 	sim.Poke(en.ID, bitvec.FromUint64(1, 1))
 	sim.Step()

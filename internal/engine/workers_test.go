@@ -175,13 +175,8 @@ func waitForGoroutines(t *testing.T, base int) {
 // produced correct results beforehand.
 func TestParallelCloseJoinsWorkers(t *testing.T) {
 	base := runtime.NumGoroutine()
-	p, g, en, _ := buildCounter(t)
-	order := make([]int32, len(g.Nodes))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	_, byLevel := g.Levelize(order)
-	sim := NewFullCycle(p, byLevel, 4, EvalKernel)
+	p, _, en, _ := buildCounter(t)
+	sim := NewFullCycle(p, 4, EvalKernel)
 	sim.Poke(en.ID, bitvec.FromUint64(1, 1))
 	StepN(sim, 3)
 	sim.Close()
@@ -208,7 +203,7 @@ func oneWorkerEngines(t *testing.T) (sims []Compiled, en *ir.Node) {
 	p, g, en, _ := buildCounter(t)
 	part := partition.Build(g, partition.Enhanced, 4)
 	return []Compiled{
-		NewFullCycle(p, nil, 1, EvalKernel),
+		NewFullCycle(p, 1, EvalKernel),
 		NewActivity(p, part, ActivityConfig{MultiBitCheck: true, Activation: ActCostModel}, 1, EvalKernel),
 	}, en
 }
@@ -268,10 +263,10 @@ func TestOneWorkerInjectedPanic(t *testing.T) {
 
 // TestOneWorkerSchedulesNoBarriers: a one-worker engine reports no barrier
 // waits and no scheduled levels on /metrics, and the same engine at two
-// workers reports both.
+// workers reports both — its merged-level schedule, never deeper than the
+// dependence levels it merged, which Shard exposes too.
 func TestOneWorkerSchedulesNoBarriers(t *testing.T) {
 	p, g, en, _ := buildCounter(t)
-	_, byLevel := g.Levelize(identityOrder(len(g.Nodes)))
 	part := partition.Build(g, partition.Enhanced, 4)
 	cfg := ActivityConfig{MultiBitCheck: true, Activation: ActCostModel}
 	for _, c := range []struct {
@@ -279,9 +274,9 @@ func TestOneWorkerSchedulesNoBarriers(t *testing.T) {
 		sim  Compiled
 		want bool
 	}{
-		{"fullcycle-1T", NewFullCycle(p, nil, 1, EvalKernel), false},
+		{"fullcycle-1T", NewFullCycle(p, 1, EvalKernel), false},
 		{"activity-1T", NewActivity(p, part, cfg, 1, EvalKernel), false},
-		{"fullcycle-2T", NewFullCycle(p, byLevel, 2, EvalKernel), true},
+		{"fullcycle-2T", NewFullCycle(p, 2, EvalKernel), true},
 		{"activity-2T", NewActivity(p, part, cfg, 2, EvalKernel), true},
 	} {
 		reg := obs.NewRegistry()
@@ -301,16 +296,15 @@ func TestOneWorkerSchedulesNoBarriers(t *testing.T) {
 		cycles, _ := scrape.Value("gsim_engine_cycles_total")
 		waits, _ := scrape.Value("gsim_engine_barrier_waits_total")
 		levels, _ := scrape.Value("gsim_engine_sched_levels")
+		orig, _ := scrape.Value("gsim_engine_sched_levels_orig")
 		if cycles != 5 || (waits > 0) != c.want || (levels > 0) != c.want {
 			t.Fatalf("%s: cycles=%v barrier_waits=%v sched_levels=%v, want barriers %v", c.name, cycles, waits, levels, c.want)
 		}
+		if orig < levels {
+			t.Fatalf("%s: sched_levels_orig=%v < sched_levels=%v", c.name, orig, levels)
+		}
+		if sv := c.sim.Shard(); (sv != nil) != c.want || sv != nil && (float64(sv.Levels) != levels || float64(sv.OrigLevels) != orig) {
+			t.Fatalf("%s: Shard() = %+v, want the scraped schedule %v -> %v", c.name, sv, orig, levels)
+		}
 	}
-}
-
-func identityOrder(n int) []int32 {
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	return order
 }

@@ -238,27 +238,20 @@ func TestPlacementAffinity(t *testing.T) {
 }
 
 // TestRouterRefusesRemovedField: a create body naming a removed spec field
-// ("eval", "coarsen") is refused by the router itself, with the replica's
-// 400 naming the field, and is placed nowhere: no session is created and no
-// replica compiles or pins a design.
+// ("eval", "coarsen") or a worker count outside [0, 64] is refused by the
+// router itself, with the replica's 400 naming the field, and is placed
+// nowhere: no session is created and no replica compiles or pins a design.
 func TestRouterRefusesRemovedField(t *testing.T) {
 	fl := newTestFleet(t, "r1")
 	for _, removed := range []string{`"eval": "interp"`, `"coarsen": true`, `"coarsen": false`} {
 		field, _, _ := strings.Cut(removed, ":")
 		body := fmt.Sprintf(`{"firrtl": %q, "threads": 2, %s}`, readDesign(t, "counter.fir"), removed)
-		resp, err := http.Post(fl.router.URL+"/v1/sessions", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var refusal struct{ Error string }
-		err = json.NewDecoder(resp.Body).Decode(&refusal)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(refusal.Error, field) {
-			t.Fatalf("create naming %s: status %d, error %q; want 400 naming the field", field, resp.StatusCode, refusal.Error)
-		}
+		refuseCreate(t, fl.router.URL, body, field)
+	}
+	// A worker count outside [0, 64] is refused before placement.
+	for _, threads := range []int{-1, 65, 10_000_000} {
+		body := fmt.Sprintf(`{"firrtl": %q, "engine": "verilator", "threads": %d}`, readDesign(t, "counter.fir"), threads)
+		refuseCreate(t, fl.router.URL, body, `"threads"`)
 	}
 	var list []RoutedSessionInfo
 	if status := doJSON(t, "GET", fl.router.URL+"/v1/sessions", nil, &list); status != http.StatusOK || len(list) != 0 {
@@ -268,6 +261,25 @@ func TestRouterRefusesRemovedField(t *testing.T) {
 		if n, st := m.SessionCount(), m.CacheStats(); n != 0 || st.Designs != 0 || st.Misses != 0 {
 			t.Fatalf("replica %s after the refusals: %d sessions, cache %+v", name, n, st)
 		}
+	}
+}
+
+// refuseCreate posts a create body to the router and requires a 400 whose
+// error names field.
+func refuseCreate(t *testing.T, router, body, field string) {
+	t.Helper()
+	resp, err := http.Post(router+"/v1/sessions", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refusal struct{ Error string }
+	err = json.NewDecoder(resp.Body).Decode(&refusal)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(refusal.Error, field) {
+		t.Fatalf("create naming %s: status %d, error %q; want 400 naming the field", field, resp.StatusCode, refusal.Error)
 	}
 }
 

@@ -180,8 +180,8 @@ func GSIMMTSweep(designs []Design, threadCounts []int, b Budget) ([]GSIMMTRow, e
 				if base > 0 {
 					row.Speedup = hz / base
 				}
-				if a, ok := sys.Sim.(*engine.Activity); ok && a.Shard() != nil {
-					row.OrigLevels, row.Levels = a.Shard().OrigLevels, a.Shard().Levels
+				if sv := sys.Sim.Shard(); sv != nil {
+					row.OrigLevels, row.Levels = sv.OrigLevels, sv.Levels
 				}
 				rows = append(rows, row)
 			}

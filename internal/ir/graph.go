@@ -264,35 +264,6 @@ func (g *Graph) TopoOrder() ([]int32, error) {
 	return order, nil
 }
 
-// Levelize assigns each node a level: inputs and registers at level 0, every
-// other node at 1 + max(level of combinational predecessors). It returns the
-// level of each node and the nodes grouped per level (IDs ascending). The
-// grouping drives the parallel full-cycle engine: all nodes in one level are
-// independent given the previous levels.
-func (g *Graph) Levelize(order []int32) (levels []int32, byLevel [][]int32) {
-	levels = make([]int32, len(g.Nodes))
-	maxLevel := int32(0)
-	for _, id := range order {
-		v := g.Nodes[id]
-		lv := int32(0)
-		v.EachRef(func(u *Node) {
-			if u.Kind != KindReg && u.Kind != KindInput && levels[u.ID]+1 > lv {
-				lv = levels[u.ID] + 1
-			}
-		})
-		levels[id] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-	}
-	byLevel = make([][]int32, maxLevel+1)
-	for _, id := range order {
-		lv := levels[id]
-		byLevel[lv] = append(byLevel[lv], id)
-	}
-	return levels, byLevel
-}
-
 // Validate checks structural invariants: widths consistent with operator
 // rules, references to live nodes, register init widths, memory port shapes,
 // and acyclicity. It returns the first problem found.

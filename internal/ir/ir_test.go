@@ -247,20 +247,6 @@ func TestEvalExprMatchesBitvec(t *testing.T) {
 	}
 }
 
-func TestLevelize(t *testing.T) {
-	g, _ := buildAdder(t)
-	order, _ := g.TopoOrder()
-	levels, byLevel := g.Levelize(order)
-	if len(byLevel) < 2 {
-		t.Fatalf("expected >= 2 levels, got %d", len(byLevel))
-	}
-	sum := g.FindNode("sum")
-	out := g.FindNode("out")
-	if levels[sum.ID] >= levels[out.ID] {
-		t.Fatal("out should be at a deeper level than sum")
-	}
-}
-
 func TestStatsCounts(t *testing.T) {
 	g, _ := buildAdder(t)
 	s := g.ComputeStats()

@@ -6,10 +6,10 @@ import (
 	"gsim/internal/ir"
 )
 
-// ShardView distributes a partition's supernodes across thread shards for
-// parallel essential-signal evaluation. It is the one schedule
-// engine.Activity executes at more than one worker: workers sweep level by
-// level with a barrier between levels.
+// ShardView distributes a partition's supernodes across thread shards. It is
+// the one multi-worker schedule of both engines: engine.Activity shards the
+// design's partition, engine.FullCycle the singleton partition (None).
+// Workers sweep level by level with a barrier between levels.
 //
 // Supernodes are first levelized over the dependence condensation (all
 // supernodes in one level are mutually independent given earlier levels).
@@ -126,29 +126,19 @@ func (r *Result) shard(g *ir.Graph, threads int, nodeWeight func(id int32) int64
 	for s := 0; s < n; s++ {
 		lv := int32(0)
 		for _, id := range r.Members[s] {
-			node := g.Nodes[id]
 			if nodeWeight != nil {
 				weights[s] += nodeWeight(id)
 			} else {
 				weights[s]++
 			}
-			node.EachExpr(func(slot **ir.Expr) {
-				(*slot).Walk(func(e *ir.Expr) {
-					if e.Op != ir.OpRef {
-						return
-					}
-					u := e.Node
-					if u.Kind == ir.KindReg || u.Kind == ir.KindInput {
-						return
-					}
-					us := r.SupOf[u.ID]
-					if us < 0 || us == int32(s) {
-						return
-					}
-					if l := origLevel[us] + 1; l > lv {
-						lv = l
-					}
-				})
+			g.Nodes[id].EachRef(func(u *ir.Node) {
+				if u.Kind == ir.KindReg || u.Kind == ir.KindInput {
+					return
+				}
+				us := r.SupOf[u.ID]
+				if us >= 0 && us != int32(s) && origLevel[us]+1 > lv {
+					lv = origLevel[us] + 1
+				}
 			})
 		}
 		origLevel[s] = lv
@@ -210,27 +200,17 @@ func (r *Result) shard(g *ir.Graph, threads int, nodeWeight func(id int32) int64
 			if sv < 0 {
 				continue
 			}
-			node.EachExpr(func(slot **ir.Expr) {
-				(*slot).Walk(func(e *ir.Expr) {
-					if e.Op != ir.OpRef {
-						return
-					}
-					u := e.Node
-					if u.Kind == ir.KindReg || u.Kind == ir.KindInput {
-						return
-					}
-					su := r.SupOf[u.ID]
-					if su < 0 || su == sv {
-						return
-					}
-					if runOf[origLevel[su]] != runOf[origLevel[sv]] {
-						return
-					}
-					ra, rb := find(root, su), find(root, sv)
-					if ra != rb {
-						root[rb] = ra
-					}
-				})
+			node.EachRef(func(u *ir.Node) {
+				if u.Kind == ir.KindReg || u.Kind == ir.KindInput {
+					return
+				}
+				su := r.SupOf[u.ID]
+				if su < 0 || su == sv || runOf[origLevel[su]] != runOf[origLevel[sv]] {
+					return
+				}
+				if ra, rb := find(root, su), find(root, sv); ra != rb {
+					root[rb] = ra
+				}
 			})
 		}
 	}

@@ -54,9 +54,13 @@ type CreateRequest struct {
 	Coarsen json.RawMessage `json:"coarsen,omitempty"`
 }
 
-// Validate refuses a create body without a design source or naming a
-// removed field. The server and the fleet router both apply it.
+// Validate refuses a create body without a design source, naming a removed
+// field or carrying a spec no session may run. The server and the fleet
+// router both apply it.
 func (r *CreateRequest) Validate() error {
+	if err := r.SessionSpec.validate(); err != nil {
+		return err
+	}
 	if r.Eval != nil {
 		return errors.New(`the session spec field "eval" was removed: every session runs the fused kernel stream`)
 	}

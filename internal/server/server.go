@@ -85,6 +85,10 @@ const minReapInterval = time.Millisecond
 // maxLanes caps a session's lane count: the engine's live set is one word.
 const maxLanes = 64
 
+// maxThreads caps a session's worker count: every lane of a multi-worker
+// session starts threads worker goroutines.
+const maxThreads = 64
+
 // maxTraceBytesPerLane caps each lane's in-memory VCD capture. A traced lane
 // that outgrows the cap keeps simulating; the waveform is truncated and
 // flagged, never the session killed.
@@ -161,11 +165,24 @@ type SessionSpec struct {
 	TraceResume bool `json:"trace_resume,omitempty"`
 }
 
+// validate refuses a spec no session may run: a worker count outside
+// [0, maxThreads]. Every session create (through coreConfig) and
+// CreateRequest.Validate call it, so the router refuses before placement.
+func (sp SessionSpec) validate() error {
+	if sp.Threads < 0 || sp.Threads > maxThreads {
+		return fmt.Errorf(`server: the session spec field "threads" is %d, outside [0,%d]`, sp.Threads, maxThreads)
+	}
+	return nil
+}
+
 // coreConfig resolves the spec to a core configuration, mirroring cmd/gsim's
 // flag handling so a server session and a CLI run with the same knobs build
 // the same simulator.
 func (sp SessionSpec) coreConfig() (core.Config, error) {
 	var cfg core.Config
+	if err := sp.validate(); err != nil {
+		return cfg, err
+	}
 	engineName := sp.Engine
 	if engineName == "" {
 		engineName = "gsim"

@@ -299,6 +299,23 @@ func TestHTTPErrors(t *testing.T) {
 				removed.field, removed.value, resp.StatusCode, refusal.Error)
 		}
 	}
+	// A worker count outside [0, maxThreads] is refused before it compiles a
+	// cache entry or starts a goroutine, over HTTP and through the Go API.
+	g, err := firrtl.Load(readDesign(t, "counter.fir"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, threads := range []int{-1, maxThreads + 1, 10_000_000} {
+		var refusal struct{ Error string }
+		body := map[string]any{"firrtl": readDesign(t, "counter.fir"), "engine": "verilator", "threads": threads}
+		if resp := postJSON(t, ts.URL+"/v1/sessions", body, &refusal); resp.StatusCode != http.StatusBadRequest ||
+			!strings.Contains(refusal.Error, `"threads"`) {
+			t.Fatalf("threads %d: status %d, error %q; want 400 naming the field", threads, resp.StatusCode, refusal.Error)
+		}
+		if _, err := m.CreateSessionGraph(g, "counter", SessionSpec{Threads: threads}); err == nil || !strings.Contains(err.Error(), `"threads"`) {
+			t.Fatalf("CreateSessionGraph with threads %d returned %v, want a refusal naming the field", threads, err)
+		}
+	}
 	if n := m.SessionCount(); n != 0 {
 		t.Fatalf("%d sessions open after the refusals, want 0", n)
 	}

@@ -359,7 +359,7 @@ func TestVCDDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := engine.NewFullCycle(p, nil, 1, engine.EvalKernel)
+	sim := engine.NewFullCycle(p, 1, engine.EvalKernel)
 	var sb strings.Builder
 	v, err := NewVCD(&sb, p, nil, Options{Sync: true})
 	if err != nil {
