@@ -76,6 +76,13 @@ func scheduleSummary(sv *partition.ShardView) string {
 		sv.Imbalance(), sv.OrigLevels, sv.Levels, sv.Levels)
 }
 
+// registerSummary is a full-cycle plan's register commit line: how many
+// registers the one-worker sweep updates in place, and why the others go
+// through the commit list.
+func registerSummary(rp engine.RegPlacement) string {
+	return fmt.Sprintf("registers in place: %d of %d (cycles %d, wide %d)", rp.InPlace, rp.Regs, rp.Cyclic, rp.Wide)
+}
+
 func main() {
 	live := flag.String("live", "", "base URL of a running gsim-serve/gsim-router; scrape its /metrics twice and render rates instead of the synthetic suite")
 	interval := flag.Duration("interval", 2*time.Second, "gap between the two -live scrapes")
@@ -379,9 +386,10 @@ func main() {
 // printRetained compiles g under cfg and prints the heap the compiled design
 // keeps alive — the HeapAlloc delta across the compile, each side read after
 // two GCs — next to the compile cache's cost of it and that cost's parts,
-// then the design's state image layout: persistent words, the words of one
-// temporary region, and the regions an engine of cfg allocates, one per
-// worker.
+// then the design's state image layout: persistent words, next values, the
+// words of one temporary region, and the regions an engine of cfg
+// allocates, one per worker; and for a full-cycle design, how its registers
+// commit (registerSummary).
 func printRetained(design string, g *ir.Graph, cfg core.Config) {
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -400,9 +408,13 @@ func printRetained(design string, g *ir.Graph, cfg core.Config) {
 		design, cd.Config.Engine, float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/mb, float64(f.Total())/mb,
 		float64(f.Code)/mb, float64(f.Data)/mb, float64(f.Mem)/mb, float64(f.Plan)/mb, float64(f.Graph)/mb)
 	// The state image split: what every engine, snapshot and migration
-	// carries (state) against the scratch each worker owns (temps).
-	fmt.Printf("layout[%s %s] state=%d temps=%d regions=%d\n",
-		design, cd.Config.Engine, cd.Prog.StateWords, cd.Prog.TempWords, max(cd.Config.Threads, 1))
+	// carries (state) against the scratch: registers' next values (next)
+	// and the temporaries each worker owns (temps).
+	fmt.Printf("layout[%s %s] state=%d next=%d temps=%d regions=%d\n",
+		design, cd.Config.Engine, cd.Prog.StateWords, cd.Prog.NextWords, cd.Prog.TempWords, max(cd.Config.Threads, 1))
+	if fc, ok := cd.Plan().(*engine.FullCyclePlan); ok {
+		fmt.Printf("layout[%s %s] %s\n", design, cd.Config.Engine, registerSummary(fc.Registers()))
+	}
 	runtime.KeepAlive(cd)
 }
 

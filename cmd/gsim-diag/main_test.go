@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gsim/internal/core"
+	"gsim/internal/engine"
 	"gsim/internal/gen"
 	"gsim/internal/harness"
 	"gsim/internal/ir"
@@ -57,4 +58,31 @@ func TestScheduleSummary(t *testing.T) {
 		}
 		t.Logf("%s:%s", c.cfg.Name, got)
 	}
+}
+
+// TestRegisterSummary: the full-cycle plan's register line, and on the
+// synthetic profile under the Verilator preset every register updates in
+// place (rocket-like: 12 529 of 12 529; stucore-like under -short).
+func TestRegisterSummary(t *testing.T) {
+	if got, want := registerSummary(engine.RegPlacement{InPlace: 2, Regs: 5, Cyclic: 2, Wide: 1}),
+		"registers in place: 2 of 5 (cycles 2, wide 1)"; got != want {
+		t.Fatalf("registerSummary: %q, want %q", got, want)
+	}
+	prof := gen.RocketLike()
+	if testing.Short() {
+		prof = gen.StuCoreLike()
+	}
+	src, _, err := harness.Synthetic(prof).Build(harness.WorkloadCoreMark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd, err := core.CompileDesign(src, core.Verilator())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := cd.Plan().(*engine.FullCyclePlan).Registers()
+	if rp.Regs == 0 || rp.InPlace != rp.Regs || rp.Cyclic != 0 || rp.Wide != 0 {
+		t.Fatalf("%s: %s, want every register in place", prof.Name, registerSummary(rp))
+	}
+	t.Logf("%s: %s", prof.Name, registerSummary(rp))
 }

@@ -131,6 +131,10 @@ func (d *CompiledDesign) buildPlan() (err error) {
 	return nil
 }
 
+// Plan returns the design's engine plan, read-only: an
+// *engine.FullCyclePlan or an *engine.ActivityPlan.
+func (d *CompiledDesign) Plan() engine.Plan { return d.plan }
+
 // DesignHash returns the compiled program's identity hash (hex) — the
 // snapshot compatibility key.
 func (d *CompiledDesign) DesignHash() string { return d.Prog.DesignHashString() }

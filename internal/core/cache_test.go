@@ -62,7 +62,7 @@ func TestCompileDesignRefusesCorruptProgram(t *testing.T) {
 				}
 				d.Prog.Instrs[0].D = int32(prog.NumWords)
 				if past == "last region" {
-					d.Prog.Instrs[0].D = int32(prog.StateWords + max(cfg.Threads, 1)*prog.TempWords)
+					d.Prog.Instrs[0].D = int32(prog.TempBase() + max(cfg.Threads, 1)*prog.TempWords)
 				}
 				if err := d.buildPlan(); err == nil || !strings.Contains(err.Error(), "refusing instruction") {
 					t.Errorf("%s/%s, past the %s: planning a corrupt program returned %v, want the refusal", cfg.Name, mode, past, err)

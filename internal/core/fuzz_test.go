@@ -87,9 +87,10 @@ func parseFIRRTL(data []byte) *ir.Graph {
 // compiler: for every fuzz input, decode a design, then run the fused kernel
 // pipeline, the pre-fusion kernel baseline, the reference interpreter, and
 // the independent ir-reference oracle in lockstep, failing on any state or
-// stat divergence. Every temporary region is filled with random words before
-// every Step, and only the persistent words are compared: temporaries are
-// scratch, so stale ones must never reach a result. The seed corpus is the
+// stat divergence. Every temporary region and the next region are filled
+// with random words before every Step, and only the persistent words are
+// compared: temporaries and next values are scratch, so stale ones must
+// never reach a result. The seed corpus is the
 // committed testdata designs plus a handful of byte seeds for the generator
 // path; `go test -fuzz=FuzzKernelLockstep` explores from there (CI runs a
 // 30s smoke).
@@ -106,6 +107,8 @@ func FuzzKernelLockstep(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(padFoldFIRRTL))
+	f.Add([]byte(swapFIRRTL))
+	f.Add([]byte(noNodesFIRRTL))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte("gsim"))
 	f.Add([]byte{0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88, 0x40, 0x02, 0x07, 0x50, 0x01, 0x03, 0x02})
@@ -257,6 +260,7 @@ func FuzzKernelLockstep(f *testing.F) {
 			lane1Live := rngL1.Intn(6) != 0
 			for _, sim := range []engine.Sim{sysK.Sim, simNF, simI, sim2, simF2, simS} {
 				poisonTemps(sim, rngP)
+				poisonNext(sim, rngP)
 			}
 			ref.Step()
 			sysK.Sim.Step()

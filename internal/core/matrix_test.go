@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gsim/internal/bitvec"
@@ -276,4 +277,69 @@ func newLanes(pl engine.Plan, k int) *engine.Lanes {
 		engs[l] = pl.NewEngine()
 	}
 	return engine.NewLanes(engs)
+}
+
+// TestFullCycleShardMatchesNonePartition: the multi-worker full-cycle plan
+// shards partition.Singletons, which walks no edge, instead of
+// partition.Build(g, None, 1). Both are the singleton partition, numbered
+// in ID order and in Build's DFS order, so the schedules must agree on the
+// optimized stucore-like and rocket-like designs at 2 and 4 workers: the
+// same levels, every node on the same level, and every (level, worker)
+// chunk carrying the same weight. Which worker takes which of several
+// equally heavy components may differ: the shard view breaks that tie by
+// supernode index, the only thing the two numberings change.
+func TestFullCycleShardMatchesNonePartition(t *testing.T) {
+	names, profiles := []string{"stucore-like"}, []gen.Profile{gen.StuCoreLike()}
+	if !testing.Short() {
+		names, profiles = append(names, "rocket-like"), append(profiles, gen.RocketLike())
+	}
+	for i, prof := range profiles {
+		og, _, err := Optimize(gen.BuildProfile(prof), Verilator().Opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := emit.Compile(og)
+		if err != nil {
+			t.Fatal(err)
+		}
+		none, single := partition.Build(og, partition.None, 1), partition.Singletons(og)
+		weight := func(id int32) int64 { return int64(prog.Code[id].Len()) }
+		for _, threads := range []int{2, 4} {
+			want := none.Shard(og, threads, weight)
+			sim := engine.NewFullCycle(prog, threads, engine.EvalKernel)
+			got := sim.Shard()
+			sim.Close()
+			if got.Levels != want.Levels || got.OrigLevels != want.OrigLevels || !slices.EqualFunc(got.ChunkWeight, want.ChunkWeight, slices.Equal) {
+				t.Fatalf("%s %dT: levels %d->%d weights %v, Build(None) gives %d->%d weights %v", names[i], threads,
+					got.OrigLevels, got.Levels, got.ChunkWeight, want.OrigLevels, want.Levels, want.ChunkWeight)
+			}
+			same := 0
+			for lv := range want.Chunks {
+				for w, sups := range got.Chunks[lv] {
+					var sum int64
+					ids := make([]int32, 0, len(sups))
+					for _, s := range sups {
+						id := single.Members[s][0]
+						if lvNone := want.LevelOf[none.SupOf[id]]; lvNone != int32(lv) {
+							t.Fatalf("%s %dT: node %d on level %d, Build(None) puts it on %d", names[i], threads, id, lv, lvNone)
+						}
+						sum += weight(id)
+						ids = append(ids, id)
+					}
+					if sum != want.ChunkWeight[lv][w] {
+						t.Fatalf("%s %dT level %d worker %d: weight %d, want %d", names[i], threads, lv, w, sum, want.ChunkWeight[lv][w])
+					}
+					wantIDs := make([]int32, 0, len(ids))
+					for _, s := range want.Chunks[lv][w] {
+						wantIDs = append(wantIDs, none.Members[s][0])
+					}
+					slices.Sort(wantIDs)
+					if slices.Equal(ids, wantIDs) {
+						same++
+					}
+				}
+			}
+			t.Logf("%s %dT: %d levels, %d of %d chunks hold the same nodes", names[i], threads, got.Levels, same, got.Levels*threads)
+		}
+	}
 }

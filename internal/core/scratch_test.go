@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"gsim/internal/bitvec"
+	"gsim/internal/emit"
 	"gsim/internal/engine"
+	"gsim/internal/firrtl"
 	"gsim/internal/gen"
 	"gsim/internal/ir"
 )
@@ -23,21 +25,48 @@ func persistent(sim engine.Sim) []uint64 {
 // poisonTemps fills every temporary region of sim's image with random words.
 func poisonTemps(sim engine.Sim, rng *rand.Rand) {
 	m := sim.Machine()
-	for i := m.Prog.StateWords; i < len(m.State); i++ {
-		m.State[i] = rng.Uint64()
+	poisonWords(m.State[m.Prog.TempBase():], rng)
+}
+
+// poisonNext fills the next region of sim's image, every register's next
+// value, with random words.
+func poisonNext(sim engine.Sim, rng *rand.Rand) {
+	m := sim.Machine()
+	poisonWords(m.State[m.Prog.StateWords:m.Prog.TempBase()], rng)
+}
+
+func poisonWords(ws []uint64, rng *rand.Rand) {
+	for i := range ws {
+		ws[i] = rng.Uint64()
 	}
 }
 
-// TestTemporariesAreScratch pins the layout's one assumption: a temporary
-// is always written before it is read inside its node's range, so whatever
-// a region holds between Steps never reaches a result. Every temporary
-// region is filled with random words before every Step, across both
-// engines, the kernel and interp stream modes and 1, 2 and 4 workers, and
-// the persistent words must track the reference oracle every cycle. Random
-// upper bits in a reused word also pin the masked-storage invariant unpad
-// relies on: a kernel that read a stale word past its operand's width would
-// leak them.
+// TestTemporariesAreScratch pins the layout's one assumption about
+// temporaries: a temporary is always written before it is read inside its
+// node's range, so whatever a region holds between Steps never reaches a
+// result. Random upper bits in a reused word also pin the masked-storage
+// invariant unpad relies on: a kernel that read a stale word past its
+// operand's width would leak them.
 func TestTemporariesAreScratch(t *testing.T) {
+	checkScratch(t, "temporaries", poisonTemps, func(p *emit.Program) int { return p.TempWords })
+}
+
+// TestNextValuesAreScratch pins the same for registers' next values: each
+// engine writes a register's next word before it commits or compares it in
+// the same Step — or, in the one-worker full-cycle sweep, stores most of
+// them straight into the current words — so the next region carries
+// nothing from one Step to the next.
+func TestNextValuesAreScratch(t *testing.T) {
+	checkScratch(t, "next values", poisonNext, func(p *emit.Program) int { return p.NextWords })
+}
+
+// checkScratch fills one scratch region of every engine's image with random
+// words (poison) before every Step, across both engines, the kernel and
+// interp stream modes and 1, 2 and 4 workers, and requires the persistent
+// words and every Peek to track the reference oracle every cycle. words is
+// the region's size, which every design must have some of.
+func checkScratch(t *testing.T, what string, poison func(engine.Sim, *rand.Rand), words func(*emit.Program) int) {
+	t.Helper()
 	cycles := 40
 	if testing.Short() {
 		cycles = 15
@@ -45,7 +74,7 @@ func TestTemporariesAreScratch(t *testing.T) {
 	names, graphs := lockstepDesigns(t)
 	var designs []int
 	for i, name := range names {
-		if name == "padfold" || strings.HasPrefix(name, "gen") {
+		if name == "padfold" || name == "swap" || strings.HasPrefix(name, "gen") {
 			designs = append(designs, i)
 		}
 	}
@@ -59,8 +88,8 @@ func TestTemporariesAreScratch(t *testing.T) {
 			t.Fatalf("%s: %v", names[di], err)
 		}
 		prog := analyzable(t, g, sys)
-		if prog.TempWords == 0 {
-			t.Fatalf("%s: no temporaries to poison", names[di])
+		if words(prog) == 0 {
+			t.Fatalf("%s: no %s to poison", names[di], what)
 		}
 		ref, err := engine.NewReference(prog.Graph)
 		if err != nil {
@@ -87,7 +116,7 @@ func TestTemporariesAreScratch(t *testing.T) {
 			}
 			ref.Step()
 			for _, ms := range sims {
-				poisonTemps(ms.sim, rng)
+				poison(ms.sim, rng)
 				ms.sim.Step()
 			}
 			for _, n := range prog.Graph.Nodes {
@@ -112,5 +141,44 @@ func TestTemporariesAreScratch(t *testing.T) {
 			ms.sim.Close()
 		}
 		sys.Close()
+	}
+}
+
+// TestFullCycleRegisterPlacement: the swap design's one-worker full-cycle
+// plan updates c and s in place and commits the swap pair (a register read
+// cycle) and the wide w through the commit list; an interp stream cannot
+// redirect a store, and a multi-worker plan updates nothing in place.
+// Every register of the stucore-like profile is in place.
+func TestFullCycleRegisterPlacement(t *testing.T) {
+	swap, err := firrtl.Load(swapFIRRTL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := Build(swap, Verilator())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	prog := analyzable(t, swap, sys)
+	for _, c := range []struct {
+		threads int
+		mode    engine.EvalMode
+		want    engine.RegPlacement
+	}{
+		{1, engine.EvalKernel, engine.RegPlacement{InPlace: 2, Regs: 5, Cyclic: 2, Wide: 1}},
+		{1, engine.EvalKernelNoFuse, engine.RegPlacement{InPlace: 2, Regs: 5, Cyclic: 2, Wide: 1}},
+		{1, engine.EvalInterp, engine.RegPlacement{InPlace: 0, Regs: 5, Cyclic: 2, Wide: 1}},
+		{2, engine.EvalKernel, engine.RegPlacement{Regs: 5}},
+	} {
+		if got := engine.PlanFullCycle(prog, c.threads, c.mode).Registers(); got != c.want {
+			t.Errorf("swap %dT/%s: %+v, want %+v", c.threads, c.mode, got, c.want)
+		}
+	}
+	stu, err := CompileDesign(gen.BuildProfile(gen.StuCoreLike()), Verilator())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rp := stu.Plan().(*engine.FullCyclePlan).Registers(); rp.InPlace != rp.Regs || rp.Regs == 0 {
+		t.Errorf("stucore-like: %+v, want every register in place", rp)
 	}
 }

@@ -32,13 +32,13 @@ import (
 //
 // Safety: kernels address the state image through unsafe.Add. Every
 // instruction is validated once, as it is appended: each operand lies in
-// the persistent words or in one temporary region of p, and a memory read
-// names one of p's memories. The chain then moves into its region, inside
-// the stream's region count. Every machine a stream runs has p's memory
-// shapes and at least that many regions: NewMachineRegions allocates them
-// and nothing reallocates them (Reset, Poke and restores copy into them in
-// place). CheckMachine asserts that once, where an engine binds a machine
-// to a stream, not on every Run.
+// the persistent words, the next region or one temporary region of p, and
+// a memory read names one of p's memories. The chain then moves into its
+// region, inside the stream's region count. Every machine a stream runs has
+// p's memory shapes and at least that many regions: NewMachineRegions
+// allocates them and nothing reallocates them (Reset, Poke and restores
+// copy into them in place). CheckMachine asserts that once, where an engine
+// binds a machine to a stream, not on every Run.
 
 // Op is one instruction's operand record: byte offsets into the state image
 // and the widths the kernel masks with (at most 64: only instructions whose
@@ -123,8 +123,8 @@ func (s *Stream) CheckMachine(m *Machine) {
 		ok = len(m.Mems[i]) == len(p.Mems[i].Init)
 	}
 	if !ok {
-		panic(fmt.Sprintf("emit: a machine not shaped like its stream's program (%d state words for %d persistent ones and %d temporary regions of %d)",
-			len(m.State), p.StateWords, s.regions, p.TempWords))
+		panic(fmt.Sprintf("emit: a machine not shaped like its stream's program (%d state words for %d persistent ones, %d next values and %d temporary regions of %d)",
+			len(m.State), p.StateWords, p.NextWords, s.regions, p.TempWords))
 	}
 }
 
@@ -174,9 +174,26 @@ func (s *Stream) AppendNodes(ids []int32) Span { return s.AppendNodesIn(ids, 0) 
 // nodes fuses as it did before the nodes shared a region. Every
 // instruction is validated as Append validates it, in every mode, before
 // it moves into the region.
-func (s *Stream) AppendNodesIn(ids []int32, region int) Span {
+func (s *Stream) AppendNodesIn(ids []int32, region int) Span { return s.appendNodes(ids, region, nil) }
+
+// AppendNodesInPlace appends the given nodes' code ranges as one chain in
+// the first temporary region, like AppendNodes, except that every register
+// for which inPlace is true stores its next value straight into its current
+// word: the chain redirects the register's final store, the only
+// instruction touching its next word (Program.InPlaceCandidate, else a
+// panic). The order must then also put every reader of such a register's
+// current value before it. An interp stream runs the program's own
+// instructions, which cannot be redirected, so it refuses.
+func (s *Stream) AppendNodesInPlace(ids []int32, inPlace func(id int32) bool) Span {
+	if s.mode == Interp {
+		panic("emit: an interp stream cannot redirect register stores")
+	}
+	return s.appendNodes(ids, 0, inPlace)
+}
+
+func (s *Stream) appendNodes(ids []int32, region int, inPlace func(id int32) bool) Span {
 	p := s.p
-	if region < 0 || int64(p.StateWords)+int64(region+1)*int64(p.TempWords) > math.MaxInt32/8 { // byte offsets are int32
+	if region < 0 || int64(p.TempBase())+int64(region+1)*int64(p.TempWords) > math.MaxInt32/8 { // byte offsets are int32
 		panic(fmt.Sprintf("emit: temporary region %d out of range", region))
 	}
 	s.regions = max(s.regions, int32(region)+1)
@@ -186,10 +203,16 @@ func (s *Stream) AppendNodesIn(ids []int32, region int) Span {
 		for _, id := range ids {
 			r := p.Code[id]
 			s.chain = append(s.chain, p.Instrs[r.Start:r.End]...)
+			if inPlace != nil && inPlace(id) {
+				if !p.InPlaceCandidate(id) {
+					panic(fmt.Sprintf("emit: node %d cannot update in place", id))
+				}
+				s.chain[len(s.chain)-1].D = p.Off[id]
+			}
 		}
 		for i := range s.chain {
 			s.check(s.chain[i], i)
-			s.chain[i].relocate(int32(p.StateWords), shift)
+			s.chain[i].relocate(int32(p.TempBase()), shift)
 		}
 		return s.compile(s.chain)
 	}
@@ -259,15 +282,17 @@ func (p *Program) CompileChainBound(m *Machine, ins []Instr) []BoundFn {
 
 // check panics unless instruction i of a chain has a valid opcode, non-zero
 // result and first-operand widths (mask8's domain; the front end refuses
-// zero-width values), every operand span inside the persistent words or
-// inside the first temporary region, and, for a memory read, the index of
-// one of the program's memories. The stream moves the chain into its region
-// after the check, and the region count bounds what a machine must hold.
+// zero-width values), every operand span inside one region — the persistent
+// words, the next region or the first temporary region — and, for a memory
+// read, the index of one of the program's memories. The stream moves the
+// chain into its region after the check, and the region count bounds what a
+// machine must hold.
 func (s *Stream) check(in Instr, i int) {
-	sw, n := int64(s.p.StateWords), int64(min(s.p.NumWords, math.MaxInt32/8)) // byte offsets are int32
+	sw, tb := int64(s.p.StateWords), int64(s.p.TempBase())
+	n := int64(min(s.p.NumWords, math.MaxInt32/8)) // byte offsets are int32
 	inside := func(off, w int32) bool {
-		end := int64(off) + int64(max(wordsFor32(w), 1))
-		return off >= 0 && (end <= sw || int64(off) >= sw && end <= n)
+		lo, end := int64(off), int64(off)+int64(max(wordsFor32(w), 1))
+		return lo >= 0 && (end <= sw || lo >= sw && end <= tb || lo >= tb && end <= n)
 	}
 	cw := int32(1)
 	if in.Op == CMux {
@@ -279,8 +304,8 @@ func (s *Stream) check(in Instr, i int) {
 		ok = false
 	}
 	if !ok {
-		panic(fmt.Sprintf("emit: refusing instruction %d of the chain (%s D=%d/%d A=%d/%d B=%d/%d C=%d Lo=%d): a zero width, or an operand outside the program's %d state words, its %d-word temporary region and %d memories",
-			i, in.Op, in.D, in.DW, in.A, in.AW, in.B, in.BW, in.C, in.Lo, sw, n-sw, len(s.p.Mems)))
+		panic(fmt.Sprintf("emit: refusing instruction %d of the chain (%s D=%d/%d A=%d/%d B=%d/%d C=%d Lo=%d): a zero width, or an operand outside the program's %d state words, its %d next values, its %d-word temporary region and %d memories",
+			i, in.Op, in.D, in.DW, in.A, in.AW, in.B, in.BW, in.C, in.Lo, sw, tb-sw, n-tb, len(s.p.Mems)))
 	}
 }
 

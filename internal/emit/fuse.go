@@ -83,13 +83,14 @@ func FusionProducers(ins []Instr) [][]int {
 // ElidableStores counts, per rule, the windows of a chain of p whose
 // producer writes a temporary that no instruction but the window's consumer
 // reads before the word is written again — the stores a kernel could keep
-// in a register instead (ROADMAP direction 2(b)). A store into a persistent
-// word is never counted: engines, snapshots and other chains read those.
+// in a register instead (ROADMAP direction 2(b)). Only temporaries count: a
+// persistent word is read by engines, snapshots and other chains, and a
+// next value by the register's commit.
 // Measurement only: no kernel elides a store.
 func ElidableStores(p *Program, ins []Instr) []int {
 	counts := make([]int, NumFuseRules)
 	fusionWalk(ins, func(i int, r FuseRule) {
-		if r != FuseRuleNone && int(ins[i].D) >= p.StateWords && onlyReader(ins, i) {
+		if r != FuseRuleNone && int(ins[i].D) >= p.TempBase() && onlyReader(ins, i) {
 			counts[r]++
 		}
 	})
@@ -100,21 +101,16 @@ func ElidableStores(p *Program, ins []Instr) []int {
 // word ins[i] stores before an instruction overwrites it or the chain ends.
 func onlyReader(ins []Instr, i int) bool {
 	d := ins[i].D
-	covers := func(off, w int32) bool { return off <= d && d < off+max(wordsFor32(w), 1) }
 	readers := 0
 	for j := i + 1; j < len(ins); j++ {
 		in := &ins[j]
-		cw := int32(1)
-		if in.Op == CMux {
-			cw = in.BW
-		}
-		if covers(in.A, in.AW) || in.BW > 0 && covers(in.B, in.BW) || in.Op == CMux && covers(in.C, cw) {
+		if reads(in, d) {
 			if j != i+1 {
 				return false
 			}
 			readers++
 		}
-		if covers(in.D, in.DW) {
+		if touches(in.D, in.DW, d) {
 			break
 		}
 	}

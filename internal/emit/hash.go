@@ -9,13 +9,14 @@ import (
 // DesignHash returns a stable identity for the compiled artifact: a SHA-256
 // over everything that determines execution semantics and state layout — the
 // instruction stream, the storage maps, the split of the state image into
-// persistent words and a temporary region, the initial image, and the memory
-// specs. Two Programs with equal hashes have interchangeable state images, so
-// the hash is the compatibility rule for snapshots (internal/snapshot stamps
-// it into every header and refuses to restore across a mismatch) and the
-// natural identity for compiled-design caching. The compilation pipeline is
-// deterministic (the golden-VCD suite depends on that), so rebuilding the
-// same design with the same options reproduces the same hash.
+// persistent words, next values and a temporary region, the initial image,
+// and the memory specs. Two Programs with equal hashes have interchangeable
+// state images, so the hash is the compatibility rule for snapshots
+// (internal/snapshot stamps it into every header and refuses to restore
+// across a mismatch) and the natural identity for compiled-design caching.
+// The compilation pipeline is deterministic (the golden-VCD suite depends
+// on that), so rebuilding the same design with the same options reproduces
+// the same hash.
 //
 // The hash is computed once and memoized; Program is immutable after Compile,
 // so concurrent callers (server sessions sharing one Program) are safe.
@@ -47,6 +48,7 @@ func (p *Program) computeHash() [32]byte {
 	}
 
 	wU64(uint64(p.StateWords))
+	wU64(uint64(p.NextWords))
 	wU64(uint64(p.TempWords))
 	wWords(p.Init)
 	wU64(uint64(len(p.Instrs)))

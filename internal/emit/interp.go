@@ -9,9 +9,9 @@ import (
 
 // Machine is one executable instance of a Program: a private state image and
 // memory arrays. Multiple machines can run the same Program concurrently.
-// The image is the program's StateWords persistent words, then one
-// temporary region of TempWords words per worker of the engine that owns
-// the machine.
+// The image is the program's StateWords persistent words, its NextWords
+// next values, then one temporary region of TempWords words per worker of
+// the engine that owns the machine.
 type Machine struct {
 	Prog  *Program
 	State []uint64
@@ -42,8 +42,8 @@ func NewMachineRegions(p *Program, regions int) *Machine {
 }
 
 // Reset restores the initial state image and memory contents. It copies
-// only the persistent words: a temporary is always written before it is
-// read inside its node's range, so the regions need no reset.
+// only the persistent words: next values and temporaries are written
+// before they are read inside a Step, so their regions need no reset.
 func (m *Machine) Reset() {
 	copy(m.State, m.Prog.Init)
 	for i := range m.Mems {
@@ -68,7 +68,7 @@ func (m *Machine) Exec(start, end int32) { m.execIn(start, end, 0) }
 func (m *Machine) execIn(start, end, shift int32) {
 	st := m.State
 	ins := m.Prog.Instrs
-	from := int32(m.Prog.StateWords)
+	from := int32(m.Prog.TempBase())
 	for i := start; i < end; i++ {
 		in := ins[i]
 		if shift != 0 {

@@ -4,17 +4,23 @@
 // "emission" step whose time, code size, and data size the paper reports in
 // Table IV.
 //
-// Layout:
+// Layout, three regions in one state image:
 //   - the persistent words come first, [0, StateWords): every node gets a
-//     word-aligned storage slot (registers get two: current and next), and
+//     word-aligned storage slot (a register's is its current value), and
 //     memory write ports get their address, data and enable slots;
 //   - constants live in a deduplicated pool among the persistent words;
+//   - the next region, NextWords words from StateWords, holds every
+//     register's next value. Next values are scratch: a register's next word
+//     is written by its own code and read back (committed or compared) in
+//     the same Step, so no engine, snapshot or migration carries it between
+//     Steps, and an engine may redirect the store straight to the current
+//     word when nothing later in the cycle reads the old value;
 //   - every node's expression tree compiles to a contiguous instruction range
-//     whose temporaries are scratch: they live in one temporary region of
-//     TempWords words after the persistent ones, every node's temporaries
-//     start at the region's base, and a temporary is always written before
-//     it is read inside its node's range. A schedule of K workers gives each
-//     worker a region of its own (Stream.AppendNodesIn), so engines can still
+//     whose temporaries are scratch too: they live in one temporary region
+//     of TempWords words from TempBase, every node's temporaries start at
+//     the region's base, and a temporary is always written before it is read
+//     inside its node's range. A schedule of K workers gives each worker a
+//     region of its own (Stream.AppendNodesIn), so engines can still
 //     evaluate nodes independently, including concurrently, while the state
 //     every engine, snapshot and migration carries is the persistent prefix
 //     alone.
@@ -123,12 +129,13 @@ type Program struct {
 	// a compiled design's program holds it released (ir.Graph.ReleaseExprs).
 	Graph *ir.Graph
 
-	// StateWords is the persistent part of the state image: node values,
-	// register next values, memory write-port slots and the constant pool.
+	// StateWords is the persistent part of the state image: node values
+	// (registers: current values), memory write-port slots and the constant
+	// pool. NextWords is the next region after it, one slot per register.
 	// TempWords is one temporary region, sized to the largest node's
-	// temporaries. NumWords, StateWords + TempWords, is one single-worker
-	// machine's image.
-	StateWords, TempWords, NumWords int
+	// temporaries, starting at TempBase. NumWords, StateWords + NextWords +
+	// TempWords, is one single-worker machine's image.
+	StateWords, NextWords, TempWords, NumWords int
 
 	Init   []uint64 // the persistent words at power-on: const pool + register init values
 	Instrs []Instr
@@ -136,7 +143,7 @@ type Program struct {
 	// Per node-ID tables (indexed by ir.Node.ID).
 	Code    []Range // instruction range evaluating the node
 	Off     []int32 // value storage (registers: current value)
-	NextOff []int32 // registers: next-value storage; otherwise == Off
+	NextOff []int32 // registers: next-value storage, in the next region; otherwise == Off
 	WordsOf []int32 // state words per node value
 
 	// Memory write-port expression result slots, per node ID.
@@ -153,13 +160,61 @@ type Program struct {
 	hash     [32]byte
 }
 
+// TempBase is the first word of the first temporary region: every operand
+// at or above it is a temporary.
+func (p *Program) TempBase() int { return p.StateWords + p.NextWords }
+
+// InPlaceCandidate reports whether register id could commit by storing its
+// next value straight into its current word: it is one word wide and only
+// the last instruction of its code range touches its next word. Whether
+// doing so is safe also depends on the order the register runs in (nothing
+// evaluated after it may read its old value), which is the engine's call.
+func (p *Program) InPlaceCandidate(id int32) bool {
+	if p.Graph.Nodes[id].Kind != ir.KindReg || p.WordsOf[id] != 1 {
+		return false
+	}
+	r, next := p.Code[id], p.NextOff[id]
+	if r.Len() == 0 || p.Instrs[r.End-1].D != next {
+		return false
+	}
+	for i := r.Start; i < r.End; i++ {
+		in := &p.Instrs[i]
+		if i < r.End-1 && touches(in.D, in.DW, next) || reads(in, next) {
+			return false
+		}
+	}
+	return true
+}
+
+// touches reports whether the operand span at off, w bits wide, covers word.
+func touches(off, w, word int32) bool { return off <= word && word < off+max(wordsFor32(w), 1) }
+
+// reads reports whether the instruction reads word.
+func reads(in *Instr, word int32) (r bool) {
+	in.EachRead(func(off, words int32) { r = r || off <= word && word < off+words })
+	return r
+}
+
+// EachRead calls f with the first word and the word count of every operand
+// span the instruction reads: A, then B of a binary operator, then a mux's
+// false arm C.
+func (in *Instr) EachRead(f func(off, words int32)) {
+	f(in.A, max(wordsFor32(in.AW), 1))
+	if in.BW > 0 {
+		f(in.B, wordsFor32(in.BW))
+	}
+	if in.Op == CMux {
+		f(in.C, max(wordsFor32(in.BW), 1))
+	}
+}
+
 // CodeBytes returns the emitted code size in bytes (Table IV "Code Size").
 func (p *Program) CodeBytes() int { return len(p.Instrs) * InstrBytes }
 
-// DataBytes returns the state image size in bytes — the persistent words
-// plus one temporary region, one single-worker machine's image — excluding
-// main-memory arrays, matching the paper's Table IV exclusion of the 128MB
-// memory array.
+// DataBytes returns the state image size in bytes — the persistent words,
+// the next region and one temporary region, one single-worker machine's
+// image — excluding main-memory arrays, matching the paper's Table IV
+// exclusion of the 128MB memory array.
 func (p *Program) DataBytes() int { return p.NumWords * 8 }
 
 // MemBytes returns the total memory-array bytes.
@@ -174,16 +229,21 @@ func (p *Program) MemBytes() int {
 type compiler struct {
 	p         *Program
 	next      int32 // next persistent word
+	nextReg   int32 // next word of the next region
 	temp      int32 // next word of the current node's temporaries
 	constPool map[string]int32
 	constVals []constFill
 }
 
-// tempTag marks a temporary's offset while the code is generated: the
-// temporary region starts after the constant pool, whose size is known only
-// once every node is compiled, so temporaries are allocated at tempTag + t
-// and relocated to StateWords + t at the end of Compile.
-const tempTag = 1 << 30
+// tempTag and nextTag mark a temporary's and a next value's offsets while
+// the code is generated: both regions start after the constant pool, whose
+// size is known only once every node is compiled, so temporaries are
+// allocated at tempTag + t and next values at nextTag + r, and relocated to
+// TempBase + t and StateWords + r at the end of Compile.
+const (
+	tempTag = 1 << 30
+	nextTag = 1 << 29
+)
 
 type constFill struct {
 	off int32
@@ -250,7 +310,8 @@ func Compile(g *ir.Graph) (*Program, error) {
 			p.WEnOff[node.ID] = c.alloc(1)
 		case ir.KindReg:
 			p.Off[node.ID] = c.alloc(node.Width)
-			p.NextOff[node.ID] = c.alloc(node.Width)
+			p.NextOff[node.ID] = nextTag + c.nextReg
+			c.nextReg += int32(bitvec.WordsFor(node.Width))
 			p.WordsOf[node.ID] = int32(bitvec.WordsFor(node.Width))
 		default:
 			p.Off[node.ID] = c.alloc(node.Width)
@@ -296,12 +357,23 @@ func Compile(g *ir.Graph) (*Program, error) {
 		tempWords = max(tempWords, c.temp)
 	}
 
-	// The constant pool is final: place the temporary region after it.
-	p.StateWords, p.TempWords = int(c.next), int(tempWords)
-	p.NumWords = p.StateWords + p.TempWords
+	// The constant pool is final: place the next region after it, then the
+	// temporary region. Temporaries move first, below nextTag, so the second
+	// pass moves next values alone.
+	p.StateWords, p.NextWords, p.TempWords = int(c.next), int(c.nextReg), int(tempWords)
+	p.NumWords = p.StateWords + p.NextWords + p.TempWords
 	for i := range p.Instrs {
-		p.Instrs[i].relocate(tempTag, c.next-tempTag)
+		p.Instrs[i].relocate(tempTag, int32(p.TempBase())-tempTag)
+		p.Instrs[i].relocate(nextTag, c.next-nextTag)
 	}
+	for _, node := range g.Nodes {
+		if node.Kind == ir.KindReg {
+			p.NextOff[node.ID] += c.next - nextTag
+		}
+	}
+	// Append growth leaves up to a quarter of the array unused, and the
+	// program lives as long as its design: trim to size.
+	p.Instrs = append([]Instr(nil), p.Instrs...)
 
 	// Finalize the persistent image: zero, then fill constants and register
 	// inits.
@@ -312,7 +384,6 @@ func Compile(g *ir.Graph) (*Program, error) {
 	for _, node := range g.Nodes {
 		if node.Kind == ir.KindReg && node.Init.Width > 0 {
 			copy(p.Init[p.Off[node.ID]:], node.Init.W)
-			copy(p.Init[p.NextOff[node.ID]:], node.Init.W)
 		}
 	}
 
@@ -332,8 +403,8 @@ func Compile(g *ir.Graph) (*Program, error) {
 }
 
 // relocate adds shift to every operand offset at or above from: the move of
-// the temporaries into their region, and of a region's chain into another
-// worker's region. An operand an instruction does not read is 0, below any
+// the temporaries and next values into their regions, and of a region's
+// chain into another worker's region. An operand an instruction does not read is 0, below any
 // temporary.
 func (in *Instr) relocate(from, shift int32) {
 	if in.D >= from {

@@ -111,7 +111,6 @@ type Plan interface {
 // tables are the engine-independent part of every plan.
 type tables struct {
 	p      *emit.Program
-	regs   []int32 // register node IDs
 	writes []int32 // memory write-port node IDs
 	coded  []int32 // all node IDs with evaluation work, in ID (== topo) order
 	resets []resetGroup
@@ -153,7 +152,6 @@ func newTables(p *emit.Program) *tables {
 		}
 		switch n.Kind {
 		case ir.KindReg:
-			t.regs = append(t.regs, int32(n.ID))
 			if n.ResetSig != nil {
 				sig := int32(n.ResetSig.ID)
 				gi, ok := bySig[sig]
@@ -173,7 +171,7 @@ func newTables(p *emit.Program) *tables {
 
 // bytes is the tables' resident size.
 func (t *tables) bytes() int {
-	n := 4 * (len(t.regs) + len(t.writes) + len(t.coded))
+	n := 4 * (len(t.writes) + len(t.coded))
 	for _, rg := range t.resets {
 		n += 4 * len(rg.regs)
 	}
@@ -200,8 +198,8 @@ func instrWeight(p *emit.Program) func(id int32) int64 {
 	return func(id int32) int64 { return int64(p.Code[id].Len()) }
 }
 
-// newBase allocates an engine's machine: the program's persistent words and
-// one temporary region per worker of its schedule.
+// newBase allocates an engine's machine: the program's persistent words,
+// its next values and one temporary region per worker of its schedule.
 func newBase(t *tables, workers int) base {
 	b := base{tables: t, m: emit.NewMachineRegions(t.p, workers)}
 	b.stats.EvaluableNodes = uint64(len(b.coded))
@@ -210,7 +208,9 @@ func newBase(t *tables, workers int) base {
 
 // applyResets runs the reset slow path: one check per reset signal; when a
 // signal is high, every register in its group is forced to its init value.
-// onChange, if non-nil, is called for each register whose value changed.
+// It runs after the commit, and next values are scratch, so only the
+// current words change. onChange, if non-nil, is called for each register
+// whose value changed.
 func (b *base) applyResets(onChange func(id int32)) {
 	p := b.m.Prog
 	st := b.m.State
@@ -220,13 +220,12 @@ func (b *base) applyResets(onChange func(id int32)) {
 			continue
 		}
 		for _, id := range rg.regs {
-			cur, next, w := p.Off[id], p.NextOff[id], p.WordsOf[id]
+			cur, w := p.Off[id], p.WordsOf[id]
 			var diff uint64
 			for i := int32(0); i < w; i++ {
 				iv := p.Init[cur+i]
 				diff |= st[cur+i] ^ iv
 				st[cur+i] = iv
-				st[next+i] = iv
 			}
 			if diff != 0 {
 				b.stats.RegCommits++
@@ -280,18 +279,6 @@ func (b *base) PeekMem(memID, addr int) bitvec.BV    { return b.m.PeekMem(memID,
 func (b *base) PokeMem(memID, addr int, v bitvec.BV) { b.m.PokeMem(memID, addr, v) }
 func (b *base) Stats() *Stats                        { return &b.stats }
 func (b *base) Machine() *emit.Machine               { return b.m }
-
-// commitRegs copies each register's next value over its current value.
-// Returns nothing; used by full-evaluation engines that re-evaluate
-// everything anyway.
-func (b *base) commitRegs() {
-	p := b.m.Prog
-	st := b.m.State
-	for _, id := range b.regs {
-		cur, next, w := p.Off[id], p.NextOff[id], p.WordsOf[id]
-		copy(st[cur:cur+w], st[next:next+w])
-	}
-}
 
 // commitWrites applies enabled memory write ports. It returns the IDs of
 // memories whose contents changed (into the provided scratch slice).

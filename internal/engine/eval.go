@@ -57,7 +57,6 @@ type supPlan struct {
 	wide      []wideSlot
 	wideWords int32 // shadow words the wide slots need
 	regs      []regSlot
-	regID     []int32 // regs[i]'s node ID: snapshots carry pending registers as node IDs
 }
 
 // supRec is one supernode: its first stream record, the first index of
@@ -119,7 +118,6 @@ func buildSupPlan(p *emit.Program, part *partition.Result, ap *activationPlan, m
 			switch kind := p.Graph.Nodes[id].Kind; {
 			case kind == ir.KindReg:
 				pl.regs = append(pl.regs, regSlot{cur: p.Off[id], next: p.NextOff[id], w: p.WordsOf[id], succ: lo, succEnd: hi})
-				pl.regID = append(pl.regID, id)
 			case kind == ir.KindMemWrite || lo == hi:
 				// write-port expressions land in dedicated slots the commit
 				// phase reads; a value nobody reads activates nothing
@@ -136,7 +134,7 @@ func buildSupPlan(p *emit.Program, part *partition.Result, ap *activationPlan, m
 	// lives as long as its design, so trim to size.
 	pl.stream.Trim()
 	pl.track, pl.wide = clip(pl.track), clip(pl.wide)
-	pl.regs, pl.regID = clip(pl.regs), clip(pl.regID)
+	pl.regs = clip(pl.regs)
 	return pl
 }
 
@@ -146,7 +144,7 @@ func clip[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
 func (pl *supPlan) bytes() int {
 	_, _, b := pl.stream.Footprint()
 	return b + len(pl.sups)*int(unsafe.Sizeof(supRec{})) + len(pl.track)*int(unsafe.Sizeof(trackSlot{})) +
-		len(pl.wide)*int(unsafe.Sizeof(wideSlot{})) + len(pl.regs)*int(unsafe.Sizeof(regSlot{})) + 4*len(pl.regID)
+		len(pl.wide)*int(unsafe.Sizeof(wideSlot{})) + len(pl.regs)*int(unsafe.Sizeof(regSlot{}))
 }
 
 // syncShadows re-derives every shadow word from the state image.
@@ -200,12 +198,4 @@ func (g *regSlot) commit(st []uint64) {
 		return
 	}
 	copy(st[g.cur:g.cur+g.w], st[g.next:g.next+g.w])
-}
-
-// pendingIDs renders queued register slots as node IDs, the snapshot form.
-func (pl *supPlan) pendingIDs(dst, pending []int32) []int32 {
-	for _, ri := range pending {
-		dst = append(dst, pl.regID[ri])
-	}
-	return dst
 }

@@ -193,7 +193,6 @@ func copyState(s *engine.SimState) *engine.SimState {
 		c.Mems[i] = append([]uint64(nil), m...)
 	}
 	c.ActiveSups = append([]int32(nil), s.ActiveSups...)
-	c.PendingRegs = append([]int32(nil), s.PendingRegs...)
 	return &c
 }
 

@@ -31,12 +31,10 @@ type SimState struct {
 	// ActiveSups lists the armed supernodes, ascending. Meaningful only when
 	// SupCount > 0; restoring from a SupCount == 0 capture conservatively
 	// re-arms everything (a full evaluation is always semantically safe).
+	// There is no pending-register list: engines commit every register
+	// inside Step, and next values are scratch, so between Steps — the only
+	// capture point — no register has an uncommitted value.
 	ActiveSups []int32
-	// PendingRegs lists registers with an uncommitted next value. Engines
-	// drain pending registers inside Step, so captures taken between Steps —
-	// the only supported capture point — normally carry none; the field
-	// exists so a restore fully determines the engine's commit bookkeeping.
-	PendingRegs []int32
 }
 
 // Snapshotter is implemented by every engine: CaptureState enumerates the
@@ -55,8 +53,8 @@ type Snapshotter interface {
 }
 
 // captureBase fills the engine-independent fields. The state is the
-// persistent prefix of the image: the temporary regions hold nothing a
-// Step reads before writing it.
+// persistent prefix of the image: the next region and the temporary
+// regions hold nothing a Step reads before writing it.
 func (b *base) captureBase() *SimState {
 	return &SimState{
 		State:    b.m.State[:b.p.StateWords],
@@ -107,10 +105,11 @@ func (e *FullCycle) CaptureState() *SimState { return e.captureBase() }
 func (e *FullCycle) RestoreState(s *SimState) error { return e.restoreBase(s) }
 
 // CaptureState enumerates the essential-signal engine's state: machine
-// image, counters, the armed supernode set, and any uncommitted registers.
-// Outboxes and dirty flags are always drained by the end of a Step (every
-// published activation targets a level the sweep still visits, and serial
-// commits write active words directly), so nothing else is live.
+// image, counters and the armed supernode set. Outboxes, dirty flags and
+// pending registers are always drained by the end of a Step (every
+// published activation targets a level the sweep still visits, serial
+// commits write active words directly, and commit empties every pending
+// list), so nothing else is live.
 func (e *Activity) CaptureState() *SimState {
 	s := e.captureBase()
 	s.SupCount = e.pl.part.Count()
@@ -120,9 +119,6 @@ func (e *Activity) CaptureState() *SimState {
 			s.ActiveSups = append(s.ActiveSups, int32(sup))
 		}
 	}
-	for _, ws := range e.ws {
-		s.PendingRegs = e.plan.pendingIDs(s.PendingRegs, ws.pending)
-	}
 	return s
 }
 
@@ -131,8 +127,7 @@ func (e *Activity) CaptureState() *SimState {
 // worker residue (outboxes, dirty flags, pending lists) — the same shape a
 // fresh engine has.
 func (e *Activity) RestoreState(s *SimState) error {
-	pending, err := e.plan.checkActivity(s, e.pl.partPrint)
-	if err != nil {
+	if err := e.plan.checkActivity(s, e.pl.partPrint); err != nil {
 		return err
 	}
 	if err := e.restoreBase(s); err != nil {
@@ -148,48 +143,28 @@ func (e *Activity) RestoreState(s *SimState) error {
 			e.active[slot>>6] |= uint64(1) << uint(slot&63)
 		}
 	}
-	// Pending registers land on worker 0: commit drains every worker's list
-	// serially and register commits commute (distinct registers, OR-ed
-	// activations), so placement does not affect the trajectory.
-	e.ws[0].pending = append(e.ws[0].pending, pending...)
 	return nil
 }
 
 // checkActivity validates a snapshot's activity section against the restoring
 // engine's partition, whose fingerprint is partPrint — a capture that carried
 // supernode state must come from the same partition (count and membership
-// fingerprint), every listed index must be in range and above the
-// one before it (the order captures write: a second spelling of one set would
-// save back as different bytes), and pending IDs must be registers — before
-// any engine state is mutated. It returns the pending registers as plan slots.
-func (pl *supPlan) checkActivity(s *SimState, partPrint uint64) ([]int32, error) {
+// fingerprint), and every listed index must be in range and above the one
+// before it (the order captures write: a second spelling of one set would
+// save back as different bytes) — before any engine state is mutated.
+func (pl *supPlan) checkActivity(s *SimState, partPrint uint64) error {
 	count := len(pl.sups) - 1
 	if s.SupCount != 0 && (s.SupCount != count || s.PartPrint != partPrint) {
-		return nil, fmt.Errorf("engine: snapshot partition %016x (%d supernodes) is not this engine's %016x (%d supernodes)",
+		return fmt.Errorf("engine: snapshot partition %016x (%d supernodes) is not this engine's %016x (%d supernodes)",
 			s.PartPrint, s.SupCount, partPrint, count)
 	}
 	for k, sup := range s.ActiveSups {
 		if sup < 0 || int(sup) >= count {
-			return nil, fmt.Errorf("engine: active supernode %d out of range [0,%d)", sup, count)
+			return fmt.Errorf("engine: active supernode %d out of range [0,%d)", sup, count)
 		}
 		if k > 0 && sup <= s.ActiveSups[k-1] {
-			return nil, fmt.Errorf("engine: active supernode list not ascending at entry %d", k)
+			return fmt.Errorf("engine: active supernode list not ascending at entry %d", k)
 		}
 	}
-	if len(s.PendingRegs) == 0 {
-		return nil, nil
-	}
-	byID := make(map[int32]int32, len(pl.regID))
-	for ri, id := range pl.regID {
-		byID[id] = int32(ri)
-	}
-	pending := make([]int32, len(s.PendingRegs))
-	for k, id := range s.PendingRegs {
-		ri, ok := byID[id]
-		if !ok {
-			return nil, fmt.Errorf("engine: pending node %d is not a register", id)
-		}
-		pending[k] = ri
-	}
-	return pending, nil
+	return nil
 }

@@ -407,6 +407,31 @@ func TestMigrationScalarBitIdentical(t *testing.T) {
 	}
 }
 
+// TestMigrationNoNodes: a design with no node to evaluate has a partition
+// with no supernode, whose snapshot names the empty partition's
+// fingerprint. A drain must still move its session, state and cycle count
+// intact.
+func TestMigrationNoNodes(t *testing.T) {
+	fl := newTestFleet(t, "r1", "r2")
+	src := "circuit I :\n  module I :\n    input clock : Clock\n    input a : UInt<8>\n"
+	s, created := createSession(t, fl.router.URL, src, server.SessionSpec{})
+	s.ops(server.Op{Op: "poke", Name: "a", Value: "5"}, server.Op{Op: "step", N: 3})
+	migrated, failed, err := fl.rt.DrainReplica(created.Replica)
+	if err != nil || migrated != 1 || len(failed) != 0 {
+		t.Fatalf("drain %s: migrated=%d failed=%v err=%v", created.Replica, migrated, failed, err)
+	}
+	if home := fl.home(s.id); home == created.Replica {
+		t.Fatalf("session still homed on drained replica %s", home)
+	}
+	res := s.ops(server.Op{Op: "step", N: 2}, server.Op{Op: "peek", Name: "a"})
+	if res[1].Value != "8'h5" {
+		t.Fatalf("peek after migration: a = %s, want 8'h5", res[1].Value)
+	}
+	if _, cycles := s.snapshotLane(0); cycles != 5 {
+		t.Fatalf("cycles after migration: %d, want 5", cycles)
+	}
+}
+
 // TestMigrationGangBitIdentical extends the property to gang sessions of
 // both engine kinds: per-lane state, per-lane waveforms, and the park/wake
 // live mask all survive the move.

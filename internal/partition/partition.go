@@ -86,6 +86,10 @@ func (r *Result) AvgSize() float64 {
 	return float64(total) / float64(len(r.Members))
 }
 
+// EmptyFingerprint is the Fingerprint of a partition with no supernode, the
+// FNV-1a offset basis.
+const EmptyFingerprint uint64 = 0xcbf29ce484222325
+
 // Fingerprint hashes the partition's membership — every supernode's member
 // node IDs, in supernode order — into 64 bits (FNV-1a). Partitions that
 // agree in supernode count but not in members differ in it, which is what a
@@ -309,6 +313,31 @@ func Build(g *ir.Graph, kind Kind, maxSize int) *Result {
 	return r
 }
 
+// Singletons is the None partition in node ID order, built without walking
+// an edge: every evaluable node is its own supernode, supernode s holding
+// the s-th evaluable node by ID. On a graph compacted in topological order
+// (core.Build's) the ID order is the package's topological invariant. It is
+// the partition the full-cycle engine's multi-worker schedule shards, which
+// reads only SupOf and Members; CutEdges is not counted.
+func Singletons(g *ir.Graph) *Result {
+	start := time.Now()
+	r := &Result{Kind: None, SupOf: make([]int32, len(g.Nodes)), MaxSize: 1}
+	var ids []int32
+	for id, n := range g.Nodes {
+		r.SupOf[id] = -1
+		if n.HasCode() {
+			r.SupOf[id] = int32(len(ids))
+			ids = append(ids, int32(id))
+		}
+	}
+	r.Members = make([][]int32, len(ids))
+	for s := range ids {
+		r.Members[s] = ids[s : s+1 : s+1]
+	}
+	r.BuildTime = time.Since(start)
+	return r
+}
+
 func singletons(n int) [][]int32 {
 	groups := make([][]int32, n)
 	for i := range groups {
@@ -443,8 +472,7 @@ func union(root []int32, size []int32, a, b int32, cap int32) bool {
 // condensationSCC runs an iterative Tarjan SCC over the group graph and
 // returns each group's SCC ID.
 func condensationSCC(groups [][]int32, groupOf []int32, depSucc [][]int32) []int32 {
-	gN := len(groups)
-	gsucc := make([][]int32, gN)
+	gsucc := make([][]int32, len(groups))
 	for p := range depSucc {
 		gu := groupOf[p]
 		for _, q := range depSucc[p] {
@@ -454,6 +482,16 @@ func condensationSCC(groups [][]int32, groupOf []int32, depSucc [][]int32) []int
 			}
 		}
 	}
+	return SCC(gsucc)
+}
+
+// SCC runs an iterative Tarjan pass over the graph whose vertex v has the
+// edges v -> gsucc[v], and returns each vertex's strongly connected
+// component ID. IDs are numbered in completion order, a reverse topological
+// order of the condensation: an edge u -> v between two components has
+// id[u] > id[v].
+func SCC(gsucc [][]int32) []int32 {
+	gN := len(gsucc)
 	const unvisited = -1
 	idx := make([]int32, gN)
 	low := make([]int32, gN)

@@ -330,6 +330,7 @@ type Session struct {
 	liveLanes    atomic.Int64  // unparked lanes, readable without s.mu (scrapes)
 	forceCancel  chan struct{} // closed by Drain to abort in-flight chunked ops
 	cancelOnce   sync.Once
+	closeDone    chan struct{} // closed once the first Close has unregistered the session
 
 	mu           sync.Mutex
 	eng          *engine.Lanes
@@ -477,6 +478,7 @@ func (m *Manager) create(sourceKey string, spec SessionSpec, load func() (*ir.Gr
 		cacheKey:     key,
 		lanes:        lanes,
 		forceCancel:  make(chan struct{}),
+		closeDone:    make(chan struct{}),
 		eng:          eng,
 		laneVCD:      laneVCD,
 		pendingTrace: pendingTrace,
@@ -1206,11 +1208,14 @@ func (s *Session) Throughput() float64 {
 }
 
 // Close releases the session's engine, unregisters it, and unpins its design
-// in the compile cache. Idempotent.
+// in the compile cache. Idempotent: a Close racing the first one returns
+// once that one has unregistered the session, so a Drain that returns nil
+// leaves no session behind.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		<-s.closeDone
 		return nil
 	}
 	s.closed = true
@@ -1235,5 +1240,6 @@ func (s *Session) Close() error {
 	s.mgr.log().Info("session closed", "session", s.ID, "cycles", s.lastCycles)
 	s.mgr.mu.Unlock()
 	s.mgr.cache.Release(s.cacheKey)
+	close(s.closeDone)
 	return nil
 }

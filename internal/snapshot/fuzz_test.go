@@ -14,11 +14,12 @@ import (
 // as it was, or restores a state that saves back to the same bytes and can
 // be stepped; never a panic, never a half-restored engine. Every iteration
 // gets a fresh engine over one compiled design, so a failure reproduces from
-// its input alone. The seeds are a real blob of the essential-signal engine
-// (memory, armed supernodes, pending registers, its partition's
-// fingerprint), the same blob in format versions 1 and 2, and damaged copies
-// of it; `go test -fuzz=FuzzSnapshotRestore ./internal/snapshot` explores
-// from there (CI rotates it with the other targets).
+// its input alone. The seeds are two real blobs of the essential-signal
+// engine (memory, armed supernodes, its partition's fingerprint), which
+// restore, the same blob in format versions 1 and 2 and listing a pending
+// register, and damaged copies of it; `go test -fuzz=FuzzSnapshotRestore
+// ./internal/snapshot` explores from there (CI rotates it with the other
+// targets).
 func FuzzSnapshotRestore(f *testing.F) {
 	cfg := core.GSIM()
 	design, err := core.CompileDesign(loadDesign(f, "lfsr.fir"), cfg)
@@ -43,11 +44,18 @@ func FuzzSnapshotRestore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	if err := snapshot.Restore(sim, good); err != nil {
+		f.Fatalf("the good seed does not restore: %v", err)
+	}
+	if err := snapshot.Restore(sim, pristine); err != nil {
+		f.Fatalf("the pristine seed does not restore: %v", err)
+	}
 	sim.Close()
 	f.Add(good)
 	f.Add(pristine)
 	f.Add(v1Blob(f, good, design.Prog))
 	f.Add(fullImageBlob(f, good, design.Prog, 2))
+	f.Add(pendingBlob(good, int32(design.Graph.FindNode("state").ID)))
 	f.Add(good[:len(good)/2])
 	f.Add(append(append([]byte{}, good...), 0))
 	for _, at := range []int{0, 8, 12, 44, 52, 60, partPrintAt(f, good, design.Prog), len(good) - 12, len(good) - 4} {

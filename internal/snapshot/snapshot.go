@@ -21,7 +21,7 @@
 //	supCount   u64                        capturing partition size (0 = none)
 //	partPrint  u64                        its membership fingerprint (0 = none)
 //	active     u64 n, then n x u32        armed supernode indices, ascending
-//	pending    u64 n, then n x u32        uncommitted register node IDs
+//	pending    u64 0                      uncommitted registers: always none
 //
 // Compatibility rule: Restore requires the snapshot's design hash to equal
 // the target Program's. The hash covers the instruction stream, storage
@@ -33,9 +33,15 @@
 // restore instead of corrupting silently. The hash does not cover the
 // partition, so the activity section names its own (supCount, partPrint),
 // and an essential-signal engine refuses a section from another partition.
-// The state section carries only the persistent words: expression
-// temporaries are per-worker scratch, written before they are read inside
-// every Step, so no blob carries them. The version field gates format
+// The state section carries only the persistent words: register next values
+// and expression temporaries are scratch, written before they are read
+// inside every Step, so no blob carries them — and so no blob can list a
+// register whose next value is still pending: Decode refuses a nonzero
+// pending count. The empty partition (a design with no evaluable node) has
+// a fingerprint of its own, partition.EmptyFingerprint, which an
+// essential-signal engine of such a design writes with supCount 0. Blobs
+// of the layout before next values became scratch carry another design
+// hash and are refused by it. The version field gates format
 // evolution: readers reject versions they do not understand. Version 2
 // added partPrint; version 3 dropped the temporaries from the state
 // section. Version 1 and 2 blobs are refused.
@@ -48,6 +54,7 @@ import (
 	"gsim/internal/emit"
 	"gsim/internal/engine"
 	"gsim/internal/faultpoint"
+	"gsim/internal/partition"
 )
 
 // Magic identifies a gsim snapshot blob.
@@ -143,7 +150,7 @@ func Encode(st *engine.SimState, p *emit.Program) ([]byte, error) {
 	size += 8 * 8 // stats
 	size += 8 + 8 // supCount, partPrint
 	size += 8 + 4*len(st.ActiveSups)
-	size += 8 + 4*len(st.PendingRegs)
+	size += 8 // pending: none
 
 	buf := make([]byte, size)
 	w := writer{buf: buf}
@@ -162,7 +169,7 @@ func Encode(st *engine.SimState, p *emit.Program) ([]byte, error) {
 	w.u64(uint64(st.SupCount))
 	w.u64(st.PartPrint)
 	w.i32s(st.ActiveSups)
-	w.i32s(st.PendingRegs)
+	w.u64(0)
 	if w.off != len(buf) {
 		return nil, fmt.Errorf("snapshot: internal size mismatch: wrote %d of %d", w.off, len(buf))
 	}
@@ -215,7 +222,7 @@ func Decode(data []byte, p *emit.Program) (*engine.SimState, error) {
 	st.SupCount = int(r.u64())
 	st.PartPrint = r.u64()
 	st.ActiveSups = r.i32s()
-	st.PendingRegs = r.i32s()
+	pending := r.i32s()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -225,8 +232,11 @@ func Decode(data []byte, p *emit.Program) (*engine.SimState, error) {
 	if h.Cycles != st.Stats.Cycles {
 		return nil, fmt.Errorf("snapshot: header cycles %d disagree with stats %d", h.Cycles, st.Stats.Cycles)
 	}
-	if st.SupCount == 0 && st.PartPrint != 0 {
+	if st.SupCount == 0 && st.PartPrint != 0 && st.PartPrint != partition.EmptyFingerprint {
 		return nil, fmt.Errorf("snapshot: partition fingerprint %016x without a partition", st.PartPrint)
+	}
+	if len(pending) > 0 {
+		return nil, fmt.Errorf("snapshot: %d pending registers: next values are not part of a snapshot", len(pending))
 	}
 	return st, nil
 }

@@ -183,9 +183,13 @@ func runTraced(t *testing.T, build func(core.Config) *core.System, cfg core.Conf
 	return sys
 }
 
+// noNodesFIRRTL has no node with code, so its partition has no supernode and
+// an essential-signal capture names the empty partition's fingerprint.
+const noNodesFIRRTL = "circuit I :\n  module I :\n    input clock : Clock\n    input a : UInt<8>\n"
+
 // TestRoundTripMatrix is the snapshot determinism acceptance test: for every
 // cell, a run of K cycles, snapshot, restore into a fresh engine, then M more
-// cycles must be bit-identical — final state image, memory arrays, stat
+// cycles must be bit-identical — final persistent words, memory arrays, stat
 // counters, and VCD bytes — to an uninterrupted K+M-cycle run of the resuming
 // configuration. Examinations are the one counter that depends on the worker
 // count (they count active-word tests, and each chunk pads to whole words),
@@ -193,8 +197,15 @@ func runTraced(t *testing.T, build func(core.Config) *core.System, cfg core.Conf
 // resumed total and is compared without them.
 func TestRoundTripMatrix(t *testing.T) {
 	const K, M = 16, 16
-	for _, designName := range []string{"fifo.fir", "lfsr.fir"} {
-		g := loadDesign(t, designName)
+	noNodes, err := firrtl.Load(noNodesFIRRTL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, designName := range []string{"fifo.fir", "lfsr.fir", "no-nodes"} {
+		g := noNodes
+		if designName != "no-nodes" {
+			g = loadDesign(t, designName)
+		}
 		for _, c := range matrixCells() {
 			t.Run(designName+"/"+c.name, func(t *testing.T) {
 				build := builder(t, g, c.compileOnce)
@@ -218,7 +229,7 @@ func TestRoundTripMatrix(t *testing.T) {
 				defer seg2.Close()
 
 				a, b := gold.Sim.Machine(), seg2.Sim.Machine()
-				for w := range a.State {
+				for w := range a.State[:a.Prog.StateWords] {
 					if a.State[w] != b.State[w] {
 						t.Fatalf("state word %d: uninterrupted %#x vs resumed %#x", w, a.State[w], b.State[w])
 					}
@@ -508,12 +519,42 @@ func TestRestoreValidation(t *testing.T) {
 	})
 	t.Run("v3-full-image", func(t *testing.T) {
 		// A v3 header over a state section of the old length — persistent
-		// words and the temporary region — is refused by the engine, which
-		// names both lengths.
+		// words, next values and the temporary region — is refused by the
+		// engine, which names both lengths.
 		p := sys.Prog
 		err := snapshot.Restore(sys.Sim, fullImageBlob(t, blob, p, snapshot.Version))
 		if want := fmt.Sprintf("state image is %d words, engine has %d", p.NumWords, p.StateWords); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("restore of a full-image v3 blob returned %v, want a refusal naming %q", err, want)
+		}
+	})
+	t.Run("old-layout", func(t *testing.T) {
+		// counter-old-layout.snap was saved by the build before register next
+		// values left the persistent words (gsim -engine gsim -cycles 5
+		// -poke en=1 testdata/counter.fir): its state section still carries
+		// them, and its header the old design hash, which refuses it.
+		old, err := os.ReadFile("testdata/counter-old-layout.snap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		counter, err := core.Build(loadDesign(t, "counter.fir"), core.GSIM())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer counter.Close()
+		if err := snapshot.Restore(counter.Sim, old); err == nil || !strings.Contains(err.Error(), "design hash") {
+			t.Fatalf("restore of an old-layout blob returned %v, want the design-hash refusal", err)
+		}
+	})
+	t.Run("pending-registers", func(t *testing.T) {
+		var reg int32
+		for _, n := range sys.Graph.Nodes {
+			if n.Kind == ir.KindReg {
+				reg = int32(n.ID)
+			}
+		}
+		err := snapshot.Restore(sys.Sim, pendingBlob(blob, reg))
+		if err == nil || !strings.Contains(err.Error(), "1 pending registers") {
+			t.Fatalf("restore of a blob listing a pending register returned %v, want the refusal", err)
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
@@ -582,6 +623,14 @@ func partPrintAt(t testing.TB, blob []byte, p *emit.Program) int {
 	return at + 8 + 8*8 + 8 // executed, stats, supCount
 }
 
+// pendingBlob rewrites a current blob to list register id as pending: the
+// pending section, a zero count, ends the blob.
+func pendingBlob(blob []byte, id int32) []byte {
+	out := append([]byte{}, blob[:len(blob)-8]...)
+	out = binary.LittleEndian.AppendUint64(out, 1)
+	return binary.LittleEndian.AppendUint32(out, uint32(id))
+}
+
 // v1Blob rewrites a current blob of p into format version 1: the version
 // word, and no partition fingerprint after the supernode count.
 func v1Blob(t testing.TB, blob []byte, p *emit.Program) []byte {
@@ -594,8 +643,8 @@ func v1Blob(t testing.TB, blob []byte, p *emit.Program) []byte {
 
 // fullImageBlob rewrites a current blob of p into the state layout of
 // format version 2 — the state section is the whole one-worker image, the
-// persistent words then one zeroed temporary region — stamped with the
-// given version.
+// persistent words then the zeroed next and temporary regions — stamped
+// with the given version.
 func fullImageBlob(t testing.TB, blob []byte, p *emit.Program, version uint32) []byte {
 	t.Helper()
 	if p.TempWords == 0 {
@@ -603,7 +652,7 @@ func fullImageBlob(t testing.TB, blob []byte, p *emit.Program, version uint32) [
 	}
 	const stateAt = 8 + 4 + 32 + 8 // header; the state section's word count follows
 	end := stateAt + 8 + 8*p.StateWords
-	full := append(append(append([]byte{}, blob[:end]...), make([]byte, 8*p.TempWords)...), blob[end:]...)
+	full := append(append(append([]byte{}, blob[:end]...), make([]byte, 8*(p.NumWords-p.StateWords))...), blob[end:]...)
 	binary.LittleEndian.PutUint64(full[stateAt:], uint64(p.NumWords))
 	binary.LittleEndian.PutUint32(full[8:], version)
 	return full
