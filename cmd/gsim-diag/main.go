@@ -76,6 +76,18 @@ func scheduleSummary(sv *partition.ShardView) string {
 		sv.Imbalance(), sv.OrigLevels, sv.Levels, sv.Levels)
 }
 
+// layoutSummary is a compiled design's state image split — what every
+// engine, snapshot and migration carries (state) against the scratch:
+// registers' next values (next) and the temporaries each worker owns
+// (temps), in regions — and its program: the instructions, and the
+// subexpressions value numbering found already computed in their node
+// (reused), each an instruction the program does not hold.
+func layoutSummary(cd *core.CompiledDesign) string {
+	p := cd.Prog
+	return fmt.Sprintf("state=%d next=%d temps=%d regions=%d instrs=%d reused=%d",
+		p.StateWords, p.NextWords, p.TempWords, max(cd.Config.Threads, 1), len(p.Instrs), p.Reused)
+}
+
 // registerSummary is a full-cycle plan's register commit line: how many
 // registers the one-worker sweep updates in place, and why the others go
 // through the commit list.
@@ -300,11 +312,12 @@ func main() {
 	}
 
 	// Fusion reach on this profile, the real RV32 core and every testdata
-	// design, measured over the chains the engines actually compile: under
-	// GSIM each supernode's concatenated member instructions, under the
-	// full-cycle preset the whole stream as one chain (their adjacencies
-	// differ). The counts are indexed by the generated FuseRule table, so a
-	// new table line shows up here without touching this tool. Each design's
+	// design, measured over the chains each design's engine plan compiles
+	// (designChains): under GSIM each supernode's concatenated member
+	// instructions, under the full-cycle preset the one-worker sweep, its
+	// registers last (their adjacencies differ). The counts are indexed by
+	// the generated FuseRule table, so a new table line shows up here
+	// without touching this tool. Each design's
 	// footprint line gives the compiled stream's size — kernels, operand
 	// records, bytes — which is what a cycle pulls through the caches. Then
 	// the rules that fired nowhere in this whole run — a never-firing rule is
@@ -313,38 +326,29 @@ func main() {
 	// rules' producer breakdown is the evidence the value table's Inline
 	// marks are chosen from.
 	total := newFusionCounts()
-	fusion := func(label string, sys *core.System) {
-		c := chainFusionStats(sys)
+	fusion := func(label string, g *ir.Graph, cfg core.Config) {
+		cd, err := core.CompileDesign(g, cfg)
+		if err != nil {
+			panic(err)
+		}
+		c := chainFusionStats(cd)
 		printFusion(label, c)
-		printFootprint(strings.Replace(label, "fusion", "footprint", 1), sys)
+		printFootprint(strings.Replace(label, "fusion", "footprint", 1), cd)
 		total.add(c.instrs, c.producers, c.elidable)
-		sys.Close()
 	}
 	files, _ := filepath.Glob("testdata/*.fir")
 	for _, fc := range []struct {
 		suffix string
 		cfg    func() core.Config
 	}{{"", core.GSIM}, {" full-cycle", core.Verilator}} {
-		sys, _, err := harness.BuildSystemForDiag(d, "coremark", fc.cfg())
-		if err != nil {
-			panic(err)
-		}
-		fusion(strings.TrimSpace("fusion"+fc.suffix), sys)
-		rv32, _, err := harness.BuildSystemForDiag(harness.StuCore(), "coremark", fc.cfg())
-		if err != nil {
-			panic(err)
-		}
-		fusion("fusion[rv32"+fc.suffix+"]", rv32)
+		fusion(strings.TrimSpace("fusion"+fc.suffix), src, fc.cfg())
+		fusion("fusion[rv32"+fc.suffix+"]", rv32, fc.cfg())
 		for _, f := range files {
 			g, err := firrtl.LoadFile(f)
 			if err != nil {
 				panic(err)
 			}
-			tsys, err := core.Build(g, fc.cfg())
-			if err != nil {
-				panic(err)
-			}
-			fusion("fusion["+filepath.Base(f)+fc.suffix+"]", tsys)
+			fusion("fusion["+filepath.Base(f)+fc.suffix+"]", g, fc.cfg())
 		}
 	}
 	var neverFuse, neverInline []string
@@ -386,10 +390,8 @@ func main() {
 // printRetained compiles g under cfg and prints the heap the compiled design
 // keeps alive — the HeapAlloc delta across the compile, each side read after
 // two GCs — next to the compile cache's cost of it and that cost's parts,
-// then the design's state image layout: persistent words, next values, the
-// words of one temporary region, and the regions an engine of cfg
-// allocates, one per worker; and for a full-cycle design, how its registers
-// commit (registerSummary).
+// then the design's state image layout and program size (layoutSummary);
+// and for a full-cycle design, how its registers commit (registerSummary).
 func printRetained(design string, g *ir.Graph, cfg core.Config) {
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -407,11 +409,7 @@ func printRetained(design string, g *ir.Graph, cfg core.Config) {
 	fmt.Printf("retained[%s %s] heap=%.2fMB cost=%.2fMB (code=%.2f data=%.2f mem=%.2f plan=%.2f graph=%.2f)\n",
 		design, cd.Config.Engine, float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/mb, float64(f.Total())/mb,
 		float64(f.Code)/mb, float64(f.Data)/mb, float64(f.Mem)/mb, float64(f.Plan)/mb, float64(f.Graph)/mb)
-	// The state image split: what every engine, snapshot and migration
-	// carries (state) against the scratch: registers' next values (next)
-	// and the temporaries each worker owns (temps).
-	fmt.Printf("layout[%s %s] state=%d next=%d temps=%d regions=%d\n",
-		design, cd.Config.Engine, cd.Prog.StateWords, cd.Prog.NextWords, cd.Prog.TempWords, max(cd.Config.Threads, 1))
+	fmt.Printf("layout[%s %s] %s\n", design, cd.Config.Engine, layoutSummary(cd))
 	if fc, ok := cd.Plan().(*engine.FullCyclePlan); ok {
 		fmt.Printf("layout[%s %s] %s\n", design, cd.Config.Engine, registerSummary(fc.Registers()))
 	}
@@ -444,45 +442,46 @@ func (c *fusionCounts) add(instrs int, producers [][]int, elidable []int) {
 	}
 }
 
+// designChains returns the chains the design's engine plan compiles into
+// its stream, exactly as the stream sees them: one per supernode, or the
+// one-worker full-cycle sweep, registers last and the in-place ones storing
+// straight into their current words.
+func designChains(cd *core.CompiledDesign) [][]emit.Instr {
+	if pl, ok := cd.Plan().(*engine.FullCyclePlan); ok {
+		return [][]emit.Instr{pl.Sweep()}
+	}
+	chains := make([][]emit.Instr, len(cd.Part.Members))
+	for s, members := range cd.Part.Members {
+		chains[s] = cd.Prog.NodeChain(nil, members, nil)
+	}
+	return chains
+}
+
 // chainFusionStats accumulates emit.FusionProducers over every chain the
-// system's engine compiles, exactly as emit.Stream sees them: one per
-// supernode, or the whole stream for an unpartitioned (full-cycle) system.
-func chainFusionStats(sys *core.System) fusionCounts {
+// design's engine compiles (designChains).
+func chainFusionStats(cd *core.CompiledDesign) fusionCounts {
 	c := newFusionCounts()
-	add := func(chain []emit.Instr) {
-		c.add(len(chain), emit.FusionProducers(chain), emit.ElidableStores(sys.Prog, chain))
-	}
-	if sys.Part == nil {
-		add(sys.Prog.Instrs)
-		return c
-	}
-	var chain []emit.Instr
-	for _, members := range sys.Part.Members {
-		chain = chain[:0]
-		for _, id := range members {
-			r := sys.Prog.Code[id]
-			chain = append(chain, sys.Prog.Instrs[r.Start:r.End]...)
-		}
-		add(chain)
+	for _, chain := range designChains(cd) {
+		c.add(len(chain), emit.FusionProducers(chain), emit.ElidableStores(cd.Prog, chain))
 	}
 	return c
 }
 
-// printFootprint compiles the system's chains into one stream the way its
-// engine lays them out — one chain per supernode, or the whole program —
-// and prints the stream's size.
-func printFootprint(label string, sys *core.System) {
-	s := emit.NewStream(sys.Prog, emit.Fused)
-	if sys.Part == nil {
-		s.Append(sys.Prog.Instrs)
-	} else {
-		for _, members := range sys.Part.Members {
-			s.AppendNodes(members)
-		}
+// footprint compiles the design's chains (designChains) into one fused
+// stream and returns the stream's size, which is its engine plan's.
+func footprint(cd *core.CompiledDesign) (kernels, records, bytes int) {
+	s := emit.NewStream(cd.Prog, emit.Fused)
+	for _, chain := range designChains(cd) {
+		s.Append(chain)
 	}
-	kernels, records, bytes := s.Footprint()
+	return s.Footprint()
+}
+
+// printFootprint prints the size of the design's stream (footprint).
+func printFootprint(label string, cd *core.CompiledDesign) {
+	kernels, records, bytes := footprint(cd)
 	fmt.Printf("%s: kernels=%d records=%d bytes=%d (%.1f B/instr)\n",
-		label, kernels, records, bytes, float64(bytes)/float64(max(len(sys.Prog.Instrs), 1)))
+		label, kernels, records, bytes, float64(bytes)/float64(max(len(cd.Prog.Instrs), 1)))
 }
 
 // generic reports whether r is a generic rule, whose producer is any inline

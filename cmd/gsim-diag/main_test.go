@@ -6,6 +6,7 @@ import (
 
 	"gsim/internal/core"
 	"gsim/internal/engine"
+	"gsim/internal/firrtl"
 	"gsim/internal/gen"
 	"gsim/internal/harness"
 	"gsim/internal/ir"
@@ -85,4 +86,88 @@ func TestRegisterSummary(t *testing.T) {
 		t.Fatalf("%s: %s, want every register in place", prof.Name, registerSummary(rp))
 	}
 	t.Logf("%s: %s", prof.Name, registerSummary(rp))
+}
+
+// TestFootprintIsThePlans: the footprint line compiles the chains the
+// design's engine plan runs (designChains), so its stream is the plan's
+// kernel for kernel, on the synthetic profile and on regsBetween, where the
+// full-cycle sweep's order fuses a window that instruction ID order splits.
+func TestFootprintIsThePlans(t *testing.T) {
+	src, _, err := harness.Synthetic(gen.StuCoreLike()).Build(harness.WorkloadCoreMark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	between, err := firrtl.Load(regsBetweenFIRRTL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*ir.Graph{"stucore-like": src, "regs-between": between} {
+		for _, cfg := range []core.Config{core.GSIM(), core.Verilator()} {
+			cd, err := core.CompileDesign(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, r, b := footprint(cd)
+			pk, pr, pb := cd.Plan().Footprint()
+			if k != pk || r != pr || b != pb {
+				t.Errorf("%s/%s: footprint kernels=%d records=%d bytes=%d, plan's stream %d %d %d",
+					name, cfg.Name, k, r, b, pk, pr, pb)
+			}
+		}
+	}
+}
+
+// regsBetweenFIRRTL numbers its registers between p and q, which reads p:
+// the full-cycle sweep runs the registers last, so p and q are adjacent and
+// fuse there, and not in ID order.
+const regsBetweenFIRRTL = `circuit F :
+  module F :
+    input clock : Clock
+    input a : UInt<8>
+    input b : UInt<8>
+    output o : UInt<8>
+    output p : UInt<8>
+    output q : UInt<8>
+
+    reg r : UInt<8>, clock
+    reg s : UInt<8>, clock
+
+    node t = and(a, b)
+    r <= xor(t, r)
+    s <= or(t, s)
+    o <= t
+    p <= xor(r, s)
+    q <= or(p, a)
+`
+
+// TestLayoutSummary pins the layout line's program counts on the
+// rocket-like profile as built: under the Verilator preset inlining copies
+// each unit's XOR chain into its ALU node, and value numbering computes the
+// copies once (stucore-like under -short, where only the relation holds).
+func TestLayoutSummary(t *testing.T) {
+	prof := gen.RocketLike()
+	if testing.Short() {
+		prof = gen.StuCoreLike()
+	}
+	g := gen.BuildProfile(prof)
+	want := map[string][2]int{"verilator": {57600, 73030}, "gsim": {960, 65255}} // reused, instrs
+	for _, cfg := range []core.Config{core.Verilator(), core.GSIM()} {
+		cd, err := core.CompileDesign(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := layoutSummary(cd)
+		var state, next, temps, regions, instrs, reused int
+		if _, err := fmt.Sscanf(line, "state=%d next=%d temps=%d regions=%d instrs=%d reused=%d",
+			&state, &next, &temps, &regions, &instrs, &reused); err != nil {
+			t.Fatalf("%s: layout %q: %v", cfg.Name, line, err)
+		}
+		if instrs != len(cd.Prog.Instrs) || reused != cd.Prog.Reused {
+			t.Fatalf("%s: layout %q, program has %d instrs, %d reused", cfg.Name, line, len(cd.Prog.Instrs), cd.Prog.Reused)
+		}
+		if w := want[cfg.Name]; !testing.Short() && (reused != w[0] || instrs != w[1]) {
+			t.Errorf("%s %s: reused=%d instrs=%d, want %d and %d", prof.Name, cfg.Name, reused, instrs, w[0], w[1])
+		}
+		t.Logf("%s %s: %s", prof.Name, cfg.Name, line)
+	}
 }

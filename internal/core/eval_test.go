@@ -117,8 +117,9 @@ const swapFIRRTL = `circuit Swap :
 const noNodesFIRRTL = "circuit I :\n  module I :\n    input clock : Clock\n    input a : UInt<8>\n"
 
 // lockstepDesigns returns every testdata FIRRTL design, the pad-folding
-// shapes and the register swap above, and two generated designs, as
-// (name, graph) pairs.
+// shapes and the register swap above, the repeated subtrees value numbering
+// computes once (repeatFIRRTL), and two generated designs, as (name, graph)
+// pairs.
 func lockstepDesigns(t *testing.T) (names []string, graphs []*ir.Graph) {
 	t.Helper()
 	padFold, err := firrtl.Load(padFoldFIRRTL)
@@ -131,6 +132,11 @@ func lockstepDesigns(t *testing.T) (names []string, graphs []*ir.Graph) {
 		t.Fatalf("swap: %v", err)
 	}
 	names, graphs = append(names, "swap"), append(graphs, swap)
+	repeat, err := firrtl.Load(repeatFIRRTL)
+	if err != nil {
+		t.Fatalf("repeat: %v", err)
+	}
+	names, graphs = append(names, "repeat"), append(graphs, repeat)
 	files, err := filepath.Glob("../../testdata/*.fir")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no testdata designs found: %v", err)

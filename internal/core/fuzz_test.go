@@ -108,6 +108,7 @@ func FuzzKernelLockstep(f *testing.F) {
 	}
 	f.Add([]byte(padFoldFIRRTL))
 	f.Add([]byte(swapFIRRTL))
+	f.Add([]byte(repeatFIRRTL))
 	f.Add([]byte(noNodesFIRRTL))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte("gsim"))
@@ -356,14 +357,17 @@ func FuzzKernelLockstep(f *testing.F) {
 		}
 
 		// Simplify-axis epilogue: the two VCD streams over the shared
-		// interface nodes must be byte-identical. Stats beyond that are
-		// allowed to differ — the graphs do, and a few rules deliberately
-		// trade one wide instruction for two narrow ones (leq-zero becomes
-		// not(orr x)), so strict instruction-count monotonicity does not
-		// hold. What must never happen is gross pessimization: each rewrite
-		// replaces one node with at most two, so anything past 2x (plus
-		// scheduling slack) means the rule set is expanding work, not
-		// simplifying it.
+		// interface nodes must be byte-identical. Beyond that the builds may
+		// differ — the graphs do, and a few rules deliberately trade one wide
+		// instruction for two narrow ones (leq-zero becomes not(orr x)), so
+		// strict instruction-count monotonicity does not hold. What must
+		// never happen is gross pessimization: each rewrite replaces one node
+		// with at most two, so a simplified program past twice the
+		// unsimplified one's instructions (plus slack) means the rule set is
+		// expanding work, not simplifying it. The bound is on the static
+		// programs, which is what the rules rewrite: the activity engine's
+		// executed count also moves with the partition, which a different
+		// graph reshapes, so it can rise on a smaller program.
 		if errNA == nil {
 			if err := trK.Close(); err != nil {
 				t.Fatal(err)
@@ -375,9 +379,8 @@ func FuzzKernelLockstep(f *testing.F) {
 				t.Fatalf("VCD streams diverge between simplified and unsimplified builds (%d vs %d bytes)",
 					vcdK.Len(), vcdNA.Len())
 			}
-			if ks, ns := sysK.Sim.Stats(), sysNA.Sim.Stats(); ks.InstrsExecuted > 2*ns.InstrsExecuted+64 {
-				t.Fatalf("simplified build executed far more instructions: %d vs %d",
-					ks.InstrsExecuted, ns.InstrsExecuted)
+			if k, n := len(sysK.Prog.Instrs), len(sysNA.Prog.Instrs); k > 2*n+64 {
+				t.Fatalf("simplified program has far more instructions: %d vs %d", k, n)
 			}
 		}
 	})

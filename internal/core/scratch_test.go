@@ -74,7 +74,7 @@ func checkScratch(t *testing.T, what string, poison func(engine.Sim, *rand.Rand)
 	names, graphs := lockstepDesigns(t)
 	var designs []int
 	for i, name := range names {
-		if name == "padfold" || name == "swap" || strings.HasPrefix(name, "gen") {
+		if name == "padfold" || name == "swap" || name == "repeat" || strings.HasPrefix(name, "gen") {
 			designs = append(designs, i)
 		}
 	}

@@ -199,17 +199,7 @@ func (s *Stream) appendNodes(ids []int32, region int, inPlace func(id int32) boo
 	s.regions = max(s.regions, int32(region)+1)
 	shift := int32(region * p.TempWords)
 	if s.mode != Interp {
-		s.chain = s.chain[:0]
-		for _, id := range ids {
-			r := p.Code[id]
-			s.chain = append(s.chain, p.Instrs[r.Start:r.End]...)
-			if inPlace != nil && inPlace(id) {
-				if !p.InPlaceCandidate(id) {
-					panic(fmt.Sprintf("emit: node %d cannot update in place", id))
-				}
-				s.chain[len(s.chain)-1].D = p.Off[id]
-			}
-		}
+		s.chain = p.NodeChain(s.chain[:0], ids, inPlace)
 		for i := range s.chain {
 			s.check(s.chain[i], i)
 			s.chain[i].relocate(int32(p.TempBase()), shift)
@@ -229,6 +219,25 @@ func (s *Stream) appendNodes(ids []int32, region int, inPlace func(id int32) boo
 		}
 	}
 	return s.end(sp)
+}
+
+// NodeChain appends to dst the given nodes' code ranges, concatenated in
+// the order given, and returns it: the chain AppendNodesInPlace compiles,
+// before it moves into a region. The final store of every register for
+// which inPlace is true goes to its current word (nil: none does); NodeChain
+// panics if such a register is not a Program.InPlaceCandidate.
+func (p *Program) NodeChain(dst []Instr, ids []int32, inPlace func(id int32) bool) []Instr {
+	for _, id := range ids {
+		r := p.Code[id]
+		dst = append(dst, p.Instrs[r.Start:r.End]...)
+		if inPlace != nil && inPlace(id) {
+			if !p.InPlaceCandidate(id) {
+				panic(fmt.Sprintf("emit: node %d cannot update in place", id))
+			}
+			dst[len(dst)-1].D = p.Off[id]
+		}
+	}
+	return dst
 }
 
 // begin opens a chain: its span starts at the next kernel and at the

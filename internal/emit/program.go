@@ -153,6 +153,12 @@ type Program struct {
 
 	EmitTime time.Duration
 
+	// Reused counts the subexpressions value numbering found already
+	// computed in their node (see compileExpr): each is an instruction the
+	// program does not hold. It describes the compile, not the program, so
+	// the design hash leaves it out.
+	Reused int
+
 	// Memoized design hash (see hash.go), once-guarded so a Program stays
 	// safely shareable across concurrently constructed engines (the server's
 	// compiled-design cache hands one Program to many sessions).
@@ -233,6 +239,8 @@ type compiler struct {
 	temp      int32 // next word of the current node's temporaries
 	constPool map[string]int32
 	constVals []constFill
+
+	vn vnTable // the current node's temporary-writing instructions (compileExpr)
 }
 
 // tempTag and nextTag mark a temporary's and a next value's offsets while
@@ -326,6 +334,7 @@ func Compile(g *ir.Graph) (*Program, error) {
 	for _, node := range g.Nodes {
 		startIdx := int32(len(p.Instrs))
 		c.temp = 0
+		c.vn.reset()
 		var err error
 		switch node.Kind {
 		case ir.KindInput:
@@ -452,10 +461,30 @@ func (c *compiler) compileRoot(e *ir.Expr, dst int32) error {
 		c.p.Instrs = append(c.p.Instrs, Instr{Op: CCopy, D: dst, DW: int32(e.Width), A: src, AW: int32(e.Width)})
 		return nil
 	}
-	return c.compileInto(e, dst)
+	in, err := c.lower(e, dst)
+	if err != nil {
+		return err
+	}
+	c.p.Instrs = append(c.p.Instrs, in)
+	return nil
 }
 
 // compileExpr compiles e into a fresh or existing slot and returns it.
+//
+// A non-leaf e is value-numbered within its node: once its operands are
+// compiled, an instruction equal in every field but D to one the node
+// already emitted computes the same value, so e reads that instruction's
+// temporary and emits nothing. The equality is sound because, inside one
+// node's range, no instruction before the root writes a persistent word the
+// node reads and each temporary is written exactly once: equal opcodes,
+// widths, operand offsets and bits fields read equal words. Commutative
+// operands are compared as written, not canonicalized.
+//
+// The destination is allocated before the operands, as without value
+// numbering, so a node with no repeated subexpression compiles to the same
+// instructions. On a hit every operand was a leaf or a hit itself (a newly
+// written temporary would differ from every earlier operand), so dst is the
+// last temporary allocated and is given back.
 func (c *compiler) compileExpr(e *ir.Expr) (operand, error) {
 	if a := unpad(e); a != e {
 		o, err := c.compileExpr(a)
@@ -469,26 +498,106 @@ func (c *compiler) compileExpr(e *ir.Expr) (operand, error) {
 		return operand{c.constSlot(e.Imm), int32(e.Width)}, nil
 	}
 	dst := c.allocTemp(e.Width)
-	if err := c.compileInto(e, dst); err != nil {
+	in, err := c.lower(e, dst)
+	if err != nil {
 		return operand{}, err
 	}
+	if d, ok := c.vn.lookup(in); ok {
+		c.temp = dst - tempTag
+		c.p.Reused++
+		return operand{d, int32(e.Width)}, nil
+	}
+	c.vn.insert(in)
+	c.p.Instrs = append(c.p.Instrs, in)
 	return operand{dst, int32(e.Width)}, nil
 }
 
-// compileInto compiles a non-leaf expression, placing the result at dst.
-func (c *compiler) compileInto(e *ir.Expr, dst int32) error {
+// vnTable is the value numbering table of one node: open addressing over a
+// power-of-two slot array holding the instructions emitted so far, keyed by
+// every field but D. Each slot is stamped with the node it belongs to, so
+// starting the next node (reset) costs nothing however many entries the
+// last one used.
+type vnTable struct {
+	slots []vnSlot
+	stamp uint32 // the current node's; a slot stamped otherwise is empty
+	n     int    // the current node's entries
+}
+
+type vnSlot struct {
+	in    Instr
+	stamp uint32
+}
+
+// reset empties the table for the next node.
+func (t *vnTable) reset() { t.stamp, t.n = t.stamp+1, 0 }
+
+// lookup returns the destination of the entry computing what in computes.
+func (t *vnTable) lookup(in Instr) (int32, bool) {
+	if t.n == 0 {
+		return 0, false
+	}
+	mask := len(t.slots) - 1
+	for i := vnHash(&in) & mask; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.stamp != t.stamp {
+			return 0, false
+		}
+		if sameValue(&s.in, &in) {
+			return s.in.D, true
+		}
+	}
+}
+
+// insert adds in, which lookup did not find. The table doubles before it is
+// half full, carrying the current node's entries over.
+func (t *vnTable) insert(in Instr) {
+	if 2*(t.n+1) > len(t.slots) {
+		old := t.slots
+		t.slots, t.n = make([]vnSlot, max(64, 2*len(old))), 0
+		for i := range old {
+			if old[i].stamp == t.stamp {
+				t.insert(old[i].in)
+			}
+		}
+	}
+	mask := len(t.slots) - 1
+	i := vnHash(&in) & mask
+	for t.slots[i].stamp == t.stamp {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = vnSlot{in, t.stamp}
+	t.n++
+}
+
+// sameValue reports whether a and b are equal in every field but D.
+func sameValue(a, b *Instr) bool {
+	return a.Op == b.Op && a.DW == b.DW && a.AW == b.AW && a.BW == b.BW &&
+		a.A == b.A && a.B == b.B && a.C == b.C && a.Hi == b.Hi && a.Lo == b.Lo
+}
+
+// vnHash mixes every field of in but D.
+func vnHash(in *Instr) int {
+	h := uint64(uint32(in.A)) | uint64(uint32(in.B))<<32
+	h = (h ^ uint64(uint32(in.C)) ^ uint64(uint32(in.Lo))<<32) * 0x9e3779b97f4a7c15
+	h = (h ^ uint64(in.Op) ^ uint64(uint32(in.DW))<<8 ^ uint64(uint32(in.AW))<<24 ^ uint64(uint32(in.BW))<<40 ^ uint64(uint32(in.Hi))<<48) * 0xc2b2ae3d27d4eb4f
+	return int(h >> 32)
+}
+
+// lower compiles a non-leaf expression's operands and returns the
+// instruction that computes it into dst, which the caller emits.
+func (c *compiler) lower(e *ir.Expr, dst int32) (Instr, error) {
 	op, ok := opcodeOf[e.Op]
 	if !ok {
-		return fmt.Errorf("unsupported op %v", e.Op)
+		return Instr{}, fmt.Errorf("unsupported op %v", e.Op)
 	}
 	if (e.Op == ir.OpDiv || e.Op == ir.OpRem) && (e.Args[0].Width > 64 || e.Args[1].Width > 64) {
-		return fmt.Errorf("div/rem wider than 64 bits not supported (widths %d, %d)", e.Args[0].Width, e.Args[1].Width)
+		return Instr{}, fmt.Errorf("div/rem wider than 64 bits not supported (widths %d, %d)", e.Args[0].Width, e.Args[1].Width)
 	}
 	var ops [3]operand
 	for i, a := range e.Args {
 		o, err := c.compileExpr(a)
 		if err != nil {
-			return err
+			return Instr{}, err
 		}
 		ops[i] = o
 	}
@@ -504,6 +613,5 @@ func (c *compiler) compileInto(e *ir.Expr, dst int32) error {
 		in.B, in.BW = ops[1].off, ops[1].width
 		in.C = ops[2].off
 	}
-	c.p.Instrs = append(c.p.Instrs, in)
-	return nil
+	return in, nil
 }

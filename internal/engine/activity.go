@@ -342,6 +342,9 @@ func (pl *ActivityPlan) Bytes() int {
 	return n + 4*(len(pl.wordChunk)+len(pl.supSlot)+len(pl.slotSup)+len(pl.wordLo)*(pl.levels+1))
 }
 
+// Footprint is the size of the plan's stream.
+func (pl *ActivityPlan) Footprint() (kernels, records, bytes int) { return pl.plan.stream.Footprint() }
+
 // NewActivity builds an essential-signal engine over its own plan:
 // PlanActivity then NewEngine, for callers that build one engine of a
 // program.

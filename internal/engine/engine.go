@@ -106,6 +106,9 @@ type Plan interface {
 	NewEngine() Compiled
 	// Bytes is the plan's resident size: its stream and tables.
 	Bytes() int
+	// Footprint is the size of the plan's stream: kernels, operand records
+	// and the bytes of both (emit.Stream.Footprint).
+	Footprint() (kernels, records, bytes int)
 }
 
 // tables are the engine-independent part of every plan.

@@ -217,6 +217,22 @@ func (pl *FullCyclePlan) Bytes() int {
 	return pl.t.bytes() + b + 12*pl.threads*len(pl.chains) + 4*len(pl.commit)
 }
 
+// Footprint is the size of the plan's stream.
+func (pl *FullCyclePlan) Footprint() (kernels, records, bytes int) { return pl.stream.Footprint() }
+
+// Sweep returns the one-worker plan's chain as its stream compiled it: the
+// nodes in sweep order, with the stores of the registers that update in
+// place redirected to their current words. A multi-worker plan has no
+// sweep and returns nil. The plan keeps neither the order nor the chain, so
+// Sweep recomputes both.
+func (pl *FullCyclePlan) Sweep() []emit.Instr {
+	if pl.threads > 1 {
+		return nil
+	}
+	order, inPlace, _ := sweepOrder(pl.t.p, pl.t.coded)
+	return pl.t.p.NodeChain(nil, order, func(id int32) bool { return pl.regs.InPlace > 0 && inPlace[id] })
+}
+
 // NewFullCycle builds a full-cycle engine over its own plan: PlanFullCycle
 // then NewEngine, for callers that build one engine of a program.
 func NewFullCycle(p *emit.Program, threads int, mode EvalMode) *FullCycle {
