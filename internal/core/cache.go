@@ -163,10 +163,10 @@ func (d *CompiledDesign) NewSim(cfg Config) (engine.Compiled, error) {
 // interchangeable. Unset and one-worker thread counts are the same build.
 func CacheKey(sourceHash string, cfg Config) string {
 	cfg = cfg.normalized()
-	return fmt.Sprintf("%s|opt=%+v|engine=%s|eval=%s|threads=%d|part=%d|maxsup=%d|act=%d/%d/%v",
+	return fmt.Sprintf("%s|opt=%+v|engine=%s|eval=%s|threads=%d|part=%d|maxsup=%d|act=%d/%v",
 		sourceHash, cfg.Opt, cfg.Engine, cfg.Eval, cfg.Threads,
 		cfg.Partition, cfg.MaxSupernode,
-		cfg.Activity.Activation, cfg.Activity.BranchlessMax, cfg.Activity.MultiBitCheck)
+		cfg.Activity.Activation, cfg.Activity.MultiBitCheck)
 }
 
 // CompileCache deduplicates design compilation: one entry per CacheKey,

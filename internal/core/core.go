@@ -218,8 +218,7 @@ func (c Config) mismatch(o Config) string {
 		return "eval mode"
 	case c.Threads != o.Threads:
 		return "worker count"
-	case c.Activity.Activation != o.Activity.Activation || c.Activity.BranchlessMax != o.Activity.BranchlessMax ||
-		c.Activity.MultiBitCheck != o.Activity.MultiBitCheck:
+	case c.Activity != o.Activity:
 		return "activation"
 	case c.Partition != o.Partition:
 		return "partitioner"

@@ -146,8 +146,8 @@ func checkScratch(t *testing.T, what string, poison func(engine.Sim, *rand.Rand)
 
 // TestFullCycleRegisterPlacement: the swap design's one-worker full-cycle
 // plan updates c and s in place and commits the swap pair (a register read
-// cycle) and the wide w through the commit list; an interp stream cannot
-// redirect a store, and a multi-worker plan updates nothing in place.
+// cycle) and the wide w through the commit list, in every stream mode; a
+// multi-worker plan updates nothing in place.
 // Every register of the stucore-like profile is in place.
 func TestFullCycleRegisterPlacement(t *testing.T) {
 	swap, err := firrtl.Load(swapFIRRTL)
@@ -167,7 +167,7 @@ func TestFullCycleRegisterPlacement(t *testing.T) {
 	}{
 		{1, engine.EvalKernel, engine.RegPlacement{InPlace: 2, Regs: 5, Cyclic: 2, Wide: 1}},
 		{1, engine.EvalKernelNoFuse, engine.RegPlacement{InPlace: 2, Regs: 5, Cyclic: 2, Wide: 1}},
-		{1, engine.EvalInterp, engine.RegPlacement{InPlace: 0, Regs: 5, Cyclic: 2, Wide: 1}},
+		{1, engine.EvalInterp, engine.RegPlacement{InPlace: 2, Regs: 5, Cyclic: 2, Wide: 1}},
 		{2, engine.EvalKernel, engine.RegPlacement{Regs: 5}},
 	} {
 		if got := engine.PlanFullCycle(prog, c.threads, c.mode).Registers(); got != c.want {

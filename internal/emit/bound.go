@@ -21,14 +21,15 @@ import (
 // its program: a compiled design builds it once and every engine and lane
 // of the design runs it.
 //
-// A stream's Mode, fixed when it is built, picks its kernels: fused (the
-// product), unfused (fusion's baseline) or interp (the reference
-// interpreter, one window per node). Engines run every mode the same way.
+// A stream's Mode, fixed when it is built, picks its kernels and nothing
+// else: fused (the product), unfused (fusion's baseline) or interp (the
+// reference interpreter, one window per chain). Every mode builds the same
+// validated, relocated chain, and engines run every mode the same way.
 //
-// A chain runs in one temporary region: AppendNodesIn moves the
-// temporaries of a worker's chains into that worker's region, so workers
-// running concurrently never share a temporary. A stream's region count is
-// the highest region a chain was appended into, plus one.
+// A chain runs in one temporary region: AppendNodes moves the temporaries
+// of a worker's chains into that worker's region, so workers running
+// concurrently never share a temporary. A stream's region count is the
+// highest region a chain was appended into, plus one.
 //
 // Safety: kernels address the state image through unsafe.Add. Every
 // instruction is validated once, as it is appended: each operand lies in
@@ -40,20 +41,27 @@ import (
 // copy into them in place). CheckMachine asserts that once, where an engine
 // binds a machine to a stream, not on every Run.
 
-// Op is one instruction's operand record: byte offsets into the state image
-// and the widths the kernel masks with (at most 64: only instructions whose
-// operands and result fit one word get a record of their own), and Sh, the
-// static shift or
-// bits offset, clamped to 255 (any count of 64 or more shifts every bit
-// out). A memory read keeps its memory index in B. The wide fallback takes
-// two records: the instruction's word offsets, then its widths in D, A, B,
-// its Lo in C and its opcode in Sh. An Interp window's one record holds its
-// node's instruction range in D and A, and in B the shift, in words, that
-// moves the node's temporaries into the chain's region.
+// Op is an operand record, in one of two layouts. A one-word kernel's
+// record holds its instruction's byte offsets into the state image, the
+// widths it masks with (at most 64: only instructions whose operands and
+// result fit one word get a record of their own) and Sh, the static shift
+// or bits offset, clamped to 255 (any count of 64 or more shifts every bit
+// out); a memory read keeps its memory index in B. Otherwise an instruction
+// is stored verbatim, one Instr filling two records, and runs through the
+// interpreter (Machine.Exec's loop): the wide fallback's window is one such
+// instruction, and an Interp window is a record holding its instruction
+// count in D followed by its whole chain.
 type Op struct {
 	D, A, B, C     int32
 	DW, AW, BW, Sh uint8
 }
+
+// An Instr fills exactly two records, and is aligned no stricter than one.
+var (
+	_ [2*unsafe.Sizeof(Op{}) - unsafe.Sizeof(Instr{})]struct{}
+	_ [unsafe.Sizeof(Instr{}) - 2*unsafe.Sizeof(Op{})]struct{}
+	_ [unsafe.Alignof(Op{}) - unsafe.Alignof(Instr{})]struct{}
+)
 
 // kernel runs the records of one window, starting at a, against the state
 // image at st (m's) and returns the record after the window.
@@ -62,7 +70,8 @@ type kernel func(st unsafe.Pointer, m *Machine, a *Op) *Op
 // BoundFn runs a compiled chain.
 type BoundFn func()
 
-// Mode is how a stream compiles its chains.
+// Mode is the kernels a stream compiles its chains to; every mode compiles
+// the same chains.
 type Mode uint8
 
 const (
@@ -70,10 +79,10 @@ const (
 	// rule table, widest window first — a triple beats the pair it
 	// contains) on top of the one-instruction kernels.
 	Fused Mode = iota
-	// Interp runs each node's code range through the reference
-	// switch-dispatch interpreter (Machine.Exec): one window per node,
-	// whose record holds the range. It is the semantic baseline the
-	// kernels are pinned against.
+	// Interp runs each chain through the reference switch-dispatch
+	// interpreter (Machine.Exec's loop): one window per chain, whose
+	// records hold the chain's instructions verbatim. It is the semantic
+	// baseline the kernels are pinned against.
 	Interp
 	// Unfused compiles every instruction to its own kernel: the baseline
 	// fusion is measured against.
@@ -130,15 +139,12 @@ func (s *Stream) CheckMachine(m *Machine) {
 
 // Append compiles the instruction chain ins, whose temporaries are in the
 // first region, onto the stream and returns its span: fused windows in
-// Fused mode, one kernel per instruction in Unfused. The chain need not be
-// contiguous in the program. Append panics, naming the instruction, if one
-// has a zero width or reads or writes outside the program's persistent
-// words, one temporary region and its memories. An Interp stream runs node
-// ranges of the program, so it takes chains only through AppendNodesIn.
+// Fused mode, one kernel per instruction in Unfused, one window for the
+// whole chain in Interp. The chain need not be contiguous in the program.
+// Append panics, naming the instruction, if one has a zero width or reads
+// or writes outside the program's persistent words, one temporary region
+// and its memories.
 func (s *Stream) Append(ins []Instr) Span {
-	if s.mode == Interp {
-		panic("emit: an interp stream appends node ranges (AppendNodesIn), not instructions")
-	}
 	for i := range ins {
 		s.check(ins[i], i)
 	}
@@ -148,82 +154,60 @@ func (s *Stream) Append(ins []Instr) Span {
 // compile appends the windows of a validated chain.
 func (s *Stream) compile(ins []Instr) Span {
 	sp := s.begin()
-	if s.mode == Fused {
+	switch s.mode {
+	case Fused:
 		fusionWalk(ins, func(i int, r FuseRule) { s.window(ins[i : i+max(r.Arity(), 1)]) })
-	} else {
+	case Unfused:
 		for i := range ins {
 			s.window(ins[i : i+1])
+		}
+	case Interp:
+		if len(ins) > 0 {
+			s.kernels = append(s.kernels, kInterp)
+			s.ops = append(s.ops, Op{D: int32(len(ins))})
+			s.verbatim(ins)
 		}
 	}
 	return s.end(sp)
 }
 
-// AppendNodes appends the given nodes' code ranges as one chain in the
-// first temporary region: AppendNodesIn(ids, 0).
-func (s *Stream) AppendNodes(ids []int32) Span { return s.AppendNodesIn(ids, 0) }
-
-// AppendNodesIn appends the given nodes' code ranges, concatenated in the
+// AppendNodes appends the given nodes' code ranges, concatenated in the
 // order given, as one chain whose temporaries live in the given region —
 // the one of the worker that runs the chain. The order is the chain's
 // execution order and must be a dependence order of the nodes — engines
 // pass chunk member lists in ascending node/supernode ID, which the
 // partition package guarantees is topological, including inside chunks
-// that merge several dependence levels. Fusion applies across node boundaries exactly like
-// inside a node: a kernel performs every store of its window in order, and
-// a node's first instruction reads no temporary, so a window spanning two
-// nodes fuses as it did before the nodes shared a region. Every
-// instruction is validated as Append validates it, in every mode, before
-// it moves into the region.
-func (s *Stream) AppendNodesIn(ids []int32, region int) Span { return s.appendNodes(ids, region, nil) }
-
-// AppendNodesInPlace appends the given nodes' code ranges as one chain in
-// the first temporary region, like AppendNodes, except that every register
-// for which inPlace is true stores its next value straight into its current
-// word: the chain redirects the register's final store, the only
-// instruction touching its next word (Program.InPlaceCandidate, else a
-// panic). The order must then also put every reader of such a register's
-// current value before it. An interp stream runs the program's own
-// instructions, which cannot be redirected, so it refuses.
-func (s *Stream) AppendNodesInPlace(ids []int32, inPlace func(id int32) bool) Span {
-	if s.mode == Interp {
-		panic("emit: an interp stream cannot redirect register stores")
-	}
-	return s.appendNodes(ids, 0, inPlace)
-}
-
-func (s *Stream) appendNodes(ids []int32, region int, inPlace func(id int32) bool) Span {
+// that merge several dependence levels. Fusion applies across node
+// boundaries exactly like inside a node: a kernel performs every store of
+// its window in order, and a node's first instruction reads no temporary,
+// so a window spanning two nodes fuses as it did before the nodes shared a
+// region.
+//
+// Every register for which inPlace is true (nil: none) stores its next
+// value straight into its current word: the chain redirects the register's
+// final store, the only instruction touching its next word
+// (Program.InPlaceCandidate, else a panic). The order must then also put
+// every reader of such a register's current value before it.
+//
+// Every instruction is validated as Append validates it before it moves
+// into the region.
+func (s *Stream) AppendNodes(ids []int32, region int, inPlace func(id int32) bool) Span {
 	p := s.p
 	if region < 0 || int64(p.TempBase())+int64(region+1)*int64(p.TempWords) > math.MaxInt32/8 { // byte offsets are int32
 		panic(fmt.Sprintf("emit: temporary region %d out of range", region))
 	}
 	s.regions = max(s.regions, int32(region)+1)
-	shift := int32(region * p.TempWords)
-	if s.mode != Interp {
-		s.chain = p.NodeChain(s.chain[:0], ids, inPlace)
-		for i := range s.chain {
-			s.check(s.chain[i], i)
-			s.chain[i].relocate(int32(p.TempBase()), shift)
-		}
-		return s.compile(s.chain)
+	s.chain = p.NodeChain(s.chain[:0], ids, inPlace)
+	for i := range s.chain {
+		s.check(s.chain[i], i)
+		s.chain[i].relocate(int32(p.TempBase()), int32(region*p.TempWords))
 	}
-	sp, i := s.begin(), 0
-	for _, id := range ids {
-		r := p.Code[id]
-		for _, in := range p.Instrs[r.Start:r.End] {
-			s.check(in, i)
-			i++
-		}
-		if r.Len() > 0 {
-			s.kernels = append(s.kernels, kExec)
-			s.ops = append(s.ops, Op{D: r.Start, A: r.End, B: shift})
-		}
-	}
-	return s.end(sp)
+	return s.compile(s.chain)
 }
 
 // NodeChain appends to dst the given nodes' code ranges, concatenated in
-// the order given, and returns it: the chain AppendNodesInPlace compiles,
-// before it moves into a region. The final store of every register for
+// the order given, and returns it: the chain AppendNodes compiles, before
+// it moves into a region. The final store of every register for
 // which inPlace is true goes to its current word (nil: none does); NodeChain
 // panics if such a register is not a Program.InPlaceCandidate.
 func (p *Program) NodeChain(dst []Instr, ids []int32, inPlace func(id int32) bool) []Instr {
@@ -320,7 +304,7 @@ func (s *Stream) check(in Instr, i int) {
 
 // window appends one window: its kernel, chosen by opcodes — a one-word
 // kernel when every operand and the result fit one word, the wide fallback
-// (execWide) otherwise — and its records.
+// otherwise — and its records.
 func (s *Stream) window(w []Instr) {
 	in := w[0]
 	var k kernel
@@ -335,8 +319,7 @@ func (s *Stream) window(w []Instr) {
 		k = narrowKernels[in.Op]
 	default:
 		s.kernels = append(s.kernels, kWide)
-		s.ops = append(s.ops, Op{D: in.D, A: in.A, B: in.B, C: in.C},
-			Op{D: in.DW, A: in.AW, B: in.BW, C: in.Lo, Sh: uint8(in.Op)})
+		s.verbatim(w)
 		return
 	}
 	if k == nil {
@@ -355,6 +338,14 @@ func (s *Stream) window(w []Instr) {
 }
 
 func clamp8(v int32) uint8 { return uint8(min(v, 255)) }
+
+// verbatim appends the instructions ins as records, each filling two.
+func (s *Stream) verbatim(ins []Instr) {
+	s.ops = append(s.ops, unsafe.Slice((*Op)(unsafe.Pointer(unsafe.SliceData(ins))), 2*len(ins))...)
+}
+
+// instrs views the n instructions stored verbatim from record a on.
+func instrs(a *Op, n int) []Instr { return unsafe.Slice((*Instr)(unsafe.Pointer(a)), n) }
 
 // at addresses the state word at byte offset off of the image at st.
 func at(st unsafe.Pointer, off int32) *uint64 { return (*uint64)(unsafe.Add(st, off)) }
@@ -415,17 +406,17 @@ func kMemread(st unsafe.Pointer, m *Machine, a *Op) *Op {
 	return a.next()
 }
 
-// kExec is the Interp mode's one kernel: it runs a node's code range,
-// [a.D, a.A), through the interpreter, its temporaries a.B words on.
-func kExec(_ unsafe.Pointer, m *Machine, a *Op) *Op {
-	m.execIn(a.D, a.A, a.B)
-	return a.next()
+// kInterp is the Interp mode's one kernel: it runs the a.D instructions
+// stored after a through the interpreter.
+func kInterp(_ unsafe.Pointer, m *Machine, a *Op) *Op {
+	n := int(a.D)
+	m.run(instrs(a.next(), n))
+	return (*Op)(unsafe.Add(unsafe.Pointer(a), (1+2*n)*int(unsafe.Sizeof(Op{}))))
 }
 
-// kWide runs a wide instruction through the interpreter's multi-word path.
-func kWide(st unsafe.Pointer, m *Machine, a *Op) *Op {
-	w := a.next()
-	in := Instr{Op: OpCode(w.Sh), D: a.D, A: a.A, B: a.B, C: a.C, DW: w.D, AW: w.A, BW: w.B, Lo: w.C}
-	m.execWide(&in)
-	return w.next()
+// kWide is the wide fallback: it runs the one instruction stored at a
+// through the interpreter.
+func kWide(_ unsafe.Pointer, m *Machine, a *Op) *Op {
+	m.run(instrs(a, 1))
+	return a.next().next()
 }

@@ -48,11 +48,16 @@ func kernelsFor(t *testing.T, p *Program, in Instr) int {
 
 // TestChainMatchesInterp is the chain-level property test for every stream
 // mode: for random expression trees (narrow and wide), the whole program
-// appended node by node — width classes, and superinstructions when fused —
+// appended as one chain — width classes, and superinstructions when fused —
 // must leave the machine in the exact state Machine.Exec leaves it in, every
 // word including temporaries. Fused, the kernel count may only shrink;
 // unfused (the kernel-nofuse path), it is exactly one kernel per
-// instruction; interp, one per node with code.
+// instruction; interp, one window for the whole chain.
+//
+// The program also holds a register whose next value is a second random
+// expression, and every chain updates it in place: its final store goes
+// straight to its current word, which must then hold what Machine.Exec
+// followed by the register's commit copy leaves there.
 //
 // The same program then runs a second time as one chain per node, the
 // nodes alternating between two temporary regions of one machine, with
@@ -87,32 +92,36 @@ func checkChainMatchesInterp(t *testing.T, seed int64, mode Mode) {
 		vals[in] = bitvec.FromWords(w, v.W)
 	}
 	e := randExpr(rng, b, inputs, 6)
+	reg := b.Reg("r", 1+rng.Intn(64))
+	b.SetNext(reg, b.Fit(randExpr(rng, b, inputs, 4), reg.Width))
 	p, _ := compileExpr(t, inputs, b.G, e)
+	r := int32(reg.ID)
+	if !p.InPlaceCandidate(r) {
+		t.Fatalf("seed %d: the register cannot update in place", seed)
+	}
+	inPlace := func(id int32) bool { return id == r }
 
 	mi := NewMachine(p)
 	mb := NewMachine(p)
 	mn := NewMachineRegions(p, 2)
 	s := NewStream(p, mode)
-	ids, coded := make([]int32, len(p.Code)), 0
-	for id, r := range p.Code {
+	ids := make([]int32, len(p.Code))
+	for id := range ids {
 		ids[id] = int32(id)
-		if r.Len() > 0 {
-			coded++
-		}
 	}
-	chain := s.AppendNodes(ids)
+	chain := s.AppendNodes(ids, 0, inPlace)
 	kernels, _, _ := s.Footprint()
 	switch {
 	case mode == Fused && kernels > len(p.Instrs):
 		t.Fatalf("seed %d: chain grew: %d kernels for %d instructions", seed, kernels, len(p.Instrs))
 	case mode == Unfused && kernels != len(p.Instrs):
 		t.Fatalf("seed %d: unfused chain has %d kernels for %d instructions", seed, kernels, len(p.Instrs))
-	case mode == Interp && kernels != coded:
-		t.Fatalf("seed %d: interp chain has %d kernels for %d nodes with code", seed, kernels, coded)
+	case mode == Interp && kernels != 1:
+		t.Fatalf("seed %d: interp chain has %d kernels, want one window", seed, kernels)
 	}
 	sn, perNode := NewStream(p, mode), make([]Span, len(ids))
 	for _, id := range ids {
-		perNode[id] = sn.AppendNodesIn([]int32{id}, int(id)%2)
+		perNode[id] = sn.AppendNodes([]int32{id}, int(id)%2, inPlace)
 	}
 	for _, in := range inputs {
 		for _, m := range []*Machine{mi, mb, mn} {
@@ -120,6 +129,7 @@ func checkChainMatchesInterp(t *testing.T, seed int64, mode Mode) {
 		}
 	}
 	mi.Exec(0, int32(len(p.Instrs)))
+	mi.State[p.Off[r]] = mi.State[p.NextOff[r]]
 	s.CheckMachine(mb)
 	s.Run(mb, chain)
 	sn.CheckMachine(mn)
@@ -130,14 +140,15 @@ func checkChainMatchesInterp(t *testing.T, seed int64, mode Mode) {
 		sn.Run(mn, sp)
 	}
 	// The whole chain runs in the interpreter's region: every word matches,
-	// temporaries included. Node by node, only the persistent words do.
+	// temporaries included, but the register's next word, which an in-place
+	// chain never writes. Node by node, only the persistent words do.
 	for name, m := range map[string]*Machine{"stream": mb, "node by node over poisoned regions": mn} {
 		words := len(mi.State)
 		if m == mn {
 			words = p.StateWords
 		}
 		for w := range words {
-			if mi.State[w] != m.State[w] {
+			if mi.State[w] != m.State[w] && w != int(p.NextOff[r]) {
 				t.Fatalf("seed %d: state word %d: interp %#x vs %s %#x\nexpr: %s",
 					seed, w, mi.State[w], name, m.State[w], e)
 			}
@@ -148,10 +159,9 @@ func checkChainMatchesInterp(t *testing.T, seed int64, mode Mode) {
 // TestStreamRefusesOutsideState corrupts one instruction at a time — an
 // operand past the state image, a negative offset, a 2-word operand
 // straddling the end, a memory index past Mems, a zero width, a temporary
-// past its region — and checks
-// that building the stream in every mode refuses it, naming the
-// instruction, instead of compiling a kernel that addresses memory outside
-// the machine or masks with a width it cannot represent.
+// past its region — and checks that appending it in every mode refuses it,
+// naming the instruction, instead of compiling a kernel that addresses
+// memory outside the machine or masks with a width it cannot represent.
 func TestStreamRefusesOutsideState(t *testing.T) {
 	p := &Program{NumWords: 16, Mems: []MemSpec{{Depth: 4, Width: 8, WordsPer: 1, Init: make([]uint64, 4)}}}
 	good := []Instr{
@@ -160,15 +170,9 @@ func TestStreamRefusesOutsideState(t *testing.T) {
 		{Op: CMemRead, D: 12, DW: 8, A: 11, AW: 2, Lo: 0},
 		{Op: CCopy, D: 13, DW: 100, A: 4, AW: 100},
 	}
-	// appendAll appends ins as the code of a one-node program, the form
-	// every mode accepts.
-	appendAll := func(mode Mode, ins []Instr) {
-		q := &Program{NumWords: p.NumWords, Mems: p.Mems, Instrs: ins, Code: []Range{{0, int32(len(ins))}}}
-		NewStream(q, mode).AppendNodes([]int32{0})
-	}
 	modes := []Mode{Fused, Unfused, Interp}
 	for _, mode := range modes {
-		appendAll(mode, good)
+		NewStream(p, mode).Append(good)
 	}
 	for _, c := range []struct {
 		name    string
@@ -187,11 +191,11 @@ func TestStreamRefusesOutsideState(t *testing.T) {
 		for _, mode := range modes {
 			msg := func() (msg string) {
 				defer func() { msg = fmt.Sprint(recover()) }()
-				appendAll(mode, ins)
+				NewStream(p, mode).Append(ins)
 				return "no panic"
 			}()
 			if want := fmt.Sprintf("instruction %d of the chain", c.i); !strings.Contains(msg, want) {
-				t.Errorf("%s, %s: AppendNodes gave %q, want a refusal naming %q", c.name, mode, msg, want)
+				t.Errorf("%s, %s: Append gave %q, want a refusal naming %q", c.name, mode, msg, want)
 			}
 		}
 	}
@@ -205,18 +209,18 @@ func TestStreamRefusesOutsideState(t *testing.T) {
 		for _, region := range []int{0, 1} {
 			msg := func() (msg string) {
 				defer func() { msg = fmt.Sprint(recover()) }()
-				NewStream(q, mode).AppendNodesIn([]int32{0}, region)
+				NewStream(q, mode).AppendNodes([]int32{0}, region, nil)
 				return "no panic"
 			}()
 			if !strings.Contains(msg, "instruction 0 of the chain") {
-				t.Errorf("temporary past the region, %s, region %d: AppendNodesIn gave %q, want a refusal", mode, region, msg)
+				t.Errorf("temporary past the region, %s, region %d: AppendNodes gave %q, want a refusal", mode, region, msg)
 			}
 		}
 	}
 	// A chain in region 1 needs a machine of two regions.
 	q.Instrs[0].D = 11
 	two := NewStream(q, Fused)
-	two.AppendNodesIn([]int32{0}, 1)
+	two.AppendNodes([]int32{0}, 1, nil)
 	two.CheckMachine(NewMachineRegions(q, 2))
 	msg := func() (msg string) {
 		defer func() { msg = fmt.Sprint(recover()) }()
@@ -243,7 +247,7 @@ func TestStreamRefusesOutsideState(t *testing.T) {
 }
 
 // TestStreamBuildAllocs pins the absence of any per-instruction heap
-// object: building a 10 000-instruction chain, fused and unfused, costs the
+// object: building a 10 000-instruction chain in every mode costs the
 // append growth steps of the stream's two arrays and nothing per window.
 func TestStreamBuildAllocs(t *testing.T) {
 	p := &Program{NumWords: 64}
@@ -260,7 +264,7 @@ func TestStreamBuildAllocs(t *testing.T) {
 	for i := range ins {
 		ins[i] = shapes[i%len(shapes)]
 	}
-	for _, mode := range []Mode{Fused, Unfused} {
+	for _, mode := range []Mode{Fused, Unfused, Interp} {
 		allocs := testing.AllocsPerRun(3, func() {
 			s := NewStream(p, mode)
 			s.Append(ins)

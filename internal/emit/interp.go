@@ -61,23 +61,17 @@ func mask(w int32) uint64 {
 
 // Exec runs instructions [start, end) against the machine state, their
 // temporaries in the first region.
-func (m *Machine) Exec(start, end int32) { m.execIn(start, end, 0) }
+func (m *Machine) Exec(start, end int32) { m.run(m.Prog.Instrs[start:end]) }
 
-// execIn runs instructions [start, end) with their temporaries moved shift
-// words on, into another worker's region.
-func (m *Machine) execIn(start, end, shift int32) {
+// run is the interpreter: it executes ins in order. Interp windows and the
+// wide fallback run their records through it in place.
+func (m *Machine) run(ins []Instr) {
 	st := m.State
-	ins := m.Prog.Instrs
-	from := int32(m.Prog.TempBase())
-	for i := start; i < end; i++ {
-		in := ins[i]
-		if shift != 0 {
-			in.relocate(from, shift)
-		}
-		if in.DW <= 64 && in.AW <= 64 && in.BW <= 64 {
-			m.execNarrow(st, &in)
+	for i := range ins {
+		if in := &ins[i]; in.DW <= 64 && in.AW <= 64 && in.BW <= 64 {
+			m.execNarrow(st, in)
 		} else {
-			m.execWide(&in)
+			m.execWide(in)
 		}
 	}
 }

@@ -20,7 +20,7 @@
 //     of TempWords words from TempBase, every node's temporaries start at
 //     the region's base, and a temporary is always written before it is read
 //     inside its node's range. A schedule of K workers gives each worker a
-//     region of its own (Stream.AppendNodesIn), so engines can still
+//     region of its own (Stream.AppendNodes), so engines can still
 //     evaluate nodes independently, including concurrently, while the state
 //     every engine, snapshot and migration carries is the persistent prefix
 //     alone.

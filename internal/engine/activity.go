@@ -23,7 +23,7 @@ const (
 	// ESSENT's strategy.
 	ActBranchless
 	// ActCostModel picks per node: branchless when the successor count is at
-	// most BranchlessMax, branching otherwise — GSIM's strategy.
+	// most DefaultBranchlessMax, branching otherwise — GSIM's strategy.
 	ActCostModel
 )
 
@@ -34,13 +34,10 @@ type ActivityConfig struct {
 	MultiBitCheck bool
 	// Activation selects the successor-activation strategy.
 	Activation ActivationMode
-	// BranchlessMax is the cost-model threshold for ActCostModel: nodes with
-	// more successor supernodes than this use the branching strategy.
-	BranchlessMax int
 }
 
-// DefaultBranchlessMax is the activation cost-model threshold used when the
-// config leaves it zero.
+// DefaultBranchlessMax is the cost-model threshold for ActCostModel: nodes
+// with more successor supernodes than this use the branching strategy.
 const DefaultBranchlessMax = 6
 
 // Activity is the essential-signal engine (paper Listing 2/3/4): every
@@ -123,8 +120,7 @@ type activationPlan struct {
 	succSlot  []int32 // flattened reader-supernode slot lists
 
 	// Activation strategy, decided per node from its successor count.
-	activation    ActivationMode
-	branchlessMax int
+	activation ActivationMode
 
 	memReadSlots [][]int32 // memory ID -> read-port supernode slots
 
@@ -142,7 +138,7 @@ type activationPlan struct {
 func buildActivationPlan(p *emit.Program, part *partition.Result, cfg ActivityConfig, resets []resetGroup, supSlot []int32) *activationPlan {
 	g := p.Graph
 	n := len(g.Nodes)
-	pl := &activationPlan{activation: cfg.Activation, branchlessMax: cfg.BranchlessMax}
+	pl := &activationPlan{activation: cfg.Activation}
 
 	// Reader-supernode lists. For combinational nodes the node's own
 	// supernode is excluded (members of one supernode are evaluated together
@@ -219,7 +215,7 @@ func (pl *activationPlan) useBranch(lo, hi int32) bool {
 	case ActBranchless:
 		return false
 	}
-	return int(hi-lo) > pl.branchlessMax
+	return int(hi-lo) > DefaultBranchlessMax
 }
 
 // worker is one worker's private state: its outbox, the slot range of the
@@ -244,9 +240,6 @@ type worker struct {
 // mode decides the kernels.
 func PlanActivity(p *emit.Program, part *partition.Result, cfg ActivityConfig, threads int, mode EvalMode) *ActivityPlan {
 	threads = max(threads, 1)
-	if cfg.BranchlessMax == 0 {
-		cfg.BranchlessMax = DefaultBranchlessMax
-	}
 	pl := &ActivityPlan{t: newTables(p), part: part, partPrint: part.Fingerprint(), cfg: cfg, threads: threads}
 
 	// chunks[lv][w] lists the supernodes worker w sweeps at level lv,

@@ -18,9 +18,9 @@ const (
 	// records, opcode dispatch resolved at build time, width-class
 	// kernels for the 65-128-bit range.
 	EvalKernel = emit.Fused
-	// EvalInterp runs each node through the reference switch-dispatch
-	// interpreter (emit.Machine.Exec), the semantic baseline the kernels
-	// are pinned against.
+	// EvalInterp runs each chain, as one window of verbatim instructions,
+	// through the reference switch-dispatch interpreter (emit.Machine.Exec's
+	// loop), the semantic baseline the kernels are pinned against.
 	EvalInterp = emit.Interp
 	// EvalKernelNoFuse is EvalKernel with the fusion walk switched off, the
 	// measurable baseline for fusion (BenchmarkKernelVsInterp's kernel vs
@@ -105,7 +105,7 @@ func buildSupPlan(p *emit.Program, part *partition.Result, ap *activationPlan, m
 			members, rg = part.Members[s], region[s]
 		}
 		// The sentinel's empty chain marks where the last one ends.
-		sp := pl.stream.AppendNodesIn(members, rg)
+		sp := pl.stream.AppendNodes(members, rg, nil)
 		r.rec, r.k = sp.Rec, sp.K
 		if s == nSups {
 			break // sentinel

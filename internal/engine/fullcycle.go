@@ -39,9 +39,9 @@ import (
 // register that reads another's current value runs before it, and each
 // depth of that order runs in ID order), so once a register runs nothing
 // later in the cycle reads its old value, and the stream stores its next
-// value straight over its current one. Only a
+// value straight over its current one, in every stream mode. Only a
 // register in a read cycle (a <= b, b <= a), a wide one, and every register
-// of an interp stream or of a multi-worker schedule commit through the list.
+// of a multi-worker schedule commit through the list.
 type FullCycle struct {
 	base
 	pl         *FullCyclePlan
@@ -90,18 +90,13 @@ func PlanFullCycle(p *emit.Program, threads int, mode EvalMode) *FullCyclePlan {
 				for i, s := range sups {
 					ids[i] = part.Members[s][0]
 				}
-				pl.chains[lv][w] = pl.stream.AppendNodesIn(ids, w)
+				pl.chains[lv][w] = pl.stream.AppendNodes(ids, w, nil)
 			}
 		}
 	} else {
 		var order []int32
 		order, inPlace, pl.regs = sweepOrder(p, pl.t.coded)
-		if mode == EvalInterp {
-			inPlace, pl.regs.InPlace = nil, 0
-			pl.chains = [][]emit.Span{{pl.stream.AppendNodes(order)}}
-		} else {
-			pl.chains = [][]emit.Span{{pl.stream.AppendNodesInPlace(order, func(id int32) bool { return inPlace[id] })}}
-		}
+		pl.chains = [][]emit.Span{{pl.stream.AppendNodes(order, 0, func(id int32) bool { return inPlace[id] })}}
 	}
 	pl.stream.Trim()
 
@@ -230,7 +225,7 @@ func (pl *FullCyclePlan) Sweep() []emit.Instr {
 		return nil
 	}
 	order, inPlace, _ := sweepOrder(pl.t.p, pl.t.coded)
-	return pl.t.p.NodeChain(nil, order, func(id int32) bool { return pl.regs.InPlace > 0 && inPlace[id] })
+	return pl.t.p.NodeChain(nil, order, func(id int32) bool { return inPlace[id] })
 }
 
 // NewFullCycle builds a full-cycle engine over its own plan: PlanFullCycle

@@ -97,7 +97,7 @@ func (rt *Router) rebuildRingLocked() {
 		}
 	}
 	sort.Strings(names)
-	rt.ring = BuildRing(names, rt.cfg.Vnodes)
+	rt.ring = BuildRing(names)
 }
 
 // heartbeatLocked refreshes a replica's liveness. Caller holds rt.mu.

@@ -40,19 +40,17 @@ type ringPoint struct {
 	name string
 }
 
-// DefaultVnodes balances spread quality against ring size. 64 points per
-// member keeps the max/min load ratio under ~1.3 for small fleets.
+// DefaultVnodes is the number of ring points per member: it balances spread
+// quality against ring size. 64 points per member keeps the max/min load
+// ratio under ~1.3 for small fleets.
 const DefaultVnodes = 64
 
-// BuildRing constructs a ring from the given member names. vnodes <= 0 uses
-// DefaultVnodes. Order of names does not matter.
-func BuildRing(names []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
-	r := &Ring{points: make([]ringPoint, 0, len(names)*vnodes)}
+// BuildRing constructs a ring from the given member names. Order of names
+// does not matter.
+func BuildRing(names []string) *Ring {
+	r := &Ring{points: make([]ringPoint, 0, len(names)*DefaultVnodes)}
 	for _, name := range names {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < DefaultVnodes; i++ {
 			r.points = append(r.points, ringPoint{
 				hash: hashPoint(fmt.Sprintf("%s#%d", name, i)),
 				name: name,

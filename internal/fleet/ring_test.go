@@ -7,8 +7,8 @@ import (
 
 func TestRingDeterministic(t *testing.T) {
 	names := []string{"r1", "r2", "r3"}
-	a := BuildRing(names, 0)
-	b := BuildRing([]string{"r3", "r1", "r2"}, 0) // order must not matter
+	a := BuildRing(names)
+	b := BuildRing([]string{"r3", "r1", "r2"}) // order must not matter
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("design-%d", i)
 		ga, oka := a.Lookup(key, nil)
@@ -20,7 +20,7 @@ func TestRingDeterministic(t *testing.T) {
 }
 
 func TestRingSpread(t *testing.T) {
-	r := BuildRing([]string{"r1", "r2", "r3"}, 0)
+	r := BuildRing([]string{"r1", "r2", "r3"})
 	counts := map[string]int{}
 	for i := 0; i < 3000; i++ {
 		name, ok := r.Lookup(fmt.Sprintf("design-%d", i), nil)
@@ -39,8 +39,8 @@ func TestRingSpread(t *testing.T) {
 // TestRingStability pins the consistency property the compile caches depend
 // on: removing one member only remaps the keys that lived on it.
 func TestRingStability(t *testing.T) {
-	full := BuildRing([]string{"r1", "r2", "r3", "r4"}, 0)
-	minus := BuildRing([]string{"r1", "r2", "r4"}, 0) // r3 gone
+	full := BuildRing([]string{"r1", "r2", "r3", "r4"})
+	minus := BuildRing([]string{"r1", "r2", "r4"}) // r3 gone
 	moved, kept := 0, 0
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("design-%d", i)
@@ -66,8 +66,8 @@ func TestRingStability(t *testing.T) {
 // TestRingExclusion: Lookup with an exclusion behaves like a ring without
 // that member — the "ring minus the draining replica" rerouting rule.
 func TestRingExclusion(t *testing.T) {
-	full := BuildRing([]string{"r1", "r2", "r3"}, 0)
-	minus := BuildRing([]string{"r1", "r3"}, 0)
+	full := BuildRing([]string{"r1", "r2", "r3"})
+	minus := BuildRing([]string{"r1", "r3"})
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("design-%d", i)
 		got, ok := full.Lookup(key, func(n string) bool { return n == "r2" })
@@ -79,7 +79,7 @@ func TestRingExclusion(t *testing.T) {
 	if _, ok := full.Lookup("any", func(string) bool { return true }); ok {
 		t.Fatal("lookup succeeded with every member excluded")
 	}
-	if _, ok := BuildRing(nil, 0).Lookup("any", nil); ok {
+	if _, ok := BuildRing(nil).Lookup("any", nil); ok {
 		t.Fatal("lookup succeeded on empty ring")
 	}
 }

@@ -25,8 +25,6 @@ import (
 
 // Config tunes a Router. The zero value is usable.
 type Config struct {
-	// Vnodes per replica on the placement ring (0 = DefaultVnodes).
-	Vnodes int
 	// HeartbeatTTL marks a replica dead when its last heartbeat is older
 	// than this. 0 disables heartbeat expiry (probing still applies).
 	HeartbeatTTL time.Duration
@@ -55,9 +53,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.Vnodes <= 0 {
-		c.Vnodes = DefaultVnodes
-	}
 	if c.ProbeFailThreshold <= 0 {
 		c.ProbeFailThreshold = 3
 	}
@@ -135,7 +130,7 @@ func NewRouter(cfg Config) *Router {
 		cfg:      cfg,
 		store:    snapshot.NewStore(cfg.SnapshotBudget),
 		replicas: make(map[string]*Replica),
-		ring:     BuildRing(nil, cfg.Vnodes),
+		ring:     BuildRing(nil),
 		sessions: make(map[string]*fleetSession),
 		stop:     make(chan struct{}),
 	}

@@ -23,7 +23,7 @@ import (
 // How each node is read is gathered over the whole graph once; a round
 // updates it for the expressions it removed, rewrote or added, and the next
 // reconsiders only the nodes whose reads changed.
-func bitSplit(g *ir.Graph, maxParts int) int {
+func bitSplit(g *ir.Graph) int {
 	s := &splitter{g: g, uses: make([]useInfo, len(g.Nodes))}
 	for _, n := range g.Nodes {
 		if n != nil {
@@ -32,7 +32,7 @@ func bitSplit(g *ir.Graph, maxParts int) int {
 	}
 	total := 0
 	for round, n := 0, -1; round < 6 && n != 0; round++ {
-		n = s.round(maxParts)
+		n = s.round()
 		total += n
 	}
 	return total
@@ -89,7 +89,7 @@ func (s *splitter) account(e *ir.Expr, reader, by int32) {
 	}
 }
 
-func (s *splitter) round(maxParts int) int {
+func (s *splitter) round() int {
 	g := s.g
 	// Select all candidates first, then rewrite once: a per-candidate
 	// rewrite would make the pass quadratic in graph size (measured as
@@ -106,7 +106,7 @@ func (s *splitter) round(maxParts int) int {
 			continue
 		}
 		cuts := cutPoints(d.Width, u.slices)
-		if len(cuts) < 3 || len(cuts)-1 > maxParts {
+		if len(cuts) < 3 || len(cuts)-1 > DefaultMaxSplitParts {
 			continue
 		}
 		if u.plan = planSplit(d, cuts); u.plan != nil {

@@ -10,13 +10,13 @@ import (
 // inlineNodes dissolves combinational nodes into their readers when the
 // paper's cost model says duplication is cheaper than keeping the node:
 // inline when cost(f)·#refs ≤ cost(f) + cost_node (§III-B). Expressions
-// larger than maxCost are never duplicated; a single reader still takes one,
+// larger than DefaultMaxInlineCost are never duplicated; a single reader still takes one,
 // since that moves the tree and copies nothing.
 //
 // Decisions are made in topological order with fully resolved expressions,
 // so an inlined node's expression already reflects earlier inlining (its
 // true post-substitution cost).
-func inlineNodes(g *ir.Graph, costNode, maxCost int) int {
+func inlineNodes(g *ir.Graph) int {
 	order, err := g.TopoOrder()
 	if err != nil {
 		return 0
@@ -74,12 +74,12 @@ func inlineNodes(g *ir.Graph, costNode, maxCost int) int {
 		c = 0
 		n.EachExpr(resolveSlot)
 		k := refs[id]
-		if keep[id] || k == 0 || (c > maxCost && k > 1) { // k == 0: dead; DCE's business
+		if keep[id] || k == 0 || (c > DefaultMaxInlineCost && k > 1) { // k == 0: dead; DCE's business
 			continue
 		}
 		// The paper's trade-off: keeping the node costs c + cost_node;
 		// inlining costs c per reference.
-		if c*k <= c+costNode {
+		if c*k <= c+DefaultCostNode {
 			inlined[id], cost[id] = n.Expr, c
 			g.Nodes[id] = nil
 			count++
@@ -129,7 +129,7 @@ type vnInfo struct {
 // existing node read only from such sub-trees: one left with a single
 // reference is dissolved into its reader, as inlineNodes would have done.
 // Returns the nodes extracted and the nodes dissolved.
-func extractCommon(g *ir.Graph, costNode int) (extracted, dissolved int) {
+func extractCommon(g *ir.Graph) (extracted, dissolved int) {
 	// One bottom-up recursion per tree numbers the non-leaf subexpressions
 	// in pre-order and records each one's value number in vn (-1: a hash
 	// collision, never extracted) and the next occurrence of the same value
@@ -181,7 +181,7 @@ func extractCommon(g *ir.Graph, costNode int) (extracted, dissolved int) {
 	// Candidates: cost·k > cost + cost_node on the occurrence count, an upper
 	// bound of the k decided below.
 	worth := func(info *vnInfo) bool {
-		return info.count >= 2 && info.cost*info.count > info.cost+costNode
+		return info.count >= 2 && info.cost*info.count > info.cost+DefaultCostNode
 	}
 	var cands []*vnInfo
 	for i := range infos {

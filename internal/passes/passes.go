@@ -33,17 +33,6 @@ type Options struct {
 	ResetOpt  bool
 	BitSplit  bool
 
-	// CostNode is the paper's cost_node constant: the abstract overhead of
-	// introducing one extra node (activation bookkeeping + scheduling).
-	// Zero means DefaultCostNode.
-	CostNode int
-	// MaxInlineCost caps the size of expressions that may be duplicated by
-	// inlining. Zero means DefaultMaxInlineCost.
-	MaxInlineCost int
-	// MaxSplitParts caps how many pieces one node may be split into at the
-	// bit level. Zero means DefaultMaxSplitParts.
-	MaxSplitParts int
-
 	// NoAlgebraic disables the generated algebraic rule set (rewriteAlgebraic,
 	// from the table in internal/emit/rules) while keeping constant folding
 	// and the structural rewrites. The zero value ships the rules enabled;
@@ -52,10 +41,17 @@ type Options struct {
 	NoAlgebraic bool
 }
 
-// Defaults for the cost-model constants.
+// The cost-model constants.
 const (
-	DefaultCostNode      = 2
+	// DefaultCostNode is the paper's cost_node constant: the abstract
+	// overhead of introducing one extra node (activation bookkeeping +
+	// scheduling).
+	DefaultCostNode = 2
+	// DefaultMaxInlineCost caps the size of expressions that may be
+	// duplicated by inlining.
 	DefaultMaxInlineCost = 48
+	// DefaultMaxSplitParts caps how many pieces one node may be split into
+	// at the bit level.
 	DefaultMaxSplitParts = 8
 )
 
@@ -71,18 +67,6 @@ func All() Options {
 // expression simplification and redundant-node elimination only.
 func Basic() Options {
 	return Options{Simplify: true, Redundant: true}
-}
-
-func (o *Options) fill() {
-	if o.CostNode == 0 {
-		o.CostNode = DefaultCostNode
-	}
-	if o.MaxInlineCost == 0 {
-		o.MaxInlineCost = DefaultMaxInlineCost
-	}
-	if o.MaxSplitParts == 0 {
-		o.MaxSplitParts = DefaultMaxSplitParts
-	}
 }
 
 // Pass names one stage of Run, for the per-stage wall times in Result.
@@ -142,7 +126,6 @@ func (r Result) Timing() string {
 // firrtl.Load never alias one): inlining and extraction move trees rather
 // than copy them, and bookkeeping by position would miss an aliased rewrite.
 func Run(g *ir.Graph, opts Options) Result {
-	opts.fill()
 	var res Result
 	var marks []bool // eliminateDead's mark buffer, shared by its runs
 	run := func(p Pass, on bool, count *int, pass func() int) {
@@ -159,13 +142,13 @@ func Run(g *ir.Graph, opts Options) Result {
 		run(PassDead, opts.Redundant, &res.DeadRemoved, dead)
 	}
 	cleanup()
-	run(PassBitSplit, opts.BitSplit, &res.NodesSplit, func() int { return bitSplit(g, opts.MaxSplitParts) })
+	run(PassBitSplit, opts.BitSplit, &res.NodesSplit, func() int { return bitSplit(g) })
 	if res.NodesSplit > 0 {
 		cleanup()
 	}
-	run(PassInline, opts.Inline, &res.Inlined, func() int { return inlineNodes(g, opts.CostNode, opts.MaxInlineCost) })
+	run(PassInline, opts.Inline, &res.Inlined, func() int { return inlineNodes(g) })
 	run(PassExtract, opts.Extract, &res.Extracted, func() int {
-		extracted, dissolved := extractCommon(g, opts.CostNode)
+		extracted, dissolved := extractCommon(g)
 		res.Inlined += dissolved
 		return extracted
 	})

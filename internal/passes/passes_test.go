@@ -181,7 +181,7 @@ func TestInlineCostModel(t *testing.T) {
 	sum := b.Comb("s1", b.Add(b.R(cheap), b.R(cheap)))
 	s2 := b.Comb("s2", b.Add(b.Add(b.R(exp), b.R(exp)), b.Add(b.R(exp), b.R(exp))))
 	b.Output("o", b.Add(b.R(sum), b.R(s2)))
-	n := inlineNodes(b.G, DefaultCostNode, DefaultMaxInlineCost)
+	n := inlineNodes(b.G)
 	if n == 0 {
 		t.Fatal("nothing inlined")
 	}
@@ -201,7 +201,7 @@ func TestExtractCommon(t *testing.T) {
 	b.Output("o1", b.Add(mk(), b.C(32, 1)))
 	b.Output("o2", b.Add(mk(), b.C(32, 2)))
 	b.Output("o3", b.Sub(mk(), b.C(32, 3)))
-	n, _ := extractCommon(b.G, DefaultCostNode)
+	n, _ := extractCommon(b.G)
 	if n != 1 {
 		t.Fatalf("extracted %d, want 1", n)
 	}
@@ -241,7 +241,7 @@ func TestExtractCountsReferencesAfterNesting(t *testing.T) {
 			common := b.Xor(tc.wrap(b, b.R(x)), tc.wrap(b, b.R(y)))
 			b.Output(fmt.Sprintf("o%d", i), b.Add(common, b.C(common.Width, uint64(i))))
 		}
-		extracted, dissolved := extractCommon(b.G, DefaultCostNode)
+		extracted, dissolved := extractCommon(b.G)
 		if extracted != 1 || dissolved != 0 {
 			t.Fatalf("%s: extracted %d, dissolved %d; want 1, 0", tc.name, extracted, dissolved)
 		}
@@ -266,7 +266,7 @@ func TestExtractDissolvesOrphanedNode(t *testing.T) {
 		common := b.Mul(b.R(m), b.Not(b.R(y)))
 		b.Output(fmt.Sprintf("o%d", i), b.Add(common, b.C(common.Width, uint64(i))))
 	}
-	extracted, dissolved := extractCommon(b.G, DefaultCostNode)
+	extracted, dissolved := extractCommon(b.G)
 	if extracted != 1 || dissolved != 1 {
 		t.Fatalf("extracted %d, dissolved %d; want 1, 1", extracted, dissolved)
 	}
@@ -407,7 +407,7 @@ func TestBitSplitPaperExample(t *testing.T) {
 	g := b.Comb("G", b.Bits(b.R(e), 5, 2))
 	b.MarkOutput(f)
 	b.MarkOutput(g)
-	split := bitSplit(b.G, DefaultMaxSplitParts)
+	split := bitSplit(b.G)
 	if split < 2 {
 		t.Fatalf("split %d nodes, want >= 2 (D and E)", split)
 	}
@@ -448,7 +448,7 @@ func TestBitSplitRejectsArithmetic(t *testing.T) {
 	g := b.Comb("G", b.Bits(b.R(d), 7, 4))
 	b.MarkOutput(f)
 	b.MarkOutput(g)
-	if n := bitSplit(b.G, DefaultMaxSplitParts); n != 0 {
+	if n := bitSplit(b.G); n != 0 {
 		t.Fatalf("split %d arithmetic nodes, want 0", n)
 	}
 }
@@ -500,7 +500,7 @@ func TestBitSplitUseTablesStayExact(t *testing.T) {
 		Normalize(g)
 		simplifyGraph(g, true)
 		s := account(g)
-		for round := 0; round < 6 && s.round(DefaultMaxSplitParts) > 0; round++ {
+		for round := 0; round < 6 && s.round() > 0; round++ {
 			rounds++
 			fresh := account(g)
 			for id, n := range g.Nodes {
