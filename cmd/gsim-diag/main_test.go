@@ -150,7 +150,7 @@ func TestLayoutSummary(t *testing.T) {
 		prof = gen.StuCoreLike()
 	}
 	g := gen.BuildProfile(prof)
-	want := map[string][2]int{"verilator": {57600, 73030}, "gsim": {960, 65255}} // reused, instrs
+	want := map[string][2]int{"verilator": {57600, 72070}, "gsim": {960, 64295}} // reused, instrs
 	for _, cfg := range []core.Config{core.Verilator(), core.GSIM()} {
 		cd, err := core.CompileDesign(g, cfg)
 		if err != nil {

@@ -54,3 +54,34 @@ func TestCompileAllocCeiling(t *testing.T) {
 			bytesPer, objectsPer, compileBytesCeiling, compileObjectsCeiling)
 	}
 }
+
+// TestCompileAllocs pins the allocation count of CompileDesign alone (the
+// FIRRTL text is loaded once, outside the count) for stucore-like under the
+// GSIM and Verilator presets. Set-up time is too noisy to gate; the count
+// repeats exactly. It read 22 432 and 15 798 while the compile path split
+// every tree into one-op nodes and inlined them back, and 14 626 and 8 182
+// once the passes took the trees as loaded.
+func TestCompileAllocs(t *testing.T) {
+	var buf bytes.Buffer
+	if err := firrtl.Write(&buf, gen.BuildProfile(gen.StuCoreLike())); err != nil {
+		t.Fatal(err)
+	}
+	g, err := firrtl.Load(buf.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		cfg     Config
+		ceiling float64
+	}{{GSIM(), 16_000}, {Verilator(), 9_000}} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := CompileDesign(g, c.cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations per compile", c.cfg.Name, allocs)
+		if allocs > c.ceiling {
+			t.Errorf("%s: one compile of stucore-like makes %.0f allocations, ceiling %.0f", c.cfg.Name, allocs, c.ceiling)
+		}
+	}
+}

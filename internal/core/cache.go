@@ -39,12 +39,15 @@ type CompiledDesign struct {
 	plan  engine.Plan
 
 	PassResult  passes.Result
-	PassTime    time.Duration // Optimize: clone, normalize, passes, sort, validate
+	PassTime    time.Duration // Optimize: clone, passes, sort, validate
 	CompileTime time.Duration // Optimize + emit + partition + plan
 }
 
-// Optimize runs the front half of CompileDesign: clone, normalize,
-// optimize, topo-sort, validate. The input graph is never mutated. The
+// Optimize runs the front half of CompileDesign: clone, optimize, topo-sort,
+// validate. The passes take the expression trees as firrtl.Load or a builder
+// wrote them, not split into one-op nodes (passes.Normalize), so inlining
+// decides only the nodes the input has and the simplifier sees each tree
+// whole. The input graph is never mutated. The
 // result keeps its expression trees, so it is what analysis (statistics,
 // levelization, engine.Reference) and plans built outside CompileDesign
 // start from: emit.Compile of it has the design hash CompileDesign's program
@@ -54,9 +57,6 @@ func Optimize(g *ir.Graph, opt passes.Options) (*ir.Graph, passes.Result, error)
 		return nil, passes.Result{}, fmt.Errorf("core: %w", ir.ErrReleased)
 	}
 	work := g.Clone()
-	// Canonicalize to one operation per node (the paper's input form) so
-	// every configuration optimizes the same fine-grained graph.
-	passes.Normalize(work)
 	res := passes.Run(work, opt)
 	if err := work.SortTopological(); err != nil {
 		return nil, res, fmt.Errorf("core: %v", err)

@@ -12,6 +12,7 @@ import (
 	"gsim/internal/firrtl"
 	"gsim/internal/gen"
 	"gsim/internal/ir"
+	"gsim/internal/leakcheck"
 	"gsim/internal/snapshot"
 	"gsim/internal/trace"
 
@@ -153,6 +154,29 @@ func FuzzKernelLockstep(f *testing.F) {
 			}
 		}
 
+		// The pass axis: engine.Reference over the input graph, before any
+		// pass, shares none of the pipeline, so every pass (alias and dead
+		// elimination, bit splitting, inlining, extraction, reset hoisting)
+		// answers to it. It is driven by input name, and every output of the
+		// input graph is compared by name each cycle (inputs and outputs
+		// survive every pass) with the GSIM build and with a
+		// Verilator-preset build, whose options are ESSENT's too.
+		refIn, err := engine.NewReference(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		passSims := []*System{sysK}
+		if sysV, err := Build(g, Verilator()); err == nil {
+			defer sysV.Close()
+			passSims = append(passSims, sysV)
+		}
+		var inOutputs []*ir.Node
+		for _, n := range g.Nodes {
+			if n != nil && n.IsOutput {
+				inOutputs = append(inOutputs, n)
+			}
+		}
+
 		// The simplify axis: the same design built with the generated
 		// algebraic rule set disabled. The optimized graphs differ (that is
 		// the point), so node IDs do too — the comparison maps the surviving
@@ -237,6 +261,10 @@ func FuzzKernelLockstep(f *testing.F) {
 					v = bitvec.FromUint64(1, uint64(rng.Intn(8)/7))
 				}
 				ref.Poke(in.ID, v)
+				refIn.Poke(g.FindNode(in.Name).ID, v)
+				for _, sys := range passSims[1:] {
+					sys.Sim.Poke(sys.Node(in.Name).ID, v)
+				}
 				sysK.Sim.Poke(in.ID, v)
 				simNF.Poke(in.ID, v)
 				simI.Poke(in.ID, v)
@@ -264,6 +292,10 @@ func FuzzKernelLockstep(f *testing.F) {
 				poisonNext(sim, rngP)
 			}
 			ref.Step()
+			refIn.Step()
+			for _, sys := range passSims[1:] {
+				sys.Sim.Step()
+			}
 			sysK.Sim.Step()
 			simNF.Step()
 			simI.Step()
@@ -321,6 +353,13 @@ func FuzzKernelLockstep(f *testing.F) {
 			for _, n := range outputs {
 				if a, b := ref.Peek(n.ID), sysK.Sim.Peek(n.ID); !a.EqValue(b) {
 					t.Fatalf("cycle %d: output %q: reference %s vs kernel %s", c, n.Name, a, b)
+				}
+			}
+			for _, sys := range passSims {
+				for _, n := range inOutputs {
+					if a, b := refIn.Peek(n.ID), sys.Sim.Peek(sys.Node(n.Name).ID); !a.EqValue(b) {
+						t.Fatalf("cycle %d: output %q: reference over the input graph %s vs %s %s", c, n.Name, a, sys.Config.Name, b)
+					}
 				}
 			}
 		}
@@ -384,4 +423,73 @@ func FuzzKernelLockstep(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestProfilesMatchInputReference is the pass axis at profile scale: the
+// generated profiles, through the FIRRTL text the service and the benchmark
+// load, run 200 random cycles under engine.Reference over the loaded graph,
+// before any pass, and under the compiled GSIM and Verilator designs. Every
+// output must agree by name every cycle. Rocket-like (about 6 s, 36 s under
+// the race detector, which has no second goroutine to watch here) runs only
+// without -short and -race.
+func TestProfilesMatchInputReference(t *testing.T) {
+	profiles := []gen.Profile{gen.StuCoreLike()}
+	if !testing.Short() && !leakcheck.RaceEnabled {
+		profiles = append(profiles, gen.RocketLike())
+	}
+	for _, p := range profiles {
+		var text bytes.Buffer
+		if err := firrtl.Write(&text, gen.BuildProfile(p)); err != nil {
+			t.Fatal(err)
+		}
+		g, err := firrtl.Load(text.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := engine.NewReference(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var inputs, outputs []*ir.Node
+		for _, n := range g.Nodes {
+			if n.Kind == ir.KindInput {
+				inputs = append(inputs, n)
+			}
+			if n.IsOutput {
+				outputs = append(outputs, n)
+			}
+		}
+		var systems []*System
+		for _, cfg := range []Config{GSIM(), Verilator()} {
+			sys, err := Build(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			systems = append(systems, sys)
+		}
+		rng := rand.New(rand.NewSource(7))
+		for c := 0; c < 200; c++ {
+			for _, in := range inputs {
+				v := bitvec.FromUint64(in.Width, rng.Uint64())
+				if in.Name == "reset" {
+					v = bitvec.FromUint64(1, uint64(rng.Intn(50)/49))
+				}
+				ref.Poke(in.ID, v)
+				for _, sys := range systems {
+					sys.Sim.Poke(sys.Node(in.Name).ID, v)
+				}
+			}
+			ref.Step()
+			for _, sys := range systems {
+				sys.Sim.Step()
+				for _, n := range outputs {
+					if a, b := ref.Peek(n.ID), sys.Sim.Peek(sys.Node(n.Name).ID); !a.EqValue(b) {
+						t.Fatalf("%s cycle %d: output %q: reference over the input graph %s vs %s %s",
+							p.Name, c, n.Name, a, sys.Config.Name, b)
+					}
+				}
+			}
+		}
+	}
 }

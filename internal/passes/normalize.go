@@ -8,10 +8,10 @@ import (
 
 // Normalize flattens every expression tree into single-operation nodes: the
 // canonical "one IR node per register or logic unit" form the paper's graphs
-// are in (Table I counts nodes this way). Programmatic builders produce fat
-// expression trees for convenience; normalization rebuilds the fine-grained
-// graph, and the inline/extract passes then re-fuse operations where the
-// cost model says so — the same pipeline GSIM applies to FIRRTL input.
+// are in (Table I counts nodes this way). It is for counting in that form
+// (the harness's paper-form node counts, the benchmark's passes.nodes_in);
+// the compile path does not call it. Run optimizes the trees it is handed,
+// and inlining a normalized graph mostly merges back what this split.
 //
 // Idempotent: a graph already in one-op form is returned unchanged.
 // Returns the number of nodes created.

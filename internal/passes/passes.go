@@ -117,7 +117,10 @@ func (r Result) Timing() string {
 }
 
 // Run applies the selected passes in dependency order and compacts the
-// graph. The graph is mutated in place.
+// graph. The graph is mutated in place. It takes the trees as they come
+// (whole expressions from firrtl.Load or a builder, or Normalize's one-op
+// form) and ends with the cleanup it starts with, so on the shipped designs
+// a second Run changes nothing.
 //
 // Every live node keeps ID == its index in g.Nodes for the whole of Run
 // (passes delete by nil-ing the slot and add with AddNode; Compact runs
@@ -153,7 +156,10 @@ func Run(g *ir.Graph, opts Options) Result {
 		return extracted
 	})
 	run(PassResetOpt, opts.ResetOpt, &res.ResetsHoisted, func() int { return hoistResets(g) })
-	run(PassDead, opts.Redundant, &res.DeadRemoved, dead)
+	// Inlining and extraction build trees the first simplify never saw
+	// whole (a bits of an inlined bits, a constant that reached a mux), and
+	// reset hoisting strips muxes; one more simplify is the fixed point.
+	cleanup()
 	g.Compact()
 	return res
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"gsim/internal/bitvec"
 	"gsim/internal/engine"
@@ -305,40 +306,63 @@ func nodeLevelDesigns(t *testing.T) map[string]*ir.Graph {
 
 // TestNodeLevelRuleHolds: after the full pipeline no node violates the rule
 // that made it one — every _cse node has at least two references, Extracted
-// is the number of _cse nodes, no plain node has a single reference — and a
-// second Run finds nothing left to inline or extract. (Not on the random
-// designs: there the second run's simplifier still finds rewrites in the
-// inlined trees, and those change costs. Run does not simplify after inlining.)
+// is the number of _cse nodes, no plain node has a single reference — and the
+// pipeline stands at its fixed point: a second Run changes nothing. Both hold
+// on the trees as built (what CompileDesign optimizes) under every preset's
+// options, and on the normalized one-op form (harness.Synthetic's) under
+// All. The random designs keep only the rule: there a rewrite that builds new
+// inner trees (a slice distributed over a mux yields bits(pad(x))) leaves
+// them for the next simplify, whose smaller trees then pass the inline rule,
+// so a second Run still finds work (random-40 simplifies 11 and inlines 2).
 func TestNodeLevelRuleHolds(t *testing.T) {
-	for name, g := range nodeLevelDesigns(t) {
-		g = g.Clone()
-		Normalize(g)
-		res := Run(g, All())
-		refs := make([]int, len(g.Nodes))
-		for _, n := range g.Nodes {
-			n.EachRef(func(u *ir.Node) { refs[u.ID]++ })
-		}
-		cse := 0
-		for id, keep := range pinned(g) {
-			n := g.Nodes[id]
-			if strings.HasPrefix(n.Name, "_cse") {
-				if cse++; refs[id] < 2 {
-					t.Errorf("%s: %s has %d references", name, n.Name, refs[id])
+	// The built forms run the option sets of core's four presets (core
+	// imports this package, so they are spelled out).
+	forms := []struct {
+		name      string
+		normalize bool
+		opts      Options
+	}{
+		{"normalized/all", true, All()},
+		{"built/all", false, All()}, // GSIM
+		{"built/simplify+inline", false, Options{Simplify: true, Redundant: true, Inline: true}},                        // Verilator, ESSENT
+		{"built/simplify+inline+extract", false, Options{Simplify: true, Redundant: true, Inline: true, Extract: true}}, // Arcilator
+	}
+	for name, built := range nodeLevelDesigns(t) {
+		for _, f := range forms {
+			label := name + " " + f.name
+			g := built.Clone()
+			if f.normalize {
+				Normalize(g)
+			}
+			res := Run(g, f.opts)
+			refs := make([]int, len(g.Nodes))
+			for _, n := range g.Nodes {
+				n.EachRef(func(u *ir.Node) { refs[u.ID]++ })
+			}
+			cse := 0
+			for id, keep := range pinned(g) {
+				n := g.Nodes[id]
+				if strings.HasPrefix(n.Name, "_cse") {
+					if cse++; refs[id] < 2 {
+						t.Errorf("%s: %s has %d references", label, n.Name, refs[id])
+					}
+				}
+				if !keep && refs[id] == 1 {
+					t.Errorf("%s: plain node %s kept for a single reference", label, n.Name)
 				}
 			}
-			if !keep && refs[id] == 1 {
-				t.Errorf("%s: plain node %s kept for a single reference", name, n.Name)
+			if cse != res.Extracted {
+				t.Errorf("%s: Extracted = %d, graph has %d _cse nodes", label, res.Extracted, cse)
 			}
-		}
-		if cse != res.Extracted {
-			t.Errorf("%s: Extracted = %d, graph has %d _cse nodes", name, res.Extracted, cse)
-		}
-		if strings.HasPrefix(name, "random-") {
-			continue
-		}
-		nodes := len(g.Nodes)
-		if again := Run(g, All()); again.Extracted != 0 || again.Inlined != 0 || len(g.Nodes) != nodes {
-			t.Errorf("%s: second run: %s, nodes %d -> %d", name, again, nodes, len(g.Nodes))
+			if strings.HasPrefix(name, "random-") {
+				continue
+			}
+			nodes := len(g.Nodes)
+			again := Run(g, f.opts)
+			again.Times = [NumPasses]time.Duration{}
+			if again != (Result{}) || len(g.Nodes) != nodes {
+				t.Errorf("%s: second run: %s, nodes %d -> %d", label, again, nodes, len(g.Nodes))
+			}
 		}
 	}
 }
@@ -529,23 +553,27 @@ func TestPassesLeaveTreesSingleOwner(t *testing.T) {
 	for seed := int64(30); seed < 34; seed++ {
 		graphs = append(graphs, gen.Random(seed, gen.DefaultRandomConfig()))
 	}
-	for gi, g := range graphs {
-		g = g.Clone() // builders alias sub-expressions freely; Clone hands every reader its own
-		Normalize(g)
-		res := Run(g, All())
-		if gi == 0 && (res.Inlined == 0 || res.Extracted == 0) {
-			t.Fatalf("stucore-like did not exercise both passes: %s", res)
-		}
-		owner := map[*ir.Expr]*ir.Node{}
-		for _, n := range g.Nodes {
-			n.EachExpr(func(slot **ir.Expr) {
-				(*slot).Walk(func(e *ir.Expr) {
-					if prev, dup := owner[e]; dup {
-						t.Fatalf("graph %d: expression %s is reachable from %s and from %s", gi, e, prev, n)
-					}
-					owner[e] = n
+	for gi, built := range graphs {
+		for _, normalize := range []bool{false, true} {
+			g := built.Clone() // builders alias sub-expressions freely; Clone hands every reader its own
+			if normalize {
+				Normalize(g)
+			}
+			res := Run(g, All())
+			if gi == 0 && (res.Inlined == 0 || res.Extracted == 0) {
+				t.Fatalf("stucore-like (normalized %v) did not exercise both passes: %s", normalize, res)
+			}
+			owner := map[*ir.Expr]*ir.Node{}
+			for _, n := range g.Nodes {
+				n.EachExpr(func(slot **ir.Expr) {
+					(*slot).Walk(func(e *ir.Expr) {
+						if prev, dup := owner[e]; dup {
+							t.Fatalf("graph %d (normalized %v): expression %s is reachable from %s and from %s", gi, normalize, e, prev, n)
+						}
+						owner[e] = n
+					})
 				})
-			})
+			}
 		}
 	}
 }
@@ -553,8 +581,10 @@ func TestPassesLeaveTreesSingleOwner(t *testing.T) {
 // --- Semantics preservation (pass-level differential test) ---
 
 // TestPassesPreserveSemantics runs every pass combination on random circuits
-// and compares golden-model trajectories of the optimized and unoptimized
-// graphs.
+// and on stucore-like through FIRRTL text, and compares golden-model
+// trajectories of the optimized and unoptimized graphs. Each combination runs
+// on the graph as built, which is what CompileDesign optimizes, and on its
+// normalized one-op form.
 func TestPassesPreserveSemantics(t *testing.T) {
 	combos := []Options{
 		{Simplify: true},
@@ -565,8 +595,26 @@ func TestPassesPreserveSemantics(t *testing.T) {
 		{BitSplit: true, Simplify: true, Redundant: true},
 		All(),
 	}
+	type design struct {
+		name string
+		g    *ir.Graph
+		seed int64
+	}
+	var designs []design
 	for seed := int64(10); seed < 14; seed++ {
-		g := gen.Random(seed, gen.DefaultRandomConfig())
+		designs = append(designs, design{fmt.Sprintf("random-%d", seed), gen.Random(seed, gen.DefaultRandomConfig()), seed})
+	}
+	var text strings.Builder
+	if err := firrtl.Write(&text, gen.BuildProfile(gen.StuCoreLike())); err != nil {
+		t.Fatal(err)
+	}
+	stucore, err := firrtl.Load(text.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	designs = append(designs, design{"stucore-like.fir", stucore, 1})
+	for _, d := range designs {
+		g := d.g
 		ref, err := engine.NewReference(g)
 		if err != nil {
 			t.Fatal(err)
@@ -574,20 +622,26 @@ func TestPassesPreserveSemantics(t *testing.T) {
 		var optimized []*engine.Reference
 		var names []string
 		for ci, opts := range combos {
-			og := g.Clone()
-			Normalize(og)
-			Run(og, opts)
-			if err := og.Validate(); err != nil {
-				t.Fatalf("combo %d: invalid after passes: %v", ci, err)
+			for _, normalize := range []bool{false, true} {
+				og := g.Clone()
+				label := fmt.Sprintf("%s combo%d built", d.name, ci)
+				if normalize {
+					Normalize(og)
+					label = fmt.Sprintf("%s combo%d normalized", d.name, ci)
+				}
+				Run(og, opts)
+				if err := og.Validate(); err != nil {
+					t.Fatalf("%s: invalid after passes: %v", label, err)
+				}
+				r2, err := engine.NewReference(og)
+				if err != nil {
+					t.Fatal(err)
+				}
+				optimized = append(optimized, r2)
+				names = append(names, label)
 			}
-			r2, err := engine.NewReference(og)
-			if err != nil {
-				t.Fatal(err)
-			}
-			optimized = append(optimized, r2)
-			names = append(names, fmt.Sprintf("combo%d", ci))
 		}
-		rng := rand.New(rand.NewSource(seed))
+		rng := rand.New(rand.NewSource(d.seed))
 		inNames := inputNames(g)
 		for cycle := 0; cycle < 40; cycle++ {
 			for _, name := range inNames {
@@ -596,9 +650,8 @@ func TestPassesPreserveSemantics(t *testing.T) {
 					v = bitvec.FromUint64(1, uint64(rng.Intn(5)/4))
 				}
 				pokeByName(t, ref, g, name, v)
-				for i, r2 := range optimized {
+				for _, r2 := range optimized {
 					pokeByName(t, r2, r2.Graph(), name, v)
-					_ = i
 				}
 			}
 			ref.Step()

@@ -58,6 +58,7 @@ func FuzzOpsJSON(f *testing.F) {
 		`{"ops":[{"op":"step","n":9223372036854775807},{"op":"step","n":9223372036854775807}]}`,
 		`{"ops":[{"op":"step","n":3},{"op":"peek","name":"nope"}]}`,
 		`{"ops":[{"op":"reset"}]} trailing`,
+		`{"ops":[{"op":"peek","name":"buf.w"},{"op":"poke","name":"buf.w","value":"1"},{"op":"step"}]}`,
 		`{"ops":null}`, `{}`, `[]`, ``, `{"ops":[{"op":"step"}`,
 	} {
 		f.Add([]byte(seed))
@@ -65,10 +66,11 @@ func FuzzOpsJSON(f *testing.F) {
 	m := NewManagerLimits(Limits{MaxStepsPerBatch: 1 << 12})
 	f.Cleanup(func() { _ = m.Drain(context.Background()) })
 	h := m.Handler()
-	src := readDesign(f, "counter.fir")
-	var sessions [2]*Session
-	for i := range sessions {
-		s, err := m.CreateSession(src, SessionSpec{})
+	// Counter on both decode paths, and fifo.fir, whose memory write port
+	// buf.w is a name with no value word.
+	var sessions [3]*Session
+	for i, design := range []string{"counter.fir", "counter.fir", "fifo.fir"} {
+		s, err := m.CreateSession(readDesign(f, design), SessionSpec{})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -83,7 +85,7 @@ func FuzzOpsJSON(f *testing.F) {
 				t.Fatal(err)
 			}
 			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, opsRequest(s.ID, data, i == 0))
+			h.ServeHTTP(rec, opsRequest(s.ID, data, i != 1))
 			reply := rec.Body.Bytes()
 			switch rec.Code / 100 {
 			case 2:

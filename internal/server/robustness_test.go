@@ -118,6 +118,35 @@ func TestPoisonedSessionIsolation(t *testing.T) {
 	}
 }
 
+// TestWritePortNameRefused: fifo.fir's write port buf.w resolves by name
+// like any node but has no value word. Peeking or poking it is an op error
+// that names it, not a panic that fails the session, and the session steps
+// on.
+func TestWritePortNameRefused(t *testing.T) {
+	m := NewManager()
+	defer func() {
+		if err := m.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	s, err := m.CreateSession(readDesign(t, "fifo.fir"), SessionSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Peek("buf.w"); err == nil || errors.Is(err, ErrSessionFailed) || !strings.Contains(err.Error(), "memory write port") {
+		t.Fatalf("peek buf.w: %v, want an op error naming a memory write port", err)
+	}
+	if err := s.Poke("buf.w", "1"); err == nil || errors.Is(err, ErrSessionFailed) || !strings.Contains(err.Error(), "memory write port") {
+		t.Fatalf("poke buf.w: %v, want an op error naming a memory write port", err)
+	}
+	if cycles, err := s.Step(3); err != nil || cycles != 3 {
+		t.Fatalf("step after the refusals: cycles %d, %v", cycles, err)
+	}
+	if _, err := s.Peek("cnt"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWorkerPanicPoisonsOneSession drives fault isolation through the
 // parallel engine's worker pool: a panic on a pool goroutine must propagate
 // to the stepping session (not kill the process) and poison only it.

@@ -871,9 +871,9 @@ func (s *Session) Apply(ctx context.Context, ops []Op) (results []OpResult, err 
 		}
 		switch op.Op {
 		case "poke":
-			n := s.Design.Graph.FindNode(op.Name)
-			if n == nil {
-				return results, fmt.Errorf("server: op %d: no node %q", i, op.Name)
+			n, err := s.valueNode(i, op.Name)
+			if err != nil {
+				return results, err
 			}
 			v, err := bitvec.Parse(n.Width, op.Value)
 			if err != nil {
@@ -885,9 +885,9 @@ func (s *Session) Apply(ctx context.Context, ops []Op) (results []OpResult, err 
 			}
 			s.eng.Poke(lane, n.ID, v)
 		case "peek":
-			n := s.Design.Graph.FindNode(op.Name)
-			if n == nil {
-				return results, fmt.Errorf("server: op %d: no node %q", i, op.Name)
+			n, err := s.valueNode(i, op.Name)
+			if err != nil {
+				return results, err
 			}
 			lane, lerr := s.opLane(op, i)
 			if lerr != nil {
@@ -974,6 +974,20 @@ func (s *Session) Apply(ctx context.Context, ops []Op) (results []OpResult, err 
 		results = append(results, res)
 	}
 	return results, nil
+}
+
+// valueNode resolves the node op i peeks or pokes. A memory write port is
+// named like any node but holds no value word, so it is refused here rather
+// than indexed.
+func (s *Session) valueNode(i int, name string) (*ir.Node, error) {
+	n := s.Design.Graph.FindNode(name)
+	if n == nil {
+		return nil, fmt.Errorf("server: op %d: no node %q", i, name)
+	}
+	if n.Kind == ir.KindMemWrite {
+		return nil, fmt.Errorf("server: op %d: %q is a memory write port, which has no value to peek or poke", i, name)
+	}
+	return n, nil
 }
 
 // opLane resolves an op's target lane: nil defaults to lane 0 (the scalar

@@ -16,10 +16,14 @@ import (
 // gets a fresh engine over one compiled design, so a failure reproduces from
 // its input alone. The seeds are two real blobs of the essential-signal
 // engine (memory, armed supernodes, its partition's fingerprint), which
-// restore, the same blob in format versions 1 and 2 and listing a pending
-// register, and damaged copies of it; `go test -fuzz=FuzzSnapshotRestore
-// ./internal/snapshot` explores from there (CI rotates it with the other
-// targets).
+// restore, the same blob in format versions 1 and 2, listing a pending
+// register, miscounting its evaluable nodes and listing its armed
+// supernodes out of order, and damaged copies of it. They are built from
+// the current blob, so they keep reaching the checks behind the version and
+// the design hash when the compiled program moves; the two committed corpus
+// files are version-1 blobs and stop at the version check.
+// `go test -fuzz=FuzzSnapshotRestore ./internal/snapshot` explores from
+// there (CI rotates it with the other targets).
 func FuzzSnapshotRestore(f *testing.F) {
 	cfg := core.GSIM()
 	design, err := core.CompileDesign(loadDesign(f, "lfsr.fir"), cfg)
@@ -56,6 +60,8 @@ func FuzzSnapshotRestore(f *testing.F) {
 	f.Add(v1Blob(f, good, design.Prog))
 	f.Add(fullImageBlob(f, good, design.Prog, 2))
 	f.Add(pendingBlob(good, int32(design.Graph.FindNode("state").ID)))
+	f.Add(miscountedBlob(f, good, design.Prog))
+	f.Add(unorderedBlob(f, good, design.Prog))
 	f.Add(good[:len(good)/2])
 	f.Add(append(append([]byte{}, good...), 0))
 	for _, at := range []int{0, 8, 12, 44, 52, 60, partPrintAt(f, good, design.Prog), len(good) - 12, len(good) - 4} {

@@ -557,6 +557,28 @@ func TestRestoreValidation(t *testing.T) {
 			t.Fatalf("restore of a blob listing a pending register returned %v, want the refusal", err)
 		}
 	})
+	// Well-formed blobs whose defects only the engine sees: each is refused
+	// with its own message, and the engine still saves the state it had.
+	for _, c := range []struct {
+		name, want string
+		blob       []byte
+	}{
+		{"miscounted-evaluable-nodes", "evaluable nodes", miscountedBlob(t, blob, sys.Prog)},
+		{"active-not-ascending", "active supernode list not ascending", unorderedBlob(t, blob, sys.Prog)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := snapshot.Restore(sys.Sim, c.blob); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("restore returned %v, want a refusal naming %q", err, c.want)
+			}
+			after, err := snapshot.Save(sys.Sim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, blob) {
+				t.Fatal("the refused restore changed the engine")
+			}
+		})
+	}
 	t.Run("truncated", func(t *testing.T) {
 		for _, n := range []int{0, 7, 43, len(blob) / 2, len(blob) - 1} {
 			if err := snapshot.Restore(sys.Sim, blob[:n]); err == nil {
@@ -629,6 +651,44 @@ func pendingBlob(blob []byte, id int32) []byte {
 	out := append([]byte{}, blob[:len(blob)-8]...)
 	out = binary.LittleEndian.AppendUint64(out, 1)
 	return binary.LittleEndian.AppendUint32(out, uint32(id))
+}
+
+// editedBlob decodes a current blob of p, applies edit to the state, and
+// encodes it again: a well-formed blob carrying a defect only the engine's
+// checks can see.
+func editedBlob(t testing.TB, blob []byte, p *emit.Program, edit func(*engine.SimState)) []byte {
+	t.Helper()
+	st, err := snapshot.Decode(blob, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(st)
+	out, err := snapshot.Encode(st, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// miscountedBlob rewrites a current blob of p to count one evaluable node
+// more than the design has.
+func miscountedBlob(t testing.TB, blob []byte, p *emit.Program) []byte {
+	return editedBlob(t, blob, p, func(st *engine.SimState) { st.Stats.EvaluableNodes++ })
+}
+
+// unorderedBlob rewrites a current blob of p so its armed-supernode list is
+// not ascending: the first two entries swapped, or a lone entry listed twice.
+func unorderedBlob(t testing.TB, blob []byte, p *emit.Program) []byte {
+	return editedBlob(t, blob, p, func(st *engine.SimState) {
+		switch a := st.ActiveSups; len(a) {
+		case 0:
+			t.Fatal("the blob arms no supernode")
+		case 1:
+			st.ActiveSups = append(a, a[0])
+		default:
+			a[0], a[1] = a[1], a[0]
+		}
+	})
 }
 
 // v1Blob rewrites a current blob of p into format version 1: the version
