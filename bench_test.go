@@ -1,10 +1,10 @@
-// Package-level benchmarks: one testing.B benchmark per table and figure in
-// the paper's evaluation. Each benchmark reports simulated kHz via
-// b.ReportMetric, so `go test -bench=. -benchmem` regenerates the paper's
-// datapoints. cmd/gsim-bench produces the full formatted tables.
+// Package-level benchmarks: the kernel pipeline, the pass rule set, the
+// observability tax and the service layers, each reporting its own metric
+// (simulated kHz, ns per cycle, requests or sessions per second) via
+// b.ReportMetric. The paper's tables and figures are cmd/gsim-bench's.
 //
 // Benchmarks use the two smaller designs by default so the suite completes
-// in CI time; run cmd/gsim-bench for the full four-design sweep.
+// in CI time.
 package gsim_test
 
 import (
@@ -31,7 +31,6 @@ import (
 	"gsim/internal/harness"
 	"gsim/internal/ir"
 	"gsim/internal/obs"
-	"gsim/internal/partition"
 	"gsim/internal/rv"
 	"gsim/internal/server"
 )
@@ -47,7 +46,7 @@ func benchDesigns() []harness.Design {
 // runSim measures one configuration under b, reporting simulated kHz.
 func runSim(b *testing.B, d harness.Design, workload string, cfg core.Config) {
 	b.Helper()
-	sys, drive, err := harness.BuildSystemForDiag(d, workload, cfg)
+	sys, drive, err := harness.BuildSystem(d, workload, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -65,52 +64,6 @@ func runSim(b *testing.B, d harness.Design, workload string, cfg core.Config) {
 	khz := float64(b.N) / b.Elapsed().Seconds() / 1000
 	b.ReportMetric(khz, "simkHz")
 	b.ReportMetric(sys.Sim.Stats().ActivityFactor(), "af")
-}
-
-// BenchmarkTable1 regenerates Table I: single-thread full-cycle (Verilator
-// model) speed per design.
-func BenchmarkTable1(b *testing.B) {
-	for _, d := range benchDesigns() {
-		b.Run(d.Name, func(b *testing.B) {
-			runSim(b, d, harness.WorkloadLinux, core.Verilator())
-		})
-	}
-}
-
-// BenchmarkFig6 regenerates the overall-performance figure: every simulator
-// on design × workload.
-func BenchmarkFig6(b *testing.B) {
-	for _, d := range benchDesigns() {
-		for _, wl := range []string{harness.WorkloadLinux, harness.WorkloadCoreMark} {
-			for _, cfg := range harness.Fig6Configs() {
-				b.Run(fmt.Sprintf("%s/%s/%s", d.Name, wl, cfg.Name), func(b *testing.B) {
-					runSim(b, d, wl, cfg)
-				})
-			}
-		}
-	}
-}
-
-// evalModes spans both evaluation paths for head-to-head benchmarks.
-var evalModes = []engine.EvalMode{engine.EvalKernel, engine.EvalInterp}
-
-// BenchmarkGSIMMT sweeps the multi-threaded essential-signal engine over
-// thread counts and both evaluation modes, mirroring the Fig. 6 thread-sweep
-// shape: like Verilator-MT, small designs pay the barrier cost and large
-// designs amortize it. The kernel/interp axis shows how much of each
-// datapoint is instruction dispatch.
-func BenchmarkGSIMMT(b *testing.B) {
-	for _, d := range benchDesigns() {
-		for _, threads := range []int{1, 2, 4, 8} {
-			for _, mode := range evalModes {
-				cfg := core.GSIMMT(threads)
-				cfg.Eval = mode
-				b.Run(fmt.Sprintf("%s/%dT/%s", d.Name, threads, mode), func(b *testing.B) {
-					runSim(b, d, harness.WorkloadLinux, cfg)
-				})
-			}
-		}
-	}
 }
 
 // BenchmarkKernelVsInterp is the kernel pipeline's headline head-to-head:
@@ -258,106 +211,6 @@ func BenchmarkTripleFusion(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			benchCycles(b, g, cfg)
 		})
-	}
-}
-
-// BenchmarkFig7 regenerates the SPEC-checkpoint study: GSIM vs Verilator on
-// per-checkpoint stimulus segments.
-func BenchmarkFig7(b *testing.B) {
-	p := gen.RocketLike()
-	d := harness.Synthetic(p)
-	for i, name := range harness.CheckpointNames[:4] {
-		seed := int64(1000 + i*17)
-		for _, cfg := range []core.Config{core.Verilator(), core.GSIM()} {
-			b.Run(fmt.Sprintf("%s/%s", name, cfg.Name), func(b *testing.B) {
-				sys, _, err := harness.BuildSystemForDiag(d, harness.WorkloadLinux, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer sys.Close()
-				drive := harness.CheckpointDriver(p, sys, seed)
-				for c := 0; c < 20; c++ {
-					drive(sys.Sim, c)
-					sys.Sim.Step()
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					drive(sys.Sim, 20+i)
-					sys.Sim.Step()
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1000, "simkHz")
-			})
-		}
-	}
-}
-
-// BenchmarkFig8 regenerates the per-technique breakdown on the rocket-scale
-// design: each sub-benchmark is one cumulative stage.
-func BenchmarkFig8(b *testing.B) {
-	d := harness.Synthetic(gen.RocketLike())
-	for _, st := range harness.Fig8StagesForBench() {
-		cfg := st.Cfg()
-		cfg.Name = st.Name
-		b.Run(st.Name, func(b *testing.B) {
-			runSim(b, d, harness.WorkloadCoreMark, cfg)
-		})
-	}
-}
-
-// BenchmarkFig9 regenerates the supernode-size sweep.
-func BenchmarkFig9(b *testing.B) {
-	d := harness.Synthetic(gen.RocketLike())
-	for _, size := range []int{1, 4, 8, 16, 32, 64, 128, 256, 400} {
-		cfg := core.GSIM()
-		cfg.MaxSupernode = size
-		b.Run(fmt.Sprintf("size%d", size), func(b *testing.B) {
-			runSim(b, d, harness.WorkloadCoreMark, cfg)
-		})
-	}
-}
-
-// BenchmarkTable3 regenerates the partitioning-algorithm comparison.
-func BenchmarkTable3(b *testing.B) {
-	d := harness.Synthetic(gen.RocketLike())
-	for _, kind := range []partition.Kind{partition.None, partition.Kernighan, partition.MFFC, partition.Enhanced} {
-		cfg := core.Config{
-			Name:      "part-" + kind.String(),
-			Engine:    core.EngineActivity,
-			Partition: kind,
-			Activity:  engine.ActivityConfig{Activation: engine.ActBranch},
-		}
-		b.Run(kind.String(), func(b *testing.B) {
-			runSim(b, d, harness.WorkloadCoreMark, cfg)
-		})
-	}
-}
-
-// BenchmarkTable4 regenerates the resource comparison: the measured quantity
-// is emission (build) time; code/data sizes are reported as metrics.
-func BenchmarkTable4(b *testing.B) {
-	for _, d := range benchDesigns() {
-		for _, cfg := range []core.Config{core.Verilator(), core.Essent(), core.Arcilator(), core.GSIM()} {
-			b.Run(fmt.Sprintf("%s/%s", d.Name, cfg.Name), func(b *testing.B) {
-				g, _, err := d.Build(harness.WorkloadLinux)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var code, data int
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sys, err := core.Build(g, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					code, data = sys.Prog.CodeBytes(), sys.Prog.DataBytes()
-					sys.Close()
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(code), "codeB")
-				b.ReportMetric(float64(data), "dataB")
-			})
-		}
 	}
 }
 

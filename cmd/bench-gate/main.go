@@ -35,7 +35,7 @@ import (
 type Row struct {
 	Name    string  `json:"name"`              // full sub-benchmark name, -cpu suffix stripped
 	Design  string  `json:"design,omitempty"`  // stucore, rocket-like, ... when derivable
-	Engine  string  `json:"engine,omitempty"`  // gsim, verilator, gsim-mt, ...
+	Engine  string  `json:"engine,omitempty"`  // gsim, verilator, ...
 	Eval    string  `json:"eval,omitempty"`    // kernel, kernel-nofuse, interp
 	Threads int     `json:"threads,omitempty"` // worker count (1 when single-threaded)
 	NsOp    float64 `json:"ns_op,omitempty"`   // wall ns per benchmark op
@@ -182,19 +182,10 @@ func stripCPUSuffix(name string) string {
 // this repository emits:
 //
 //	BenchmarkKernelVsInterp/<design>/<engine>/<eval>
-//	BenchmarkGSIMMT/<design>/<N>T/<eval>
-var threadsPart = regexp.MustCompile(`^(\d+)T$`)
-
 func deriveFields(r *Row) {
 	parts := strings.Split(r.Name, "/")
-	switch {
-	case strings.HasPrefix(parts[0], "BenchmarkKernelVsInterp") && len(parts) == 4:
+	if strings.HasPrefix(parts[0], "BenchmarkKernelVsInterp") && len(parts) == 4 {
 		r.Design, r.Engine, r.Eval, r.Threads = parts[1], parts[2], parts[3], 1
-	case strings.HasPrefix(parts[0], "BenchmarkGSIMMT") && len(parts) == 4:
-		r.Design, r.Engine, r.Eval = parts[1], "gsim-mt", parts[3]
-		if m := threadsPart.FindStringSubmatch(parts[2]); m != nil {
-			r.Threads, _ = strconv.Atoi(m[1])
-		}
 	}
 }
 

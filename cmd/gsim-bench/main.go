@@ -2,12 +2,8 @@
 //
 // Usage:
 //
-//	gsim-bench -exp table1|fig6|gsimmt|sessions|fig7|fig8|fig9|table3|table4|all [-quick] [-cycles N]
-//	           [-threads 1,2,4,8]   thread counts for the gsimmt sweep
-//	                                (doubles as the session counts for -exp sessions)
-//
-// -exp gsimmt prints each multi-worker row's schedule change: the dependence
-// levels the merged-level schedule collapses into its barrier levels.
+//	gsim-bench -exp table1|fig6|sessions|fig7|fig8|fig9|table3|table4|all [-quick] [-cycles N]
+//	           [-sessions 1,2,4,8]   concurrent session counts for -exp sessions
 //
 // Results print as text tables in the paper's layout; the README's
 // "Benchmarks" section carries the measured findings.
@@ -25,14 +21,14 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, fig6, gsimmt, sessions, fig7, fig8, fig9, table3, table4, all")
+	exp := flag.String("exp", "all", "experiment: table1, fig6, sessions, fig7, fig8, fig9, table3, table4, all")
 	quick := flag.Bool("quick", false, "small designs and short measurements (smoke run)")
 	medium := flag.Bool("medium", false, "stucore + rocket-scale designs, full budget")
 	cycles := flag.Int("cycles", 0, "override timed cycles per measurement")
-	threadList := flag.String("threads", "1,2,4,8", "comma-separated thread counts for the gsimmt sweep")
+	sessionList := flag.String("sessions", "1,2,4,8", "comma-separated concurrent session counts for -exp sessions")
 	flag.Parse()
 
-	threadCounts, err := parseThreads(*threadList)
+	sessionCounts, err := parseCounts(*sessionList)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -89,16 +85,8 @@ func main() {
 		harness.RenderFig6(os.Stdout, cells)
 		return nil
 	})
-	run("gsimmt", func() error {
-		rows, err := harness.GSIMMTSweep(designs, threadCounts, budget)
-		if err != nil {
-			return err
-		}
-		harness.RenderGSIMMT(os.Stdout, rows)
-		return nil
-	})
 	run("sessions", func() error {
-		rows, err := harness.SessionsSweep(designs, threadCounts, budget)
+		rows, err := harness.SessionsSweep(designs, sessionCounts, budget)
 		if err != nil {
 			return err
 		}
@@ -152,13 +140,13 @@ func main() {
 	}
 }
 
-// parseThreads parses a comma-separated list of positive thread counts.
-func parseThreads(s string) ([]int, error) {
+// parseCounts parses a comma-separated list of positive counts.
+func parseCounts(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("gsim-bench: bad -threads entry %q", part)
+			return nil, fmt.Errorf("gsim-bench: bad -sessions entry %q", part)
 		}
 		out = append(out, n)
 	}

@@ -137,9 +137,6 @@ func main() {
 	gnf.Name = "gsim-nofuse"
 	gnf.Eval = engine.EvalKernelNoFuse
 	cfgs = append(cfgs, gi, gnf)
-	// The multi-threaded essential-signal engine; it and verilator-2T report
-	// shard balance and the schedule change (scheduleSummary).
-	cfgs = append(cfgs, core.GSIMMT(2))
 	// add gsim variants
 	g2 := core.GSIM()
 	g2.Name = "gsim-mffc"
@@ -162,7 +159,7 @@ func main() {
 		cfgs = append(cfgs, gc)
 	}
 	for _, cfg := range cfgs {
-		sys, drive, err := harness.BuildSystemForDiag(d, "coremark", cfg)
+		sys, drive, err := harness.BuildSystem(d, "coremark", cfg)
 		if err != nil {
 			panic(err)
 		}
@@ -207,7 +204,7 @@ func main() {
 		name string
 		g    *ir.Graph
 	}{{d.Name, src}, {"rv32", rv32}} {
-		for _, cfg := range []core.Config{core.GSIM(), core.GSIMMT(2), core.Verilator()} {
+		for _, cfg := range []core.Config{core.GSIM(), core.Verilator()} {
 			printRetained(dg.name, dg.g, cfg)
 		}
 	}
@@ -223,7 +220,7 @@ func main() {
 		{"sync", trace.Options{Sync: true}},
 		{"async", trace.Options{}},
 	} {
-		sys, drive, err := harness.BuildSystemForDiag(d, "coremark", core.GSIM())
+		sys, drive, err := harness.BuildSystem(d, "coremark", core.GSIM())
 		if err != nil {
 			panic(err)
 		}
@@ -282,7 +279,7 @@ func main() {
 	// Snapshot cost on this profile: blob size and encode/decode time for a
 	// mid-run checkpoint (the quantities a checkpointing service budgets).
 	{
-		sys2, drive2, err := harness.BuildSystemForDiag(d, "coremark", core.GSIM())
+		sys2, drive2, err := harness.BuildSystem(d, "coremark", core.GSIM())
 		if err != nil {
 			panic(err)
 		}
@@ -296,7 +293,7 @@ func main() {
 			panic(err)
 		}
 		encodeT := time.Since(start)
-		sys3, _, err := harness.BuildSystemForDiag(d, "coremark", core.GSIM())
+		sys3, _, err := harness.BuildSystem(d, "coremark", core.GSIM())
 		if err != nil {
 			panic(err)
 		}

@@ -30,16 +30,16 @@ func TestRefCountSummary(t *testing.T) {
 	}
 }
 
-// TestScheduleSummary: the verilator-2T and gsim-2T rows report their
-// merged-level schedule through the engines' shared accessor, and the
-// one-worker rows report none.
+// TestScheduleSummary: the verilator-2T row reports its merged-level
+// schedule through the engine's accessor, and the one-worker rows report
+// none.
 func TestScheduleSummary(t *testing.T) {
 	d := harness.Synthetic(gen.StuCoreLike())
 	for _, c := range []struct {
 		cfg   core.Config
 		multi bool
-	}{{core.Verilator(), false}, {core.VerilatorMT(2), true}, {core.GSIM(), false}, {core.GSIMMT(2), true}} {
-		sys, _, err := harness.BuildSystemForDiag(d, "coremark", c.cfg)
+	}{{core.Verilator(), false}, {core.VerilatorMT(2), true}, {core.GSIM(), false}} {
+		sys, _, err := harness.BuildSystem(d, "coremark", c.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

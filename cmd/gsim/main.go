@@ -5,10 +5,10 @@
 //	gsim [flags] design.fir
 //
 //	-engine gsim|verilator|essent|arcilator   simulator preset (default gsim)
-//	-threads N                                multi-threaded engine: gsim -> GSIMMT
-//	                                          (parallel essential-signal, on the
-//	                                          merged-level schedule), verilator
-//	                                          -> Verilator-MT (parallel full-cycle)
+//	-threads N                                worker count: 0 or 1 for every engine;
+//	                                          verilator takes up to 64 (Verilator-MT,
+//	                                          parallel full-cycle on the merged-level
+//	                                          schedule)
 //	-cycles N                                 cycles to simulate
 //	-max-supernode N                          supernode size cap (paper Fig. 9)
 //	-poke name=value                          set an input before simulation (repeatable)
@@ -49,7 +49,7 @@ func (r *repeated) Set(v string) error { *r = append(*r, v); return nil }
 
 func main() {
 	engineName := flag.String("engine", "gsim", "simulator preset: gsim, verilator, essent, arcilator")
-	threads := flag.Int("threads", 0, "worker count: gsim -> parallel essential-signal (GSIMMT), verilator -> parallel full-cycle")
+	threads := flag.Int("threads", 0, "worker count: 0 or 1 for every engine; verilator takes up to 64 (parallel full-cycle)")
 	cycles := flag.Int("cycles", 10, "cycles to simulate")
 	maxSup := flag.Int("max-supernode", 0, "maximum supernode size (0 = default)")
 	showStats := flag.Bool("stats", false, "print engine counters and build info")
@@ -75,29 +75,9 @@ func main() {
 	fmt.Printf("loaded %s: %d nodes, %d edges, %d regs, %d mems\n",
 		g.Name, st.Nodes, st.Edges, st.Regs, st.Mems)
 
-	var cfg core.Config
-	switch *engineName {
-	case "gsim":
-		if *threads > 0 {
-			cfg = core.GSIMMT(*threads)
-		} else {
-			cfg = core.GSIM()
-		}
-	case "verilator":
-		if *threads > 0 {
-			cfg = core.VerilatorMT(*threads)
-		} else {
-			cfg = core.Verilator()
-		}
-	case "essent":
-		cfg = core.Essent()
-	case "arcilator":
-		cfg = core.Arcilator()
-	default:
-		fatal(fmt.Errorf("unknown engine %q", *engineName))
-	}
-	if *threads > 0 && cfg.Threads == 0 {
-		fatal(fmt.Errorf("-threads is only valid with -engine gsim or verilator"))
+	cfg, err := core.Preset(*engineName, *threads)
+	if err != nil {
+		fatal(err)
 	}
 	if *maxSup > 0 {
 		cfg.MaxSupernode = *maxSup
@@ -140,9 +120,9 @@ func main() {
 		if !ok {
 			fatal(fmt.Errorf("bad -poke %q, want name=value", p))
 		}
-		n := sys.Node(name)
-		if n == nil {
-			fatal(fmt.Errorf("no input %q", name))
+		n, err := core.ValueNode(sys.Graph, name)
+		if err != nil {
+			fatal(fmt.Errorf("-poke: %v", err))
 		}
 		bv, err := bitvec.Parse(n.Width, val)
 		if err != nil {
@@ -178,9 +158,9 @@ func main() {
 
 	watchIDs := map[string]int{}
 	for _, wname := range watches {
-		n := sys.Node(wname)
-		if n == nil {
-			fatal(fmt.Errorf("no node %q to watch", wname))
+		n, err := core.ValueNode(sys.Graph, wname)
+		if err != nil {
+			fatal(fmt.Errorf("-watch: %v", err))
 		}
 		watchIDs[wname] = n.ID
 	}

@@ -71,9 +71,10 @@ func Optimize(g *ir.Graph, opt passes.Options) (*ir.Graph, passes.Result, error)
 // CompileDesign runs the compile half of Build: Optimize, emit, partition,
 // plan, and last, release the graph's expression trees, which nothing that
 // simulates reads. The result is immutable and reusable by any number of
-// NewSim calls. A program the stream builder refuses (an instruction outside
-// the state image: only a compiler bug makes one) fails the compile instead
-// of the process.
+// NewSim calls. An essential-signal configuration with more than one worker
+// is refused: that engine runs one. A program the stream builder refuses (an
+// instruction outside the state image: only a compiler bug makes one) fails
+// the compile instead of the process.
 func CompileDesign(g *ir.Graph, cfg Config) (*CompiledDesign, error) {
 	if faultpoint.Hit(faultpoint.CompileFail) {
 		return nil, fmt.Errorf("core: injected compile failure (faultpoint %s)", faultpoint.CompileFail)
@@ -83,6 +84,9 @@ func CompileDesign(g *ir.Graph, cfg Config) (*CompiledDesign, error) {
 	}
 	start := time.Now()
 	cfg = cfg.normalized()
+	if cfg.Engine == EngineActivity && cfg.Threads > 1 {
+		return nil, fmt.Errorf(`core: the field "threads" is %d, but the essential-signal engine runs one worker`, cfg.Threads)
+	}
 	work, passRes, err := Optimize(g, cfg.Opt)
 	passTime := time.Since(start)
 	if err != nil {
@@ -124,7 +128,7 @@ func (d *CompiledDesign) buildPlan() (err error) {
 	case EngineFullCycle:
 		d.plan = engine.PlanFullCycle(d.Prog, cfg.Threads, cfg.Eval)
 	case EngineActivity:
-		d.plan = engine.PlanActivity(d.Prog, d.Part, cfg.Activity, cfg.Threads, cfg.Eval)
+		d.plan = engine.PlanActivity(d.Prog, d.Part, cfg.Activity, cfg.Eval)
 	default:
 		return fmt.Errorf("core: unknown engine %d", cfg.Engine)
 	}

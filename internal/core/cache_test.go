@@ -42,7 +42,7 @@ func cacheDesign(t *testing.T, idx int) *ir.Graph {
 // worker's region — or past the last region a multi-worker machine has.
 func TestCompileDesignRefusesCorruptProgram(t *testing.T) {
 	modes := []engine.EvalMode{engine.EvalKernel, engine.EvalKernelNoFuse, engine.EvalInterp}
-	for _, preset := range []Config{Verilator(), VerilatorMT(2), GSIM(), GSIMMT(2), GSIMMT(4)} {
+	for _, preset := range []Config{Verilator(), VerilatorMT(2), VerilatorMT(4), GSIM()} {
 		for _, mode := range modes {
 			for _, past := range []string{"first region", "last region"} {
 				cfg := preset
@@ -98,7 +98,8 @@ func TestNewSimRefusesOtherConfig(t *testing.T) {
 			t.Errorf("%s: the refusal %q does not name the field", field, err)
 		}
 	}
-	same := GSIMMT(1)
+	same := GSIM()
+	same.Threads = 1
 	same.MaxSupernode = DefaultMaxSupernode
 	same.Opt.Inline = !same.Opt.Inline // the compile is done: passes do not shape the engine
 	sim, err := d.NewSim(same)
@@ -184,11 +185,13 @@ func TestDesignCostCountsGraph(t *testing.T) {
 }
 
 // TestOneWorkerSharesCompile: an unset thread count and one worker build
-// the same engine, so GSIM and GSIMMT(1) — and Verilator and VerilatorMT(1) —
-// share one cache entry: one miss, then a hit on the same design, and the
+// the same engine, so GSIM at unset and one worker — and Verilator and
+// VerilatorMT(1) — share one cache entry: one miss, then a hit on the same design, and the
 // hit builds an engine.
 func TestOneWorkerSharesCompile(t *testing.T) {
-	for _, pair := range [][2]Config{{GSIM(), GSIMMT(1)}, {Verilator(), VerilatorMT(1)}} {
+	gsim1 := GSIM()
+	gsim1.Threads = 1
+	for _, pair := range [][2]Config{{GSIM(), gsim1}, {Verilator(), VerilatorMT(1)}} {
 		c := NewCompileCache()
 		g := cacheDesign(t, 0)
 		var designs [2]*CompiledDesign

@@ -5,7 +5,9 @@
 // simulation engine.
 //
 // Configurations for every simulator the paper compares are provided as
-// presets (Verilator single- and multi-threaded, ESSENT, Arcilator, GSIM).
+// presets (Verilator single- and multi-threaded, ESSENT, Arcilator, GSIM),
+// and Preset resolves the command line's and the session spec's engine name
+// and worker count to one.
 package core
 
 import (
@@ -20,7 +22,7 @@ import (
 )
 
 // EngineKind selects the simulation model; Config.Threads picks how many
-// workers run it.
+// workers run the full-cycle one (the essential-signal engine runs one).
 type EngineKind uint8
 
 // Engine kinds.
@@ -42,7 +44,7 @@ type Config struct {
 	Opt passes.Options
 
 	Engine  EngineKind
-	Threads int // worker count; 0 and 1 both mean one worker (see workers)
+	Threads int // worker count; 0 and 1 both mean one worker (see workers), and only EngineFullCycle takes more
 
 	// Eval is the build mode of the plan's stream. Engines run every mode
 	// through one path; only the kernels differ. The zero value, the fused
@@ -183,14 +185,53 @@ func GSIM() Config {
 	}
 }
 
-// GSIMMT is the multi-threaded GSIM: the essential-signal engine sharding
-// supernodes across N persistent workers with level barriers. GSIMMT(1)
-// builds exactly what GSIM() does.
-func GSIMMT(threads int) Config {
-	cfg := GSIM()
-	cfg.Name = fmt.Sprintf("gsim-%dT", threads)
-	cfg.Threads = threads
-	return cfg
+// MaxThreads caps a configuration's worker count: a multi-worker engine
+// starts one goroutine per worker.
+const MaxThreads = 64
+
+// Preset resolves an engine name and worker count — cmd/gsim's -engine and
+// -threads, a session spec's "engine" and "threads" — to a configuration:
+// gsim (the default for an empty name), verilator, essent or arcilator.
+// Threads 0 and 1 are valid for every engine and both build one worker;
+// only verilator runs more, up to MaxThreads, as VerilatorMT.
+func Preset(name string, threads int) (Config, error) {
+	if threads < 0 || threads > MaxThreads {
+		return Config{}, fmt.Errorf(`core: the field "threads" is %d, outside [0,%d]`, threads, MaxThreads)
+	}
+	var cfg Config
+	switch name {
+	case "", "gsim":
+		cfg = GSIM()
+	case "verilator":
+		cfg = Verilator()
+		if threads > 1 {
+			cfg = VerilatorMT(threads)
+		}
+	case "essent":
+		cfg = Essent()
+	case "arcilator":
+		cfg = Arcilator()
+	default:
+		return Config{}, fmt.Errorf("core: unknown engine %q", name)
+	}
+	if threads > 1 && cfg.Threads != threads {
+		return Config{}, fmt.Errorf(`core: the field "threads" is %d, but engine %s runs one worker; only verilator runs more`, threads, cfg.Name)
+	}
+	return cfg, nil
+}
+
+// ValueNode resolves the node a peek or poke names in g. A memory write
+// port is named like any node but holds no value word, so it is refused
+// rather than indexed.
+func ValueNode(g *ir.Graph, name string) (*ir.Node, error) {
+	n := g.FindNode(name)
+	if n == nil {
+		return nil, fmt.Errorf("no node %q", name)
+	}
+	if n.Kind == ir.KindMemWrite {
+		return nil, fmt.Errorf("%q is a memory write port, which has no value to peek or poke", name)
+	}
+	return n, nil
 }
 
 // workers is a configuration's worker count: Threads, with every value

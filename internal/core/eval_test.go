@@ -14,11 +14,10 @@ import (
 )
 
 // evalLockstepConfigs are the engine configurations the kernel/interp
-// equivalence suite pins: full-cycle at one and two workers, and
-// essential-signal at one, two and four (the race detector covers the
-// multi-worker runs in CI).
+// equivalence suite pins: full-cycle at one, two and four workers, and
+// essential-signal (the race detector covers the multi-worker runs in CI).
 func evalLockstepConfigs() []Config {
-	return []Config{Verilator(), VerilatorMT(2), GSIM(), GSIMMT(2), GSIMMT(4)}
+	return []Config{Verilator(), VerilatorMT(2), VerilatorMT(4), GSIM()}
 }
 
 // padFoldFIRRTL feeds zero-extensions that compile to nothing (emit's unpad)
@@ -187,7 +186,7 @@ func interpTwin(t *testing.T, prog *emit.Program, sys *System) engine.Sim {
 	case EngineFullCycle:
 		return engine.NewFullCycle(prog, cfg.Threads, engine.EvalInterp)
 	case EngineActivity:
-		return engine.NewActivity(prog, sys.Part, cfg.Activity, cfg.Threads, engine.EvalInterp)
+		return engine.NewActivity(prog, sys.Part, cfg.Activity, engine.EvalInterp)
 	}
 	t.Fatalf("unknown engine %v", cfg.Engine)
 	return nil

@@ -126,19 +126,16 @@ func FuzzKernelLockstep(f *testing.F) {
 		}
 		defer sysK.Close()
 		prog := analyzable(t, g, sysK)
-		simNF := engine.NewActivity(prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalKernelNoFuse)
-		simI := engine.NewActivity(prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalInterp)
-		// The multi-worker axis: two workers on the merged-level schedule,
-		// over the partition and over singleton nodes, must track the same
-		// trajectory.
-		sim2 := engine.NewActivity(prog, sysK.Part, sysK.Config.Activity, 2, engine.EvalKernel)
-		defer sim2.Close()
+		simNF := engine.NewActivity(prog, sysK.Part, sysK.Config.Activity, engine.EvalKernelNoFuse)
+		simI := engine.NewActivity(prog, sysK.Part, sysK.Config.Activity, engine.EvalInterp)
+		// The multi-worker axis: two full-cycle workers on the merged-level
+		// schedule over singleton nodes must track the same trajectory.
 		simF2 := engine.NewFullCycle(prog, 2, engine.EvalKernel)
 		defer simF2.Close()
 		// The snapshot axis: this engine is serialized through the versioned
 		// snapshot format and restored into a fresh engine mid-run; its
 		// trajectory and stats must never diverge from the uninterrupted one.
-		var simS engine.Sim = engine.NewActivity(prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalKernel)
+		var simS engine.Sim = engine.NewActivity(prog, sysK.Part, sysK.Config.Activity, engine.EvalKernel)
 		ref, err := engine.NewReference(prog.Graph)
 		if err != nil {
 			t.Fatal(err)
@@ -229,7 +226,7 @@ func FuzzKernelLockstep(f *testing.F) {
 		var laneAxes []laneAxis
 		for kind, pl := range map[string]engine.Plan{
 			"fullcycle": engine.PlanFullCycle(prog, 1, engine.EvalKernel),
-			"activity":  engine.PlanActivity(prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalKernel),
+			"activity":  engine.PlanActivity(prog, sysK.Part, sysK.Config.Activity, engine.EvalKernel),
 		} {
 			ax := laneAxis{kind, newLanes(pl, 2), pl.NewEngine()}
 			defer ax.lanes.Close()
@@ -249,7 +246,7 @@ func FuzzKernelLockstep(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fresh := engine.NewActivity(prog, sysK.Part, sysK.Config.Activity, 1, engine.EvalKernel)
+				fresh := engine.NewActivity(prog, sysK.Part, sysK.Config.Activity, engine.EvalKernel)
 				if err := snapshot.Restore(fresh, blob); err != nil {
 					t.Fatal(err)
 				}
@@ -268,7 +265,6 @@ func FuzzKernelLockstep(f *testing.F) {
 				sysK.Sim.Poke(in.ID, v)
 				simNF.Poke(in.ID, v)
 				simI.Poke(in.ID, v)
-				sim2.Poke(in.ID, v)
 				simF2.Poke(in.ID, v)
 				simS.Poke(in.ID, v)
 				// Lane 1 and its twin always receive the divergent stimulus —
@@ -287,7 +283,7 @@ func FuzzKernelLockstep(f *testing.F) {
 				}
 			}
 			lane1Live := rngL1.Intn(6) != 0
-			for _, sim := range []engine.Sim{sysK.Sim, simNF, simI, sim2, simF2, simS} {
+			for _, sim := range []engine.Sim{sysK.Sim, simNF, simI, simF2, simS} {
 				poisonTemps(sim, rngP)
 				poisonNext(sim, rngP)
 			}
@@ -299,7 +295,6 @@ func FuzzKernelLockstep(f *testing.F) {
 			sysK.Sim.Step()
 			simNF.Step()
 			simI.Step()
-			sim2.Step()
 			simF2.Step()
 			simS.Step()
 			for _, ax := range laneAxes {
@@ -321,7 +316,6 @@ func FuzzKernelLockstep(f *testing.F) {
 			states := map[string][]uint64{
 				"kernel-nofuse":      persistent(simNF),
 				"interp":             persistent(simI),
-				"activity-2T":        persistent(sim2),
 				"fullcycle-2T":       persistent(simF2),
 				"snapshot-roundtrip": persistent(simS),
 			}

@@ -26,15 +26,16 @@ type matrixSim struct {
 // partition, so every cell shares node IDs and state layout and the
 // persistent state words can be compared word for word:
 //
-//	fullcycle, activity × {kernel, interp} × {1, 2, 4} workers
+//	fullcycle × {kernel, interp} × {1, 2, 4} workers
+//	activity × {kernel, interp}, one worker
 //
 // Engines run every stream mode through one path, so the interp cells run
 // the whole engine over the interpreter, while kernel-nofuse would differ
 // from kernel only in which stream kernels run — TestChainMatchesInterp in
-// internal/emit pins those. The multi-worker activity cells run the
+// internal/emit pins those. The multi-worker full-cycle cells run the
 // merged-level schedule; TestEngineMatrixLockstep's scheduleShapes check
-// pins that both of its halves (ordered chains inside a merged level, outbox
-// activations across levels) are exercised.
+// pins that both of its halves (ordered chains inside a merged level,
+// dependences across a barrier) are exercised.
 //
 // All engines must produce identical state trajectories (the package
 // contract in internal/engine).
@@ -44,13 +45,11 @@ func matrixEngines(t *testing.T, prog *emit.Program, sys *System) []matrixSim {
 	var sims []matrixSim
 	for _, mode := range modes {
 		for _, threads := range []int{1, 2, 4} {
-			sims = append(sims,
-				matrixSim{fmt.Sprintf("fullcycle-%dT/%s", threads, mode),
-					engine.NewFullCycle(prog, threads, mode)},
-				matrixSim{fmt.Sprintf("activity-%dT/%s", threads, mode),
-					engine.NewActivity(prog, sys.Part, sys.Config.Activity, threads, mode)},
-			)
+			sims = append(sims, matrixSim{fmt.Sprintf("fullcycle-%dT/%s", threads, mode),
+				engine.NewFullCycle(prog, threads, mode)})
 		}
+		sims = append(sims, matrixSim{fmt.Sprintf("activity/%s", mode),
+			engine.NewActivity(prog, sys.Part, sys.Config.Activity, mode)})
 	}
 	return sims
 }
@@ -68,7 +67,7 @@ func matrixDesigns(t *testing.T) (names []string, graphs []*ir.Graph) {
 }
 
 // TestEngineMatrixLockstep sweeps the conformance matrix: both engines, the
-// kernel and interp stream modes, 1/2/4 workers, lockstep over every design
+// kernel and interp stream modes, 1/2/4 full-cycle workers, lockstep over every design
 // with two seeds of randomized stimulus and reset pulses. Every cell's
 // persistent state words must stay bit-identical to the first cell every
 // cycle (temporaries are per-worker scratch and differ by design), and the
@@ -82,10 +81,8 @@ func TestEngineMatrixLockstep(t *testing.T) {
 	}
 	names, graphs := matrixDesigns(t)
 	var shapes []*scheduleShapes
-	for _, fullCycle := range []bool{false, true} {
-		for _, threads := range []int{2, 4} {
-			shapes = append(shapes, &scheduleShapes{fullCycle: fullCycle, threads: threads})
-		}
+	for _, threads := range []int{2, 4} {
+		shapes = append(shapes, &scheduleShapes{threads: threads})
 	}
 	for di, g := range graphs {
 		sys, err := Build(g, GSIM())
@@ -94,7 +91,7 @@ func TestEngineMatrixLockstep(t *testing.T) {
 		}
 		prog := analyzable(t, g, sys)
 		for _, sh := range shapes {
-			sh.add(t, names[di], prog, sys)
+			sh.add(t, names[di], prog)
 		}
 		for _, seed := range []int64{13, 7919} {
 			lockstepMatrix(t, names[di], prog, sys, int64(di)*977+seed, cycles)
@@ -112,39 +109,25 @@ func TestEngineMatrixLockstep(t *testing.T) {
 	}
 }
 
-// scheduleShapes records, for one engine at one worker count, a matrix
-// design whose merged-level schedule exercises each half of the multi-worker
-// protocol: merged, whose dependence levels collapse into one scheduled
-// level holding a fused component (a dependence edge inside one chunk, run
-// as an ordered chain); and split, which keeps two or more scheduled levels,
-// so some dependence crosses chunks through a barrier (for the activity
-// engine, an activation through the outbox).
+// scheduleShapes records, for the full-cycle engine at one worker count, a
+// matrix design whose merged-level schedule exercises each half of the
+// multi-worker protocol: merged, whose dependence levels collapse into one
+// scheduled level holding a fused component (a dependence edge inside one
+// chunk, run as an ordered chain); and split, which keeps two or more
+// scheduled levels, so some dependence crosses chunks through a barrier.
 type scheduleShapes struct {
-	fullCycle     bool
 	threads       int
 	merged, split string
 }
 
-func (sh *scheduleShapes) String() string {
-	if sh.fullCycle {
-		return fmt.Sprintf("fullcycle-%dT", sh.threads)
-	}
-	return fmt.Sprintf("activity-%dT", sh.threads)
-}
+func (sh *scheduleShapes) String() string { return fmt.Sprintf("fullcycle-%dT", sh.threads) }
 
 // add classifies the design's schedule by walking its dependence edges
-// between supernodes: the design's partition for the activity engine, the
-// singleton partition the full-cycle engine shards.
-func (sh *scheduleShapes) add(t *testing.T, name string, prog *emit.Program, sys *System) {
+// between the singleton supernodes the full-cycle engine shards.
+func (sh *scheduleShapes) add(t *testing.T, name string, prog *emit.Program) {
 	t.Helper()
-	part := sys.Part
-	var sim engine.Compiled
-	if sh.fullCycle {
-		part = partition.Build(prog.Graph, partition.None, 1)
-		sim = engine.NewFullCycle(prog, sh.threads, engine.EvalKernel)
-	} else {
-		sim = engine.NewActivity(prog, sys.Part, sys.Config.Activity, sh.threads, engine.EvalKernel)
-	}
+	part := partition.Build(prog.Graph, partition.None, 1)
+	sim := engine.NewFullCycle(prog, sh.threads, engine.EvalKernel)
 	defer sim.Close()
 	sv := sim.Shard()
 	var inChunk, crossChunk bool
@@ -202,7 +185,7 @@ func lockstepMatrix(t *testing.T, name string, prog *emit.Program, sys *System, 
 	const gangLanes = 3
 	laneSets := map[string]*engine.Lanes{
 		"fullcycle": newLanes(engine.PlanFullCycle(prog, 1, engine.EvalKernel), gangLanes),
-		"activity":  newLanes(engine.PlanActivity(prog, sys.Part, sys.Config.Activity, 1, engine.EvalKernel), gangLanes),
+		"activity":  newLanes(engine.PlanActivity(prog, sys.Part, sys.Config.Activity, engine.EvalKernel), gangLanes),
 	}
 
 	rng := rand.New(rand.NewSource(seed))

@@ -22,7 +22,7 @@ func TestCompiledDesignReleasesExprs(t *testing.T) {
 		names, graphs = append(names, "rocket-like-profile"), append(graphs, gen.BuildProfile(gen.RocketLike()))
 	}
 	for di, g := range graphs {
-		for _, cfg := range []Config{GSIM(), Verilator(), GSIMMT(2)} {
+		for _, cfg := range []Config{GSIM(), Verilator(), VerilatorMT(2)} {
 			d, err := CompileDesign(g, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", names[di], cfg.Name, err)
@@ -85,7 +85,7 @@ func TestReleasedGraphRefuses(t *testing.T) {
 		"ValidateNodes":   func() { g.ValidateNodes() },
 		"Clone":           func() { g.Clone() },
 		"NewReference":    func() { engine.NewReference(g) },
-		"PlanActivity":    func() { engine.PlanActivity(sys.Prog, sys.Part, sys.Config.Activity, 1, engine.EvalKernel) },
+		"PlanActivity":    func() { engine.PlanActivity(sys.Prog, sys.Part, sys.Config.Activity, engine.EvalKernel) },
 		"PlanFullCycle2T": func() { engine.PlanFullCycle(sys.Prog, 2, engine.EvalKernel) },
 	} {
 		mustPanicReleased(t, what, walk)

@@ -62,7 +62,7 @@ func TestNextValuesAreScratch(t *testing.T) {
 
 // checkScratch fills one scratch region of every engine's image with random
 // words (poison) before every Step, across both engines, the kernel and
-// interp stream modes and 1, 2 and 4 workers, and requires the persistent
+// interp stream modes and 1, 2 and 4 full-cycle workers, and requires the persistent
 // words and every Peek to track the reference oracle every cycle. words is
 // the region's size, which every design must have some of.
 func checkScratch(t *testing.T, what string, poison func(engine.Sim, *rand.Rand), words func(*emit.Program) int) {

@@ -157,8 +157,6 @@ func TestGoldenVCDAsync(t *testing.T) {
 		{"fullcycle-2T", EngineFullCycle, 2},
 		{"fullcycle-4T", EngineFullCycle, 4},
 		{"activity-1T", EngineActivity, 1},
-		{"activity-2T", EngineActivity, 2},
-		{"activity-4T", EngineActivity, 4},
 	}
 	for _, e := range engines {
 		for _, m := range []engine.EvalMode{engine.EvalKernel, engine.EvalKernelNoFuse, engine.EvalInterp} {

@@ -1,28 +1,28 @@
 // Package engine implements the two RTL simulation models the paper
-// compares, each as one engine whose worker count is only a schedule:
+// compares:
 //
 //   - FullCycle: static topological-order evaluation of every node every
 //     cycle — the Verilator model (paper Listing 1). On an optimized graph it
 //     also stands in for Arcilator (expression optimization, no activity
-//     tracking). With N workers it runs the merged-level shard schedule
-//     over its nodes between barriers (Verilator -threads N).
+//     tracking). Its worker count is only a schedule: with N workers it runs
+//     the merged-level shard schedule over its nodes between barriers
+//     (Verilator -threads N).
 //   - Activity: the essential-signal engine (paper Listing 2/3/4) with
-//     per-supernode active bits. Configured with MFFC partitions and
-//     always-branchless activation it models ESSENT; with the enhanced
-//     partitioner, multi-bit active-word checking, the activation cost model,
-//     and the reset slow path it is GSIM — and with N workers sharding the
-//     supernodes across barrier levels, GSIMMT.
+//     per-supernode active bits, run by one worker. Configured with MFFC
+//     partitions and always-branchless activation it models ESSENT; with the
+//     enhanced partitioner, multi-bit active-word checking, the activation
+//     cost model, and the reset slow path it is GSIM.
 //
-// Both build their multi-worker schedule the same way, as a
-// partition.ShardView (Compiled.Shard): dependence levels merged until a
-// barrier is worth paying, each level split across the workers. One worker
-// is the degenerate schedule of both: a single level, run inline on the
-// caller with no goroutine and no barrier.
+// FullCycle builds its multi-worker schedule as a partition.ShardView
+// (Compiled.Shard): dependence levels merged until a barrier is worth
+// paying, each level split across the workers. One worker is the degenerate
+// schedule: a single level, run inline on the caller with no goroutine and
+// no barrier, which is how Activity always runs.
 //
-// Each engine splits into an immutable Plan — kernel stream, schedule, slot
-// layout, activation tables — built once per compiled design, and the
-// per-engine state an engine of the plan owns: machine, active bits, shadows,
-// worker scratch. Lanes steps K engines of one plan in lockstep, the
+// Each engine splits into an immutable Plan — kernel stream, schedule,
+// activation tables — built once per compiled design, and the per-engine
+// state an engine of the plan owns: machine, active bits, shadows, pending
+// registers. Lanes steps K engines of one plan in lockstep, the
 // multi-stimulus session; a scalar session is its one-lane case.
 //
 // All engines run the same compiled emit.Program and must produce identical
@@ -118,7 +118,7 @@ type tables struct {
 	coded  []int32 // all node IDs with evaluation work, in ID (== topo) order
 	resets []resetGroup
 
-	// The multi-worker schedule (see Shard); nil with one worker.
+	// The full-cycle multi-worker schedule (see Shard); nil with one worker.
 	shard *partition.ShardView
 }
 
@@ -190,9 +190,9 @@ func (t *tables) bytes() int {
 }
 
 // Shard is the engine's multi-worker schedule: the merged-level shard view
-// (partition.Result.Shard) its workers sweep, over the design's partition
-// for Activity and over singleton supernodes for FullCycle. Nil with one
-// worker, whose schedule is a single level with no barrier.
+// (partition.Result.Shard) a multi-worker FullCycle's workers sweep, over
+// singleton supernodes. Nil with one worker, whose schedule is a single level
+// with no barrier, and always nil for Activity.
 func (t *tables) Shard() *partition.ShardView { return t.shard }
 
 // instrWeight weighs a node by its compiled instruction count, the cost the
@@ -254,8 +254,9 @@ func (b *base) resetBase() {
 
 // countInstrs retires n instructions into both the engine stats and the
 // machine's Executed counter. Engines call it only from serial context (per
-// step, or at the end-of-cycle worker-stat merge), so the counters stay
-// race-free and accurate regardless of evaluation mode and thread count.
+// step, or per supernode from the essential-signal engine's one-worker
+// sweep), so the counters stay race-free and accurate regardless of
+// evaluation mode and thread count.
 func (b *base) countInstrs(n uint64) {
 	b.stats.InstrsExecuted += n
 	b.m.Executed += n

@@ -49,7 +49,7 @@ func TestFullCycleCounter(t *testing.T) {
 func activityFor(t *testing.T, p *emit.Program, g *ir.Graph, kind partition.Kind, cfg ActivityConfig) *Activity {
 	t.Helper()
 	part := partition.Build(g, kind, 4)
-	return NewActivity(p, part, cfg, 1, EvalKernel)
+	return NewActivity(p, part, cfg, EvalKernel)
 }
 
 func TestActivitySkipsIdleWork(t *testing.T) {
@@ -161,7 +161,7 @@ func TestResetSlowPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	part := partition.Build(b.G, partition.Enhanced, 4)
-	sim := NewActivity(p, part, ActivityConfig{MultiBitCheck: true, Activation: ActCostModel}, 1, EvalKernel)
+	sim := NewActivity(p, part, ActivityConfig{MultiBitCheck: true, Activation: ActCostModel}, EvalKernel)
 
 	dn := b.G.FindNode("d")
 	sim.Poke(dn.ID, bitvec.FromUint64(8, 0x40))

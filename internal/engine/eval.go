@@ -69,7 +69,7 @@ type supRec struct {
 
 // trackSlot is one change-tracked 1-word member (comb or memory read port):
 // its state word, and its activation strategy and successor range in the
-// successor arrays (activationPlan.succSlot space).
+// successor arrays (activationPlan.succSup space).
 type trackSlot struct {
 	off           int32
 	succ, succEnd int32
@@ -92,20 +92,19 @@ type regSlot struct {
 }
 
 // buildSupPlan flattens the partition's supernodes under the activation
-// plan; supernode s's chain runs in temporary region region[s].
-func buildSupPlan(p *emit.Program, part *partition.Result, ap *activationPlan, mode EvalMode, region []int) *supPlan {
+// plan; every chain runs in the one worker's temporary region.
+func buildSupPlan(p *emit.Program, part *partition.Result, ap *activationPlan, mode EvalMode) *supPlan {
 	nSups := part.Count()
 	pl := &supPlan{sups: make([]supRec, nSups+1), stream: emit.NewStream(p, mode)}
 	for s := range pl.sups {
 		r := &pl.sups[s]
 		r.track, r.wide, r.reg = int32(len(pl.track)), int32(len(pl.wide)), int32(len(pl.regs))
 		var members []int32
-		rg := 0
 		if s < nSups {
-			members, rg = part.Members[s], region[s]
+			members = part.Members[s]
 		}
 		// The sentinel's empty chain marks where the last one ends.
-		sp := pl.stream.AppendNodes(members, rg, nil)
+		sp := pl.stream.AppendNodes(members, 0, nil)
 		r.rec, r.k = sp.Rec, sp.K
 		if s == nSups {
 			break // sentinel

@@ -15,8 +15,8 @@ import (
 // schedule over it.
 //
 // With more than one worker it is the stand-in for Verilator's -threads mode,
-// and its schedule is the Activity engine's: the merged-level shard view
-// (partition.Result.Shard) over singleton supernodes. Nodes are levelized
+// and its schedule is the merged-level shard view (partition.Result.Shard)
+// over singleton supernodes. Nodes are levelized
 // over their dependences, consecutive sparse levels merge until a level
 // carries the adaptive grain's weight, and each scheduled level is split
 // across persistent workers separated by barriers (workerPool), with nodes

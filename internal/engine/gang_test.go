@@ -55,7 +55,7 @@ func lanePlans(p *emit.Program, g *ir.Graph) map[string]Plan {
 	return map[string]Plan{
 		"fullcycle": PlanFullCycle(p, 1, EvalKernel),
 		"activity": PlanActivity(p, partition.Build(g, partition.Enhanced, 4),
-			ActivityConfig{MultiBitCheck: true, Activation: ActCostModel}, 1, EvalKernel),
+			ActivityConfig{MultiBitCheck: true, Activation: ActCostModel}, EvalKernel),
 	}
 }
 

@@ -73,17 +73,14 @@ func analyzable(t *testing.T, g *ir.Graph, sys *core.System) *emit.Program {
 }
 
 // planCells enumerates the activity engine × {kernel, kernel-nofuse, interp}
-// × {1, 2, 4} workers over one program and partition, under activity
-// configuration act. The first cell is the one-worker kernel engine GSIM
-// builds; the second, the two-worker one on the merged-level schedule.
+// over one program and partition, under activity configuration act. The
+// first cell is the kernel engine GSIM builds.
 func planCells(prog *emit.Program, part *partition.Result, act engine.ActivityConfig) []planCell {
 	var cells []planCell
 	for _, mode := range []engine.EvalMode{engine.EvalKernel, engine.EvalKernelNoFuse, engine.EvalInterp} {
-		for _, threads := range []int{1, 2, 4} {
-			cells = append(cells, planCell{fmt.Sprintf("activity-%dT/%s", threads, mode), func() activitySim {
-				return engine.NewActivity(prog, part, act, threads, mode)
-			}})
-		}
+		cells = append(cells, planCell{fmt.Sprintf("activity/%s", mode), func() activitySim {
+			return engine.NewActivity(prog, part, act, mode)
+		}})
 	}
 	return cells
 }
@@ -122,8 +119,7 @@ func (s *stimulus) poke(sim engine.Sim, cycle int) {
 }
 
 // requireSameState compares two engines' persistent state words: the
-// temporaries are per-worker scratch, so they differ between worker counts,
-// and a Reset leaves them as they are.
+// temporaries are scratch, and a Reset leaves them as they are.
 func requireSameState(t *testing.T, what string, a, b engine.Sim) {
 	t.Helper()
 	sw := a.Machine().Prog.StateWords
@@ -200,8 +196,8 @@ func copyState(s *engine.SimState) *engine.SimState {
 // shadow invariant (every tracked slot's shadow equals its state word) at
 // every point the engine is at rest: after each poke round (reset pokes
 // included), each Step, a mid-run Reset, and RestoreState — from a
-// one-worker capture into every cell and from a two-worker capture
-// into every cell, always into used engines that have since moved on.
+// kernel capture into every cell and from a fusion-off capture into every
+// cell, always into used engines that have since moved on.
 func TestShadowInvariant(t *testing.T) {
 	const cycles = 48
 	for name, g := range planDesigns(t) {
@@ -235,19 +231,19 @@ func TestShadowInvariant(t *testing.T) {
 				}
 			}
 		}
-		var fromOne, fromTwo *engine.SimState
+		var fromKernel, fromNoFuse *engine.SimState
 		check("after build", 0)
 		for c := 0; c < cycles; c++ {
 			switch c {
 			case 10:
-				fromOne = copyState(sims[0].CaptureState()) // activity-1T/kernel
-				fromTwo = copyState(sims[1].CaptureState()) // activity-2T/kernel
+				fromKernel = copyState(sims[0].CaptureState()) // activity/kernel
+				fromNoFuse = copyState(sims[1].CaptureState()) // activity/kernel-nofuse
 			case 20:
-				restoreAll(fromOne, c)
-				check("after restore of a one-worker capture", c)
+				restoreAll(fromKernel, c)
+				check("after restore of a kernel capture", c)
 			case 30:
-				restoreAll(fromTwo, c)
-				check("after restore of a two-worker capture", c)
+				restoreAll(fromNoFuse, c)
+				check("after restore of a fusion-off capture", c)
 			case 40:
 				for _, sim := range sims {
 					sim.Reset()
@@ -319,7 +315,7 @@ func TestPlanConstructionAllocs(t *testing.T) {
 	prog := analyzable(t, g, sys)
 	allocs := func(part *partition.Result) float64 {
 		return testing.AllocsPerRun(1, func() {
-			engine.NewActivity(prog, part, sys.Config.Activity, 1, engine.EvalKernelNoFuse)
+			engine.NewActivity(prog, part, sys.Config.Activity, engine.EvalKernelNoFuse)
 		})
 	}
 	fine := partition.Build(prog.Graph, partition.Enhanced, 1)

@@ -11,10 +11,10 @@ import (
 )
 
 // workerPool is the persistent worker-pool and level-barrier scaffolding
-// shared by FullCycle and Activity. It owns the goroutines, the per-cycle
+// of FullCycle's schedules. It owns the goroutines, the per-cycle
 // start/done handshake, the atomic level countdown between barriers, and the
-// deterministic idempotent Close — keeping the two engines' synchronization
-// behavior from diverging.
+// deterministic idempotent Close. Activity runs its sweep through the
+// one-worker pool, so both engines contain a panic the same way.
 //
 // Each cycle() runs every worker through levels 0..levels-1: a worker calls
 // run(w, lv) for its share of level lv, then waits at the barrier until the

@@ -10,10 +10,8 @@ import "fmt"
 //
 // The first four fields are engine-independent (they mirror emit.Machine plus
 // the Stats block every engine keeps). The activity fields carry the
-// essential-signal engine's arming state in partition space — supernode
-// indices, not active-word layouts — so a capture at one worker count
-// restores at any other: each engine re-derives its own word layout from the
-// supernode set.
+// essential-signal engine's arming state in partition space: supernode
+// indices, which are also its active bits.
 type SimState struct {
 	State    []uint64   // the machine's persistent words (Program.StateWords); temporaries are scratch
 	Mems     [][]uint64 // memory arrays, per MemSpec
@@ -105,26 +103,22 @@ func (e *FullCycle) CaptureState() *SimState { return e.captureBase() }
 func (e *FullCycle) RestoreState(s *SimState) error { return e.restoreBase(s) }
 
 // CaptureState enumerates the essential-signal engine's state: machine
-// image, counters and the armed supernode set. Outboxes, dirty flags and
-// pending registers are always drained by the end of a Step (every
-// published activation targets a level the sweep still visits, serial
-// commits write active words directly, and commit empties every pending
-// list), so nothing else is live.
+// image, counters and the armed supernode set. The pending list is always
+// empty by the end of a Step (commit drains it), so nothing else is live.
 func (e *Activity) CaptureState() *SimState {
 	s := e.captureBase()
 	s.SupCount = e.pl.part.Count()
 	s.PartPrint = e.pl.partPrint
-	for sup, slot := range e.pl.supSlot {
-		if e.active[slot>>6]&(uint64(1)<<uint(slot&63)) != 0 {
+	for sup := range s.SupCount {
+		if e.active[sup>>6]&(uint64(1)<<uint(sup&63)) != 0 {
 			s.ActiveSups = append(s.ActiveSups, int32(sup))
 		}
 	}
 	return s
 }
 
-// RestoreState overwrites the essential-signal engine's state, re-deriving
-// its private word layout from the snapshot's supernode set and clearing all
-// worker residue (outboxes, dirty flags, pending lists) — the same shape a
+// RestoreState overwrites the essential-signal engine's state, arming the
+// snapshot's supernode set and clearing the pending list — the same shape a
 // fresh engine has.
 func (e *Activity) RestoreState(s *SimState) error {
 	if err := e.plan.checkActivity(s, e.pl.partPrint); err != nil {
@@ -138,10 +132,7 @@ func (e *Activity) RestoreState(s *SimState) error {
 	if s.SupCount == 0 {
 		e.activateAll() // capture carried no activity info: full re-evaluation is safe
 	} else {
-		for _, sup := range s.ActiveSups {
-			slot := e.pl.supSlot[sup]
-			e.active[slot>>6] |= uint64(1) << uint(slot&63)
-		}
+		e.arm(s.ActiveSups)
 	}
 	return nil
 }

@@ -22,7 +22,7 @@ func TestTestdataDesigns(t *testing.T) {
 		t.Fatalf("expected >= 3 testdata designs, got %d (%v)", len(files), err)
 	}
 	for _, path := range files {
-		for _, cfg := range []core.Config{core.GSIM(), core.GSIMMT(4)} {
+		for _, cfg := range []core.Config{core.GSIM(), core.VerilatorMT(4)} {
 			path, cfg := path, cfg
 			t.Run(filepath.Base(path)+"/"+cfg.Name, func(t *testing.T) {
 				g, err := LoadFile(path)

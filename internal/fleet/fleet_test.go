@@ -264,6 +264,24 @@ func TestRouterRefusesRemovedField(t *testing.T) {
 	}
 }
 
+// TestRouterRefusesThreadsOfOneWorkerEngines: only verilator runs more than
+// one worker, so the router itself answers a create asking gsim or essent
+// for two with a 400 naming "threads", and no create reaches a replica.
+func TestRouterRefusesThreadsOfOneWorkerEngines(t *testing.T) {
+	fl := newTestFleet(t, "r1")
+	for _, engine := range []string{"gsim", "essent"} {
+		body := fmt.Sprintf(`{"firrtl": %q, "engine": %q, "threads": 2}`, readDesign(t, "counter.fir"), engine)
+		refuseCreate(t, fl.router.URL, body, `"threads"`)
+	}
+	for name, m := range fl.mgrs {
+		if n, st := m.SessionCount(), m.CacheStats(); n != 0 || st.Designs != 0 || st.Misses != 0 {
+			t.Fatalf("replica %s after the refusals: %d sessions, cache %+v", name, n, st)
+		}
+	}
+	// One worker stays valid for every engine.
+	createSession(t, fl.router.URL, readDesign(t, "counter.fir"), server.SessionSpec{Engine: "essent", Threads: 1})
+}
+
 // refuseCreate posts a create body to the router and requires a 400 whose
 // error names field.
 func refuseCreate(t *testing.T, router, body, field string) {

@@ -14,7 +14,6 @@ import (
 	"gsim/internal/engine"
 	"gsim/internal/gen"
 	"gsim/internal/ir"
-	"gsim/internal/passes"
 	"gsim/internal/rv"
 )
 
@@ -70,7 +69,6 @@ func StuCore() Design {
 			if err != nil {
 				return nil, nil, err
 			}
-			passes.Normalize(c.Graph) // paper-form node counts (one op per node)
 			// The core restarts its program when it halts: the driver
 			// reloads state via reset-less PC wrap — simplest is to just let
 			// it sit halted; speed measurement uses the pre-halt window, and
@@ -88,7 +86,6 @@ func Synthetic(p gen.Profile) Design {
 		Name: p.Name,
 		Build: func(workload string) (*ir.Graph, func(*ir.Graph) Driver, error) {
 			g := gen.BuildProfile(p)
-			passes.Normalize(g)
 			mk := func(g2 *ir.Graph) Driver {
 				stim := g2.FindNode("stim")
 				if stim == nil {
@@ -177,8 +174,10 @@ func bitsForClusters(n int) int {
 	return w
 }
 
-// buildSystem compiles one design+workload under one configuration.
-func buildSystem(d Design, workload string, cfg core.Config) (*core.System, Driver, error) {
+// BuildSystem compiles one design+workload under one configuration, from the
+// graph as elaborated: the program the service and the repository benchmark
+// compile for the same design.
+func BuildSystem(d Design, workload string, cfg core.Config) (*core.System, Driver, error) {
 	g, mkDriver, err := d.Build(workload)
 	if err != nil {
 		return nil, nil, err
@@ -188,31 +187,4 @@ func buildSystem(d Design, workload string, cfg core.Config) (*core.System, Driv
 		return nil, nil, err
 	}
 	return sys, mkDriver(sys.Graph), nil
-}
-
-// BuildSystemForDiag exposes buildSystem for diagnostic tools.
-func BuildSystemForDiag(d Design, workload string, cfg core.Config) (*core.System, Driver, error) {
-	return buildSystem(d, workload, cfg)
-}
-
-// CheckpointDriver exposes a Fig. 7 checkpoint stimulus for benchmarks.
-func CheckpointDriver(p gen.Profile, sys *core.System, seed int64) Driver {
-	n := sys.Graph.FindNode("stim")
-	next := checkpointStimulus(p, seed)
-	return func(sim engine.Sim, cycle int) { sim.Poke(n.ID, next(cycle)) }
-}
-
-// Fig8Stage is one cumulative technique stage, exported for benchmarks.
-type Fig8Stage struct {
-	Name string
-	Cfg  func() core.Config
-}
-
-// Fig8StagesForBench exposes the Fig. 8 stage list.
-func Fig8StagesForBench() []Fig8Stage {
-	var out []Fig8Stage
-	for _, st := range fig8Stages() {
-		out = append(out, Fig8Stage{Name: st.Name, Cfg: st.Cfg})
-	}
-	return out
 }

@@ -9,6 +9,7 @@ import (
 	"gsim/internal/engine"
 	"gsim/internal/gen"
 	"gsim/internal/partition"
+	"gsim/internal/passes"
 )
 
 // Budget controls how long each measurement runs. The defaults keep the
@@ -44,7 +45,7 @@ func measure(sys *core.System, drive Driver, b Budget) float64 {
 
 // runConfig builds and measures one (design, workload, config) cell.
 func runConfig(d Design, workload string, cfg core.Config, b Budget) (float64, *core.System, error) {
-	sys, drive, err := buildSystem(d, workload, cfg)
+	sys, drive, err := BuildSystem(d, workload, cfg)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -72,7 +73,11 @@ func Table1(designs []Design, b Budget) ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		stats := g.ComputeStats()
+		// The node and edge columns count the paper's form, one operation
+		// per node; the build compiles the graph as elaborated.
+		paper := g.Clone()
+		passes.Normalize(paper)
+		stats := paper.ComputeStats()
 		cfg := core.Verilator()
 		sys, err := core.Build(g, cfg)
 		if err != nil {
@@ -96,8 +101,8 @@ type Fig6Cell struct {
 	Speedup   float64
 }
 
-// Fig6Configs lists the simulators in the figure's legend order, extended
-// with the multi-threaded GSIM variants.
+// Fig6Configs lists the simulators in the figure's legend order. Only
+// Verilator is swept over worker counts, as in the paper; GSIM runs one.
 func Fig6Configs() []core.Config {
 	return []core.Config{
 		core.Verilator(),
@@ -108,9 +113,6 @@ func Fig6Configs() []core.Config {
 		core.Essent(),
 		core.Arcilator(),
 		core.GSIM(),
-		core.GSIMMT(2),
-		core.GSIMMT(4),
-		core.GSIMMT(8),
 	}
 }
 
@@ -141,53 +143,6 @@ func Fig6(designs []Design, b Budget) ([]Fig6Cell, error) {
 		}
 	}
 	return cells, nil
-}
-
-// --- GSIMMT: multi-threaded essential-signal thread sweep ---
-
-// GSIMMTRow is one (design, workload, thread-count) datapoint of the GSIMMT
-// sweep, normalized to single-threaded GSIM on the same cell, with the
-// schedule change the multi-worker engine made: OrigLevels dependence levels
-// merged into Levels scheduled ones (barriers per cycle). Both are 0 for one
-// worker, which schedules no barrier.
-type GSIMMTRow struct {
-	Design             string
-	Workload           string
-	Threads            int // 0 marks the single-threaded GSIM baseline
-	OrigLevels, Levels int
-	SpeedHz            float64
-	Speedup            float64
-}
-
-// GSIMMTSweep measures the parallel essential-signal engine across thread
-// counts — the Fig. 6 thread-sweep shape applied to GSIM itself. Like
-// Verilator-MT, small designs pay the barrier cost and large designs win.
-func GSIMMTSweep(designs []Design, threadCounts []int, b Budget) ([]GSIMMTRow, error) {
-	var rows []GSIMMTRow
-	for _, d := range designs {
-		for _, wl := range []string{WorkloadLinux, WorkloadCoreMark} {
-			base, _, err := runConfig(d, wl, core.GSIM(), b)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s/gsim: %v", d.Name, wl, err)
-			}
-			rows = append(rows, GSIMMTRow{Design: d.Name, Workload: wl, SpeedHz: base, Speedup: 1})
-			for _, th := range threadCounts {
-				hz, sys, err := runConfig(d, wl, core.GSIMMT(th), b)
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s/gsim-%dT: %v", d.Name, wl, th, err)
-				}
-				row := GSIMMTRow{Design: d.Name, Workload: wl, Threads: th, SpeedHz: hz}
-				if base > 0 {
-					row.Speedup = hz / base
-				}
-				if sv := sys.Sim.Shard(); sv != nil {
-					row.OrigLevels, row.Levels = sv.OrigLevels, sv.Levels
-				}
-				rows = append(rows, row)
-			}
-		}
-	}
-	return rows, nil
 }
 
 // --- Figure 7: SPEC CPU2006 checkpoints ---
@@ -408,7 +363,7 @@ func Table3(d Design, b Budget) ([]Table3Row, error) {
 			MaxSupernode: a.size,
 			Activity:     engine.ActivityConfig{Activation: engine.ActBranch},
 		}
-		sys, drive, err := buildSystem(d, WorkloadCoreMark, cfg)
+		sys, drive, err := BuildSystem(d, WorkloadCoreMark, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -55,33 +55,6 @@ func TestExperimentsSmoke(t *testing.T) {
 		}
 	})
 
-	t.Run("gsimmt", func(t *testing.T) {
-		rows, err := GSIMMTSweep(designs[:1], []int{2, 4}, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 3 * 2 // baseline + two thread counts, two workloads
-		if len(rows) != want {
-			t.Fatalf("got %d rows, want %d", len(rows), want)
-		}
-		for _, r := range rows {
-			if r.SpeedHz <= 0 {
-				t.Fatalf("bad row %+v", r)
-			}
-			if r.Threads == 0 && (r.Speedup < 0.99 || r.Speedup > 1.01) {
-				t.Fatalf("baseline not normalized: %+v", r)
-			}
-			if r.Threads > 1 && (r.Levels < 1 || r.Levels > r.OrigLevels) {
-				t.Fatalf("schedule change not reported: %+v", r)
-			}
-		}
-		var sb strings.Builder
-		RenderGSIMMT(&sb, rows)
-		if !strings.Contains(sb.String(), "4T") || !strings.Contains(sb.String(), " -> ") {
-			t.Fatal("render missing thread count or schedule change")
-		}
-	})
-
 	t.Run("fig7", func(t *testing.T) {
 		rows, err := Fig7(gen.StuCoreLike(), b)
 		if err != nil {
@@ -184,7 +157,7 @@ func TestWorkloadActivityDiffers(t *testing.T) {
 	d := Synthetic(gen.StuCoreLike())
 	af := map[string]float64{}
 	for _, wl := range []string{WorkloadCoreMark, WorkloadLinux} {
-		sys, drive, err := buildSystem(d, wl, core.GSIM())
+		sys, drive, err := BuildSystem(d, wl, core.GSIM())
 		if err != nil {
 			t.Fatal(err)
 		}

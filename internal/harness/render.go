@@ -64,23 +64,6 @@ func RenderFig6(w io.Writer, cells []Fig6Cell) {
 	}
 }
 
-// RenderGSIMMT prints the multi-threaded GSIM thread sweep, with each
-// multi-worker row's schedule change (dependence levels -> scheduled levels).
-func RenderGSIMMT(w io.Writer, rows []GSIMMTRow) {
-	fmt.Fprintf(w, "GSIMMT: parallel essential-signal engine thread sweep (speedup vs 1T GSIM)\n")
-	fmt.Fprintf(w, "%-16s %-9s %-9s %12s %9s %12s\n", "Design", "Workload", "Threads", "Speed", "Speedup", "levels")
-	for _, r := range rows {
-		label, levels := "gsim", "-"
-		if r.Threads > 0 {
-			label = fmt.Sprintf("%dT", r.Threads)
-		}
-		if r.Levels > 0 {
-			levels = fmt.Sprintf("%d -> %d", r.OrigLevels, r.Levels)
-		}
-		fmt.Fprintf(w, "%-16s %-9s %-9s %12s %8.2fx %12s\n", r.Design, r.Workload, label, hz(r.SpeedHz), r.Speedup, levels)
-	}
-}
-
 // RenderFig7 prints the checkpoint study.
 func RenderFig7(w io.Writer, rows []Fig7Row) {
 	fmt.Fprintf(w, "Figure 7: SPEC CPU2006 checkpoints on the largest design (speedup vs 1T Verilator)\n")

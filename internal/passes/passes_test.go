@@ -309,7 +309,7 @@ func nodeLevelDesigns(t *testing.T) map[string]*ir.Graph {
 // is the number of _cse nodes, no plain node has a single reference — and the
 // pipeline stands at its fixed point: a second Run changes nothing. Both hold
 // on the trees as built (what CompileDesign optimizes) under every preset's
-// options, and on the normalized one-op form (harness.Synthetic's) under
+// options, and on the normalized one-op form (what Table I counts) under
 // All. The random designs keep only the rule: there a rewrite that builds new
 // inner trees (a slice distributed over a mux yields bits(pad(x))) leaves
 // them for the next simplify, whose smaller trees then pass the inline rule,

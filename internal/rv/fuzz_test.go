@@ -160,7 +160,6 @@ func FuzzCoreMatchesISS(f *testing.F) {
 		withEval(core.Verilator(), engine.EvalInterp),
 		withEval(core.VerilatorMT(2), engine.EvalKernelNoFuse),
 		core.GSIM(),
-		core.GSIMMT(2),
 	}
 	c, err := BuildCore(nil, DefaultCoreConfig())
 	if err != nil {

@@ -58,14 +58,14 @@ type CreateRequest struct {
 // field or carrying a spec no session may run. The server and the fleet
 // router both apply it.
 func (r *CreateRequest) Validate() error {
-	if err := r.SessionSpec.validate(); err != nil {
-		return err
-	}
 	if r.Eval != nil {
 		return errors.New(`the session spec field "eval" was removed: every session runs the fused kernel stream`)
 	}
 	if r.Coarsen != nil {
 		return errors.New(`the session spec field "coarsen" was removed: every multi-worker session runs the merged-level schedule`)
+	}
+	if _, err := r.SessionSpec.coreConfig(); err != nil {
+		return err
 	}
 	if r.FIRRTL == "" {
 		return errors.New("firrtl source required")

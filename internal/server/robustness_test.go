@@ -160,11 +160,11 @@ func TestWorkerPanicPoisonsOneSession(t *testing.T) {
 		}
 	}()
 
-	victim, err := m.CreateSession(src, SessionSpec{Threads: 2})
+	victim, err := m.CreateSession(src, SessionSpec{Engine: "verilator", Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bystander, err := m.CreateSession(src, SessionSpec{Threads: 2})
+	bystander, err := m.CreateSession(src, SessionSpec{Engine: "verilator", Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

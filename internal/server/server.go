@@ -85,10 +85,6 @@ const minReapInterval = time.Millisecond
 // maxLanes caps a session's lane count: the engine's live set is one word.
 const maxLanes = 64
 
-// maxThreads caps a session's worker count: every lane of a multi-worker
-// session starts threads worker goroutines.
-const maxThreads = 64
-
 // maxTraceBytesPerLane caps each lane's in-memory VCD capture. A traced lane
 // that outgrows the cap keeps simulating; the waveform is truncated and
 // flagged, never the session killed.
@@ -136,7 +132,7 @@ type Limits struct {
 // exposes as flags, with the same defaults (gsim preset).
 type SessionSpec struct {
 	Engine       string `json:"engine,omitempty"`        // gsim | verilator | essent | arcilator (default gsim)
-	Threads      int    `json:"threads,omitempty"`       // gsim -> GSIMMT, verilator -> Verilator-MT
+	Threads      int    `json:"threads,omitempty"`       // worker count: 0 or 1 for every engine, up to 64 for verilator (Verilator-MT)
 	MaxSupernode int    `json:"max_supernode,omitempty"` // supernode size cap (0 = default)
 
 	// Lanes steps K independent stimulus lanes through one compiled design
@@ -165,50 +161,16 @@ type SessionSpec struct {
 	TraceResume bool `json:"trace_resume,omitempty"`
 }
 
-// validate refuses a spec no session may run: a worker count outside
-// [0, maxThreads]. Every session create (through coreConfig) and
-// CreateRequest.Validate call it, so the router refuses before placement.
-func (sp SessionSpec) validate() error {
-	if sp.Threads < 0 || sp.Threads > maxThreads {
-		return fmt.Errorf(`server: the session spec field "threads" is %d, outside [0,%d]`, sp.Threads, maxThreads)
-	}
-	return nil
-}
-
-// coreConfig resolves the spec to a core configuration, mirroring cmd/gsim's
-// flag handling so a server session and a CLI run with the same knobs build
-// the same simulator.
+// coreConfig resolves the spec to a core configuration through core.Preset,
+// the resolver cmd/gsim's flags go through, so a server session and a CLI
+// run with the same knobs build the same simulator. It refuses an unknown
+// engine or a worker count the engine does not take. Every session create
+// and CreateRequest.Validate call it, so the router refuses before
+// placement.
 func (sp SessionSpec) coreConfig() (core.Config, error) {
-	var cfg core.Config
-	if err := sp.validate(); err != nil {
+	cfg, err := core.Preset(sp.Engine, sp.Threads)
+	if err != nil {
 		return cfg, err
-	}
-	engineName := sp.Engine
-	if engineName == "" {
-		engineName = "gsim"
-	}
-	switch engineName {
-	case "gsim":
-		if sp.Threads > 0 {
-			cfg = core.GSIMMT(sp.Threads)
-		} else {
-			cfg = core.GSIM()
-		}
-	case "verilator":
-		if sp.Threads > 0 {
-			cfg = core.VerilatorMT(sp.Threads)
-		} else {
-			cfg = core.Verilator()
-		}
-	case "essent":
-		cfg = core.Essent()
-	case "arcilator":
-		cfg = core.Arcilator()
-	default:
-		return cfg, fmt.Errorf("server: unknown engine %q", engineName)
-	}
-	if sp.Threads > 0 && cfg.Threads == 0 {
-		return cfg, fmt.Errorf("server: threads only valid with engine gsim or verilator")
 	}
 	if sp.MaxSupernode > 0 {
 		cfg.MaxSupernode = sp.MaxSupernode
@@ -976,16 +938,11 @@ func (s *Session) Apply(ctx context.Context, ops []Op) (results []OpResult, err 
 	return results, nil
 }
 
-// valueNode resolves the node op i peeks or pokes. A memory write port is
-// named like any node but holds no value word, so it is refused here rather
-// than indexed.
+// valueNode resolves the node op i peeks or pokes (core.ValueNode).
 func (s *Session) valueNode(i int, name string) (*ir.Node, error) {
-	n := s.Design.Graph.FindNode(name)
-	if n == nil {
-		return nil, fmt.Errorf("server: op %d: no node %q", i, name)
-	}
-	if n.Kind == ir.KindMemWrite {
-		return nil, fmt.Errorf("server: op %d: %q is a memory write port, which has no value to peek or poke", i, name)
+	n, err := core.ValueNode(s.Design.Graph, name)
+	if err != nil {
+		return nil, fmt.Errorf("server: op %d: %v", i, err)
 	}
 	return n, nil
 }

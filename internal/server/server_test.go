@@ -267,6 +267,36 @@ func TestHTTPSnapshotRestoreMidSession(t *testing.T) {
 }
 
 // TestHTTPErrors pins the API's refusal paths.
+// TestCreateRefusesThreadsOfOneWorkerEngines: only verilator runs more than
+// one worker, so gsim-serve answers {"engine":"gsim","threads":2} with a 400
+// naming "threads", and the Go API refuses the same spec, before anything
+// compiles; one worker stays valid.
+func TestCreateRefusesThreadsOfOneWorkerEngines(t *testing.T) {
+	m := NewManager()
+	ts := httptest.NewServer(m.Handler())
+	defer ts.Close()
+	src := readDesign(t, "counter.fir")
+	for _, engine := range []string{"gsim", "essent", "arcilator"} {
+		var refusal struct{ Error string }
+		body := map[string]any{"firrtl": src, "engine": engine, "threads": 2}
+		if resp := postJSON(t, ts.URL+"/v1/sessions", body, &refusal); resp.StatusCode != http.StatusBadRequest ||
+			!strings.Contains(refusal.Error, `"threads"`) {
+			t.Fatalf("%s with 2 threads: status %d, error %q; want 400 naming the field", engine, resp.StatusCode, refusal.Error)
+		}
+		if _, err := m.CreateSession(src, SessionSpec{Engine: engine, Threads: 2}); err == nil || !strings.Contains(err.Error(), `"threads"`) {
+			t.Fatalf("CreateSession(%s, 2 threads) returned %v, want a refusal naming the field", engine, err)
+		}
+	}
+	if st := m.CacheStats(); m.SessionCount() != 0 || st.Misses != 0 {
+		t.Fatalf("the refusals reached the manager: %d sessions, cache %+v", m.SessionCount(), st)
+	}
+	s, err := m.CreateSession(src, SessionSpec{Engine: "gsim", Threads: 1})
+	if err != nil {
+		t.Fatalf("gsim with one thread: %v", err)
+	}
+	s.Close()
+}
+
 func TestHTTPErrors(t *testing.T) {
 	m := NewManager()
 	ts := httptest.NewServer(m.Handler())
@@ -299,13 +329,13 @@ func TestHTTPErrors(t *testing.T) {
 				removed.field, removed.value, resp.StatusCode, refusal.Error)
 		}
 	}
-	// A worker count outside [0, maxThreads] is refused before it compiles a
+	// A worker count outside [0, core.MaxThreads] is refused before it compiles a
 	// cache entry or starts a goroutine, over HTTP and through the Go API.
 	g, err := firrtl.Load(readDesign(t, "counter.fir"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, threads := range []int{-1, maxThreads + 1, 10_000_000} {
+	for _, threads := range []int{-1, core.MaxThreads + 1, 10_000_000} {
 		var refusal struct{ Error string }
 		body := map[string]any{"firrtl": readDesign(t, "counter.fir"), "engine": "verilator", "threads": threads}
 		if resp := postJSON(t, ts.URL+"/v1/sessions", body, &refusal); resp.StatusCode != http.StatusBadRequest ||

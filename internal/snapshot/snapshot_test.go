@@ -17,6 +17,7 @@ import (
 	"gsim/internal/harness"
 	"gsim/internal/ir"
 	"gsim/internal/partition"
+	"gsim/internal/passes"
 	"gsim/internal/snapshot"
 	"gsim/internal/trace"
 )
@@ -79,11 +80,12 @@ type matrixCell struct {
 	compileOnce  bool
 }
 
-// matrixCells enumerates the acceptance matrix: both engines x 3 eval modes
-// x {1,2,4} workers x {compiled per run, compiled once}, each captured and
-// resumed at the same worker count, and the same cells again (the
-// "parallel-" rows) resumed at the next count of {1,2,4}, 4 wrapping to 1:
-// a snapshot must carry over between worker counts in every mode. A
+// matrixCells enumerates the acceptance matrix: 3 eval modes x {compiled per
+// run, compiled once} x the full-cycle engine at {1,2,4} workers and the
+// essential-signal engine (one worker), each captured and resumed at the
+// same worker count, and the full-cycle cells again (the "parallel-" rows)
+// resumed at the next count of {1,2,4}, 4 wrapping to 1: a snapshot must
+// carry over between worker counts in every mode. A
 // compile-once cell ("-cotrue") draws every engine of one configuration from
 // one shared core.CompiledDesign, as a replica's sessions of one spec do, so
 // the snapshot restores into a sibling of the engine that took it; the
@@ -93,18 +95,23 @@ func matrixCells() []matrixCell {
 	var cells []matrixCell
 	next := map[int]int{1: 2, 2: 4, 4: 1}
 	for _, kind := range []core.EngineKind{core.EngineFullCycle, core.EngineActivity} {
-		for _, cross := range []bool{false, true} {
+		workers, crosses := []int{1, 2, 4}, []bool{false, true}
+		if kind == core.EngineActivity {
+			workers, crosses = []int{1}, []bool{false}
+		}
+		for _, cross := range crosses {
 			label := kind.String()
 			if cross {
-				label = map[core.EngineKind]string{core.EngineFullCycle: "parallel", core.EngineActivity: "parallel-activity"}[kind]
+				label = "parallel"
 			}
 			for _, eval := range []engine.EvalMode{engine.EvalKernel, engine.EvalInterp, engine.EvalKernelNoFuse} {
-				for _, threads := range []int{1, 2, 4} {
+				for _, threads := range workers {
 					for _, once := range []bool{false, true} {
 						cfg := func(threads int) core.Config {
 							cfg := core.VerilatorMT(threads)
 							if kind == core.EngineActivity {
-								cfg = core.GSIMMT(threads)
+								cfg = core.GSIM()
+								cfg.Threads = threads
 							}
 							cfg.Eval = eval
 							return cfg
@@ -260,16 +267,16 @@ func TestRoundTripMatrix(t *testing.T) {
 	}
 }
 
-// TestCrossEngineRestore pins snapshot portability inside one compiled
-// design: a checkpoint taken by the one-worker activity engine restores into
-// the engine at several worker counts, and the continued runs match the
-// uninterrupted one-worker trajectory exactly — the activity section travels
-// in partition space, not engine-word space.
+// TestCrossEngineRestore pins snapshot portability across worker counts: a
+// checkpoint taken by the one-worker full-cycle engine restores into the
+// engine at several worker counts, and the continued runs match the
+// uninterrupted one-worker trajectory exactly — the state section is the
+// persistent words, which no worker count lays out differently.
 func TestCrossEngineRestore(t *testing.T) {
 	const K, M = 16, 16
 	g := loadDesign(t, "fifo.fir")
 
-	gold, err := core.Build(g, core.GSIM())
+	gold, err := core.Build(g, core.Verilator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +287,7 @@ func TestCrossEngineRestore(t *testing.T) {
 		gold.Sim.Step()
 	}
 
-	src, err := core.Build(g, core.GSIM())
+	src, err := core.Build(g, core.Verilator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,8 +302,8 @@ func TestCrossEngineRestore(t *testing.T) {
 	}
 
 	for _, threads := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("activity-to-%dT", threads), func(t *testing.T) {
-			cfg := core.GSIMMT(threads)
+		t.Run(fmt.Sprintf("fullcycle-to-%dT", threads), func(t *testing.T) {
+			cfg := core.VerilatorMT(threads)
 			dst, err := core.Build(g, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -388,7 +395,7 @@ func TestRestoreIntoUsedEngine(t *testing.T) {
 // build, for every engine kind.
 func TestResetIsPowerOn(t *testing.T) {
 	g := loadDesign(t, "fifo.fir")
-	for _, cfg := range []core.Config{core.Verilator(), core.VerilatorMT(2), core.GSIM(), core.GSIMMT(2)} {
+	for _, cfg := range []core.Config{core.Verilator(), core.VerilatorMT(2), core.GSIM()} {
 		t.Run(cfg.Name, func(t *testing.T) {
 			fresh, err := core.Build(g, cfg)
 			if err != nil {
@@ -493,7 +500,7 @@ func TestRestoreValidation(t *testing.T) {
 			t.Fatal("core.Optimize + emit.Compile built another program than the design's")
 		}
 		moved := shiftMember(t, sys.Part)
-		other := engine.NewActivity(prog, moved, sys.Config.Activity, 1, engine.EvalKernel)
+		other := engine.NewActivity(prog, moved, sys.Config.Activity, engine.EvalKernel)
 		defer other.Close()
 		err = snapshot.Restore(other, blob)
 		if err == nil {
@@ -842,13 +849,15 @@ func TestCLISnapshotFormat(t *testing.T) {
 // for every optimization pass to fire with cost ties: rebuilding the same
 // graph must reproduce the identical program hash, or snapshots could not
 // travel between builds (this caught extraction ordering leaking
-// map-iteration order into node numbering).
+// map-iteration order into node numbering). The design is normalized to one
+// operation per node, the form whose extraction candidates tie in cost.
 func TestDesignHashDeterminism(t *testing.T) {
 	d := harness.Synthetic(gen.StuCoreLike())
 	g, _, err := d.Build(harness.WorkloadCoreMark)
 	if err != nil {
 		t.Fatal(err)
 	}
+	passes.Normalize(g)
 	var want string
 	for i := 0; i < 3; i++ {
 		sys, err := core.Build(g, core.GSIM())
@@ -869,6 +878,7 @@ func TestDesignHashDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	passes.Normalize(g2)
 	sys, err := core.Build(g2, core.GSIM())
 	if err != nil {
 		t.Fatal(err)

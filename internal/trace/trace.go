@@ -4,7 +4,7 @@
 // "100% signal visibility"; before this package, visibility came at the price
 // of serializing the parallel sweep — VCD sampling (value formatting plus
 // file writes) ran on the coordinator between cycles, inside the only serial
-// window the GSIMMT engine has. The pipeline moves everything but a bounded
+// window a multi-worker engine has. The pipeline moves everything but a bounded
 // memcpy off the coordinator:
 //
 //	coordinator (per cycle)            writer goroutine
