@@ -83,9 +83,14 @@ type matrixCell struct {
 // matrixCells enumerates the acceptance matrix: 3 eval modes x {compiled per
 // run, compiled once} x the full-cycle engine at {1,2,4} workers and the
 // essential-signal engine (one worker), each captured and resumed at the
-// same worker count, and the full-cycle cells again (the "parallel-" rows)
-// resumed at the next count of {1,2,4}, 4 wrapping to 1: a snapshot must
-// carry over between worker counts in every mode. A
+// same worker count; the full-cycle cells again (the "parallel-" rows)
+// resumed at the next count of {1,2,4}, 4 wrapping to 1; and the
+// "parallel-activity-" rows, captured by the full-cycle engine at {1,2,4}
+// workers under the essential-signal configuration's optimization (so the
+// same program and design hash) and resumed by the one-worker
+// essential-signal engine, which re-arms every supernode from a capture that
+// carries no activity: a snapshot must carry over between worker counts and
+// engines in every mode. A
 // compile-once cell ("-cotrue") draws every engine of one configuration from
 // one shared core.CompiledDesign, as a replica's sessions of one spec do, so
 // the snapshot restores into a sibling of the engine that took it; the
@@ -94,35 +99,34 @@ type matrixCell struct {
 func matrixCells() []matrixCell {
 	var cells []matrixCell
 	next := map[int]int{1: 2, 2: 4, 4: 1}
-	for _, kind := range []core.EngineKind{core.EngineFullCycle, core.EngineActivity} {
-		workers, crosses := []int{1, 2, 4}, []bool{false, true}
-		if kind == core.EngineActivity {
-			workers, crosses = []int{1}, []bool{false}
+	for _, row := range []string{"fullcycle", "parallel", "activity", "parallel-activity"} {
+		workers := []int{1, 2, 4}
+		if row == "activity" {
+			workers = []int{1}
 		}
-		for _, cross := range crosses {
-			label := kind.String()
-			if cross {
-				label = "parallel"
-			}
-			for _, eval := range []engine.EvalMode{engine.EvalKernel, engine.EvalInterp, engine.EvalKernelNoFuse} {
-				for _, threads := range workers {
-					for _, once := range []bool{false, true} {
-						cfg := func(threads int) core.Config {
-							cfg := core.VerilatorMT(threads)
-							if kind == core.EngineActivity {
-								cfg = core.GSIM()
-								cfg.Threads = threads
-							}
-							cfg.Eval = eval
-							return cfg
-						}
-						c := matrixCell{name: fmt.Sprintf("%s-%s-%dT-co%v", label, eval, threads, once),
-							save: cfg(threads), resume: cfg(threads), compileOnce: once}
-						if cross {
-							c.resume = cfg(next[threads])
-						}
-						cells = append(cells, c)
+		for _, eval := range []engine.EvalMode{engine.EvalKernel, engine.EvalInterp, engine.EvalKernelNoFuse} {
+			for _, threads := range workers {
+				for _, once := range []bool{false, true} {
+					fullCycle := func(threads int) core.Config {
+						cfg := core.VerilatorMT(threads)
+						cfg.Eval = eval
+						return cfg
 					}
+					activity := core.GSIM()
+					activity.Eval = eval
+					c := matrixCell{name: fmt.Sprintf("%s-%s-%dT-co%v", row, eval, threads, once), compileOnce: once}
+					switch row {
+					case "fullcycle":
+						c.save, c.resume = fullCycle(threads), fullCycle(threads)
+					case "parallel":
+						c.save, c.resume = fullCycle(threads), fullCycle(next[threads])
+					case "activity":
+						c.save, c.resume = activity, activity
+					case "parallel-activity":
+						c.save, c.resume = fullCycle(threads), activity
+						c.save.Opt = activity.Opt
+					}
+					cells = append(cells, c)
 				}
 			}
 		}
@@ -190,6 +194,13 @@ func runTraced(t *testing.T, build func(core.Config) *core.System, cfg core.Conf
 	return sys
 }
 
+// trajectoryStats keeps the counters the design and the cycle count fix —
+// cycles and evaluable nodes — and zeroes the ones that count an engine's
+// own work, which engine kinds count differently.
+func trajectoryStats(s engine.Stats) engine.Stats {
+	return engine.Stats{Cycles: s.Cycles, EvaluableNodes: s.EvaluableNodes}
+}
+
 // noNodesFIRRTL has no node with code, so its partition has no supernode and
 // an essential-signal capture names the empty partition's fingerprint.
 const noNodesFIRRTL = "circuit I :\n  module I :\n    input clock : Clock\n    input a : UInt<8>\n"
@@ -201,7 +212,10 @@ const noNodesFIRRTL = "circuit I :\n  module I :\n    input clock : Clock\n    i
 // configuration. Examinations are the one counter that depends on the worker
 // count (they count active-word tests, and each chunk pads to whole words),
 // so a row that changes workers carries the capturing side's into the
-// resumed total and is compared without them.
+// resumed total and is compared without them. A row that changes
+// engines carries the capturing engine's work counters into the resumed
+// total, so it compares the counters the trajectory fixes (trajectoryStats),
+// not the work each engine did.
 func TestRoundTripMatrix(t *testing.T) {
 	const K, M = 16, 16
 	noNodes, err := firrtl.Load(noNodesFIRRTL)
@@ -252,10 +266,14 @@ func TestRoundTripMatrix(t *testing.T) {
 				if c.save.Threads != c.resume.Threads {
 					ga.Examinations, gb.Examinations = 0, 0
 				}
+				crossEngine := c.save.Engine != c.resume.Engine
+				if crossEngine {
+					ga, gb = trajectoryStats(ga), trajectoryStats(gb)
+				}
 				if ga != gb {
 					t.Fatalf("stats diverge:\nuninterrupted %+v\nresumed       %+v", ga, gb)
 				}
-				if a.Executed != b.Executed {
+				if !crossEngine && a.Executed != b.Executed {
 					t.Fatalf("Machine.Executed: uninterrupted %d vs resumed %d", a.Executed, b.Executed)
 				}
 				resumed := append(append([]byte{}, vcd1.Bytes()...), vcd2.Bytes()...)
@@ -267,64 +285,72 @@ func TestRoundTripMatrix(t *testing.T) {
 	}
 }
 
-// TestCrossEngineRestore pins snapshot portability across worker counts: a
-// checkpoint taken by the one-worker full-cycle engine restores into the
-// engine at several worker counts, and the continued runs match the
-// uninterrupted one-worker trajectory exactly — the state section is the
-// persistent words, which no worker count lays out differently.
+// TestCrossEngineRestore pins snapshot portability across engines and
+// worker counts: a checkpoint taken by the one-worker essential-signal
+// engine ("activity-") or the one-worker full-cycle engine ("fullcycle-")
+// restores into the full-cycle engine at several worker counts, compiled
+// under the capturing configuration's optimization, and the continued runs
+// match the capturing engine's uninterrupted trajectory exactly — the state
+// section is the persistent words, which no engine or worker count lays out
+// differently, and a full-cycle engine needs none of the activity section.
 func TestCrossEngineRestore(t *testing.T) {
 	const K, M = 16, 16
 	g := loadDesign(t, "fifo.fir")
+	for _, src := range []struct {
+		label string
+		cfg   core.Config
+	}{{"activity", core.GSIM()}, {"fullcycle", core.Verilator()}} {
+		gold, err := core.Build(g, src.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer gold.Close()
+		ins := inputsOf(gold.Graph)
+		for c := 0; c < K+M; c++ {
+			drive(gold.Sim, ins, c)
+			gold.Sim.Step()
+		}
 
-	gold, err := core.Build(g, core.Verilator())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gold.Close()
-	ins := inputsOf(gold.Graph)
-	for c := 0; c < K+M; c++ {
-		drive(gold.Sim, ins, c)
-		gold.Sim.Step()
-	}
+		seg1, err := core.Build(g, src.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer seg1.Close()
+		for c := 0; c < K; c++ {
+			drive(seg1.Sim, ins, c)
+			seg1.Sim.Step()
+		}
+		blob, err := snapshot.Save(seg1.Sim)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	src, err := core.Build(g, core.Verilator())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	for c := 0; c < K; c++ {
-		drive(src.Sim, ins, c)
-		src.Sim.Step()
-	}
-	blob, err := snapshot.Save(src.Sim)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, threads := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("fullcycle-to-%dT", threads), func(t *testing.T) {
-			cfg := core.VerilatorMT(threads)
-			dst, err := core.Build(g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer dst.Close()
-			if err := snapshot.Restore(dst.Sim, blob); err != nil {
-				t.Fatal(err)
-			}
-			dins := inputsOf(dst.Graph)
-			for c := K; c < K+M; c++ {
-				drive(dst.Sim, dins, c)
-				dst.Sim.Step()
-			}
-			sw := gold.Prog.StateWords
-			ga, gb := gold.Sim.Machine().State[:sw], dst.Sim.Machine().State[:sw]
-			for w := range ga {
-				if ga[w] != gb[w] {
-					t.Fatalf("state word %d: 1T %#x vs %dT %#x", w, ga[w], threads, gb[w])
+		for _, threads := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s-to-%dT", src.label, threads), func(t *testing.T) {
+				cfg := core.VerilatorMT(threads)
+				cfg.Opt = src.cfg.Opt
+				dst, err := core.Build(g, cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
+				defer dst.Close()
+				if err := snapshot.Restore(dst.Sim, blob); err != nil {
+					t.Fatal(err)
+				}
+				dins := inputsOf(dst.Graph)
+				for c := K; c < K+M; c++ {
+					drive(dst.Sim, dins, c)
+					dst.Sim.Step()
+				}
+				sw := gold.Prog.StateWords
+				ga, gb := gold.Sim.Machine().State[:sw], dst.Sim.Machine().State[:sw]
+				for w := range ga {
+					if ga[w] != gb[w] {
+						t.Fatalf("state word %d: %s %#x vs full-cycle %dT %#x", w, src.label, ga[w], threads, gb[w])
+					}
+				}
+			})
+		}
 	}
 }
 
